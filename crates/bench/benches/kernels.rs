@@ -1,12 +1,15 @@
 //! Criterion benches for the substrate kernels the algorithms lean on:
 //! the distributed sort (Claim 1), the max-edge labeling (the F-light
-//! filter of §3), and the AGM sketch machinery (Appendix C.1).
+//! filter of §3), the AGM sketch machinery (Appendix C.1) down to its
+//! per-edge, per-merge and per-exponentiation kernels, and the large
+//! machine's Stoer–Wagner.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpc_graph::generators;
 use mpc_labeling::MaxEdgeLabeling;
 use mpc_runtime::{Cluster, ClusterConfig, ShardedVec, Topology};
-use mpc_sketch::SketchFamily;
+use mpc_sketch::field::PowTable;
+use mpc_sketch::{merge_partials, SketchFamily};
 use std::hint::black_box;
 
 fn bench_sort(c: &mut Criterion) {
@@ -74,6 +77,50 @@ fn bench_sketch(c: &mut Criterion) {
         fam.add_edge(&mut merged, 0, v);
     }
     group.bench_function("decode", |b| b.iter(|| black_box(fam.decode(&merged))));
+    // One prepared update per edge, applied to both endpoints' sketches.
+    let mut row: Vec<_> = (0..1024).map(|_| fam.empty(0)).collect();
+    group.bench_function("edge_update_pair_1k", |b| {
+        b.iter(|| {
+            for v in 1..=1000u32 {
+                let update = fam.prepare(0, v - 1, v);
+                row[v as usize - 1].apply(&update, v - 1);
+                row[v as usize].apply(&update, v);
+            }
+            black_box(&row);
+        })
+    });
+    // The owner-merge round: every key arrives from 12 senders, each of
+    // which saw one of the vertex's edges.
+    let inbox: Vec<_> = (0..12u32)
+        .flat_map(|sender| {
+            let local: Vec<_> = (0..1000u32).map(|v| (v, (v + 1 + sender) % 1024)).collect();
+            fam.partial_sketches(&local)
+        })
+        .collect();
+    group.bench_function("owner_merge_12way", |b| {
+        b.iter(|| black_box(merge_partials(inbox.clone())))
+    });
+    let table = PowTable::new(0x1234_5678_9ABC, 1024 * 1024);
+    group.bench_function("pow_fixed_base", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for e in 0..1000u64 {
+                acc ^= table.pow(black_box(e * 1021));
+            }
+            black_box(acc)
+        })
+    });
+    group.finish();
+}
+
+fn bench_mincut(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel_mincut");
+    group.sample_size(20);
+    let g = generators::gnm(288, 1440, 7).with_random_weights(1 << 12, 7);
+    let edges: Vec<_> = g.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+    group.bench_function("stoer_wagner_n288_m1440", |b| {
+        b.iter(|| black_box(mpc_graph::mincut::stoer_wagner(g.n(), &edges)))
+    });
     group.finish();
 }
 
@@ -123,6 +170,7 @@ criterion_group!(
     bench_sort,
     bench_labeling,
     bench_sketch,
+    bench_mincut,
     bench_reference,
     bench_exec_engine
 );

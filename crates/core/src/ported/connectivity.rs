@@ -19,7 +19,7 @@ use mpc_graph::traversal::Components;
 use mpc_graph::Edge;
 use mpc_runtime::primitives::{aggregate_by_key, broadcast, gather_to};
 use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
-use mpc_sketch::{sketch_connectivity, SketchFamily, SparseSketch};
+use mpc_sketch::{sketch_connectivity_sparse, SketchFamily, SparseSketch};
 use rand::Rng;
 
 /// Tuning for the connectivity port.
@@ -65,21 +65,11 @@ pub fn heterogeneous_connectivity(
     broadcast(cluster, "conn.seed", large, &seed, &targets)?;
     let family = SketchFamily::new(n, config.phases, seed);
 
-    // Local: partial sparse sketches per (phase, vertex).
-    // Key packs (phase << 32) | vertex.
+    // Local: partial sparse sketches per (phase, vertex) key.
     let mut partials: ShardedVec<(u64, SparseSketch)> = ShardedVec::new(cluster);
     for mid in 0..edges.machines() {
-        let mut local: std::collections::BTreeMap<u64, SparseSketch> =
-            std::collections::BTreeMap::new();
-        for e in edges.shard(mid) {
-            for phase in 0..config.phases {
-                let ku = ((phase as u64) << 32) | e.u as u64;
-                let kv = ((phase as u64) << 32) | e.v as u64;
-                family.add_edge_sparse(local.entry(ku).or_default(), phase, e.u, e.v);
-                family.add_edge_sparse(local.entry(kv).or_default(), phase, e.v, e.u);
-            }
-        }
-        *partials.shard_mut(mid) = local.into_iter().collect();
+        let local: Vec<_> = edges.shard(mid).iter().map(|e| (e.u, e.v)).collect();
+        *partials.shard_mut(mid) = family.partial_sketches(&local);
     }
     partials.account(cluster, "conn.partials")?;
 
@@ -100,15 +90,7 @@ pub fn heterogeneous_connectivity(
     cluster.account("conn.large", large, words)?;
 
     // Local sketch-Borůvka on the large machine.
-    let mut rows: Vec<Vec<mpc_sketch::VertexSketch>> = (0..config.phases)
-        .map(|p| (0..n).map(|_| family.empty(p)).collect())
-        .collect();
-    for (key, sparse) in &gathered {
-        let phase = (key >> 32) as usize;
-        let v = (key & 0xFFFF_FFFF) as usize;
-        rows[phase][v] = family.to_dense(sparse);
-    }
-    let components = sketch_connectivity(&family, &rows, n);
+    let components = sketch_connectivity_sparse(&family, gathered, n);
     cluster.release("conn.large");
     Ok(components)
 }

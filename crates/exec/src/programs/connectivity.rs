@@ -9,30 +9,42 @@
 //! | 0     | large  | draws the sketch-family seed from its private RNG, sends it to every machine |
 //! | 1     | smalls | build partial sparse sketches of their local edges, send each `(phase, vertex)` partial to its hash-owner |
 //! | 2     | owners | sum partials per key (sketches are linear), forward to the large machine |
-//! | 3     | large  | dense-ifies the per-vertex sketches, runs sketch-Borůvka locally, halts with the [`Components`] |
+//! | 3     | large  | runs sketch-Borůvka locally over the merged sparse sketches, halts with the [`Components`] |
 //!
-//! The seed is the large machine's **first** RNG draw — exactly what the
-//! legacy implementation draws — and sketch merging is field addition
-//! (commutative and associative), so the resulting components are
-//! *identical* to the legacy path on the same cluster seed, which the
-//! equivalence tests assert.
+//! The three local steps are the kernels of [`mpc_sketch::connectivity`],
+//! shared with the legacy implementation. The seed is the large machine's
+//! **first** RNG draw — exactly what the legacy implementation draws — and
+//! sketch merging is field addition (commutative and associative), so the
+//! resulting components are *identical* to the legacy path on the same
+//! cluster seed, which the equivalence tests assert.
 
 use crate::machine::{MachineCtx, MachineProgram, StepOutcome};
 use mpc_core::ported::connectivity::ConnectivityConfig;
 use mpc_graph::traversal::Components;
 use mpc_graph::Edge;
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
-use mpc_sketch::{sketch_connectivity, SketchFamily, SparseSketch, VertexSketch};
+use mpc_sketch::{merge_partials, sketch_connectivity_sparse, SketchFamily, SparseSketch};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Messages of the connectivity program.
 #[derive(Clone, Debug)]
 pub enum ConnMsg {
     /// The sketch-family seed, broadcast by the large machine.
     Seed(u64),
-    /// A (partial or merged) sparse sketch for key `(phase << 32) | vertex`.
+    /// A (partial or merged) sparse sketch for its
+    /// [`partial_key`](mpc_sketch::partial_key).
     Partial(u64, SparseSketch),
+}
+
+/// The `(key, sketch)` pairs of an inbox, in arrival order.
+fn partials_of(inbox: Vec<(MachineId, ConnMsg)>) -> Vec<(u64, SparseSketch)> {
+    inbox
+        .into_iter()
+        .filter_map(|(_, msg)| match msg {
+            ConnMsg::Partial(key, s) => Some((key, s)),
+            ConnMsg::Seed(_) => None,
+        })
+        .collect()
 }
 
 impl Payload for ConnMsg {
@@ -123,15 +135,8 @@ impl MachineProgram for ConnectivityProgram {
                 };
                 self.seed = Some(seed);
                 let family = SketchFamily::new(self.n, self.phases, seed);
-                let mut partials: BTreeMap<u64, SparseSketch> = BTreeMap::new();
-                for e in &self.local_edges {
-                    for phase in 0..self.phases {
-                        let ku = ((phase as u64) << 32) | e.u as u64;
-                        let kv = ((phase as u64) << 32) | e.v as u64;
-                        family.add_edge_sparse(partials.entry(ku).or_default(), phase, e.u, e.v);
-                        family.add_edge_sparse(partials.entry(kv).or_default(), phase, e.v, e.u);
-                    }
-                }
+                let local: Vec<_> = self.local_edges.iter().map(|e| (e.u, e.v)).collect();
+                let partials = family.partial_sketches(&local);
                 // Sketch construction is the dominant local computation;
                 // report it so the cost model sees the skew.
                 ctx.charge((self.local_edges.len() * self.phases) as u64);
@@ -147,13 +152,7 @@ impl MachineProgram for ConnectivityProgram {
                     return StepOutcome::idle();
                 }
                 let large = ctx.large.expect("checked in for_cluster");
-                let mut merged: BTreeMap<u64, SparseSketch> = BTreeMap::new();
-                for (_, msg) in inbox {
-                    if let ConnMsg::Partial(key, s) = msg {
-                        merged.entry(key).or_default().merge(&s);
-                    }
-                }
-                let out = merged
+                let out = merge_partials(partials_of(inbox))
                     .into_iter()
                     .map(|(key, s)| (large, ConnMsg::Partial(key, s)))
                     .collect();
@@ -166,18 +165,12 @@ impl MachineProgram for ConnectivityProgram {
                 }
                 let seed = self.seed.expect("seed drawn in round 0");
                 let family = SketchFamily::new(self.n, self.phases, seed);
-                let mut rows: Vec<Vec<VertexSketch>> = (0..self.phases)
-                    .map(|p| (0..self.n).map(|_| family.empty(p)).collect())
-                    .collect();
-                for (_, msg) in inbox {
-                    if let ConnMsg::Partial(key, sparse) = msg {
-                        let phase = (key >> 32) as usize;
-                        let v = (key & 0xFFFF_FFFF) as usize;
-                        rows[phase][v] = family.to_dense(&sparse);
-                    }
-                }
                 ctx.charge((self.n * self.phases) as u64);
-                self.result = Some(sketch_connectivity(&family, &rows, self.n));
+                self.result = Some(sketch_connectivity_sparse(
+                    &family,
+                    partials_of(inbox),
+                    self.n,
+                ));
                 StepOutcome::Halt
             }
         }

@@ -36,9 +36,8 @@ use crate::machine::{MachineCtx, StepOutcome};
 use mpc_core::ported::mst_approx::{estimate_from_counts, geometric_thresholds, MstApprox};
 use mpc_graph::Edge;
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
-use mpc_sketch::{sketch_connectivity, SketchFamily, SparseSketch, VertexSketch};
+use mpc_sketch::{merge_partials, sketch_connectivity_sparse, SketchFamily, SparseSketch};
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Messages of the MST-weight estimator program.
@@ -49,7 +48,8 @@ pub enum MstApproxNetMsg {
     /// Large → smalls: run one connectivity wave at this threshold with
     /// this sketch-family seed.
     Wave(u64, u64),
-    /// A (partial or merged) sparse sketch for key `(phase << 32) | vertex`.
+    /// A (partial or merged) sparse sketch for its
+    /// [`partial_key`](mpc_sketch::partial_key).
     Partial(u64, SparseSketch),
     /// Large → smalls: the run is over; halt.
     Finish,
@@ -62,6 +62,40 @@ impl Payload for MstApproxNetMsg {
             MstApproxNetMsg::Wave(_, _) => 2,
             MstApproxNetMsg::Partial(_, s) => 1 + s.words(),
         }
+    }
+}
+
+/// The `(key, sketch)` pairs of an inbox, in arrival order.
+fn partials_of(inbox: Vec<(MachineId, MstApproxNetMsg)>) -> Vec<(u64, SparseSketch)> {
+    inbox
+        .into_iter()
+        .filter_map(|(_, msg)| match msg {
+            MstApproxNetMsg::Partial(key, s) => Some((key, s)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The worker step of one wave: sketches the edges of `input` of weight
+/// `≤ threshold`, charges the work and addresses each partial to the
+/// hash-owner of its key.
+fn sketch_wave(
+    ctx: &MachineCtx<'_>,
+    family: &SketchFamily,
+    input: &[Edge],
+    threshold: u64,
+    owners: &[MachineId],
+    out: &mut Outbox<MstApproxNetMsg>,
+) {
+    let filtered: Vec<_> = input
+        .iter()
+        .filter(|e| e.w <= threshold)
+        .map(|e| (e.u, e.v))
+        .collect();
+    ctx.charge((filtered.len() * family.phases()) as u64);
+    for (key, s) in family.partial_sketches(&filtered) {
+        let owner = owners[(key % owners.len() as u64) as usize];
+        out.send(owner, MstApproxNetMsg::Partial(key, s));
     }
 }
 
@@ -140,10 +174,6 @@ impl MstApproxProgram {
             .collect()
     }
 
-    fn owner_of(&self, key: u64) -> MachineId {
-        self.owners[(key % self.owners.len() as u64) as usize]
-    }
-
     /// Issues the next threshold wave, drawing its sketch seed — the legacy
     /// per-instance seed draw, in threshold order.
     fn issue_wave(&mut self, ctx: &MachineCtx<'_>, out: &mut Outbox<MstApproxNetMsg>) {
@@ -198,10 +228,6 @@ impl MstApproxWave {
             count: None,
         }
     }
-
-    fn owner_of(&self, key: u64) -> MachineId {
-        self.owners[(key % self.owners.len() as u64) as usize]
-    }
 }
 
 impl RoleProgram for MstApproxWave {
@@ -226,21 +252,11 @@ impl RoleProgram for MstApproxWave {
         if self.count.is_some() {
             return StepOutcome::Halt;
         }
-        // Dense-ify the merged sketches and run sketch-Borůvka locally —
-        // identical to the sequential program's wave-final step.
+        // Sketch-Borůvka over the merged sketches — identical to the
+        // sequential program's wave-final step.
         let family = SketchFamily::new(self.n, self.phases, self.seed);
-        let mut rows: Vec<Vec<VertexSketch>> = (0..self.phases)
-            .map(|p| (0..self.n).map(|_| family.empty(p)).collect())
-            .collect();
-        for (_, msg) in inbox {
-            if let MstApproxNetMsg::Partial(key, sparse) = msg {
-                let phase = (key >> 32) as usize;
-                let v = (key & 0xFFFF_FFFF) as usize;
-                rows[phase][v] = family.to_dense(&sparse);
-            }
-        }
         ctx.charge((self.n * self.phases) as u64);
-        self.count = Some(sketch_connectivity(&family, &rows, self.n).count);
+        self.count = Some(sketch_connectivity_sparse(&family, partials_of(inbox), self.n).count);
         StepOutcome::Halt
     }
 
@@ -258,21 +274,14 @@ impl RoleProgram for MstApproxWave {
             // Worker role: sketch the weight-filtered shard (no seed
             // broadcast — the seed is baked in).
             let family = SketchFamily::new(self.n, self.phases, self.seed);
-            let mut partials: BTreeMap<u64, SparseSketch> = BTreeMap::new();
-            let mut filtered = 0u64;
-            for e in self.input.iter().filter(|e| e.w <= self.threshold) {
-                filtered += 1;
-                for phase in 0..self.phases {
-                    let ku = ((phase as u64) << 32) | e.u as u64;
-                    let kv = ((phase as u64) << 32) | e.v as u64;
-                    family.add_edge_sparse(partials.entry(ku).or_default(), phase, e.u, e.v);
-                    family.add_edge_sparse(partials.entry(kv).or_default(), phase, e.v, e.u);
-                }
-            }
-            ctx.charge(filtered * self.phases as u64);
-            for (key, s) in partials {
-                out.send(self.owner_of(key), MstApproxNetMsg::Partial(key, s));
-            }
+            sketch_wave(
+                ctx,
+                &family,
+                &self.input,
+                self.threshold,
+                &self.owners,
+                &mut out,
+            );
             return out.into_step();
         }
 
@@ -280,13 +289,7 @@ impl RoleProgram for MstApproxWave {
             return StepOutcome::Halt;
         }
         // Owner role: sum partials per key (linearity), forward.
-        let mut merged: BTreeMap<u64, SparseSketch> = BTreeMap::new();
-        for (_src, msg) in inbox {
-            if let MstApproxNetMsg::Partial(key, s) = msg {
-                merged.entry(key).or_default().merge(&s);
-            }
-        }
-        for (key, s) in merged {
+        for (key, s) in merge_partials(partials_of(inbox)) {
             out.send(large, MstApproxNetMsg::Partial(key, s));
         }
         out.into_step()
@@ -324,21 +327,12 @@ impl RoleProgram for MstApproxProgram {
             }
             LPhase::Wave { issued } => {
                 if ctx.round == issued + 3 {
-                    // Dense-ify the merged sketches and run sketch-Borůvka
-                    // locally — the connectivity wave's final step.
+                    // Sketch-Borůvka over the merged sketches — the
+                    // connectivity wave's final step.
                     let family = SketchFamily::new(self.n, self.phases, self.seed);
-                    let mut rows: Vec<Vec<VertexSketch>> = (0..self.phases)
-                        .map(|p| (0..self.n).map(|_| family.empty(p)).collect())
-                        .collect();
-                    for (_, msg) in inbox {
-                        if let MstApproxNetMsg::Partial(key, sparse) = msg {
-                            let phase = (key >> 32) as usize;
-                            let v = (key & 0xFFFF_FFFF) as usize;
-                            rows[phase][v] = family.to_dense(&sparse);
-                        }
-                    }
                     ctx.charge((self.n * self.phases) as u64);
-                    let components = sketch_connectivity(&family, &rows, self.n);
+                    let components =
+                        sketch_connectivity_sparse(&family, partials_of(inbox), self.n);
                     self.component_counts.push(components.count);
                     self.parallel_rounds = self.parallel_rounds.max(ctx.round - issued);
                     self.t_idx += 1;
@@ -381,45 +375,25 @@ impl RoleProgram for MstApproxProgram {
         }
 
         let mut wave: Option<(u64, u64)> = None;
-        let mut merged: BTreeMap<u64, SparseSketch> = BTreeMap::new();
-        let mut owner_stage = false;
+        let mut partials: Vec<(u64, SparseSketch)> = Vec::new();
         for (_src, msg) in inbox {
             match msg {
                 MstApproxNetMsg::Finish => return StepOutcome::Halt,
                 MstApproxNetMsg::Wave(t, seed) => wave = Some((t, seed)),
-                MstApproxNetMsg::Partial(key, s) => {
-                    owner_stage = true;
-                    merged.entry(key).or_default().merge(&s);
-                }
+                MstApproxNetMsg::Partial(key, s) => partials.push((key, s)),
                 MstApproxNetMsg::MaxW(_) => {}
             }
         }
 
         // ---- owner role: sum partials per key (linearity), forward. ----
-        if owner_stage {
-            for (key, s) in merged {
-                out.send(large, MstApproxNetMsg::Partial(key, s));
-            }
+        for (key, s) in merge_partials(partials) {
+            out.send(large, MstApproxNetMsg::Partial(key, s));
         }
 
         // ---- worker role: sketch the weight-filtered shard. ----
         if let Some((t, seed)) = wave {
             let family = SketchFamily::new(self.n, self.phases, seed);
-            let mut partials: BTreeMap<u64, SparseSketch> = BTreeMap::new();
-            let mut filtered = 0u64;
-            for e in self.input.iter().filter(|e| e.w <= t) {
-                filtered += 1;
-                for phase in 0..self.phases {
-                    let ku = ((phase as u64) << 32) | e.u as u64;
-                    let kv = ((phase as u64) << 32) | e.v as u64;
-                    family.add_edge_sparse(partials.entry(ku).or_default(), phase, e.u, e.v);
-                    family.add_edge_sparse(partials.entry(kv).or_default(), phase, e.v, e.u);
-                }
-            }
-            ctx.charge(filtered * self.phases as u64);
-            for (key, s) in partials {
-                out.send(self.owner_of(key), MstApproxNetMsg::Partial(key, s));
-            }
+            sketch_wave(ctx, &family, &self.input, t, &self.owners, &mut out);
         }
 
         out.into_step()

@@ -59,70 +59,74 @@ pub struct MinCut {
 /// Returns `None` if the graph is disconnected (min cut 0 with an empty edge
 /// set across it) — callers treat disconnection separately — or has < 2
 /// vertices.
+///
+/// Ties are part of the contract, because `side` depends on them: each
+/// maximum-adjacency step takes the **highest-numbered** vertex among the
+/// most tightly connected ones, and among phases of equal cut weight the
+/// **first** one wins.
 pub fn stoer_wagner(n: usize, edges: &[(VertexId, VertexId, Weight)]) -> Option<MinCut> {
-    if n < 2 {
+    // A disconnected graph has min cut 0, which is reported as `None`.
+    if n < 2 || !is_connected_edge_list(n, edges) {
         return None;
     }
-    // Dense weight matrix with parallel edges summed.
-    let mut w = vec![vec![0u128; n]; n];
+    // Dense row-major weight matrix with parallel edges summed.
+    let mut w = vec![0u128; n * n];
     for &(u, v, wt) in edges {
         if u == v {
             continue;
         }
-        w[u as usize][v as usize] += wt as u128;
-        w[v as usize][u as usize] += wt as u128;
+        w[u as usize * n + v as usize] += wt as u128;
+        w[v as usize * n + u as usize] += wt as u128;
     }
     // merged[v] = original vertices currently fused into v.
     let mut merged: Vec<Vec<VertexId>> = (0..n as VertexId).map(|v| vec![v]).collect();
+    // Vertices not yet fused away, ascending.
     let mut active: Vec<usize> = (0..n).collect();
     let mut best: Option<MinCut> = None;
+    let mut weights = vec![0u128; n];
+    let mut rest: Vec<usize> = Vec::with_capacity(n);
 
     while active.len() > 1 {
-        // Maximum-adjacency search.
-        let mut weights = vec![0u128; n];
-        let mut in_a = vec![false; n];
-        let mut order = Vec::with_capacity(active.len());
-        for _ in 0..active.len() {
-            let &next = active
-                .iter()
-                .filter(|&&v| !in_a[v])
-                .max_by_key(|&&v| weights[v])
-                .expect("active vertex exists");
-            in_a[next] = true;
-            order.push(next);
-            for &v in &active {
-                if !in_a[v] {
-                    weights[v] += w[next][v];
+        // Maximum-adjacency search. `rest` holds the vertices not yet
+        // selected, in `active` order; `pick` is the position of the last
+        // maximum of `weights` among them (all zero at first).
+        weights.fill(0);
+        rest.clone_from(&active);
+        let mut pick = rest.len() - 1;
+        let (mut s, mut t) = (usize::MAX, usize::MAX);
+        while !rest.is_empty() {
+            (s, t) = (t, rest.remove(pick));
+            // One pass: add the selected vertex's row and find the next
+            // selection; `>=` keeps the last of equal maxima.
+            let row = &w[t * n..(t + 1) * n];
+            let mut max = 0;
+            for (pos, &v) in rest.iter().enumerate() {
+                weights[v] += row[v];
+                if weights[v] >= max {
+                    max = weights[v];
+                    pick = pos;
                 }
             }
         }
-        let t = *order.last().unwrap();
-        let s = order[order.len() - 2];
         let cut_of_phase = weights[t];
-        let candidate = MinCut {
-            weight: cut_of_phase,
-            side: merged[t].clone(),
-        };
-        if best.as_ref().is_none_or(|b| candidate.weight < b.weight) {
-            best = Some(candidate);
+        if best.as_ref().is_none_or(|b| cut_of_phase < b.weight) {
+            best = Some(MinCut {
+                weight: cut_of_phase,
+                side: merged[t].clone(),
+            });
         }
         // Merge t into s.
         let t_merged = std::mem::take(&mut merged[t]);
         merged[s].extend(t_merged);
         for &v in &active {
             if v != s && v != t {
-                w[s][v] += w[t][v];
-                w[v][s] = w[s][v];
+                w[s * n + v] += w[t * n + v];
+                w[v * n + s] = w[s * n + v];
             }
         }
         active.retain(|&v| v != t);
     }
-    let best = best.expect("n >= 2 yields at least one phase");
-    if best.weight == 0 && !is_connected_edge_list(n, edges) {
-        None
-    } else {
-        Some(best)
-    }
+    best
 }
 
 fn is_connected_edge_list(n: usize, edges: &[(VertexId, VertexId, Weight)]) -> bool {
@@ -189,6 +193,134 @@ mod tests {
     fn disconnected_returns_none() {
         assert!(stoer_wagner(3, &[(0, 1, 5)]).is_none());
         assert!(stoer_wagner(1, &[]).is_none());
+    }
+
+    /// Stoer–Wagner as it was before the single-pass rewrite (nested
+    /// vectors, `max_by_key` selection, a second scan to update, buffers
+    /// allocated per phase). Kept as the oracle for `weight` **and** `side`.
+    fn stoer_wagner_reference(n: usize, edges: &[(VertexId, VertexId, Weight)]) -> Option<MinCut> {
+        if n < 2 {
+            return None;
+        }
+        let mut w = vec![vec![0u128; n]; n];
+        for &(u, v, wt) in edges {
+            if u == v {
+                continue;
+            }
+            w[u as usize][v as usize] += wt as u128;
+            w[v as usize][u as usize] += wt as u128;
+        }
+        let mut merged: Vec<Vec<VertexId>> = (0..n as VertexId).map(|v| vec![v]).collect();
+        let mut active: Vec<usize> = (0..n).collect();
+        let mut best: Option<MinCut> = None;
+        while active.len() > 1 {
+            let mut weights = vec![0u128; n];
+            let mut in_a = vec![false; n];
+            let mut order = Vec::with_capacity(active.len());
+            for _ in 0..active.len() {
+                let &next = active
+                    .iter()
+                    .filter(|&&v| !in_a[v])
+                    .max_by_key(|&&v| weights[v])
+                    .expect("active vertex exists");
+                in_a[next] = true;
+                order.push(next);
+                for &v in &active {
+                    if !in_a[v] {
+                        weights[v] += w[next][v];
+                    }
+                }
+            }
+            let t = *order.last().unwrap();
+            let s = order[order.len() - 2];
+            let candidate = MinCut {
+                weight: weights[t],
+                side: merged[t].clone(),
+            };
+            if best.as_ref().is_none_or(|b| candidate.weight < b.weight) {
+                best = Some(candidate);
+            }
+            let t_merged = std::mem::take(&mut merged[t]);
+            merged[s].extend(t_merged);
+            for &v in &active {
+                if v != s && v != t {
+                    w[s][v] += w[t][v];
+                    w[v][s] = w[s][v];
+                }
+            }
+            active.retain(|&v| v != t);
+        }
+        let best = best.expect("n >= 2 yields at least one phase");
+        if best.weight == 0 && !is_connected_edge_list(n, edges) {
+            None
+        } else {
+            Some(best)
+        }
+    }
+
+    /// Random multigraphs with everything the contraction algorithms can
+    /// hand over: parallel edges, self-loops, zero and near-`u64::MAX / n`
+    /// weights, many ties (small weight ranges), disconnected inputs.
+    #[test]
+    fn matches_reference_weight_and_side_on_random_multigraphs() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x5707E2);
+        let (mut connected, mut disconnected) = (0, 0);
+        for case in 0..400 {
+            let n = rng.random_range(2..=24usize);
+            let m = rng.random_range(0..=4 * n);
+            let max_w = match case % 4 {
+                0 => 1,
+                1 => 3,
+                2 => 1 << 20,
+                _ => u64::MAX / n as u64,
+            };
+            let edges: Vec<(VertexId, VertexId, Weight)> = (0..m)
+                .map(|_| {
+                    let u = rng.random_range(0..n) as VertexId;
+                    let v = rng.random_range(0..n) as VertexId;
+                    (u, v, rng.random_range(0..=max_w))
+                })
+                .collect();
+            let got = stoer_wagner(n, &edges);
+            assert_eq!(got, stoer_wagner_reference(n, &edges), "case {case}");
+            let Some(mc) = got else {
+                disconnected += 1;
+                continue;
+            };
+            connected += 1;
+            let mut side = vec![false; n];
+            for &v in &mc.side {
+                side[v as usize] = true;
+            }
+            let crossing: u128 = edges
+                .iter()
+                .filter(|e| side[e.0 as usize] != side[e.1 as usize])
+                .map(|e| e.2 as u128)
+                .sum();
+            assert_eq!(crossing, mc.weight, "case {case}");
+            // `Graph` keeps one copy of a parallel edge, so hand the
+            // brute-force oracle the summed weights — when they fit.
+            let mut summed = std::collections::BTreeMap::new();
+            for &(u, v, w) in &edges {
+                *summed.entry((u.min(v), u.max(v))).or_insert(0u128) += w as u128;
+            }
+            if n <= 9 && summed.values().all(|&w| w <= u64::MAX as u128) {
+                let g = Graph::new(
+                    n,
+                    summed
+                        .iter()
+                        .map(|(&(u, v), &w)| crate::Edge::new(u, v, w as u64)),
+                );
+                assert_eq!(cut_value(&g, &side), mc.weight, "case {case}");
+                assert_eq!(min_cut_bruteforce(&g), Some(mc.weight), "case {case}");
+            }
+        }
+        assert!(
+            connected > 100 && disconnected > 50,
+            "both kinds are exercised"
+        );
     }
 
     #[test]

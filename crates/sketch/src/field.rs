@@ -65,10 +65,72 @@ pub fn pow(mut b: u64, mut e: u64) -> u64 {
 /// Maps a signed multiplicity into the field (`δ mod P`).
 #[inline]
 pub fn from_i64(x: i64) -> u64 {
+    let magnitude = x.unsigned_abs() % P;
     if x >= 0 {
-        (x as u64) % P
+        magnitude
     } else {
-        sub(0, ((-x) as u64) % P)
+        sub(0, magnitude)
+    }
+}
+
+/// Bits per window of a [`PowTable`].
+const WINDOW_BITS: u32 = 4;
+
+/// Fixed-base exponentiation: precomputed powers of one base `z` for
+/// exponents in `0..domain`.
+///
+/// Row `w` holds `z^(d · 16^w)` for the sixteen values `d` of the `w`-th
+/// 4-bit window of the exponent, so [`pow`](PowTable::pow) costs one
+/// multiplication per nonzero window instead of a square-and-multiply
+/// chain. A sketch family raises the same per-phase base to an edge slot
+/// for every edge it touches and every cell it decodes; the table is built
+/// once per phase.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PowTable {
+    domain: u64,
+    windows: Vec<[u64; 1 << WINDOW_BITS]>,
+}
+
+impl PowTable {
+    /// Tabulates the powers of `z` needed for exponents in `0..domain`.
+    pub fn new(z: u64, domain: u64) -> Self {
+        let bits = u64::BITS - domain.saturating_sub(1).leading_zeros();
+        let mut base = z % P; // z^(16^w)
+        let windows = (0..bits.div_ceil(WINDOW_BITS))
+            .map(|_| {
+                let mut row = [1u64; 1 << WINDOW_BITS];
+                for d in 1..row.len() {
+                    row[d] = mul(row[d - 1], base);
+                }
+                base = mul(row[row.len() - 1], base);
+                row
+            })
+            .collect();
+        PowTable { domain, windows }
+    }
+
+    /// The exclusive upper bound on exponents this table serves.
+    pub fn domain(&self) -> u64 {
+        self.domain
+    }
+
+    /// `z^e (mod P)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is outside `0..domain`.
+    #[inline]
+    pub fn pow(&self, mut e: u64) -> u64 {
+        assert!(e < self.domain, "exponent {e} outside the table's domain");
+        let mut acc = 1u64;
+        for row in &self.windows {
+            let digit = (e & ((1 << WINDOW_BITS) - 1)) as usize;
+            if digit != 0 {
+                acc = mul(acc, row[digit]);
+            }
+            e >>= WINDOW_BITS;
+        }
+        acc
     }
 }
 
@@ -109,5 +171,27 @@ mod tests {
     fn signed_embedding() {
         assert_eq!(from_i64(5), 5);
         assert_eq!(add(from_i64(-5), 5), 0);
+        // |i64::MIN| = 2^63 = 4 · 2^61 ≡ 4 (mod P); `-x` would overflow.
+        assert_eq!(from_i64(i64::MIN), P - 4);
+        assert_eq!(add(from_i64(i64::MIN), from_i64(i64::MAX)), P - 1);
+    }
+
+    #[test]
+    fn pow_table_matches_square_and_multiply() {
+        let z = 0x1234_5678_9ABC_u64;
+        for domain in [1u64, 2, 16, 17, 1536 * 1536, (1 << 48) - 1] {
+            let table = PowTable::new(z, domain);
+            let mut exps = vec![0, 1, domain / 2, domain - 1];
+            exps.extend((0..48).map(|k| 1u64 << k));
+            for e in exps.into_iter().filter(|&e| e < domain) {
+                assert_eq!(table.pow(e), pow(z, e), "domain {domain}, e = {e}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the table's domain")]
+    fn pow_table_rejects_out_of_domain_exponents() {
+        PowTable::new(3, 100).pow(100);
     }
 }

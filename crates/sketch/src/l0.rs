@@ -1,6 +1,7 @@
 //! ℓ0-sampling sketches over graph incidence vectors \[36\], specialized to
 //! the AGM edge-sampling use (Appendix C.1 of the paper).
 
+use crate::field::{self, PowTable};
 use crate::hashing::KWiseHash;
 use crate::onesparse::{OneSparse, OneSparseDecode};
 use mpc_graph::VertexId;
@@ -8,9 +9,17 @@ use mpc_runtime::Payload;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Buckets per level (two independent one-sparse cells per subsampling
+/// Buckets per level (three independent one-sparse cells per subsampling
 /// level; a level decodes if any cell isolates a single item).
 const BUCKETS: usize = 3;
+
+/// Edge slots live below this bit: the level tag of the bucket hash is
+/// XORed in at bit 48 (`slot ^ (level << 48)`), so a larger slot would
+/// alias another slot's tag.
+const SLOT_BITS: u32 = 48;
+
+/// Levels of the largest family: `⌈2·log₂ n⌉ + 2` with `n² < 2^SLOT_BITS`.
+const MAX_LEVELS: usize = SLOT_BITS as usize + 2;
 
 /// A single ℓ0-sampler: `levels × BUCKETS` one-sparse cells.
 ///
@@ -31,12 +40,11 @@ impl L0Sampler {
         }
     }
 
-    fn update(&mut self, index: u64, delta: i64, hashes: &LevelHashes) {
-        let lvl = hashes.level.level(index, self.levels - 1);
-        // The item lives at levels 0..=lvl (geometric subsampling).
-        for l in 0..=lvl {
-            let b = (hashes.bucket.eval(index ^ (l as u64) << 48) % BUCKETS as u64) as usize;
-            self.cells[l * BUCKETS + b].update(index, delta, hashes.z);
+    /// Adds a prepared edge to the sketch of its endpoint `endpoint`.
+    pub fn apply(&mut self, update: &EdgeUpdate, endpoint: VertexId) {
+        let (sign, term) = update.signed_term(endpoint);
+        for &idx in update.cells() {
+            self.cells[idx as usize].update_term(update.slot, sign, term);
         }
     }
 
@@ -44,14 +52,25 @@ impl L0Sampler {
     ///
     /// The cell arrays always have identical lengths within a family, so
     /// the merge runs as one batched pass over the word-level cell slices
-    /// (see [`OneSparse::merge_slices`]) — this is the inner loop of the
-    /// connectivity program's owner-merge round.
+    /// (see [`OneSparse::merge_slices`]).
     pub fn merge(&mut self, other: &L0Sampler) {
         debug_assert_eq!(self.levels, other.levels);
         OneSparse::merge_slices(&mut self.cells, &other.cells);
     }
 
-    fn decode(&self, z: u64) -> Option<u64> {
+    /// Adds a sparse sketch from the same family, cell by cell.
+    pub fn merge_sparse(&mut self, other: &SparseSketch) {
+        for (idx, cell) in &other.cells {
+            self.cells[*idx as usize].merge(cell);
+        }
+    }
+
+    /// Resets every cell to zero, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.cells.fill(OneSparse::new());
+    }
+
+    fn decode(&self, z: &PowTable) -> Option<u64> {
         // Prefer sparse (high) levels where isolation is likely.
         for l in (0..self.levels).rev() {
             for b in 0..BUCKETS {
@@ -79,7 +98,42 @@ impl Payload for L0Sampler {
 struct LevelHashes {
     level: KWiseHash,
     bucket: KWiseHash,
-    z: u64,
+    /// Powers of the phase's fingerprint base, for exponents in `0..n²`.
+    z: PowTable,
+}
+
+/// One edge's contribution to one phase, computed once and applied to the
+/// sketches of both endpoints ([`L0Sampler::apply`], [`SparseSketch::apply`]).
+///
+/// Everything that depends only on the edge slot — the subsampling level,
+/// the cell hit at each level, and the fingerprint power `z^slot` — is the
+/// same for the two endpoints; only the sign differs.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeUpdate {
+    slot: u64,
+    /// The larger endpoint: the smaller one adds the slot, this one removes it.
+    hi: VertexId,
+    /// `z^slot (mod P)`.
+    term: u64,
+    /// Cell index hit at level `l`, for `l < levels`.
+    cells: [u8; MAX_LEVELS],
+    levels: u8,
+}
+
+impl EdgeUpdate {
+    fn cells(&self) -> &[u8] {
+        &self.cells[..self.levels as usize]
+    }
+
+    /// The ±1 orientation of `endpoint` and its fingerprint term `±z^slot`:
+    /// the two endpoints' contributions cancel when their sketches merge.
+    fn signed_term(&self, endpoint: VertexId) -> (i64, u64) {
+        if endpoint < self.hi {
+            (1, self.term)
+        } else {
+            (-1, field::sub(0, self.term))
+        }
+    }
 }
 
 /// A family of vertex sketches with shared hash functions.
@@ -101,8 +155,16 @@ pub type VertexSketch = L0Sampler;
 impl SketchFamily {
     /// Creates a family for graphs on `n` vertices with `phases` independent
     /// copies, deterministically from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n² ≥ 2^48`: edge slots must stay below the level tag.
     pub fn new(n: usize, phases: usize, seed: u64) -> Self {
         let n = n as u64;
+        assert!(
+            n < 1 << (SLOT_BITS / 2),
+            "sketch family supports n² < 2^{SLOT_BITS}, got n = {n}"
+        );
         let domain_bits = (2.0 * (n.max(2) as f64).log2()).ceil() as usize + 2;
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA6A6_5EED);
         let independence = ((n.max(2) as f64).log2().ceil() as usize + 2).max(4);
@@ -110,7 +172,7 @@ impl SketchFamily {
             .map(|_| LevelHashes {
                 level: KWiseHash::new(independence, rng.random()),
                 bucket: KWiseHash::new(independence, rng.random()),
-                z: rng.random_range(1..crate::field::P),
+                z: PowTable::new(rng.random_range(1..field::P), n * n),
             })
             .collect();
         SketchFamily {
@@ -127,27 +189,46 @@ impl SketchFamily {
 
     /// A fresh, empty sketch for `phase`.
     pub fn empty(&self, phase: usize) -> VertexSketch {
-        let _ = &self.hashes[phase];
+        assert!(phase < self.phases(), "phase {phase} out of range");
         L0Sampler::new(self.levels)
     }
 
-    /// Edge-slot index of the ordered pair; both orientations map to the
-    /// same slot, with opposite signs chosen by orientation.
-    fn edge_slot(&self, u: VertexId, v: VertexId) -> (u64, i64) {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let slot = a as u64 * self.n + b as u64;
-        let sign = if u < v { 1 } else { -1 };
-        (slot, sign)
+    /// Prepares edge `{u, v}` for `phase`: one level hash, one bucket hash
+    /// per level hit, one fingerprint exponentiation — shared by both
+    /// endpoints. Both orientations map to the same slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not a vertex of the family's graph.
+    pub fn prepare(&self, phase: usize, u: VertexId, v: VertexId) -> EdgeUpdate {
+        let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+        assert!((hi as u64) < self.n, "vertex {hi} out of range");
+        let slot = lo as u64 * self.n + hi as u64;
+        let hashes = &self.hashes[phase];
+        // The item lives at levels 0..=lvl (geometric subsampling).
+        let lvl = hashes.level.level(slot, self.levels - 1);
+        let mut cells = [0u8; MAX_LEVELS];
+        for (l, cell) in cells.iter_mut().enumerate().take(lvl + 1) {
+            let b = (hashes.bucket.eval(slot ^ (l as u64) << SLOT_BITS) % BUCKETS as u64) as usize;
+            *cell = (l * BUCKETS + b) as u8;
+        }
+        EdgeUpdate {
+            slot,
+            hi,
+            term: hashes.z.pow(slot),
+            cells,
+            levels: lvl as u8 + 1,
+        }
     }
 
-    /// Records edge `{u, v}` in `u`'s sketch for the sketch's phase.
+    /// Records edge `{u, v}` in `u`'s sketch for `phase`.
     ///
-    /// Call once per endpoint: `add_edge(s_u, u, v)` and `add_edge(s_v, v, u)`.
-    /// The ±1 orientation means the two contributions cancel when the
-    /// sketches of `u` and `v` are merged — the AGM trick that makes merged
-    /// sketches see only *outgoing* edges.
-    ///
-    /// The phase is implicit: pass the phase's hash via `phase`.
+    /// Call once per endpoint: `add_edge_phase(s_u, p, u, v)` and
+    /// `add_edge_phase(s_v, p, v, u)` — or [`prepare`](Self::prepare) once
+    /// and [`apply`](L0Sampler::apply) twice, which is the same thing at
+    /// half the hashing. The ±1 orientation means the two contributions
+    /// cancel when the sketches of `u` and `v` are merged — the AGM trick
+    /// that makes merged sketches see only *outgoing* edges.
     pub fn add_edge_phase(
         &self,
         sketch: &mut VertexSketch,
@@ -155,8 +236,7 @@ impl SketchFamily {
         u: VertexId,
         v: VertexId,
     ) {
-        let (slot, sign) = self.edge_slot(u, v);
-        sketch.update(slot, sign, &self.hashes[phase]);
+        sketch.apply(&self.prepare(phase, u, v), u);
     }
 
     /// [`add_edge_phase`](Self::add_edge_phase) for phase 0 (convenience).
@@ -170,7 +250,8 @@ impl SketchFamily {
         sketch: &VertexSketch,
         phase: usize,
     ) -> Option<(VertexId, VertexId)> {
-        let slot = sketch.decode(self.hashes[phase].z)?;
+        // One-sparse recovery only returns slots in `0..n²`.
+        let slot = sketch.decode(&self.hashes[phase].z)?;
         let u = (slot / self.n) as VertexId;
         let v = (slot % self.n) as VertexId;
         Some((u, v))
@@ -227,7 +308,7 @@ mod tests {
     #[test]
     fn decode_success_rate_is_high() {
         // Across many random multi-edge sketches, decoding succeeds almost
-        // always (constant success per level, ~log n levels, 2 buckets).
+        // always (constant success per level, ~log n levels, 3 buckets).
         let fam = SketchFamily::new(300, 1, 9);
         let mut ok = 0;
         let trials = 200;
@@ -273,6 +354,86 @@ mod tests {
         assert_eq!(fam.empty(0).words(), fam.sketch_words());
     }
 
+    /// The update as it was before edges were prepared: every endpoint
+    /// hashes the slot and exponentiates by square-and-multiply, once per
+    /// level. Kept as the oracle [`SketchFamily::prepare`] is held to.
+    fn reference_update(fam: &SketchFamily, sketch: &mut L0Sampler, phase: usize, u: u32, v: u32) {
+        let (a, b) = if u < v { (u, v) } else { (v, u) };
+        let slot = a as u64 * fam.n + b as u64;
+        let sign = if u < v { 1 } else { -1 };
+        let hashes = &fam.hashes[phase];
+        let z = hashes.z.pow(1);
+        let lvl = hashes.level.level(slot, fam.levels - 1);
+        for l in 0..=lvl {
+            let b = (hashes.bucket.eval(slot ^ (l as u64) << 48) % BUCKETS as u64) as usize;
+            let term = field::mul(field::from_i64(sign), field::pow(z, slot));
+            sketch.cells[l * BUCKETS + b].update_term(slot, sign, term);
+        }
+    }
+
+    proptest::proptest! {
+        /// Prepared pair update == two single-endpoint updates == the
+        /// unprepared reference, cell for cell, dense and sparse, whichever
+        /// way round the endpoints are named.
+        #[test]
+        fn prepared_update_matches_reference(
+            n in 2usize..5000,
+            phase in 0usize..3,
+            (a, b) in (0u32..5000, 0u32..5000),
+            seed in proptest::any::<u64>(),
+        ) {
+            let (u, v) = (a % n as u32, b % n as u32);
+            let fam = SketchFamily::new(n, 3, seed);
+            let (mut want_u, mut want_v) = (fam.empty(phase), fam.empty(phase));
+            reference_update(&fam, &mut want_u, phase, u, v);
+            reference_update(&fam, &mut want_v, phase, v, u);
+
+            let (mut single_u, mut single_v) = (fam.empty(phase), fam.empty(phase));
+            fam.add_edge_phase(&mut single_u, phase, u, v);
+            fam.add_edge_phase(&mut single_v, phase, v, u);
+            assert_eq!((&single_u, &single_v), (&want_u, &want_v));
+
+            let update = fam.prepare(phase, v, u);
+            let (mut pair_u, mut pair_v) = (fam.empty(phase), fam.empty(phase));
+            pair_u.apply(&update, u);
+            pair_v.apply(&update, v);
+            assert_eq!((&pair_u, &pair_v), (&want_u, &want_v));
+
+            let (mut sparse_u, mut sparse_v) = (SparseSketch::new(), SparseSketch::new());
+            sparse_u.apply(&update, u);
+            sparse_v.apply(&update, v);
+            let (mut dense_u, mut dense_v) = (fam.empty(phase), fam.empty(phase));
+            dense_u.merge_sparse(&sparse_u);
+            dense_v.merge_sparse(&sparse_v);
+            assert_eq!((&dense_u, &dense_v), (&want_u, &want_v));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n² < 2^48")]
+    fn family_rejects_slots_that_alias_the_level_tag() {
+        SketchFamily::new(1 << 24, 1, 0);
+    }
+
+    #[test]
+    fn largest_family_fits_the_prepared_update() {
+        let fam = SketchFamily::new((1 << 24) - 1, 1, 0);
+        assert_eq!(fam.levels, MAX_LEVELS);
+        assert!(fam.levels * BUCKETS <= usize::from(u8::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn empty_checks_the_phase() {
+        SketchFamily::new(10, 2, 0).empty(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 10 out of range")]
+    fn prepare_rejects_unknown_vertices() {
+        SketchFamily::new(10, 1, 0).prepare(0, 3, 10);
+    }
+
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 }
@@ -283,13 +444,12 @@ mod tests {
 /// almost all of the `levels × BUCKETS` cells are zero; shipping and storing
 /// them sparsely keeps the per-machine footprint proportional to the local
 /// edge count (times `O(log n)`) instead of the dense sketch size. Linear:
-/// merging sparse sketches adds cells pointwise. Convert to a dense
-/// [`L0Sampler`] with [`SketchFamily::to_dense`] for decoding.
+/// merging sparse sketches adds cells pointwise. Decoding happens on dense
+/// sums ([`L0Sampler::merge_sparse`]).
 ///
 /// Cells live in one contiguous vector sorted by cell index (canonical: no
-/// zero cells), so [`merge`](SparseSketch::merge) — the inner loop of the
-/// connectivity owner-merge round — is a linear two-pointer join over flat
-/// memory instead of per-cell tree-map lookups.
+/// zero cells), so equal sums are equal values whatever order the updates
+/// and merges ran in.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct SparseSketch {
     /// `(cell index, cell)`, strictly ascending by index, no zero cells.
@@ -302,21 +462,123 @@ impl SparseSketch {
         Self::default()
     }
 
+    /// Adds a prepared edge to the sketch of its endpoint `endpoint` (the
+    /// sparse counterpart of [`L0Sampler::apply`]).
+    pub fn apply(&mut self, update: &EdgeUpdate, endpoint: VertexId) {
+        let (sign, term) = update.signed_term(endpoint);
+        if self.cells.is_empty() {
+            // Most partials on the wire hold one edge's cells and nothing
+            // more; the default growth policy would round two up to four.
+            self.cells.reserve_exact(update.cells().len());
+        }
+        for &idx in update.cells() {
+            let idx = u32::from(idx);
+            match self.cells.binary_search_by_key(&idx, |c| c.0) {
+                Ok(pos) => {
+                    let cell = &mut self.cells[pos].1;
+                    cell.update_term(update.slot, sign, term);
+                    if cell.is_zero() {
+                        self.cells.remove(pos);
+                    }
+                }
+                Err(pos) => {
+                    let mut cell = OneSparse::new();
+                    cell.update_term(update.slot, sign, term);
+                    self.cells.insert(pos, (idx, cell));
+                }
+            }
+        }
+    }
+
     /// Merges another sparse sketch (linearity); zero cells are dropped so
     /// cancellation keeps the representation minimal.
-    ///
-    /// Both operands are sorted, so this is a batched merge-join: `O(a + b)`
-    /// cell operations over contiguous memory.
     pub fn merge(&mut self, other: &SparseSketch) {
-        if other.cells.is_empty() {
-            return;
+        self.append_cells(other);
+        self.canonicalize();
+    }
+
+    /// Appends `other`'s cells without summing them: the first half of a
+    /// many-way merge, which [`canonicalize`](Self::canonicalize) finishes.
+    pub(crate) fn append_cells(&mut self, other: &SparseSketch) {
+        self.cells.extend_from_slice(&other.cells);
+    }
+
+    /// Restores the invariant after cells were appended: sorts by index,
+    /// sums cells of equal index, drops zero sums. Cell addition is
+    /// commutative and associative, so the outcome does not depend on the
+    /// order the cells were gathered in.
+    pub(crate) fn canonicalize(&mut self) {
+        self.cells.sort_unstable_by_key(|c| c.0);
+        let mut kept = 0;
+        let mut i = 0;
+        while i < self.cells.len() {
+            let (idx, mut sum) = self.cells[i];
+            i += 1;
+            while i < self.cells.len() && self.cells[i].0 == idx {
+                sum.merge(&self.cells[i].1);
+                i += 1;
+            }
+            if !sum.is_zero() {
+                self.cells[kept] = (idx, sum);
+                kept += 1;
+            }
         }
-        if self.cells.is_empty() {
-            self.cells = other.cells.clone();
-            return;
+        self.cells.truncate(kept);
+    }
+
+    /// Number of nonzero cells.
+    pub fn nnz(&self) -> usize {
+        self.cells.len()
+    }
+}
+
+impl Payload for SparseSketch {
+    fn words(&self) -> usize {
+        // 1 index word + 3 payload words per nonzero cell.
+        4 * self.cells.len()
+    }
+}
+
+#[cfg(test)]
+mod sparse_tests {
+    use super::*;
+
+    fn dense_of(fam: &SketchFamily, sparse: &SparseSketch) -> L0Sampler {
+        let mut dense = fam.empty(0);
+        dense.merge_sparse(sparse);
+        dense
+    }
+
+    #[test]
+    fn sparse_matches_dense() {
+        let fam = SketchFamily::new(60, 1, 3);
+        let mut dense = fam.empty(0);
+        let mut sparse = SparseSketch::new();
+        for v in 1..20 {
+            fam.add_edge(&mut dense, 0, v);
+            sparse.apply(&fam.prepare(0, 0, v), 0);
         }
-        let mut out = Vec::with_capacity(self.cells.len() + other.cells.len());
-        let (a, b) = (&self.cells, &other.cells);
+        assert_eq!(dense_of(&fam, &sparse), dense);
+    }
+
+    #[test]
+    fn sparse_merge_cancels() {
+        let fam = SketchFamily::new(30, 1, 5);
+        let mut a = SparseSketch::new();
+        let mut b = SparseSketch::new();
+        let edge = fam.prepare(0, 2, 7);
+        a.apply(&edge, 2);
+        b.apply(&edge, 7);
+        a.merge(&b);
+        assert_eq!(a.nnz(), 0);
+        assert!(fam.decode(&dense_of(&fam, &a)).is_none());
+    }
+
+    /// The merge as it was before cells were gathered and summed in place:
+    /// a two-pointer join into a freshly allocated vector. Kept as the oracle.
+    fn reference_merge(a: &SparseSketch, b: &SparseSketch) -> SparseSketch {
+        let mut out = Vec::with_capacity(a.cells.len() + b.cells.len());
+        let (a, b) = (&a.cells, &b.cells);
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].0.cmp(&b[j].0) {
@@ -341,100 +603,63 @@ impl SparseSketch {
         }
         out.extend_from_slice(&a[i..]);
         out.extend_from_slice(&b[j..]);
-        self.cells = out;
+        SparseSketch { cells: out }
     }
 
-    /// Number of nonzero cells.
-    pub fn nnz(&self) -> usize {
-        self.cells.len()
-    }
-}
-
-impl mpc_runtime::Payload for SparseSketch {
-    fn words(&self) -> usize {
-        // 1 index word + 3 payload words per nonzero cell.
-        4 * self.cells.len()
-    }
-}
-
-impl SketchFamily {
-    /// Records edge `{u, v}` in a sparse sketch of `u` for `phase`
-    /// (the sparse counterpart of [`add_edge_phase`](Self::add_edge_phase)).
-    pub fn add_edge_sparse(
-        &self,
-        sketch: &mut SparseSketch,
-        phase: usize,
-        u: VertexId,
-        v: VertexId,
-    ) {
-        let (slot, sign) = self.edge_slot(u, v);
-        let hashes = &self.hashes[phase];
-        let lvl = hashes.level.level(slot, self.levels - 1);
-        for l in 0..=lvl {
-            let b = (hashes.bucket.eval(slot ^ (l as u64) << 48) % BUCKETS as u64) as usize;
-            let idx = (l * BUCKETS + b) as u32;
-            match sketch.cells.binary_search_by_key(&idx, |c| c.0) {
-                Ok(pos) => {
-                    let cell = &mut sketch.cells[pos].1;
-                    cell.update(slot, sign, hashes.z);
-                    if cell.is_zero() {
-                        sketch.cells.remove(pos);
-                    }
-                }
-                Err(pos) => {
-                    let mut cell = OneSparse::new();
-                    cell.update(slot, sign, hashes.z);
-                    sketch.cells.insert(pos, (idx, cell));
-                }
+    proptest::proptest! {
+        /// `merge`, and `append_cells` + `canonicalize`, == allocate-and-join
+        /// merge on sketches of random edge sets around one vertex and its
+        /// neighbours, including empty operands, partial cancellation and
+        /// full cancellation.
+        #[test]
+        fn in_place_merge_matches_reference(
+            ours in proptest::collection::vec(1u32..40, 0..30),
+            theirs in proptest::collection::vec(1u32..40, 0..30),
+            seed in proptest::any::<u64>(),
+        ) {
+            let fam = SketchFamily::new(40, 1, seed);
+            // `a` sketches vertex 0's side of its edges; `b` the far side of
+            // another edge set, so shared edges cancel and the rest survive.
+            let mut a = SparseSketch::new();
+            for &v in &ours {
+                a.apply(&fam.prepare(0, 0, v), 0);
             }
+            let mut b = SparseSketch::new();
+            for &v in &theirs {
+                b.apply(&fam.prepare(0, 0, v), v);
+            }
+            let want = reference_merge(&a, &b);
+            let mut got = a.clone();
+            got.merge(&b);
+            assert_eq!(got, want);
+            assert!(got.cells.windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(got.cells.iter().all(|c| !c.1.is_zero()));
+
+            // Many operands gathered first and summed once, in another order.
+            let mut all = SparseSketch::new();
+            for operand in [&b, &SparseSketch::new(), &a, &b, &a] {
+                all.append_cells(operand);
+            }
+            all.canonicalize();
+            assert_eq!(all, reference_merge(&want, &want));
+
+            // Full cancellation: the far sides of exactly `a`'s edges.
+            let mut mirror = SparseSketch::new();
+            for &v in &ours {
+                mirror.apply(&fam.prepare(0, 0, v), v);
+            }
+            assert_eq!(reference_merge(&a, &mirror).nnz(), 0);
+            a.merge(&mirror);
+            assert_eq!(a.nnz(), 0);
         }
-    }
-
-    /// Expands a sparse sketch into the dense form for decoding.
-    pub fn to_dense(&self, sparse: &SparseSketch) -> L0Sampler {
-        let mut dense = L0Sampler::new(self.levels);
-        for (idx, cell) in &sparse.cells {
-            dense.cells[*idx as usize].merge(cell);
-        }
-        dense
-    }
-}
-
-#[cfg(test)]
-mod sparse_tests {
-    use super::*;
-
-    #[test]
-    fn sparse_matches_dense() {
-        let fam = SketchFamily::new(60, 1, 3);
-        let mut dense = fam.empty(0);
-        let mut sparse = SparseSketch::new();
-        for v in 1..20 {
-            fam.add_edge(&mut dense, 0, v);
-            fam.add_edge_sparse(&mut sparse, 0, 0, v);
-        }
-        assert_eq!(fam.to_dense(&sparse), dense);
-    }
-
-    #[test]
-    fn sparse_merge_cancels() {
-        let fam = SketchFamily::new(30, 1, 5);
-        let mut a = SparseSketch::new();
-        let mut b = SparseSketch::new();
-        fam.add_edge_sparse(&mut a, 0, 2, 7);
-        fam.add_edge_sparse(&mut b, 0, 7, 2);
-        a.merge(&b);
-        assert_eq!(a.nnz(), 0);
-        assert!(fam.decode(&fam.to_dense(&a)).is_none());
     }
 
     #[test]
     fn sparse_words_track_nnz() {
-        use mpc_runtime::Payload;
         let fam = SketchFamily::new(100, 1, 1);
         let mut s = SparseSketch::new();
         assert_eq!(s.words(), 0);
-        fam.add_edge_sparse(&mut s, 0, 1, 2);
+        s.apply(&fam.prepare(0, 1, 2), 1);
         assert!(s.words() >= 4);
         assert_eq!(s.words(), 4 * s.nnz());
     }

@@ -43,6 +43,8 @@ pub mod hashing;
 pub mod l0;
 pub mod onesparse;
 
-pub use connectivity::sketch_connectivity;
-pub use l0::{L0Sampler, SketchFamily, SparseSketch, VertexSketch};
+pub use connectivity::{
+    merge_partials, partial_key, sketch_connectivity, sketch_connectivity_sparse,
+};
+pub use l0::{EdgeUpdate, L0Sampler, SketchFamily, SparseSketch, VertexSketch};
 pub use onesparse::{OneSparse, OneSparseDecode};

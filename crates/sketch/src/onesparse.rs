@@ -7,7 +7,7 @@
 //! fingerprint rejects non-one-sparse vectors with probability
 //! `1 − O(domain/P)`.
 
-use crate::field;
+use crate::field::{self, PowTable};
 
 /// Decode outcome of a [`OneSparse`] sketch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,12 +39,23 @@ impl OneSparse {
 
     /// Adds `delta` copies of `index` (negative `delta` removes).
     ///
-    /// `z` is the fingerprint base shared by all sketches that will be
-    /// merged together (drawn once per sketch family).
-    pub fn update(&mut self, index: u64, delta: i64, z: u64) {
+    /// `z` tabulates the fingerprint base shared by all sketches that will
+    /// be merged together (drawn once per sketch family).
+    pub fn update(&mut self, index: u64, delta: i64, z: &PowTable) {
+        self.update_term(
+            index,
+            delta,
+            field::mul(field::from_i64(delta), z.pow(index)),
+        );
+    }
+
+    /// [`update`](Self::update) with the fingerprint term `δ·z^index (mod P)`
+    /// already computed — a caller that adds the same index to several
+    /// sketches exponentiates once.
+    #[inline]
+    pub fn update_term(&mut self, index: u64, delta: i64, term: u64) {
         self.count += delta;
         self.weighted += index as i128 * delta as i128;
-        let term = field::mul(field::from_i64(delta), field::pow(z, index));
         self.fingerprint = field::add(self.fingerprint, term);
     }
 
@@ -68,8 +79,8 @@ impl OneSparse {
         }
     }
 
-    /// Attempts recovery.
-    pub fn decode(&self, z: u64) -> OneSparseDecode {
+    /// Attempts recovery of an index in `0..z.domain()`.
+    pub fn decode(&self, z: &PowTable) -> OneSparseDecode {
         if self.count == 0 {
             return if self.weighted == 0 && self.fingerprint == 0 {
                 OneSparseDecode::Zero
@@ -80,12 +91,13 @@ impl OneSparse {
         if self.weighted % self.count as i128 != 0 {
             return OneSparseDecode::Many;
         }
-        let idx = self.weighted / self.count as i128;
-        if idx < 0 {
-            return OneSparseDecode::Many;
-        }
-        let idx = idx as u64;
-        let expect = field::mul(field::from_i64(self.count), field::pow(z, idx));
+        // A candidate outside the domain cannot be a sketched index; reject
+        // it before the exponentiation rather than truncating it.
+        let idx = match u64::try_from(self.weighted / self.count as i128) {
+            Ok(idx) if idx < z.domain() => idx,
+            _ => return OneSparseDecode::Many,
+        };
+        let expect = field::mul(field::from_i64(self.count), z.pow(idx));
         if expect == self.fingerprint {
             OneSparseDecode::One(idx, self.count)
         } else {
@@ -103,30 +115,31 @@ impl OneSparse {
 mod tests {
     use super::*;
 
-    const Z: u64 = 0x1234_5678_9ABC;
+    static TABLE: std::sync::LazyLock<PowTable> =
+        std::sync::LazyLock::new(|| PowTable::new(0x1234_5678_9ABC, 1 << 20));
 
     #[test]
     fn recovers_single_item() {
         let mut s = OneSparse::new();
-        s.update(42, 3, Z);
-        assert_eq!(s.decode(Z), OneSparseDecode::One(42, 3));
+        s.update(42, 3, &TABLE);
+        assert_eq!(s.decode(&TABLE), OneSparseDecode::One(42, 3));
     }
 
     #[test]
     fn cancellation_yields_zero() {
         let mut s = OneSparse::new();
-        s.update(7, 1, Z);
-        s.update(7, -1, Z);
+        s.update(7, 1, &TABLE);
+        s.update(7, -1, &TABLE);
         assert!(s.is_zero());
-        assert_eq!(s.decode(Z), OneSparseDecode::Zero);
+        assert_eq!(s.decode(&TABLE), OneSparseDecode::Zero);
     }
 
     #[test]
     fn two_items_are_rejected() {
         let mut s = OneSparse::new();
-        s.update(3, 1, Z);
-        s.update(11, 1, Z);
-        assert_eq!(s.decode(Z), OneSparseDecode::Many);
+        s.update(3, 1, &TABLE);
+        s.update(11, 1, &TABLE);
+        assert_eq!(s.decode(&TABLE), OneSparseDecode::Many);
     }
 
     #[test]
@@ -134,31 +147,49 @@ mod tests {
         // count=2, weighted=2*7 → candidate index 7, but the vector is
         // {6: +1, 8: +1}. The fingerprint catches it.
         let mut s = OneSparse::new();
-        s.update(6, 1, Z);
-        s.update(8, 1, Z);
-        assert_eq!(s.decode(Z), OneSparseDecode::Many);
+        s.update(6, 1, &TABLE);
+        s.update(8, 1, &TABLE);
+        assert_eq!(s.decode(&TABLE), OneSparseDecode::Many);
     }
 
     #[test]
     fn merge_is_linear() {
         let mut a = OneSparse::new();
         let mut b = OneSparse::new();
-        a.update(5, 2, Z);
-        b.update(5, -1, Z);
-        b.update(9, 1, Z);
+        a.update(5, 2, &TABLE);
+        b.update(5, -1, &TABLE);
+        b.update(9, 1, &TABLE);
         a.merge(&b);
         // Vector is {5: +1, 9: +1} -> Many.
-        assert_eq!(a.decode(Z), OneSparseDecode::Many);
+        assert_eq!(a.decode(&TABLE), OneSparseDecode::Many);
         let mut c = OneSparse::new();
-        c.update(9, -1, Z);
+        c.update(9, -1, &TABLE);
         a.merge(&c);
-        assert_eq!(a.decode(Z), OneSparseDecode::One(5, 1));
+        assert_eq!(a.decode(&TABLE), OneSparseDecode::One(5, 1));
+    }
+
+    #[test]
+    fn candidates_outside_the_domain_are_rejected() {
+        // One item at index 2^64 + 5 would truncate to 5 under `as u64`.
+        let small = PowTable::new(0x1234_5678_9ABC, 100);
+        let mut s = OneSparse::new();
+        s.update(5, 1, &small);
+        s.weighted += 1i128 << 64;
+        assert_eq!(s.decode(&small), OneSparseDecode::Many);
+        // In range for u64 but beyond the table's domain.
+        let mut s = OneSparse::new();
+        s.update_term(100, 1, field::pow(0x1234_5678_9ABC, 100));
+        assert_eq!(s.decode(&small), OneSparseDecode::Many);
+        assert_eq!(
+            s.decode(&PowTable::new(0x1234_5678_9ABC, 101)),
+            OneSparseDecode::One(100, 1)
+        );
     }
 
     #[test]
     fn negative_multiplicity_roundtrips() {
         let mut s = OneSparse::new();
-        s.update(13, -4, Z);
-        assert_eq!(s.decode(Z), OneSparseDecode::One(13, -4));
+        s.update(13, -4, &TABLE);
+        assert_eq!(s.decode(&TABLE), OneSparseDecode::One(13, -4));
     }
 }

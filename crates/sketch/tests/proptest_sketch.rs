@@ -3,7 +3,10 @@
 //! unions safe.
 
 use mpc_graph::generators;
-use mpc_sketch::{sketch_connectivity, SketchFamily, SparseSketch};
+use mpc_sketch::field::{self, PowTable};
+use mpc_sketch::{
+    merge_partials, sketch_connectivity, sketch_connectivity_sparse, SketchFamily, SparseSketch,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -64,9 +67,78 @@ proptest! {
         for &(u, v) in &edges {
             if u == v { continue; }
             fam.add_edge(&mut dense, u, v);
-            fam.add_edge_sparse(&mut sparse, 0, u, v);
+            sparse.apply(&fam.prepare(0, u, v), u);
         }
-        prop_assert_eq!(fam.to_dense(&sparse), dense);
+        let mut densified = fam.empty(0);
+        densified.merge_sparse(&sparse);
+        prop_assert_eq!(densified, dense);
+    }
+
+    /// The fixed-base window table agrees with square-and-multiply on the
+    /// boundary exponents and on random ones.
+    #[test]
+    fn pow_table_matches_pow(
+        z in 1u64..field::P,
+        n in 1u64..(1 << 24),
+        picks in proptest::collection::vec(any::<u64>(), 1..8),
+    ) {
+        let domain = n * n;
+        let table = PowTable::new(z, domain);
+        let powers_of_two = (0..48).map(|k| 1u64 << k);
+        let random = picks.iter().map(|r| r % domain);
+        for e in [0, 1, domain - 1].into_iter().chain(powers_of_two).chain(random) {
+            if e < domain {
+                prop_assert_eq!(table.pow(e), field::pow(z, e), "z = {}, e = {}", z, e);
+            }
+        }
+    }
+
+    /// The distributed pipeline's kernels — per-machine partials, owner
+    /// merge, sparse-row Borůvka — give the same `Components` as dense
+    /// sketch-Borůvka over whole-graph sketches, however the edges are
+    /// split across machines.
+    #[test]
+    fn sparse_pipeline_matches_dense_boruvka(
+        shape in 0usize..4,
+        n in 8usize..48,
+        machines in 1usize..6,
+        seed in 0u64..500,
+    ) {
+        let g = match shape {
+            0 => generators::gnm(n, (2 * n).min(n * (n - 1) / 2), seed),
+            1 => generators::two_cycles(2 * (n / 2), seed),
+            2 => generators::random_forest(n, 3, seed),
+            _ => mpc_graph::Graph::empty(n),
+        };
+        let n = g.n();
+        let pairs: Vec<(u32, u32)> = g.edges().iter().map(|e| (e.u, e.v)).collect();
+        let phases = 2 * ((n as f64).log2().ceil() as usize) + 2;
+        let fam = SketchFamily::new(n, phases, seed ^ 0xC0FFEE);
+
+        let dense_rows = mpc_sketch::connectivity::sketch_graph(&fam, n, pairs.clone());
+        let want = sketch_connectivity(&fam, &dense_rows, n);
+
+        // Round-robin the edges over `machines`; every machine sketches
+        // its share, one owner sums everything.
+        let inbox: Vec<(u64, SparseSketch)> = (0..machines)
+            .flat_map(|m| {
+                let share: Vec<_> = pairs.iter().copied().skip(m).step_by(machines).collect();
+                fam.partial_sketches(&share)
+            })
+            .collect();
+        let merged = merge_partials(inbox);
+        prop_assert!(merged.windows(2).all(|w| w[0].0 < w[1].0), "one sketch per key, ascending");
+        // A merged partial is the vertex's whole-graph sketch.
+        for (key, sparse) in &merged {
+            let (phase, v) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
+            let mut dense = fam.empty(phase);
+            dense.merge_sparse(sparse);
+            prop_assert_eq!(&dense, &dense_rows[phase][v]);
+        }
+        // Arrival order at the large machine is not key order.
+        let mut arrived = merged;
+        arrived.reverse();
+        prop_assert_eq!(sketch_connectivity_sparse(&fam, arrived, n), want);
     }
 
     /// End-to-end: sketch connectivity equals true components w.h.p.
