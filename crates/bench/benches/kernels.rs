@@ -1,8 +1,9 @@
 //! Criterion benches for the substrate kernels the algorithms lean on:
 //! the distributed sort (Claim 1), the max-edge labeling (the F-light
 //! filter of §3), the AGM sketch machinery (Appendix C.1) down to its
-//! per-edge, per-merge and per-exponentiation kernels, and the large
-//! machine's Stoer–Wagner.
+//! per-edge, per-merge and per-exponentiation kernels, the large
+//! machine's Stoer–Wagner, and the sort-and-scan group-by kernels of the
+//! role programs' small-machine steps.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpc_graph::generators;
@@ -124,6 +125,163 @@ fn bench_mincut(c: &mut Criterion) {
     group.finish();
 }
 
+/// The small-machine group-by steps of the non-sketch programs at the
+/// benchmark's `registry-mix` shape (n = 8000, m = 48000 over 128 shards:
+/// 375 edges and ≈ 750 endpoints a shard), each beside the `BTreeMap` /
+/// `HashMap` form it replaced so the ratio reproduces without the whole
+/// benchmark.
+fn bench_programs(c: &mut Criterion) {
+    use mpc_exec::combinators::{
+        announce_degrees, fold_by_key, top_by_key, EndpointIndex, Outbox, Owners,
+    };
+    use mpc_graph::{Edge, VertexId};
+    use std::collections::{BTreeMap, HashMap};
+
+    let mut group = c.benchmark_group("kernel_programs");
+    group.sample_size(20);
+    let g = generators::gnm(8000, 48_000, 7);
+    let shards: Vec<&[Edge]> = g.edges().chunks(375).collect();
+    let cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(7));
+    let owners = Owners::of_cluster(&cluster);
+    // One fixed pseudo-random rank per edge side (SplitMix64 of its index).
+    let rank = |i: usize| (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (i as u64) << 29;
+
+    // mincut's per-trial worker step: two ranked items per edge, the two
+    // smallest ranks per incident vertex.
+    let ranked: Vec<Vec<(VertexId, (u64, Edge))>> = shards
+        .iter()
+        .map(|shard| {
+            let sides = shard.iter().flat_map(|e| [(e.u, *e), (e.v, *e)]);
+            sides
+                .enumerate()
+                .map(|(i, (v, e))| (v, (rank(i), e)))
+                .collect()
+        })
+        .collect();
+    group.bench_function("top2_by_vertex", |b| {
+        b.iter(|| {
+            for items in &ranked {
+                let mut items = items.clone();
+                top_by_key(&mut items, 2, |x| x.0);
+                black_box(items);
+            }
+        })
+    });
+    group.bench_function("top2_by_vertex_btreemap", |b| {
+        b.iter(|| {
+            for items in &ranked {
+                let mut groups: BTreeMap<VertexId, Vec<(u64, Edge)>> = BTreeMap::new();
+                for &(v, re) in items {
+                    groups.entry(v).or_default().push(re);
+                }
+                for vs in groups.values_mut() {
+                    vs.sort_by_key(|x| x.0);
+                    vs.truncate(2);
+                }
+                black_box(groups);
+            }
+        })
+    });
+
+    // mincut's pair-multiplicity step: one `(label pair, 1)` per edge,
+    // summed per pair (labels = 400 contracted components).
+    let pairs: Vec<Vec<((u32, u32), u64)>> = shards
+        .iter()
+        .map(|shard| {
+            let pair = |e: &Edge| ((e.u % 400).min(e.v % 400), (e.u % 400).max(e.v % 400));
+            shard.iter().map(|e| (pair(e), 1)).collect()
+        })
+        .collect();
+    group.bench_function("sum_by_key_pairs", |b| {
+        b.iter(|| {
+            for items in &pairs {
+                let mut items = items.clone();
+                fold_by_key(&mut items, |a, b| *a += *b);
+                black_box(items);
+            }
+        })
+    });
+    group.bench_function("sum_by_key_pairs_btreemap", |b| {
+        b.iter(|| {
+            for items in &pairs {
+                let mut sums: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+                for &(p, c) in items {
+                    *sums.entry(p).or_default() += c;
+                }
+                black_box(sums);
+            }
+        })
+    });
+
+    // The round-0 degree kick-off of seven programs, index build included.
+    group.bench_function("degree_announce", |b| {
+        b.iter(|| {
+            for shard in &shards {
+                let mut out: Outbox<(VertexId, u32)> = Outbox::new();
+                let index = EndpointIndex::build(shard);
+                announce_degrees(&mut out, &owners, &index, |v, c| (v, c));
+                black_box(out);
+            }
+        })
+    });
+    group.bench_function("degree_announce_btreemap", |b| {
+        b.iter(|| {
+            for shard in &shards {
+                let mut out: Outbox<(VertexId, u32)> = Outbox::new();
+                let mut partial: BTreeMap<VertexId, u32> = BTreeMap::new();
+                for e in *shard {
+                    *partial.entry(e.u).or_default() += 1;
+                    *partial.entry(e.v).or_default() += 1;
+                }
+                for (&v, &c) in &partial {
+                    out.send(owners.of(&v), (v, c));
+                }
+                black_box(out);
+            }
+        })
+    });
+
+    // spanner's round-5 coverage step: OR of the neighbours' masks per
+    // endpoint, masks delivered as `(vertex, mask)` answers.
+    let indexes: Vec<EndpointIndex> = shards.iter().map(|s| EndpointIndex::build(s)).collect();
+    let mask = |v: VertexId| 1u64 << (v % 60);
+    group.bench_function("coverage_or_indexed", |b| {
+        b.iter(|| {
+            for index in &indexes {
+                let mut masks = index.table(0u64);
+                for &v in index.endpoints() {
+                    masks[index.slot_of(v)] = mask(v);
+                }
+                let mut acc = index.table(0u64);
+                for &[a, b] in index.slots() {
+                    acc[a as usize] |= masks[b as usize];
+                    acc[b as usize] |= masks[a as usize];
+                }
+                black_box(acc);
+            }
+        })
+    });
+    group.bench_function("coverage_or_hashmap", |b| {
+        b.iter(|| {
+            for (shard, index) in shards.iter().zip(&indexes) {
+                let mut masks: HashMap<VertexId, u64> = HashMap::new();
+                for &v in index.endpoints() {
+                    masks.insert(v, mask(v));
+                }
+                let mut acc: BTreeMap<VertexId, u64> = BTreeMap::new();
+                for e in *shard {
+                    let mu = masks.get(&e.u).copied().unwrap_or(0);
+                    let mv = masks.get(&e.v).copied().unwrap_or(0);
+                    *acc.entry(e.u).or_default() |= mv;
+                    *acc.entry(e.v).or_default() |= mu;
+                }
+                black_box(acc);
+            }
+        })
+    });
+    group.finish();
+}
+
 fn bench_reference(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_reference");
     group.sample_size(20);
@@ -171,6 +329,7 @@ criterion_group!(
     bench_labeling,
     bench_sketch,
     bench_mincut,
+    bench_programs,
     bench_reference,
     bench_exec_engine
 );

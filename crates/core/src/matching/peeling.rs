@@ -34,36 +34,35 @@ pub struct PeelingOutcome {
 }
 
 /// Per-machine step: the minimum `(rank, edge)` per endpoint over one
-/// machine's live edges — what each machine announces to the vertex owners.
-pub fn local_vertex_minima(
-    live: &[(u64, Edge)],
-) -> std::collections::BTreeMap<VertexId, (u64, Edge)> {
-    let mut best: std::collections::BTreeMap<VertexId, (u64, Edge)> =
-        std::collections::BTreeMap::new();
+/// machine's live edges, ascending by vertex — what each machine announces
+/// to the vertex owners. Equal ranks keep the earlier live edge.
+pub fn local_vertex_minima(live: &[(u64, Edge)]) -> Vec<(VertexId, (u64, Edge))> {
+    let mut best: Vec<(VertexId, (u64, Edge))> = Vec::with_capacity(2 * live.len());
     for &(rank, e) in live {
-        for v in [e.u, e.v] {
-            best.entry(v)
-                .and_modify(|b| {
-                    if rank < b.0 {
-                        *b = (rank, e);
-                    }
-                })
-                .or_insert((rank, e));
-        }
+        best.push((e.u, (rank, e)));
+        best.push((e.v, (rank, e)));
     }
+    best.sort_by_key(|&(v, _)| v);
+    best.dedup_by(|next, acc| {
+        let same = next.0 == acc.0;
+        if same && next.1 .0 < acc.1 .0 {
+            acc.1 = next.1;
+        }
+        same
+    });
     best
 }
 
 /// Per-machine step: the live edges whose rank is the global minimum at
-/// *both* endpoints (`minima` holds the delivered per-vertex global minima).
+/// *both* endpoints (`min_rank_at` answers from the delivered per-vertex
+/// global minima; `None` where nothing was delivered).
 pub fn winning_edges(
     live: &[(u64, Edge)],
-    minima: &std::collections::HashMap<VertexId, (u64, Edge)>,
+    min_rank_at: impl Fn(VertexId) -> Option<u64>,
 ) -> Vec<Edge> {
     let mut won: Vec<Edge> = Vec::new();
     for &(rank, e) in live {
-        let wins = |v: VertexId| minima.get(&v).is_some_and(|&(r, _)| r == rank);
-        if wins(e.u) && wins(e.v) {
+        if min_rank_at(e.u) == Some(rank) && min_rank_at(e.v) == Some(rank) {
             won.push(e);
         }
     }
@@ -159,7 +158,7 @@ pub fn peeling_matching(
         for mid in 0..live.machines() {
             let local: std::collections::HashMap<VertexId, (u64, Edge)> =
                 delivered.shard(mid).iter().copied().collect();
-            for e in winning_edges(live.shard(mid), &local) {
+            for e in winning_edges(live.shard(mid), |v| local.get(&v).map(|&(r, _)| r)) {
                 matching.shard_mut(mid).push(e);
                 newly_matched.shard_mut(mid).push((e.u, 1));
                 newly_matched.shard_mut(mid).push((e.v, 1));
@@ -223,6 +222,54 @@ mod tests {
     use mpc_graph::generators;
     use mpc_graph::matching::{is_maximal_matching, Matching};
     use mpc_runtime::ClusterConfig;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// The `BTreeMap` form [`local_vertex_minima`] replaced, kept as oracle.
+    fn local_vertex_minima_tree(live: &[(u64, Edge)]) -> BTreeMap<VertexId, (u64, Edge)> {
+        let mut best: BTreeMap<VertexId, (u64, Edge)> = BTreeMap::new();
+        for &(rank, e) in live {
+            for v in [e.u, e.v] {
+                best.entry(v)
+                    .and_modify(|b| {
+                        if rank < b.0 {
+                            *b = (rank, e);
+                        }
+                    })
+                    .or_insert((rank, e));
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Few vertices and few ranks: duplicate endpoints, self-loops and
+        /// rank ties (the earlier live edge wins) are all common.
+        #[test]
+        fn vertex_minima_and_winners_match_the_map_forms(
+            live in collection::vec((0u64..4, 0u32..10, 0u32..10, 0u64..3), 0..60),
+        ) {
+            let live: Vec<(u64, Edge)> =
+                live.into_iter().map(|(r, u, v, w)| (r, Edge::new(u, v, w))).collect();
+            let tree = local_vertex_minima_tree(&live);
+            let flat = local_vertex_minima(&live);
+            prop_assert_eq!(&flat, &tree.iter().map(|(&v, &m)| (v, m)).collect::<Vec<_>>());
+
+            // Winners read the minima through a lookup; a hash map and the
+            // sorted list must agree, including on missing vertices.
+            let partial: HashMap<VertexId, (u64, Edge)> =
+                tree.into_iter().filter(|(v, _)| v % 3 != 0).collect();
+            let by_hash = winning_edges(&live, |v| partial.get(&v).map(|&(r, _)| r));
+            let sorted: Vec<(VertexId, (u64, Edge))> =
+                flat.into_iter().filter(|(v, _)| v % 3 != 0).collect();
+            let by_search = winning_edges(&live, |v| {
+                sorted.binary_search_by_key(&v, |&(x, _)| x).ok().map(|i| sorted[i].1 .0)
+            });
+            prop_assert_eq!(by_hash, by_search);
+        }
+    }
 
     fn run(g: &mpc_graph::Graph, seed: u64) -> (PeelingOutcome, u64) {
         let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));

@@ -162,18 +162,19 @@ pub fn next_move(
     }
 }
 
-/// Applies a rename map to one machine's tagged edges, dropping edges that
-/// became internal: the per-machine half of the relabel round (Claim 2).
-/// Returns `(normalized current pair, original edge)` partials, which the
-/// pair's hash-owner deduplicates keeping the lightest.
+/// Applies a rename (`rename(v)` is `v` itself where nothing was delivered)
+/// to one machine's tagged edges, dropping edges that became internal: the
+/// per-machine half of the relabel round (Claim 2). Returns `(normalized
+/// current pair, original edge)` partials, which the pair's hash-owner
+/// deduplicates keeping the lightest.
 pub fn relabel_pairs(
     shard: &[TaggedEdge],
-    rename: &std::collections::HashMap<VertexId, VertexId>,
+    rename: impl Fn(VertexId) -> VertexId,
 ) -> Vec<((u32, u32), Edge)> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(shard.len());
     for te in shard {
-        let u = *rename.get(&te.cur.u).unwrap_or(&te.cur.u);
-        let v = *rename.get(&te.cur.v).unwrap_or(&te.cur.v);
+        let u = rename(te.cur.u);
+        let v = rename(te.cur.v);
         if u == v {
             continue; // became internal
         }
@@ -515,7 +516,8 @@ fn relabel_and_dedup(
     // the pair key plus the original weight, keeping partials at 4 words.
     let mut relabeled: ShardedVec<((u32, u32), Edge)> = ShardedVec::new(cluster);
     for mid in 0..cur.machines() {
-        *relabeled.shard_mut(mid) = relabel_pairs(cur.shard(mid), &map);
+        *relabeled.shard_mut(mid) =
+            relabel_pairs(cur.shard(mid), |v| map.get(&v).copied().unwrap_or(v));
     }
     let deduped = aggregate_by_key(cluster, "mst.dedup", &relabeled, owners, |a, b| {
         if a.weight_key() <= b.weight_key() {

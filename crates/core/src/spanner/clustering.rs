@@ -134,26 +134,35 @@ pub fn finalize_b_masks(deg: &[u32], sampled: &[u64], covered: &[u64], levels: u
 
 /// Per-machine step: for every endpoint of the machine's edges, the
 /// smallest neighbor inside `B_i` per level (`u32::MAX` = none) — the
-/// candidate lists the vertex owners aggregate by elementwise minimum.
+/// candidate lists the vertex owners aggregate by elementwise minimum,
+/// ascending by vertex. `bmasks_of(i)` is the B-masks of `edges[i]`'s
+/// `(u, v)` endpoints.
 pub fn min_neighbor_candidates(
     levels: usize,
     edges: &[Edge],
-    bmask_of: impl Fn(VertexId) -> u64,
-) -> std::collections::BTreeMap<VertexId, Vec<u32>> {
-    let mut per_vertex: std::collections::BTreeMap<VertexId, Vec<u32>> =
-        std::collections::BTreeMap::new();
-    for e in edges {
-        for (x, y) in [(e.u, e.v), (e.v, e.u)] {
-            let ym = bmask_of(y);
-            let entry = per_vertex
-                .entry(x)
-                .or_insert_with(|| vec![u32::MAX; levels]);
-            for i in 0..levels {
+    bmasks_of: impl Fn(usize) -> (u64, u64),
+) -> Vec<(VertexId, Vec<u32>)> {
+    // One `(vertex, neighbor, neighbor's mask)` per edge side, grouped by
+    // vertex; the minimum is order-independent, so the sort need not be
+    // stable.
+    let mut sides: Vec<(VertexId, VertexId, u64)> = Vec::with_capacity(2 * edges.len());
+    for (i, e) in edges.iter().enumerate() {
+        let (mu, mv) = bmasks_of(i);
+        sides.push((e.u, e.v, mv));
+        sides.push((e.v, e.u, mu));
+    }
+    sides.sort_unstable_by_key(|&(x, _, _)| x);
+    let mut per_vertex: Vec<(VertexId, Vec<u32>)> = Vec::new();
+    for run in sides.chunk_by(|a, b| a.0 == b.0) {
+        let mut mins = vec![u32::MAX; levels];
+        for &(_, y, ym) in run {
+            for (i, m) in mins.iter_mut().enumerate() {
                 if ym & (1 << i) != 0 {
-                    entry[i] = entry[i].min(y);
+                    *m = (*m).min(y);
                 }
             }
         }
+        per_vertex.push((run[0].0, mins));
     }
     per_vertex
 }
@@ -165,7 +174,7 @@ pub fn min_neighbor_candidates(
 pub fn sigma_for(
     v: VertexId,
     bmask: u64,
-    cand: Option<&Vec<u32>>,
+    cand: Option<&[u32]>,
     levels: usize,
 ) -> (VertexId, usize) {
     let mut iu = 0usize;
@@ -303,10 +312,10 @@ pub fn build_clustering_graphs(
     for mid in 0..cluster.machines() {
         let bm: std::collections::HashMap<VertexId, u64> =
             delivered_b.shard(mid).iter().copied().collect();
-        let per_vertex = min_neighbor_candidates(levels, edges.shard(mid), |y| {
-            bm.get(&y).copied().unwrap_or(0)
-        });
-        *cand_items.shard_mut(mid) = per_vertex.into_iter().collect();
+        let shard = edges.shard(mid);
+        let mask = |y: VertexId| bm.get(&y).copied().unwrap_or(0);
+        *cand_items.shard_mut(mid) =
+            min_neighbor_candidates(levels, shard, |i| (mask(shard[i].u), mask(shard[i].v)));
     }
     let cand_at_owner = aggregate_by_key(cluster, "cg.cands", &cand_items, &owners, |a, b| {
         a.iter().zip(b).map(|(x, y)| (*x).min(*y)).collect()
@@ -332,7 +341,7 @@ pub fn build_clustering_graphs(
             .map(|(v, c)| (*v, c))
             .collect();
         for (_src, (v, (d, bmask))) in inbox {
-            let nbr = cands.get(&v).copied();
+            let nbr = cands.get(&v).map(|c| c.as_slice());
             // i_u = max level where v ∈ B_i or some neighbor ∈ B_i.
             let (sigma_v, iu) = sigma_for(v, bmask, nbr, levels);
             sigma.shard_mut(mid).push((v, (sigma_v, d)));
@@ -398,6 +407,54 @@ mod tests {
     use super::*;
     use mpc_graph::generators;
     use mpc_runtime::ClusterConfig;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The `BTreeMap` form [`min_neighbor_candidates`] replaced, kept as
+    /// oracle.
+    fn min_neighbor_candidates_tree(
+        levels: usize,
+        edges: &[Edge],
+        bmask_of: impl Fn(VertexId) -> u64,
+    ) -> BTreeMap<VertexId, Vec<u32>> {
+        let mut per_vertex: BTreeMap<VertexId, Vec<u32>> = BTreeMap::new();
+        for e in edges {
+            for (x, y) in [(e.u, e.v), (e.v, e.u)] {
+                let ym = bmask_of(y);
+                let entry = per_vertex
+                    .entry(x)
+                    .or_insert_with(|| vec![u32::MAX; levels]);
+                for i in 0..levels {
+                    if ym & (1 << i) != 0 {
+                        entry[i] = entry[i].min(y);
+                    }
+                }
+            }
+        }
+        per_vertex
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Empty shards, single vertices, self-loops, parallel edges and
+        /// all-zero masks included.
+        #[test]
+        fn min_neighbor_candidates_match_the_tree_form(
+            pairs in collection::vec((0u32..12, 0u32..12), 0..50),
+            masks in collection::vec(0u64..32, 12..13),
+            levels in 0usize..6,
+        ) {
+            let edges: Vec<Edge> = pairs.iter().map(|&(u, v)| Edge::unweighted(u, v)).collect();
+            let mask = |v: VertexId| masks[v as usize];
+            let want: Vec<(VertexId, Vec<u32>)> =
+                min_neighbor_candidates_tree(levels, &edges, mask).into_iter().collect();
+            let got = min_neighbor_candidates(levels, &edges, |i| {
+                (mask(edges[i].u), mask(edges[i].v))
+            });
+            prop_assert_eq!(got, want);
+        }
+    }
 
     fn build(g: &mpc_graph::Graph, seed: u64) -> (ClusteringGraphs, Cluster) {
         let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(seed));

@@ -12,13 +12,23 @@
 //! `parallel_matches_serial` tests and `crates/exec/tests/pool.rs` assert
 //! this bit-for-bit.
 //!
-//! The round loop is the engine's host-side hot path, so it allocates
-//! nothing per round in steady state: exchanges go through the
-//! buffer-reusing [`Cluster::exchange_into`](mpc_runtime::Cluster::exchange_into),
-//! round labels share one interned prefix
-//! ([`RoundLabel`](mpc_runtime::RoundLabel)), and in
+//! The round loop is the engine's host-side hot path: round labels share
+//! one interned prefix ([`RoundLabel`](mpc_runtime::RoundLabel)), the
+//! outbox list and the cluster's accounting scratch are reused through
+//! [`Cluster::exchange_into`](mpc_runtime::Cluster::exchange_into), and in
 //! [`ExecMode::Parallel`] the worker threads are spawned **once per run**
-//! ([`pool`](crate::pool)) instead of once per round.
+//! ([`pool`](crate::pool)) instead of once per round. It is **not**
+//! allocation-free, though: `step` consumes its inbox by value, so the
+//! slot swap after the exchange hands `exchange_into` a zero-capacity
+//! vector and every non-empty inbox is allocated and freed every round
+//! (as is every outbox a program builds).
+//!
+//! Where a cheap round goes (the benchmark's `ring`, 257 machines ×
+//! 10 000 rounds, one 1-word message per machine-round, `Serial`, 286 ms,
+//! a scratch-instrumented driver at commit `db04f67`): activation pass
+//! 38 ms, `step` 79 ms, outbox fold-back 59 ms, `exchange_into` 67 ms,
+//! inbox swap 43 ms — four uncontended mutex passes over the slots per
+//! machine-round, of which only `step` does program work.
 
 use crate::machine::{MachineCtx, MachineProgram, StepOutcome};
 use crate::pool::{PanicPayload, PoolCore, PoolStats};

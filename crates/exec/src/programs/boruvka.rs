@@ -22,13 +22,13 @@
 //! execution model, and a 4-round wave whose every step is per-machine
 //! state exercises it far harder than a monolithic loop.
 
+use crate::combinators::{fold_by_key, keep_last, sorted_get, Announcers};
 use crate::machine::{MachineCtx, MachineProgram, StepOutcome};
 use mpc_core::mst::contract_lightest_lists;
 use mpc_graph::mst::Forest;
 use mpc_graph::{Edge, VertexId};
 use mpc_runtime::payload::TaggedEdge;
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
-use std::collections::BTreeMap;
 
 /// Messages of the Borůvka program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,7 +55,7 @@ pub struct BoruvkaProgram {
     /// Current contracted edges on this (small) machine.
     local: Vec<TaggedEdge>,
     /// Owner role: vertex -> machines that announced it this wave.
-    announcers: BTreeMap<VertexId, Vec<MachineId>>,
+    announcers: Announcers<VertexId>,
     /// Large machine only: MST edges chosen so far (original ids).
     chosen: Vec<Edge>,
     /// Set on the large machine when it halts.
@@ -79,7 +79,7 @@ impl BoruvkaProgram {
                     .iter()
                     .map(|&e| TaggedEdge::identity(e.normalized()))
                     .collect(),
-                announcers: BTreeMap::new(),
+                announcers: Announcers::default(),
                 chosen: Vec::new(),
                 forest: None,
             })
@@ -90,17 +90,16 @@ impl BoruvkaProgram {
         self.owners[v as usize % self.owners.len()]
     }
 
-    /// Phase A on a small machine: relabel along `renames`, drop edges that
-    /// became internal, keep only the lightest of parallel edges, announce.
-    fn relabel_and_announce(
-        &mut self,
-        renames: &BTreeMap<VertexId, VertexId>,
-    ) -> StepOutcome<MstMsg> {
+    /// Phase A on a small machine: relabel along `renames` (ascending by
+    /// old id), drop edges that became internal, keep only the lightest of
+    /// parallel edges, announce.
+    fn relabel_and_announce(&mut self, renames: &[(VertexId, VertexId)]) -> StepOutcome<MstMsg> {
         if !renames.is_empty() {
-            let mut dedup: BTreeMap<(VertexId, VertexId), TaggedEdge> = BTreeMap::new();
+            let rename = |v: VertexId| sorted_get(renames, v).copied().unwrap_or(v);
+            let mut dedup: Vec<((VertexId, VertexId), TaggedEdge)> =
+                Vec::with_capacity(self.local.len());
             for te in self.local.drain(..) {
-                let u = *renames.get(&te.cur.u).unwrap_or(&te.cur.u);
-                let v = *renames.get(&te.cur.v).unwrap_or(&te.cur.v);
+                let (u, v) = (rename(te.cur.u), rename(te.cur.v));
                 if u == v {
                     continue;
                 }
@@ -109,38 +108,34 @@ impl BoruvkaProgram {
                     cur: Edge::new(key.0, key.1, te.orig.w),
                     orig: te.orig,
                 };
-                dedup
-                    .entry(key)
-                    .and_modify(|best| {
-                        if cand.orig.weight_key() < best.orig.weight_key() {
-                            *best = cand;
-                        }
-                    })
-                    .or_insert(cand);
+                dedup.push((key, cand));
             }
-            self.local = dedup.into_values().collect();
+            fold_by_key(&mut dedup, keep_lighter);
+            self.local.extend(dedup.into_iter().map(|(_, te)| te));
         }
         if self.local.is_empty() {
             return StepOutcome::Halt;
         }
         // Locally-lightest edge per current vertex.
-        let mut best: BTreeMap<VertexId, TaggedEdge> = BTreeMap::new();
-        for te in &self.local {
-            for v in [te.cur.u, te.cur.v] {
-                best.entry(v)
-                    .and_modify(|b| {
-                        if te.orig.weight_key() < b.orig.weight_key() {
-                            *b = *te;
-                        }
-                    })
-                    .or_insert(*te);
-            }
-        }
+        let mut best: Vec<(VertexId, TaggedEdge)> = self
+            .local
+            .iter()
+            .flat_map(|te| [(te.cur.u, *te), (te.cur.v, *te)])
+            .collect();
+        fold_by_key(&mut best, keep_lighter);
         let out = best
             .into_iter()
             .map(|(v, te)| (self.owner_of(v), MstMsg::Announce(v, te)))
             .collect();
         StepOutcome::Send(out)
+    }
+}
+
+/// The [`fold_by_key`] step that keeps the lighter original edge (ties
+/// keep the earlier one).
+fn keep_lighter(best: &mut TaggedEdge, te: &TaggedEdge) {
+    if te.orig.weight_key() < best.orig.weight_key() {
+        *best = *te;
     }
 }
 
@@ -195,13 +190,14 @@ impl MachineProgram for BoruvkaProgram {
         match phase {
             // Phase A — relabel with incoming renames, announce minima.
             0 => {
-                let renames: BTreeMap<VertexId, VertexId> = inbox
+                let mut renames: Vec<(VertexId, VertexId)> = inbox
                     .into_iter()
                     .filter_map(|(_, msg)| match msg {
                         MstMsg::Rename(old, new) => Some((old, new)),
                         MstMsg::Announce(_, _) => None,
                     })
                     .collect();
+                fold_by_key(&mut renames, keep_last);
                 self.relabel_and_announce(&renames)
             }
             // Phase B — owner keeps the lightest announcement per vertex.
@@ -214,25 +210,16 @@ impl MachineProgram for BoruvkaProgram {
                     };
                 }
                 let large = ctx.large.expect("checked in for_cluster");
-                let mut best: BTreeMap<VertexId, TaggedEdge> = BTreeMap::new();
+                let mut best: Vec<(VertexId, TaggedEdge)> = Vec::with_capacity(inbox.len());
                 self.announcers.clear();
                 for (src, msg) in inbox {
                     let MstMsg::Announce(v, te) = msg else {
                         continue;
                     };
-                    self.announcers.entry(v).or_default().push(src);
-                    best.entry(v)
-                        .and_modify(|b| {
-                            if te.orig.weight_key() < b.orig.weight_key() {
-                                *b = te;
-                            }
-                        })
-                        .or_insert(te);
+                    self.announcers.note(v, src);
+                    best.push((v, te));
                 }
-                for senders in self.announcers.values_mut() {
-                    senders.sort_unstable();
-                    senders.dedup();
-                }
+                fold_by_key(&mut best, keep_lighter);
                 let out = best
                     .into_iter()
                     .map(|(v, te)| (large, MstMsg::Announce(v, te)))
@@ -256,18 +243,16 @@ impl MachineProgram for BoruvkaProgram {
                         StepOutcome::idle()
                     };
                 }
-                let announcers = std::mem::take(&mut self.announcers);
                 let mut out: Vec<(MachineId, MstMsg)> = Vec::new();
                 for (_, msg) in inbox {
                     let MstMsg::Rename(old, new) = msg else {
                         continue;
                     };
-                    if let Some(machines) = announcers.get(&old) {
-                        for &m in machines {
-                            out.push((m, MstMsg::Rename(old, new)));
-                        }
+                    for m in self.announcers.get(old) {
+                        out.push((m, MstMsg::Rename(old, new)));
                     }
                 }
+                self.announcers.clear();
                 StepOutcome::Send(out)
             }
         }

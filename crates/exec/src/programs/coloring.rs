@@ -18,7 +18,9 @@
 //! [`MAX_RESTARTS`](mpc_core::ported::coloring::MAX_RESTARTS) the whole
 //! graph is gathered and greedy-colored (the legacy fallback).
 
-use crate::combinators::{announce_degrees, Outbox, Owners, RoleProgram};
+use crate::combinators::{
+    announce_degrees, fold_by_key, EndpointIndex, Outbox, Owners, RoleProgram,
+};
 use crate::machine::{MachineCtx, StepOutcome};
 use mpc_core::ported::coloring::{
     attempt_coloring, edge_conflicts, palette_size_for, ColoringResult, MAX_RESTARTS,
@@ -27,7 +29,6 @@ use mpc_graph::{Edge, VertexId};
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Phase commands broadcast by the large machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -268,21 +269,23 @@ impl RoleProgram for ColoringProgram {
         let large = ctx.large.expect("checked in for_cluster");
 
         if ctx.round == 0 {
-            announce_degrees(&mut out, &self.owners, &self.input, ColorNetMsg::DegPartial);
+            let index = EndpointIndex::build(&self.input);
+            announce_degrees(&mut out, &self.owners, &index, ColorNetMsg::DegPartial);
         }
 
         let mut cmd: Option<ColorCmd> = None;
-        let mut deg_sum: BTreeMap<VertexId, u32> = BTreeMap::new();
+        let mut deg_sum: Vec<(VertexId, u32)> = Vec::new();
         for (_src, msg) in inbox {
             match msg {
                 ColorNetMsg::Cmd(c) => cmd = Some(c),
-                ColorNetMsg::DegPartial(v, c) => *deg_sum.entry(v).or_default() += c,
+                ColorNetMsg::DegPartial(v, c) => deg_sum.push((v, c)),
                 _ => {}
             }
         }
 
         // ---- owner role ----
-        for (&v, &d) in &deg_sum {
+        fold_by_key(&mut deg_sum, |a, b| *a += *b);
+        for (v, d) in deg_sum {
             out.send(large, ColorNetMsg::DegUp(v, d));
         }
 

@@ -24,7 +24,10 @@
 //! | ...   | smalls | draw a rank per high-degree incidence, top-`t` per vertex via owners to the large machine |
 //! | ...   | large  | greedy `M₂`; matched flags to owners; smalls filter the residual; counted, shipped, finished greedily as `M₃` |
 
-use crate::combinators::{fold_best, truncate_top, Announcers, Outbox, Owners, RoleProgram};
+use crate::combinators::{
+    announce_degrees, fold_by_key, grouped, sorted_get, top_by_key, Announcers, EndpointIndex,
+    Outbox, Owners, RoleProgram,
+};
 use crate::machine::{MachineCtx, StepOutcome};
 use mpc_core::matching::peeling::{local_vertex_minima, winning_edges};
 use mpc_core::matching::{
@@ -34,7 +37,8 @@ use mpc_graph::matching::{greedy_matching_over, Matching};
 use mpc_graph::{Edge, VertexId};
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Phase commands broadcast by the large machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,8 +161,11 @@ pub struct MatchingProgram {
     // ---- small-machine state ----
     /// The input shard (immutable throughout, like the legacy `edges`).
     input: Vec<Edge>,
-    /// Endpoint degrees delivered by the owners.
-    deg_local: HashMap<VertexId, u32>,
+    /// Endpoint index of `input`.
+    index: Arc<EndpointIndex>,
+    /// Endpoint degrees delivered by the owners (parallel to
+    /// `index.endpoints()`).
+    deg_local: Vec<u32>,
     /// The low/high threshold, from `Classify`.
     threshold: usize,
     /// Live low-degree edges with their one-time ranks.
@@ -167,10 +174,11 @@ pub struct MatchingProgram {
     matched_here: Vec<Edge>,
     /// Residual edges (Phase 3), kept until `SendResidual`.
     residual: Vec<Edge>,
-    /// Owner role: matched-vertex flags accumulated over the peeling.
-    peel_flags: BTreeSet<VertexId>,
-    /// Owner role: matched flags for Phase 3.
-    p3_flags: BTreeSet<VertexId>,
+    /// Owner role: matched vertices accumulated over the peeling (sorted
+    /// before each round of lookups).
+    peel_flags: Vec<VertexId>,
+    /// Owner role: matched vertices for Phase 3 (likewise).
+    p3_flags: Vec<VertexId>,
     /// Owner role: who announced each vertex this peeling iteration.
     announcers: Announcers<VertexId>,
     /// Owner role: Phase-2 truncation size, from the `Phase2` broadcast.
@@ -199,29 +207,33 @@ impl MatchingProgram {
         );
         let m_total = edges.total_len();
         (0..cluster.machines())
-            .map(|mid| MatchingProgram {
-                n,
-                owners: owners.clone(),
-                input: edges.shard(mid).to_vec(),
-                deg_local: HashMap::new(),
-                threshold: 0,
-                live: Vec::new(),
-                matched_here: Vec::new(),
-                residual: Vec::new(),
-                peel_flags: BTreeSet::new(),
-                p3_flags: BTreeSet::new(),
-                announcers: Announcers::default(),
-                t: 1,
-                phase: LPhase::Boot,
-                m_total,
-                deg: HashMap::new(),
-                high: HashSet::new(),
-                d: 0.0,
-                used: HashSet::new(),
-                m1: Vec::new(),
-                m2: Vec::new(),
-                stats: MatchingStats::default(),
-                result: None,
+            .map(|mid| {
+                let index = EndpointIndex::build(edges.shard(mid));
+                MatchingProgram {
+                    n,
+                    owners: owners.clone(),
+                    input: edges.shard(mid).to_vec(),
+                    deg_local: index.table(0),
+                    index: Arc::new(index),
+                    threshold: 0,
+                    live: Vec::new(),
+                    matched_here: Vec::new(),
+                    residual: Vec::new(),
+                    peel_flags: Vec::new(),
+                    p3_flags: Vec::new(),
+                    announcers: Announcers::default(),
+                    t: 1,
+                    phase: LPhase::Boot,
+                    m_total,
+                    deg: HashMap::new(),
+                    high: HashSet::new(),
+                    d: 0.0,
+                    used: HashSet::new(),
+                    m1: Vec::new(),
+                    m2: Vec::new(),
+                    stats: MatchingStats::default(),
+                    result: None,
+                }
             })
             .collect()
     }
@@ -330,14 +342,15 @@ impl RoleProgram for MatchingProgram {
             }
             LPhase::Cands { issued, t } => {
                 if ctx.round == issued + 3 {
-                    let mut groups: BTreeMap<VertexId, Vec<(u64, Edge)>> = BTreeMap::new();
-                    for (_src, msg) in inbox {
-                        if let MatchNetMsg::CandUp(v, r, e) = msg {
-                            groups.entry(v).or_default().push((r, e));
-                        }
-                    }
-                    truncate_top(&mut groups, t, |re| re.0);
-                    let sampled: Vec<(VertexId, Vec<(u64, Edge)>)> = groups.into_iter().collect();
+                    let mut cands: Vec<(VertexId, (u64, Edge))> = inbox
+                        .into_iter()
+                        .filter_map(|(_, m)| match m {
+                            MatchNetMsg::CandUp(v, r, e) => Some((v, (r, e))),
+                            _ => None,
+                        })
+                        .collect();
+                    top_by_key(&mut cands, t, |re| re.0);
+                    let sampled = grouped(&cands);
                     self.m2 = greedy_extend(&sampled, &mut self.used);
                     self.stats.m2 = self.m2.len();
                     // Phase 3: push the matched flags to the vertex owners.
@@ -411,15 +424,8 @@ impl RoleProgram for MatchingProgram {
 
         // Round 0: kick off the degree phase from the input shard.
         if ctx.round == 0 {
-            let mut partial: BTreeMap<VertexId, u32> = BTreeMap::new();
-            for e in &self.input {
-                *partial.entry(e.u).or_default() += 1;
-                *partial.entry(e.v).or_default() += 1;
-            }
-            for (&v, &c) in &partial {
-                out.send(self.owners.of(&v), MatchNetMsg::DegPartial(v, c));
-            }
-            for &v in partial.keys() {
+            announce_degrees(&mut out, &self.owners, &self.index, MatchNetMsg::DegPartial);
+            for &v in self.index.endpoints() {
                 out.send(self.owners.of(&v), MatchNetMsg::DegAsk(v));
             }
         }
@@ -427,90 +433,87 @@ impl RoleProgram for MatchingProgram {
         // Two-pass inbox handling: data/flags first, then lookups/replies,
         // so owner answers always reflect this round's updates.
         let mut cmd: Option<MatchCmd> = None;
-        let mut deg_sum: BTreeMap<VertexId, u32> = BTreeMap::new();
+        let mut deg_sum: Vec<(VertexId, u32)> = Vec::new();
         let mut deg_asks: Vec<(MachineId, VertexId)> = Vec::new();
-        let mut minima: BTreeMap<VertexId, (u64, Edge)> = BTreeMap::new();
-        let mut got_minima = false;
-        let mut min_answers: HashMap<VertexId, (u64, Edge)> = HashMap::new();
-        let mut got_min_answers = false;
+        let mut minima: Vec<(VertexId, (u64, Edge))> = Vec::new();
+        let mut min_answers: Vec<(VertexId, u64)> = Vec::new();
         let mut flag_asks: Vec<(MachineId, VertexId)> = Vec::new();
-        let mut flag_answers: HashMap<VertexId, bool> = HashMap::new();
+        let mut dead: Vec<VertexId> = Vec::new();
         let mut got_flag_answers = false;
         let mut p3_asks: Vec<(MachineId, VertexId)> = Vec::new();
-        let mut p3_answers: HashMap<VertexId, bool> = HashMap::new();
+        let mut p3_matched = self.index.table(false);
         let mut got_p3_answers = false;
-        let mut cands: BTreeMap<VertexId, Vec<(u64, Edge)>> = BTreeMap::new();
+        let mut cands: Vec<(VertexId, (u64, Edge))> = Vec::new();
 
         for (src, msg) in inbox {
             match msg {
                 MatchNetMsg::Cmd(c) => cmd = Some(c),
-                MatchNetMsg::DegPartial(v, c) => *deg_sum.entry(v).or_default() += c,
+                MatchNetMsg::DegPartial(v, c) => deg_sum.push((v, c)),
                 MatchNetMsg::DegAsk(v) => deg_asks.push((src, v)),
-                MatchNetMsg::DegAns(v, dv) => {
-                    self.deg_local.insert(v, dv);
-                }
+                MatchNetMsg::DegAns(v, dv) => self.deg_local[self.index.slot_of(v)] = dv,
                 MatchNetMsg::MinAnn(v, r, e) => {
                     self.announcers.note(v, src);
-                    got_minima = true;
-                    fold_best(&mut minima, v, (r, e), |a, b| a.0 < b.0);
+                    minima.push((v, (r, e)));
                 }
-                MatchNetMsg::MinAns(v, r, e) => {
-                    got_min_answers = true;
-                    min_answers.insert(v, (r, e));
-                }
-                MatchNetMsg::MatchedFlag(v) => {
-                    self.peel_flags.insert(v);
-                }
+                MatchNetMsg::MinAns(v, r, _e) => min_answers.push((v, r)),
+                MatchNetMsg::MatchedFlag(v) => self.peel_flags.push(v),
                 MatchNetMsg::FlagAsk(v) => flag_asks.push((src, v)),
                 MatchNetMsg::FlagAns(v, f) => {
                     got_flag_answers = true;
-                    flag_answers.insert(v, f);
+                    if f {
+                        dead.push(v);
+                    }
                 }
-                MatchNetMsg::P3Flag(v) => {
-                    self.p3_flags.insert(v);
-                }
+                MatchNetMsg::P3Flag(v) => self.p3_flags.push(v),
                 MatchNetMsg::P3Ask(v) => p3_asks.push((src, v)),
                 MatchNetMsg::P3Ans(v, f) => {
                     got_p3_answers = true;
-                    p3_answers.insert(v, f);
+                    p3_matched[self.index.slot_of(v)] = f;
                 }
-                MatchNetMsg::Cand(v, r, e) => cands.entry(v).or_default().push((r, e)),
+                MatchNetMsg::Cand(v, r, e) => cands.push((v, (r, e))),
                 _ => {}
             }
         }
 
         // ---- owner role ----
-        if !deg_sum.is_empty() {
-            for (&v, &dv) in &deg_sum {
-                out.send(large, MatchNetMsg::DegUp(v, dv));
-            }
+        fold_by_key(&mut deg_sum, |a, b| *a += *b);
+        for &(v, dv) in &deg_sum {
+            out.send(large, MatchNetMsg::DegUp(v, dv));
         }
         for (src, v) in deg_asks {
-            out.send(src, MatchNetMsg::DegAns(v, *deg_sum.get(&v).unwrap_or(&0)));
+            let dv = sorted_get(&deg_sum, v).copied().unwrap_or(0);
+            out.send(src, MatchNetMsg::DegAns(v, dv));
         }
-        if got_minima {
+        if !minima.is_empty() {
+            fold_by_key(&mut minima, |acc, m| {
+                if m.0 < acc.0 {
+                    *acc = *m;
+                }
+            });
             for (v, (r, e)) in minima {
-                if let Some(machines) = self.announcers.get(&v) {
-                    for &m in machines {
-                        out.send(m, MatchNetMsg::MinAns(v, r, e));
-                    }
+                for m in self.announcers.get(v) {
+                    out.send(m, MatchNetMsg::MinAns(v, r, e));
                 }
             }
-            self.announcers.take();
+            self.announcers.clear();
+        }
+        if !flag_asks.is_empty() {
+            self.peel_flags.sort_unstable();
         }
         for (src, v) in flag_asks {
-            out.send(src, MatchNetMsg::FlagAns(v, self.peel_flags.contains(&v)));
+            let matched = self.peel_flags.binary_search(&v).is_ok();
+            out.send(src, MatchNetMsg::FlagAns(v, matched));
+        }
+        if !p3_asks.is_empty() {
+            self.p3_flags.sort_unstable();
         }
         for (src, v) in p3_asks {
-            out.send(src, MatchNetMsg::P3Ans(v, self.p3_flags.contains(&v)));
+            let matched = self.p3_flags.binary_search(&v).is_ok();
+            out.send(src, MatchNetMsg::P3Ans(v, matched));
         }
-        if !cands.is_empty() {
-            truncate_top(&mut cands, self.t, |re| re.0);
-            for (v, res) in cands {
-                for (r, e) in res {
-                    out.send(large, MatchNetMsg::CandUp(v, r, e));
-                }
-            }
+        top_by_key(&mut cands, self.t, |re| re.0);
+        for (v, (r, e)) in cands {
+            out.send(large, MatchNetMsg::CandUp(v, r, e));
         }
 
         // ---- worker role: command handling ----
@@ -520,12 +523,12 @@ impl RoleProgram for MatchingProgram {
                 self.threshold = threshold as usize;
                 // Low subgraph in shard order, then the one-time ranks —
                 // the legacy draw order.
-                for e in &self.input {
-                    let du = self.deg_local[&e.u] as usize;
-                    let dv = self.deg_local[&e.v] as usize;
+                let mut rng = ctx.rng();
+                for (e, &[a, b]) in self.input.iter().zip(self.index.slots()) {
+                    let du = self.deg_local[a as usize] as usize;
+                    let dv = self.deg_local[b as usize] as usize;
                     if du <= self.threshold && dv <= self.threshold {
-                        let rank = ctx.rng().random::<u64>();
-                        self.live.push((rank, *e));
+                        self.live.push((rng.random::<u64>(), *e));
                     }
                 }
                 out.send(large, MatchNetMsg::Count(self.live.len() as u64));
@@ -544,30 +547,22 @@ impl RoleProgram for MatchingProgram {
                 self.t = t as usize;
                 // One rank per high-degree incidence, in shard order — the
                 // legacy draw order.
-                let mut groups: BTreeMap<VertexId, Vec<(u64, Edge)>> = BTreeMap::new();
-                for e in &self.input {
-                    for v in [e.u, e.v] {
-                        if *self.deg_local.get(&v).unwrap_or(&0) as usize > self.threshold {
-                            let rank = ctx.rng().random::<u64>();
-                            groups.entry(v).or_default().push((rank, *e));
+                let mut groups: Vec<(VertexId, (u64, Edge))> = Vec::new();
+                let mut rng = ctx.rng();
+                for (e, &[a, b]) in self.input.iter().zip(self.index.slots()) {
+                    for (v, slot) in [(e.u, a), (e.v, b)] {
+                        if self.deg_local[slot as usize] as usize > self.threshold {
+                            groups.push((v, (rng.random::<u64>(), *e)));
                         }
                     }
                 }
-                truncate_top(&mut groups, self.t, |re| re.0);
-                for (v, res) in groups {
-                    let dst = self.owners.of(&v);
-                    for (r, e) in res {
-                        out.send(dst, MatchNetMsg::Cand(v, r, e));
-                    }
+                top_by_key(&mut groups, self.t, |re| re.0);
+                for (v, (r, e)) in groups {
+                    out.send(self.owners.of(&v), MatchNetMsg::Cand(v, r, e));
                 }
             }
             Some(MatchCmd::Phase3) => {
-                let mut endpoints: BTreeSet<VertexId> = BTreeSet::new();
-                for e in &self.input {
-                    endpoints.insert(e.u);
-                    endpoints.insert(e.v);
-                }
-                for v in endpoints {
+                for &v in self.index.endpoints() {
                     out.send(self.owners.of(&v), MatchNetMsg::P3Ask(v));
                 }
             }
@@ -580,38 +575,32 @@ impl RoleProgram for MatchingProgram {
         }
 
         // ---- worker role: inbox-triggered steps ----
-        if got_min_answers {
+        if !min_answers.is_empty() {
             // Winners matched; flags to the owners, prune lookups out.
-            let won = winning_edges(&self.live, &min_answers);
+            min_answers.sort_by_key(|&(v, _)| v);
+            let won = winning_edges(&self.live, |v| sorted_get(&min_answers, v).copied());
             for e in &won {
                 self.matched_here.push(*e);
                 out.send(self.owners.of(&e.u), MatchNetMsg::MatchedFlag(e.u));
                 out.send(self.owners.of(&e.v), MatchNetMsg::MatchedFlag(e.v));
             }
-            let mut endpoints: BTreeSet<VertexId> = BTreeSet::new();
-            for (_r, e) in &self.live {
-                endpoints.insert(e.u);
-                endpoints.insert(e.v);
-            }
+            let mut endpoints: Vec<VertexId> =
+                self.live.iter().flat_map(|(_, e)| [e.u, e.v]).collect();
+            endpoints.sort_unstable();
+            endpoints.dedup();
             for v in endpoints {
                 out.send(self.owners.of(&v), MatchNetMsg::FlagAsk(v));
             }
         }
         if got_flag_answers {
-            let dead: HashSet<VertexId> = flag_answers
-                .iter()
-                .filter(|(_, &f)| f)
-                .map(|(&v, _)| v)
-                .collect();
-            self.live
-                .retain(|(_, e)| !dead.contains(&e.u) && !dead.contains(&e.v));
+            dead.sort_unstable();
+            let is_dead = |v: VertexId| dead.binary_search(&v).is_ok();
+            self.live.retain(|(_, e)| !is_dead(e.u) && !is_dead(e.v));
             out.send(large, MatchNetMsg::Count(self.live.len() as u64));
         }
         if got_p3_answers {
-            for e in &self.input {
-                let fu = *p3_answers.get(&e.u).unwrap_or(&false);
-                let fv = *p3_answers.get(&e.v).unwrap_or(&false);
-                if !fu && !fv {
+            for (e, &[a, b]) in self.input.iter().zip(self.index.slots()) {
+                if !p3_matched[a as usize] && !p3_matched[b as usize] {
                     self.residual.push(*e);
                 }
             }

@@ -28,7 +28,10 @@
 //! | R+9–11| smalls/collectors/owners | pair multiplicities aggregate up |
 //! | R+12  | large  | Stoer–Wagner on the multigraph; next trial or finish |
 
-use crate::combinators::{announce_degrees, sender_group, Announcers, Outbox, Owners, RoleProgram};
+use crate::combinators::{
+    announce_degrees, fold_by_key, sender_group, top_by_key, Announcers, EndpointIndex, Outbox,
+    Owners, RoleProgram,
+};
 use crate::machine::{MachineCtx, StepOutcome};
 use mpc_core::ported::mincut_exact::{
     evaluate_contraction, step2_probability, MinCutResult, TrialOutcome,
@@ -36,7 +39,7 @@ use mpc_core::ported::mincut_exact::{
 use mpc_graph::{DisjointSets, Edge, VertexId};
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Phase commands broadcast by the large machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,8 +124,11 @@ pub struct MinCutProgram {
     // ---- small-machine state ----
     /// The input shard.
     input: Vec<Edge>,
-    /// Labels of this shard's endpoints, refreshed each dissemination wave.
-    labels: HashMap<VertexId, VertexId>,
+    /// Endpoint index of `input`.
+    index: Arc<EndpointIndex>,
+    /// Labels of this shard's endpoints (parallel to `index.endpoints()`),
+    /// refreshed each dissemination wave.
+    labels: Vec<VertexId>,
     /// δ from the trial command (drives the sampling probability).
     delta: u32,
     /// Round the `Trial` command arrived (drives the worker clock).
@@ -160,23 +166,27 @@ impl MinCutProgram {
              be silently ignored"
         );
         (0..cluster.machines())
-            .map(|mid| MinCutProgram {
-                n,
-                trials,
-                owners: owners.clone(),
-                input: edges.shard(mid).to_vec(),
-                labels: HashMap::new(),
-                delta: 0,
-                trial_round: None,
-                announcers: Announcers::default(),
-                phase: LPhase::Degrees,
-                dsu: None,
-                contracted: 0,
-                best: 0,
-                singleton: true,
-                trial_sizes: Vec::new(),
-                trial_idx: 0,
-                result: None,
+            .map(|mid| {
+                let index = EndpointIndex::build(edges.shard(mid));
+                MinCutProgram {
+                    n,
+                    trials,
+                    owners: owners.clone(),
+                    input: edges.shard(mid).to_vec(),
+                    labels: index.table(0),
+                    index: Arc::new(index),
+                    delta: 0,
+                    trial_round: None,
+                    announcers: Announcers::default(),
+                    phase: LPhase::Degrees,
+                    dsu: None,
+                    contracted: 0,
+                    best: 0,
+                    singleton: true,
+                    trial_sizes: Vec::new(),
+                    trial_idx: 0,
+                    result: None,
+                }
             })
             .collect()
     }
@@ -269,13 +279,14 @@ impl RoleProgram for MinCutProgram {
                     self.push_labels(&mut out, MinCutNetMsg::LabelB);
                 } else if ctx.round == issued + 12 {
                     // Step 3: Stoer–Wagner on the contracted multigraph.
-                    let mut sums: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-                    for (_src, m) in &inbox {
-                        if let MinCutNetMsg::PairUp(p, c) = m {
-                            *sums.entry(*p).or_default() += c;
-                        }
-                    }
-                    let pairs: Vec<((u32, u32), u64)> = sums.into_iter().collect();
+                    let mut pairs: Vec<((u32, u32), u64)> = inbox
+                        .iter()
+                        .filter_map(|(_, m)| match m {
+                            MinCutNetMsg::PairUp(p, c) => Some((*p, *c)),
+                            _ => None,
+                        })
+                        .collect();
+                    fold_by_key(&mut pairs, |a, b| *a += *b);
                     ctx.charge(pairs.len() as u64 * 3);
                     let (sizes, outcome) = evaluate_contraction(self.contracted, &pairs);
                     self.trial_sizes.push(sizes);
@@ -312,13 +323,13 @@ impl RoleProgram for MinCutProgram {
         // endpoint, so owners can route label waves back without per-wave
         // request rounds.
         if ctx.round == 0 {
-            let partial = announce_degrees(
+            announce_degrees(
                 &mut out,
                 &self.owners,
-                &self.input,
+                &self.index,
                 MinCutNetMsg::DegPartial,
             );
-            for &v in partial.keys() {
+            for &v in self.index.endpoints() {
                 out.send(self.owners.of(&v), MinCutNetMsg::Register(v));
             }
         }
@@ -326,72 +337,60 @@ impl RoleProgram for MinCutProgram {
         // Two-pass inbox handling: stores first, then routing, so owner
         // forwards always reflect this round's pushed state.
         let mut cmd: Option<MinCutCmd> = None;
-        let mut deg_sum: BTreeMap<VertexId, u32> = BTreeMap::new();
-        let mut two_out_c: BTreeMap<VertexId, Vec<(u64, Edge)>> = BTreeMap::new();
-        let mut two_out_o: BTreeMap<VertexId, Vec<(u64, Edge)>> = BTreeMap::new();
+        let mut deg_sum: Vec<(VertexId, u32)> = Vec::new();
+        let mut two_out_c: Vec<(VertexId, (u64, Edge))> = Vec::new();
+        let mut two_out_o: Vec<(VertexId, (u64, Edge))> = Vec::new();
         let mut label_a_fwd: Vec<(VertexId, VertexId)> = Vec::new();
         let mut label_b_fwd: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut pair_c: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        let mut pair_o: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        let mut pair_c: Vec<((u32, u32), u64)> = Vec::new();
+        let mut pair_o: Vec<((u32, u32), u64)> = Vec::new();
 
         for (src, msg) in inbox {
             match msg {
                 MinCutNetMsg::Cmd(c) => cmd = Some(c),
-                MinCutNetMsg::DegPartial(v, c) => *deg_sum.entry(v).or_default() += c,
+                MinCutNetMsg::DegPartial(v, c) => deg_sum.push((v, c)),
                 MinCutNetMsg::Register(v) => self.announcers.note(v, src),
-                MinCutNetMsg::TwoOutC(v, r, e) => two_out_c.entry(v).or_default().push((r, e)),
-                MinCutNetMsg::TwoOutO(v, r, e) => two_out_o.entry(v).or_default().push((r, e)),
-                MinCutNetMsg::LabelA(v, l) => {
-                    if src == large {
-                        label_a_fwd.push((v, l));
-                    } else {
-                        self.labels.insert(v, l);
-                    }
+                MinCutNetMsg::TwoOutC(v, r, e) => two_out_c.push((v, (r, e))),
+                MinCutNetMsg::TwoOutO(v, r, e) => two_out_o.push((v, (r, e))),
+                MinCutNetMsg::LabelA(v, l) | MinCutNetMsg::LabelB(v, l) if src != large => {
+                    self.labels[self.index.slot_of(v)] = l;
                 }
-                MinCutNetMsg::LabelB(v, l) => {
-                    if src == large {
-                        label_b_fwd.push((v, l));
-                    } else {
-                        self.labels.insert(v, l);
-                    }
-                }
-                MinCutNetMsg::PairC(p, c) => *pair_c.entry(p).or_default() += c,
-                MinCutNetMsg::PairO(p, c) => *pair_o.entry(p).or_default() += c,
+                MinCutNetMsg::LabelA(v, l) => label_a_fwd.push((v, l)),
+                MinCutNetMsg::LabelB(v, l) => label_b_fwd.push((v, l)),
+                MinCutNetMsg::PairC(p, c) => pair_c.push((p, c)),
+                MinCutNetMsg::PairO(p, c) => pair_o.push((p, c)),
                 _ => {}
             }
         }
 
         // ---- owner/collector roles ----
-        for (&v, &d) in &deg_sum {
+        fold_by_key(&mut deg_sum, |a, b| *a += *b);
+        for (v, d) in deg_sum {
             out.send(large, MinCutNetMsg::DegUp(v, d));
         }
-        for (v, mut vs) in two_out_c {
-            vs.sort_by_key(|x| x.0);
-            vs.truncate(2);
-            for (r, e) in vs {
-                out.send(self.owners.of(&v), MinCutNetMsg::TwoOutO(v, r, e));
-            }
+        top_by_key(&mut two_out_c, 2, |x| x.0);
+        for (v, (r, e)) in two_out_c {
+            out.send(self.owners.of(&v), MinCutNetMsg::TwoOutO(v, r, e));
         }
-        for (v, mut vs) in two_out_o {
-            vs.sort_by_key(|x| x.0);
-            vs.truncate(2);
-            for (r, e) in vs {
-                out.send(large, MinCutNetMsg::TwoOutUp(v, r, e));
-            }
+        top_by_key(&mut two_out_o, 2, |x| x.0);
+        for (v, (r, e)) in two_out_o {
+            out.send(large, MinCutNetMsg::TwoOutUp(v, r, e));
         }
         for (v, l) in label_a_fwd {
-            for &m in self.announcers.get(&v).unwrap_or(&[]) {
+            for m in self.announcers.get(v) {
                 out.send(m, MinCutNetMsg::LabelA(v, l));
             }
         }
         for (v, l) in label_b_fwd {
-            for &m in self.announcers.get(&v).unwrap_or(&[]) {
+            for m in self.announcers.get(v) {
                 out.send(m, MinCutNetMsg::LabelB(v, l));
             }
         }
+        fold_by_key(&mut pair_c, |a, b| *a += *b);
         for (p, c) in pair_c {
             out.send(self.owners.of(&p), MinCutNetMsg::PairO(p, c));
         }
+        fold_by_key(&mut pair_o, |a, b| *a += *b);
         for (p, c) in pair_o {
             out.send(large, MinCutNetMsg::PairUp(p, c));
         }
@@ -405,23 +404,24 @@ impl RoleProgram for MinCutProgram {
                 // Step 1: two random ranks per local edge, in shard order —
                 // the legacy per-machine draw order — then local top-2 per
                 // incident vertex toward the collector tree.
-                let mut items: BTreeMap<VertexId, Vec<(u64, Edge)>> = BTreeMap::new();
-                for e in &self.input {
-                    let r1 = ctx.rng().random::<u64>();
-                    let r2 = ctx.rng().random::<u64>();
-                    items.entry(e.u).or_default().push((r1, *e));
-                    items.entry(e.v).or_default().push((r2, *e));
-                }
-                let group = sender_group(ctx.mid, ctx.machines);
-                for (v, mut vs) in items {
-                    vs.sort_by_key(|x| x.0);
-                    vs.truncate(2);
-                    for (r, e) in vs {
-                        out.send(
-                            self.owners.collector_of(&v, group),
-                            MinCutNetMsg::TwoOutC(v, r, e),
-                        );
+                let mut items: Vec<(VertexId, (u64, Edge))> =
+                    Vec::with_capacity(2 * self.input.len());
+                {
+                    let mut rng = ctx.rng();
+                    for e in &self.input {
+                        let r1 = rng.random::<u64>();
+                        let r2 = rng.random::<u64>();
+                        items.push((e.u, (r1, *e)));
+                        items.push((e.v, (r2, *e)));
                     }
+                }
+                top_by_key(&mut items, 2, |x| x.0);
+                let group = sender_group(ctx.mid, ctx.machines);
+                for (v, (r, e)) in items {
+                    out.send(
+                        self.owners.collector_of(&v, group),
+                        MinCutNetMsg::TwoOutC(v, r, e),
+                    );
                 }
                 ctx.charge(self.input.len() as u64 * 2);
             }
@@ -435,8 +435,9 @@ impl RoleProgram for MinCutProgram {
                 // inter-component edge w.p. 1/(2δ), in shard order (the
                 // legacy draw order).
                 let p = step2_probability(self.delta);
-                for e in &self.input {
-                    if self.labels[&e.u] != self.labels[&e.v] && ctx.rng().random_bool(p) {
+                let mut rng = ctx.rng();
+                for (e, &[a, b]) in self.input.iter().zip(self.index.slots()) {
+                    if self.labels[a as usize] != self.labels[b as usize] && rng.random_bool(p) {
                         out.send(large, MinCutNetMsg::Sampled(*e));
                     }
                 }
@@ -444,13 +445,14 @@ impl RoleProgram for MinCutProgram {
             if ctx.round == t + 8 {
                 // Second-wave labels are in: aggregate the contracted
                 // multigraph's pair multiplicities toward the collectors.
-                let mut partial: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-                for e in &self.input {
-                    let (a, b) = (self.labels[&e.u], self.labels[&e.v]);
+                let mut partial: Vec<((u32, u32), u64)> = Vec::with_capacity(self.input.len());
+                for &[a, b] in self.index.slots() {
+                    let (a, b) = (self.labels[a as usize], self.labels[b as usize]);
                     if a != b {
-                        *partial.entry((a.min(b), a.max(b))).or_default() += 1;
+                        partial.push(((a.min(b), a.max(b)), 1));
                     }
                 }
+                fold_by_key(&mut partial, |a, b| *a += *b);
                 let group = sender_group(ctx.mid, ctx.machines);
                 for (p, c) in partial {
                     out.send(

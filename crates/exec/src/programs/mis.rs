@@ -25,14 +25,17 @@
 //! | R+9   | smalls | prune live edges, report live counts |
 //! | R+10  | large  | early-stop or next prefix |
 
-use crate::combinators::{announce_degrees, Outbox, Owners, RoleProgram};
+use crate::combinators::{
+    announce_degrees, fold_by_key, keep_last, sorted_get, EndpointIndex, Outbox, Owners,
+    RoleProgram,
+};
 use crate::machine::{MachineCtx, StepOutcome};
 use mpc_core::ported::mis::{
     final_sweep, greedy_extend_prefix, mis_budget, permutation_ranks, prefix_thresholds, MisResult,
 };
 use mpc_graph::{Edge, VertexId};
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Phase commands broadcast by the large machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,21 +143,24 @@ pub struct MisProgram {
     n: usize,
     owners: Owners,
     // ---- small-machine state ----
-    /// Live edges: the input shard at round 0 (which is when the degree
-    /// and rank kickoff reads it), pruned in place as the MIS grows.
-    live: Vec<Edge>,
+    /// Endpoint index of the input shard; the worker tables are parallel
+    /// to its endpoints.
+    index: Arc<EndpointIndex>,
+    /// Live edges with their endpoint slots: the input shard at first,
+    /// pruned in place as the MIS grows.
+    live: Vec<(Edge, [u32; 2])>,
     /// Endpoint ranks delivered by the owners.
-    rank_local: HashMap<VertexId, u32>,
+    rank_local: Vec<u32>,
     /// The held batch (selected on `Batch`, shipped on `ShipBatch`).
     batch: Vec<Edge>,
     /// Round the `Mark` command arrived (drives the domination wave).
     mark_round: Option<u64>,
     /// Live endpoints captured at `Mark`, reused by the DomAsk wave.
     mark_endpoints: Vec<VertexId>,
-    /// Owner role: ranks of owned vertices.
-    rank_store: HashMap<VertexId, u32>,
+    /// Owner role: ranks of owned vertices, ascending by vertex.
+    rank_store: Vec<(VertexId, u32)>,
     /// Owner role: this iteration's chosen vertices.
-    chosen: BTreeSet<VertexId>,
+    chosen: Vec<VertexId>,
     // ---- large-machine state ----
     phase: LPhase,
     perm: Vec<VertexId>,
@@ -184,38 +190,45 @@ impl MisProgram {
              be silently ignored"
         );
         (0..cluster.machines())
-            .map(|mid| MisProgram {
-                n,
-                owners: owners.clone(),
-                live: edges.shard(mid).to_vec(),
-                rank_local: HashMap::new(),
-                batch: Vec::new(),
-                mark_round: None,
-                mark_endpoints: Vec::new(),
-                rank_store: HashMap::new(),
-                chosen: BTreeSet::new(),
-                phase: LPhase::Boot,
-                perm: Vec::new(),
-                rank: Vec::new(),
-                in_mis: Vec::new(),
-                dominated_flag: Vec::new(),
-                thresholds: Vec::new(),
-                t_idx: 0,
-                decided_upto: 0,
-                iterations: 0,
-                batch_edges: Vec::new(),
-                budget: 0,
-                result: None,
+            .map(|mid| {
+                let shard = edges.shard(mid);
+                let index = EndpointIndex::build(shard);
+                MisProgram {
+                    n,
+                    owners: owners.clone(),
+                    live: shard
+                        .iter()
+                        .copied()
+                        .zip(index.slots().iter().copied())
+                        .collect(),
+                    rank_local: index.table(0),
+                    index: Arc::new(index),
+                    batch: Vec::new(),
+                    mark_round: None,
+                    mark_endpoints: Vec::new(),
+                    rank_store: Vec::new(),
+                    chosen: Vec::new(),
+                    phase: LPhase::Boot,
+                    perm: Vec::new(),
+                    rank: Vec::new(),
+                    in_mis: Vec::new(),
+                    dominated_flag: Vec::new(),
+                    thresholds: Vec::new(),
+                    t_idx: 0,
+                    decided_upto: 0,
+                    iterations: 0,
+                    batch_edges: Vec::new(),
+                    budget: 0,
+                    result: None,
+                }
             })
             .collect()
     }
 
-    /// Sorted, deduplicated endpoints of the live shard.
-    fn live_endpoints(&self) -> Vec<VertexId> {
-        let mut eps: Vec<VertexId> = self.live.iter().flat_map(|e| [e.u, e.v]).collect();
-        eps.sort_unstable();
-        eps.dedup();
-        eps
+    /// The endpoints whose `marked` table entry is set, ascending.
+    fn marked_endpoints<'a>(&'a self, marked: &'a [bool]) -> impl Iterator<Item = VertexId> + 'a {
+        let endpoints = self.index.endpoints().iter();
+        endpoints.zip(marked).filter(|(_, &m)| m).map(|(&v, _)| v)
     }
 
     /// Issues the next prefix iteration, the final sweep, or nothing more —
@@ -408,12 +421,10 @@ impl RoleProgram for MisProgram {
         let mut out = Outbox::new();
         let large = ctx.large.expect("checked in for_cluster");
 
-        // Round 0: kick off degrees and rank lookups from the input shard
-        // (`live` still equals the input here; pruning starts later).
+        // Round 0: kick off degrees and rank lookups from the input shard.
         if ctx.round == 0 {
-            let partial =
-                announce_degrees(&mut out, &self.owners, &self.live, MisNetMsg::DegPartial);
-            for &v in partial.keys() {
+            announce_degrees(&mut out, &self.owners, &self.index, MisNetMsg::DegPartial);
+            for &v in self.index.endpoints() {
                 out.send(self.owners.of(&v), MisNetMsg::RankAsk(v));
             }
         }
@@ -421,82 +432,80 @@ impl RoleProgram for MisProgram {
         // Two-pass inbox handling: stores/partials first, then lookups, so
         // owner answers always reflect this round's pushed state.
         let mut cmd: Option<MisCmd> = None;
-        let mut deg_sum: BTreeMap<VertexId, u32> = BTreeMap::new();
+        let mut deg_sum: Vec<(VertexId, u32)> = Vec::new();
+        let mut got_rank_info = false;
         let mut rank_asks: Vec<(MachineId, VertexId)> = Vec::new();
         let mut chosen_asks: Vec<(MachineId, VertexId)> = Vec::new();
-        let mut chosen_local: BTreeSet<VertexId> = BTreeSet::new();
-        let mut dom_partials: BTreeSet<VertexId> = BTreeSet::new();
-        let mut got_dom_partials = false;
+        let mut chosen_local = self.index.table(false);
+        let mut dom_partials: Vec<VertexId> = Vec::new();
         let mut dom_asks: Vec<(MachineId, VertexId)> = Vec::new();
-        let mut dom_answers: HashMap<VertexId, bool> = HashMap::new();
+        let mut dead = self.index.table(false);
         let mut got_dom_answers = false;
 
         for (src, msg) in inbox {
             match msg {
                 MisNetMsg::Cmd(c) => cmd = Some(c),
-                MisNetMsg::DegPartial(v, c) => *deg_sum.entry(v).or_default() += c,
+                MisNetMsg::DegPartial(v, c) => deg_sum.push((v, c)),
                 MisNetMsg::RankInfo(v, r) => {
-                    self.rank_store.insert(v, r);
+                    got_rank_info = true;
+                    self.rank_store.push((v, r));
                 }
                 MisNetMsg::RankAsk(v) => rank_asks.push((src, v)),
-                MisNetMsg::RankAns(v, r) => {
-                    self.rank_local.insert(v, r);
-                }
-                MisNetMsg::Chosen(v) => {
-                    self.chosen.insert(v);
-                }
+                MisNetMsg::RankAns(v, r) => self.rank_local[self.index.slot_of(v)] = r,
+                MisNetMsg::Chosen(v) => self.chosen.push(v),
                 MisNetMsg::ChosenAsk(v) => chosen_asks.push((src, v)),
-                MisNetMsg::ChosenAns(v, true) => {
-                    chosen_local.insert(v);
-                }
-                MisNetMsg::DomPartial(v) => {
-                    got_dom_partials = true;
-                    dom_partials.insert(v);
-                }
+                MisNetMsg::ChosenAns(v, true) => chosen_local[self.index.slot_of(v)] = true,
+                MisNetMsg::DomPartial(v) => dom_partials.push(v),
                 MisNetMsg::DomUp(_) => {}
                 MisNetMsg::DomAsk(v) => dom_asks.push((src, v)),
                 MisNetMsg::DomAns(v, f) => {
                     got_dom_answers = true;
-                    dom_answers.insert(v, f);
+                    dead[self.index.slot_of(v)] = f;
                 }
                 _ => {}
             }
         }
 
         // ---- owner role ----
-        if !deg_sum.is_empty() {
-            for (&v, &d) in &deg_sum {
-                out.send(large, MisNetMsg::DegUp(v, d));
-            }
+        fold_by_key(&mut deg_sum, |a, b| *a += *b);
+        for (v, d) in deg_sum {
+            out.send(large, MisNetMsg::DegUp(v, d));
+        }
+        if got_rank_info {
+            fold_by_key(&mut self.rank_store, keep_last);
         }
         for (src, v) in rank_asks {
-            let r = self.rank_store.get(&v).copied().unwrap_or(0);
+            let r = sorted_get(&self.rank_store, v).copied().unwrap_or(0);
             out.send(src, MisNetMsg::RankAns(v, r));
         }
         if !chosen_asks.is_empty() {
+            self.chosen.sort_unstable();
             for (src, v) in chosen_asks {
-                out.send(src, MisNetMsg::ChosenAns(v, self.chosen.contains(&v)));
+                let chosen = self.chosen.binary_search(&v).is_ok();
+                out.send(src, MisNetMsg::ChosenAns(v, chosen));
             }
             self.chosen.clear();
         }
-        if got_dom_partials {
-            for &v in &dom_partials {
-                out.send(large, MisNetMsg::DomUp(v));
-            }
+        dom_partials.sort_unstable();
+        dom_partials.dedup();
+        for &v in &dom_partials {
+            out.send(large, MisNetMsg::DomUp(v));
         }
         for (src, v) in dom_asks {
-            out.send(src, MisNetMsg::DomAns(v, dom_partials.contains(&v)));
+            let dominated = dom_partials.binary_search(&v).is_ok();
+            out.send(src, MisNetMsg::DomAns(v, dominated));
         }
 
         // ---- worker role: command handling ----
         match cmd {
             Some(MisCmd::Finish) => return StepOutcome::Halt,
             Some(MisCmd::Batch { t }) => {
+                let rank = &self.rank_local;
                 self.batch = self
                     .live
                     .iter()
-                    .filter(|e| self.rank_local[&e.u] < t && self.rank_local[&e.v] < t)
-                    .copied()
+                    .filter(|(_, [a, b])| rank[*a as usize] < t && rank[*b as usize] < t)
+                    .map(|&(e, _)| e)
                     .collect();
                 out.send(large, MisNetMsg::Count(self.batch.len() as u64));
             }
@@ -509,14 +518,19 @@ impl RoleProgram for MisProgram {
                 self.mark_round = Some(ctx.round);
                 // `live` only changes at mark+4, so this endpoint list is
                 // reused for the DomAsk wave at mark+2.
-                self.mark_endpoints = self.live_endpoints();
+                let mut is_live = self.index.table(false);
+                for &(_, [a, b]) in &self.live {
+                    is_live[a as usize] = true;
+                    is_live[b as usize] = true;
+                }
+                self.mark_endpoints = self.marked_endpoints(&is_live).collect();
                 for &v in &self.mark_endpoints {
                     out.send(self.owners.of(&v), MisNetMsg::ChosenAsk(v));
                 }
             }
             Some(MisCmd::Final) => {
-                for e in &self.live {
-                    out.send(large, MisNetMsg::FinalEdge(*e));
+                for &(e, _) in &self.live {
+                    out.send(large, MisNetMsg::FinalEdge(e));
                 }
             }
             None => {}
@@ -527,18 +541,14 @@ impl RoleProgram for MisProgram {
             if ctx.round == mark + 2 {
                 // Chosen answers are in: dominated candidates are the
                 // chosen endpoints and their live neighbors.
-                let mut dominated: BTreeSet<VertexId> = BTreeSet::new();
-                for e in &self.live {
-                    if chosen_local.contains(&e.u) {
-                        dominated.insert(e.v);
-                        dominated.insert(e.u);
-                    }
-                    if chosen_local.contains(&e.v) {
-                        dominated.insert(e.u);
-                        dominated.insert(e.v);
+                let mut dominated = self.index.table(false);
+                for &(_, [a, b]) in &self.live {
+                    if chosen_local[a as usize] || chosen_local[b as usize] {
+                        dominated[a as usize] = true;
+                        dominated[b as usize] = true;
                     }
                 }
-                for &v in &dominated {
+                for v in self.marked_endpoints(&dominated) {
                     out.send(self.owners.of(&v), MisNetMsg::DomPartial(v));
                 }
                 for v in std::mem::take(&mut self.mark_endpoints) {
@@ -547,13 +557,8 @@ impl RoleProgram for MisProgram {
             }
             if ctx.round == mark + 4 {
                 debug_assert!(got_dom_answers || self.live.is_empty());
-                let dead: BTreeSet<VertexId> = dom_answers
-                    .iter()
-                    .filter(|(_, &f)| f)
-                    .map(|(&v, _)| v)
-                    .collect();
                 self.live
-                    .retain(|e| !dead.contains(&e.u) && !dead.contains(&e.v));
+                    .retain(|&(_, [a, b])| !dead[a as usize] && !dead[b as usize]);
                 out.send(large, MisNetMsg::Count(self.live.len() as u64));
                 self.mark_round = None;
             }

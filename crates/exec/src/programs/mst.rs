@@ -38,7 +38,10 @@
 //! [`mpc_core::mst::kkt`] step for step through the shared
 //! `sample_probability` / `span_sample` / `finish_pool` functions.
 
-use crate::combinators::{truncate_top, Announcers, Outbox, Owners, RoleProgram};
+use crate::combinators::{
+    fold_by_key, grouped, keep_last, sender_group, sorted_get, top_by_key, Announcers, Outbox,
+    Owners, RoleProgram,
+};
 use crate::machine::{MachineCtx, StepOutcome};
 use mpc_core::mst::{
     collection_budget, contract_lightest_lists, kkt, local_msf_finish, next_move, pair_to_tagged,
@@ -50,7 +53,6 @@ use mpc_labeling::{Label, MaxEdgeLabeling};
 use mpc_runtime::payload::TaggedEdge;
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Phase commands broadcast by the large machine.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -315,15 +317,17 @@ impl RoleProgram for MstProgram {
             LargePhase::Wave { issued, k } => {
                 if ctx.round == issued + 4 {
                     // Collected lists are in: contract locally.
-                    let mut lists: BTreeMap<VertexId, Vec<TaggedEdge>> = BTreeMap::new();
-                    for (_src, msg) in inbox {
-                        if let MstNetMsg::Collected(v, te) = msg {
-                            lists.entry(v).or_default().push(te);
-                        }
-                    }
-                    truncate_top(&mut lists, k, |te| te.orig.weight_key());
+                    let mut entries: Vec<(VertexId, TaggedEdge)> = inbox
+                        .into_iter()
+                        .filter_map(|(_, m)| match m {
+                            MstNetMsg::Collected(v, te) => Some((v, te)),
+                            _ => None,
+                        })
+                        .collect();
+                    top_by_key(&mut entries, k, |te| te.orig.weight_key());
+                    let lists = grouped(&entries);
                     ctx.charge(lists.len() as u64);
-                    let outcome = contract_lightest_lists(lists.into_iter().collect(), k);
+                    let outcome = contract_lightest_lists(lists, k);
                     self.stats.boruvka_steps += 1;
                     self.chosen.extend(outcome.chosen);
                     self.n_cur = outcome.new_vertex_count.max(1);
@@ -396,12 +400,15 @@ impl RoleProgram for MstProgram {
                 } else if ctx.round == issued + 3 {
                     // Distinct label needs arrive; span the sample, push
                     // the needed labels to their owners.
-                    let mut needed: BTreeSet<VertexId> = BTreeSet::new();
-                    for (_src, msg) in inbox {
-                        if let MstNetMsg::NeedUp(v) = msg {
-                            needed.insert(v);
-                        }
-                    }
+                    let mut needed: Vec<VertexId> = inbox
+                        .iter()
+                        .filter_map(|(_, m)| match m {
+                            MstNetMsg::NeedUp(v) => Some(*v),
+                            _ => None,
+                        })
+                        .collect();
+                    needed.sort_unstable();
+                    needed.dedup();
                     let (_msf, labeling) = kkt::span_sample(self.n, &self.pool);
                     ctx.charge((self.pool.len() + self.n) as u64);
                     for v in needed {
@@ -433,119 +440,94 @@ impl RoleProgram for MstProgram {
         inbox: Vec<(MachineId, MstNetMsg)>,
     ) -> StepOutcome<MstNetMsg> {
         let mut out = Outbox::new();
+        let large = ctx.large.expect("checked in for_cluster");
         // Owner-side scratch filled from this round's inbox.
         let mut cmd: Option<MstCmd> = None;
-        let mut renames: HashMap<VertexId, VertexId> = HashMap::new();
-        let mut pair_dedup: BTreeMap<(u32, u32), Edge> = BTreeMap::new();
-        let mut announce_lists: BTreeMap<VertexId, Vec<TaggedEdge>> = BTreeMap::new();
-        let mut needs: BTreeSet<VertexId> = BTreeSet::new();
-        let mut labels: HashMap<VertexId, Label> = HashMap::new();
+        let mut renames: Vec<(VertexId, VertexId)> = Vec::new();
+        let mut pair_dedup: Vec<((u32, u32), Edge)> = Vec::new();
+        let mut announce_lists: Vec<(VertexId, TaggedEdge)> = Vec::new();
+        let mut needs: Vec<VertexId> = Vec::new();
+        let mut labels: Vec<(VertexId, Label)> = Vec::new();
         let mut routed_labels = false;
 
-        let mut fwd_lists: BTreeMap<VertexId, Vec<TaggedEdge>> = BTreeMap::new();
-        let mut pair_combine: BTreeMap<(u32, u32), Edge> = BTreeMap::new();
+        let mut fwd_lists: Vec<(VertexId, TaggedEdge)> = Vec::new();
+        let mut pair_combine: Vec<((u32, u32), Edge)> = Vec::new();
         for (src, msg) in inbox {
             match msg {
                 MstNetMsg::Cmd(c) => cmd = Some(c),
                 // Collector role: group announces per vertex.
                 MstNetMsg::Announce(v, te) => {
                     self.announcers.note(v, src);
-                    announce_lists.entry(v).or_default().push(te);
+                    announce_lists.push((v, te));
                 }
                 // Owner role: group the collectors' survivors per vertex.
                 MstNetMsg::AnnounceFwd(v, te) => {
                     self.collectors_of.note(v, src);
-                    fwd_lists.entry(v).or_default().push(te);
+                    fwd_lists.push((v, te));
                 }
                 // Owner role: route each rename one hop down the tree.
                 MstNetMsg::Rename(old, new) => {
-                    if let Some(machines) = self.collectors_of.get(&old) {
-                        for &m in machines {
-                            out.send(m, MstNetMsg::RenameToC(old, new));
-                        }
+                    for m in self.collectors_of.get(old) {
+                        out.send(m, MstNetMsg::RenameToC(old, new));
                     }
                 }
                 // Collector role: route each rename to the announcers.
                 MstNetMsg::RenameToC(old, new) => {
-                    if let Some(machines) = self.announcers.get(&old) {
-                        for &m in machines {
-                            out.send(m, MstNetMsg::RenameFwd(old, new));
-                        }
+                    for m in self.announcers.get(old) {
+                        out.send(m, MstNetMsg::RenameFwd(old, new));
                     }
                 }
                 // Worker role: collect the renames for this round's relabel.
-                MstNetMsg::RenameFwd(old, new) => {
-                    renames.insert(old, new);
-                }
+                MstNetMsg::RenameFwd(old, new) => renames.push((old, new)),
                 // Collector role: pre-combine pair partials.
-                MstNetMsg::Pair(a, b, orig) => {
-                    crate::combinators::fold_best(&mut pair_combine, (a, b), orig, |x, y| {
-                        x.weight_key() < y.weight_key()
-                    });
-                }
+                MstNetMsg::Pair(a, b, orig) => pair_combine.push(((a, b), orig)),
                 // Owner role: final pair dedup (the new shard).
-                MstNetMsg::PairFwd(a, b, orig) => {
-                    crate::combinators::fold_best(&mut pair_dedup, (a, b), orig, |x, y| {
-                        x.weight_key() < y.weight_key()
-                    });
-                }
+                MstNetMsg::PairFwd(a, b, orig) => pair_dedup.push(((a, b), orig)),
                 MstNetMsg::Need(v) => {
                     self.needers.note(v, src);
-                    needs.insert(v);
+                    needs.push(v);
                 }
                 MstNetMsg::LabelPush(v, l) => {
                     routed_labels = true;
-                    if let Some(machines) = self.needers.get(&v) {
-                        for &m in machines {
-                            out.send(m, MstNetMsg::LabelAns(v, l.clone()));
-                        }
+                    for m in self.needers.get(v) {
+                        out.send(m, MstNetMsg::LabelAns(v, l.clone()));
                     }
                 }
-                MstNetMsg::LabelAns(v, l) => {
-                    labels.insert(v, l);
-                }
+                MstNetMsg::LabelAns(v, l) => labels.push((v, l)),
                 _ => {}
             }
         }
 
+        let k = self.wave.map_or(1, |(_, k)| k);
+        let keep_lighter = |best: &mut Edge, orig: &Edge| {
+            if orig.weight_key() < best.weight_key() {
+                *best = *orig;
+            }
+        };
         // Collector role: truncate each vertex's list to the k survivors
         // and forward them to the vertex's hash-owner.
-        if !announce_lists.is_empty() {
-            let k = self.wave.map_or(1, |(_, k)| k);
-            truncate_top(&mut announce_lists, k, |te| te.orig.weight_key());
-            for (v, tes) in announce_lists {
-                let dst = self.owners.of(&v);
-                for te in tes {
-                    out.send(dst, MstNetMsg::AnnounceFwd(v, te));
-                }
-            }
+        top_by_key(&mut announce_lists, k, |te| te.orig.weight_key());
+        for (v, te) in announce_lists {
+            out.send(self.owners.of(&v), MstNetMsg::AnnounceFwd(v, te));
         }
         // Owner role: forward each vertex's globally-lightest list.
-        if !fwd_lists.is_empty() {
-            let k = self.wave.map_or(1, |(_, k)| k);
-            truncate_top(&mut fwd_lists, k, |te| te.orig.weight_key());
-            let large = ctx.large.expect("checked in for_cluster");
-            for (v, tes) in fwd_lists {
-                for te in tes {
-                    out.send(large, MstNetMsg::Collected(v, te));
-                }
-            }
+        top_by_key(&mut fwd_lists, k, |te| te.orig.weight_key());
+        for (v, te) in fwd_lists {
+            out.send(large, MstNetMsg::Collected(v, te));
         }
         // Collector role: forward the combined pair partials to the owners.
-        if !pair_combine.is_empty() {
-            for ((a, b), orig) in pair_combine {
-                out.send(self.owners.of(&(a, b)), MstNetMsg::PairFwd(a, b, orig));
-            }
+        fold_by_key(&mut pair_combine, keep_lighter);
+        for ((a, b), orig) in pair_combine {
+            out.send(self.owners.of(&(a, b)), MstNetMsg::PairFwd(a, b, orig));
         }
         // Owner role: forward distinct label needs to the large machine.
-        if !needs.is_empty() {
-            let large = ctx.large.expect("checked in for_cluster");
-            for v in needs {
-                out.send(large, MstNetMsg::NeedUp(v));
-            }
+        needs.sort_unstable();
+        needs.dedup();
+        for v in needs {
+            out.send(large, MstNetMsg::NeedUp(v));
         }
         if routed_labels {
-            self.needers.take();
+            self.needers.clear();
         }
 
         // Worker role: command handling.
@@ -553,28 +535,28 @@ impl RoleProgram for MstProgram {
             Some(MstCmd::Finish) => return StepOutcome::Halt,
             Some(MstCmd::Wave { k }) => {
                 self.wave = Some((ctx.round, k as usize));
-                self.announcers.take();
-                self.collectors_of.take();
+                self.announcers.clear();
+                self.collectors_of.clear();
                 // Announce each current vertex's k locally-lightest edges
                 // to the vertex's group collector (Claim-4 tree, stage 1).
-                let group = crate::combinators::sender_group(ctx.mid, ctx.machines);
-                let mut lists: BTreeMap<VertexId, Vec<TaggedEdge>> = BTreeMap::new();
-                for te in &self.local {
-                    lists.entry(te.cur.u).or_default().push(*te);
-                    lists.entry(te.cur.v).or_default().push(*te);
-                }
-                truncate_top(&mut lists, k as usize, |te| te.orig.weight_key());
+                let group = sender_group(ctx.mid, ctx.machines);
+                let mut lists: Vec<(VertexId, TaggedEdge)> = self
+                    .local
+                    .iter()
+                    .flat_map(|te| [(te.cur.u, *te), (te.cur.v, *te)])
+                    .collect();
+                top_by_key(&mut lists, k as usize, |te| te.orig.weight_key());
                 ctx.charge(self.local.len() as u64);
-                for (v, tes) in lists {
-                    let dst = self.owners.collector_of(&v, group);
-                    for te in tes {
-                        out.send(dst, MstNetMsg::Announce(v, te));
-                    }
+                for (v, te) in lists {
+                    out.send(
+                        self.owners.collector_of(&v, group),
+                        MstNetMsg::Announce(v, te),
+                    );
                 }
             }
             Some(MstCmd::Gather) => {
                 for te in self.local.drain(..) {
-                    out.send(ctx.large.expect("checked"), MstNetMsg::Ship(te));
+                    out.send(large, MstNetMsg::Ship(te));
                 }
                 self.wave = None;
             }
@@ -582,11 +564,12 @@ impl RoleProgram for MstProgram {
                 // The legacy per-machine draw order: repetition-major over
                 // the shard — bit-identical RNG consumption.
                 let p = f64::from_bits(p_bits);
+                let mut rng = ctx.rng();
                 self.samples = (0..reps as usize)
                     .map(|_| {
                         let mut keep = Vec::new();
                         for te in &self.local {
-                            if ctx.rng().random_bool(p) {
+                            if rng.random_bool(p) {
                                 keep.push(*te);
                             }
                         }
@@ -594,21 +577,22 @@ impl RoleProgram for MstProgram {
                     })
                     .collect();
                 let counts: Vec<u64> = self.samples.iter().map(|s| s.len() as u64).collect();
-                out.send(ctx.large.expect("checked"), MstNetMsg::SampleCounts(counts));
+                out.send(large, MstNetMsg::SampleCounts(counts));
             }
             Some(MstCmd::ChooseRep { rep }) => {
-                let large = ctx.large.expect("checked");
                 let samples = std::mem::take(&mut self.samples);
                 for te in &samples[rep as usize] {
                     out.send(large, MstNetMsg::Ship(*te));
                 }
                 // Request labels for this machine's current endpoints
                 // (sorted and deduplicated, the legacy request shape).
-                let mut endpoints: BTreeSet<VertexId> = BTreeSet::new();
-                for te in &self.local {
-                    endpoints.insert(te.cur.u);
-                    endpoints.insert(te.cur.v);
-                }
+                let mut endpoints: Vec<VertexId> = self
+                    .local
+                    .iter()
+                    .flat_map(|te| [te.cur.u, te.cur.v])
+                    .collect();
+                endpoints.sort_unstable();
+                endpoints.dedup();
                 for v in endpoints {
                     out.send(self.owners.of(&v), MstNetMsg::Need(v));
                 }
@@ -621,8 +605,10 @@ impl RoleProgram for MstProgram {
         if let Some((w, _k)) = self.wave {
             if ctx.round == w + 6 {
                 let local = std::mem::take(&mut self.local);
-                let group = crate::combinators::sender_group(ctx.mid, ctx.machines);
-                for ((a, b), orig) in relabel_pairs(&local, &renames) {
+                let group = sender_group(ctx.mid, ctx.machines);
+                fold_by_key(&mut renames, keep_last);
+                let rename = |v: VertexId| sorted_get(&renames, v).copied().unwrap_or(v);
+                for ((a, b), orig) in relabel_pairs(&local, rename) {
                     out.send(
                         self.owners.collector_of(&(a, b), group),
                         MstNetMsg::Pair(a, b, orig),
@@ -632,23 +618,23 @@ impl RoleProgram for MstProgram {
             } else if ctx.round == w + 8 {
                 // Owner role: the deduplicated pairs become the new shard
                 // (sorted by pair key — the legacy owner-shard order).
+                fold_by_key(&mut pair_dedup, keep_lighter);
                 self.local = pair_dedup
                     .into_iter()
                     .map(|(pair, orig)| pair_to_tagged(pair, orig))
                     .collect();
                 self.wave = None;
-                out.send(
-                    ctx.large.expect("checked"),
-                    MstNetMsg::Count(self.local.len() as u64),
-                );
+                out.send(large, MstNetMsg::Count(self.local.len() as u64));
             }
         }
 
         // KKT F-light filtering: triggered by label answers arriving.
         if !labels.is_empty() {
-            let large = ctx.large.expect("checked");
+            labels.sort_by_key(|&(v, _)| v);
             for te in &self.local {
-                let (Some(lu), Some(lv)) = (labels.get(&te.cur.u), labels.get(&te.cur.v)) else {
+                let (Some(lu), Some(lv)) =
+                    (sorted_get(&labels, te.cur.u), sorted_get(&labels, te.cur.v))
+                else {
                     out.send(large, MstNetMsg::Ship(*te));
                     continue;
                 };

@@ -28,7 +28,10 @@
 //! the RNG stream positions are bit-identical to the legacy path (asserted
 //! by the registry equivalence tests).
 
-use crate::combinators::{fold_best, Outbox, Owners, RoleProgram};
+use crate::combinators::{
+    announce_degrees, fold_by_key, keep_last, sorted_get, EndpointIndex, Outbox, Owners,
+    RoleProgram,
+};
 use crate::machine::{MachineCtx, StepOutcome};
 use mpc_core::spanner::clustering::{
     edge_level, finalize_b_masks, level_edge_key, levels_for_delta, min_neighbor_candidates,
@@ -40,7 +43,7 @@ use mpc_core::spanner::{
 use mpc_graph::{Edge, Graph, VertexId};
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Messages of the spanner program.
 #[derive(Clone, Debug)]
@@ -131,27 +134,24 @@ pub struct SpannerProgram {
     // ---- small-machine state ----
     /// The input shard (unweighted view; immutable throughout).
     input: Vec<Edge>,
-    /// Sorted, deduplicated endpoints of `input` (computed once).
-    endpoints: Vec<VertexId>,
+    /// Endpoint index of `input`; the worker tables below are parallel to
+    /// its endpoints.
+    index: Arc<EndpointIndex>,
     /// Number of clustering levels, from the `Levels` broadcast.
     levels: usize,
-    /// Owner role: `(deg, sampled mask)` of owned vertices.
-    mask_store: HashMap<VertexId, (u32, u64)>,
-    /// Owner role: `(v, deg, B-mask)` of owned vertices, in arrival order.
-    binfo: Vec<(VertexId, u32, u64)>,
-    /// Owner role: B-mask lookup index over `binfo` (answers `BAsk` in
-    /// O(1) instead of scanning the arrival list per ask).
-    binfo_mask: HashMap<VertexId, u64>,
-    /// Owner role: aggregated per-level neighbor candidates.
-    cands: BTreeMap<VertexId, Vec<u32>>,
-    /// Owner role: `σ` assignments of owned vertices.
-    sigma: BTreeMap<VertexId, (VertexId, u32)>,
+    /// Owner role: sampled masks of owned vertices, ascending by vertex.
+    mask_store: Vec<(VertexId, u64)>,
+    /// Owner role: `(v, (deg, B-mask))` of owned vertices, ascending by
+    /// vertex (the large machine's send order).
+    binfo: Vec<(VertexId, (u32, u64))>,
+    /// Owner role: `(σ_v, deg_v)` of owned vertices, ascending by vertex.
+    sigma: Vec<(VertexId, (VertexId, u32))>,
     /// Owner role: star edges of owned vertices (σ-assignment order).
     stars: Vec<Edge>,
-    /// Owner role: deduplicated cluster edges, sorted by key.
-    cluster_shard: BTreeMap<LevelEdgeKey, Edge>,
+    /// Owner role: deduplicated cluster edges, ascending by key.
+    cluster_shard: Vec<(LevelEdgeKey, Edge)>,
     /// Worker scratch: masks of this machine's edge endpoints.
-    masks_local: HashMap<VertexId, u64>,
+    masks_local: Vec<u64>,
     // ---- large-machine state ----
     deg: Vec<u32>,
     sampled_masks: Vec<u64>,
@@ -178,24 +178,20 @@ impl SpannerProgram {
         (0..cluster.machines())
             .map(|mid| {
                 let input: Vec<Edge> = edges.shard(mid).to_vec();
-                let mut endpoints: Vec<VertexId> = input.iter().flat_map(|e| [e.u, e.v]).collect();
-                endpoints.sort_unstable();
-                endpoints.dedup();
+                let index = EndpointIndex::build(&input);
                 SpannerProgram {
                     n,
                     k,
                     owners: owners.clone(),
                     input,
-                    endpoints,
                     levels: 0,
-                    mask_store: HashMap::new(),
+                    mask_store: Vec::new(),
                     binfo: Vec::new(),
-                    binfo_mask: HashMap::new(),
-                    cands: BTreeMap::new(),
-                    sigma: BTreeMap::new(),
+                    sigma: Vec::new(),
                     stars: Vec::new(),
-                    cluster_shard: BTreeMap::new(),
-                    masks_local: HashMap::new(),
+                    cluster_shard: Vec::new(),
+                    masks_local: index.table(0),
+                    index: Arc::new(index),
                     deg: Vec::new(),
                     sampled_masks: Vec::new(),
                     spanner_edges: Vec::new(),
@@ -352,73 +348,54 @@ impl RoleProgram for SpannerProgram {
 
         // Two-pass: stores/partials first, then lookups — owner answers
         // always reflect this round's pushed state.
-        let mut deg_sum: BTreeMap<VertexId, u32> = BTreeMap::new();
+        let mut deg_sum: Vec<(VertexId, u32)> = Vec::new();
+        let mut got_mask_info = false;
         let mut mask_asks: Vec<(MachineId, VertexId)> = Vec::new();
-        let mut cover_or: BTreeMap<VertexId, u64> = BTreeMap::new();
-        let mut got_cover = false;
+        let mut cover_or: Vec<(VertexId, u64)> = Vec::new();
+        let mut got_binfo = false;
         let mut b_asks: Vec<(MachineId, VertexId)> = Vec::new();
-        let mut bmask_local: HashMap<VertexId, u64> = HashMap::new();
+        let mut bmask_local = self.index.table(0u64);
         let mut got_bans = false;
+        let mut cands: Vec<(VertexId, Vec<u32>)> = Vec::new();
         let mut sigma_asks: Vec<(MachineId, VertexId)> = Vec::new();
-        let mut sigma_local: HashMap<VertexId, (VertexId, u32)> = HashMap::new();
+        let mut sigma_local = self.index.table((0 as VertexId, 0u32));
         let mut got_sigma = false;
-        let mut hist: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut got_hist = false;
-        let mut rcands: BTreeMap<(u64, u64), (u32, Edge)> = BTreeMap::new();
-        let mut got_rcands = false;
         let mut got_level_edges = false;
+        let mut hist: Vec<(u64, Vec<u32>)> = Vec::new();
+        let mut rcands: Vec<((u64, u64), (u32, Edge))> = Vec::new();
 
         for (src, msg) in inbox {
             match msg {
                 SpannerNetMsg::Levels(l) => self.levels = l as usize,
-                SpannerNetMsg::DegPartial(v, c) => *deg_sum.entry(v).or_default() += c,
-                SpannerNetMsg::MaskInfo(v, d, m) => {
-                    self.mask_store.insert(v, (d, m));
+                SpannerNetMsg::DegPartial(v, c) => deg_sum.push((v, c)),
+                SpannerNetMsg::MaskInfo(v, _d, m) => {
+                    got_mask_info = true;
+                    self.mask_store.push((v, m));
                 }
                 SpannerNetMsg::MaskAsk(v) => mask_asks.push((src, v)),
-                SpannerNetMsg::MaskAns(v, m) => {
-                    self.masks_local.insert(v, m);
-                }
-                SpannerNetMsg::CoverPartial(v, m) => {
-                    got_cover = true;
-                    *cover_or.entry(v).or_default() |= m;
-                }
+                SpannerNetMsg::MaskAns(v, m) => self.masks_local[self.index.slot_of(v)] = m,
+                SpannerNetMsg::CoverPartial(v, m) => cover_or.push((v, m)),
                 SpannerNetMsg::BInfo(v, d, bm) => {
-                    self.binfo.push((v, d, bm));
-                    self.binfo_mask.insert(v, bm);
+                    got_binfo = true;
+                    self.binfo.push((v, (d, bm)));
                 }
                 SpannerNetMsg::BAsk(v) => b_asks.push((src, v)),
                 SpannerNetMsg::BAns(v, bm) => {
                     got_bans = true;
-                    bmask_local.insert(v, bm);
+                    bmask_local[self.index.slot_of(v)] = bm;
                 }
-                SpannerNetMsg::CandPartial(v, c) => match self.cands.get_mut(&v) {
-                    Some(acc) => {
-                        for (a, b) in acc.iter_mut().zip(c) {
-                            *a = (*a).min(b);
-                        }
-                    }
-                    None => {
-                        self.cands.insert(v, c);
-                    }
-                },
+                SpannerNetMsg::CandPartial(v, c) => cands.push((v, c)),
                 SpannerNetMsg::SigmaAsk(v) => sigma_asks.push((src, v)),
                 SpannerNetMsg::SigmaAns(v, s, d) => {
                     got_sigma = true;
-                    sigma_local.insert(v, (s, d));
+                    sigma_local[self.index.slot_of(v)] = (s, d);
                 }
                 SpannerNetMsg::LevelEdge(k0, k1, e) => {
                     got_level_edges = true;
-                    fold_best(&mut self.cluster_shard, (k0, k1), e, |a, b| a < b);
+                    self.cluster_shard.push(((k0, k1), e));
                 }
-                SpannerNetMsg::HistAns(key, h) => {
-                    got_hist = true;
-                    hist.insert(key, h);
-                }
-                SpannerNetMsg::RCand(k0, k1, y, e) => {
-                    got_rcands = true;
-                    fold_best(&mut rcands, (k0, k1), (y, e), |a, b| a.0 < b.0);
-                }
+                SpannerNetMsg::HistAns(key, h) => hist.push((key, h)),
+                SpannerNetMsg::RCand(k0, k1, y, e) => rcands.push(((k0, k1), (y, e))),
                 SpannerNetMsg::Finish => return StepOutcome::Halt,
                 _ => {}
             }
@@ -426,64 +403,80 @@ impl RoleProgram for SpannerProgram {
 
         // ---- round-0 kick-off: degree partials ----
         if ctx.round == 0 {
-            let mut partial: BTreeMap<VertexId, u32> = BTreeMap::new();
-            for e in &self.input {
-                *partial.entry(e.u).or_default() += 1;
-                *partial.entry(e.v).or_default() += 1;
-            }
-            for (v, c) in partial {
-                out.send(self.owners.of(&v), SpannerNetMsg::DegPartial(v, c));
-            }
+            announce_degrees(
+                &mut out,
+                &self.owners,
+                &self.index,
+                SpannerNetMsg::DegPartial,
+            );
         }
 
         // ---- owner role ----
-        if !deg_sum.is_empty() {
-            for (&v, &d) in &deg_sum {
-                out.send(large, SpannerNetMsg::DegUp(v, d));
-            }
+        fold_by_key(&mut deg_sum, |a, b| *a += *b);
+        for (v, d) in deg_sum {
+            out.send(large, SpannerNetMsg::DegUp(v, d));
+        }
+        // The stores keep the last value pushed per vertex, ascending.
+        if got_mask_info {
+            fold_by_key(&mut self.mask_store, keep_last);
         }
         for (src, v) in mask_asks {
-            let mask = self.mask_store.get(&v).map_or(0, |&(_, m)| m);
+            let mask = sorted_get(&self.mask_store, v).copied().unwrap_or(0);
             out.send(src, SpannerNetMsg::MaskAns(v, mask));
         }
-        if got_cover {
-            for (v, m) in cover_or {
-                out.send(large, SpannerNetMsg::CoverUp(v, m));
-            }
+        fold_by_key(&mut cover_or, |a, b| *a |= *b);
+        for (v, m) in cover_or {
+            out.send(large, SpannerNetMsg::CoverUp(v, m));
+        }
+        if got_binfo {
+            fold_by_key(&mut self.binfo, keep_last);
         }
         for (src, v) in b_asks {
             // Every asked endpoint has deg > 0, so BInfo covers it.
-            let bm = self.binfo_mask.get(&v).copied().unwrap_or(0);
+            let bm = sorted_get(&self.binfo, v).map_or(0, |&(_, bm)| bm);
             out.send(src, SpannerNetMsg::BAns(v, bm));
         }
         if !sigma_asks.is_empty() {
-            // σ assignment happens exactly once, in BInfo arrival order
-            // (ascending vertex id — the legacy owner loop order).
+            // σ assignment happens exactly once, over the owned vertices
+            // ascending (the legacy owner loop order); the candidate
+            // partials arrive with the asks.
             if self.sigma.is_empty() {
-                let binfo = std::mem::take(&mut self.binfo);
-                for (v, d, bm) in binfo {
-                    let (s, _iu) = sigma_for(v, bm, self.cands.get(&v), self.levels);
-                    self.sigma.insert(v, (s, d));
+                fold_by_key(&mut cands, |acc, c| {
+                    for (a, b) in acc.iter_mut().zip(c) {
+                        *a = (*a).min(*b);
+                    }
+                });
+                for (v, (d, bm)) in std::mem::take(&mut self.binfo) {
+                    let cand = sorted_get(&cands, v).map(Vec::as_slice);
+                    let (s, _iu) = sigma_for(v, bm, cand, self.levels);
+                    self.sigma.push((v, (s, d)));
                     if s != v {
                         self.stars.push(Edge::unweighted(v, s));
                     }
                 }
             }
             for (src, v) in sigma_asks {
-                let (s, d) = *self.sigma.get(&v).expect("sigma covers owned vertices");
+                let (s, d) = *sorted_get(&self.sigma, v).expect("sigma covers owned vertices");
                 out.send(src, SpannerNetMsg::SigmaAns(v, s, d));
             }
         }
         if got_level_edges {
-            // The shard is complete this round: report counts, draw the
-            // per-level subsamples in key order (the legacy shard order and
-            // the legacy per-machine RNG order), request histories.
+            // The shard is complete this round: deduplicate keeping the
+            // smallest witness, report counts, draw the per-level
+            // subsamples in key order (the legacy shard order and the
+            // legacy per-machine RNG order), request histories.
+            fold_by_key(&mut self.cluster_shard, |acc, e| {
+                if e < acc {
+                    *acc = *e;
+                }
+            });
             let mut counts = vec![0u64; self.levels.max(1)];
-            for key in self.cluster_shard.keys() {
+            for (key, _) in &self.cluster_shard {
                 counts[unpack_level_edge(key).0] += 1;
             }
             out.send(large, SpannerNetMsg::LevelCount(counts));
-            let mut hist_keys: BTreeSet<u64> = BTreeSet::new();
+            let mut hist_keys: Vec<u64> = Vec::new();
+            let mut rng = ctx.rng();
             for (key, orig) in &self.cluster_shard {
                 let (i, a, b) = unpack_level_edge(key);
                 let p = sampling_probability(self.k, i);
@@ -494,29 +487,32 @@ impl RoleProgram for SpannerProgram {
                     );
                 } else {
                     for j in 1..self.k as u32 {
-                        if ctx.rng().random_bool(p) {
+                        if rng.random_bool(p) {
                             out.send(
                                 large,
                                 SpannerNetMsg::Sample(((i as u32) << 8) | j, key.0, key.1, *orig),
                             );
                         }
                     }
-                    hist_keys.insert(((i as u64) << 32) | a as u64);
-                    hist_keys.insert(((i as u64) << 32) | b as u64);
+                    hist_keys.push(((i as u64) << 32) | a as u64);
+                    hist_keys.push(((i as u64) << 32) | b as u64);
                 }
             }
             ctx.charge(self.cluster_shard.len() as u64);
+            hist_keys.sort_unstable();
+            hist_keys.dedup();
             for key in hist_keys {
                 out.send(large, SpannerNetMsg::HistAsk(key));
             }
         }
-        if got_hist {
+        if !hist.is_empty() {
             // Removal candidates over this machine's cluster edges.
+            hist.sort_by_key(|&(key, _)| key);
             for (key, orig) in &self.cluster_shard {
                 let (i, a, b) = unpack_level_edge(key);
                 let (Some(ha), Some(hb)) = (
-                    hist.get(&(((i as u64) << 32) | a as u64)),
-                    hist.get(&(((i as u64) << 32) | b as u64)),
+                    sorted_get(&hist, ((i as u64) << 32) | a as u64),
+                    sorted_get(&hist, ((i as u64) << 32) | b as u64),
                 ) else {
                     continue;
                 };
@@ -528,10 +524,13 @@ impl RoleProgram for SpannerProgram {
                 }
             }
         }
-        if got_rcands {
-            for (_key, (_y, orig)) in rcands {
-                out.send(large, SpannerNetMsg::Removal(orig));
+        fold_by_key(&mut rcands, |acc, c| {
+            if c.0 < acc.0 {
+                *acc = *c;
             }
+        });
+        for (_key, (_y, orig)) in rcands {
+            out.send(large, SpannerNetMsg::Removal(orig));
         }
         // Stars ship together with the removals (round 15).
         if ctx.round == 15 {
@@ -544,48 +543,48 @@ impl RoleProgram for SpannerProgram {
         match ctx.round {
             // Levels received: look up endpoint masks.
             3 => {
-                for &v in &self.endpoints {
+                for &v in self.index.endpoints() {
                     out.send(self.owners.of(&v), SpannerNetMsg::MaskAsk(v));
+                }
+            }
+            // Masks received: coverage partials (OR of neighbor masks).
+            5 => {
+                let mut acc = self.index.table(0u64);
+                for &[a, b] in self.index.slots() {
+                    acc[a as usize] |= self.masks_local[b as usize];
+                    acc[b as usize] |= self.masks_local[a as usize];
+                }
+                for (&v, m) in self.index.endpoints().iter().zip(acc) {
+                    out.send(self.owners.of(&v), SpannerNetMsg::CoverPartial(v, m));
                 }
             }
             // B-masks are at the owners next round: ask.
             7 => {
-                for &v in &self.endpoints {
+                for &v in self.index.endpoints() {
                     out.send(self.owners.of(&v), SpannerNetMsg::BAsk(v));
                 }
             }
             _ => {}
         }
-        // Masks received: coverage partials (OR of neighbor masks).
-        if ctx.round == 5 && !self.input.is_empty() {
-            let mut acc: BTreeMap<VertexId, u64> = BTreeMap::new();
-            for e in &self.input {
-                let mu = self.masks_local.get(&e.u).copied().unwrap_or(0);
-                let mv = self.masks_local.get(&e.v).copied().unwrap_or(0);
-                *acc.entry(e.u).or_default() |= mv;
-                *acc.entry(e.v).or_default() |= mu;
-            }
-            for (v, m) in acc {
-                out.send(self.owners.of(&v), SpannerNetMsg::CoverPartial(v, m));
-            }
-        }
         // B-masks received: candidate partials + σ lookups.
         if got_bans {
-            let per_vertex = min_neighbor_candidates(self.levels, &self.input, |y| {
-                bmask_local.get(&y).copied().unwrap_or(0)
+            let slots = self.index.slots();
+            let per_vertex = min_neighbor_candidates(self.levels, &self.input, |i| {
+                let [a, b] = slots[i];
+                (bmask_local[a as usize], bmask_local[b as usize])
             });
             for (v, c) in per_vertex {
                 out.send(self.owners.of(&v), SpannerNetMsg::CandPartial(v, c));
             }
-            for &v in &self.endpoints {
+            for &v in self.index.endpoints() {
                 out.send(self.owners.of(&v), SpannerNetMsg::SigmaAsk(v));
             }
         }
         // σ received: emit the cluster edges.
         if got_sigma {
-            for e in &self.input {
-                let (su, du) = sigma_local[&e.u];
-                let (sv, dv) = sigma_local[&e.v];
+            for (e, &[a, b]) in self.input.iter().zip(self.index.slots()) {
+                let (su, du) = sigma_local[a as usize];
+                let (sv, dv) = sigma_local[b as usize];
                 if su == sv {
                     continue;
                 }

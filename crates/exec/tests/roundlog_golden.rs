@@ -1,0 +1,152 @@
+//! Committed fingerprints of the nine non-sketch registry programs: the
+//! whole round log (label, `max_sent`, `max_recv`, `total_words`,
+//! `messages`, `total_work` per round), the result digest and the
+//! per-machine RNG positions, at two seeds, under `Serial` and `Parallel`.
+//!
+//! The table below was taken on the commit *before* the role steps moved
+//! from per-round `BTreeMap`/`HashMap` containers to flat sort-and-scan
+//! vectors, so it pins the send-order contract of DESIGN §2.3 (ascending
+//! key, insertion order within a key): a kernel rewrite that reorders one
+//! message, changes one `ctx.charge` or draws one more random number moves
+//! a fingerprint here before it moves anything downstream. To re-take it
+//! after an intended behaviour change, run
+//! `cargo test -p mpc-exec --release --test roundlog_golden -- --ignored --nocapture`
+//! and paste the printed rows.
+
+use mpc_exec::{registry, ExecMode, JobSpec};
+use mpc_graph::generators;
+use mpc_runtime::{Cluster, ClusterConfig};
+use rand::RngCore;
+use std::sync::Arc;
+
+const NAMES: [&str; 9] = [
+    "boruvka-msf",
+    "mst",
+    "matching",
+    "spanner",
+    "spanner-weighted",
+    "apsp",
+    "mincut",
+    "mis",
+    "coloring",
+];
+const SEEDS: [u64; 2] = [7, 11];
+const N: usize = 2000;
+const M: usize = 12000;
+
+/// Everything the simulator rule calls observable, folded to four words.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    rounds: u64,
+    round_log: u64,
+    digest: u128,
+    rng: u64,
+}
+
+fn fnv(acc: &mut u64, word: u64) {
+    *acc = (*acc ^ word).wrapping_mul(0x0100_0000_01b3);
+}
+
+fn fingerprint(name: &str, seed: u64, mode: ExecMode) -> Fingerprint {
+    let g = Arc::new(generators::gnm(N, M, seed).with_random_weights(1 << 20, seed));
+    let polylog = registry::get(name)
+        .expect("a registry name")
+        .polylog_exponent;
+    let mut cluster = Cluster::new(
+        ClusterConfig::new(g.n(), g.m())
+            .seed(seed)
+            .polylog_exponent(polylog),
+    );
+    let out = registry::run_job(&JobSpec::new(name, g).seed(seed), &mut cluster, mode)
+        .unwrap_or_else(|e| panic!("{name} seed {seed} {mode:?}: {e}"));
+
+    let mut round_log = 0xcbf2_9ce4_8422_2325u64;
+    for r in cluster.round_log() {
+        for b in r.label.render().bytes() {
+            fnv(&mut round_log, u64::from(b));
+        }
+        for word in [
+            r.max_sent as u64,
+            r.max_recv as u64,
+            r.total_words as u64,
+            r.messages as u64,
+            r.total_work,
+        ] {
+            fnv(&mut round_log, word);
+        }
+    }
+    // One draw per machine: equal folds mean equal stream positions
+    // (SmallRng has no public position accessor).
+    let mut rng = 0xcbf2_9ce4_8422_2325u64;
+    for mid in 0..cluster.machines() {
+        fnv(&mut rng, cluster.rng(mid).next_u64());
+    }
+    Fingerprint {
+        rounds: cluster.rounds(),
+        round_log,
+        digest: out.digest(),
+        rng,
+    }
+}
+
+/// `(name, seed, rounds, round-log fold, result digest, RNG fold)`.
+#[rustfmt::skip]
+const GOLDEN: [(&str, u64, u64, u64, u128, u64); 18] = [
+    ("boruvka-msf", 7, 22, 0xfcfc0ff599b898a3, 0x28904500ff51195ed092c27943bc9531, 0x19faedf64266f10e),
+    ("boruvka-msf", 11, 22, 0x503b8eda5da0edce, 0x28cefd4a29f01adf4d3df588f67e7085, 0x0055d4a5228cf83c),
+    ("mst", 7, 13, 0xe919fb98fc477a10, 0x28904500ff51195ed092c27943bc9531, 0x19faedf64266f10e),
+    ("mst", 11, 13, 0x2a16f8542561d6e4, 0x28cefd4a29f01adf4d3df588f67e7085, 0x0055d4a5228cf83c),
+    ("matching", 7, 46, 0xef3dcaf2ad153df0, 0x0c3bed1fe81c90c0ccc3766e23fc3b50, 0x4987873a57fb9f21),
+    ("matching", 11, 52, 0x035bcbff2618660c, 0x94831b64402f3c954a20a5414f11e509, 0xe8d00050dbb40ac5),
+    ("spanner", 7, 17, 0xb7c364b25a44bb9e, 0x4f256e56982a461f48f89d61e980be97, 0x2daa371fc970bc55),
+    ("spanner", 11, 17, 0x8b81dc7abd2ebe47, 0xe45ac8afab7884309e57bd14c9935c8c, 0x693be012f030e28d),
+    ("spanner-weighted", 7, 17, 0xb4118b8137a253e6, 0xf5f687e5b0a7951b3d52f4ee638374f0, 0x411af788dbf55bcf),
+    ("spanner-weighted", 11, 17, 0x807d3babe5e4b8cb, 0xa93f6fc7aa966e271d6e5cdd9ee7e26d, 0x27c384a4d417a102),
+    ("apsp", 7, 17, 0xb40cc881379a3c8d, 0x641b585e1d7eb76f5ad13d9fa70896fe, 0x411af788dbf55bcf),
+    ("apsp", 11, 17, 0x808767abe5f6018f, 0x128ed855b66d333dcd3c19e4bb0e74a2, 0x27c384a4d417a102),
+    ("mincut", 7, 99, 0x3ef7bdfa21af26e5, 0x2e1b816f0f9479a0a557626c281a39c7, 0x412020af20a7241e),
+    ("mincut", 11, 99, 0x241db9a12fbb380a, 0x2e1b816f0f9479a0a557626c281a39c7, 0x109431a383814b6f),
+    ("mis", 7, 15, 0x64c4e0cd3381cca0, 0x52f1edb1d3f7efa76fcce26dc40ccbb6, 0x2e244e7f2ce346c6),
+    ("mis", 11, 15, 0x18602520d92a2e44, 0x4de265d8175d07d66ac875b3e0579f6d, 0x59c91608cdcfc0e3),
+    ("coloring", 7, 5, 0x9cf91e6fe5567cf0, 0xa9a60951e41875c84eae13009a7cb3f6, 0x9809c59c88c0cd83),
+    ("coloring", 11, 5, 0xbbdfc9a9e35d0abe, 0xba634de16cd06cbe0e65753ce6f27ee4, 0x8afbd84db58c83e3),
+];
+
+#[test]
+fn round_logs_digests_and_rng_positions_match_the_committed_fingerprints() {
+    let mut rows = GOLDEN.iter();
+    for name in NAMES {
+        for seed in SEEDS {
+            let &(gname, gseed, rounds, round_log, digest, rng) =
+                rows.next().expect("one golden row per name and seed");
+            assert_eq!((gname, gseed), (name, seed), "golden rows out of order");
+            let want = Fingerprint {
+                rounds,
+                round_log,
+                digest,
+                rng,
+            };
+            for mode in [ExecMode::Serial, ExecMode::Parallel] {
+                assert_eq!(
+                    fingerprint(name, seed, mode),
+                    want,
+                    "{name} seed {seed} {mode:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[ignore = "prints the table to paste into GOLDEN"]
+fn print_golden() {
+    for name in NAMES {
+        for seed in SEEDS {
+            let f = fingerprint(name, seed, ExecMode::Serial);
+            println!(
+                "    ({name:?}, {seed}, {}, {:#018x}, {:#034x}, {:#018x}),",
+                f.rounds, f.round_log, f.digest, f.rng
+            );
+        }
+    }
+}
