@@ -2,7 +2,7 @@
 //! the distributed sort (Claim 1), the max-edge labeling (the F-light
 //! filter of §3), the AGM sketch machinery (Appendix C.1) down to its
 //! per-edge, per-merge and per-exponentiation kernels, the large
-//! machine's Stoer–Wagner, and the sort-and-scan group-by kernels of the
+//! machine's local min cut, and the sort-and-scan group-by kernels of the
 //! role programs' small-machine steps.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -116,12 +116,20 @@ fn bench_sketch(c: &mut Criterion) {
 
 fn bench_mincut(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_mincut");
-    group.sample_size(20);
-    let g = generators::gnm(288, 1440, 7).with_random_weights(1 << 12, 7);
-    let edges: Vec<_> = g.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
-    group.bench_function("stoer_wagner_n288_m1440", |b| {
-        b.iter(|| black_box(mpc_graph::mincut::stoer_wagner(g.n(), &edges)))
-    });
+    // The value-only contraction beside the routine it replaced on the
+    // engine path, at the benchmark's skeleton shape and at a size where
+    // Stoer–Wagner's cubic term dominates (half a second a call: few samples).
+    for (n, m, samples) in [(288, 1440, 20), (1024, 8192, 5)] {
+        group.sample_size(samples);
+        let g = generators::gnm(n, m, 7).with_random_weights(1 << 12, 7);
+        let edges: Vec<_> = g.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+        group.bench_function(format!("stoer_wagner_n{n}_m{m}"), |b| {
+            b.iter(|| black_box(mpc_graph::mincut::stoer_wagner(n, &edges)))
+        });
+        group.bench_function(format!("min_cut_weight_n{n}_m{m}"), |b| {
+            b.iter(|| black_box(mpc_graph::mincut::min_cut_weight(n, &edges)))
+        });
+    }
     group.finish();
 }
 

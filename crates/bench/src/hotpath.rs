@@ -458,7 +458,7 @@ pub fn run(quick: bool) {
         .chain(batched.into_iter().map(|name| (name, &g_batch)))
     {
         // The batched rows are dominated by the large machine's local
-        // verdicts (Stoer–Wagner / sketch-Borůvka per instance), so a few
+        // verdicts (local min cut / sketch-Borůvka per instance), so a few
         // reps suffice — the quantity of interest is the ratio's sign,
         // not its third digit.
         let reps = if batched.contains(&algo) {

@@ -19,7 +19,6 @@ use mpc_graph::{Edge, VertexId};
 use mpc_runtime::primitives::{gather_to, sum_to};
 use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Result of the approximate min-cut.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,35 +70,22 @@ pub enum SkeletonVerdict {
 }
 
 /// The local computation on a gathered skeleton, shared by the legacy loop
-/// body and the engine program: connectivity check, Stoer–Wagner, and the
-/// concentration threshold.
+/// body and the engine program: the skeleton's minimum cut value
+/// ([`mpc_graph::mincut::min_cut_weight`], which also reports a skeleton
+/// that does not connect all `n` vertices) and the concentration threshold.
+/// Skeleton endpoints are vertices of the input graph, `< n`, and the value
+/// does not depend on how they are numbered, so they go in as they are.
 pub fn evaluate_skeleton(n: usize, sk: &[(Edge, u32)], c_sample: f64, p: f64) -> SkeletonVerdict {
-    let mut ids: Vec<VertexId> = Vec::new();
-    let mut index: HashMap<VertexId, u32> = HashMap::new();
-    for (e, _) in sk {
-        for v in [e.u, e.v] {
-            index.entry(v).or_insert_with(|| {
-                ids.push(v);
-                (ids.len() - 1) as u32
-            });
-        }
-    }
-    if ids.len() < n {
-        // Isolated vertices ⇒ skeleton disconnected at this guess.
-        return SkeletonVerdict::Disconnected;
-    }
-    let sw_edges: Vec<(u32, u32, u64)> = sk
-        .iter()
-        .map(|(e, c)| (index[&e.u], index[&e.v], u64::from(*c)))
-        .collect();
-    let Some(mc) = mpc_graph::mincut::stoer_wagner(ids.len(), &sw_edges) else {
+    let cut_edges: Vec<(VertexId, VertexId, u64)> =
+        sk.iter().map(|(e, c)| (e.u, e.v, u64::from(*c))).collect();
+    let Some(weight) = mpc_graph::mincut::min_cut_weight(n, &cut_edges) else {
         return SkeletonVerdict::Disconnected; // λ̂ too large, try finer
     };
     // Require enough sampled weight across the cut for concentration.
-    if (mc.weight as f64) < c_sample / 4.0 {
+    if (weight as f64) < c_sample / 4.0 {
         return SkeletonVerdict::NotConcentrated;
     }
-    SkeletonVerdict::Estimate(mc.weight as f64 / p)
+    SkeletonVerdict::Estimate(weight as f64 / p)
 }
 
 /// Estimates the weighted minimum cut within `(1±ε)` w.h.p.
@@ -154,7 +140,7 @@ pub fn approximate_min_cut(
         let sk = gather_to(cluster, "xcut.gather", &skeleton, large)?;
         cluster.account("xcut.large", large, sk.len() * 3)?;
         parallel_rounds = parallel_rounds.max(cluster.rounds() - before);
-        // Local: connectivity + Stoer–Wagner on the skeleton multigraph.
+        // Local: connectivity + minimum cut value of the skeleton multigraph.
         let verdict = evaluate_skeleton(n, &sk, c_sample, p);
         cluster.release("xcut.large");
         match verdict {

@@ -9,8 +9,9 @@
 //!    is sampled with probability `1/(2δ)` (`δ` = min degree) and contracted
 //!    too, leaving `O(n/δ)` vertices and `O(n)` edges w.h.p.;
 //! 3. the contracted **multigraph** (parallel edges = summed multiplicity)
-//!    is shipped to the large machine, which runs Stoer–Wagner and compares
-//!    against the best singleton cut (min degree).
+//!    is shipped to the large machine, which computes its minimum cut value
+//!    (`mpc_graph::mincut::min_cut_weight`) and compares against the best
+//!    singleton cut (min degree).
 //!
 //! A non-singleton minimum cut survives a trial with constant probability;
 //! trials amplify. Every trial's answer is a real cut, so the minimum over
@@ -44,7 +45,7 @@ pub fn step2_probability(delta: u32) -> f64 {
 pub enum TrialOutcome {
     /// Fewer than 2 contracted vertices: nothing left to cut.
     TooSmall,
-    /// The contracted multigraph's minimum cut value (Stoer–Wagner).
+    /// The contracted multigraph's minimum cut value.
     Cut(u128),
     /// The contracted graph is disconnected ⇒ the input is disconnected.
     Disconnected,
@@ -52,9 +53,9 @@ pub enum TrialOutcome {
 
 /// Step 3's local computation, shared by the legacy loop body and the
 /// engine program: index the contracted multigraph `(pair → multiplicity)`
-/// and run Stoer–Wagner. `components` is the contracted vertex count (the
-/// component count after both contraction steps) — a contracted vertex
-/// with no incident crossing edge is an isolated component, so
+/// and take its minimum cut value. `components` is the contracted vertex
+/// count (the component count after both contraction steps) — a contracted
+/// vertex with no incident crossing edge is an isolated component, so
 /// `ids < components` certifies the *input* graph disconnected (cut 0),
 /// which the pair list alone cannot see. Returns the
 /// `(vertices, distinct pairs)` size statistic and the trial's outcome.
@@ -72,17 +73,13 @@ pub fn evaluate_contraction(
     if ids.len() < components {
         return (sizes, TrialOutcome::Disconnected);
     }
-    let index: HashMap<VertexId, u32> = ids
+    let slot = |v: &VertexId| ids.binary_search(v).expect("every endpoint is in ids") as u32;
+    let cut_edges: Vec<(u32, u32, u64)> = pairs
         .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i as u32))
+        .map(|((a, b), c)| (slot(a), slot(b), *c))
         .collect();
-    let sw_edges: Vec<(u32, u32, u64)> = pairs
-        .iter()
-        .map(|((a, b), c)| (index[a], index[b], *c))
-        .collect();
-    match mpc_graph::mincut::stoer_wagner(ids.len(), &sw_edges) {
-        Some(mc) => (sizes, TrialOutcome::Cut(mc.weight)),
+    match mpc_graph::mincut::min_cut_weight(ids.len(), &cut_edges) {
+        Some(weight) => (sizes, TrialOutcome::Cut(weight)),
         None => (sizes, TrialOutcome::Disconnected),
     }
 }
@@ -195,7 +192,7 @@ pub fn heterogeneous_min_cut(
         let pairs = gather_to(cluster, "cut.multi-up", &agg, large)?;
         cluster.account("cut.large", large, pairs.len() * 3)?;
 
-        // Local Stoer–Wagner on the contracted multigraph.
+        // Local minimum cut of the contracted multigraph.
         let (sizes, outcome) = evaluate_contraction(labels.count, &pairs);
         trial_sizes.push(sizes);
         match outcome {

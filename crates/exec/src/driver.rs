@@ -589,7 +589,7 @@ impl Executor {
                 // forward from here. A hook-dirtied round forces one — the
                 // hook's mutations happen outside `step`, so a replay from
                 // any earlier checkpoint could not reproduce them.
-                if hook_dirty || round.is_multiple_of(rec.policy.cadence.max(1)) {
+                if hook_dirty || rec.is_cadence_round(round) {
                     if let Err(e) = rec.checkpoint(cluster, slots, round) {
                         return DriveEnd::Failed(e);
                     }
@@ -673,7 +673,7 @@ impl Executor {
                         return DriveEnd::Failed(e);
                     }
                 }
-                rec.log_inboxes(&inboxes);
+                rec.log_inboxes(round + 1, &inboxes);
             }
             round += 1;
             for (mid, slot) in slots.iter().enumerate() {
@@ -888,6 +888,11 @@ impl<P: MachineProgram> RecoveryState<P> {
         }
     }
 
+    /// Whether `round` checkpoints whatever the hook did.
+    fn is_cadence_round(&self, round: u64) -> bool {
+        round.is_multiple_of(self.policy.cadence.max(1))
+    }
+
     /// Snapshots every machine at the top of `round`. Small shards ship to
     /// their ring-successor replica owners through one disarmed,
     /// capacity-checked exchange — replication is real traffic, charged
@@ -965,10 +970,16 @@ impl<P: MachineProgram> RecoveryState<P> {
         Ok(())
     }
 
-    /// Records the committed inboxes of round `checkpoint.round + 1 + len`
-    /// for every machine, large included — coordinator replay re-feeds the
-    /// same durable mail as any small machine's.
-    fn log_inboxes(&mut self, inboxes: &[Vec<(MachineId, P::Message)>]) {
+    /// Records the committed inboxes of round `next`
+    /// (`= checkpoint.round + 1 + len`) for every machine, large included —
+    /// coordinator replay re-feeds the same durable mail as any small
+    /// machine's. Nothing is recorded when `next` is a cadence round: its
+    /// checkpoint stores these inboxes itself and clears the log before
+    /// anything could read the entry.
+    fn log_inboxes(&mut self, next: u64, inboxes: &[Vec<(MachineId, P::Message)>]) {
+        if self.is_cadence_round(next) {
+            return;
+        }
         for (log, inbox) in self.inbox_log.iter_mut().zip(inboxes) {
             log.push(inbox.clone());
         }

@@ -1,6 +1,6 @@
 //! [`MinCutProgram`]: the `O(1)`-round exact unweighted minimum cut
-//! (Theorem C.3 — 2-out contraction + random-sampling contraction +
-//! Stoer–Wagner on the contracted multigraph) as a per-machine state
+//! (Theorem C.3 — 2-out contraction + random-sampling contraction + a local
+//! minimum cut of the contracted multigraph) as a per-machine state
 //! machine.
 //!
 //! Same algorithm as the legacy call-style
@@ -8,8 +8,10 @@
 //! the [`combinators`](crate::combinators) layer. All randomness lives on
 //! the *small* machines (two edge ranks per local edge, then one
 //! `Bernoulli(1/(2δ))` draw per surviving inter-component edge — the legacy
-//! per-machine order); the large machine draws nothing, contracts, and runs
-//! Stoer–Wagner locally. Top-2 rank selection and pair-multiplicity
+//! per-machine order); the large machine draws nothing, contracts, and takes
+//! the contracted multigraph's minimum cut value locally
+//! (`mpc_graph::mincut::min_cut_weight`; only the value is read, never a
+//! side). Top-2 rank selection and pair-multiplicity
 //! aggregation route through the legacy primitives' group-collector trees
 //! ([`Owners::collector_of`]), so no machine ever receives a hot key's full
 //! multiplicity. Results, statistics, and RNG stream positions are
@@ -26,7 +28,7 @@
 //! | R+6   | smalls | sample crossing edges w.p. `1/(2δ)` → large |
 //! | R+7/8 | large/owners | second contraction; labels back out |
 //! | R+9–11| smalls/collectors/owners | pair multiplicities aggregate up |
-//! | R+12  | large  | Stoer–Wagner on the multigraph; next trial or finish |
+//! | R+12  | large  | min-cut value of the multigraph; next trial or finish |
 
 use crate::combinators::{
     announce_degrees, fold_by_key, sender_group, top_by_key, Announcers, EndpointIndex, Outbox,
@@ -278,7 +280,7 @@ impl RoleProgram for MinCutProgram {
                     }
                     self.push_labels(&mut out, MinCutNetMsg::LabelB);
                 } else if ctx.round == issued + 12 {
-                    // Step 3: Stoer–Wagner on the contracted multigraph.
+                    // Step 3: minimum cut of the contracted multigraph.
                     let mut pairs: Vec<((u32, u32), u64)> = inbox
                         .iter()
                         .filter_map(|(_, m)| match m {

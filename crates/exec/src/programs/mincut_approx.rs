@@ -36,7 +36,7 @@
 //! | R+1   | smalls | sample the skeleton shard, report its size |
 //! | R+2   | large  | abort to the fallback (over budget) or request the shard |
 //! | R+3   | smalls | ship `(edge, multiplicity)` pairs |
-//! | R+4   | large  | connectivity + Stoer–Wagner verdict; estimate, next guess, or fallback |
+//! | R+4   | large  | connectivity + min-cut-value verdict (`min_cut_weight`); estimate, next guess, or fallback |
 
 use crate::combinators::{Outbox, RoleProgram};
 use crate::machine::{MachineCtx, StepOutcome};
@@ -206,7 +206,7 @@ pub enum GuessOutcome {
     OverBudget,
     /// The skeleton was shipped and judged.
     Judged {
-        /// The Stoer–Wagner / connectivity verdict on the skeleton.
+        /// The min-cut-value / connectivity verdict on the skeleton.
         verdict: SkeletonVerdict,
         /// Skeleton edge count (the figure the result reports).
         skeleton_edges: usize,

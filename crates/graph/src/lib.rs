@@ -9,7 +9,8 @@
 //!   the conditional hardness discussion, grids, power-law graphs, trees, …),
 //! * **sequential reference algorithms** used as correctness oracles for the
 //!   distributed implementations (Kruskal MST, BFS/Dijkstra, greedy maximal
-//!   matching, greedy MIS, greedy coloring, Stoer–Wagner min cut),
+//!   matching, greedy MIS, greedy coloring, Stoer–Wagner and
+//!   Nagamochi–Ono–Ibaraki min cut),
 //! * validators (`is_matching`, `is_maximal_independent_set`,
 //!   `verify_spanner`, …) used by tests and by the benchmark harness, and
 //! * helpers for sharding an edge list across MPC machines.

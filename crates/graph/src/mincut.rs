@@ -1,9 +1,12 @@
-//! Global minimum cut: Stoer–Wagner reference implementation and helpers.
+//! Global minimum cut: the large machine's local solvers and their oracles.
 //!
 //! The ported min-cut algorithms (Appendix C.2, C.3) contract the input down
 //! to a small multigraph on the large machine and finish with a local
-//! min-cut computation; this module provides that local computation plus the
-//! validation oracle used in tests.
+//! min-cut computation. They need only the cut's *value*, which
+//! [`min_cut_weight`] (Nagamochi–Ono–Ibaraki contraction, near-linear on
+//! their sparse inputs) provides; [`stoer_wagner`] is the `O(n³)` routine
+//! that also returns one side of the cut, used by [`min_cut`], by validation
+//! and as the test oracle.
 
 use crate::graph::Graph;
 use crate::ids::{VertexId, Weight};
@@ -129,6 +132,135 @@ pub fn stoer_wagner(n: usize, edges: &[(VertexId, VertexId, Weight)]) -> Option<
     best
 }
 
+/// Weight of a global minimum cut, without a side: Nagamochi–Ono–Ibaraki
+/// contraction. Same contract as [`stoer_wagner`] — `None` for `n < 2` or an
+/// edge list that does not connect the graph (zero-weight edges connect),
+/// parallel edges summed, self-loops ignored, `u128` sums — and the same
+/// value, but no tie-breaking contract: nothing here depends on the order
+/// in which equally attached vertices are scanned.
+///
+/// `best` is the smallest weighted degree seen so far; each is a real cut.
+/// A phase is one maximum-adjacency scan, as in Stoer–Wagner, with `r[y]`
+/// the weight between `y` and the vertices scanned so far. A vertex
+/// selected with `r ≥ best` is `r`-connected to the vertex selected just
+/// before it (Stoer–Wagner's cut-of-the-phase lemma on the scanned prefix),
+/// so no cut lighter than `best` separates the two and they are contracted.
+/// While an unscanned `y` has `r[y] ≥ best`, every selection up to `y` has
+/// too, so this contracts every edge `(x, y)` whose NOI label `q = r[y]`
+/// after scanning `x` reaches `best` — whole runs of the scan order per
+/// phase instead of Stoer–Wagner's last pair. The last vertex of a scan has
+/// `r` = its degree `≥ best`, so every phase contracts.
+///
+/// A phase costs `O(m + k²)` on `k` live vertices (adjacency arrays, a
+/// linear arg-max over a compact `r`), `O(n + m)` memory. On the sparse
+/// multigraphs the min-cut programs hand over, the first phase leaves a
+/// handful of vertices: n = 288, m = 1440 takes ≈ 0.1 ms against
+/// Stoer–Wagner's ≈ 10 ms. Inputs on which few vertices reach `best` per
+/// scan still take `Θ(n)` phases: a cycle is on par with Stoer–Wagner, and
+/// a near-complete unit-weight graph (n = 64, m = 2000) takes ≈ 0.5 ms,
+/// 3.5× Stoer–Wagner's time. There is deliberately no switch for them.
+pub fn min_cut_weight(n: usize, edges: &[(VertexId, VertexId, Weight)]) -> Option<u128> {
+    if n < 2 || !is_connected_edge_list(n, edges) {
+        return None;
+    }
+    // Live edges over vertices `0..k`; parallel edges stay separate entries.
+    let mut live: Vec<(VertexId, VertexId, Weight)> =
+        edges.iter().copied().filter(|&(u, v, _)| u != v).collect();
+    let mut k = n;
+    let mut best = min_degree(k, &live);
+    // Adjacency arrays of the phase: `adj[start[v]..start[v + 1]]`.
+    let mut start: Vec<usize> = Vec::new();
+    let mut adj: Vec<(VertexId, Weight)> = Vec::new();
+    // Unscanned vertices and their `r`, position-parallel; `pos[v]` is
+    // `v`'s position in both, `SCANNED` once selected.
+    const SCANNED: u32 = u32::MAX;
+    let mut rest: Vec<VertexId> = Vec::new();
+    let mut r: Vec<u128> = Vec::new();
+    let mut pos: Vec<u32> = Vec::new();
+    let mut group: Vec<VertexId> = vec![0; n];
+
+    while k > 1 && best > 0 {
+        // Counting sort by endpoint. Counts go two slots up, so after the
+        // prefix sums `start[v + 1]` is where `v`'s range begins; filling
+        // advances it to where the range ends, i.e. where `v + 1`'s begins.
+        start.clear();
+        start.resize(k + 2, 0);
+        for &(u, v, _) in &live {
+            start[u as usize + 2] += 1;
+            start[v as usize + 2] += 1;
+        }
+        for v in 2..k + 2 {
+            start[v] += start[v - 1];
+        }
+        adj.clear();
+        adj.resize(2 * live.len(), (0, 0));
+        for &(u, v, w) in &live {
+            for (a, b) in [(u, v), (v, u)] {
+                adj[start[a as usize + 1]] = (b, w);
+                start[a as usize + 1] += 1;
+            }
+        }
+
+        rest.clear();
+        rest.extend(0..k as VertexId);
+        pos.clear();
+        pos.extend(0..k as u32);
+        r.clear();
+        r.resize(k, 0);
+        let mut groups = 0;
+        let mut pick = 0;
+        while !rest.is_empty() {
+            let x = rest.swap_remove(pick) as usize;
+            // The first selection has `r = 0 < best`.
+            if r.swap_remove(pick) < best {
+                groups += 1;
+            }
+            group[x] = groups - 1;
+            pos[x] = SCANNED;
+            if let Some(&moved) = rest.get(pick) {
+                pos[moved as usize] = pick as u32;
+            }
+            for &(y, w) in &adj[start[x]..start[x + 1]] {
+                if pos[y as usize] != SCANNED {
+                    r[pos[y as usize] as usize] += w as u128;
+                }
+            }
+            let mut max = 0;
+            pick = 0;
+            for (at, &ry) in r.iter().enumerate() {
+                if ry > max {
+                    (max, pick) = (ry, at);
+                }
+            }
+        }
+        debug_assert!(
+            (groups as usize) < k,
+            "the last vertex of a scan has r = its degree >= best"
+        );
+
+        live.retain_mut(|e| {
+            (e.0, e.1) = (group[e.0 as usize], group[e.1 as usize]);
+            e.0 != e.1
+        });
+        k = groups as usize;
+        if k > 1 {
+            best = best.min(min_degree(k, &live));
+        }
+    }
+    Some(best)
+}
+
+/// Smallest weighted degree over vertices `0..k` (`k ≥ 1`) of a loop-free
+/// edge list.
+fn min_degree(k: usize, edges: &[(VertexId, VertexId, Weight)]) -> u128 {
+    let mut degree = vec![0u128; k];
+    for &(u, v, w) in edges {
+        degree[u as usize] += w as u128;
+        degree[v as usize] += w as u128;
+    }
+    degree.into_iter().min().expect("k >= 1")
+}
+
 fn is_connected_edge_list(n: usize, edges: &[(VertexId, VertexId, Weight)]) -> bool {
     let mut dsu = crate::dsu::DisjointSets::new(n);
     for &(u, v, _) in edges {
@@ -139,9 +271,11 @@ fn is_connected_edge_list(n: usize, edges: &[(VertexId, VertexId, Weight)]) -> b
 
 /// Convenience wrapper: Stoer–Wagner over a [`Graph`].
 pub fn min_cut(g: &Graph) -> Option<MinCut> {
-    let edges: Vec<(VertexId, VertexId, Weight)> =
-        g.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
-    stoer_wagner(g.n(), &edges)
+    stoer_wagner(g.n(), &edge_triples(g))
+}
+
+fn edge_triples(g: &Graph) -> Vec<(VertexId, VertexId, Weight)> {
+    g.edges().iter().map(|e| (e.u, e.v, e.w)).collect()
 }
 
 /// Exhaustive minimum cut (2^(n−1) subsets); oracle for tiny graphs.
@@ -260,7 +394,8 @@ mod tests {
 
     /// Random multigraphs with everything the contraction algorithms can
     /// hand over: parallel edges, self-loops, zero and near-`u64::MAX / n`
-    /// weights, many ties (small weight ranges), disconnected inputs.
+    /// weights, many ties (small weight ranges), disconnected inputs, and
+    /// every fifth one dense (many phases for `min_cut_weight`).
     #[test]
     fn matches_reference_weight_and_side_on_random_multigraphs() {
         use rand::rngs::SmallRng;
@@ -268,8 +403,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x5707E2);
         let (mut connected, mut disconnected) = (0, 0);
         for case in 0..400 {
-            let n = rng.random_range(2..=24usize);
-            let m = rng.random_range(0..=4 * n);
+            let n = rng.random_range(2..=40usize);
+            let m = rng.random_range(0..=if case % 5 == 4 { n * n / 2 } else { 4 * n });
             let max_w = match case % 4 {
                 0 => 1,
                 1 => 3,
@@ -285,6 +420,11 @@ mod tests {
                 .collect();
             let got = stoer_wagner(n, &edges);
             assert_eq!(got, stoer_wagner_reference(n, &edges), "case {case}");
+            assert_eq!(
+                min_cut_weight(n, &edges),
+                got.as_ref().map(|mc| mc.weight),
+                "case {case}"
+            );
             let Some(mc) = got else {
                 disconnected += 1;
                 continue;
@@ -321,6 +461,42 @@ mod tests {
             connected > 100 && disconnected > 50,
             "both kinds are exercised"
         );
+    }
+
+    #[test]
+    fn min_cut_weight_on_named_shapes() {
+        assert_eq!(min_cut_weight(1, &[]), None);
+        assert_eq!(min_cut_weight(2, &[]), None);
+        assert_eq!(min_cut_weight(2, &[(0, 1, 9)]), Some(9));
+        assert_eq!(
+            min_cut_weight(2, &[(0, 1, 3), (1, 0, 4), (1, 1, 50)]),
+            Some(7)
+        );
+        assert_eq!(min_cut_weight(3, &[(0, 1, 5)]), None);
+        // The cycle contracts once per phase: the Θ(n)-phase shape.
+        for (g, want) in [
+            (generators::path(12), 1),
+            (generators::star(12), 1),
+            (generators::cycle(12, 1), 2),
+            (generators::complete(8), 7),
+        ] {
+            assert_eq!(min_cut_weight(g.n(), &edge_triples(&g)), Some(want));
+        }
+        // Two 6-cliques of heavy edges joined by a light bridge — lighter
+        // than every degree, so only contraction finds it — then by a
+        // zero-weight one, which still connects.
+        for (bridge, want) in [(3, Some(3)), (0, Some(0))] {
+            let mut edges = vec![(0, 6, bridge)];
+            for base in [0, 6] {
+                for u in 0..6 {
+                    for v in u + 1..6 {
+                        edges.push((base + u, base + v, 10));
+                    }
+                }
+            }
+            assert_eq!(min_cut_weight(12, &edges), want);
+            assert_eq!(stoer_wagner(12, &edges).map(|mc| mc.weight), want);
+        }
     }
 
     #[test]
