@@ -10,7 +10,7 @@ use mpc_graph::generators;
 use mpc_labeling::MaxEdgeLabeling;
 use mpc_runtime::{Cluster, ClusterConfig, ShardedVec, Topology};
 use mpc_sketch::field::PowTable;
-use mpc_sketch::{merge_partials, SketchFamily};
+use mpc_sketch::{merge_batches, SketchFamily};
 use std::hint::black_box;
 
 fn bench_sort(c: &mut Criterion) {
@@ -90,16 +90,24 @@ fn bench_sketch(c: &mut Criterion) {
             black_box(&row);
         })
     });
-    // The owner-merge round: every key arrives from 12 senders, each of
-    // which saw one of the vertex's edges.
-    let inbox: Vec<_> = (0..12u32)
-        .flat_map(|sender| {
-            let local: Vec<_> = (0..1000u32).map(|v| (v, (v + 1 + sender) % 1024)).collect();
-            fam.partial_sketches(&local)
-        })
+    // The benchmark's `connectivity` shape: n = 1536, 24 phases, 72 small
+    // machines (senders and owners at once) holding 128 edges each, dealt
+    // round-robin.
+    let wide = SketchFamily::new(1536, 24, 9);
+    let g = generators::gnm(1536, 72 * 128, 9);
+    let shards: Vec<Vec<_>> = (0..72)
+        .map(|s| (g.edges().iter().skip(s).step_by(72).map(|e| (e.u, e.v))).collect())
         .collect();
-    group.bench_function("owner_merge_12way", |b| {
-        b.iter(|| black_box(merge_partials(inbox.clone())))
+    group.bench_function("partial_batches_128e_24ph", |b| {
+        b.iter(|| black_box(wide.partial_batches(&shards[0], 72)))
+    });
+    // One owner's round: its batch from each of the 72 senders.
+    let inbox: Vec<_> = shards
+        .iter()
+        .map(|local| wide.partial_batches(local, 72).swap_remove(0))
+        .collect();
+    group.bench_function("owner_merge_batches_72way", |b| {
+        b.iter(|| black_box(merge_batches(&inbox)))
     });
     let table = PowTable::new(0x1234_5678_9ABC, 1024 * 1024);
     group.bench_function("pow_fixed_base", |b| {

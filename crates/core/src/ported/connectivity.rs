@@ -6,7 +6,9 @@
 //!    randomness of \[36\], as the paper prescribes;
 //! 2. every small machine builds a *partial* sparse sketch per
 //!    `(phase, vertex)` from its local edges (Property 1: sketches are
-//!    linear, so partial sketches sum to the true vertex sketch);
+//!    linear, so partial sketches sum to the true vertex sketch) — the
+//!    engine's sender kernel, its one batch split into per-key pairs for
+//!    the call-style primitives;
 //! 3. one aggregation merges partials at hash-owners, one gather ships the
 //!    per-vertex sketches to the large machine (`Õ(n)` words);
 //! 4. the large machine runs sketch-Borůvka **locally** — all `O(log n)`
@@ -19,7 +21,7 @@ use mpc_graph::traversal::Components;
 use mpc_graph::Edge;
 use mpc_runtime::primitives::{aggregate_by_key, broadcast, gather_to};
 use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
-use mpc_sketch::{sketch_connectivity_sparse, SketchFamily, SparseSketch};
+use mpc_sketch::{sketch_connectivity_batches, PartialBatch, SketchFamily, SparseSketch};
 use rand::Rng;
 
 /// Tuning for the connectivity port.
@@ -69,7 +71,12 @@ pub fn heterogeneous_connectivity(
     let mut partials: ShardedVec<(u64, SparseSketch)> = ShardedVec::new(cluster);
     for mid in 0..edges.machines() {
         let local: Vec<_> = edges.shard(mid).iter().map(|e| (e.u, e.v)).collect();
-        *partials.shard_mut(mid) = family.partial_sketches(&local);
+        *partials.shard_mut(mid) = family
+            .partial_batches(&local, 1)
+            .iter()
+            .flat_map(PartialBatch::iter)
+            .map(|(key, cells)| (key, SparseSketch::from_sorted_cells(cells)))
+            .collect();
     }
     partials.account(cluster, "conn.partials")?;
 
@@ -82,7 +89,7 @@ pub fn heterogeneous_connectivity(
     cluster.release("conn.partials");
 
     // Round 4: ship per-vertex sketches to the large machine.
-    let gathered = gather_to(cluster, "conn.gather", &merged, large)?;
+    let mut gathered = gather_to(cluster, "conn.gather", &merged, large)?;
     let words: usize = gathered
         .iter()
         .map(|(_, s)| mpc_runtime::Payload::words(s))
@@ -90,7 +97,12 @@ pub fn heterogeneous_connectivity(
     cluster.account("conn.large", large, words)?;
 
     // Local sketch-Borůvka on the large machine.
-    let components = sketch_connectivity_sparse(&family, gathered, n);
+    gathered.sort_unstable_by_key(|&(key, _)| key);
+    let mut batch = PartialBatch::default();
+    for (key, sketch) in &gathered {
+        batch.push(*key, sketch.cells().iter().copied());
+    }
+    let components = sketch_connectivity_batches(&family, &[batch], n);
     cluster.release("conn.large");
     Ok(components)
 }

@@ -7,9 +7,12 @@
 //! | round | who    | does |
 //! |------:|--------|------|
 //! | 0     | large  | draws the sketch-family seed from its private RNG, sends it to every machine |
-//! | 1     | smalls | build partial sparse sketches of their local edges, send each `(phase, vertex)` partial to its hash-owner |
-//! | 2     | owners | sum partials per key (sketches are linear), forward to the large machine |
+//! | 1     | smalls | build partial sparse sketches of their local edges, send each hash-owner its `(phase, vertex)` partials as one [`PartialBatch`] |
+//! | 2     | owners | sum partials per key (sketches are linear), forward one batch to the large machine |
 //! | 3     | large  | runs sketch-Borůvka locally over the merged sparse sketches, halts with the [`Components`] |
+//!
+//! A batch costs one word per key and four per cell, whatever it is split
+//! into; a machine with nothing to send sends no batch.
 //!
 //! The three local steps are the kernels of [`mpc_sketch::connectivity`],
 //! shared with the legacy implementation. The seed is the large machine's
@@ -23,7 +26,7 @@ use mpc_core::ported::connectivity::ConnectivityConfig;
 use mpc_graph::traversal::Components;
 use mpc_graph::Edge;
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
-use mpc_sketch::{merge_partials, sketch_connectivity_sparse, SketchFamily, SparseSketch};
+use mpc_sketch::{merge_batches, sketch_connectivity_batches, PartialBatch, SketchFamily};
 use rand::Rng;
 
 /// Messages of the connectivity program.
@@ -31,17 +34,17 @@ use rand::Rng;
 pub enum ConnMsg {
     /// The sketch-family seed, broadcast by the large machine.
     Seed(u64),
-    /// A (partial or merged) sparse sketch for its
-    /// [`partial_key`](mpc_sketch::partial_key).
-    Partial(u64, SparseSketch),
+    /// The (partial or merged) sparse sketches of the
+    /// [`partial_key`](mpc_sketch::partial_key)s the receiver owns.
+    Partial(PartialBatch),
 }
 
-/// The `(key, sketch)` pairs of an inbox, in arrival order.
-fn partials_of(inbox: Vec<(MachineId, ConnMsg)>) -> Vec<(u64, SparseSketch)> {
+/// The batches of an inbox, in arrival order.
+fn partials_of(inbox: Vec<(MachineId, ConnMsg)>) -> Vec<PartialBatch> {
     inbox
         .into_iter()
         .filter_map(|(_, msg)| match msg {
-            ConnMsg::Partial(key, s) => Some((key, s)),
+            ConnMsg::Partial(batch) => Some(batch),
             ConnMsg::Seed(_) => None,
         })
         .collect()
@@ -51,7 +54,7 @@ impl Payload for ConnMsg {
     fn words(&self) -> usize {
         match self {
             ConnMsg::Seed(_) => 1,
-            ConnMsg::Partial(_, s) => 1 + s.words(),
+            ConnMsg::Partial(batch) => batch.words(),
         }
     }
 }
@@ -96,10 +99,6 @@ impl ConnectivityProgram {
             })
             .collect()
     }
-
-    fn owner_of(&self, key: u64) -> MachineId {
-        self.owners[(key % self.owners.len() as u64) as usize]
-    }
 }
 
 impl MachineProgram for ConnectivityProgram {
@@ -136,13 +135,13 @@ impl MachineProgram for ConnectivityProgram {
                 self.seed = Some(seed);
                 let family = SketchFamily::new(self.n, self.phases, seed);
                 let local: Vec<_> = self.local_edges.iter().map(|e| (e.u, e.v)).collect();
-                let partials = family.partial_sketches(&local);
+                let batches = family.partial_batches(&local, self.owners.len());
                 // Sketch construction is the dominant local computation;
                 // report it so the cost model sees the skew.
                 ctx.charge((self.local_edges.len() * self.phases) as u64);
-                let out = partials
-                    .into_iter()
-                    .map(|(key, s)| (self.owner_of(key), ConnMsg::Partial(key, s)))
+                let out = (self.owners.iter().copied().zip(batches))
+                    .filter(|(_, batch)| !batch.is_empty())
+                    .map(|(owner, batch)| (owner, ConnMsg::Partial(batch)))
                     .collect();
                 StepOutcome::Send(out)
             }
@@ -152,11 +151,9 @@ impl MachineProgram for ConnectivityProgram {
                     return StepOutcome::idle();
                 }
                 let large = ctx.large.expect("checked in for_cluster");
-                let out = merge_partials(partials_of(inbox))
-                    .into_iter()
-                    .map(|(key, s)| (large, ConnMsg::Partial(key, s)))
-                    .collect();
-                StepOutcome::Send(out)
+                let merged = merge_batches(&partials_of(inbox));
+                debug_assert!(!merged.is_empty());
+                StepOutcome::Send(vec![(large, ConnMsg::Partial(merged))])
             }
             // Round 3 — the large machine runs sketch-Borůvka locally.
             _ => {
@@ -166,9 +163,9 @@ impl MachineProgram for ConnectivityProgram {
                 let seed = self.seed.expect("seed drawn in round 0");
                 let family = SketchFamily::new(self.n, self.phases, seed);
                 ctx.charge((self.n * self.phases) as u64);
-                self.result = Some(sketch_connectivity_sparse(
+                self.result = Some(sketch_connectivity_batches(
                     &family,
-                    partials_of(inbox),
+                    &partials_of(inbox),
                     self.n,
                 ));
                 StepOutcome::Halt

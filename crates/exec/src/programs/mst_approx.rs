@@ -27,16 +27,18 @@
 //!
 //! | round | who | does |
 //! |------:|-----|------|
-//! | W+1   | smalls | sketch edges of weight `≤ τ`, partials → hash-owners |
-//! | W+2   | owners | sum partials per `(phase, vertex)` key |
+//! | W+1   | smalls | sketch edges of weight `≤ τ`, one [`PartialBatch`] → each hash-owner |
+//! | W+2   | owners | sum partials per `(phase, vertex)` key, one batch → large |
 //! | W+3   | large  | sketch-Borůvka; record `c_τ`; next wave or estimate |
+//!
+//! A machine with nothing to send sends no batch.
 
 use crate::combinators::{Outbox, RoleProgram};
 use crate::machine::{MachineCtx, StepOutcome};
 use mpc_core::ported::mst_approx::{estimate_from_counts, geometric_thresholds, MstApprox};
 use mpc_graph::Edge;
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
-use mpc_sketch::{merge_partials, sketch_connectivity_sparse, SketchFamily, SparseSketch};
+use mpc_sketch::{merge_batches, sketch_connectivity_batches, PartialBatch, SketchFamily};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -48,9 +50,9 @@ pub enum MstApproxNetMsg {
     /// Large → smalls: run one connectivity wave at this threshold with
     /// this sketch-family seed.
     Wave(u64, u64),
-    /// A (partial or merged) sparse sketch for its
-    /// [`partial_key`](mpc_sketch::partial_key).
-    Partial(u64, SparseSketch),
+    /// The (partial or merged) sparse sketches of the
+    /// [`partial_key`](mpc_sketch::partial_key)s the receiver owns.
+    Partial(PartialBatch),
     /// Large → smalls: the run is over; halt.
     Finish,
 }
@@ -60,25 +62,25 @@ impl Payload for MstApproxNetMsg {
         match self {
             MstApproxNetMsg::MaxW(_) | MstApproxNetMsg::Finish => 1,
             MstApproxNetMsg::Wave(_, _) => 2,
-            MstApproxNetMsg::Partial(_, s) => 1 + s.words(),
+            MstApproxNetMsg::Partial(batch) => batch.words(),
         }
     }
 }
 
-/// The `(key, sketch)` pairs of an inbox, in arrival order.
-fn partials_of(inbox: Vec<(MachineId, MstApproxNetMsg)>) -> Vec<(u64, SparseSketch)> {
+/// The batches of an inbox, in arrival order.
+fn partials_of(inbox: Vec<(MachineId, MstApproxNetMsg)>) -> Vec<PartialBatch> {
     inbox
         .into_iter()
         .filter_map(|(_, msg)| match msg {
-            MstApproxNetMsg::Partial(key, s) => Some((key, s)),
+            MstApproxNetMsg::Partial(batch) => Some(batch),
             _ => None,
         })
         .collect()
 }
 
 /// The worker step of one wave: sketches the edges of `input` of weight
-/// `≤ threshold`, charges the work and addresses each partial to the
-/// hash-owner of its key.
+/// `≤ threshold`, charges the work and sends each hash-owner the partials
+/// of its keys.
 fn sketch_wave(
     ctx: &MachineCtx<'_>,
     family: &SketchFamily,
@@ -93,10 +95,21 @@ fn sketch_wave(
         .map(|e| (e.u, e.v))
         .collect();
     ctx.charge((filtered.len() * family.phases()) as u64);
-    for (key, s) in family.partial_sketches(&filtered) {
-        let owner = owners[(key % owners.len() as u64) as usize];
-        out.send(owner, MstApproxNetMsg::Partial(key, s));
+    for (&owner, batch) in owners
+        .iter()
+        .zip(family.partial_batches(&filtered, owners.len()))
+    {
+        if !batch.is_empty() {
+            out.send(owner, MstApproxNetMsg::Partial(batch));
+        }
     }
+}
+
+/// The owner step of one wave: sums partials per key (linearity), forwards.
+fn merge_wave(batches: &[PartialBatch], large: MachineId, out: &mut Outbox<MstApproxNetMsg>) {
+    let merged = merge_batches(batches);
+    debug_assert!(!merged.is_empty());
+    out.send(large, MstApproxNetMsg::Partial(merged));
 }
 
 /// What the large machine is waiting for.
@@ -256,7 +269,7 @@ impl RoleProgram for MstApproxWave {
         // sequential program's wave-final step.
         let family = SketchFamily::new(self.n, self.phases, self.seed);
         ctx.charge((self.n * self.phases) as u64);
-        self.count = Some(sketch_connectivity_sparse(&family, partials_of(inbox), self.n).count);
+        self.count = Some(sketch_connectivity_batches(&family, &partials_of(inbox), self.n).count);
         StepOutcome::Halt
     }
 
@@ -288,10 +301,7 @@ impl RoleProgram for MstApproxWave {
         if inbox.is_empty() {
             return StepOutcome::Halt;
         }
-        // Owner role: sum partials per key (linearity), forward.
-        for (key, s) in merge_partials(partials_of(inbox)) {
-            out.send(large, MstApproxNetMsg::Partial(key, s));
-        }
+        merge_wave(&partials_of(inbox), large, &mut out);
         out.into_step()
     }
 }
@@ -332,7 +342,7 @@ impl RoleProgram for MstApproxProgram {
                     let family = SketchFamily::new(self.n, self.phases, self.seed);
                     ctx.charge((self.n * self.phases) as u64);
                     let components =
-                        sketch_connectivity_sparse(&family, partials_of(inbox), self.n);
+                        sketch_connectivity_batches(&family, &partials_of(inbox), self.n);
                     self.component_counts.push(components.count);
                     self.parallel_rounds = self.parallel_rounds.max(ctx.round - issued);
                     self.t_idx += 1;
@@ -375,19 +385,19 @@ impl RoleProgram for MstApproxProgram {
         }
 
         let mut wave: Option<(u64, u64)> = None;
-        let mut partials: Vec<(u64, SparseSketch)> = Vec::new();
+        let mut partials: Vec<PartialBatch> = Vec::new();
         for (_src, msg) in inbox {
             match msg {
                 MstApproxNetMsg::Finish => return StepOutcome::Halt,
                 MstApproxNetMsg::Wave(t, seed) => wave = Some((t, seed)),
-                MstApproxNetMsg::Partial(key, s) => partials.push((key, s)),
+                MstApproxNetMsg::Partial(batch) => partials.push(batch),
                 MstApproxNetMsg::MaxW(_) => {}
             }
         }
 
-        // ---- owner role: sum partials per key (linearity), forward. ----
-        for (key, s) in merge_partials(partials) {
-            out.send(large, MstApproxNetMsg::Partial(key, s));
+        // ---- owner role ----
+        if !partials.is_empty() {
+            merge_wave(&partials, large, &mut out);
         }
 
         // ---- worker role: sketch the weight-filtered shard. ----

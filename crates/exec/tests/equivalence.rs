@@ -88,3 +88,83 @@ fn boruvka_handles_disconnected_and_tiny_inputs() {
     let forest = adapters::boruvka_msf(&mut cluster, &input, ExecMode::Serial).unwrap();
     assert!(forest.is_empty());
 }
+
+/// A machine with nothing to sketch — an empty shard, or a threshold that
+/// filters every edge — sends no batch, its owners get no mail and stay
+/// idle, and the large machine still counts the singletons.
+#[test]
+fn machines_with_nothing_to_sketch_send_nothing() {
+    use mpc_runtime::ShardedVec;
+    let n = 64;
+    let g = generators::gnm(n, 160, 3).with_random_weights(50, 3);
+    let config = ConnectivityConfig::for_n(n);
+    let words_and_messages = |cluster: &Cluster| -> Vec<(usize, usize)> {
+        (cluster.round_log().iter())
+            .map(|r| (r.total_words, r.messages))
+            .collect()
+    };
+
+    // No edges anywhere: only the seed broadcast moves.
+    let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
+    let smalls = cluster.small_ids().len();
+    let empty = ShardedVec::new(&cluster);
+    let got =
+        adapters::heterogeneous_connectivity(&mut cluster, n, &empty, &config, ExecMode::Serial)
+            .unwrap();
+    assert_eq!(got.count, n);
+    assert_eq!(
+        words_and_messages(&cluster),
+        [(smalls, smalls), (0, 0), (0, 0)]
+    );
+
+    // A few edges, all on one machine: one sender, at most one batch per
+    // owner, and one batch from each owner that got one.
+    let few = mpc_graph::Graph::new(n, g.edges()[..20].iter().copied());
+    let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
+    let mut one_shard: ShardedVec<Edge> = ShardedVec::new(&cluster);
+    *one_shard.shard_mut(cluster.small_ids()[0]) = few.edges().to_vec();
+    let got = adapters::heterogeneous_connectivity(
+        &mut cluster,
+        n,
+        &one_shard,
+        &config,
+        ExecMode::Serial,
+    )
+    .unwrap();
+    assert_eq!(got, connected_components(&few));
+    let log = words_and_messages(&cluster);
+    assert!((1..=smalls).contains(&log[1].1), "sender round: {log:?}");
+    assert_eq!(log[2].1, log[1].1, "owner round: {log:?}");
+    let mut legacy_cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
+    let legacy =
+        mpc_core::ported::heterogeneous_connectivity(&mut legacy_cluster, n, &one_shard, &config)
+            .unwrap();
+    assert_eq!(got, legacy);
+
+    // Weights ≥ 2: the first threshold (τ = 1) filters every edge on every
+    // machine, so that wave moves nothing and counts n singletons — in
+    // both shapes of the estimator, as in the legacy path.
+    let heavier = g.edges().iter().map(|e| Edge::new(e.u, e.v, e.w + 1));
+    let heavy = mpc_graph::Graph::new(n, heavier);
+    let mut legacy_cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
+    let input = common::distribute_edges(&legacy_cluster, &heavy);
+    let legacy =
+        mpc_core::ported::approximate_mst_weight(&mut legacy_cluster, n, &input, 0.5).unwrap();
+    assert_eq!((legacy.thresholds[0], legacy.component_counts[0]), (1, n));
+    for batched in [true, false] {
+        let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
+        let run = if batched {
+            adapters::approximate_mst_weight
+        } else {
+            adapters::approximate_mst_weight_sequential
+        };
+        let got = run(&mut cluster, n, &input, 0.5, ExecMode::Serial).unwrap();
+        assert_eq!(got.component_counts, legacy.component_counts);
+        assert_eq!(got.estimate, legacy.estimate);
+        if !batched {
+            // Wave 0 is rounds 1–4: its broadcast, then nothing at all.
+            let log = words_and_messages(&cluster);
+            assert_eq!(log[2..4], [(0, 0), (0, 0)], "{log:?}");
+        }
+    }
+}

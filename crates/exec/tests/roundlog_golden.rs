@@ -1,15 +1,19 @@
-//! Committed fingerprints of the nine non-sketch registry programs: the
-//! whole round log (label, `max_sent`, `max_recv`, `total_words`,
-//! `messages`, `total_work` per round), the result digest and the
-//! per-machine RNG positions, at two seeds, under `Serial` and `Parallel`.
+//! Committed fingerprints of the twelve registry programs: the whole
+//! round log (label, `max_sent`, `max_recv`, `total_words`, `messages`,
+//! `total_work` per round), the result digest and the per-machine RNG
+//! positions, at two seeds, under `Serial` and `Parallel`.
 //!
 //! The table below was taken on the commit *before* the role steps moved
 //! from per-round `BTreeMap`/`HashMap` containers to flat sort-and-scan
 //! vectors, so it pins the send-order contract of DESIGN §2.3 (ascending
 //! key, insertion order within a key): a kernel rewrite that reorders one
 //! message, changes one `ctx.charge` or draws one more random number moves
-//! a fingerprint here before it moves anything downstream. To re-take it
-//! after an intended behaviour change, run
+//! a fingerprint here before it moves anything downstream. The rows of the
+//! three sketch programs were taken on the commit *before* their partials
+//! moved from one message per `(phase, vertex)` key to one flat batch per
+//! (sender, owner); they fold every column **except `messages`**, which is
+//! the one thing that switch changes and no model quantity (DESIGN §2.3).
+//! To re-take the table after an intended behaviour change, run
 //! `cargo test -p mpc-exec --release --test roundlog_golden -- --ignored --nocapture`
 //! and paste the printed rows.
 
@@ -19,7 +23,7 @@ use mpc_runtime::{Cluster, ClusterConfig};
 use rand::RngCore;
 use std::sync::Arc;
 
-const NAMES: [&str; 9] = [
+const NAMES: [&str; 12] = [
     "boruvka-msf",
     "mst",
     "matching",
@@ -29,10 +33,13 @@ const NAMES: [&str; 9] = [
     "mincut",
     "mis",
     "coloring",
+    "connectivity",
+    "mst-approx",
+    "mincut-approx",
 ];
+/// The sketch programs: smaller inputs, `messages` not folded.
+const SKETCH_NAMES: [&str; 3] = ["connectivity", "mst-approx", "mincut-approx"];
 const SEEDS: [u64; 2] = [7, 11];
-const N: usize = 2000;
-const M: usize = 12000;
 
 /// Everything the simulator rule calls observable, folded to four words.
 #[derive(Debug, PartialEq, Eq)]
@@ -48,7 +55,9 @@ fn fnv(acc: &mut u64, word: u64) {
 }
 
 fn fingerprint(name: &str, seed: u64, mode: ExecMode) -> Fingerprint {
-    let g = Arc::new(generators::gnm(N, M, seed).with_random_weights(1 << 20, seed));
+    let sketch = SKETCH_NAMES.contains(&name);
+    let n = if sketch { 256 } else { 2000 };
+    let g = Arc::new(generators::gnm(n, 6 * n, seed).with_random_weights(1 << 20, seed));
     let polylog = registry::get(name)
         .expect("a registry name")
         .polylog_exponent;
@@ -65,11 +74,12 @@ fn fingerprint(name: &str, seed: u64, mode: ExecMode) -> Fingerprint {
         for b in r.label.render().bytes() {
             fnv(&mut round_log, u64::from(b));
         }
+        let messages = if sketch { 0 } else { r.messages as u64 };
         for word in [
             r.max_sent as u64,
             r.max_recv as u64,
             r.total_words as u64,
-            r.messages as u64,
+            messages,
             r.total_work,
         ] {
             fnv(&mut round_log, word);
@@ -91,7 +101,7 @@ fn fingerprint(name: &str, seed: u64, mode: ExecMode) -> Fingerprint {
 
 /// `(name, seed, rounds, round-log fold, result digest, RNG fold)`.
 #[rustfmt::skip]
-const GOLDEN: [(&str, u64, u64, u64, u128, u64); 18] = [
+const GOLDEN: [(&str, u64, u64, u64, u128, u64); 24] = [
     ("boruvka-msf", 7, 22, 0xfcfc0ff599b898a3, 0x28904500ff51195ed092c27943bc9531, 0x19faedf64266f10e),
     ("boruvka-msf", 11, 22, 0x503b8eda5da0edce, 0x28cefd4a29f01adf4d3df588f67e7085, 0x0055d4a5228cf83c),
     ("mst", 7, 13, 0xe919fb98fc477a10, 0x28904500ff51195ed092c27943bc9531, 0x19faedf64266f10e),
@@ -110,6 +120,12 @@ const GOLDEN: [(&str, u64, u64, u64, u128, u64); 18] = [
     ("mis", 11, 15, 0x18602520d92a2e44, 0x4de265d8175d07d66ac875b3e0579f6d, 0x59c91608cdcfc0e3),
     ("coloring", 7, 5, 0x9cf91e6fe5567cf0, 0xa9a60951e41875c84eae13009a7cb3f6, 0x9809c59c88c0cd83),
     ("coloring", 11, 5, 0xbbdfc9a9e35d0abe, 0xba634de16cd06cbe0e65753ce6f27ee4, 0x8afbd84db58c83e3),
+    ("connectivity", 7, 3, 0x874d262ee6dd0c5c, 0x00000000000000000000000000000001, 0x767e7ba7c62fb210),
+    ("connectivity", 11, 3, 0xb1db35580309e54f, 0x00000000000000000000000000000001, 0x95650e4fff73cce3),
+    ("mst-approx", 7, 2, 0x69520424c2bff786, 0xadffcf84573ff6fb3c520fd81d0e4ae5, 0x9fb91f93fd0c772c),
+    ("mst-approx", 11, 2, 0x3bd7239cd7a6b403, 0xfbd8cbc66a2f3dba5fb7bda065711ca9, 0x9a04453c1977b4b0),
+    ("mincut-approx", 7, 3, 0x3478af5f52a655cc, 0x9ce7392d278ae5b527224513dd1f77af, 0xeaeaa307d18d4cc6),
+    ("mincut-approx", 11, 3, 0xe21c77b2fb31f624, 0x9ce7395d3160e658e646cad342b3700e, 0xbbbbb3611f10a0c1),
 ];
 
 #[test]

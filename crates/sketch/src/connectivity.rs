@@ -4,19 +4,22 @@
 //! and this module owns all three so the engine program, the legacy
 //! call-style port and the tests run the same code:
 //!
-//! * [`SketchFamily::partial_sketches`] — a *small machine* sketches its
-//!   local edges, one sparse partial per `(phase, endpoint)` key;
-//! * [`merge_partials`] — a *hash-owner* sums the partials of each key
-//!   (sketches are linear);
-//! * [`sketch_connectivity_sparse`] / [`sketch_connectivity`] — the *large
+//! * [`SketchFamily::partial_batches`] — a *small machine* sketches its
+//!   local edges into one flat [`PartialBatch`] per hash-owner, a sparse
+//!   partial per `(phase, endpoint)` key;
+//! * [`merge_batches`] — a *hash-owner* sums the partials of each key
+//!   (sketches are linear) into one batch;
+//! * [`sketch_connectivity_batches`] / [`sketch_connectivity`] — the *large
 //!   machine* runs sequential sketch-Borůvka: given one sketch per vertex
 //!   per phase, repeatedly sample an outgoing edge of every current
 //!   component (by summing member sketches — linearity!) and contract.
 //!   After `O(log n)` phases the components are exactly the connected
 //!   components, w.h.p. The graph itself is never consulted.
 
-use crate::l0::{SketchFamily, SparseSketch, VertexSketch};
+use crate::l0::{SketchFamily, SparseCell, VertexSketch};
+use crate::onesparse::OneSparse;
 use mpc_graph::{traversal::Components, DisjointSets, VertexId};
+use mpc_runtime::Payload;
 
 /// Key of vertex `v`'s partial sketch for `phase`: `(phase << 32) | v`, so
 /// ascending keys run phase by phase, vertex by vertex.
@@ -29,61 +32,152 @@ fn split_key(key: u64) -> (usize, VertexId) {
     ((key >> 32) as usize, key as VertexId)
 }
 
-impl SketchFamily {
-    /// Sketches a machine's local edges: one sparse partial per
-    /// `(phase, endpoint)` [`partial_key`], in ascending key order.
-    ///
-    /// Each edge-phase is [prepared](SketchFamily::prepare) once and applied
-    /// to both endpoints. Endpoints are renumbered to local indices up
-    /// front, so the per-phase rows are plain vectors.
-    pub fn partial_sketches(&self, edges: &[(VertexId, VertexId)]) -> Vec<(u64, SparseSketch)> {
-        let mut endpoints: Vec<VertexId> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let local = |v: VertexId| endpoints.binary_search(&v).expect("endpoint was collected");
-        let local_edges: Vec<(usize, usize)> =
-            edges.iter().map(|&(u, v)| (local(u), local(v))).collect();
+/// The sparse partial sketches of many keys as one message: what a sender
+/// ships to one hash-owner, and an owner to the large machine. It costs one
+/// word per key (also one whose cells all cancelled) plus four per cell —
+/// what its partials cost as one `(key, SparseSketch)` message each.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PartialBatch {
+    /// `(partial_key, cell count)`, ascending by key.
+    keys: Vec<(u64, u32)>,
+    /// The keys' cells back to back; per key ascending by index, nonzero.
+    cells: Vec<SparseCell>,
+}
 
-        let mut out = Vec::with_capacity(self.phases() * endpoints.len());
-        for phase in 0..self.phases() {
-            let mut row = vec![SparseSketch::new(); endpoints.len()];
-            for (&(u, v), &(iu, iv)) in edges.iter().zip(&local_edges) {
-                let update = self.prepare(phase, u, v);
-                row[iu].apply(&update, u);
-                row[iv].apply(&update, v);
-            }
-            out.extend(
-                endpoints
-                    .iter()
-                    .zip(row)
-                    .map(|(&v, s)| (partial_key(phase, v), s)),
-            );
-        }
-        out
+impl PartialBatch {
+    /// Whether the batch holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Appends `key` with its cells (strictly ascending by index, nonzero).
+    pub fn push(&mut self, key: u64, cells: impl IntoIterator<Item = SparseCell>) {
+        debug_assert!(self.keys.last().is_none_or(|&(last, _)| last < key));
+        let before = self.cells.len();
+        self.cells.extend(cells);
+        self.keys.push((key, (self.cells.len() - before) as u32));
+    }
+
+    /// The `(key, cells)` partials, in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &[SparseCell])> {
+        let mut rest = self.cells.as_slice();
+        self.keys.iter().map(move |&(key, count)| {
+            let (cells, tail) = rest.split_at(count as usize);
+            rest = tail;
+            (key, cells)
+        })
     }
 }
 
-/// Sums the partial sketches of each key: the hash-owner's step. Returns
-/// one sketch per distinct key, in ascending key order.
-///
-/// The first partial of a key becomes its accumulator; the others only
-/// hand over their cells, and the sum is formed once per key. Any merge
-/// order gives the same sketch — cell addition is commutative and
-/// associative and the sparse form is canonical.
-pub fn merge_partials(mut partials: Vec<(u64, SparseSketch)>) -> Vec<(u64, SparseSketch)> {
-    // An inbox is a concatenation of ascending runs, one per sender, which
-    // the stable sort merges without comparing within a run.
-    partials.sort_by_key(|&(key, _)| key);
-    let mut merged: Vec<(u64, SparseSketch)> = Vec::new();
-    for (key, partial) in partials {
-        match merged.last_mut() {
-            Some((last, sum)) if *last == key => sum.append_cells(&partial),
-            _ => merged.push((key, partial)),
+impl Payload for PartialBatch {
+    fn words(&self) -> usize {
+        self.keys.len() + 4 * self.cells.len()
+    }
+}
+
+/// Sums sparse cells into a dense accumulator that remembers which indices
+/// it touched, so a sum costs its cells, not the sketch size.
+#[derive(Default)]
+struct CellSum {
+    acc: Vec<OneSparse>,
+    /// Bit `i` is set if `acc[i]` was added to since the last `finish`.
+    touched: Vec<u64>,
+}
+
+impl CellSum {
+    fn add(&mut self, (idx, cell): SparseCell) {
+        let i = idx as usize;
+        if self.acc.len() <= i {
+            self.acc.resize(i + 1, OneSparse::new());
+            self.touched.resize(i / 64 + 1, 0);
         }
+        self.touched[i / 64] |= 1 << (i % 64);
+        self.acc[i].merge(&cell);
     }
-    for (_, sum) in &mut merged {
-        sum.canonicalize();
+
+    /// Closes `key` in `batch` with the nonzero sums, ascending by index,
+    /// and resets.
+    fn finish(&mut self, key: u64, batch: &mut PartialBatch) {
+        let before = batch.cells.len();
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let sum = std::mem::take(&mut self.acc[i]);
+                if !sum.is_zero() {
+                    batch.cells.push((i as u32, sum));
+                }
+            }
+        }
+        batch.keys.push((key, (batch.cells.len() - before) as u32));
     }
+}
+
+impl SketchFamily {
+    /// Sketches a machine's local edges: one sparse partial per
+    /// `(phase, endpoint)` [`partial_key`], that of `key` in batch
+    /// `key % owners` of the `owners` returned (some may be empty). Each
+    /// edge-phase is [prepared](SketchFamily::prepare) once for both
+    /// endpoints; only an endpoint with several local edges needs a sum.
+    pub fn partial_batches(
+        &self,
+        edges: &[(VertexId, VertexId)],
+        owners: usize,
+    ) -> Vec<PartialBatch> {
+        // Endpoint → incident edges, shared by every phase.
+        let mut incident: Vec<(VertexId, u32)> = (0..)
+            .zip(edges)
+            .flat_map(|(e, &(u, v))| [(u, e), (v, e)])
+            .collect();
+        incident.sort_unstable();
+
+        let mut batches = vec![PartialBatch::default(); owners];
+        let mut sum = CellSum::default();
+        for phase in 0..self.phases() {
+            let prepare = |&(u, v): &(VertexId, VertexId)| self.prepare(phase, u, v);
+            let updates: Vec<_> = edges.iter().map(prepare).collect();
+            for of_v in incident.chunk_by(|a, b| a.0 == b.0) {
+                let v = of_v[0].0;
+                let key = partial_key(phase, v);
+                let batch = &mut batches[(key % owners as u64) as usize];
+                if let [(_, e)] = of_v {
+                    batch.push(key, updates[*e as usize].sparse_cells(v));
+                } else {
+                    for &(_, e) in of_v {
+                        updates[e as usize].sparse_cells(v).for_each(|c| sum.add(c));
+                    }
+                    sum.finish(key, batch);
+                }
+            }
+        }
+        // A batch lives on beside every other batch of its round.
+        batches.iter_mut().for_each(|b| b.cells.shrink_to_fit());
+        batches
+    }
+}
+
+/// The partials of `batches` as `(key, cells)` rows, ascending by key (the
+/// rows of one key in no particular order: sums do not depend on it).
+fn sorted_rows(batches: &[PartialBatch]) -> Vec<(u64, &[SparseCell])> {
+    let mut rows: Vec<_> = batches.iter().flat_map(PartialBatch::iter).collect();
+    rows.sort_unstable_by_key(|&(key, _)| key);
+    rows
+}
+
+/// Sums the partial sketches of each key into one batch: the hash-owner's
+/// step. Any merge order gives the same batch — cell addition is commutative
+/// and associative and the sparse form is canonical.
+pub fn merge_batches(batches: &[PartialBatch]) -> PartialBatch {
+    let mut merged = PartialBatch::default();
+    let mut sum = CellSum::default();
+    for of_key in sorted_rows(batches).chunk_by(|a, b| a.0 == b.0) {
+        for &cell in of_key.iter().flat_map(|(_, cells)| *cells) {
+            sum.add(cell);
+        }
+        sum.finish(of_key[0].0, &mut merged);
+    }
+    merged.cells.shrink_to_fit();
     merged
 }
 
@@ -103,7 +197,7 @@ fn boruvka<'a, R, I>(
     add: impl Fn(&mut VertexSketch, &R),
 ) -> Components
 where
-    R: 'a,
+    R: ?Sized + 'a,
     I: Iterator<Item = (VertexId, &'a R)>,
 {
     const NO_SUM: usize = usize::MAX;
@@ -171,37 +265,37 @@ pub fn sketch_connectivity(
     )
 }
 
-/// [`sketch_connectivity`] over the merged sparse partials as the large
-/// machine receives them: `(partial_key, sketch)` in any order, absent keys
-/// meaning zero sketches. Nothing is densified per vertex — sparse cells go
-/// straight into the per-component sums of the phases Borůvka reaches.
+/// [`sketch_connectivity`] over the merged partials as the large machine
+/// receives them: one batch per owner, absent keys meaning zero sketches.
+/// Nothing is densified per vertex — sparse cells go straight into the
+/// per-component sums of the phases Borůvka reaches.
 ///
 /// # Panics
 ///
 /// Panics if a key names a phase outside the family or a vertex `≥ n`.
-pub fn sketch_connectivity_sparse(
+pub fn sketch_connectivity_batches(
     family: &SketchFamily,
-    mut partials: Vec<(u64, SparseSketch)>,
+    batches: &[PartialBatch],
     n: usize,
 ) -> Components {
-    partials.sort_unstable_by_key(|&(key, _)| key);
-    if let Some(&(key, _)) = partials.last() {
+    let rows = sorted_rows(batches);
+    if let Some(&(key, _)) = rows.last() {
         assert!(split_key(key).0 < family.phases(), "phase out of range");
     }
-    let partials = partials.as_slice();
+    let rows = rows.as_slice();
     let rows_of = move |phase| {
-        let from = partials.partition_point(|&(key, _)| key < partial_key(phase, 0));
-        let to = partials.partition_point(|&(key, _)| key < partial_key(phase + 1, 0));
-        partials[from..to]
+        let from = rows.partition_point(|&(key, _)| key < partial_key(phase, 0));
+        let to = rows.partition_point(|&(key, _)| key < partial_key(phase + 1, 0));
+        rows[from..to]
             .iter()
-            .map(|(key, sketch)| (split_key(*key).1, sketch))
+            .map(|&(key, cells)| (split_key(key).1, cells))
     };
     boruvka(
         family,
         n,
         family.phases(),
         rows_of,
-        VertexSketch::merge_sparse,
+        VertexSketch::merge_cells,
     )
 }
 

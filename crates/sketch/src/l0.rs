@@ -21,6 +21,12 @@ const SLOT_BITS: u32 = 48;
 /// Levels of the largest family: `⌈2·log₂ n⌉ + 2` with `n² < 2^SLOT_BITS`.
 const MAX_LEVELS: usize = SLOT_BITS as usize + 2;
 
+// `EdgeUpdate` stores cell indices as `u8`.
+const _: () = assert!(MAX_LEVELS * BUCKETS <= 256);
+
+/// A nonzero cell of a sparse sketch: `(cell index, cell)`.
+pub type SparseCell = (u32, OneSparse);
+
 /// A single ℓ0-sampler: `levels × BUCKETS` one-sparse cells.
 ///
 /// Level `ℓ` retains indices subsampled with probability `2^{−ℓ}`; whatever
@@ -42,9 +48,8 @@ impl L0Sampler {
 
     /// Adds a prepared edge to the sketch of its endpoint `endpoint`.
     pub fn apply(&mut self, update: &EdgeUpdate, endpoint: VertexId) {
-        let (sign, term) = update.signed_term(endpoint);
-        for &idx in update.cells() {
-            self.cells[idx as usize].update_term(update.slot, sign, term);
+        for (idx, cell) in update.sparse_cells(endpoint) {
+            self.cells[idx as usize].merge(&cell);
         }
     }
 
@@ -58,9 +63,9 @@ impl L0Sampler {
         OneSparse::merge_slices(&mut self.cells, &other.cells);
     }
 
-    /// Adds a sparse sketch from the same family, cell by cell.
-    pub fn merge_sparse(&mut self, other: &SparseSketch) {
-        for (idx, cell) in &other.cells {
+    /// Adds sparse cells of a sketch from the same family.
+    pub fn merge_cells(&mut self, cells: &[SparseCell]) {
+        for (idx, cell) in cells {
             self.cells[*idx as usize].merge(cell);
         }
     }
@@ -103,7 +108,8 @@ struct LevelHashes {
 }
 
 /// One edge's contribution to one phase, computed once and applied to the
-/// sketches of both endpoints ([`L0Sampler::apply`], [`SparseSketch::apply`]).
+/// sketches of both endpoints ([`L0Sampler::apply`], [`SparseSketch::apply`],
+/// [`SketchFamily::partial_batches`]).
 ///
 /// Everything that depends only on the edge slot — the subsampling level,
 /// the cell hit at each level, and the fingerprint power `z^slot` — is the
@@ -121,18 +127,19 @@ pub struct EdgeUpdate {
 }
 
 impl EdgeUpdate {
-    fn cells(&self) -> &[u8] {
-        &self.cells[..self.levels as usize]
-    }
-
-    /// The ±1 orientation of `endpoint` and its fingerprint term `±z^slot`:
-    /// the two endpoints' contributions cancel when their sketches merge.
-    fn signed_term(&self, endpoint: VertexId) -> (i64, u64) {
+    /// This edge alone as a sparse sketch of `endpoint`: its cells, strictly
+    /// ascending by index. The lower endpoint adds the slot (`+z^slot`), the
+    /// higher one removes it, so the two contributions cancel when their
+    /// sketches merge.
+    pub(crate) fn sparse_cells(&self, endpoint: VertexId) -> impl Iterator<Item = SparseCell> + '_ {
+        let mut cell = OneSparse::new();
         if endpoint < self.hi {
-            (1, self.term)
+            cell.update_term(self.slot, 1, self.term);
         } else {
-            (-1, field::sub(0, self.term))
+            cell.update_term(self.slot, -1, field::sub(0, self.term));
         }
+        let hit = &self.cells[..self.levels as usize];
+        hit.iter().map(move |&idx| (u32::from(idx), cell))
     }
 }
 
@@ -399,12 +406,12 @@ mod tests {
             pair_v.apply(&update, v);
             assert_eq!((&pair_u, &pair_v), (&want_u, &want_v));
 
-            let (mut sparse_u, mut sparse_v) = (SparseSketch::new(), SparseSketch::new());
+            let (mut sparse_u, mut sparse_v) = (SparseSketch::default(), SparseSketch::default());
             sparse_u.apply(&update, u);
             sparse_v.apply(&update, v);
             let (mut dense_u, mut dense_v) = (fam.empty(phase), fam.empty(phase));
-            dense_u.merge_sparse(&sparse_u);
-            dense_v.merge_sparse(&sparse_v);
+            dense_u.merge_cells(sparse_u.cells());
+            dense_v.merge_cells(sparse_v.cells());
             assert_eq!((&dense_u, &dense_v), (&want_u, &want_v));
         }
     }
@@ -445,7 +452,9 @@ mod tests {
 /// them sparsely keeps the per-machine footprint proportional to the local
 /// edge count (times `O(log n)`) instead of the dense sketch size. Linear:
 /// merging sparse sketches adds cells pointwise. Decoding happens on dense
-/// sums ([`L0Sampler::merge_sparse`]).
+/// sums ([`L0Sampler::merge_cells`]). This is the one-key form the
+/// call-style primitives aggregate; the engine ships many keys at once as a
+/// [`PartialBatch`](crate::PartialBatch).
 ///
 /// Cells live in one contiguous vector sorted by cell index (canonical: no
 /// zero cells), so equal sums are equal values whatever order the updates
@@ -453,82 +462,45 @@ mod tests {
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct SparseSketch {
     /// `(cell index, cell)`, strictly ascending by index, no zero cells.
-    cells: Vec<(u32, OneSparse)>,
+    cells: Vec<SparseCell>,
 }
 
 impl SparseSketch {
-    /// An empty sparse sketch.
-    pub fn new() -> Self {
-        Self::default()
+    /// The sketch holding `cells`: strictly ascending by index, nonzero
+    /// (one key of a [`PartialBatch`](crate::PartialBatch)).
+    pub fn from_sorted_cells(cells: &[SparseCell]) -> Self {
+        debug_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0));
+        let cells = cells.to_vec();
+        SparseSketch { cells }
+    }
+
+    /// The nonzero cells, strictly ascending by index.
+    pub fn cells(&self) -> &[SparseCell] {
+        &self.cells
     }
 
     /// Adds a prepared edge to the sketch of its endpoint `endpoint` (the
     /// sparse counterpart of [`L0Sampler::apply`]).
     pub fn apply(&mut self, update: &EdgeUpdate, endpoint: VertexId) {
-        let (sign, term) = update.signed_term(endpoint);
-        if self.cells.is_empty() {
-            // Most partials on the wire hold one edge's cells and nothing
-            // more; the default growth policy would round two up to four.
-            self.cells.reserve_exact(update.cells().len());
-        }
-        for &idx in update.cells() {
-            let idx = u32::from(idx);
-            match self.cells.binary_search_by_key(&idx, |c| c.0) {
-                Ok(pos) => {
-                    let cell = &mut self.cells[pos].1;
-                    cell.update_term(update.slot, sign, term);
-                    if cell.is_zero() {
-                        self.cells.remove(pos);
-                    }
-                }
-                Err(pos) => {
-                    let mut cell = OneSparse::new();
-                    cell.update_term(update.slot, sign, term);
-                    self.cells.insert(pos, (idx, cell));
-                }
-            }
-        }
+        let cells = update.sparse_cells(endpoint).collect();
+        self.merge(&SparseSketch { cells });
     }
 
-    /// Merges another sparse sketch (linearity); zero cells are dropped so
+    /// Merges another sparse sketch (linearity): appends its cells, sorts
+    /// by index, sums cells of equal index and drops zero sums, so
     /// cancellation keeps the representation minimal.
     pub fn merge(&mut self, other: &SparseSketch) {
-        self.append_cells(other);
-        self.canonicalize();
-    }
-
-    /// Appends `other`'s cells without summing them: the first half of a
-    /// many-way merge, which [`canonicalize`](Self::canonicalize) finishes.
-    pub(crate) fn append_cells(&mut self, other: &SparseSketch) {
         self.cells.extend_from_slice(&other.cells);
-    }
-
-    /// Restores the invariant after cells were appended: sorts by index,
-    /// sums cells of equal index, drops zero sums. Cell addition is
-    /// commutative and associative, so the outcome does not depend on the
-    /// order the cells were gathered in.
-    pub(crate) fn canonicalize(&mut self) {
         self.cells.sort_unstable_by_key(|c| c.0);
-        let mut kept = 0;
-        let mut i = 0;
-        while i < self.cells.len() {
-            let (idx, mut sum) = self.cells[i];
-            i += 1;
-            while i < self.cells.len() && self.cells[i].0 == idx {
-                sum.merge(&self.cells[i].1);
-                i += 1;
+        // Folds each cell into the kept one of equal index before it.
+        self.cells.dedup_by(|next, sum| {
+            let same = next.0 == sum.0;
+            if same {
+                sum.1.merge(&next.1);
             }
-            if !sum.is_zero() {
-                self.cells[kept] = (idx, sum);
-                kept += 1;
-            }
-        }
-        self.cells.truncate(kept);
-    }
-
-    /// Number of nonzero cells.
-    pub fn nnz(&self) -> usize {
-        self.cells.len()
+            same
+        });
+        self.cells.retain(|c| !c.1.is_zero());
     }
 }
 
@@ -545,7 +517,7 @@ mod sparse_tests {
 
     fn dense_of(fam: &SketchFamily, sparse: &SparseSketch) -> L0Sampler {
         let mut dense = fam.empty(0);
-        dense.merge_sparse(sparse);
+        dense.merge_cells(sparse.cells());
         dense
     }
 
@@ -553,7 +525,7 @@ mod sparse_tests {
     fn sparse_matches_dense() {
         let fam = SketchFamily::new(60, 1, 3);
         let mut dense = fam.empty(0);
-        let mut sparse = SparseSketch::new();
+        let mut sparse = SparseSketch::default();
         for v in 1..20 {
             fam.add_edge(&mut dense, 0, v);
             sparse.apply(&fam.prepare(0, 0, v), 0);
@@ -564,13 +536,13 @@ mod sparse_tests {
     #[test]
     fn sparse_merge_cancels() {
         let fam = SketchFamily::new(30, 1, 5);
-        let mut a = SparseSketch::new();
-        let mut b = SparseSketch::new();
+        let mut a = SparseSketch::default();
+        let mut b = SparseSketch::default();
         let edge = fam.prepare(0, 2, 7);
         a.apply(&edge, 2);
         b.apply(&edge, 7);
         a.merge(&b);
-        assert_eq!(a.nnz(), 0);
+        assert_eq!(a.cells().len(), 0);
         assert!(fam.decode(&dense_of(&fam, &a)).is_none());
     }
 
@@ -607,10 +579,9 @@ mod sparse_tests {
     }
 
     proptest::proptest! {
-        /// `merge`, and `append_cells` + `canonicalize`, == allocate-and-join
-        /// merge on sketches of random edge sets around one vertex and its
-        /// neighbours, including empty operands, partial cancellation and
-        /// full cancellation.
+        /// `merge` == allocate-and-join merge on sketches of random edge
+        /// sets around one vertex and its neighbours, including empty
+        /// operands, partial cancellation and full cancellation.
         #[test]
         fn in_place_merge_matches_reference(
             ours in proptest::collection::vec(1u32..40, 0..30),
@@ -620,11 +591,11 @@ mod sparse_tests {
             let fam = SketchFamily::new(40, 1, seed);
             // `a` sketches vertex 0's side of its edges; `b` the far side of
             // another edge set, so shared edges cancel and the rest survive.
-            let mut a = SparseSketch::new();
+            let mut a = SparseSketch::default();
             for &v in &ours {
                 a.apply(&fam.prepare(0, 0, v), 0);
             }
-            let mut b = SparseSketch::new();
+            let mut b = SparseSketch::default();
             for &v in &theirs {
                 b.apply(&fam.prepare(0, 0, v), v);
             }
@@ -635,32 +606,31 @@ mod sparse_tests {
             assert!(got.cells.windows(2).all(|w| w[0].0 < w[1].0));
             assert!(got.cells.iter().all(|c| !c.1.is_zero()));
 
-            // Many operands gathered first and summed once, in another order.
-            let mut all = SparseSketch::new();
-            for operand in [&b, &SparseSketch::new(), &a, &b, &a] {
-                all.append_cells(operand);
+            // Many operands, in another order.
+            let mut all = SparseSketch::default();
+            for operand in [&b, &SparseSketch::default(), &a, &b, &a] {
+                all.merge(operand);
             }
-            all.canonicalize();
             assert_eq!(all, reference_merge(&want, &want));
 
             // Full cancellation: the far sides of exactly `a`'s edges.
-            let mut mirror = SparseSketch::new();
+            let mut mirror = SparseSketch::default();
             for &v in &ours {
                 mirror.apply(&fam.prepare(0, 0, v), v);
             }
-            assert_eq!(reference_merge(&a, &mirror).nnz(), 0);
+            assert_eq!(reference_merge(&a, &mirror).cells().len(), 0);
             a.merge(&mirror);
-            assert_eq!(a.nnz(), 0);
+            assert_eq!(a.cells().len(), 0);
         }
     }
 
     #[test]
     fn sparse_words_track_nnz() {
         let fam = SketchFamily::new(100, 1, 1);
-        let mut s = SparseSketch::new();
+        let mut s = SparseSketch::default();
         assert_eq!(s.words(), 0);
         s.apply(&fam.prepare(0, 1, 2), 1);
         assert!(s.words() >= 4);
-        assert_eq!(s.words(), 4 * s.nnz());
+        assert_eq!(s.words(), 4 * s.cells().len());
     }
 }

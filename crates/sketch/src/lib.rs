@@ -44,7 +44,7 @@ pub mod l0;
 pub mod onesparse;
 
 pub use connectivity::{
-    merge_partials, partial_key, sketch_connectivity, sketch_connectivity_sparse,
+    merge_batches, partial_key, sketch_connectivity, sketch_connectivity_batches, PartialBatch,
 };
-pub use l0::{EdgeUpdate, L0Sampler, SketchFamily, SparseSketch, VertexSketch};
+pub use l0::{EdgeUpdate, L0Sampler, SketchFamily, SparseCell, SparseSketch, VertexSketch};
 pub use onesparse::{OneSparse, OneSparseDecode};

@@ -3,12 +3,56 @@
 //! unions safe.
 
 use mpc_graph::generators;
+use mpc_runtime::Payload;
 use mpc_sketch::field::{self, PowTable};
 use mpc_sketch::{
-    merge_partials, sketch_connectivity, sketch_connectivity_sparse, SketchFamily, SparseSketch,
+    merge_batches, partial_key, sketch_connectivity, sketch_connectivity_batches, OneSparse,
+    PartialBatch, SketchFamily, SparseCell, SparseSketch,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// The sender kernel as it was before partials were batched: one
+/// [`SparseSketch`] per `(phase, endpoint)` key, every edge applied to both
+/// endpoints' sketches. Kept as the oracle `partial_batches` is held to.
+fn old_partial_sketches(fam: &SketchFamily, edges: &[(u32, u32)]) -> BTreeMap<u64, SparseSketch> {
+    let mut out: BTreeMap<u64, SparseSketch> = BTreeMap::new();
+    for phase in 0..fam.phases() {
+        for &(u, v) in edges {
+            let update = fam.prepare(phase, u, v);
+            for x in [u, v] {
+                out.entry(partial_key(phase, x))
+                    .or_default()
+                    .apply(&update, x);
+            }
+        }
+    }
+    out
+}
+
+/// The owner kernel as it was: the per-key sum of `(key, sketch)` messages.
+fn old_merge_partials<'a>(
+    partials: impl IntoIterator<Item = (&'a u64, &'a SparseSketch)>,
+) -> BTreeMap<u64, SparseSketch> {
+    let mut out: BTreeMap<u64, SparseSketch> = BTreeMap::new();
+    for (key, sketch) in partials {
+        out.entry(*key).or_default().merge(sketch);
+    }
+    out
+}
+
+/// A batch as the `(key, cells)` map the oracles produce.
+fn keyed(batch: &PartialBatch) -> BTreeMap<u64, SparseSketch> {
+    batch
+        .iter()
+        .map(|(key, cells)| (key, SparseSketch::from_sorted_cells(cells)))
+        .collect()
+}
+
+/// What the per-key messages of `partials` cost on the wire.
+fn old_words(partials: &BTreeMap<u64, SparseSketch>) -> usize {
+    partials.values().map(|s| 1 + s.words()).sum()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -63,14 +107,14 @@ proptest! {
     ) {
         let fam = SketchFamily::new(40, 1, seed);
         let mut dense = fam.empty(0);
-        let mut sparse = SparseSketch::new();
+        let mut sparse = SparseSketch::default();
         for &(u, v) in &edges {
             if u == v { continue; }
             fam.add_edge(&mut dense, u, v);
             sparse.apply(&fam.prepare(0, u, v), u);
         }
         let mut densified = fam.empty(0);
-        densified.merge_sparse(&sparse);
+        densified.merge_cells(sparse.cells());
         prop_assert_eq!(densified, dense);
     }
 
@@ -93,15 +137,123 @@ proptest! {
         }
     }
 
-    /// The distributed pipeline's kernels — per-machine partials, owner
+    /// Batched sender and owner kernels == the per-key path they replaced,
+    /// key for key and cell for cell, on multigraphs with parallel edges,
+    /// reversed duplicates and self-loops, however the edges are split over
+    /// senders and the keys over owners; and a batch costs exactly the
+    /// words of the per-key messages it stands for, per (sender, owner)
+    /// and per owner.
+    #[test]
+    fn batches_match_the_per_key_path(
+        edges in proptest::collection::vec((0u32..24, 0u32..24), 0..60),
+        machines in 1usize..6,
+        owners in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        let fam = SketchFamily::new(24, 3, seed);
+        let shares: Vec<Vec<(u32, u32)>> = (0..machines)
+            .map(|m| edges.iter().copied().skip(m).step_by(machines).collect())
+            .collect();
+        let old_sent: Vec<_> = shares.iter().map(|s| old_partial_sketches(&fam, s)).collect();
+        let sent: Vec<_> = shares.iter().map(|s| fam.partial_batches(s, owners)).collect();
+        for o in 0..owners {
+            // What each sender's per-key messages to owner `o` were.
+            let old_inbox: Vec<BTreeMap<u64, SparseSketch>> = old_sent
+                .iter()
+                .map(|old| {
+                    let mine = old.iter().filter(|(key, _)| **key % owners as u64 == o as u64);
+                    mine.map(|(key, s)| (*key, s.clone())).collect()
+                })
+                .collect();
+            for (want, new) in old_inbox.iter().zip(&sent) {
+                prop_assert_eq!(new.len(), owners);
+                prop_assert_eq!(new[o].is_empty(), want.is_empty());
+                prop_assert_eq!(new[o].words(), old_words(want));
+                prop_assert_eq!(&keyed(&new[o]), want);
+            }
+            let inbox: Vec<PartialBatch> = sent.iter().map(|b| b[o].clone()).collect();
+            let merged = merge_batches(&inbox);
+            let want = old_merge_partials(old_inbox.iter().flatten());
+            let keys: Vec<u64> = merged.iter().map(|(key, _)| key).collect();
+            prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "one partial per key, ascending");
+            prop_assert_eq!(merged.words(), old_words(&want));
+            prop_assert_eq!(keyed(&merged), want);
+        }
+    }
+
+    /// One edge at a time (every endpoint on the one-edge path) and all
+    /// edges at once (shared endpoints go through the accumulator) merge
+    /// to the same batch.
+    #[test]
+    fn one_edge_path_agrees_with_the_accumulator(
+        edges in proptest::collection::vec((0u32..12, 0u32..12), 1..30),
+        seed in any::<u64>(),
+    ) {
+        let fam = SketchFamily::new(12, 2, seed);
+        let singly: Vec<PartialBatch> =
+            edges.iter().flat_map(|&e| fam.partial_batches(&[e], 1)).collect();
+        let at_once = fam.partial_batches(&edges, 1);
+        prop_assert_eq!(merge_batches(&singly), merge_batches(&at_once));
+    }
+
+    /// Cells that cancel at the owner leave their key behind with no
+    /// cells — the one-word message the per-key path sent — and cells
+    /// that cancel only in part leave the rest.
+    #[test]
+    fn cancelled_keys_keep_their_word(
+        picks in proptest::collection::vec((0u64..6, 0u32..9, 1u64..50, any::<bool>()), 1..40),
+    ) {
+        let cell = |slot: u64, sign: i64| {
+            let mut c = OneSparse::new();
+            c.update_term(slot, sign, if sign > 0 { slot } else { mpc_sketch::field::sub(0, slot) });
+            c
+        };
+        // Per key, per cell index: the slots added; `mirror` removes the
+        // slots flagged for it.
+        let mut plus: BTreeMap<u64, BTreeMap<u32, Vec<u64>>> = BTreeMap::new();
+        let mut minus = plus.clone();
+        for &(key, idx, slot, cancel) in &picks {
+            plus.entry(key).or_default().entry(idx).or_default().push(slot);
+            if cancel {
+                minus.entry(key).or_default().entry(idx).or_default().push(slot);
+            }
+        }
+        let batch_of = |side: &BTreeMap<u64, BTreeMap<u32, Vec<u64>>>, sign: i64| {
+            let mut batch = PartialBatch::default();
+            for (&key, by_idx) in side {
+                let cells: Vec<SparseCell> = by_idx
+                    .iter()
+                    .map(|(&idx, slots)| {
+                        let mut sum = OneSparse::new();
+                        slots.iter().for_each(|&s| sum.merge(&cell(s, sign)));
+                        (idx, sum)
+                    })
+                    .collect();
+                batch.push(key, cells);
+            }
+            batch
+        };
+        let (sender, mirror) = (batch_of(&plus, 1), batch_of(&minus, -1));
+        let merged = merge_batches(&[sender.clone(), mirror.clone()]);
+        let want = old_merge_partials(keyed(&sender).iter().chain(keyed(&mirror).iter()));
+        prop_assert_eq!(merged.words(), old_words(&want));
+        prop_assert_eq!(keyed(&merged), want);
+        let all_cancelled = picks.iter().all(|p| p.3);
+        if all_cancelled {
+            prop_assert_eq!(merged.words(), plus.len());
+        }
+    }
+
+    /// The distributed pipeline's kernels — per-machine batches, owner
     /// merge, sparse-row Borůvka — give the same `Components` as dense
     /// sketch-Borůvka over whole-graph sketches, however the edges are
-    /// split across machines.
+    /// split across machines and the keys across owners.
     #[test]
     fn sparse_pipeline_matches_dense_boruvka(
         shape in 0usize..4,
         n in 8usize..48,
         machines in 1usize..6,
+        owners in 1usize..4,
         seed in 0u64..500,
     ) {
         let g = match shape {
@@ -119,26 +271,26 @@ proptest! {
         let want = sketch_connectivity(&fam, &dense_rows, n);
 
         // Round-robin the edges over `machines`; every machine sketches
-        // its share, one owner sums everything.
-        let inbox: Vec<(u64, SparseSketch)> = (0..machines)
-            .flat_map(|m| {
+        // its share, every owner sums what it is sent.
+        let sent: Vec<Vec<PartialBatch>> = (0..machines)
+            .map(|m| {
                 let share: Vec<_> = pairs.iter().copied().skip(m).step_by(machines).collect();
-                fam.partial_sketches(&share)
+                fam.partial_batches(&share, owners)
             })
             .collect();
-        let merged = merge_partials(inbox);
-        prop_assert!(merged.windows(2).all(|w| w[0].0 < w[1].0), "one sketch per key, ascending");
+        let mut arrived: Vec<PartialBatch> = (0..owners)
+            .map(|o| merge_batches(&sent.iter().map(|b| b[o].clone()).collect::<Vec<_>>()))
+            .collect();
         // A merged partial is the vertex's whole-graph sketch.
-        for (key, sparse) in &merged {
+        for (key, cells) in arrived.iter().flat_map(PartialBatch::iter) {
             let (phase, v) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
             let mut dense = fam.empty(phase);
-            dense.merge_sparse(sparse);
+            dense.merge_cells(cells);
             prop_assert_eq!(&dense, &dense_rows[phase][v]);
         }
-        // Arrival order at the large machine is not key order.
-        let mut arrived = merged;
+        // Arrival order at the large machine is not owner order.
         arrived.reverse();
-        prop_assert_eq!(sketch_connectivity_sparse(&fam, arrived, n), want);
+        prop_assert_eq!(sketch_connectivity_batches(&fam, &arrived, n), want);
     }
 
     /// End-to-end: sketch connectivity equals true components w.h.p.
