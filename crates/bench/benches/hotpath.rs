@@ -11,15 +11,24 @@ use std::hint::black_box;
 fn bench_exec_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("exec_hotpath");
     group.sample_size(10);
-    for (name, mode) in [
-        ("ripple_k64_serial", ExecMode::Serial),
-        ("ripple_k64_spawn_per_round", ExecMode::SpawnPerRound),
-        ("ripple_k64_pool", ExecMode::Parallel),
+    // The last case is the bare round loop: many machines, zero work, one
+    // word per machine-round (the repository benchmark's `ring`).
+    for (name, mode, k, rounds, work) in [
+        ("ripple_k64_serial", ExecMode::Serial, 64, 40, 800),
+        (
+            "ripple_k64_spawn_per_round",
+            ExecMode::SpawnPerRound,
+            64,
+            40,
+            800,
+        ),
+        ("ripple_k64_pool", ExecMode::Parallel, 64, 40, 800),
+        ("ripple_k257_w0_serial", ExecMode::Serial, 257, 2_000, 0),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut cluster = ripple_cluster(64);
-                let programs = ripple_programs(&cluster, 40, 800);
+                let mut cluster = ripple_cluster(k);
+                let programs = ripple_programs(&cluster, rounds, work);
                 black_box(
                     Executor::new("ripple", mode)
                         .run(&mut cluster, programs)

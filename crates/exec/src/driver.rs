@@ -17,18 +17,25 @@
 //! outbox list and the cluster's accounting scratch are reused through
 //! [`Cluster::exchange_into`](mpc_runtime::Cluster::exchange_into), and in
 //! [`ExecMode::Parallel`] the worker threads are spawned **once per run**
-//! ([`pool`](crate::pool)) instead of once per round. It is **not**
-//! allocation-free, though: `step` consumes its inbox by value, so the
-//! slot swap after the exchange hands `exchange_into` a zero-capacity
-//! vector and every non-empty inbox is allocated and freed every round
-//! (as is every outbox a program builds).
+//! ([`pool`](crate::pool)) instead of once per round. The loop reaches the
+//! machines through [`Slots`]: in [`ExecMode::Serial`] the driving thread
+//! owns them outright and steps and folds each machine in one pass; only
+//! the worker-backed modes put them behind (uncontended) locks, step
+//! behind a barrier and fold afterwards in machine-id order — the same
+//! fold, on the same values, so the argument above does not change.
+//!
+//! It is **not** allocation-free: `step` consumes its inbox by value and
+//! builds its outbox, one free and one allocation per machine-round that
+//! belong to the program. The driver adds none where send and receive
+//! volumes are alike: a stepped machine's drained outbox buffer is the
+//! buffer the next exchange delivers its mail into.
 //!
 //! Where a cheap round goes (the benchmark's `ring`, 257 machines ×
-//! 10 000 rounds, one 1-word message per machine-round, `Serial`, 286 ms,
-//! a scratch-instrumented driver at commit `db04f67`): activation pass
-//! 38 ms, `step` 79 ms, outbox fold-back 59 ms, `exchange_into` 67 ms,
-//! inbox swap 43 ms — four uncontended mutex passes over the slots per
-//! machine-round, of which only `step` does program work.
+//! 10 000 rounds, one 1-word message per machine-round, `Serial`; minima
+//! of a scratch-instrumented driver, DESIGN.md §2.2): 100 ms — the fused
+//! step-and-fold pass 53 (≈ 33 of it the program's own `vec!`, inbox drop
+//! and checksum), `exchange_into` 35, hand-on and inbox swap 9.3,
+//! activation 1.7.
 
 use crate::machine::{MachineCtx, MachineProgram, StepOutcome};
 use crate::pool::{PanicPayload, PoolCore, PoolStats};
@@ -37,11 +44,10 @@ use mpc_runtime::telemetry::{TraceEvent, TraceSink};
 use mpc_runtime::{Cluster, MachineId, ModelViolation, RoundLabel};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How the driver schedules machine steps within a round.
@@ -157,20 +163,90 @@ struct StepSlot<M> {
 }
 
 /// One machine's run-long state: program, private RNG, and the per-round
-/// inbox/outcome mailboxes. Owned behind a `Mutex` so pool workers can
-/// claim machines in any order; each slot is only ever touched by one
-/// thread at a time (the claim counter hands out disjoint indices), so the
-/// locks never contend.
+/// inbox/outcome mailboxes.
 struct MachineSlot<P: MachineProgram> {
     program: P,
     rng: SmallRng,
     inbox: Vec<(MachineId, P::Message)>,
     halted: bool,
     /// Whether this machine steps this round (active, or reactivated by a
-    /// message). Set by the driving thread before the round barrier.
+    /// message). Set by the driving thread before any machine steps.
     stepping: bool,
-    /// The step's outcome, folded back in machine-id order after the round.
+    /// A worker's step outcome, parked until the driving thread folds it
+    /// back in machine-id order after the barrier (unused when owned).
     outcome: Option<StepSlot<P::Message>>,
+}
+
+impl<P: MachineProgram> MachineSlot<P> {
+    fn new(program: P, rng: SmallRng, halted: bool) -> Self {
+        MachineSlot {
+            program,
+            rng,
+            inbox: Vec::new(),
+            halted,
+            stepping: false,
+            outcome: None,
+        }
+    }
+
+    /// Flags the machine for this round: active, or woken by mail.
+    fn activate(&mut self) -> bool {
+        self.stepping = !self.halted || !self.inbox.is_empty();
+        self.stepping
+    }
+}
+
+/// How the round loop reaches the machine slots — the one place
+/// [`ExecMode`] shows in it.
+enum Slots<'a, P: MachineProgram> {
+    /// [`ExecMode::Serial`]: the driving thread owns the slots and steps
+    /// and folds each machine in one pass.
+    Owned(&'a mut [MachineSlot<P>]),
+    /// The worker-backed modes: threads claim machines in any order, so
+    /// each slot sits behind a lock that never contends (every index is
+    /// handed to exactly one thread, and the driving thread only looks
+    /// between barriers).
+    Shared {
+        slots: &'a [Mutex<MachineSlot<P>>],
+        /// Publishes a machine's activity flag, so pool workers skip idle
+        /// machines (halted, nothing in the inbox) without a lock cycle.
+        mark_active: &'a dyn Fn(MachineId, bool),
+        /// Steps every flagged machine and returns once all are done.
+        step_all: &'a mut dyn FnMut(u64) -> Result<(), PanicPayload>,
+    },
+}
+
+/// Locks a shared slot. A panicking step poisons its lock; the poison is
+/// ignored so the *original* payload (not a `PoisonError`) reaches the
+/// caller once programs and RNGs are back in place.
+fn lock<P: MachineProgram>(slot: &Mutex<MachineSlot<P>>) -> MutexGuard<'_, MachineSlot<P>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<P: MachineProgram> Slots<'_, P> {
+    fn len(&self) -> usize {
+        match self {
+            Slots::Owned(slots) => slots.len(),
+            Slots::Shared { slots, .. } => slots.len(),
+        }
+    }
+
+    fn with<R>(&mut self, mid: MachineId, f: impl FnOnce(&mut MachineSlot<P>) -> R) -> R {
+        match self {
+            Slots::Owned(slots) => f(&mut slots[mid]),
+            Slots::Shared { slots, .. } => f(&mut lock(&slots[mid])),
+        }
+    }
+
+    /// One pass over every slot, in machine-id order.
+    fn for_each(&mut self, mut f: impl FnMut(MachineId, &mut MachineSlot<P>)) {
+        match self {
+            Slots::Owned(slots) => slots.iter_mut().enumerate().for_each(|(mid, s)| f(mid, s)),
+            Slots::Shared { slots, .. } => {
+                (slots.iter().enumerate()).for_each(|(mid, s)| f(mid, &mut lock(s)))
+            }
+        }
+    }
 }
 
 /// Immutable cluster shape shared with the step job.
@@ -202,9 +278,9 @@ enum DriveEnd {
 /// outside [`MachineProgram::step`] and replay-from-checkpoint could not
 /// otherwise reproduce them.
 pub struct WaveRound<'a, P: MachineProgram> {
-    slots: &'a [Mutex<MachineSlot<P>>],
+    slots: Slots<'a, P>,
     round: u64,
-    dirty: Cell<bool>,
+    dirty: bool,
 }
 
 impl<P: MachineProgram> WaveRound<'_, P> {
@@ -225,15 +301,18 @@ impl<P: MachineProgram> WaveRound<'_, P> {
         mid: MachineId,
         f: impl FnOnce(&P, &[(MachineId, P::Message)]) -> R,
     ) -> R {
-        let s = self.slots[mid].lock().unwrap();
-        f(&s.program, &s.inbox)
+        match &self.slots {
+            Slots::Owned(slots) => f(&slots[mid].program, &slots[mid].inbox),
+            Slots::Shared { slots, .. } => {
+                let s = lock(&slots[mid]);
+                f(&s.program, &s.inbox)
+            }
+        }
     }
 
     /// Mutable access to one machine's program; marks the round dirty.
-    pub fn with<R>(&self, mid: MachineId, f: impl FnOnce(&mut P) -> R) -> R {
-        self.dirty.set(true);
-        let mut s = self.slots[mid].lock().unwrap();
-        f(&mut s.program)
+    pub fn with<R>(&mut self, mid: MachineId, f: impl FnOnce(&mut P) -> R) -> R {
+        self.with_mail(mid, |program, _| f(program))
     }
 
     /// Mutable access to one machine's program *and* its pending inbox;
@@ -242,25 +321,19 @@ impl<P: MachineProgram> WaveRound<'_, P> {
     /// or the next step would deliver messages to a lane that no longer
     /// exists (DESIGN.md §2.9).
     pub fn with_mail<R>(
-        &self,
+        &mut self,
         mid: MachineId,
         f: impl FnOnce(&mut P, &mut Vec<(MachineId, P::Message)>) -> R,
     ) -> R {
-        self.dirty.set(true);
-        let mut s = self.slots[mid].lock().unwrap();
-        let MachineSlot {
-            ref mut program,
-            ref mut inbox,
-            ..
-        } = *s;
-        f(program, inbox)
+        self.dirty = true;
+        self.slots.with(mid, |s| f(&mut s.program, &mut s.inbox))
     }
 
     /// Clears a machine's halt vote so it steps this round (admission into
     /// an otherwise-idle wave); marks the round dirty.
-    pub fn wake(&self, mid: MachineId) {
-        self.dirty.set(true);
-        self.slots[mid].lock().unwrap().halted = false;
+    pub fn wake(&mut self, mid: MachineId) {
+        self.dirty = true;
+        self.slots.with(mid, |s| s.halted = false);
     }
 }
 
@@ -270,7 +343,7 @@ impl<P: MachineProgram> WaveRound<'_, P> {
 /// the driver keeps the round loop alive across full drains instead of
 /// ending the run).
 pub type RoundHook<'h, P> =
-    &'h mut dyn FnMut(&mut Cluster, &WaveRound<'_, P>) -> Result<bool, ExecError>;
+    &'h mut dyn FnMut(&mut Cluster, &mut WaveRound<'_, P>) -> Result<bool, ExecError>;
 
 impl Executor {
     /// An executor labeling its exchanges `{label}.r{round}`.
@@ -388,109 +461,98 @@ impl Executor {
         // Move each machine's program and private RNG into its slot for the
         // duration of the run (the RNGs go back below, stream positions
         // intact, so the cluster observes exactly a serial execution).
-        let mut slots: Vec<Mutex<MachineSlot<P>>> = programs
+        let mut slots: Vec<MachineSlot<P>> = programs
             .into_iter()
             .zip(cluster.rngs_mut().iter_mut())
             .map(|(program, rng)| {
-                Mutex::new(MachineSlot {
-                    program,
-                    rng: std::mem::replace(rng, SmallRng::seed_from_u64(0)),
-                    inbox: Vec::new(),
-                    halted: false,
-                    stepping: false,
-                    outcome: None,
-                })
+                let rng = std::mem::replace(rng, SmallRng::seed_from_u64(0));
+                MachineSlot::new(program, rng, false)
             })
             .collect();
 
         let tracing = ctx.sink.is_some();
         let mut pool_stats: Option<PoolStats> = None;
 
-        // Serial and spawn-per-round wrap their stepping in `catch_unwind`
-        // for the same reason the pool catches on its workers: a step panic
-        // must flow through `DriveEnd::Panicked` so the RNG/program
-        // restoration below runs before the payload is re-raised —
-        // post-panic cluster state is identical in every mode.
+        // Every mode catches a step panic (here, in `drive`, or on the pool
+        // workers) and reports it as `DriveEnd::Panicked`, so the
+        // RNG/program restoration below runs before the payload is
+        // re-raised — post-panic cluster state is identical in every mode.
         let end = match self.mode {
-            ExecMode::Serial => {
-                let slots = &slots;
-                self.drive(cluster, slots, hook, &mut |_mid, _on| {}, &mut |round| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        for mid in 0..k {
-                            step_slot(&slots[mid], mid, &ctx, round);
-                        }
-                    }))
-                })
-            }
-            ExecMode::SpawnPerRound => {
-                let threads = self.worker_threads().min(k).max(1);
-                let chunk = k.div_ceil(threads);
-                let ids: Vec<usize> = (0..k).collect();
-                let slots = &slots;
-                let ctx = &ctx;
-                self.drive(cluster, slots, hook, &mut |_mid, _on| {}, &mut |round| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        std::thread::scope(|scope| {
-                            for chunk_ids in ids.chunks(chunk) {
-                                scope.spawn(move || {
-                                    for &mid in chunk_ids {
-                                        step_slot(&slots[mid], mid, ctx, round);
-                                    }
-                                });
-                            }
-                        });
-                    }))
-                })
-            }
-            ExecMode::Parallel => {
-                let pool =
-                    PoolCore::new(k, self.worker_threads().min(k).max(1)).with_stats(tracing);
-                let sink = ctx.sink.clone();
-                let slots_ref = &slots;
-                let ctx = &ctx;
-                let job = move |mid: usize, round: u64| step_slot(&slots_ref[mid], mid, ctx, round);
-                let stats = &mut pool_stats;
-                std::thread::scope(|scope| {
-                    pool.spawn_workers(scope, &job);
-                    // Publish each round's activity flags to the pool, so
-                    // workers skip idle machines (halted, nothing in the
-                    // inbox) without a mutex claim cycle.
-                    let end = self.drive(
-                        cluster,
-                        slots_ref,
-                        hook,
-                        &mut |mid, on| pool.set_active(mid, on),
-                        &mut |round| {
-                            let result = pool.run_round(round);
-                            if result.is_ok() && tracing {
-                                // Drain this round's per-worker counters into
-                                // the run totals and the event stream.
-                                let round_stats = pool.take_round_stats();
-                                if let Some(sink) = &sink {
-                                    for (worker, s) in round_stats.iter().enumerate() {
-                                        sink.record(&TraceEvent::WorkerRound {
-                                            round,
-                                            worker,
-                                            claimed: s.claimed as usize,
-                                            stepped: s.stepped as usize,
-                                            idle_skips: s.idle_skips as usize,
-                                            wait_ns: s.wait_ns,
-                                            busy_ns: s.busy_ns,
+            ExecMode::Serial => self.drive(cluster, Slots::Owned(&mut slots), &ctx, hook),
+            mode => {
+                // Workers need the slots shared: lock-guard them for the run.
+                let shared: Vec<Mutex<MachineSlot<P>>> = slots.drain(..).map(Mutex::new).collect();
+                let (shared_ref, ctx) = (&shared[..], &ctx);
+                let job = move |mid: usize, round: u64| {
+                    let s = &mut *lock(&shared_ref[mid]);
+                    s.outcome = s.stepping.then(|| step_machine(s, mid, ctx, round));
+                };
+                let end = if mode == ExecMode::SpawnPerRound {
+                    let threads = self.worker_threads().min(k).max(1);
+                    let ids: Vec<usize> = (0..k).collect();
+                    let (ids, job) = (&ids, &job);
+                    let slots = Slots::Shared {
+                        slots: shared_ref,
+                        mark_active: &|_mid, _on| {},
+                        step_all: &mut |round| {
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                std::thread::scope(|scope| {
+                                    for chunk_ids in ids.chunks(k.div_ceil(threads)) {
+                                        scope.spawn(move || {
+                                            chunk_ids.iter().for_each(|&mid| job(mid, round));
                                         });
                                     }
-                                }
-                                stats
-                                    .get_or_insert_with(PoolStats::default)
-                                    .add_round(&round_stats);
-                            }
-                            result
+                                });
+                            }))
                         },
-                    );
-                    // Every exit path must release the workers, or the
-                    // scope's implicit join would hang.
-                    pool.shutdown();
-                    end
-                })
+                    };
+                    self.drive(cluster, slots, ctx, hook)
+                } else {
+                    let pool =
+                        PoolCore::new(k, self.worker_threads().min(k).max(1)).with_stats(tracing);
+                    let sink = ctx.sink.clone();
+                    let stats = &mut pool_stats;
+                    std::thread::scope(|scope| {
+                        pool.spawn_workers(scope, &job);
+                        let slots = Slots::Shared {
+                            slots: shared_ref,
+                            mark_active: &|mid, on| pool.set_active(mid, on),
+                            step_all: &mut |round| {
+                                let result = pool.run_round(round);
+                                if result.is_ok() && tracing {
+                                    // Drain this round's per-worker counters
+                                    // into the run totals and the event stream.
+                                    let round_stats = pool.take_round_stats();
+                                    if let Some(sink) = &sink {
+                                        for (worker, s) in round_stats.iter().enumerate() {
+                                            sink.record(&TraceEvent::WorkerRound {
+                                                round,
+                                                worker,
+                                                claimed: s.claimed as usize,
+                                                stepped: s.stepped as usize,
+                                                idle_skips: s.idle_skips as usize,
+                                                wait_ns: s.wait_ns,
+                                                busy_ns: s.busy_ns,
+                                            });
+                                        }
+                                    }
+                                    stats
+                                        .get_or_insert_with(PoolStats::default)
+                                        .add_round(&round_stats);
+                                }
+                                result
+                            },
+                        };
+                        let end = self.drive(cluster, slots, ctx, hook);
+                        // Every exit path must release the workers, or the
+                        // scope's implicit join would hang.
+                        pool.shutdown();
+                        end
+                    })
+                };
+                let unlocked = shared.into_iter().map(Mutex::into_inner);
+                slots.extend(unlocked.map(|s| s.unwrap_or_else(PoisonError::into_inner)));
+                end
             }
         };
 
@@ -499,16 +561,10 @@ impl Executor {
             cluster.release("replica");
         }
 
-        // Hand the programs and the advanced RNG streams back. A panicking
-        // step poisons its slot's mutex; ignore the poison here so the
-        // *original* payload (not a `PoisonError`) reaches the caller.
+        // Hand the programs and the advanced RNG streams back.
         let mut programs = Vec::with_capacity(k);
-        for (slot, rng) in slots.iter_mut().zip(cluster.rngs_mut().iter_mut()) {
-            let slot = slot.get_mut().unwrap_or_else(|p| p.into_inner());
-            std::mem::swap(rng, &mut slot.rng);
-        }
-        for slot in slots {
-            let slot = slot.into_inner().unwrap_or_else(|p| p.into_inner());
+        for (slot, rng) in slots.into_iter().zip(cluster.rngs_mut().iter_mut()) {
+            *rng = slot.rng;
             programs.push(slot.program);
         }
 
@@ -524,20 +580,19 @@ impl Executor {
         }
     }
 
-    /// The mode-independent round loop: activation flags, the step barrier
-    /// (`step_all`), machine-order fold-back, and the exchange — with the
-    /// outbox/inbox buffers reused across rounds.
+    /// The round loop: hook, activation flags, step and fold-back (one
+    /// pass over owned slots; a barrier, then a machine-order pass over
+    /// shared ones), and the exchange — with the outbox/inbox buffers
+    /// reused across rounds.
     fn drive<P: MachineProgram>(
         &self,
         cluster: &mut Cluster,
-        slots: &[Mutex<MachineSlot<P>>],
+        mut slots: Slots<'_, P>,
+        ctx: &StepCtx,
         mut hook: Option<RoundHook<'_, P>>,
-        mark_active: &mut dyn FnMut(MachineId, bool),
-        step_all: &mut dyn FnMut(u64) -> Result<(), PanicPayload>,
     ) -> DriveEnd {
         let k = slots.len();
         let prefix: Arc<str> = Arc::from(self.label.as_str());
-        let sink = cluster.trace_sink();
         let mut outgoing: Vec<Vec<(MachineId, P::Message)>> = (0..k).map(|_| Vec::new()).collect();
         let mut inboxes: Vec<Vec<(MachineId, P::Message)>> = Vec::new();
         let mut round: u64 = 0;
@@ -551,30 +606,35 @@ impl Executor {
         loop {
             // Coordinator hook first: admissions/retirements land before
             // activation flags, the forced checkpoint, and any stepping,
-            // so every mode sees the identical post-hook state.
+            // so every mode sees the identical post-hook state. The view
+            // holds the slots for the duration of the call.
             let mut hook_pending = false;
             let mut hook_dirty = false;
             if let Some(h) = hook.as_mut() {
-                let view = WaveRound {
+                let mut view = WaveRound {
                     slots,
                     round,
-                    dirty: Cell::new(false),
+                    dirty: false,
                 };
-                match h(cluster, &view) {
-                    Ok(pending) => {
-                        hook_pending = pending;
-                        hook_dirty = view.dirty.get();
-                    }
+                match h(cluster, &mut view) {
+                    Ok(pending) => hook_pending = pending,
                     Err(e) => return DriveEnd::Failed(e),
                 }
+                hook_dirty = view.dirty;
+                slots = view.slots;
             }
+            let publish = match &slots {
+                Slots::Owned(_) => None,
+                Slots::Shared { mark_active, .. } => Some(*mark_active),
+            };
             let mut stepping_count = 0usize;
-            for (mid, slot) in slots.iter().enumerate() {
-                let mut s = slot.lock().unwrap();
-                s.stepping = !s.halted || !s.inbox.is_empty();
-                mark_active(mid, s.stepping);
-                stepping_count += s.stepping as usize;
-            }
+            slots.for_each(|mid, s| {
+                let on = s.activate();
+                stepping_count += on as usize;
+                if let Some(publish) = publish {
+                    publish(mid, on);
+                }
+            });
             if stepping_count == 0 {
                 break;
             }
@@ -590,12 +650,12 @@ impl Executor {
                 // hook's mutations happen outside `step`, so a replay from
                 // any earlier checkpoint could not reproduce them.
                 if hook_dirty || rec.is_cadence_round(round) {
-                    if let Err(e) = rec.checkpoint(cluster, slots, round) {
+                    if let Err(e) = rec.checkpoint(cluster, &mut slots, round) {
                         return DriveEnd::Failed(e);
                     }
                 }
             }
-            if let Some(sink) = &sink {
+            if let Some(sink) = &ctx.sink {
                 sink.record(&TraceEvent::StepSchedule {
                     round,
                     stepping: stepping_count,
@@ -603,27 +663,48 @@ impl Executor {
                 });
             }
 
-            if let Err(payload) = step_all(round) {
-                return DriveEnd::Panicked(payload);
-            }
-
-            // Fold results back in machine order (deterministic regardless
-            // of which thread ran which machine).
+            // Fold every outcome in machine order — deterministic whichever
+            // thread ran which machine. A machine that sat the round out
+            // has nothing to fold: it is halted, and the last exchange left
+            // its outbox empty. A step panic abandons the round part-folded
+            // (owned slots fold as they go): the work charged so far is
+            // dropped with the run, never logged.
+            debug_assert!(outgoing.iter().all(Vec::is_empty));
             let mut any_messages = false;
             let mut all_halted = true;
-            for (mid, slot) in slots.iter().enumerate() {
-                let mut s = slot.lock().unwrap();
-                if let Some(step) = s.outcome.take() {
-                    s.halted = step.halt;
-                    any_messages |= !step.outbox.is_empty();
-                    if step.work > 0 {
-                        cluster.charge_work(mid, step.work);
-                    }
-                    outgoing[mid] = step.outbox;
-                } else {
-                    outgoing[mid].clear();
+            let mut fold = |mid: MachineId, s: &mut MachineSlot<P>, step: StepSlot<P::Message>| {
+                s.halted = step.halt;
+                all_halted &= step.halt;
+                any_messages |= !step.outbox.is_empty();
+                if step.work > 0 {
+                    cluster.charge_work(mid, step.work);
                 }
-                all_halted &= s.halted;
+                outgoing[mid] = step.outbox;
+            };
+            let stepped = match &mut slots {
+                Slots::Owned(slots) => {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        for (mid, s) in slots.iter_mut().enumerate() {
+                            if s.stepping {
+                                let step = step_machine(s, mid, ctx, round);
+                                fold(mid, s, step);
+                            }
+                        }
+                    }))
+                }
+                Slots::Shared {
+                    slots, step_all, ..
+                } => step_all(round).map(|()| {
+                    for (mid, slot) in slots.iter().enumerate() {
+                        let s = &mut *lock(slot);
+                        if let Some(step) = s.outcome.take() {
+                            fold(mid, s, step);
+                        }
+                    }
+                }),
+            };
+            if let Err(payload) = stepped {
+                return DriveEnd::Panicked(payload);
             }
 
             if !any_messages && all_halted && !hook_pending {
@@ -667,44 +748,46 @@ impl Executor {
                 if !disruptive.is_empty() {
                     let capture =
                         capture.expect("armed faults were peeked before the exchange fired them");
-                    if let Err(e) =
-                        rec.recover(cluster, slots, capture, &disruptive, round, &mut inboxes)
-                    {
+                    if let Err(e) = rec.recover(
+                        cluster,
+                        &mut slots,
+                        capture,
+                        &disruptive,
+                        round,
+                        &mut inboxes,
+                    ) {
                         return DriveEnd::Failed(e);
                     }
                 }
                 rec.log_inboxes(round + 1, &inboxes);
             }
             round += 1;
-            for (mid, slot) in slots.iter().enumerate() {
-                let mut s = slot.lock().unwrap();
+            slots.for_each(|mid, s| {
+                // A stepped machine's inbox was consumed by value: its
+                // just-drained outbox becomes the buffer the next exchange
+                // delivers into, so neither is reallocated where a machine
+                // sends about as much as it receives.
+                if s.inbox.capacity() == 0 {
+                    s.inbox = std::mem::take(&mut outgoing[mid]);
+                }
                 std::mem::swap(&mut s.inbox, &mut inboxes[mid]);
-            }
+            });
         }
 
         DriveEnd::Done(round)
     }
 }
 
-/// Steps one machine: builds its context, runs the program, records the
-/// outcome and the deterministic work charge (inbox + outbox words + any
-/// explicitly charged computation). The slot lock is uncontended by
-/// construction — each machine index is handed to exactly one thread.
-fn step_slot<P: MachineProgram>(
-    slot: &Mutex<MachineSlot<P>>,
+/// Steps one machine flagged for this round — live or replayed: builds its
+/// context, runs the program, and returns the outcome with the
+/// deterministic work charge (inbox + outbox words + any explicitly
+/// charged computation).
+fn step_machine<P: MachineProgram>(
+    slot: &mut MachineSlot<P>,
     mid: MachineId,
     ctx: &StepCtx,
     round: u64,
-) {
-    let mut slot = match slot.lock() {
-        Ok(s) => s,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let slot = &mut *slot;
-    if !slot.stepping {
-        slot.outcome = None;
-        return;
-    }
+) -> StepSlot<P::Message> {
     let inbox = std::mem::take(&mut slot.inbox);
     let inbox_words: usize = inbox
         .iter()
@@ -729,11 +812,11 @@ fn step_slot<P: MachineProgram>(
         .iter()
         .map(|(_, m)| mpc_runtime::Payload::words(m))
         .sum();
-    slot.outcome = Some(StepSlot {
+    StepSlot {
         outbox,
         halt,
         work: inbox_words as u64 + outbox_words as u64 + extra,
-    });
+    }
 }
 
 /// One small machine's checkpoint: everything replay needs to reconstruct
@@ -749,9 +832,7 @@ struct Checkpoint<P: MachineProgram> {
 /// A crashed machine's state replayed forward to just *after* stepping the
 /// disrupted round.
 struct Replayed<P: MachineProgram> {
-    program: P,
-    rng: SmallRng,
-    halted: bool,
+    slot: MachineSlot<P>,
     outbox: Vec<(MachineId, P::Message)>,
     replayed: u64,
 }
@@ -842,9 +923,8 @@ fn merge_by_src<M>(main: &mut Vec<(MachineId, M)>, extra: Vec<(MachineId, M)>) {
 struct RecoveryState<P: MachineProgram> {
     policy: RecoveryPolicy,
     small_ids: Vec<MachineId>,
-    caps: Vec<usize>,
-    large: Option<MachineId>,
-    machines: usize,
+    /// The cluster shape replayed steps see — the live one, minus the sink.
+    ctx: StepCtx,
     /// Latest checkpoint per machine (`None` for programs without snapshot
     /// support). Small machines additionally ship replica chunks to ring
     /// successors; the large machine's checkpoint stays on the durable
@@ -874,9 +954,12 @@ impl<P: MachineProgram> RecoveryState<P> {
                 .policy()
                 .clone(),
             small_ids: cluster.small_ids(),
-            caps: (0..k).map(|m| cluster.capacity(m)).collect(),
-            large: cluster.large(),
-            machines: k,
+            ctx: StepCtx {
+                caps: (0..k).map(|m| cluster.capacity(m)).collect(),
+                large: cluster.large(),
+                machines: k,
+                sink: None,
+            },
             checkpoints: (0..k).map(|_| None).collect(),
             inbox_log: (0..k).map(|_| Vec::new()).collect(),
             ckpt_prefix: Arc::from(format!("{label}.ckpt").as_str()),
@@ -905,30 +988,15 @@ impl<P: MachineProgram> RecoveryState<P> {
     fn checkpoint(
         &mut self,
         cluster: &mut Cluster,
-        slots: &[Mutex<MachineSlot<P>>],
+        slots: &mut Slots<'_, P>,
         round: u64,
     ) -> Result<(), ExecError> {
         let n = self.small_ids.len();
         let replicas = self.policy.replicas.min(n.saturating_sub(1));
-        let mut owned = vec![0usize; self.machines];
+        let mut owned = vec![0usize; self.ctx.machines];
         for idx in 0..n {
             let m = self.small_ids[idx];
-            let (snapshot, words) = {
-                let s = slots[m].lock().unwrap_or_else(|p| p.into_inner());
-                let words = s.program.state_words();
-                let ck = s.program.snapshot().map(|program| Checkpoint {
-                    program,
-                    rng: s.rng.clone(),
-                    halted: s.halted,
-                    inbox: s.inbox.clone(),
-                    round,
-                });
-                (ck, words)
-            };
-            let have = snapshot.is_some();
-            self.checkpoints[m] = snapshot;
-            self.inbox_log[m].clear();
-            if have {
+            if let Some(words) = self.snapshot_slot(slots, m, round) {
                 for r in 1..=replicas {
                     let owner = self.small_ids[(idx + r) % n];
                     self.ckpt_out[m].push((owner, ReplicaChunk(words)));
@@ -936,23 +1004,8 @@ impl<P: MachineProgram> RecoveryState<P> {
                 }
             }
         }
-        if let Some(large) = self.large {
-            let (snapshot, words) = {
-                let s = slots[large].lock().unwrap_or_else(|p| p.into_inner());
-                let words = s.program.state_words();
-                let ck = s.program.snapshot().map(|program| Checkpoint {
-                    program,
-                    rng: s.rng.clone(),
-                    halted: s.halted,
-                    inbox: s.inbox.clone(),
-                    round,
-                });
-                (ck, words)
-            };
-            let have = snapshot.is_some();
-            self.checkpoints[large] = snapshot;
-            self.inbox_log[large].clear();
-            if have {
+        if let Some(large) = self.ctx.large {
+            if let Some(words) = self.snapshot_slot(slots, large, round) {
                 owned[large] += words;
             }
         }
@@ -968,6 +1021,30 @@ impl<P: MachineProgram> RecoveryState<P> {
             .account_all("replica", &owned)
             .map_err(ExecError::Model)?;
         Ok(())
+    }
+
+    /// Replaces machine `m`'s checkpoint with a snapshot of its slot at the
+    /// top of `round` and restarts its inbox log; returns the shard's
+    /// declared words if the program could be snapshotted.
+    fn snapshot_slot(
+        &mut self,
+        slots: &mut Slots<'_, P>,
+        m: MachineId,
+        round: u64,
+    ) -> Option<usize> {
+        let (snapshot, words) = slots.with(m, |s| {
+            let snapshot = s.program.snapshot().map(|program| Checkpoint {
+                program,
+                rng: s.rng.clone(),
+                halted: s.halted,
+                inbox: s.inbox.clone(),
+                round,
+            });
+            (snapshot, s.program.state_words())
+        });
+        self.checkpoints[m] = snapshot;
+        self.inbox_log[m].clear();
+        self.checkpoints[m].as_ref().map(|_| words)
     }
 
     /// Records the committed inboxes of round `next`
@@ -994,7 +1071,7 @@ impl<P: MachineProgram> RecoveryState<P> {
         // The peer-replica requirement applies to small machines only: the
         // large machine replays from its durable-host checkpoint and never
         // needed a peer in the first place.
-        if Some(m) != self.large && self.policy.replicas.min(n.saturating_sub(1)) == 0 {
+        if Some(m) != self.ctx.large && self.policy.replicas.min(n.saturating_sub(1)) == 0 {
             return Err(ExecError::Unrecoverable {
                 machine: m,
                 round: upto,
@@ -1010,7 +1087,7 @@ impl<P: MachineProgram> RecoveryState<P> {
                 round: upto,
                 reason: "no checkpoint snapshot (program opts out of recovery)".to_string(),
             })?;
-        let mut program = ck
+        let program = ck
             .program
             .snapshot()
             .ok_or_else(|| ExecError::Unrecoverable {
@@ -1018,13 +1095,12 @@ impl<P: MachineProgram> RecoveryState<P> {
                 round: upto,
                 reason: "checkpoint cannot be re-instantiated".to_string(),
             })?;
-        let mut rng = ck.rng.clone();
-        let mut halted = ck.halted;
+        let mut slot = MachineSlot::new(program, ck.rng.clone(), ck.halted);
         let mut outbox: Vec<(MachineId, P::Message)> = Vec::new();
         let mut replayed = 0u64;
         let mut work = 0u64;
         for j in ck.round..=upto {
-            let inbox: Vec<(MachineId, P::Message)> = if j == ck.round {
+            slot.inbox = if j == ck.round {
                 ck.inbox.clone()
             } else {
                 let i = (j - ck.round - 1) as usize;
@@ -1038,41 +1114,18 @@ impl<P: MachineProgram> RecoveryState<P> {
                     })?
             };
             outbox.clear();
-            if !halted || !inbox.is_empty() {
-                let inbox_words: usize = inbox
-                    .iter()
-                    .map(|(_, msg)| mpc_runtime::Payload::words(msg))
-                    .sum();
-                let mctx = MachineCtx::new(
-                    m,
-                    self.machines,
-                    self.large,
-                    self.caps[m],
-                    j,
-                    &mut rng,
-                    None,
-                );
-                let outcome = program.step(&mctx, inbox);
-                let extra = mctx.charged();
-                let (ob, halt) = match outcome {
-                    StepOutcome::Send(ob) => (ob, false),
-                    StepOutcome::Halt => (Vec::new(), true),
-                };
-                let outbox_words: usize = ob
-                    .iter()
-                    .map(|(_, msg)| mpc_runtime::Payload::words(msg))
-                    .sum();
-                work += inbox_words as u64 + outbox_words as u64 + extra;
-                outbox = ob;
-                halted = halt;
+            if slot.activate() {
+                // The live step function, unobserved (`ctx` has no sink).
+                let step = step_machine(&mut slot, m, &self.ctx, j);
+                work += step.work;
+                slot.halted = step.halt;
+                outbox = step.outbox;
                 replayed += 1;
             }
         }
         Ok((
             Replayed {
-                program,
-                rng,
-                halted,
+                slot,
                 outbox,
                 replayed,
             },
@@ -1089,7 +1142,7 @@ impl<P: MachineProgram> RecoveryState<P> {
     fn recover(
         &mut self,
         cluster: &mut Cluster,
-        slots: &[Mutex<MachineSlot<P>>],
+        slots: &mut Slots<'_, P>,
         capture: FaultCapture<P::Message>,
         fired: &[FiredFault],
         round: u64,
@@ -1162,7 +1215,7 @@ impl<P: MachineProgram> RecoveryState<P> {
                 cluster.restore_machine(m);
             }
             let mut rec_out: Vec<Vec<(MachineId, P::Message)>> =
-                (0..self.machines).map(|_| Vec::new()).collect();
+                (0..self.ctx.machines).map(|_| Vec::new()).collect();
             for &d in crashes.iter().chain(drops.iter()) {
                 let outbox = capture
                     .outbox_of
@@ -1237,10 +1290,11 @@ impl<P: MachineProgram> RecoveryState<P> {
                     "deterministic replay must regenerate the captured outbox"
                 );
             }
-            let mut s = slots[m].lock().unwrap_or_else(|p| p.into_inner());
-            s.program = rp.program;
-            s.rng = rp.rng;
-            s.halted = rp.halted;
+            slots.with(m, |s| {
+                s.program = rp.slot.program;
+                s.rng = rp.slot.rng;
+                s.halted = rp.slot.halted;
+            });
             if let Some(sink) = &sink {
                 sink.record(&TraceEvent::RecoveryRound {
                     round: cluster.rounds(),

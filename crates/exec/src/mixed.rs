@@ -28,17 +28,13 @@ use std::any::Any;
 // Message erasure
 // ---------------------------------------------------------------------------
 
-/// Object-safe view of a [`Payload`] message: size, clone, and downcast.
+/// Object-safe view of a [`Payload`] message: clone and downcast.
 trait AnyMsg: Send {
-    fn words_dyn(&self) -> usize;
     fn clone_box(&self) -> Box<dyn AnyMsg>;
     fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
 }
 
 impl<M: Payload + Send + 'static> AnyMsg for M {
-    fn words_dyn(&self) -> usize {
-        self.words()
-    }
     fn clone_box(&self) -> Box<dyn AnyMsg> {
         Box::new(self.clone())
     }
@@ -47,14 +43,22 @@ impl<M: Payload + Send + 'static> AnyMsg for M {
     }
 }
 
-/// A boxed message of some concrete [`Payload`] type. Words delegate to
-/// the payload inside, so erasure is invisible to capacity accounting.
-pub struct ErasedMsg(Box<dyn AnyMsg>);
+/// A boxed message of some concrete [`Payload`] type. Its words are those
+/// of the payload inside, so erasure is invisible to capacity accounting;
+/// they are read once, at boxing — the driver asks three times per message
+/// and a boxed message never changes.
+pub struct ErasedMsg {
+    words: usize,
+    msg: Box<dyn AnyMsg>,
+}
 
 impl ErasedMsg {
     /// Boxes a concrete message.
     pub fn new<M: Payload + Send + 'static>(msg: M) -> Self {
-        ErasedMsg(Box::new(msg))
+        ErasedMsg {
+            words: msg.words(),
+            msg: Box::new(msg),
+        }
     }
 
     /// Recovers the concrete message, panicking on a type mismatch (a
@@ -62,7 +66,7 @@ impl ErasedMsg {
     /// recoverable condition).
     fn downcast<M: Payload + Send + 'static>(self) -> M {
         *self
-            .0
+            .msg
             .into_any()
             .downcast::<M>()
             .expect("mixed-wave message arrived at a lane of a different program type")
@@ -71,13 +75,16 @@ impl ErasedMsg {
 
 impl Clone for ErasedMsg {
     fn clone(&self) -> Self {
-        ErasedMsg(self.0.clone_box())
+        ErasedMsg {
+            words: self.words,
+            msg: self.msg.clone_box(),
+        }
     }
 }
 
 impl Payload for ErasedMsg {
     fn words(&self) -> usize {
-        self.0.words_dyn()
+        self.words
     }
 }
 

@@ -758,11 +758,12 @@ impl Service {
                 let queue = &mut queue;
                 let last_hook = &last_hook;
                 let mut hook = |cluster: &mut Cluster,
-                                view: &WaveRound<'_, MixedWave>|
+                                view: &mut WaveRound<'_, MixedWave>|
                  -> Result<bool, ExecError> {
                     // The service-round clock (monotone across restarts).
-                    let round = base + view.round();
-                    last_hook.set(view.round());
+                    let wave_round = view.round();
+                    let round = base + wave_round;
+                    last_hook.set(wave_round);
 
                     // 1. Retirement: a job is done when every one of its
                     // lanes has voted to halt and no mail tagged with it
@@ -928,7 +929,7 @@ impl Service {
                                             qj.id,
                                             program,
                                             machine_rng(qj.spec.seed, mid),
-                                            view.round(),
+                                            wave_round,
                                         );
                                     });
                                     view.wake(mid);
