@@ -309,8 +309,8 @@ fn bench_reference(c: &mut Criterion) {
 }
 
 fn bench_exec_engine(c: &mut Criterion) {
-    use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
-    use mpc_exec::{adapters, ExecMode};
+    use mpc_core::ported::connectivity::sketch_friendly_config;
+    use mpc_exec::{registry, AlgoInput, ExecMode};
 
     let mut group = c.benchmark_group("exec_engine");
     group.sample_size(10);
@@ -322,17 +322,9 @@ fn bench_exec_engine(c: &mut Criterion) {
         group.bench_function(format!("connectivity_n256_{name}"), |b| {
             b.iter(|| {
                 let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), 7));
-                let input = mpc_core::common::distribute_edges(&cluster, &g);
-                black_box(
-                    adapters::heterogeneous_connectivity(
-                        &mut cluster,
-                        g.n(),
-                        &input,
-                        &ConnectivityConfig::for_n(g.n()),
-                        mode,
-                    )
-                    .unwrap(),
-                )
+                let edges = mpc_core::common::distribute_edges(&cluster, &g);
+                let input = AlgoInput::new(g.n(), &edges);
+                black_box(registry::run("connectivity", &mut cluster, &input, mode).unwrap())
             })
         });
     }

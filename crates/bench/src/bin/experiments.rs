@@ -4,20 +4,16 @@
 //! cargo run -p mpc-bench --release --bin experiments             # everything
 //! cargo run -p mpc-bench --release --bin experiments -- table1  # one experiment
 //! cargo run -p mpc-bench --release --bin experiments -- --list  # names
-//! cargo run -p mpc-bench --release --bin experiments -- hotpath --quick
-//! #                       ^ CI smoke: shrunken sweep, still writes BENCH_exec.json
 //! ```
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
         for name in mpc_bench::EXPERIMENTS {
             println!("{name}");
         }
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
     let selected: Vec<&str> = if args.is_empty() {
         mpc_bench::EXPERIMENTS.to_vec()
     } else {
@@ -34,7 +30,7 @@ fn main() {
     let started = std::time::Instant::now();
     for name in selected {
         let t0 = std::time::Instant::now();
-        mpc_bench::run_experiment_opts(name, quick);
+        mpc_bench::run_experiment(name);
         eprintln!("[{name} done in {:.1?}]", t0.elapsed());
     }
     eprintln!("[suite done in {:.1?}]", started.elapsed());

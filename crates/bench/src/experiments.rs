@@ -1245,81 +1245,14 @@ fn service_drain(
     (wall, makespan, rounds, machines, records, digests)
 }
 
-/// One appended row of `BENCH_exec.json`'s service section.
-struct ServiceRow {
-    workload: String,
-    machines: usize,
-    rounds: u64,
-    serial_ms: f64,
-    pool_ms: f64,
-    jps_serial: f64,
-    jps_pool: f64,
-    makespan: f64,
-}
-
-/// Appends the service rows to the committed `BENCH_exec.json` (written
-/// wholesale by the `hotpath` experiment — keep that ordering), replacing
-/// any previously appended `service-*` rows. Every row carries the
-/// `machines`/`serial_ms`/`pool_ms` fields the hotpath baseline parser
-/// requires, so the shared file keeps parsing; the service rows themselves
-/// are telemetry, never enforced (they match no hotpath case).
-fn append_service_rows(rows: &[ServiceRow]) -> std::path::PathBuf {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_exec.json");
-    let fmt = |r: &ServiceRow, last: bool| {
-        format!(
-            "    {{\"workload\": \"{}\", \"machines\": {}, \"rounds\": {}, \
-             \"serial_ms\": {:.3}, \"pool_ms\": {:.3}, \
-             \"jobs_per_sec_serial\": {:.1}, \"jobs_per_sec_pool\": {:.1}, \
-             \"sim_makespan_s\": {:.1}}}{}",
-            r.workload,
-            r.machines,
-            r.rounds,
-            r.serial_ms,
-            r.pool_ms,
-            r.jps_serial,
-            r.jps_pool,
-            r.makespan,
-            if last { "" } else { "," },
-        )
-    };
-    if let Ok(body) = std::fs::read_to_string(&path) {
-        let mut lines: Vec<String> = body
-            .lines()
-            .filter(|l| !l.contains("\"workload\": \"service-"))
-            .map(String::from)
-            .collect();
-        if let Some(close) = lines.iter().position(|l| l.trim() == "]") {
-            // The last committed case loses its array-final position.
-            if close > 0 && lines[close - 1].trim_end().ends_with('}') {
-                let prev = lines[close - 1].trim_end().to_string();
-                lines[close - 1] = format!("{prev},");
-            }
-            for (i, r) in rows.iter().enumerate() {
-                lines.insert(close + i, fmt(r, i + 1 == rows.len()));
-            }
-            std::fs::write(&path, lines.join("\n") + "\n").expect("write BENCH_exec.json");
-            return path;
-        }
-    }
-    // No committed hotpath baseline: write a standalone document.
-    let mut body = String::from("{\n  \"bench\": \"exec_service\",\n  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&fmt(r, i + 1 == rows.len()));
-        body.push('\n');
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write(&path, body).expect("write BENCH_exec.json");
-    path
-}
-
 /// E16: the job-queue service (DESIGN.md §2.8) — six mixed tenants
 /// submitted to one [`mpc_exec::Service`] with three capacity shares, so
 /// half the queue waits for admission-on-retirement. Times the drain
 /// serial vs pool (schedules, results, and round counts asserted
 /// identical), reports serving throughput in jobs/sec, and the simulated
 /// makespan under uniform vs straggler cost profiles (asserted not to
-/// change the schedule). Rows are appended to the committed
-/// `BENCH_exec.json`.
+/// change the schedule). Host numbers for a drain worth comparing across
+/// commits are the benchmark's `service-drain` workload's, not this table's.
 pub fn service() {
     use mpc_exec::ExecMode;
 
@@ -1363,7 +1296,6 @@ pub fn service() {
         "jobs/s pool",
         "sim makespan",
     ]);
-    let mut rows: Vec<ServiceRow> = Vec::new();
     let mut schedule: Option<(Vec<(u64, usize, u64, u64)>, Vec<u128>)> = None;
     let mut uniform_records: Vec<mpc_exec::JobRecord> = Vec::new();
     let mut uniform_rounds = 0u64;
@@ -1404,19 +1336,6 @@ pub fn service() {
             format!("{jps_pool:.1}"),
             format!("{makespan:.1}s"),
         ]);
-        rows.push(ServiceRow {
-            workload: format!(
-                "service-{profile}(jobs={},shares={SERVICE_SHARES},n={n})",
-                SERVICE_JOBS.len()
-            ),
-            machines,
-            rounds,
-            serial_ms,
-            pool_ms,
-            jps_serial,
-            jps_pool,
-            makespan,
-        });
     }
 
     // Faulted leg: one seeded mid-drain crash with zero peer replicas is
@@ -1493,19 +1412,6 @@ pub fn service() {
             format!("{jps_pool:.1}"),
             format!("{makespan:.1}s"),
         ]);
-        rows.push(ServiceRow {
-            workload: format!(
-                "service-faulted-uniform(jobs={},shares={SERVICE_SHARES},n={n})",
-                SERVICE_JOBS.len()
-            ),
-            machines,
-            rounds,
-            serial_ms,
-            pool_ms,
-            jps_serial,
-            jps_pool,
-            makespan,
-        });
     }
     t.print();
 
@@ -1529,13 +1435,6 @@ pub fn service() {
         ]);
     }
     t.print();
-
-    let path = append_service_rows(&rows);
-    println!(
-        "\n[service: appended {} rows to {}]",
-        rows.len(),
-        path.display()
-    );
 }
 
 /// E17: service chaos — the six-tenant mixed queue (E16's workload) under

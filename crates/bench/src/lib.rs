@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod hotpath;
 pub mod table;
 
 pub use table::Table;
@@ -41,7 +40,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "coloring",
     "two_vs_one",
     "exec",
-    "hotpath",
     "service",
     "registry",
     "budgets",
@@ -56,16 +54,6 @@ pub const EXPERIMENTS: &[&str] = &[
 /// Panics on unknown experiment names (callers validate against
 /// [`EXPERIMENTS`]).
 pub fn run_experiment(name: &str) {
-    run_experiment_opts(name, false);
-}
-
-/// [`run_experiment`] with options: `quick` shrinks the sweeps of the
-/// experiments that support it (currently `hotpath`) for CI smoke runs.
-///
-/// # Panics
-///
-/// See [`run_experiment`].
-pub fn run_experiment_opts(name: &str, quick: bool) {
     match name {
         "table1" => experiments::table1(),
         "mst_scaling" => experiments::mst_scaling(),
@@ -83,7 +71,6 @@ pub fn run_experiment_opts(name: &str, quick: bool) {
         "coloring" => experiments::coloring(),
         "two_vs_one" => experiments::two_vs_one(),
         "exec" => experiments::exec_engine(),
-        "hotpath" => hotpath::run(quick),
         "service" => experiments::service(),
         "registry" => experiments::registry_smoke(),
         "budgets" => experiments::budgets(),

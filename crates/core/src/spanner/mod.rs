@@ -24,7 +24,7 @@ pub mod clustering;
 
 use crate::common;
 use clustering::{level_edge_key, unpack_level_edge, LevelEdgeKey};
-use mpc_graph::{Edge, Graph, VertexId};
+use mpc_graph::{Edge, Graph, VertexId, Weight};
 use mpc_runtime::primitives::{aggregate_by_key, gather_to};
 use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
 use rand::Rng;
@@ -368,7 +368,7 @@ pub fn heterogeneous_spanner_weighted(
 }
 
 /// The \[22\] weight-class reduction, shared by the legacy call-style
-/// weighted spanner and the engine adapter: split the edges into factor-2
+/// weighted spanner and the engine's sequential oracle: split the edges into factor-2
 /// weight classes, run `run_class` on every non-empty class, restore the
 /// true weights on each class's witness edges, and merge the statistics.
 ///
@@ -401,20 +401,27 @@ pub struct WeightClasses {
     pub shards: Vec<(usize, ShardedVec<Edge>)>,
 }
 
+/// The factor-2 weight class of `w`: `⌊log₂ max(w, 1)⌋`, in integers — the
+/// one classifier behind [`weight_class_shards`] and the service's share
+/// count, so a zero-weight edge lands in class 0 for both and weights up
+/// to `u64::MAX` neither round nor overflow.
+pub fn weight_class(w: Weight) -> usize {
+    (63 - w.max(1).leading_zeros()) as usize
+}
+
 /// Splits `edges` into factor-2 weight classes (see [`WeightClasses`]).
 pub fn weight_class_shards(edges: &ShardedVec<Edge>) -> WeightClasses {
-    let max_w = edges.iter().map(|(_, e)| e.w).max().unwrap_or(1).max(1);
-    let total = (max_w as f64).log2().floor() as usize + 1;
+    let max_w = edges.iter().map(|(_, e)| e.w).max().unwrap_or(1);
+    let total = weight_class(max_w) + 1;
     let mut shards = Vec::new();
     for c in 0..total {
-        let (lo, hi) = (1u64 << c, (1u64 << (c + 1)) - 1);
         let class_edges: ShardedVec<Edge> = ShardedVec::from_shards(
             (0..edges.machines())
                 .map(|mid| {
                     edges
                         .shard(mid)
                         .iter()
-                        .filter(|e| (lo..=hi).contains(&e.w))
+                        .filter(|e| weight_class(e.w) == c)
                         .copied()
                         .collect()
                 })
@@ -554,6 +561,32 @@ mod tests {
             12 * k - 1
         );
         assert!(r.stats.weight_classes >= 2);
+    }
+
+    #[test]
+    fn weight_classes_are_integer_and_cover_every_edge() {
+        for (w, class) in [
+            (0u64, 0usize),
+            (1, 0),
+            (2, 1),
+            (3, 1),
+            (8, 3),
+            ((1 << 53) - 1, 52),
+            (1 << 63, 63),
+            (u64::MAX, 63),
+        ] {
+            assert_eq!(weight_class(w), class, "w = {w}");
+        }
+        let weights = [0u64, 1, 8, 9, u64::MAX];
+        let edges: Vec<Edge> = (weights.iter().enumerate())
+            .map(|(i, &w)| Edge::new(i as u32, i as u32 + 1, w))
+            .collect();
+        let classes = weight_class_shards(&ShardedVec::from_shards(vec![Vec::new(), edges]));
+        assert_eq!(classes.total, 64);
+        let sizes: Vec<(usize, usize)> = (classes.shards.iter())
+            .map(|(c, shard)| (*c, shard.total_len()))
+            .collect();
+        assert_eq!(sizes, [(0, 2), (3, 2), (63, 1)]);
     }
 
     #[test]

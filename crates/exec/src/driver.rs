@@ -6,9 +6,9 @@
 //! order [`Cluster::exchange`](mpc_runtime::Cluster::exchange) fixes
 //! (ascending source id, then send order). Machines share nothing mutable,
 //! so the *schedule* of steps cannot influence any machine's output;
-//! running them on one thread or sixteen — statically chunked or
-//! dynamically claimed off the worker pool — produces the same outboxes,
-//! the same round log, and the same RNG streams. The
+//! running them on one thread, or on sixteen that claim them off the
+//! worker pool in any order, produces the same outboxes, the same round
+//! log, and the same RNG streams. The
 //! `parallel_matches_serial` tests and `crates/exec/tests/pool.rs` assert
 //! this bit-for-bit.
 //!
@@ -20,9 +20,9 @@
 //! ([`pool`](crate::pool)) instead of once per round. The loop reaches the
 //! machines through [`Slots`]: in [`ExecMode::Serial`] the driving thread
 //! owns them outright and steps and folds each machine in one pass; only
-//! the worker-backed modes put them behind (uncontended) locks, step
-//! behind a barrier and fold afterwards in machine-id order — the same
-//! fold, on the same values, so the argument above does not change.
+//! the pool puts them behind (uncontended) locks, steps behind a barrier
+//! and folds afterwards in machine-id order — the same fold, on the same
+//! values, so the argument above does not change.
 //!
 //! It is **not** allocation-free: `step` consumes its inbox by value and
 //! builds its outbox, one free and one allocation per machine-round that
@@ -61,10 +61,6 @@ pub enum ExecMode {
     /// has no crates.io access, hence no rayon.
     #[default]
     Parallel,
-    /// The pre-pool baseline: scoped OS threads spawned **every round**,
-    /// with machines statically chunked per thread. Kept so the `hotpath`
-    /// bench can measure what the pool buys; not a mode to pick otherwise.
-    SpawnPerRound,
 }
 
 /// Errors of a program execution.
@@ -202,9 +198,9 @@ enum Slots<'a, P: MachineProgram> {
     /// [`ExecMode::Serial`]: the driving thread owns the slots and steps
     /// and folds each machine in one pass.
     Owned(&'a mut [MachineSlot<P>]),
-    /// The worker-backed modes: threads claim machines in any order, so
-    /// each slot sits behind a lock that never contends (every index is
-    /// handed to exactly one thread, and the driving thread only looks
+    /// [`ExecMode::Parallel`]: pool workers claim machines in any order,
+    /// so each slot sits behind a lock that never contends (every index
+    /// is handed to exactly one thread, and the driving thread only looks
     /// between barriers).
     Shared {
         slots: &'a [Mutex<MachineSlot<P>>],
@@ -479,7 +475,7 @@ impl Executor {
         // re-raised — post-panic cluster state is identical in every mode.
         let end = match self.mode {
             ExecMode::Serial => self.drive(cluster, Slots::Owned(&mut slots), &ctx, hook),
-            mode => {
+            ExecMode::Parallel => {
                 // Workers need the slots shared: lock-guard them for the run.
                 let shared: Vec<Mutex<MachineSlot<P>>> = slots.drain(..).map(Mutex::new).collect();
                 let (shared_ref, ctx) = (&shared[..], &ctx);
@@ -487,69 +483,47 @@ impl Executor {
                     let s = &mut *lock(&shared_ref[mid]);
                     s.outcome = s.stepping.then(|| step_machine(s, mid, ctx, round));
                 };
-                let end = if mode == ExecMode::SpawnPerRound {
-                    let threads = self.worker_threads().min(k).max(1);
-                    let ids: Vec<usize> = (0..k).collect();
-                    let (ids, job) = (&ids, &job);
+                let pool =
+                    PoolCore::new(k, self.worker_threads().min(k).max(1)).with_stats(tracing);
+                let sink = ctx.sink.clone();
+                let stats = &mut pool_stats;
+                let end = std::thread::scope(|scope| {
+                    pool.spawn_workers(scope, &job);
                     let slots = Slots::Shared {
                         slots: shared_ref,
-                        mark_active: &|_mid, _on| {},
+                        mark_active: &|mid, on| pool.set_active(mid, on),
                         step_all: &mut |round| {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                std::thread::scope(|scope| {
-                                    for chunk_ids in ids.chunks(k.div_ceil(threads)) {
-                                        scope.spawn(move || {
-                                            chunk_ids.iter().for_each(|&mid| job(mid, round));
+                            let result = pool.run_round(round);
+                            if result.is_ok() && tracing {
+                                // Drain this round's per-worker counters
+                                // into the run totals and the event stream.
+                                let round_stats = pool.take_round_stats();
+                                if let Some(sink) = &sink {
+                                    for (worker, s) in round_stats.iter().enumerate() {
+                                        sink.record(&TraceEvent::WorkerRound {
+                                            round,
+                                            worker,
+                                            claimed: s.claimed as usize,
+                                            stepped: s.stepped as usize,
+                                            idle_skips: s.idle_skips as usize,
+                                            wait_ns: s.wait_ns,
+                                            busy_ns: s.busy_ns,
                                         });
                                     }
-                                });
-                            }))
+                                }
+                                stats
+                                    .get_or_insert_with(PoolStats::default)
+                                    .add_round(&round_stats);
+                            }
+                            result
                         },
                     };
-                    self.drive(cluster, slots, ctx, hook)
-                } else {
-                    let pool =
-                        PoolCore::new(k, self.worker_threads().min(k).max(1)).with_stats(tracing);
-                    let sink = ctx.sink.clone();
-                    let stats = &mut pool_stats;
-                    std::thread::scope(|scope| {
-                        pool.spawn_workers(scope, &job);
-                        let slots = Slots::Shared {
-                            slots: shared_ref,
-                            mark_active: &|mid, on| pool.set_active(mid, on),
-                            step_all: &mut |round| {
-                                let result = pool.run_round(round);
-                                if result.is_ok() && tracing {
-                                    // Drain this round's per-worker counters
-                                    // into the run totals and the event stream.
-                                    let round_stats = pool.take_round_stats();
-                                    if let Some(sink) = &sink {
-                                        for (worker, s) in round_stats.iter().enumerate() {
-                                            sink.record(&TraceEvent::WorkerRound {
-                                                round,
-                                                worker,
-                                                claimed: s.claimed as usize,
-                                                stepped: s.stepped as usize,
-                                                idle_skips: s.idle_skips as usize,
-                                                wait_ns: s.wait_ns,
-                                                busy_ns: s.busy_ns,
-                                            });
-                                        }
-                                    }
-                                    stats
-                                        .get_or_insert_with(PoolStats::default)
-                                        .add_round(&round_stats);
-                                }
-                                result
-                            },
-                        };
-                        let end = self.drive(cluster, slots, ctx, hook);
-                        // Every exit path must release the workers, or the
-                        // scope's implicit join would hang.
-                        pool.shutdown();
-                        end
-                    })
-                };
+                    let end = self.drive(cluster, slots, ctx, hook);
+                    // Every exit path must release the workers, or the
+                    // scope's implicit join would hang.
+                    pool.shutdown();
+                    end
+                });
                 let unlocked = shared.into_iter().map(Mutex::into_inner);
                 slots.extend(unlocked.map(|s| s.unwrap_or_else(PoisonError::into_inner)));
                 end

@@ -20,31 +20,32 @@
 //!   `mpc-runtime` and turns every round into a simulated *makespan*, so
 //!   straggler and non-uniform-speed scenarios are measurable.
 //!
-//! Ported programs live in [`programs`]; the legacy call-style signatures
-//! survive as thin [`adapters`].
+//! Ported programs live in [`programs`]; every one of them is reached by
+//! name through the [`registry`].
 //!
 //! ## Example
 //!
 //! ```
-//! use mpc_exec::{ExecMode, adapters};
+//! use mpc_exec::{registry, AlgoInput, ExecMode};
 //! use mpc_core::common;
-//! use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
+//! use mpc_core::ported::connectivity::sketch_friendly_config;
 //! use mpc_graph::generators;
 //! use mpc_runtime::Cluster;
 //!
 //! let g = generators::gnm(64, 160, 7);
 //! let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), 7));
 //! let edges = common::distribute_edges(&cluster, &g);
-//! let comps = adapters::heterogeneous_connectivity(
-//!     &mut cluster, g.n(), &edges, &ConnectivityConfig::for_n(g.n()), ExecMode::Parallel,
-//! ).unwrap();
+//! let input = AlgoInput::new(g.n(), &edges);
+//! let comps = registry::run("connectivity", &mut cluster, &input, ExecMode::Parallel)
+//!     .unwrap()
+//!     .into_components()
+//!     .unwrap();
 //! assert_eq!(comps, mpc_graph::traversal::connected_components(&g));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
 pub mod combinators;
 pub mod driver;
 pub mod machine;

@@ -194,19 +194,9 @@ impl<P: MachineProgram> Multiplexed<P> {
         self
     }
 
-    /// Number of instances multiplexed onto this machine.
-    pub fn instances(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Instance `i`'s sub-program on this machine.
     pub fn instance(&self, i: usize) -> &P {
         &self.slots[i].program
-    }
-
-    /// Mutable access to instance `i`'s sub-program (result extraction).
-    pub fn instance_mut(&mut self, i: usize) -> &mut P {
-        &mut self.slots[i].program
     }
 
     /// Whether instance `i` was retired on this machine.

@@ -3,9 +3,10 @@
 //!
 //! `std::thread::scope` costs a spawn + join of every worker on **every
 //! round**; at hundreds of rounds that syscall traffic dominates the
-//! engine's host wall-clock (see the `hotpath` bench). The pool spawns its
-//! workers once per [`Executor::run`](crate::Executor::run) and drives them
-//! through a condvar round barrier instead.
+//! engine's host wall-clock (the benchmark's `round-heavy` workload runs
+//! 12 000 of them). The pool spawns its workers once per
+//! [`Executor::run`](crate::Executor::run) and drives them through a
+//! condvar round barrier instead.
 //!
 //! Work is claimed **dynamically**: workers pull machine indices off a
 //! shared atomic counter one at a time, so a straggler machine (the large

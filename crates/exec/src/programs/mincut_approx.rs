@@ -38,8 +38,10 @@
 //! | R+3   | smalls | ship `(edge, multiplicity)` pairs |
 //! | R+4   | large  | connectivity + min-cut-value verdict (`min_cut_weight`); estimate, next guess, or fallback |
 
-use crate::combinators::{Outbox, RoleProgram};
+use crate::combinators::{Driven, Outbox, RoleProgram};
+use crate::driver::{ExecError, ExecMode, Executor};
 use crate::machine::{MachineCtx, StepOutcome};
+use crate::multiplex::{CapacityFactor, Multiplexed};
 use mpc_core::ported::mincut_approx::{
     c_sample_for, evaluate_skeleton, lambda_guesses, sample_binomial, skeleton_budget,
     ApproxMinCut, SkeletonVerdict,
@@ -425,6 +427,125 @@ impl RoleProgram for XCutFallback {
         }
         out.into_step()
     }
+}
+
+/// The default `mincut-approx` run: every geometric λ̂ guess as one
+/// [`MinCutGuessWave`] instance of the [multi-program
+/// scheduler](crate::multiplex), the retire-finer-guesses controller on
+/// the coordinator, the largest-first scan over the verdicts, and — when
+/// every guess failed — the [`XCutFallback`] second pass (see the module
+/// docs for what is and is not bit-identical to [`MinCutApproxProgram`]).
+/// `threads` caps the pool's workers (0 = executor default).
+///
+/// # Errors
+///
+/// Propagates capacity violations in strict mode; see [`ExecError`].
+pub(crate) fn batched(
+    cluster: &mut Cluster,
+    n: usize,
+    edges: &ShardedVec<Edge>,
+    epsilon: f64,
+    mode: ExecMode,
+    threads: usize,
+) -> Result<ApproxMinCut, ExecError> {
+    assert!(
+        (0.0..1.0).contains(&epsilon) && epsilon > 0.0,
+        "epsilon in (0,1)"
+    );
+    let large = cluster.large().expect("min cut requires a large machine");
+    assert!(
+        edges.shard(large).is_empty(),
+        "engine programs expect the input on the small machines only"
+    );
+    // Guess grid and sampling constant, host-side — the same derivation
+    // the legacy loop performs before its first round.
+    let total_weight: u64 = edges.iter().map(|(_, e)| e.w).sum();
+    let c_sample = c_sample_for(n, epsilon);
+    let guesses = lambda_guesses(total_weight);
+    let shards: Vec<Arc<[Edge]>> = (0..cluster.machines())
+        .map(|mid| Arc::from(edges.shard(mid)))
+        .collect();
+    let per_instance: Vec<Vec<Driven<MinCutGuessWave>>> = guesses
+        .iter()
+        .map(|&guess| {
+            shards
+                .iter()
+                .map(|shard| Driven(MinCutGuessWave::new(n, c_sample, guess, shard.clone())))
+                .collect()
+        })
+        .collect();
+    let mut muxed = Multiplexed::build(cluster, per_instance);
+    // Early-exit controller on the coordinator: the first guess to
+    // overflow its skeleton budget retires every finer guess — their
+    // staged `Ship` commands are discarded before they leave the machine,
+    // so retired guesses contribute zero traffic to later combined rounds.
+    let coordinator = muxed.remove(large).with_controller(Arc::new(|_ctx, slots| {
+        if let Some(j) = slots
+            .iter()
+            .position(|s| matches!(s.program.0.outcome, Some(GuessOutcome::OverBudget)))
+        {
+            for slot in &mut slots[j + 1..] {
+                if !slot.is_retired() {
+                    slot.retire();
+                }
+            }
+        }
+    }));
+    muxed.insert(large, coordinator);
+    let outcome = {
+        let mut scaled = CapacityFactor::scale(cluster, guesses.len());
+        Executor::new("xcut", mode)
+            .threads(threads)
+            .run(scaled.cluster(), muxed)
+    }?;
+    let parallel_rounds = outcome.rounds;
+
+    // The legacy largest-first scan over the per-guess verdicts: the first
+    // over-budget guess aborts to the fallback, the first concentrated
+    // estimate wins, anything else keeps scanning.
+    let coordinator = &outcome.programs[large];
+    for (i, &guess) in guesses.iter().enumerate() {
+        match &coordinator.instance(i).0.outcome {
+            // Over budget, or retired behind an over-budget guess: the
+            // legacy loop would have broken to the fallback here.
+            None | Some(GuessOutcome::OverBudget) => break,
+            Some(GuessOutcome::Judged {
+                verdict,
+                skeleton_edges,
+            }) => match verdict {
+                SkeletonVerdict::Disconnected | SkeletonVerdict::NotConcentrated => continue,
+                SkeletonVerdict::Estimate(estimate) => {
+                    return Ok(ApproxMinCut {
+                        estimate: *estimate,
+                        lambda_guess: guess,
+                        skeleton_edges: *skeleton_edges,
+                        parallel_rounds,
+                    });
+                }
+            },
+        }
+    }
+
+    // Every guess failed (or the budget was hit): gather the whole graph —
+    // the legacy fallback, as a short second engine pass.
+    let programs: Vec<_> = shards
+        .iter()
+        .map(|shard| Driven(XCutFallback::new(n, shard.clone())))
+        .collect();
+    let mut fb = Executor::new("xcut-fb", mode)
+        .threads(threads)
+        .run(cluster, programs)?;
+    let (estimate, m) = fb.programs[large]
+        .0
+        .result
+        .take()
+        .expect("large machine halts with the fallback result");
+    Ok(ApproxMinCut {
+        estimate,
+        lambda_guess: 1,
+        skeleton_edges: m,
+        parallel_rounds: parallel_rounds + fb.rounds,
+    })
 }
 
 impl RoleProgram for MinCutApproxProgram {

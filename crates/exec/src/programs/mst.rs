@@ -193,11 +193,6 @@ pub struct MstProgram {
 impl MstProgram {
     /// Builds one program per machine, lifting `edges` into tagged form
     /// exactly like the legacy entry point.
-    pub fn for_cluster(cluster: &Cluster, n: usize, edges: &ShardedVec<Edge>) -> Vec<Self> {
-        Self::for_cluster_with(cluster, n, edges, &MstConfig::default())
-    }
-
-    /// [`for_cluster`](MstProgram::for_cluster) with explicit configuration.
     pub fn for_cluster_with(
         cluster: &Cluster,
         n: usize,

@@ -16,8 +16,8 @@
 //! * [`MstApproxWave`] — one threshold as a standalone instance for the
 //!   [multi-program scheduler](crate::multiplex): the **default** path runs
 //!   all waves interleaved in one engine run (`O(1)` combined rounds, the
-//!   paper's parallel figure), with the per-wave seeds pre-drawn by the
-//!   batched adapter in the legacy threshold order so results *and* RNG
+//!   paper's parallel figure), with the per-wave seeds pre-drawn by
+//!   `batched` in the legacy threshold order so results *and* RNG
 //!   stream positions stay bit-identical to the sequential composition;
 //! * [`MstApproxProgram`] — the PR 4 sequential composition (one wave
 //!   after another inside a single program), kept as the equivalence
@@ -33,8 +33,10 @@
 //!
 //! A machine with nothing to send sends no batch.
 
-use crate::combinators::{Outbox, RoleProgram};
+use crate::combinators::{Driven, Outbox, RoleProgram};
+use crate::driver::{ExecError, ExecMode, Executor};
 use crate::machine::{MachineCtx, StepOutcome};
+use crate::multiplex::{CapacityFactor, Multiplexed};
 use mpc_core::ported::mst_approx::{estimate_from_counts, geometric_thresholds, MstApprox};
 use mpc_graph::Edge;
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
@@ -202,8 +204,8 @@ impl MstApproxProgram {
 /// the weight-filtered shard, merge at owners, count components on the
 /// large machine — three combined rounds for *every* threshold at once.
 ///
-/// The sketch seed is baked in at construction (pre-drawn by the batched
-/// adapter from the large machine's stream, one per threshold in ascending
+/// The sketch seed is baked in at construction (pre-drawn by `batched`
+/// from the large machine's stream, one per threshold in ascending
 /// threshold order — exactly the legacy draw order), so the instance draws
 /// nothing at run time and the per-machine RNG positions after the batched
 /// run equal the sequential composition's.
@@ -304,6 +306,93 @@ impl RoleProgram for MstApproxWave {
         merge_wave(&partials_of(inbox), large, &mut out);
         out.into_step()
     }
+}
+
+/// The default `mst-approx` run: every `(1+ε)^j` threshold as one
+/// [`MstApproxWave`] instance of the [multi-program
+/// scheduler](crate::multiplex), with the per-wave sketch seeds pre-drawn
+/// from the large machine's stream in ascending threshold order (see the
+/// module docs: results *and* RNG stream positions equal
+/// [`MstApproxProgram`]'s). `threads` caps the pool's workers (0 =
+/// executor default).
+///
+/// # Errors
+///
+/// Propagates capacity violations in strict mode; see [`ExecError`].
+pub(crate) fn batched(
+    cluster: &mut Cluster,
+    n: usize,
+    edges: &ShardedVec<Edge>,
+    epsilon: f64,
+    mode: ExecMode,
+    threads: usize,
+) -> Result<MstApprox, ExecError> {
+    assert!(epsilon > 0.0, "epsilon must be positive");
+    let large = cluster
+        .large()
+        .expect("MST estimation requires a large machine");
+    assert!(
+        edges.shard(large).is_empty(),
+        "engine programs expect the input on the small machines only"
+    );
+    let owners: Arc<[MachineId]> = cluster.small_ids().into();
+    assert!(!owners.is_empty(), "MST estimation requires small machines");
+    // Threshold grid host-side (the legacy derivation), then one sketch
+    // seed per threshold from the large machine's stream — the legacy
+    // per-wave draws, performed up front in the legacy order.
+    let w_max = edges.iter().map(|(_, e)| e.w).max().unwrap_or(1).max(1);
+    let thresholds = geometric_thresholds(w_max, epsilon);
+    let phases = mpc_core::ported::connectivity::ConnectivityConfig::for_n(n).phases;
+    let seeds: Vec<u64> = thresholds
+        .iter()
+        .map(|_| cluster.rng(large).random())
+        .collect();
+    let shards: Vec<Arc<[Edge]>> = (0..cluster.machines())
+        .map(|mid| Arc::from(edges.shard(mid)))
+        .collect();
+    let per_instance: Vec<Vec<Driven<MstApproxWave>>> = thresholds
+        .iter()
+        .zip(&seeds)
+        .map(|(&t, &seed)| {
+            shards
+                .iter()
+                .map(|shard| {
+                    Driven(MstApproxWave::new(
+                        n,
+                        phases,
+                        t,
+                        seed,
+                        owners.clone(),
+                        shard.clone(),
+                    ))
+                })
+                .collect()
+        })
+        .collect();
+    let muxed = Multiplexed::build(cluster, per_instance);
+    let outcome = {
+        let mut scaled = CapacityFactor::scale(cluster, thresholds.len());
+        Executor::new("xmst", mode)
+            .threads(threads)
+            .run(scaled.cluster(), muxed)
+    }?;
+    let coordinator = &outcome.programs[large];
+    let component_counts: Vec<usize> = (0..thresholds.len())
+        .map(|i| {
+            coordinator
+                .instance(i)
+                .0
+                .count
+                .expect("large machine halts with a per-wave count")
+        })
+        .collect();
+    let estimate = estimate_from_counts(n, w_max, &thresholds, &component_counts);
+    Ok(MstApprox {
+        estimate,
+        thresholds,
+        component_counts,
+        parallel_rounds: outcome.rounds,
+    })
 }
 
 impl RoleProgram for MstApproxProgram {

@@ -4,29 +4,53 @@
 //! `registry::run("mst", &mut cluster, &input, ExecMode::Parallel)` is the
 //! single way the facade crate, the examples, the benches, and the CI
 //! smoke tests execute a workload: a registered algorithm is guaranteed to
-//! run on the [`Executor`](crate::Executor) under both [`ExecMode::Serial`]
-//! and [`ExecMode::Parallel`] with bit-identical results, and anything
-//! *not* registered here is by definition not fast-path-capable — the
+//! run on the [`Executor`] under both [`ExecMode::Serial`] and
+//! [`ExecMode::Parallel`] with bit-identical results, and anything *not*
+//! registered here is by definition not fast-path-capable — the
 //! `registry` bench experiment fails if a registered program stops
 //! producing legacy-identical results.
 //!
-//! | name | paper result | program |
-//! |------|--------------|---------|
-//! | `connectivity` | Thm C.1 | [`ConnectivityProgram`](crate::programs::ConnectivityProgram) |
-//! | `boruvka-msf`  | §3 building block | [`BoruvkaProgram`](crate::programs::BoruvkaProgram) |
-//! | `mst`          | Thm 3.1 | [`MstProgram`](crate::programs::MstProgram) |
-//! | `matching`     | Thm 5.1 | [`MatchingProgram`](crate::programs::MatchingProgram) |
-//! | `spanner`      | Thm 4.1 | [`SpannerProgram`](crate::programs::SpannerProgram) |
-//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | per-class [`SpannerProgram`](crate::programs::SpannerProgram), [multiplexed](crate::multiplex) |
-//! | `apsp`         | Cor 4.2 | `k = ⌈log₂ n⌉` spanner run, oracle indexed on the large machine |
-//! | `mst-approx`   | Thm C.2 | per-wave [`MstApproxWave`](crate::programs::MstApproxWave), [multiplexed](crate::multiplex) |
-//! | `mincut`       | Thm C.3 | [`MinCutProgram`](crate::programs::MinCutProgram) |
-//! | `mincut-approx` | Thm C.4 | per-guess [`MinCutGuessWave`](crate::programs::MinCutGuessWave), [multiplexed](crate::multiplex) |
-//! | `mis`          | Thm C.6 | [`MisProgram`](crate::programs::MisProgram) |
-//! | `coloring`     | Thm C.7 | [`ColoringProgram`](crate::programs::ColoringProgram) |
+//! Each name is written down once, as a *description*: a function that
+//! builds the per-machine programs and says how the large machine's final
+//! program becomes an [`AlgoOutput`]. Two drivers consume a description —
+//! a solo run on the [`Executor`] (typed: no program or message is
+//! erased) and the [service](crate::service)'s lanes (each program
+//! [erased](crate::mixed::erase), the large machine's box downcast at
+//! extraction) — so a solo run and a service lane cannot drift apart.
+//!
+//! | name | paper result | solo form | service lane form |
+//! |------|--------------|-----------|-------------------|
+//! | `connectivity` | Thm C.1 | [`ConnectivityProgram`] | same |
+//! | `boruvka-msf`  | §3 building block | [`BoruvkaProgram`] | same |
+//! | `mst`          | Thm 3.1 | [`MstProgram`] | same |
+//! | `matching`     | Thm 5.1 | [`MatchingProgram`] | same |
+//! | `spanner`      | Thm 4.1 | [`SpannerProgram`] | same |
+//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | per-class [`SpannerProgram`], [multiplexed](crate::multiplex) | same |
+//! | `apsp`         | Cor 4.2 | the `k = ⌈log₂ n⌉` run of `spanner` (unit weights) or `spanner-weighted`, oracle indexed on the large machine | same |
+//! | `mst-approx`   | Thm C.2 | per-threshold [`MstApproxWave`](crate::programs::MstApproxWave), [multiplexed](crate::multiplex) | [`MstApproxProgram`] |
+//! | `mincut`       | Thm C.3 | [`MinCutProgram`] | same |
+//! | `mincut-approx` | Thm C.4 | per-guess [`MinCutGuessWave`](crate::programs::MinCutGuessWave), [multiplexed](crate::multiplex) | [`MinCutApproxProgram`] |
+//! | `mis`          | Thm C.6 | [`MisProgram`] | same |
+//! | `coloring`     | Thm C.7 | [`ColoringProgram`] | same |
+//!
+//! The solo column is the default; under
+//! [`JobParams::sequential_instances`] the three [`BATCHED_NAMES`] run
+//! their instances one after another instead (`spanner-weighted` one
+//! `spanner` run per weight class, the other two their lane form). A
+//! service lane has one form per name: the wave drivers of `mst-approx`
+//! and `mincut-approx` pre-draw host-side seeds and run a second pass,
+//! which has no mid-wave equivalent.
 
-use crate::adapters;
-use crate::driver::{ExecError, ExecMode};
+use crate::combinators::{Driven, RoleProgram};
+use crate::driver::{ExecError, ExecMode, Executor};
+use crate::machine::MachineProgram;
+use crate::mixed::{downcast_program, erase, ErasedProgram};
+use crate::multiplex::{CapacityFactor, Multiplexed};
+use crate::programs::{
+    mincut_approx, mst_approx, BoruvkaProgram, ColoringProgram, ConnectivityProgram,
+    MatchingProgram, MinCutApproxProgram, MinCutProgram, MisProgram, MstApproxProgram, MstProgram,
+    SpannerProgram,
+};
 use mpc_core::matching::MatchingResult;
 use mpc_core::mst::{MstConfig, MstResult};
 use mpc_core::ported::coloring::ColoringResult;
@@ -37,6 +61,7 @@ use mpc_core::ported::mis::MisResult;
 use mpc_core::ported::mst_approx::MstApprox;
 use mpc_core::spanner::apsp::ApspOracle;
 use mpc_core::spanner::SpannerResult;
+use mpc_core::spanner::{merge_class_results, weight_class_shards, weighted_by_classes};
 use mpc_graph::mst::Forest;
 use mpc_graph::traversal::Components;
 use mpc_graph::{Edge, Graph};
@@ -65,6 +90,12 @@ pub struct JobParams {
     /// the [multi-program scheduler](crate::multiplex) (the default), or
     /// run them one after another (the PR 4 composition, kept as the
     /// equivalence oracle — see [`JobParams::sequential_instances`]).
+    ///
+    /// Read by solo runs only. The [service](crate::service) ignores it:
+    /// a lane has one form per name (the "service lane form" column of
+    /// the [module table](self)) — `spanner-weighted` and weighted `apsp`
+    /// always interleave their weight classes, `mst-approx` and
+    /// `mincut-approx` always run their single-program form.
     pub batch_instances: bool,
 }
 
@@ -301,6 +332,15 @@ impl JobSpec {
         self.params = self.params.epsilon(eps);
         self
     }
+
+    /// The job as an [`AlgoInput`] over its distributed `edges`.
+    fn input<'a>(&self, edges: &'a ShardedVec<Edge>) -> AlgoInput<'a> {
+        AlgoInput {
+            n: self.graph.n(),
+            edges,
+            params: self.params.clone(),
+        }
+    }
 }
 
 /// What a registered algorithm returns.
@@ -489,8 +529,8 @@ impl AlgoOutput {
     }
 }
 
-/// A registered algorithm: a name, its paper anchor, and an engine-backed
-/// runner.
+/// A registered algorithm: a name, its paper anchor, and its description
+/// bound to the two drivers.
 pub struct Algorithm {
     /// Registry name (the `run` lookup key).
     pub name: &'static str,
@@ -510,23 +550,308 @@ pub struct Algorithm {
     /// `a·⌈log₂log₂n⌉ + b` cap. The `budgets` bench experiment (a CI gate)
     /// fails the build when a run exceeds it.
     pub round_budget: fn(n: usize) -> u64,
-    runner: fn(&mut Cluster, &AlgoInput<'_>, ExecMode) -> Result<AlgoOutput, ExecError>,
+    solo: fn(&mut Cluster, &AlgoInput<'_>, ExecMode, usize) -> Result<AlgoOutput, ExecError>,
+    lanes: fn(&Cluster, &AlgoInput<'_>) -> Lanes,
 }
 
-impl Algorithm {
-    /// Runs this algorithm on `cluster` in the given mode.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecError`].
-    pub fn run(
-        &self,
-        cluster: &mut Cluster,
-        input: &AlgoInput<'_>,
-        mode: ExecMode,
-    ) -> Result<AlgoOutput, ExecError> {
-        (self.runner)(cluster, input, mode)
+// ---------------------------------------------------------------------------
+// Descriptions and their two drivers
+// ---------------------------------------------------------------------------
+
+/// What a name's description builds from `(&Cluster, &AlgoInput)`.
+pub(crate) enum Description<P> {
+    /// Programs to run.
+    Wave {
+        /// Round-label prefix of a solo run.
+        label: &'static str,
+        /// The combined-round capacity factor the programs need: 1, or
+        /// the instance count of a [`Multiplexed`] run. A service lane
+        /// ignores it — admission reserved the job's shares before it
+        /// built anything.
+        factor: usize,
+        /// One program per machine (index = machine id).
+        programs: Vec<P>,
+        /// Turns the large machine's final program into the output.
+        finish: Finish<P>,
+    },
+    /// Degenerate input (a weighted spanner with no edges): the result
+    /// exists without running anything.
+    Immediate(Result<AlgoOutput, ExecError>),
+}
+
+/// How the large machine's final program becomes the output.
+pub(crate) type Finish<P> = Box<dyn FnOnce(P) -> Result<AlgoOutput, ExecError>>;
+
+/// A job's service lanes: every program erased, the large machine's box
+/// downcast again at extraction.
+pub(crate) type Lanes = Description<Box<dyn ErasedProgram>>;
+
+impl<P> Description<P> {
+    fn wave(
+        label: &'static str,
+        factor: usize,
+        programs: Vec<P>,
+        finish: impl FnOnce(P) -> Result<AlgoOutput, ExecError> + 'static,
+    ) -> Self {
+        Description::Wave {
+            label,
+            factor,
+            programs,
+            finish: Box::new(finish),
+        }
     }
+}
+
+/// The solo driver: the programs run, typed, on the [`Executor`].
+fn solo<P: MachineProgram>(
+    description: Description<P>,
+    cluster: &mut Cluster,
+    mode: ExecMode,
+    threads: usize,
+) -> Result<AlgoOutput, ExecError> {
+    match description {
+        Description::Immediate(result) => result,
+        Description::Wave {
+            label,
+            factor,
+            programs,
+            finish,
+        } => {
+            let large = cluster
+                .large()
+                .expect("registry algorithms require a large machine");
+            let mut outcome = {
+                let mut scaled = CapacityFactor::scale(cluster, factor);
+                Executor::new(label, mode)
+                    .threads(threads)
+                    .run(scaled.cluster(), programs)
+            }?;
+            finish(outcome.programs.swap_remove(large))
+        }
+    }
+}
+
+/// The service driver: the programs become erased lanes.
+fn lanes<P>(description: Description<P>) -> Lanes
+where
+    P: MachineProgram + 'static,
+    P::Message: 'static,
+{
+    match description {
+        Description::Immediate(result) => Description::Immediate(result),
+        Description::Wave {
+            label,
+            factor,
+            programs,
+            finish,
+        } => Description::Wave {
+            label,
+            factor,
+            programs: programs.into_iter().map(erase).collect(),
+            finish: Box::new(move |boxed| finish(downcast_program::<P>(boxed))),
+        },
+    }
+}
+
+const HALTED: &str = "large machine halts with a result";
+
+fn driven<R: RoleProgram>(programs: Vec<R>) -> Vec<Driven<R>> {
+    programs.into_iter().map(Driven).collect()
+}
+
+fn algorithm_error(e: impl std::fmt::Display) -> ExecError {
+    ExecError::Algorithm {
+        message: e.to_string(),
+    }
+}
+
+fn connectivity(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<ConnectivityProgram> {
+    let config = input
+        .params
+        .connectivity
+        .clone()
+        .unwrap_or_else(|| ConnectivityConfig::for_n(input.n));
+    let programs = ConnectivityProgram::for_cluster(cluster, input.n, input.edges, &config);
+    Description::wave("conn", 1, programs, |p| {
+        Ok(AlgoOutput::Components(p.result.expect(HALTED)))
+    })
+}
+
+fn boruvka_msf(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<BoruvkaProgram> {
+    let programs = BoruvkaProgram::for_cluster(cluster, input.edges);
+    Description::wave("boruvka", 1, programs, |p| {
+        Ok(AlgoOutput::Forest(p.forest.expect(HALTED)))
+    })
+}
+
+fn mst(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MstProgram>> {
+    let programs = MstProgram::for_cluster_with(cluster, input.n, input.edges, &input.params.mst);
+    Description::wave("mst", 1, driven(programs), |p| {
+        let result = p.0.result.expect(HALTED);
+        result.map(AlgoOutput::Mst).map_err(algorithm_error)
+    })
+}
+
+fn matching(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MatchingProgram>> {
+    let programs = MatchingProgram::for_cluster(cluster, input.n, input.edges);
+    Description::wave("match", 1, driven(programs), |p| {
+        let result = p.0.result.expect(HALTED);
+        result.map(AlgoOutput::Matching).map_err(algorithm_error)
+    })
+}
+
+/// A spanner run's output: the spanner itself, or — given `apsp`'s stretch
+/// bound — the distance oracle indexed over it.
+fn spanner_output(spanner: SpannerResult, apsp_stretch: Option<usize>) -> AlgoOutput {
+    match apsp_stretch {
+        Some(stretch_bound) => AlgoOutput::Apsp {
+            oracle: ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound),
+            spanner,
+        },
+        None => AlgoOutput::Spanner(spanner),
+    }
+}
+
+fn spanner_programs(
+    cluster: &Cluster,
+    n: usize,
+    edges: &ShardedVec<Edge>,
+    k: usize,
+) -> Vec<Driven<SpannerProgram>> {
+    driven(SpannerProgram::for_cluster(cluster, n, edges, k))
+}
+
+/// The `(6k−1)`-spanner of Theorem 4.1 on `edges` read as unweighted.
+fn plain_spanner(
+    cluster: &Cluster,
+    n: usize,
+    edges: &ShardedVec<Edge>,
+    k: usize,
+    apsp_stretch: Option<usize>,
+) -> Description<Driven<SpannerProgram>> {
+    let programs = spanner_programs(cluster, n, edges, k);
+    Description::wave("spanner", 1, programs, move |p| {
+        Ok(spanner_output(p.0.result.expect(HALTED), apsp_stretch))
+    })
+}
+
+/// The weighted spanner: all factor-2 weight classes (the \[22\]
+/// reduction) as interleaved instances of one [`Multiplexed`] run — one
+/// 17-round spanner clock for *every* class. The spanner program's draws
+/// happen at fixed rounds and the scheduler steps instances in class
+/// order, so each machine consumes its RNG stream class-major — exactly
+/// the sequential loop's order — and the spanner, statistics, and RNG
+/// stream positions are bit-identical to the sequential (and legacy)
+/// paths.
+fn class_spanner(
+    cluster: &Cluster,
+    n: usize,
+    edges: &ShardedVec<Edge>,
+    k: usize,
+    apsp_stretch: Option<usize>,
+) -> Description<Multiplexed<Driven<SpannerProgram>>> {
+    let classes = weight_class_shards(edges);
+    if classes.shards.is_empty() {
+        let spanner = merge_class_results(n, &classes, Vec::new());
+        return Description::Immediate(Ok(spanner_output(spanner, apsp_stretch)));
+    }
+    let per_class = (classes.shards.iter())
+        .map(|(_c, class_edges)| spanner_programs(cluster, n, class_edges, k))
+        .collect();
+    let programs = Multiplexed::build(cluster, per_class);
+    let instances = classes.shards.len();
+    Description::wave("wspan", instances, programs, move |coordinator| {
+        let results = (coordinator.into_programs().into_iter())
+            .map(|p| p.0.result.expect(HALTED))
+            .collect();
+        let spanner = merge_class_results(n, &classes, results);
+        Ok(spanner_output(spanner, apsp_stretch))
+    })
+}
+
+/// The PR 4 sequential composition of the weighted spanner: one engine
+/// run per weight class, kept as the equivalence oracle for
+/// [`class_spanner`] (identical results and RNG stream positions,
+/// `O(classes)`× the rounds).
+fn class_spanner_sequential(
+    cluster: &mut Cluster,
+    input: &AlgoInput<'_>,
+    k: usize,
+    apsp_stretch: Option<usize>,
+    mode: ExecMode,
+    threads: usize,
+) -> Result<AlgoOutput, ExecError> {
+    let n = input.n;
+    let spanner = weighted_by_classes(n, input.edges, |class_edges| {
+        let class = plain_spanner(cluster, n, class_edges, k, None);
+        solo(class, cluster, mode, threads)
+            .map(|out| out.into_spanner().expect("a spanner run yields a spanner"))
+    })?;
+    Ok(spanner_output(spanner, apsp_stretch))
+}
+
+fn spanner(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<SpannerProgram>> {
+    plain_spanner(cluster, input.n, input.edges, input.params.spanner_k, None)
+}
+
+fn spanner_weighted(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+) -> Description<Multiplexed<Driven<SpannerProgram>>> {
+    class_spanner(cluster, input.n, input.edges, input.params.spanner_k, None)
+}
+
+/// `apsp` is one spanner run at stretch parameter `k = ⌈log₂ n⌉` — plain
+/// on unit weights, per weight class otherwise — with the oracle indexed
+/// on the large machine (local, no rounds): `(k, weighted, stretch bound)`.
+fn apsp_shape(input: &AlgoInput<'_>) -> (usize, bool, usize) {
+    let k = ApspOracle::stretch_parameter(input.n);
+    let weighted = input.edges.iter().any(|(_, e)| e.w != 1);
+    (k, weighted, if weighted { 12 * k - 1 } else { 6 * k - 1 })
+}
+
+fn mst_approx_program(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+) -> Description<Driven<MstApproxProgram>> {
+    let programs =
+        MstApproxProgram::for_cluster(cluster, input.n, input.edges, input.params.epsilon);
+    Description::wave("xmst", 1, driven(programs), |p| {
+        Ok(AlgoOutput::MstApprox(p.0.result.expect(HALTED)))
+    })
+}
+
+fn mincut(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MinCutProgram>> {
+    let trials = input.params.mincut_trials;
+    let programs = MinCutProgram::for_cluster(cluster, input.n, input.edges, trials);
+    Description::wave("cut", 1, driven(programs), |p| {
+        Ok(AlgoOutput::MinCut(p.0.result.expect(HALTED)))
+    })
+}
+
+fn mincut_approx_program(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+) -> Description<Driven<MinCutApproxProgram>> {
+    let programs =
+        MinCutApproxProgram::for_cluster(cluster, input.n, input.edges, input.params.epsilon);
+    Description::wave("xcut", 1, driven(programs), |p| {
+        Ok(AlgoOutput::MinCutApprox(p.0.result.expect(HALTED)))
+    })
+}
+
+fn mis(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MisProgram>> {
+    let programs = MisProgram::for_cluster(cluster, input.n, input.edges);
+    Description::wave("mis", 1, driven(programs), |p| {
+        Ok(AlgoOutput::Mis(p.0.result.expect(HALTED)))
+    })
+}
+
+fn coloring(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<ColoringProgram>> {
+    let programs = ColoringProgram::for_cluster(cluster, input.n, input.edges);
+    Description::wave("color", 1, driven(programs), |p| {
+        Ok(AlgoOutput::Coloring(p.0.result.expect(HALTED)))
+    })
 }
 
 /// `⌈log₂log₂ n⌉`, floored at 1 — the `O(log log n)` budget scale.
@@ -556,15 +881,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.1",
         polylog_exponent: 2.6,
         round_budget: |_n| 6,
-        runner: |cluster, input, mode| {
-            let config = input
-                .params
-                .connectivity
-                .clone()
-                .unwrap_or_else(|| ConnectivityConfig::for_n(input.n));
-            adapters::heterogeneous_connectivity(cluster, input.n, input.edges, &config, mode)
-                .map(AlgoOutput::Components)
-        },
+        solo: |c, i, m, t| solo(connectivity(c, i), c, m, t),
+        lanes: |c, i| lanes(connectivity(c, i)),
     },
     Algorithm {
         name: "boruvka-msf",
@@ -572,9 +890,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "§3 building block",
         polylog_exponent: 1.3,
         round_budget: |n| 4 * log2(n) + 8,
-        runner: |cluster, input, mode| {
-            adapters::boruvka_msf(cluster, input.edges, mode).map(AlgoOutput::Forest)
-        },
+        solo: |c, i, m, t| solo(boruvka_msf(c, i), c, m, t),
+        lanes: |c, i| lanes(boruvka_msf(c, i)),
     },
     Algorithm {
         name: "mst",
@@ -582,10 +899,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 3.1",
         polylog_exponent: 1.3,
         round_budget: |n| 6 * loglog(n) + 16,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_mst_with(cluster, input.n, input.edges, &input.params.mst, mode)
-                .map(AlgoOutput::Mst)
-        },
+        solo: |c, i, m, t| solo(mst(c, i), c, m, t),
+        lanes: |c, i| lanes(mst(c, i)),
     },
     Algorithm {
         name: "matching",
@@ -593,10 +908,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 5.1",
         polylog_exponent: 1.3,
         round_budget: |n| 10 * loglog(n) + 36,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_matching(cluster, input.n, input.edges, mode)
-                .map(AlgoOutput::Matching)
-        },
+        solo: |c, i, m, t| solo(matching(c, i), c, m, t),
+        lanes: |c, i| lanes(matching(c, i)),
     },
     Algorithm {
         name: "spanner",
@@ -604,16 +917,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 4.1",
         polylog_exponent: 1.6,
         round_budget: |_n| 24,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_spanner(
-                cluster,
-                input.n,
-                input.edges,
-                input.params.spanner_k,
-                mode,
-            )
-            .map(AlgoOutput::Spanner)
-        },
+        solo: |c, i, m, t| solo(spanner(c, i), c, m, t),
+        lanes: |c, i| lanes(spanner(c, i)),
     },
     Algorithm {
         name: "spanner-weighted",
@@ -623,15 +928,14 @@ static ALGORITHMS: &[Algorithm] = &[
         // All weight classes interleaved in one engine run: the solo
         // spanner's O(1) clock, independent of the class count.
         round_budget: |_n| 24,
-        runner: |cluster, input, mode| {
-            let run = if input.params.batch_instances {
-                adapters::heterogeneous_spanner_weighted
+        solo: |c, i, m, t| {
+            if i.params.batch_instances {
+                solo(spanner_weighted(c, i), c, m, t)
             } else {
-                adapters::heterogeneous_spanner_weighted_sequential
-            };
-            run(cluster, input.n, input.edges, input.params.spanner_k, mode)
-                .map(AlgoOutput::Spanner)
+                class_spanner_sequential(c, i, i.params.spanner_k, None, m, t)
+            }
         },
+        lanes: |c, i| lanes(spanner_weighted(c, i)),
     },
     Algorithm {
         name: "apsp",
@@ -639,25 +943,25 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Corollary 4.2",
         polylog_exponent: 1.6,
         // One spanner run (the fixed 17-round clock, weight classes
-        // interleaved when the input is weighted) — oracle indexing is
-        // local to the large machine and costs no rounds.
+        // interleaved when the input is weighted).
         round_budget: |_n| 24,
-        runner: |cluster, input, mode| {
-            let k = ApspOracle::stretch_parameter(input.n);
-            let weighted = input.edges.iter().any(|(_, e)| e.w != 1);
-            let spanner = if weighted {
-                let run = if input.params.batch_instances {
-                    adapters::heterogeneous_spanner_weighted
-                } else {
-                    adapters::heterogeneous_spanner_weighted_sequential
-                };
-                run(cluster, input.n, input.edges, k, mode)?
+        solo: |c, i, m, t| {
+            let (k, weighted, stretch) = apsp_shape(i);
+            if !weighted {
+                solo(plain_spanner(c, i.n, i.edges, k, Some(stretch)), c, m, t)
+            } else if i.params.batch_instances {
+                solo(class_spanner(c, i.n, i.edges, k, Some(stretch)), c, m, t)
             } else {
-                adapters::heterogeneous_spanner(cluster, input.n, input.edges, k, mode)?
-            };
-            let stretch_bound = if weighted { 12 * k - 1 } else { 6 * k - 1 };
-            let oracle = ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound);
-            Ok(AlgoOutput::Apsp { oracle, spanner })
+                class_spanner_sequential(c, i, k, Some(stretch), m, t)
+            }
+        },
+        lanes: |c, i| {
+            let (k, weighted, stretch) = apsp_shape(i);
+            if weighted {
+                lanes(class_spanner(c, i.n, i.edges, k, Some(stretch)))
+            } else {
+                lanes(plain_spanner(c, i.n, i.edges, k, Some(stretch)))
+            }
         },
     },
     Algorithm {
@@ -669,15 +973,15 @@ static ALGORITHMS: &[Algorithm] = &[
         // 3-round connectivity wave plus slack, independent of the
         // O(log_{1+ε} W) grid size — the theorem's parallel figure.
         round_budget: |_n| 8,
-        runner: |cluster, input, mode| {
-            let run = if input.params.batch_instances {
-                adapters::approximate_mst_weight
+        solo: |c, i, m, t| {
+            if i.params.batch_instances {
+                mst_approx::batched(c, i.n, i.edges, i.params.epsilon, m, t)
+                    .map(AlgoOutput::MstApprox)
             } else {
-                adapters::approximate_mst_weight_sequential
-            };
-            run(cluster, input.n, input.edges, input.params.epsilon, mode)
-                .map(AlgoOutput::MstApprox)
+                solo(mst_approx_program(c, i), c, m, t)
+            }
         },
+        lanes: |c, i| lanes(mst_approx_program(c, i)),
     },
     Algorithm {
         name: "mincut",
@@ -687,16 +991,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // O(1) per trial (12 engine rounds), at the default trial count,
         // plus the degree kickoff.
         round_budget: |_n| 12 * DEFAULT_MINCUT_TRIALS as u64 + 8,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_min_cut(
-                cluster,
-                input.n,
-                input.edges,
-                input.params.mincut_trials,
-                mode,
-            )
-            .map(AlgoOutput::MinCut)
-        },
+        solo: |c, i, m, t| solo(mincut(c, i), c, m, t),
+        lanes: |c, i| lanes(mincut(c, i)),
     },
     Algorithm {
         name: "mincut-approx",
@@ -707,15 +1003,15 @@ static ALGORITHMS: &[Algorithm] = &[
         // plus the conditional whole-graph fallback, independent of the
         // geometric guess count — the theorem's parallel figure.
         round_budget: |_n| 10,
-        runner: |cluster, input, mode| {
-            let run = if input.params.batch_instances {
-                adapters::approximate_min_cut
+        solo: |c, i, m, t| {
+            if i.params.batch_instances {
+                mincut_approx::batched(c, i.n, i.edges, i.params.epsilon, m, t)
+                    .map(AlgoOutput::MinCutApprox)
             } else {
-                adapters::approximate_min_cut_sequential
-            };
-            run(cluster, input.n, input.edges, input.params.epsilon, mode)
-                .map(AlgoOutput::MinCutApprox)
+                solo(mincut_approx_program(c, i), c, m, t)
+            }
         },
+        lanes: |c, i| lanes(mincut_approx_program(c, i)),
     },
     Algorithm {
         name: "mis",
@@ -723,9 +1019,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.6",
         polylog_exponent: 1.6,
         round_budget: |n| 10 * (loglog(n) + 1) + 10,
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_mis(cluster, input.n, input.edges, mode).map(AlgoOutput::Mis)
-        },
+        solo: |c, i, m, t| solo(mis(c, i), c, m, t),
+        lanes: |c, i| lanes(mis(c, i)),
     },
     Algorithm {
         name: "coloring",
@@ -734,18 +1029,16 @@ static ALGORITHMS: &[Algorithm] = &[
         polylog_exponent: 2.0,
         // O(1) plus at most MAX_RESTARTS + 1 attempt waves (2 rounds each).
         round_budget: |_n| 6 + 2 * (mpc_core::ported::coloring::MAX_RESTARTS as u64 + 1),
-        runner: |cluster, input, mode| {
-            adapters::heterogeneous_coloring(cluster, input.n, input.edges, mode)
-                .map(AlgoOutput::Coloring)
-        },
+        solo: |c, i, m, t| solo(coloring(c, i), c, m, t),
+        lanes: |c, i| lanes(coloring(c, i)),
     },
 ];
 
 /// The registry names whose paper-parallel instances run interleaved
 /// through the [multi-program scheduler](crate::multiplex) by default
 /// (and sequentially under [`AlgoInput::sequential_instances`]) — the
-/// single source of truth for the `budgets` collapse gate and the
-/// `hotpath` batched bench rows.
+/// single source of truth for the `budgets` collapse gate and the batched
+/// schedule-independence sweep.
 pub const BATCHED_NAMES: [&str; 3] = ["spanner-weighted", "mst-approx", "mincut-approx"];
 
 /// The canonical registry contents: every paper result, exactly once, in
@@ -795,21 +1088,38 @@ pub fn run(
     input: &AlgoInput<'_>,
     mode: ExecMode,
 ) -> Result<AlgoOutput, ExecError> {
+    run_threads(name, cluster, input, mode, 0)
+}
+
+/// [`run`] with an explicit worker-thread cap for [`ExecMode::Parallel`]
+/// (0 = the [`Executor`]'s default) — the knob the schedule-independence
+/// tests turn.
+///
+/// # Errors
+///
+/// Same as [`run`].
+pub fn run_threads(
+    name: &str,
+    cluster: &mut Cluster,
+    input: &AlgoInput<'_>,
+    mode: ExecMode,
+    threads: usize,
+) -> Result<AlgoOutput, ExecError> {
     let algo = get(name).ok_or_else(|| ExecError::Algorithm {
         message: format!(
             "unknown algorithm '{name}'; registered: {}",
             names().join(", ")
         ),
     })?;
-    algo.run(cluster, input, mode)
+    (algo.solo)(cluster, input, mode, threads)
 }
 
 /// Runs one [`JobSpec`] solo on `cluster`: distributes the spec's graph
-/// and delegates to [`run`] with the spec's parameters — the single
-/// bridge between the job description the [service](crate::service)
-/// consumes and the [`AlgoInput`] entry point, so the two cannot drift.
-/// The caller seeds the cluster (typically with [`JobSpec::seed`]) to
-/// reproduce a service job bit-for-bit.
+/// and delegates to [`run`] with the spec's parameters — with
+/// [`job_lanes`], the single bridge between the job description the
+/// [service](crate::service) consumes and the [`AlgoInput`] entry point,
+/// so the two cannot drift. The caller seeds the cluster (typically with
+/// [`JobSpec::seed`]) to reproduce a service job bit-for-bit.
 ///
 /// # Errors
 ///
@@ -820,12 +1130,24 @@ pub fn run_job(
     mode: ExecMode,
 ) -> Result<AlgoOutput, ExecError> {
     let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
-    let input = AlgoInput {
-        n: spec.graph.n(),
-        edges: &edges,
-        params: spec.params.clone(),
-    };
+    let input = spec.input(&edges);
     run(&spec.name, cluster, &input, mode)
+}
+
+/// Builds the service lanes of one [`JobSpec`] from exactly the input
+/// [`run_job`] would run solo. Must run with the cluster's capacity factor
+/// at 1 — the constructors snapshot solo capacities.
+///
+/// # Panics
+///
+/// Panics on an unregistered name — [`Service::submit`](crate::Service::submit)
+/// turns those away.
+pub(crate) fn job_lanes(spec: &JobSpec, cluster: &Cluster) -> Lanes {
+    debug_assert_eq!(cluster.capacity_factor(), 1, "build lanes at solo capacity");
+    let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
+    let input = spec.input(&edges);
+    let algo = get(&spec.name).expect("submit admits registered names only");
+    (algo.lanes)(cluster, &input)
 }
 
 /// Runs the named algorithm with telemetry recording attached and returns
@@ -884,6 +1206,63 @@ mod tests {
                 "batched name '{name}' missing from the canonical set"
             );
         }
+    }
+
+    /// The table is total: every row builds service lanes (one program
+    /// per machine, or a finished result), its one-job [`Service`] drain
+    /// agrees with its solo run, and `Service::submit` accepts exactly
+    /// [`names`]. A name that is registered but cannot be built as a lane
+    /// — what the `other =>` arm of the service's old per-name `match`
+    /// answered — cannot exist: `lanes` is a field of the row.
+    #[test]
+    fn every_row_builds_lanes_and_drains_to_its_solo_digest() {
+        use crate::Service;
+        let g = Arc::new(mpc_graph::generators::gnm(64, 320, 3).with_random_weights(64, 3));
+        let config = |algo: &Algorithm| {
+            mpc_runtime::ClusterConfig::new(g.n(), g.m())
+                .seed(5)
+                .polylog_exponent(algo.polylog_exponent)
+        };
+        for algo in algorithms() {
+            let spec = JobSpec::new(algo.name, Arc::clone(&g)).seed(5);
+            let cluster = Cluster::new(config(algo));
+            match job_lanes(&spec, &cluster) {
+                Description::Wave { programs, .. } => {
+                    assert_eq!(programs.len(), cluster.machines());
+                }
+                Description::Immediate(result) => assert!(result.is_ok(), "{}", algo.name),
+            }
+
+            // The lanes of `mst-approx` / `mincut-approx` are their
+            // single-program forms, which solo runs reach through
+            // `sequential_instances`.
+            let mut solo_spec = spec.clone();
+            if matches!(algo.name, "mst-approx" | "mincut-approx") {
+                solo_spec.params = solo_spec.params.sequential_instances();
+            }
+            let solo = run_job(
+                &solo_spec,
+                &mut Cluster::new(config(algo)),
+                ExecMode::Serial,
+            );
+            let mut service = Service::new(config(algo));
+            let handle = service.submit(spec).expect("registered name");
+            service.run(ExecMode::Serial).expect("drain");
+            let served = handle.take_result().expect("finished");
+            assert_eq!(
+                served.expect("job result").digest(),
+                solo.expect("solo result").digest(),
+                "{}: service lane diverged from the solo run",
+                algo.name
+            );
+        }
+
+        let mut service = Service::new(config(&ALGORITHMS[0]));
+        for name in names() {
+            assert!(service.submit(JobSpec::new(name, Arc::clone(&g))).is_ok());
+        }
+        assert!(service.submit(JobSpec::new("nope", g)).is_err());
+        assert_eq!(service.queued(), names().len());
     }
 
     #[test]

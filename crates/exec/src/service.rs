@@ -25,20 +25,12 @@
 //!
 //! [`RoundHook`]: crate::driver::RoundHook
 
-use crate::combinators::Driven;
 use crate::driver::{ExecError, ExecMode, Executor, WaveRound};
-use crate::mixed::{downcast_program, erase, ErasedProgram, MixedWave};
-use crate::multiplex::Multiplexed;
-use crate::programs::{
-    BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram, MinCutApproxProgram,
-    MinCutProgram, MisProgram, MstApproxProgram, MstProgram, SpannerProgram,
-};
-use crate::registry::{self, AlgoOutput, JobSpec};
-use mpc_core::ported::connectivity::ConnectivityConfig;
-use mpc_core::spanner::apsp::ApspOracle;
-use mpc_core::spanner::{merge_class_results, weight_class_shards};
+use crate::mixed::{ErasedProgram, MixedWave};
+use crate::registry::{self, AlgoOutput, Description, Finish, JobSpec};
+use mpc_core::spanner::weight_class;
 use mpc_runtime::telemetry::TraceEvent;
-use mpc_runtime::{machine_rng, Cluster, ClusterConfig, MachineId};
+use mpc_runtime::{machine_rng, Cluster, ClusterConfig};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -149,6 +141,8 @@ pub struct ServiceRun {
 // Internals
 // ---------------------------------------------------------------------------
 
+const HAS_LARGE: &str = "a job ran, so the cluster has a large machine";
+
 struct QueuedJob {
     id: u64,
     spec: JobSpec,
@@ -160,40 +154,18 @@ struct QueuedJob {
     earliest: u64,
 }
 
-/// Consumes the finished per-machine lanes (index = machine id) and turns
-/// them back into the algorithm's output.
-type Extractor = Box<dyn FnOnce(Vec<Box<dyn ErasedProgram>>) -> Result<AlgoOutput, ExecError>>;
-
 struct RunningJob {
     id: u64,
     shares: usize,
     admitted_round: u64,
     state: Arc<Mutex<JobState>>,
-    extract: Extractor,
+    /// Turns the large machine's retired lane into the job's output.
+    finish: Finish<Box<dyn ErasedProgram>>,
     /// The full spec, kept so a quarantined job can be resubmitted (its
     /// lanes are rebuilt from scratch on re-admission).
     spec: JobSpec,
     /// The admission attempt this incarnation consumed (1-based).
     attempt: u32,
-}
-
-/// What building a job's per-machine programs produced.
-enum Built {
-    /// Lanes to admit plus the paired extractor.
-    Wave {
-        programs: Vec<Box<dyn ErasedProgram>>,
-        extract: Extractor,
-    },
-    /// Degenerate input (e.g. a weighted spanner with no edges): the
-    /// result exists without touching the wave.
-    Immediate(Result<AlgoOutput, ExecError>),
-}
-
-fn take_machine(boxes: Vec<Box<dyn ErasedProgram>>, mid: MachineId) -> Box<dyn ErasedProgram> {
-    boxes
-        .into_iter()
-        .nth(mid)
-        .expect("per-machine lane vector covers every machine")
 }
 
 /// The capacity shares a job occupies while running: its explicit
@@ -206,259 +178,14 @@ fn derived_shares(spec: &JobSpec) -> usize {
         return spec.shares;
     }
     match spec.name.as_str() {
+        // Unit weights are one class: `apsp` then runs one plain spanner.
         "spanner-weighted" | "apsp" => {
-            if spec.name == "apsp" && spec.graph.edges().iter().all(|e| e.w == 1) {
-                return 1; // unweighted apsp runs one plain spanner
-            }
-            let mut classes = std::collections::BTreeSet::new();
-            for e in spec.graph.edges() {
-                classes.insert(63 - e.w.max(1).leading_zeros());
-            }
-            classes.len().max(1)
+            // A u64 weight has 64 classes: the set of them is one word.
+            let edges = spec.graph.edges().iter();
+            let classes = edges.fold(0u64, |set, e| set | 1 << weight_class(e.w));
+            (classes.count_ones() as usize).max(1)
         }
         _ => 1,
-    }
-}
-
-/// Builds a job's per-machine programs and extractor, mirroring the
-/// registry runners' construction (identical `for_cluster` calls, so the
-/// lanes are exactly what a solo run would drive). Must run with the
-/// cluster's capacity factor at 1 — the constructors snapshot solo
-/// capacities.
-fn build_job(spec: &JobSpec, cluster: &Cluster) -> Built {
-    debug_assert_eq!(cluster.capacity_factor(), 1, "build jobs at solo capacity");
-    let n = spec.graph.n();
-    let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
-    let large = cluster
-        .large()
-        .expect("the service requires a large machine");
-    let params = spec.params.clone();
-    match spec.name.as_str() {
-        "connectivity" => {
-            let config = params
-                .connectivity
-                .clone()
-                .unwrap_or_else(|| ConnectivityConfig::for_n(n));
-            Built::Wave {
-                programs: ConnectivityProgram::for_cluster(cluster, n, &edges, &config)
-                    .into_iter()
-                    .map(erase)
-                    .collect(),
-                extract: Box::new(move |boxes| {
-                    let p = downcast_program::<ConnectivityProgram>(take_machine(boxes, large));
-                    Ok(AlgoOutput::Components(
-                        p.result.expect("large machine halts with a result"),
-                    ))
-                }),
-            }
-        }
-        "boruvka-msf" => Built::Wave {
-            programs: BoruvkaProgram::for_cluster(cluster, &edges)
-                .into_iter()
-                .map(erase)
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<BoruvkaProgram>(take_machine(boxes, large));
-                Ok(AlgoOutput::Forest(
-                    p.forest.expect("large machine halts with a forest"),
-                ))
-            }),
-        },
-        "mst" => Built::Wave {
-            programs: MstProgram::for_cluster_with(cluster, n, &edges, &params.mst)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MstProgram>>(take_machine(boxes, large));
-                p.0.result
-                    .expect("large machine halts with a result")
-                    .map(AlgoOutput::Mst)
-                    .map_err(|e| ExecError::Algorithm {
-                        message: e.to_string(),
-                    })
-            }),
-        },
-        "matching" => Built::Wave {
-            programs: MatchingProgram::for_cluster(cluster, n, &edges)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MatchingProgram>>(take_machine(boxes, large));
-                p.0.result
-                    .expect("large machine halts with a result")
-                    .map(AlgoOutput::Matching)
-                    .map_err(|e| ExecError::Algorithm {
-                        message: e.to_string(),
-                    })
-            }),
-        },
-        "spanner" => Built::Wave {
-            programs: SpannerProgram::for_cluster(cluster, n, &edges, params.spanner_k)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<SpannerProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::Spanner(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "spanner-weighted" => {
-            build_weighted_spanner(cluster, n, &edges, params.spanner_k, large, None)
-        }
-        "apsp" => {
-            let k = ApspOracle::stretch_parameter(n);
-            let weighted = edges.iter().any(|(_, e)| e.w != 1);
-            let stretch_bound = if weighted { 12 * k - 1 } else { 6 * k - 1 };
-            if weighted {
-                build_weighted_spanner(cluster, n, &edges, k, large, Some(stretch_bound))
-            } else {
-                Built::Wave {
-                    programs: SpannerProgram::for_cluster(cluster, n, &edges, k)
-                        .into_iter()
-                        .map(|p| erase(Driven(p)))
-                        .collect(),
-                    extract: Box::new(move |boxes| {
-                        let p =
-                            downcast_program::<Driven<SpannerProgram>>(take_machine(boxes, large));
-                        let spanner = p.0.result.expect("large machine halts with a result");
-                        let oracle =
-                            ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound);
-                        Ok(AlgoOutput::Apsp { oracle, spanner })
-                    }),
-                }
-            }
-        }
-        "mst-approx" => Built::Wave {
-            programs: MstApproxProgram::for_cluster(cluster, n, &edges, params.epsilon)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MstApproxProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::MstApprox(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "mincut" => Built::Wave {
-            programs: MinCutProgram::for_cluster(cluster, n, &edges, params.mincut_trials)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MinCutProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::MinCut(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "mincut-approx" => Built::Wave {
-            programs: MinCutApproxProgram::for_cluster(cluster, n, &edges, params.epsilon)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MinCutApproxProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::MinCutApprox(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "mis" => Built::Wave {
-            programs: MisProgram::for_cluster(cluster, n, &edges)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<MisProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::Mis(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        "coloring" => Built::Wave {
-            programs: ColoringProgram::for_cluster(cluster, n, &edges)
-                .into_iter()
-                .map(|p| erase(Driven(p)))
-                .collect(),
-            extract: Box::new(move |boxes| {
-                let p = downcast_program::<Driven<ColoringProgram>>(take_machine(boxes, large));
-                Ok(AlgoOutput::Coloring(
-                    p.0.result.expect("large machine halts with a result"),
-                ))
-            }),
-        },
-        other => Built::Immediate(Err(ExecError::Algorithm {
-            message: format!("no registered algorithm named {other:?}"),
-        })),
-    }
-}
-
-/// The batched weighted-spanner lane shared by `spanner-weighted` and
-/// weighted `apsp`: all factor-2 weight classes as a [`Multiplexed`]
-/// program (the same construction as the solo adapter), merged back into
-/// one spanner at extraction. `apsp_stretch` switches the output variant.
-fn build_weighted_spanner(
-    cluster: &Cluster,
-    n: usize,
-    edges: &mpc_runtime::ShardedVec<mpc_graph::Edge>,
-    k: usize,
-    large: MachineId,
-    apsp_stretch: Option<usize>,
-) -> Built {
-    let classes = weight_class_shards(edges);
-    if classes.shards.is_empty() {
-        let spanner = merge_class_results(n, &classes, Vec::new());
-        return Built::Immediate(Ok(match apsp_stretch {
-            Some(stretch_bound) => AlgoOutput::Apsp {
-                oracle: ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound),
-                spanner,
-            },
-            None => AlgoOutput::Spanner(spanner),
-        }));
-    }
-    let per_instance: Vec<Vec<Driven<SpannerProgram>>> = classes
-        .shards
-        .iter()
-        .map(|(_c, class_edges)| {
-            SpannerProgram::for_cluster(cluster, n, class_edges, k)
-                .into_iter()
-                .map(Driven)
-                .collect()
-        })
-        .collect();
-    let programs = Multiplexed::build(cluster, per_instance)
-        .into_iter()
-        .map(erase)
-        .collect();
-    Built::Wave {
-        programs,
-        extract: Box::new(move |boxes| {
-            let mut coordinator =
-                downcast_program::<Multiplexed<Driven<SpannerProgram>>>(take_machine(boxes, large));
-            let results: Vec<_> = (0..coordinator.instances())
-                .map(|i| {
-                    coordinator
-                        .instance_mut(i)
-                        .0
-                        .result
-                        .take()
-                        .expect("large machine halts with a per-class result")
-                })
-                .collect();
-            let spanner = merge_class_results(n, &classes, results);
-            Ok(match apsp_stretch {
-                Some(stretch_bound) => AlgoOutput::Apsp {
-                    oracle: ApspOracle::from_spanner(spanner.spanner.clone(), stretch_bound),
-                    spanner,
-                },
-                None => AlgoOutput::Spanner(spanner),
-            })
-        }),
     }
 }
 
@@ -728,6 +455,9 @@ impl Service {
             "the service manages the capacity factor; start a run at 1"
         );
         let machines = cluster.machines();
+        // Every registry algorithm reports on the large machine; a lane
+        // could only have been built on a cluster that has one.
+        let large = cluster.large();
         let limit = if self.capacity_shares == 0 {
             usize::MAX
         } else {
@@ -783,7 +513,7 @@ impl Service {
                             continue;
                         }
                         let rj = running.remove(i);
-                        let boxes: Vec<_> = (0..machines)
+                        let mut boxes: Vec<_> = (0..machines)
                             .map(|mid| {
                                 view.with(mid, |wave| {
                                     wave.remove(job)
@@ -791,7 +521,7 @@ impl Service {
                                 })
                             })
                             .collect();
-                        let outcome = (rj.extract)(boxes);
+                        let outcome = (rj.finish)(boxes.swap_remove(large.expect(HAS_LARGE)));
                         finish_job(
                             cluster,
                             records,
@@ -906,8 +636,8 @@ impl Service {
                                 shares,
                             });
                         }
-                        match build_job(&qj.spec, cluster) {
-                            Built::Immediate(outcome) => {
+                        match registry::job_lanes(&qj.spec, cluster) {
+                            Description::Immediate(outcome) => {
                                 finish_job(
                                     cluster,
                                     records,
@@ -921,7 +651,9 @@ impl Service {
                                     outcome,
                                 );
                             }
-                            Built::Wave { programs, extract } => {
+                            Description::Wave {
+                                programs, finish, ..
+                            } => {
                                 qj.state.lock().unwrap().status = JobStatus::Running;
                                 for (mid, program) in programs.into_iter().enumerate() {
                                     view.with(mid, |wave| {
@@ -939,7 +671,7 @@ impl Service {
                                     shares,
                                     admitted_round: round,
                                     state: qj.state,
-                                    extract,
+                                    finish,
                                     spec: qj.spec,
                                     attempt: qj.attempt,
                                 });
@@ -1064,14 +796,14 @@ impl Service {
         // their lanes sit in the returned wave states.
         let mut waves = outcome.programs;
         for rj in running.drain(..) {
-            let boxes: Vec<_> = waves
+            let mut boxes: Vec<_> = waves
                 .iter_mut()
                 .map(|wave| {
                     wave.remove(rj.id)
                         .expect("a running job has a lane on every machine")
                 })
                 .collect();
-            let job_outcome = (rj.extract)(boxes);
+            let job_outcome = (rj.finish)(boxes.swap_remove(large.expect(HAS_LARGE)));
             finish_job(
                 cluster,
                 &mut records,

@@ -5,7 +5,7 @@
 
 use mpc_core::common;
 use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
-use mpc_exec::{adapters, ExecMode};
+use mpc_exec::{registry, AlgoInput, ExecMode};
 use mpc_graph::generators;
 use mpc_runtime::{Cluster, ClusterConfig, Enforcement, Topology};
 use rand::RngCore;
@@ -75,7 +75,6 @@ fn assert_clusters_identical(a: &mut Cluster, b: &mut Cluster, what: &str) {
 fn connectivity_parallel_matches_serial() {
     for &seed in &SEEDS {
         let g = generators::gnm(96, 220, seed);
-        let config = ConnectivityConfig::for_n(g.n());
         for (ti, (mut serial, mut parallel)) in conn_topologies(g.n(), g.m(), seed)
             .into_iter()
             .zip(conn_topologies(g.n(), g.m(), seed))
@@ -83,21 +82,24 @@ fn connectivity_parallel_matches_serial() {
         {
             let input_s = common::distribute_edges(&serial, &g);
             let input_p = common::distribute_edges(&parallel, &g);
-            let r_serial = adapters::heterogeneous_connectivity(
+            // Default parameters: `ConnectivityConfig::for_n(n)`.
+            let r_serial = registry::run(
+                "connectivity",
                 &mut serial,
-                g.n(),
-                &input_s,
-                &config,
+                &AlgoInput::new(g.n(), &input_s),
                 ExecMode::Serial,
             )
+            .unwrap()
+            .into_components()
             .unwrap();
-            let r_parallel = adapters::heterogeneous_connectivity(
+            let r_parallel = registry::run(
+                "connectivity",
                 &mut parallel,
-                g.n(),
-                &input_p,
-                &config,
+                &AlgoInput::new(g.n(), &input_p),
                 ExecMode::Parallel,
             )
+            .unwrap()
+            .into_components()
             .unwrap();
             let what = format!("connectivity seed {seed} topology {ti}");
             assert_eq!(r_serial, r_parallel, "{what}: results differ");
@@ -117,9 +119,24 @@ fn boruvka_parallel_matches_serial() {
         {
             let input_s = common::distribute_edges(&serial, &g);
             let input_p = common::distribute_edges(&parallel, &g);
-            let f_serial = adapters::boruvka_msf(&mut serial, &input_s, ExecMode::Serial).unwrap();
-            let f_parallel =
-                adapters::boruvka_msf(&mut parallel, &input_p, ExecMode::Parallel).unwrap();
+            let f_serial = registry::run(
+                "boruvka-msf",
+                &mut serial,
+                &AlgoInput::new(g.n(), &input_s),
+                ExecMode::Serial,
+            )
+            .unwrap()
+            .into_forest()
+            .unwrap();
+            let f_parallel = registry::run(
+                "boruvka-msf",
+                &mut parallel,
+                &AlgoInput::new(g.n(), &input_p),
+                ExecMode::Parallel,
+            )
+            .unwrap()
+            .into_forest()
+            .unwrap();
             let what = format!("boruvka seed {seed} topology {ti}");
             assert_eq!(f_serial.keys(), f_parallel.keys(), "{what}: forests differ");
             assert_eq!(

@@ -3,9 +3,41 @@
 
 use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
 use mpc_core::{common, mst};
-use mpc_exec::{adapters, ExecMode};
-use mpc_graph::{generators, traversal::connected_components, Edge};
-use mpc_runtime::{Cluster, ClusterConfig};
+use mpc_exec::{registry, AlgoInput, ExecMode, JobParams};
+use mpc_graph::mst::Forest;
+use mpc_graph::traversal::{connected_components, Components};
+use mpc_graph::{generators, Edge};
+use mpc_runtime::{Cluster, ClusterConfig, ShardedVec};
+
+fn connectivity(
+    cluster: &mut Cluster,
+    n: usize,
+    edges: &ShardedVec<Edge>,
+    config: &ConnectivityConfig,
+    mode: ExecMode,
+) -> Components {
+    let input = AlgoInput {
+        n,
+        edges,
+        params: JobParams::default().connectivity(config.clone()),
+    };
+    registry::run("connectivity", cluster, &input, mode)
+        .unwrap()
+        .into_components()
+        .unwrap()
+}
+
+fn boruvka_msf(
+    cluster: &mut Cluster,
+    n: usize,
+    edges: &ShardedVec<Edge>,
+    mode: ExecMode,
+) -> Forest {
+    registry::run("boruvka-msf", cluster, &AlgoInput::new(n, edges), mode)
+        .unwrap()
+        .into_forest()
+        .unwrap()
+}
 
 #[test]
 fn connectivity_program_equals_legacy_exactly() {
@@ -25,14 +57,13 @@ fn connectivity_program_equals_legacy_exactly() {
 
         let mut engine_cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
         let engine_input = common::distribute_edges(&engine_cluster, &g);
-        let engine = adapters::heterogeneous_connectivity(
+        let engine = connectivity(
             &mut engine_cluster,
             g.n(),
             &engine_input,
             &config,
             ExecMode::Parallel,
-        )
-        .unwrap();
+        );
 
         // Exact equality: the program draws the same seed from the same
         // RNG stream and sums the same linear sketches.
@@ -63,8 +94,12 @@ fn boruvka_program_matches_legacy_mst() {
 
         let mut engine_cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));
         let engine_input = common::distribute_edges(&engine_cluster, &g);
-        let engine =
-            adapters::boruvka_msf(&mut engine_cluster, &engine_input, ExecMode::Parallel).unwrap();
+        let engine = boruvka_msf(
+            &mut engine_cluster,
+            g.n(),
+            &engine_input,
+            ExecMode::Parallel,
+        );
 
         assert_eq!(engine.keys(), legacy.keys(), "seed {seed}");
         assert_eq!(engine.total_weight, legacy.total_weight, "seed {seed}");
@@ -78,14 +113,14 @@ fn boruvka_handles_disconnected_and_tiny_inputs() {
     let g = generators::random_forest(80, 5, 3).with_random_weights(500, 3);
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(9));
     let input = common::distribute_edges(&cluster, &g);
-    let forest = adapters::boruvka_msf(&mut cluster, &input, ExecMode::Parallel).unwrap();
+    let forest = boruvka_msf(&mut cluster, g.n(), &input, ExecMode::Parallel);
     assert!(mst::is_minimum_spanning_forest(&g, &forest));
 
     // Empty graph: engine must terminate with an empty forest.
     let empty = mpc_graph::Graph::empty(10);
     let mut cluster = Cluster::new(ClusterConfig::new(10, 1).seed(1));
     let input = common::distribute_edges(&cluster, &empty);
-    let forest = adapters::boruvka_msf(&mut cluster, &input, ExecMode::Serial).unwrap();
+    let forest = boruvka_msf(&mut cluster, 10, &input, ExecMode::Serial);
     assert!(forest.is_empty());
 }
 
@@ -94,7 +129,6 @@ fn boruvka_handles_disconnected_and_tiny_inputs() {
 /// idle, and the large machine still counts the singletons.
 #[test]
 fn machines_with_nothing_to_sketch_send_nothing() {
-    use mpc_runtime::ShardedVec;
     let n = 64;
     let g = generators::gnm(n, 160, 3).with_random_weights(50, 3);
     let config = ConnectivityConfig::for_n(n);
@@ -108,9 +142,7 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
     let smalls = cluster.small_ids().len();
     let empty = ShardedVec::new(&cluster);
-    let got =
-        adapters::heterogeneous_connectivity(&mut cluster, n, &empty, &config, ExecMode::Serial)
-            .unwrap();
+    let got = connectivity(&mut cluster, n, &empty, &config, ExecMode::Serial);
     assert_eq!(got.count, n);
     assert_eq!(
         words_and_messages(&cluster),
@@ -123,14 +155,7 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
     let mut one_shard: ShardedVec<Edge> = ShardedVec::new(&cluster);
     *one_shard.shard_mut(cluster.small_ids()[0]) = few.edges().to_vec();
-    let got = adapters::heterogeneous_connectivity(
-        &mut cluster,
-        n,
-        &one_shard,
-        &config,
-        ExecMode::Serial,
-    )
-    .unwrap();
+    let got = connectivity(&mut cluster, n, &one_shard, &config, ExecMode::Serial);
     assert_eq!(got, connected_components(&few));
     let log = words_and_messages(&cluster);
     assert!((1..=smalls).contains(&log[1].1), "sender round: {log:?}");
@@ -153,12 +178,14 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     assert_eq!((legacy.thresholds[0], legacy.component_counts[0]), (1, n));
     for batched in [true, false] {
         let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
-        let run = if batched {
-            adapters::approximate_mst_weight
-        } else {
-            adapters::approximate_mst_weight_sequential
-        };
-        let got = run(&mut cluster, n, &input, 0.5, ExecMode::Serial).unwrap();
+        let mut algo_input = AlgoInput::new(n, &input).epsilon(0.5);
+        if !batched {
+            algo_input = algo_input.sequential_instances();
+        }
+        let got = registry::run("mst-approx", &mut cluster, &algo_input, ExecMode::Serial)
+            .unwrap()
+            .into_mst_approx()
+            .unwrap();
         assert_eq!(got.component_counts, legacy.component_counts);
         assert_eq!(got.estimate, legacy.estimate);
         if !batched {

@@ -121,11 +121,7 @@ fn large_machine_crash_recovers_every_registry_algorithm() {
 fn crash_recovery_is_mode_independent() {
     let (clean_digest, clean_draws, clean) = run_registry("mis", 5, None, ExecMode::Serial);
     let plan = FaultPlan::seeded_single_crash(5, &clean.small_ids(), clean.rounds());
-    for mode in [
-        ExecMode::Serial,
-        ExecMode::SpawnPerRound,
-        ExecMode::Parallel,
-    ] {
+    for mode in [ExecMode::Serial, ExecMode::Parallel] {
         let (digest, draws, _) = run_registry("mis", 5, Some(plan.clone()), mode);
         assert_eq!(digest, clean_digest, "{mode:?} diverged under recovery");
         assert_eq!(draws, clean_draws, "{mode:?} RNG positions diverged");

@@ -13,7 +13,7 @@
 //!   instead of one wave per instance.
 
 use mpc_core::common;
-use mpc_exec::{adapters, registry, AlgoInput, ExecMode};
+use mpc_exec::{registry, AlgoInput, ExecMode};
 use mpc_graph::{generators, Edge, Graph};
 use mpc_runtime::{Cluster, ClusterConfig, Enforcement, Topology};
 use rand::RngCore;
@@ -219,21 +219,30 @@ fn budget_abort_retires_finer_guesses_and_matches_sequential_fallback() {
 
     let mut seq_cluster = make();
     let seq_input = common::distribute_edges(&seq_cluster, &g);
-    let seq = adapters::approximate_min_cut_sequential(
+    let seq = registry::run(
+        "mincut-approx",
         &mut seq_cluster,
-        g.n(),
-        &seq_input,
-        0.3,
+        &AlgoInput::new(g.n(), &seq_input)
+            .epsilon(0.3)
+            .sequential_instances(),
         ExecMode::Serial,
     )
+    .unwrap()
+    .into_mincut_approx()
     .unwrap();
     let seq_rounds = seq_cluster.rounds();
 
     let mut bat_cluster = make();
     let bat_input = common::distribute_edges(&bat_cluster, &g);
-    let bat =
-        adapters::approximate_min_cut(&mut bat_cluster, g.n(), &bat_input, 0.3, ExecMode::Serial)
-            .unwrap();
+    let bat = registry::run(
+        "mincut-approx",
+        &mut bat_cluster,
+        &AlgoInput::new(g.n(), &bat_input).epsilon(0.3),
+        ExecMode::Serial,
+    )
+    .unwrap()
+    .into_mincut_approx()
+    .unwrap();
     let bat_rounds = bat_cluster.rounds();
 
     // Both paths must have aborted to the fallback (λ̂ = 1 marker) with the
@@ -272,57 +281,22 @@ fn budget_abort_retires_finer_guesses_and_matches_sequential_fallback() {
 
 /// Batched runs must be bit-identical across Serial / Parallel at worker
 /// counts {1, 3, 16}: results, round counts, full round logs (labels,
-/// traffic, work, makespans), and RNG positions.
+/// traffic, work, makespans), and RNG positions. (The twelve-name sweep in
+/// `registry_equivalence.rs` runs the default ε = 0.3; this one runs the
+/// coarser ε = 0.5 grid.)
 #[test]
 fn batched_workloads_are_schedule_independent_at_threads_1_3_16() {
     let g = generators::gnm(140, 1100, 9).with_random_weights(1 << 16, 9);
-    for name in ["spanner-weighted", "mst-approx", "mincut-approx"] {
+    for name in registry::BATCHED_NAMES {
         let polylog = registry::get(name).unwrap().polylog_exponent;
         let run = |mode: ExecMode, threads: usize| {
             let mut cluster = cluster_for(&g, 9, polylog);
             let edges = common::distribute_edges(&cluster, &g);
-            let digest: u64 = match name {
-                "spanner-weighted" => {
-                    let r = adapters::heterogeneous_spanner_weighted_opts(
-                        &mut cluster,
-                        g.n(),
-                        &edges,
-                        3,
-                        mode,
-                        threads,
-                    )
-                    .unwrap();
-                    r.spanner.m() as u64
-                }
-                "mst-approx" => {
-                    let r = adapters::approximate_mst_weight_opts(
-                        &mut cluster,
-                        g.n(),
-                        &edges,
-                        0.5,
-                        mode,
-                        threads,
-                    )
-                    .unwrap();
-                    r.estimate.to_bits() ^ r.component_counts.len() as u64
-                }
-                "mincut-approx" => {
-                    let r = adapters::approximate_min_cut_opts(
-                        &mut cluster,
-                        g.n(),
-                        &edges,
-                        0.3,
-                        mode,
-                        threads,
-                    )
-                    .unwrap();
-                    r.estimate.to_bits() ^ r.lambda_guess
-                }
-                other => unreachable!("no driver for '{other}'"),
-            };
+            let input = AlgoInput::new(g.n(), &edges).epsilon(0.5);
+            let out = registry::run_threads(name, &mut cluster, &input, mode, threads).unwrap();
             let log = cluster.round_log().to_vec();
             let rng = rng_positions(&mut cluster);
-            (digest, cluster.rounds(), log, rng)
+            (out.digest(), cluster.rounds(), log, rng)
         };
         let reference = run(ExecMode::Serial, 1);
         for threads in [1usize, 3, 16] {

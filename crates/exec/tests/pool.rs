@@ -75,10 +75,6 @@ fn pooled_is_bit_identical_to_serial_across_thread_counts() {
                 "threads={threads} seed={seed}: RNG positions differ"
             );
         }
-        // The spawn-per-round baseline must agree too (the hotpath bench
-        // relies on the three modes being interchangeable).
-        let (r, log, rng) = run_connectivity(ExecMode::SpawnPerRound, 3, seed);
-        assert_eq!((r, log, rng), (r_ref, log_ref, rng_ref), "seed={seed}");
     }
 }
 
@@ -110,18 +106,14 @@ impl MachineProgram for PanicsAtRound1 {
 
 /// The bomb sits on a *middle* machine: `Serial` steps and folds in one
 /// pass, so machines 0–3 are already folded (halt votes taken, work
-/// charged) when machine 4 panics, while the worker-backed modes step
-/// everything else and fold nothing. Either way the caller sees the
+/// charged) when machine 4 panics, while the pool steps everything else
+/// and folds nothing. Either way the caller sees the
 /// program's payload, every RNG stream back in place and every program
 /// dropped; the cluster's `pending_work` of the aborted round is
 /// unspecified — it differs between the modes and is never logged.
 #[test]
 fn panicking_step_propagates_instead_of_deadlocking() {
-    for mode in [
-        ExecMode::Parallel,
-        ExecMode::Serial,
-        ExecMode::SpawnPerRound,
-    ] {
+    for mode in [ExecMode::Parallel, ExecMode::Serial] {
         let mut cluster = flat_cluster(9);
         let alive = Arc::new(());
         let programs: Vec<PanicsAtRound1> = (0..cluster.machines())
@@ -160,12 +152,6 @@ fn panicking_step_propagates_instead_of_deadlocking() {
             .map(str::to_string)
             .or_else(|| err.downcast_ref::<String>().cloned())
             .unwrap_or_default();
-        if mode == ExecMode::SpawnPerRound {
-            // The legacy baseline re-raises via the scope join, which
-            // replaces the payload ("a scoped thread panicked"); only the
-            // pool preserves the program's own payload.
-            continue;
-        }
         assert!(
             msg.contains("detonated"),
             "mode {mode:?}: expected the program's payload, got {msg:?}"

@@ -306,6 +306,52 @@ fn weighted_spanner_matches_legacy() {
     assert_eq!(engine_rng, legacy_rng);
 }
 
+/// A zero-weight edge is in weight class 0 — for the class shards both
+/// paths run on *and* for the service's share count (one classifier,
+/// `mpc_core::spanner::weight_class`). It used to fall outside every
+/// class and vanish from the spanner, while still reserving a share.
+#[test]
+fn zero_weight_bridge_stays_in_the_weighted_spanner() {
+    let n = 16u32;
+    let bridge = Edge::new(7, 8, 0);
+    let path = (0..n - 1).map(|v| Edge::new(v, v + 1, if v == 7 { 0 } else { 8 }));
+    let g = Graph::new(n as usize, path);
+    let make = || {
+        Cluster::new(
+            ClusterConfig::new(g.n(), g.m())
+                .seed(4)
+                .polylog_exponent(1.6),
+        )
+    };
+    let mut legacy_cluster = make();
+    let legacy_input = common::distribute_edges(&legacy_cluster, &g);
+    let legacy = mpc_core::spanner::heterogeneous_spanner_weighted(
+        &mut legacy_cluster,
+        g.n(),
+        &legacy_input,
+        2,
+    )
+    .unwrap();
+
+    let mut engine_cluster = make();
+    let engine_input = common::distribute_edges(&engine_cluster, &g);
+    let engine = registry::run(
+        "spanner-weighted",
+        &mut engine_cluster,
+        &AlgoInput::new(g.n(), &engine_input).spanner_k(2),
+        ExecMode::Serial,
+    )
+    .unwrap()
+    .into_spanner()
+    .unwrap();
+
+    // A spanner of a path is the path.
+    assert_eq!(sorted_edges(&engine.spanner), sorted_edges(&g));
+    assert!(engine.spanner.edges().contains(&bridge));
+    assert_eq!(sorted_edges(&engine.spanner), sorted_edges(&legacy.spanner));
+    assert_eq!(engine.stats.weight_classes, legacy.stats.weight_classes);
+}
+
 // ---------------------------------------------------------------- MIS --
 
 #[test]
@@ -652,27 +698,13 @@ fn mincut_edge_cases_agree_across_paths() {
 
 /// Engine runs must be bit-identical across Serial / Parallel at worker
 /// counts {1, 3, 16}: result digests, round counts, full round logs
-/// (labels, traffic, work, makespans), and RNG positions. Thread counts
-/// live on the [`Executor`], so this drives the programs directly, the way
-/// the adapters do.
+/// (labels, traffic, work, makespans), and RNG positions — for all twelve
+/// names in their default (solo) form, the batched runs of
+/// `registry::BATCHED_NAMES` included, through the one registry entry.
 #[test]
 fn engine_algorithms_are_schedule_independent_at_threads_1_3_16() {
-    use mpc_exec::{
-        ColoringProgram, Driven, Executor, MatchingProgram, MinCutApproxProgram, MinCutProgram,
-        MisProgram, MstApproxProgram, MstProgram, SpannerProgram,
-    };
-
     let g = generators::gnm(140, 1100, 9).with_random_weights(1 << 16, 9);
-    for name in [
-        "mst",
-        "matching",
-        "spanner",
-        "mst-approx",
-        "mincut",
-        "mincut-approx",
-        "mis",
-        "coloring",
-    ] {
+    for name in registry::CANONICAL_NAMES {
         let polylog = registry::get(name).unwrap().polylog_exponent;
         let run = |mode: ExecMode, threads: usize| {
             let mut cluster = Cluster::new(
@@ -681,92 +713,11 @@ fn engine_algorithms_are_schedule_independent_at_threads_1_3_16() {
                     .polylog_exponent(polylog),
             );
             let edges = common::distribute_edges(&cluster, &g);
-            let large = cluster.large().unwrap();
-            let exec = Executor::new(name, mode).threads(threads);
-            let digest: u64 = match name {
-                "mst" => {
-                    let programs: Vec<_> = MstProgram::for_cluster(&cluster, g.n(), &edges)
-                        .into_iter()
-                        .map(Driven)
-                        .collect();
-                    let mut out = exec.run(&mut cluster, programs).unwrap();
-                    let r = out.programs[large].0.result.take().unwrap().unwrap();
-                    r.forest.len() as u64 * 31 + r.forest.total_weight as u64
-                }
-                "matching" => {
-                    let programs: Vec<_> = MatchingProgram::for_cluster(&cluster, g.n(), &edges)
-                        .into_iter()
-                        .map(Driven)
-                        .collect();
-                    let mut out = exec.run(&mut cluster, programs).unwrap();
-                    let r = out.programs[large].0.result.take().unwrap().unwrap();
-                    r.matching.len() as u64
-                }
-                "spanner" => {
-                    let programs: Vec<_> = SpannerProgram::for_cluster(&cluster, g.n(), &edges, 3)
-                        .into_iter()
-                        .map(Driven)
-                        .collect();
-                    let mut out = exec.run(&mut cluster, programs).unwrap();
-                    let r = out.programs[large].0.result.take().unwrap();
-                    r.spanner.m() as u64
-                }
-                "mst-approx" => {
-                    let programs: Vec<_> =
-                        MstApproxProgram::for_cluster(&cluster, g.n(), &edges, 0.5)
-                            .into_iter()
-                            .map(Driven)
-                            .collect();
-                    let mut out = exec.run(&mut cluster, programs).unwrap();
-                    let r = out.programs[large].0.result.take().unwrap();
-                    r.estimate.to_bits() ^ r.component_counts.len() as u64
-                }
-                "mincut" => {
-                    let programs: Vec<_> = MinCutProgram::for_cluster(&cluster, g.n(), &edges, 4)
-                        .into_iter()
-                        .map(Driven)
-                        .collect();
-                    let mut out = exec.run(&mut cluster, programs).unwrap();
-                    let r = out.programs[large].0.result.take().unwrap();
-                    r.value as u64 * 31 + r.trial_sizes.len() as u64
-                }
-                "mincut-approx" => {
-                    let programs: Vec<_> =
-                        MinCutApproxProgram::for_cluster(&cluster, g.n(), &edges, 0.3)
-                            .into_iter()
-                            .map(Driven)
-                            .collect();
-                    let mut out = exec.run(&mut cluster, programs).unwrap();
-                    let r = out.programs[large].0.result.take().unwrap();
-                    r.estimate.to_bits() ^ r.lambda_guess
-                }
-                "mis" => {
-                    let programs: Vec<_> = MisProgram::for_cluster(&cluster, g.n(), &edges)
-                        .into_iter()
-                        .map(Driven)
-                        .collect();
-                    let mut out = exec.run(&mut cluster, programs).unwrap();
-                    let r = out.programs[large].0.result.take().unwrap();
-                    r.mis
-                        .iter()
-                        .fold(0u64, |a, &v| a.wrapping_mul(0x100_0000_01b3) ^ v as u64)
-                }
-                "coloring" => {
-                    let programs: Vec<_> = ColoringProgram::for_cluster(&cluster, g.n(), &edges)
-                        .into_iter()
-                        .map(Driven)
-                        .collect();
-                    let mut out = exec.run(&mut cluster, programs).unwrap();
-                    let r = out.programs[large].0.result.take().unwrap();
-                    r.colors
-                        .iter()
-                        .fold(0u64, |a, &c| a.wrapping_mul(0x100_0000_01b3) ^ c as u64)
-                }
-                other => unreachable!("no schedule-independence driver for '{other}'"),
-            };
+            let input = AlgoInput::new(g.n(), &edges);
+            let out = registry::run_threads(name, &mut cluster, &input, mode, threads).unwrap();
             let log = cluster.round_log().to_vec();
             let rng = rng_positions(&mut cluster);
-            (digest, cluster.rounds(), log, rng)
+            (out.digest(), cluster.rounds(), log, rng)
         };
         let reference = run(ExecMode::Serial, 1);
         for threads in [1usize, 3, 16] {

@@ -6,12 +6,13 @@
 //! positions — is identical between serial and pooled execution at any
 //! thread count; and a seeded mid-wave crash recovers every tenant.
 
+use mpc_core::spanner::weight_class_shards;
 use mpc_exec::{
     registry, ExecError, ExecMode, JobRecord, JobRetryPolicy, JobSpec, JobStatus, Service,
 };
-use mpc_graph::{generators, Graph};
+use mpc_graph::{generators, Edge, Graph};
 use mpc_runtime::fault::FaultPlan;
-use mpc_runtime::{Cluster, ClusterConfig};
+use mpc_runtime::{Cluster, ClusterConfig, ShardedVec};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -712,4 +713,43 @@ fn empty_weighted_spanner_completes_without_entering_the_wave() {
     let out = lone.take_result().unwrap().unwrap();
     assert_eq!(out.into_spanner().unwrap().spanner.m(), 0);
     assert!(busy.take_result().unwrap().is_ok());
+}
+
+// --------------------------------------------------- share derivation --
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+    /// The shares admission reserves for a `spanner-weighted` / `apsp` job
+    /// are the instances its lanes multiplex — one per non-empty weight
+    /// class — for zero weights and weights up to `u64::MAX` alike (unit
+    /// weights: `apsp` runs one plain spanner). Read off the record of a
+    /// job a zero-attempt policy fails at the queue front: its shares are
+    /// derived exactly as for an admission, and nothing is built or run.
+    #[test]
+    fn derived_shares_count_the_weight_class_instances(
+        edges in proptest::collection::vec(
+            (0u32..24, 0u32..24, 0u32..66, proptest::prelude::any::<u64>()),
+            0..40,
+        ),
+        name in 0usize..2,
+    ) {
+        let weight = |shift: u32, low: u64| match shift {
+            64 => 0,
+            65 => 1,
+            _ => (1u64 << shift) | (low & ((1u64 << shift) - 1)),
+        };
+        let g = Arc::new(Graph::new(
+            24,
+            edges.iter().map(|&(u, v, shift, low)| Edge::new(u, v, weight(shift, low))),
+        ));
+        let classes = weight_class_shards(&ShardedVec::from_shards(vec![g.edges().to_vec()]));
+
+        let mut svc = Service::new(config(&g, 1));
+        let spec = JobSpec::new(["spanner-weighted", "apsp"][name], Arc::clone(&g));
+        svc.submit(spec.retry(JobRetryPolicy { max_attempts: 0, backoff_rounds: 0 }))
+            .expect("known name");
+        let run = svc.run(ExecMode::Serial).expect("service run");
+        proptest::prop_assert_eq!(run.records[0].shares, classes.shards.len().max(1));
+    }
 }

@@ -10,7 +10,7 @@
 
 use mpc_core::common;
 use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
-use mpc_exec::{adapters, ConnectivityProgram, ExecMode, Executor};
+use mpc_exec::{registry, AlgoInput, ConnectivityProgram, ExecMode, Executor};
 use mpc_graph::generators;
 use mpc_runtime::telemetry::{parse_json, perfetto_export};
 use mpc_runtime::{Cluster, ClusterConfig, Enforcement, RingSink, Topology, TraceEvent};
@@ -100,7 +100,8 @@ fn ring_events_reconcile_exactly_with_round_records() {
     let ring = Arc::new(RingSink::unbounded());
     cluster.set_trace_sink(Some(ring.clone()));
     let edges = common::distribute_edges(&cluster, &g);
-    adapters::boruvka_msf(&mut cluster, &edges, ExecMode::Parallel).unwrap();
+    let input = AlgoInput::new(g.n(), &edges);
+    registry::run("boruvka-msf", &mut cluster, &input, ExecMode::Parallel).unwrap();
 
     let events = ring.take();
     let log = cluster.round_log();
@@ -184,7 +185,10 @@ fn perfetto_export_round_trips_a_batched_run_with_retirement() {
     let ring = Arc::new(RingSink::unbounded());
     cluster.set_trace_sink(Some(ring.clone()));
     let edges = common::distribute_edges(&cluster, &g);
-    let out = adapters::approximate_min_cut(&mut cluster, g.n(), &edges, 0.3, ExecMode::Parallel)
+    let input = AlgoInput::new(g.n(), &edges).epsilon(0.3);
+    let out = registry::run("mincut-approx", &mut cluster, &input, ExecMode::Parallel)
+        .unwrap()
+        .into_mincut_approx()
         .unwrap();
     assert_eq!(out.lambda_guess, 1, "expected the budget-abort fallback");
 

@@ -3,11 +3,11 @@
 //! The execution engine labels its exchanges `{prefix}.r{round:03}`. Doing
 //! that with `format!` + `String` costs two heap allocations **per round**
 //! — on the engine's hot path, at high round counts, that is measurable
-//! host wall-clock (see the `hotpath` bench). A [`RoundLabel`] splits the
-//! label into an interned [`Arc<str>`] prefix (allocated once per run,
-//! cloned per round for the price of a reference count) and a plain
-//! integer sequence number; the full string is only ever materialized for
-//! display and error messages.
+//! host wall-clock (see the benchmark's `round-heavy` workload). A
+//! [`RoundLabel`] splits the label into an interned [`Arc<str>`] prefix
+//! (allocated once per run, cloned per round for the price of a reference
+//! count) and a plain integer sequence number; the full string is only
+//! ever materialized for display and error messages.
 
 use std::fmt;
 use std::sync::Arc;

@@ -82,22 +82,15 @@ pub use mpc_sketch as sketch;
 
 /// The most common imports, bundled.
 ///
-/// The call-style entry points exported here (`heterogeneous_mst`,
-/// `heterogeneous_matching`, `heterogeneous_spanner`, ...) are the
-/// **engine-backed adapters**: the legacy cluster-owning loops in
-/// `mpc-core` survive as reference implementations (and as the oracle the
-/// equivalence tests compare against), but everything routed through this
-/// facade runs on the [`registry`](mpc_exec::registry) and the parallel
-/// [`Executor`](mpc_exec::Executor).
+/// Algorithms are run by name through the
+/// [`registry`](mpc_exec::registry) (`registry::run`, `registry::run_job`)
+/// on the parallel [`Executor`](mpc_exec::Executor). The legacy
+/// cluster-owning loops in `mpc-core` (`mst`, `matching`, `spanner`,
+/// `ported`) survive as reference implementations — the oracle the
+/// equivalence tests compare the engine against.
 pub mod prelude {
     pub use mpc_core::common;
     pub use mpc_core::{matching, mst, ported, spanner};
-    pub use mpc_exec::adapters::{
-        approximate_min_cut, approximate_mst_weight, heterogeneous_coloring,
-        heterogeneous_connectivity, heterogeneous_matching, heterogeneous_min_cut,
-        heterogeneous_mis, heterogeneous_mst, heterogeneous_spanner,
-        heterogeneous_spanner_weighted,
-    };
     pub use mpc_exec::registry::{self, AlgoInput, AlgoOutput};
     pub use mpc_exec::{
         ExecError, ExecMode, Executor, JobHandle, JobParams, JobRecord, JobSpec, JobStatus,
