@@ -10,7 +10,7 @@ use mpc_graph::generators;
 use mpc_labeling::MaxEdgeLabeling;
 use mpc_runtime::{Cluster, ClusterConfig, ShardedVec, Topology};
 use mpc_sketch::field::PowTable;
-use mpc_sketch::{merge_batches, SketchFamily};
+use mpc_sketch::{merge_batches, sketch_connectivity_batches, EdgeUpdate, SketchFamily};
 use std::hint::black_box;
 
 fn bench_sort(c: &mut Criterion) {
@@ -90,24 +90,66 @@ fn bench_sketch(c: &mut Criterion) {
             black_box(&row);
         })
     });
-    // The benchmark's `connectivity` shape: n = 1536, 24 phases, 72 small
-    // machines (senders and owners at once) holding 128 edges each, dealt
-    // round-robin.
+    // The benchmark's `connectivity` shape: n = 1536, 24 phases, 73 small
+    // machines (`ClusterConfig::small_machine_count` at m = 9216; senders
+    // and owners at once) holding 128 edges each, dealt round-robin.
+    const SMALLS: usize = 73;
     let wide = SketchFamily::new(1536, 24, 9);
-    let g = generators::gnm(1536, 72 * 128, 9);
-    let shards: Vec<Vec<_>> = (0..72)
-        .map(|s| (g.edges().iter().skip(s).step_by(72).map(|e| (e.u, e.v))).collect())
+    let g = generators::gnm(1536, SMALLS * 128, 9);
+    let shards: Vec<Vec<_>> = (0..SMALLS)
+        .map(|s| (g.edges().iter().skip(s).step_by(SMALLS).map(|e| (e.u, e.v))).collect())
         .collect();
-    group.bench_function("partial_batches_128e_24ph", |b| {
-        b.iter(|| black_box(wide.partial_batches(&shards[0], 72)))
+    // One sender's hashing: every edge-phase of its shard, edge by edge and
+    // one slice per phase.
+    group.bench_function("prepare_per_edge_128e_24ph", |b| {
+        b.iter(|| {
+            for phase in 0..wide.phases() {
+                for &(u, v) in &shards[0] {
+                    black_box(wide.prepare(phase, u, v));
+                }
+            }
+        })
     });
-    // One owner's round: its batch from each of the 72 senders.
-    let inbox: Vec<_> = shards
-        .iter()
-        .map(|local| wide.partial_batches(local, 72).swap_remove(0))
-        .collect();
-    group.bench_function("owner_merge_batches_72way", |b| {
-        b.iter(|| black_box(merge_batches(&inbox)))
+    let mut updates = vec![EdgeUpdate::EMPTY; shards[0].len()];
+    group.bench_function("prepare_slice_128e_24ph", |b| {
+        b.iter(|| {
+            for phase in 0..wide.phases() {
+                wide.prepare_slice(phase, &shards[0], &mut updates);
+                black_box(&updates);
+            }
+        })
+    });
+    group.bench_function("partial_batches_128e_24ph", |b| {
+        b.iter(|| black_box(wide.partial_batches(&shards[0], SMALLS)))
+    });
+    // The three rounds of a pass: every sender, every owner (its batch from
+    // each sender), the large machine over the owners' batches.
+    group.bench_function("sender_round_73x128e", |b| {
+        b.iter(|| {
+            for local in &shards {
+                black_box(wide.partial_batches(local, SMALLS));
+            }
+        })
+    });
+    let mut inboxes = vec![Vec::new(); SMALLS];
+    for local in &shards {
+        for (inbox, batch) in inboxes.iter_mut().zip(wide.partial_batches(local, SMALLS)) {
+            inbox.push(batch);
+        }
+    }
+    group.bench_function("owner_merge_batches_73way", |b| {
+        b.iter(|| black_box(merge_batches(&inboxes[0])))
+    });
+    group.bench_function("owner_round_73x73way", |b| {
+        b.iter(|| {
+            for inbox in &inboxes {
+                black_box(merge_batches(inbox));
+            }
+        })
+    });
+    let merged: Vec<_> = inboxes.iter().map(|inbox| merge_batches(inbox)).collect();
+    group.bench_function("large_sketch_connectivity_n1536", |b| {
+        b.iter(|| black_box(sketch_connectivity_batches(&wide, &merged, 1536)))
     });
     let table = PowTable::new(0x1234_5678_9ABC, 1024 * 1024);
     group.bench_function("pow_fixed_base", |b| {

@@ -12,7 +12,8 @@
 //! | 3     | large  | runs sketch-Borůvka locally over the merged sparse sketches, halts with the [`Components`] |
 //!
 //! A batch costs one word per key and four per cell, whatever it is split
-//! into; a machine with nothing to send sends no batch.
+//! into; a machine with nothing to send sends no batch, and a small machine
+//! with no local edge builds no sketch family.
 //!
 //! The three local steps are the kernels of [`mpc_sketch::connectivity`],
 //! shared with the legacy implementation. The seed is the large machine's
@@ -133,12 +134,15 @@ impl MachineProgram for ConnectivityProgram {
                     return StepOutcome::idle(); // the large machine
                 };
                 self.seed = Some(seed);
-                let family = SketchFamily::new(self.n, self.phases, seed);
-                let local: Vec<_> = self.local_edges.iter().map(|e| (e.u, e.v)).collect();
-                let batches = family.partial_batches(&local, self.owners.len());
                 // Sketch construction is the dominant local computation;
                 // report it so the cost model sees the skew.
                 ctx.charge((self.local_edges.len() * self.phases) as u64);
+                if self.local_edges.is_empty() {
+                    return StepOutcome::idle(); // nothing to sketch
+                }
+                let family = SketchFamily::new(self.n, self.phases, seed);
+                let local: Vec<_> = self.local_edges.iter().map(|e| (e.u, e.v)).collect();
+                let batches = family.partial_batches(&local, self.owners.len());
                 let out = (self.owners.iter().copied().zip(batches))
                     .filter(|(_, batch)| !batch.is_empty())
                     .map(|(owner, batch)| (owner, ConnMsg::Partial(batch)))

@@ -31,7 +31,8 @@
 //! | W+2   | owners | sum partials per `(phase, vertex)` key, one batch → large |
 //! | W+3   | large  | sketch-Borůvka; record `c_τ`; next wave or estimate |
 //!
-//! A machine with nothing to send sends no batch.
+//! A machine with nothing to send sends no batch, and one with nothing to
+//! sketch or decode builds no sketch family.
 
 use crate::combinators::{Driven, Outbox, RoleProgram};
 use crate::driver::{ExecError, ExecMode, Executor};
@@ -81,11 +82,11 @@ fn partials_of(inbox: Vec<(MachineId, MstApproxNetMsg)>) -> Vec<PartialBatch> {
 }
 
 /// The worker step of one wave: sketches the edges of `input` of weight
-/// `≤ threshold`, charges the work and sends each hash-owner the partials
-/// of its keys.
+/// `≤ threshold` with the `(n, phases, seed)` family — built only if there
+/// is one — charges the work and sends each hash-owner its partials.
 fn sketch_wave(
     ctx: &MachineCtx<'_>,
-    family: &SketchFamily,
+    (n, phases, seed): (usize, usize, u64),
     input: &[Edge],
     threshold: u64,
     owners: &[MachineId],
@@ -96,7 +97,11 @@ fn sketch_wave(
         .filter(|e| e.w <= threshold)
         .map(|e| (e.u, e.v))
         .collect();
-    ctx.charge((filtered.len() * family.phases()) as u64);
+    ctx.charge((filtered.len() * phases) as u64);
+    if filtered.is_empty() {
+        return;
+    }
+    let family = SketchFamily::new(n, phases, seed);
     for (&owner, batch) in owners
         .iter()
         .zip(family.partial_batches(&filtered, owners.len()))
@@ -112,6 +117,21 @@ fn merge_wave(batches: &[PartialBatch], large: MachineId, out: &mut Outbox<MstAp
     let merged = merge_batches(batches);
     debug_assert!(!merged.is_empty());
     out.send(large, MstApproxNetMsg::Partial(merged));
+}
+
+/// The large machine's step of one wave: charges the work and returns `c_τ`
+/// (with no batch, no edge is `≤ τ`: `n` singletons, no family to build).
+fn count_wave(
+    ctx: &MachineCtx<'_>,
+    (n, phases, seed): (usize, usize, u64),
+    batches: &[PartialBatch],
+) -> usize {
+    ctx.charge((n * phases) as u64);
+    if batches.is_empty() {
+        return n;
+    }
+    let family = SketchFamily::new(n, phases, seed);
+    sketch_connectivity_batches(&family, batches, n).count
 }
 
 /// What the large machine is waiting for.
@@ -269,9 +289,8 @@ impl RoleProgram for MstApproxWave {
         }
         // Sketch-Borůvka over the merged sketches — identical to the
         // sequential program's wave-final step.
-        let family = SketchFamily::new(self.n, self.phases, self.seed);
-        ctx.charge((self.n * self.phases) as u64);
-        self.count = Some(sketch_connectivity_batches(&family, &partials_of(inbox), self.n).count);
+        let batches = partials_of(inbox);
+        self.count = Some(count_wave(ctx, (self.n, self.phases, self.seed), &batches));
         StepOutcome::Halt
     }
 
@@ -288,10 +307,9 @@ impl RoleProgram for MstApproxWave {
         if ctx.round == 0 {
             // Worker role: sketch the weight-filtered shard (no seed
             // broadcast — the seed is baked in).
-            let family = SketchFamily::new(self.n, self.phases, self.seed);
             sketch_wave(
                 ctx,
-                &family,
+                (self.n, self.phases, self.seed),
                 &self.input,
                 self.threshold,
                 &self.owners,
@@ -428,11 +446,9 @@ impl RoleProgram for MstApproxProgram {
                 if ctx.round == issued + 3 {
                     // Sketch-Borůvka over the merged sketches — the
                     // connectivity wave's final step.
-                    let family = SketchFamily::new(self.n, self.phases, self.seed);
-                    ctx.charge((self.n * self.phases) as u64);
-                    let components =
-                        sketch_connectivity_batches(&family, &partials_of(inbox), self.n);
-                    self.component_counts.push(components.count);
+                    let batches = partials_of(inbox);
+                    let count = count_wave(ctx, (self.n, self.phases, self.seed), &batches);
+                    self.component_counts.push(count);
                     self.parallel_rounds = self.parallel_rounds.max(ctx.round - issued);
                     self.t_idx += 1;
                     if self.t_idx < self.thresholds.len() {
@@ -491,8 +507,8 @@ impl RoleProgram for MstApproxProgram {
 
         // ---- worker role: sketch the weight-filtered shard. ----
         if let Some((t, seed)) = wave {
-            let family = SketchFamily::new(self.n, self.phases, seed);
-            sketch_wave(ctx, &family, &self.input, t, &self.owners, &mut out);
+            let family = (self.n, self.phases, seed);
+            sketch_wave(ctx, family, &self.input, t, &self.owners, &mut out);
         }
 
         out.into_step()

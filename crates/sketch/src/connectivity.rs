@@ -16,7 +16,7 @@
 //!   After `O(log n)` phases the components are exactly the connected
 //!   components, w.h.p. The graph itself is never consulted.
 
-use crate::l0::{SketchFamily, SparseCell, VertexSketch};
+use crate::l0::{EdgeUpdate, SketchFamily, SparseCell, VertexSketch};
 use crate::onesparse::OneSparse;
 use mpc_graph::{traversal::Components, DisjointSets, VertexId};
 use mpc_runtime::Payload;
@@ -118,7 +118,7 @@ impl SketchFamily {
     /// Sketches a machine's local edges: one sparse partial per
     /// `(phase, endpoint)` [`partial_key`], that of `key` in batch
     /// `key % owners` of the `owners` returned (some may be empty). Each
-    /// edge-phase is [prepared](SketchFamily::prepare) once for both
+    /// phase [prepares](SketchFamily::prepare_slice) the edges once for both
     /// endpoints; only an endpoint with several local edges needs a sum.
     pub fn partial_batches(
         &self,
@@ -134,9 +134,9 @@ impl SketchFamily {
 
         let mut batches = vec![PartialBatch::default(); owners];
         let mut sum = CellSum::default();
+        let mut updates = vec![EdgeUpdate::EMPTY; edges.len()];
         for phase in 0..self.phases() {
-            let prepare = |&(u, v): &(VertexId, VertexId)| self.prepare(phase, u, v);
-            let updates: Vec<_> = edges.iter().map(prepare).collect();
+            self.prepare_slice(phase, edges, &mut updates);
             for of_v in incident.chunk_by(|a, b| a.0 == b.0) {
                 let v = of_v[0].0;
                 let key = partial_key(phase, v);
@@ -307,13 +307,15 @@ pub fn sketch_graph(
     n: usize,
     edges: impl IntoIterator<Item = (u32, u32)> + Clone,
 ) -> Vec<Vec<VertexSketch>> {
+    let edges: Vec<_> = edges.into_iter().collect();
+    let mut updates = vec![EdgeUpdate::EMPTY; edges.len()];
     (0..family.phases())
         .map(|phase| {
             let mut row: Vec<VertexSketch> = (0..n).map(|_| family.empty(phase)).collect();
-            for (u, v) in edges.clone() {
-                let update = family.prepare(phase, u, v);
-                row[u as usize].apply(&update, u);
-                row[v as usize].apply(&update, v);
+            family.prepare_slice(phase, &edges, &mut updates);
+            for (&(u, v), update) in edges.iter().zip(&updates) {
+                row[u as usize].apply(update, u);
+                row[v as usize].apply(update, v);
             }
             row
         })

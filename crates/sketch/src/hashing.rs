@@ -31,20 +31,21 @@ impl KWiseHash {
 
     /// Evaluates the hash at `x` (Horner's rule).
     pub fn eval(&self, x: u64) -> u64 {
-        let x = x % field::P;
-        let mut acc = 0u64;
-        for &c in &self.coeffs {
-            acc = field::add(field::mul(acc, x), c);
-        }
-        acc
+        self.eval_lanes([x])[0]
     }
 
-    /// Number of trailing zero bits of `eval(x)` — the geometric "level" of
-    /// `x` used by the ℓ0-sampler (level `ℓ` keeps items whose hash has at
-    /// least `ℓ` trailing zeros, i.e. a `2^{−ℓ}` subsample).
-    pub fn level(&self, x: u64, max_level: usize) -> usize {
-        let h = self.eval(x);
-        (h.trailing_zeros() as usize).min(max_level)
+    /// [`eval`](Self::eval) at `L` points: `L` Horner chains advanced together
+    /// a coefficient at a time, so their multiplications overlap instead of
+    /// each waiting on the last; each lane runs `eval`'s `mul` / `add` steps.
+    pub fn eval_lanes<const L: usize>(&self, xs: [u64; L]) -> [u64; L] {
+        let xs = xs.map(|x| x % field::P);
+        let mut acc = [0u64; L];
+        for &c in &self.coeffs {
+            for (a, &x) in acc.iter_mut().zip(&xs) {
+                *a = field::add(field::mul(*a, x), c);
+            }
+        }
+        acc
     }
 
     /// The number of coefficients (= the independence parameter `k`).
@@ -66,13 +67,36 @@ mod tests {
         assert_ne!(a.eval(12345), c.eval(12345)); // overwhelmingly likely
     }
 
+    /// Every lane of `eval_lanes` is Horner's rule at that lane's point,
+    /// whatever the lane count and wherever the point lies (also `≥ P`).
+    #[test]
+    fn lanes_are_independent_horner_chains() {
+        for (k, seed) in [(1, 1), (4, 2), (13, 3), (26, 4)] {
+            let h = KWiseHash::new(k, seed);
+            let horner = |x: u64| {
+                let x = x % field::P;
+                (h.coeffs.iter()).fold(0, |acc, &c| field::add(field::mul(acc, x), c))
+            };
+            let xs: [u64; 8] = [0, 1, 2, field::P - 1, field::P, u64::MAX, 1 << 48, 12345];
+            assert_eq!(h.eval_lanes(xs), xs.map(horner));
+            assert_eq!(
+                h.eval_lanes([xs[3], xs[5], xs[6]]),
+                [xs[3], xs[5], xs[6]].map(horner)
+            );
+            assert!(xs.iter().all(|&x| h.eval(x) == horner(x)));
+        }
+    }
+
+    /// The trailing zeros of a hash value are the ℓ0-sampler's geometric
+    /// level: level `ℓ` keeps the items whose hash has at least `ℓ` of them,
+    /// a `2^{−ℓ}` subsample.
     #[test]
     fn levels_are_geometric() {
         let h = KWiseHash::new(16, 3);
         let mut counts = [0usize; 20];
         let n = 40_000u64;
         for x in 0..n {
-            counts[h.level(x, 19)] += 1;
+            counts[(h.eval(x).trailing_zeros() as usize).min(19)] += 1;
         }
         // Level 0 holds about half the items; level 3 about 1/16.
         assert!((counts[0] as f64 / n as f64 - 0.5).abs() < 0.02);

@@ -24,8 +24,13 @@ const MAX_LEVELS: usize = SLOT_BITS as usize + 2;
 // `EdgeUpdate` stores cell indices as `u8`.
 const _: () = assert!(MAX_LEVELS * BUCKETS <= 256);
 
+/// Hash chains [`SketchFamily::prepare_slice`] keeps in flight at once.
+const LANES: usize = 8;
+
 /// A nonzero cell of a sparse sketch: `(cell index, cell)`.
 pub type SparseCell = (u32, OneSparse);
+
+const _: () = assert!(size_of::<OneSparse>() == 32 && size_of::<SparseCell>() == 40);
 
 /// A single ℓ0-sampler: `levels × BUCKETS` one-sparse cells.
 ///
@@ -127,6 +132,15 @@ pub struct EdgeUpdate {
 }
 
 impl EdgeUpdate {
+    /// A placeholder for [`SketchFamily::prepare_slice`] to overwrite.
+    pub const EMPTY: EdgeUpdate = EdgeUpdate {
+        slot: 0,
+        hi: 0,
+        term: 0,
+        cells: [0; MAX_LEVELS],
+        levels: 0,
+    };
+
     /// This edge alone as a sparse sketch of `endpoint`: its cells, strictly
     /// ascending by index. The lower endpoint adds the slot (`+z^slot`), the
     /// higher one removes it, so the two contributions cancel when their
@@ -140,6 +154,22 @@ impl EdgeUpdate {
         }
         let hit = &self.cells[..self.levels as usize];
         hit.iter().map(move |&idx| (u32::from(idx), cell))
+    }
+}
+
+/// `hash` at each of `points` (at most [`LANES`]), in place, in the narrowest
+/// block of 1, 2, 4 or [`LANES`] lanes that holds them.
+fn eval_block(hash: &KWiseHash, points: &mut [u64]) {
+    fn run<const L: usize>(hash: &KWiseHash, points: &mut [u64]) {
+        let mut block = [0; L];
+        block[..points.len()].copy_from_slice(points);
+        points.copy_from_slice(&hash.eval_lanes(block)[..points.len()]);
+    }
+    match points.len() {
+        1 => run::<1>(hash, points),
+        2 => run::<2>(hash, points),
+        3 | 4 => run::<4>(hash, points),
+        _ => run::<LANES>(hash, points),
     }
 }
 
@@ -208,23 +238,57 @@ impl SketchFamily {
     ///
     /// Panics if an endpoint is not a vertex of the family's graph.
     pub fn prepare(&self, phase: usize, u: VertexId, v: VertexId) -> EdgeUpdate {
-        let (lo, hi) = if u < v { (u, v) } else { (v, u) };
-        assert!((hi as u64) < self.n, "vertex {hi} out of range");
-        let slot = lo as u64 * self.n + hi as u64;
+        let mut update = [EdgeUpdate::EMPTY];
+        self.prepare_slice(phase, &[(u, v)], &mut update);
+        update[0]
+    }
+
+    /// [`prepare`](Self::prepare) for every edge of `edges`, into `out`: the
+    /// level hashes of [`LANES`] edges at a time, then their bucket hashes,
+    /// queued until [`LANES`] are ready — each the chain of one edge alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not a vertex of the family's graph or the
+    /// lengths differ.
+    pub fn prepare_slice(
+        &self,
+        phase: usize,
+        edges: &[(VertexId, VertexId)],
+        out: &mut [EdgeUpdate],
+    ) {
+        assert_eq!(edges.len(), out.len(), "one update per edge");
         let hashes = &self.hashes[phase];
-        // The item lives at levels 0..=lvl (geometric subsampling).
-        let lvl = hashes.level.level(slot, self.levels - 1);
-        let mut cells = [0u8; MAX_LEVELS];
-        for (l, cell) in cells.iter_mut().enumerate().take(lvl + 1) {
-            let b = (hashes.bucket.eval(slot ^ (l as u64) << SLOT_BITS) % BUCKETS as u64) as usize;
-            *cell = (l * BUCKETS + b) as u8;
-        }
-        EdgeUpdate {
-            slot,
-            hi,
-            term: hashes.z.pow(slot),
-            cells,
-            levels: lvl as u8 + 1,
+        let (mut points, mut jobs, mut queued) = ([0; LANES], [(0, 0); LANES], 0);
+        for first in (0..edges.len()).step_by(LANES) {
+            let block = first..edges.len().min(first + LANES);
+            let mut hs = [0; LANES];
+            for (e, h) in block.clone().zip(&mut hs) {
+                let (u, v) = edges[e];
+                let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+                assert!((hi as u64) < self.n, "vertex {hi} out of range");
+                *h = lo as u64 * self.n + hi as u64;
+                (out[e].slot, out[e].hi, out[e].term) = (*h, hi, hashes.z.pow(*h));
+            }
+            eval_block(&hashes.level, &mut hs[..block.len()]);
+            for (e, h) in block.zip(hs) {
+                // Level ℓ keeps the slots whose hash has ≥ ℓ trailing zeros.
+                let lvl = (h.trailing_zeros() as usize).min(self.levels - 1);
+                out[e].levels = lvl as u8 + 1;
+                for l in 0..=lvl {
+                    points[queued] = out[e].slot ^ (l as u64) << SLOT_BITS;
+                    jobs[queued] = (e, l);
+                    queued += 1;
+                    // A full block, or the slice's last pair.
+                    if queued == LANES || (e + 1, l) == (edges.len(), lvl) {
+                        eval_block(&hashes.bucket, &mut points[..queued]);
+                        for (&h, &(e, l)) in points.iter().zip(&jobs[..queued]) {
+                            out[e].cells[l] = (l * BUCKETS + (h % BUCKETS as u64) as usize) as u8;
+                        }
+                        queued = 0;
+                    }
+                }
+            }
         }
     }
 
@@ -363,14 +427,14 @@ mod tests {
 
     /// The update as it was before edges were prepared: every endpoint
     /// hashes the slot and exponentiates by square-and-multiply, once per
-    /// level. Kept as the oracle [`SketchFamily::prepare`] is held to.
+    /// level. Kept as the oracle the prepare kernel is held to.
     fn reference_update(fam: &SketchFamily, sketch: &mut L0Sampler, phase: usize, u: u32, v: u32) {
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         let slot = a as u64 * fam.n + b as u64;
         let sign = if u < v { 1 } else { -1 };
         let hashes = &fam.hashes[phase];
         let z = hashes.z.pow(1);
-        let lvl = hashes.level.level(slot, fam.levels - 1);
+        let lvl = (hashes.level.eval(slot).trailing_zeros() as usize).min(fam.levels - 1);
         for l in 0..=lvl {
             let b = (hashes.bucket.eval(slot ^ (l as u64) << 48) % BUCKETS as u64) as usize;
             let term = field::mul(field::from_i64(sign), field::pow(z, slot));
@@ -413,6 +477,62 @@ mod tests {
             dense_u.merge_cells(sparse_u.cells());
             dense_v.merge_cells(sparse_v.cells());
             assert_eq!((&dense_u, &dense_v), (&want_u, &want_v));
+        }
+
+        /// The slice kernel == one edge at a time == the unprepared
+        /// reference, cell for cell and endpoint by endpoint, for every
+        /// phase of the family and every slice length from 0 to three full
+        /// blocks and one more edge (so every tail shape), with self-loops
+        /// and reversed duplicates, small `n` and the largest family.
+        #[test]
+        fn slice_kernel_matches_reference(
+            (n, largest) in (2usize..5000, 0u8..8),
+            picks in proptest::collection::vec(
+                (proptest::any::<u32>(), proptest::any::<u32>(), 0u8..4),
+                3 * LANES + 1..3 * LANES + 2,
+            ),
+            seed in proptest::any::<u64>(),
+        ) {
+            let n = if largest == 0 { (1 << 24) - 1 } else { n };
+            let mut edges: Vec<(u32, u32)> = Vec::new();
+            for (a, b, shape) in picks {
+                let (a, b) = (a % n as u32, b % n as u32);
+                edges.push(match (shape, edges.last()) {
+                    (0, _) => (a, a),
+                    (1, Some(&(u, v))) => (v, u),
+                    _ => (a, b),
+                });
+            }
+            let fam = SketchFamily::new(n, 3, seed);
+            for phase in 0..3 {
+                // Both endpoints' sketches of the edge alone.
+                let of = |update: &EdgeUpdate, (u, v): (u32, u32)| {
+                    [u, v].map(|x| {
+                        let mut s = fam.empty(phase);
+                        s.apply(update, x);
+                        s
+                    })
+                };
+                let want: Vec<_> = (edges.iter())
+                    .map(|&(u, v)| {
+                        [(u, v), (v, u)].map(|(x, y)| {
+                            let mut s = fam.empty(phase);
+                            reference_update(&fam, &mut s, phase, x, y);
+                            s
+                        })
+                    })
+                    .collect();
+                for (&edge, want) in edges.iter().zip(&want) {
+                    assert_eq!(&of(&fam.prepare(phase, edge.0, edge.1), edge), want);
+                }
+                for len in 0..=edges.len() {
+                    let mut slice = vec![EdgeUpdate::EMPTY; len];
+                    fam.prepare_slice(phase, &edges[..len], &mut slice);
+                    for ((&edge, update), want) in edges.iter().zip(&slice).zip(&want) {
+                        assert_eq!(&of(update, edge), want, "n = {n}, phase {phase}, {edge:?}");
+                    }
+                }
+            }
         }
     }
 

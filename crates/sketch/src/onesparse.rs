@@ -22,6 +22,9 @@ pub enum OneSparseDecode {
 
 /// A linear one-sparse recovery sketch. 3 words.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+// Packed to 8-byte alignment (an `i128` forces 16: 12 bytes of padding in a
+// `(u32, OneSparse)`); the compiler rejects references to its fields.
+#[repr(C, packed(8))]
 pub struct OneSparse {
     /// Σ δᵢ (exact, signed).
     count: i64,
@@ -184,6 +187,49 @@ mod tests {
             s.decode(&PowTable::new(0x1234_5678_9ABC, 101)),
             OneSparseDecode::One(100, 1)
         );
+    }
+
+    /// The packed `weighted` is exact `i128` arithmetic: sums near ±2¹⁰⁰,
+    /// carries and borrows across the word boundary, and decoding by exact
+    /// division.
+    #[test]
+    fn weighted_near_two_to_the_hundred_is_exact() {
+        let big = 1i128 << 100;
+        let mut a = OneSparse::new();
+        a.update_term(1 << 62, 1 << 38, 0);
+        assert_eq!({ a.weighted }, big);
+        let mut b = OneSparse::new();
+        b.update_term(u64::MAX, -(1 << 36), 0);
+        a.merge(&b);
+        assert_eq!({ a.weighted }, big - (u64::MAX as i128) * (1 << 36));
+        a.update_term(u64::MAX, 1 << 36, 0);
+        assert_eq!({ a.weighted }, big);
+        let mut neg = OneSparse::new();
+        neg.update_term(1 << 62, -(1 << 38), 0);
+        assert_eq!({ neg.weighted }, -big);
+        a.merge(&neg);
+        assert!(a.is_zero());
+        // Low word all ones, then one more: the carry reaches the high word.
+        let mut c = OneSparse::new();
+        c.update_term(u64::MAX, 1, 0);
+        c.update_term(1, 1, 0);
+        assert_eq!({ c.weighted }, 1 << 64);
+        c.update_term(1, -2, 0);
+        assert_eq!({ c.weighted }, (1 << 64) - 2);
+
+        // 2⁴⁰ copies of index 2⁶⁰ (and minus them): |weighted| = 2¹⁰⁰.
+        let wide = PowTable::new(0x1234_5678_9ABC, 1 << 61);
+        let z = wide.pow(1 << 60);
+        for delta in [1i64 << 40, -(1 << 40)] {
+            let mut s = OneSparse::new();
+            s.update_term(1 << 60, delta, field::mul(field::from_i64(delta), z));
+            assert_eq!({ s.weighted }, (1i128 << 60) * delta as i128);
+            assert_eq!(s.decode(&wide), OneSparseDecode::One(1 << 60, delta));
+            // Off by one: no longer a multiple of the count.
+            s.update_term(1, 1, 0);
+            s.count -= 1;
+            assert_eq!(s.decode(&wide), OneSparseDecode::Many);
+        }
     }
 
     #[test]
