@@ -367,10 +367,10 @@ pub fn heterogeneous_spanner_weighted(
     })
 }
 
-/// The \[22\] weight-class reduction, shared by the legacy call-style
-/// weighted spanner and the engine's sequential oracle: split the edges into factor-2
-/// weight classes, run `run_class` on every non-empty class, restore the
-/// true weights on each class's witness edges, and merge the statistics.
+/// The \[22\] weight-class reduction of the legacy call-style weighted
+/// spanner: split the edges into factor-2 weight classes, run `run_class`
+/// on every non-empty class, restore the true weights on each class's
+/// witness edges, and merge the statistics.
 ///
 /// # Errors
 ///
@@ -402,7 +402,7 @@ pub struct WeightClasses {
 }
 
 /// The factor-2 weight class of `w`: `⌊log₂ max(w, 1)⌋`, in integers — the
-/// one classifier behind [`weight_class_shards`] and the service's share
+/// one classifier behind [`weight_class_shards`] and the registry's share
 /// count, so a zero-weight edge lands in class 0 for both and weights up
 /// to `u64::MAX` neither round nor overflow.
 pub fn weight_class(w: Weight) -> usize {

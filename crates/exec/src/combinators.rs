@@ -7,10 +7,8 @@
 //! [`SpannerProgram`](crate::programs::SpannerProgram)) and the Appendix-C
 //! algorithms ([`MisProgram`](crate::programs::MisProgram),
 //! [`ColoringProgram`](crate::programs::ColoringProgram),
-//! [`MinCutProgram`](crate::programs::MinCutProgram),
-//! [`MinCutApproxProgram`](crate::programs::MinCutApproxProgram),
-//! [`MstApproxProgram`](crate::programs::MstApproxProgram)) — all follow
-//! the same shape:
+//! [`MinCutProgram`](crate::programs::MinCutProgram)) — all follow the
+//! same shape:
 //!
 //! * the **large machine** drives the phase sequence (it is the only
 //!   machine with the global view the legacy orchestrator had);

@@ -63,8 +63,8 @@ pub use machine::{MachineCtx, MachineProgram, StepOutcome};
 pub use mixed::{ErasedMsg, ErasedProgram, MixedMsg, MixedWave};
 pub use multiplex::{Multiplexed, Mux, MuxSlot};
 pub use programs::{
-    BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram, MinCutApproxProgram,
-    MinCutProgram, MisProgram, MstApproxProgram, MstProgram, SpannerProgram,
+    BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram, MinCutProgram,
+    MisProgram, MstProgram, SpannerProgram,
 };
 pub use registry::{AlgoInput, AlgoOutput, Algorithm, JobParams, JobRetryPolicy, JobSpec};
 pub use report::{CriticalPath, MachineLoad, RecoveryBreakdown, RunReport};

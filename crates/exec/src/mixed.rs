@@ -267,10 +267,12 @@ impl MixedWave {
             .is_none_or(|l| l.halted)
     }
 
-    /// Removes the lane for `job`, returning its program for extraction.
-    pub fn remove(&mut self, job: u64) -> Option<Box<dyn ErasedProgram>> {
+    /// Removes the lane for `job`, returning its program for extraction
+    /// and its RNG stream, which the job's next chained wave carries on.
+    pub fn remove(&mut self, job: u64) -> Option<(Box<dyn ErasedProgram>, SmallRng)> {
         let at = self.lanes.iter().position(|l| l.job == job)?;
-        Some(self.lanes.remove(at).program)
+        let lane = self.lanes.remove(at);
+        Some((lane.program, lane.rng))
     }
 
     /// Quarantines `job` on this machine: drops its lane — program, RNG

@@ -23,10 +23,8 @@ pub use coloring::{ColorCmd, ColorNetMsg, ColoringProgram};
 pub use connectivity::{ConnMsg, ConnectivityProgram};
 pub use matching::{MatchCmd, MatchNetMsg, MatchingProgram};
 pub use mincut::{MinCutCmd, MinCutNetMsg, MinCutProgram};
-pub use mincut_approx::{
-    GuessOutcome, MinCutApproxProgram, MinCutGuessWave, XCutCmd, XCutFallback, XCutNetMsg,
-};
+pub use mincut_approx::{GuessOutcome, MinCutGuessWave, XCutNetMsg};
 pub use mis::{MisCmd, MisNetMsg, MisProgram};
 pub use mst::{MstCmd, MstNetMsg, MstProgram};
-pub use mst_approx::{MstApproxNetMsg, MstApproxProgram, MstApproxWave};
+pub use mst_approx::MstApproxWave;
 pub use spanner::{SpannerNetMsg, SpannerProgram};

@@ -11,35 +11,29 @@
 //! producing legacy-identical results.
 //!
 //! Each name is written down once, as a *description*: a function that
-//! builds the per-machine programs and says how the large machine's final
-//! program becomes an [`AlgoOutput`]. Two drivers consume a description —
-//! a solo run on the [`Executor`] (typed: no program or message is
-//! erased) and the [service](crate::service)'s lanes (each program
-//! [erased](crate::mixed::erase), the large machine's box downcast at
-//! extraction) — so a solo run and a service lane cannot drift apart.
+//! builds the per-machine programs — drawing any host-side randomness from
+//! the large machine's stream — and says how the large machine's final
+//! program becomes an [`AlgoOutput`] or the next wave of a chain. Two
+//! drivers consume a description — a solo run on the [`Executor`] (typed:
+//! no program or message is erased) and the [service](crate::service)'s
+//! lanes (each program [erased](crate::mixed::erase), the large machine's
+//! box downcast at extraction) — so a solo run and a service lane cannot
+//! drift apart: every name has one form.
 //!
-//! | name | paper result | solo form | service lane form |
-//! |------|--------------|-----------|-------------------|
-//! | `connectivity` | Thm C.1 | [`ConnectivityProgram`] | same |
-//! | `boruvka-msf`  | §3 building block | [`BoruvkaProgram`] | same |
-//! | `mst`          | Thm 3.1 | [`MstProgram`] | same |
-//! | `matching`     | Thm 5.1 | [`MatchingProgram`] | same |
-//! | `spanner`      | Thm 4.1 | [`SpannerProgram`] | same |
-//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | per-class [`SpannerProgram`], [multiplexed](crate::multiplex) | same |
-//! | `apsp`         | Cor 4.2 | the `k = ⌈log₂ n⌉` run of `spanner` (unit weights) or `spanner-weighted`, oracle indexed on the large machine | same |
-//! | `mst-approx`   | Thm C.2 | per-threshold [`MstApproxWave`](crate::programs::MstApproxWave), [multiplexed](crate::multiplex) | [`MstApproxProgram`] |
-//! | `mincut`       | Thm C.3 | [`MinCutProgram`] | same |
-//! | `mincut-approx` | Thm C.4 | per-guess [`MinCutGuessWave`](crate::programs::MinCutGuessWave), [multiplexed](crate::multiplex) | [`MinCutApproxProgram`] |
-//! | `mis`          | Thm C.6 | [`MisProgram`] | same |
-//! | `coloring`     | Thm C.7 | [`ColoringProgram`] | same |
-//!
-//! The solo column is the default; under
-//! [`JobParams::sequential_instances`] the three [`BATCHED_NAMES`] run
-//! their instances one after another instead (`spanner-weighted` one
-//! `spanner` run per weight class, the other two their lane form). A
-//! service lane has one form per name: the wave drivers of `mst-approx`
-//! and `mincut-approx` pre-draw host-side seeds and run a second pass,
-//! which has no mid-wave equivalent.
+//! | name | paper result | programs |
+//! |------|--------------|----------|
+//! | `connectivity` | Thm C.1 | [`ConnectivityProgram`] |
+//! | `boruvka-msf`  | §3 building block | [`BoruvkaProgram`] |
+//! | `mst`          | Thm 3.1 | [`MstProgram`] |
+//! | `matching`     | Thm 5.1 | [`MatchingProgram`] |
+//! | `spanner`      | Thm 4.1 | [`SpannerProgram`] |
+//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | per-class [`SpannerProgram`], [multiplexed](crate::multiplex) |
+//! | `apsp`         | Cor 4.2 | the `k = ⌈log₂ n⌉` run of `spanner` (unit weights) or `spanner-weighted`, oracle indexed on the large machine |
+//! | `mst-approx`   | Thm C.2 | per-threshold [`MstApproxWave`], [multiplexed](crate::multiplex), sketch seeds drawn by the builder |
+//! | `mincut`       | Thm C.3 | [`MinCutProgram`] |
+//! | `mincut-approx` | Thm C.4 | per-guess [`MinCutGuessWave`], [multiplexed](crate::multiplex), then — if every guess failed — the `xcut-fb` gather |
+//! | `mis`          | Thm C.6 | [`MisProgram`] |
+//! | `coloring`     | Thm C.7 | [`ColoringProgram`] |
 
 use crate::combinators::{Driven, RoleProgram};
 use crate::driver::{ExecError, ExecMode, Executor};
@@ -48,24 +42,25 @@ use crate::mixed::{downcast_program, erase, ErasedProgram};
 use crate::multiplex::{CapacityFactor, Multiplexed};
 use crate::programs::{
     mincut_approx, mst_approx, BoruvkaProgram, ColoringProgram, ConnectivityProgram,
-    MatchingProgram, MinCutApproxProgram, MinCutProgram, MisProgram, MstApproxProgram, MstProgram,
+    MatchingProgram, MinCutGuessWave, MinCutProgram, MisProgram, MstApproxWave, MstProgram,
     SpannerProgram,
 };
 use mpc_core::matching::MatchingResult;
 use mpc_core::mst::{MstConfig, MstResult};
 use mpc_core::ported::coloring::ColoringResult;
 use mpc_core::ported::connectivity::ConnectivityConfig;
-use mpc_core::ported::mincut_approx::ApproxMinCut;
+use mpc_core::ported::mincut_approx::{lambda_guesses, ApproxMinCut};
 use mpc_core::ported::mincut_exact::MinCutResult;
 use mpc_core::ported::mis::MisResult;
-use mpc_core::ported::mst_approx::MstApprox;
+use mpc_core::ported::mst_approx::{estimate_from_counts, geometric_thresholds, MstApprox};
 use mpc_core::spanner::apsp::ApspOracle;
 use mpc_core::spanner::SpannerResult;
-use mpc_core::spanner::{merge_class_results, weight_class_shards, weighted_by_classes};
+use mpc_core::spanner::{merge_class_results, weight_class, weight_class_shards};
 use mpc_graph::mst::Forest;
 use mpc_graph::traversal::Components;
 use mpc_graph::{Edge, Graph};
 use mpc_runtime::{Cluster, ShardedVec};
+use rand::rngs::SmallRng;
 use std::sync::Arc;
 
 /// Every tuning knob a registered algorithm reads, gathered in one place
@@ -85,24 +80,11 @@ pub struct JobParams {
     pub mincut_trials: usize,
     /// Approximation parameter ε for `mincut-approx` and `mst-approx`.
     pub epsilon: f64,
-    /// Whether the sequentialized-parallel workloads (`spanner-weighted`,
-    /// `mst-approx`, `mincut-approx`) interleave their instances through
-    /// the [multi-program scheduler](crate::multiplex) (the default), or
-    /// run them one after another (the PR 4 composition, kept as the
-    /// equivalence oracle — see [`JobParams::sequential_instances`]).
-    ///
-    /// Read by solo runs only. The [service](crate::service) ignores it:
-    /// a lane has one form per name (the "service lane form" column of
-    /// the [module table](self)) — `spanner-weighted` and weighted `apsp`
-    /// always interleave their weight classes, `mst-approx` and
-    /// `mincut-approx` always run their single-program form.
-    pub batch_instances: bool,
 }
 
 impl Default for JobParams {
     /// Default parameters: `k = 3` for spanners,
-    /// [`DEFAULT_MINCUT_TRIALS`] min-cut trials, ε = 0.3, batched
-    /// instances.
+    /// [`DEFAULT_MINCUT_TRIALS`] min-cut trials, ε = 0.3.
     fn default() -> Self {
         JobParams {
             spanner_k: 3,
@@ -110,20 +92,11 @@ impl Default for JobParams {
             connectivity: None,
             mincut_trials: DEFAULT_MINCUT_TRIALS,
             epsilon: 0.3,
-            batch_instances: true,
         }
     }
 }
 
 impl JobParams {
-    /// Runs the sequentialized-parallel workloads one instance at a time
-    /// (the PR 4 equivalence oracle) instead of batching them through the
-    /// multi-program scheduler.
-    pub fn sequential_instances(mut self) -> Self {
-        self.batch_instances = false;
-        self
-    }
-
     /// Overrides the spanner stretch parameter.
     pub fn spanner_k(mut self, k: usize) -> Self {
         self.spanner_k = k;
@@ -181,12 +154,6 @@ impl<'a> AlgoInput<'a> {
             edges,
             params: JobParams::default(),
         }
-    }
-
-    /// See [`JobParams::sequential_instances`].
-    pub fn sequential_instances(mut self) -> Self {
-        self.params = self.params.sequential_instances();
-        self
     }
 
     /// Overrides the spanner stretch parameter.
@@ -551,14 +518,15 @@ pub struct Algorithm {
     /// fails the build when a run exceeds it.
     pub round_budget: fn(n: usize) -> u64,
     solo: fn(&mut Cluster, &AlgoInput<'_>, ExecMode, usize) -> Result<AlgoOutput, ExecError>,
-    lanes: fn(&Cluster, &AlgoInput<'_>) -> Lanes,
+    lanes: fn(&Cluster, &AlgoInput<'_>, &mut SmallRng) -> Lanes,
 }
 
 // ---------------------------------------------------------------------------
 // Descriptions and their two drivers
 // ---------------------------------------------------------------------------
 
-/// What a name's description builds from `(&Cluster, &AlgoInput)`.
+/// What a name's description builds from `(&Cluster, &AlgoInput)` and the
+/// large machine's RNG stream, which the drivers lend for host-side draws.
 pub(crate) enum Description<P> {
     /// Programs to run.
     Wave {
@@ -566,72 +534,94 @@ pub(crate) enum Description<P> {
         label: &'static str,
         /// The combined-round capacity factor the programs need: 1, or
         /// the instance count of a [`Multiplexed`] run. A service lane
-        /// ignores it — admission reserved the job's shares before it
-        /// built anything.
+        /// ignores it — admission reserved the job's shares
+        /// ([`derived_shares`]) before it built anything.
         factor: usize,
         /// One program per machine (index = machine id).
         programs: Vec<P>,
-        /// Turns the large machine's final program into the output.
+        /// Turns the large machine's final program into the next link of
+        /// the chain.
         finish: Finish<P>,
     },
-    /// Degenerate input (a weighted spanner with no edges): the result
-    /// exists without running anything.
+    /// The end of a chain: the result. A degenerate input (a weighted
+    /// spanner with no edges) is a chain with no wave at all.
     Immediate(Result<AlgoOutput, ExecError>),
 }
 
-/// How the large machine's final program becomes the output.
-pub(crate) type Finish<P> = Box<dyn FnOnce(P) -> Result<AlgoOutput, ExecError>>;
+/// How the large machine's final program becomes the next link.
+pub(crate) type Finish<P> = Box<dyn FnOnce(P) -> Description<P>>;
 
 /// A job's service lanes: every program erased, the large machine's box
 /// downcast again at extraction.
 pub(crate) type Lanes = Description<Box<dyn ErasedProgram>>;
 
-impl<P> Description<P> {
+impl<P: 'static> Description<P> {
+    /// A wave whose large machine's final program yields the result.
     fn wave(
         label: &'static str,
         factor: usize,
         programs: Vec<P>,
         finish: impl FnOnce(P) -> Result<AlgoOutput, ExecError> + 'static,
     ) -> Self {
+        Description::chain(label, factor, programs, |p| {
+            Description::Immediate(finish(p))
+        })
+    }
+
+    /// A wave whose large machine's final program yields the next link —
+    /// which runs on the same lanes and RNG streams.
+    fn chain(
+        label: &'static str,
+        factor: usize,
+        programs: Vec<P>,
+        next: impl FnOnce(P) -> Description<P> + 'static,
+    ) -> Self {
         Description::Wave {
             label,
             factor,
             programs,
-            finish: Box::new(finish),
+            finish: Box::new(next),
         }
     }
 }
 
-/// The solo driver: the programs run, typed, on the [`Executor`].
+/// The solo driver: lends the large machine's stream to the builder, then
+/// runs each link of the chain, typed, on the [`Executor`].
 fn solo<P: MachineProgram>(
-    description: Description<P>,
+    build: impl FnOnce(&Cluster, &AlgoInput<'_>, &mut SmallRng) -> Description<P>,
     cluster: &mut Cluster,
+    input: &AlgoInput<'_>,
     mode: ExecMode,
     threads: usize,
 ) -> Result<AlgoOutput, ExecError> {
-    match description {
-        Description::Immediate(result) => result,
-        Description::Wave {
-            label,
-            factor,
-            programs,
-            finish,
-        } => {
-            let large = cluster
-                .large()
-                .expect("registry algorithms require a large machine");
-            let mut outcome = {
-                let mut scaled = CapacityFactor::scale(cluster, factor);
-                Executor::new(label, mode)
-                    .threads(threads)
-                    .run(scaled.cluster(), programs)
-            }?;
-            finish(outcome.programs.swap_remove(large))
+    let large = cluster
+        .large()
+        .expect("registry algorithms require a large machine");
+    let mut rng = cluster.rng(large).clone();
+    let mut description = build(cluster, input, &mut rng);
+    *cluster.rng(large) = rng;
+    loop {
+        match description {
+            Description::Immediate(result) => return result,
+            Description::Wave {
+                label,
+                factor,
+                programs,
+                finish,
+            } => {
+                let mut outcome = {
+                    let mut scaled = CapacityFactor::scale(cluster, factor);
+                    Executor::new(label, mode)
+                        .threads(threads)
+                        .run(scaled.cluster(), programs)
+                }?;
+                description = finish(outcome.programs.swap_remove(large));
+            }
         }
     }
 }
 
-/// The service driver: the programs become erased lanes.
+/// The service driver: every link's programs become erased lanes.
 fn lanes<P>(description: Description<P>) -> Lanes
 where
     P: MachineProgram + 'static,
@@ -644,12 +634,12 @@ where
             factor,
             programs,
             finish,
-        } => Description::Wave {
+        } => Description::chain(
             label,
             factor,
-            programs: programs.into_iter().map(erase).collect(),
-            finish: Box::new(move |boxed| finish(downcast_program::<P>(boxed))),
-        },
+            programs.into_iter().map(erase).collect(),
+            move |boxed| lanes(finish(downcast_program::<P>(boxed))),
+        ),
     }
 }
 
@@ -665,7 +655,47 @@ fn algorithm_error(e: impl std::fmt::Display) -> ExecError {
     }
 }
 
-fn connectivity(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<ConnectivityProgram> {
+/// The capacity shares a job occupies while running: its explicit
+/// [`JobSpec::shares`] if set, otherwise the instance count its description
+/// multiplexes — the `factor` a solo run applies — counted with the
+/// builders' own helpers: one share per non-empty weight class for
+/// `spanner-weighted` and `apsp` (unit weights are one class: `apsp` then
+/// runs one plain spanner), per threshold for `mst-approx`, per λ̂ guess for
+/// `mincut-approx`, and 1 for everything else.
+pub(crate) fn derived_shares(spec: &JobSpec) -> usize {
+    if spec.shares > 0 {
+        return spec.shares;
+    }
+    let edges = spec.graph.edges().iter();
+    match spec.name.as_str() {
+        "spanner-weighted" | "apsp" => {
+            // A u64 weight has 64 classes: the set of them is one word.
+            let classes = edges.fold(0u64, |set, e| set | 1 << weight_class(e.w));
+            (classes.count_ones() as usize).max(1)
+        }
+        "mst-approx" => geometric_thresholds(max_weight(edges), spec.params.epsilon).len(),
+        "mincut-approx" => lambda_guesses(total_weight(edges)).len(),
+        _ => 1,
+    }
+}
+
+/// The heaviest weight, floored at 1: the top of `mst-approx`'s threshold
+/// grid.
+fn max_weight<'e>(edges: impl Iterator<Item = &'e Edge>) -> u64 {
+    edges.map(|e| e.w).max().unwrap_or(1).max(1)
+}
+
+/// The total weight (saturating): the first of `mincut-approx`'s λ̂
+/// guesses.
+fn total_weight<'e>(edges: impl Iterator<Item = &'e Edge>) -> u64 {
+    edges.fold(0, |sum, e| sum.saturating_add(e.w))
+}
+
+fn connectivity(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+    _rng: &mut SmallRng,
+) -> Description<ConnectivityProgram> {
     let config = input
         .params
         .connectivity
@@ -677,14 +707,22 @@ fn connectivity(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Connect
     })
 }
 
-fn boruvka_msf(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<BoruvkaProgram> {
+fn boruvka_msf(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+    _rng: &mut SmallRng,
+) -> Description<BoruvkaProgram> {
     let programs = BoruvkaProgram::for_cluster(cluster, input.edges);
     Description::wave("boruvka", 1, programs, |p| {
         Ok(AlgoOutput::Forest(p.forest.expect(HALTED)))
     })
 }
 
-fn mst(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MstProgram>> {
+fn mst(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+    _rng: &mut SmallRng,
+) -> Description<Driven<MstProgram>> {
     let programs = MstProgram::for_cluster_with(cluster, input.n, input.edges, &input.params.mst);
     Description::wave("mst", 1, driven(programs), |p| {
         let result = p.0.result.expect(HALTED);
@@ -692,7 +730,11 @@ fn mst(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MstProgra
     })
 }
 
-fn matching(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MatchingProgram>> {
+fn matching(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+    _rng: &mut SmallRng,
+) -> Description<Driven<MatchingProgram>> {
     let programs = MatchingProgram::for_cluster(cluster, input.n, input.edges);
     Description::wave("match", 1, driven(programs), |p| {
         let result = p.0.result.expect(HALTED);
@@ -740,9 +782,8 @@ fn plain_spanner(
 /// 17-round spanner clock for *every* class. The spanner program's draws
 /// happen at fixed rounds and the scheduler steps instances in class
 /// order, so each machine consumes its RNG stream class-major — exactly
-/// the sequential loop's order — and the spanner, statistics, and RNG
-/// stream positions are bit-identical to the sequential (and legacy)
-/// paths.
+/// the legacy loop's order — and the spanner, statistics, and RNG stream
+/// positions are bit-identical to the legacy path.
 fn class_spanner(
     cluster: &Cluster,
     n: usize,
@@ -769,34 +810,18 @@ fn class_spanner(
     })
 }
 
-/// The PR 4 sequential composition of the weighted spanner: one engine
-/// run per weight class, kept as the equivalence oracle for
-/// [`class_spanner`] (identical results and RNG stream positions,
-/// `O(classes)`× the rounds).
-fn class_spanner_sequential(
-    cluster: &mut Cluster,
+fn spanner(
+    cluster: &Cluster,
     input: &AlgoInput<'_>,
-    k: usize,
-    apsp_stretch: Option<usize>,
-    mode: ExecMode,
-    threads: usize,
-) -> Result<AlgoOutput, ExecError> {
-    let n = input.n;
-    let spanner = weighted_by_classes(n, input.edges, |class_edges| {
-        let class = plain_spanner(cluster, n, class_edges, k, None);
-        solo(class, cluster, mode, threads)
-            .map(|out| out.into_spanner().expect("a spanner run yields a spanner"))
-    })?;
-    Ok(spanner_output(spanner, apsp_stretch))
-}
-
-fn spanner(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<SpannerProgram>> {
+    _rng: &mut SmallRng,
+) -> Description<Driven<SpannerProgram>> {
     plain_spanner(cluster, input.n, input.edges, input.params.spanner_k, None)
 }
 
 fn spanner_weighted(
     cluster: &Cluster,
     input: &AlgoInput<'_>,
+    _rng: &mut SmallRng,
 ) -> Description<Multiplexed<Driven<SpannerProgram>>> {
     class_spanner(cluster, input.n, input.edges, input.params.spanner_k, None)
 }
@@ -810,18 +835,44 @@ fn apsp_shape(input: &AlgoInput<'_>) -> (usize, bool, usize) {
     (k, weighted, if weighted { 12 * k - 1 } else { 6 * k - 1 })
 }
 
-fn mst_approx_program(
+/// The Theorem C.2 estimator: every `(1+ε)^j` threshold as one
+/// [`MstApproxWave`] of one [`Multiplexed`] run, each wave's sketch seed
+/// drawn here from the large machine's stream in ascending threshold order
+/// — the legacy per-wave draws, made up front — so results *and* RNG
+/// stream positions are bit-identical to the legacy loop.
+fn mst_approx(
     cluster: &Cluster,
     input: &AlgoInput<'_>,
-) -> Description<Driven<MstApproxProgram>> {
-    let programs =
-        MstApproxProgram::for_cluster(cluster, input.n, input.edges, input.params.epsilon);
-    Description::wave("xmst", 1, driven(programs), |p| {
-        Ok(AlgoOutput::MstApprox(p.0.result.expect(HALTED)))
+    rng: &mut SmallRng,
+) -> Description<Multiplexed<Driven<MstApproxWave>>> {
+    let (n, epsilon) = (input.n, input.params.epsilon);
+    assert!(epsilon > 0.0, "epsilon must be positive");
+    let w_max = max_weight(input.edges.iter().map(|(_, e)| e));
+    let thresholds = geometric_thresholds(w_max, epsilon);
+    let programs = mst_approx::threshold_waves(cluster, n, input.edges, &thresholds, rng);
+    Description::wave("xmst", thresholds.len(), programs, move |coordinator| {
+        let component_counts: Vec<usize> = (coordinator.into_programs().into_iter())
+            .map(|wave| {
+                wave.0
+                    .count
+                    .expect("large machine halts with a per-wave count")
+            })
+            .collect();
+        let estimate = estimate_from_counts(n, w_max, &thresholds, &component_counts);
+        Ok(AlgoOutput::MstApprox(MstApprox {
+            estimate,
+            thresholds,
+            component_counts,
+            parallel_rounds: MstApproxWave::ROUNDS,
+        }))
     })
 }
 
-fn mincut(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MinCutProgram>> {
+fn mincut(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+    _rng: &mut SmallRng,
+) -> Description<Driven<MinCutProgram>> {
     let trials = input.params.mincut_trials;
     let programs = MinCutProgram::for_cluster(cluster, input.n, input.edges, trials);
     Description::wave("cut", 1, driven(programs), |p| {
@@ -829,25 +880,50 @@ fn mincut(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MinCut
     })
 }
 
-fn mincut_approx_program(
+/// The Theorem C.4 estimator: every geometric λ̂ guess as one
+/// [`MinCutGuessWave`] of one [`Multiplexed`] run, then — only when every
+/// guess failed — the `xcut-fb` whole-graph gather as the chain's second
+/// link (see [`crate::programs::mincut_approx`]).
+fn mincut_approx(
     cluster: &Cluster,
     input: &AlgoInput<'_>,
-) -> Description<Driven<MinCutApproxProgram>> {
-    let programs =
-        MinCutApproxProgram::for_cluster(cluster, input.n, input.edges, input.params.epsilon);
-    Description::wave("xcut", 1, driven(programs), |p| {
-        Ok(AlgoOutput::MinCutApprox(p.0.result.expect(HALTED)))
+    _rng: &mut SmallRng,
+) -> Description<Multiplexed<Driven<MinCutGuessWave>>> {
+    let guesses = lambda_guesses(total_weight(input.edges.iter().map(|(_, e)| e)));
+    let [guess_link, fallback] = mincut_approx::waves(
+        cluster,
+        input.n,
+        input.edges,
+        &guesses,
+        input.params.epsilon,
+    );
+    Description::chain("xcut", guesses.len(), guess_link, move |coordinator| {
+        match mincut_approx::scan(coordinator) {
+            Ok(cut) => Description::Immediate(Ok(AlgoOutput::MinCutApprox(cut))),
+            Err(rounds) => Description::wave("xcut-fb", 1, fallback, move |coordinator| {
+                let cut = mincut_approx::gathered(coordinator, rounds);
+                Ok(AlgoOutput::MinCutApprox(cut))
+            }),
+        }
     })
 }
 
-fn mis(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<MisProgram>> {
+fn mis(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+    _rng: &mut SmallRng,
+) -> Description<Driven<MisProgram>> {
     let programs = MisProgram::for_cluster(cluster, input.n, input.edges);
     Description::wave("mis", 1, driven(programs), |p| {
         Ok(AlgoOutput::Mis(p.0.result.expect(HALTED)))
     })
 }
 
-fn coloring(cluster: &Cluster, input: &AlgoInput<'_>) -> Description<Driven<ColoringProgram>> {
+fn coloring(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+    _rng: &mut SmallRng,
+) -> Description<Driven<ColoringProgram>> {
     let programs = ColoringProgram::for_cluster(cluster, input.n, input.edges);
     Description::wave("color", 1, driven(programs), |p| {
         Ok(AlgoOutput::Coloring(p.0.result.expect(HALTED)))
@@ -860,14 +936,13 @@ fn loglog(n: usize) -> u64 {
     l.max(1)
 }
 
-// The three sequentialized-parallel workloads (`spanner-weighted`,
-// `mst-approx`, `mincut-approx`) run their paper-parallel instances
-// interleaved through the multi-program scheduler by default, so their
-// round budgets are the theorems' *parallel* figures — flat constants,
-// independent of the instance count (weight classes, thresholds, λ̂
-// guesses). The PR 4 sequential compositions survive behind
-// [`AlgoInput::sequential_instances`] as equivalence oracles; the
-// `budgets` experiment measures both and gates the ≥5× collapse.
+// The three multiplexed workloads (`spanner-weighted`, `mst-approx`,
+// `mincut-approx`) run their paper-parallel instances interleaved through
+// the multi-program scheduler, so their round budgets are the theorems'
+// *parallel* figures — flat constants, independent of the instance count
+// (weight classes, thresholds, λ̂ guesses). The `budgets` experiment gates
+// the ≥5× collapse against the sequential round counts committed in
+// `BENCH_rounds.json`.
 
 /// `⌈log₂ n⌉`, floored at 1.
 fn log2(n: usize) -> u64 {
@@ -881,8 +956,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.1",
         polylog_exponent: 2.6,
         round_budget: |_n| 6,
-        solo: |c, i, m, t| solo(connectivity(c, i), c, m, t),
-        lanes: |c, i| lanes(connectivity(c, i)),
+        solo: |c, i, m, t| solo(connectivity, c, i, m, t),
+        lanes: |c, i, r| lanes(connectivity(c, i, r)),
     },
     Algorithm {
         name: "boruvka-msf",
@@ -890,8 +965,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "§3 building block",
         polylog_exponent: 1.3,
         round_budget: |n| 4 * log2(n) + 8,
-        solo: |c, i, m, t| solo(boruvka_msf(c, i), c, m, t),
-        lanes: |c, i| lanes(boruvka_msf(c, i)),
+        solo: |c, i, m, t| solo(boruvka_msf, c, i, m, t),
+        lanes: |c, i, r| lanes(boruvka_msf(c, i, r)),
     },
     Algorithm {
         name: "mst",
@@ -899,8 +974,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 3.1",
         polylog_exponent: 1.3,
         round_budget: |n| 6 * loglog(n) + 16,
-        solo: |c, i, m, t| solo(mst(c, i), c, m, t),
-        lanes: |c, i| lanes(mst(c, i)),
+        solo: |c, i, m, t| solo(mst, c, i, m, t),
+        lanes: |c, i, r| lanes(mst(c, i, r)),
     },
     Algorithm {
         name: "matching",
@@ -908,8 +983,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 5.1",
         polylog_exponent: 1.3,
         round_budget: |n| 10 * loglog(n) + 36,
-        solo: |c, i, m, t| solo(matching(c, i), c, m, t),
-        lanes: |c, i| lanes(matching(c, i)),
+        solo: |c, i, m, t| solo(matching, c, i, m, t),
+        lanes: |c, i, r| lanes(matching(c, i, r)),
     },
     Algorithm {
         name: "spanner",
@@ -917,8 +992,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 4.1",
         polylog_exponent: 1.6,
         round_budget: |_n| 24,
-        solo: |c, i, m, t| solo(spanner(c, i), c, m, t),
-        lanes: |c, i| lanes(spanner(c, i)),
+        solo: |c, i, m, t| solo(spanner, c, i, m, t),
+        lanes: |c, i, r| lanes(spanner(c, i, r)),
     },
     Algorithm {
         name: "spanner-weighted",
@@ -928,14 +1003,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // All weight classes interleaved in one engine run: the solo
         // spanner's O(1) clock, independent of the class count.
         round_budget: |_n| 24,
-        solo: |c, i, m, t| {
-            if i.params.batch_instances {
-                solo(spanner_weighted(c, i), c, m, t)
-            } else {
-                class_spanner_sequential(c, i, i.params.spanner_k, None, m, t)
-            }
-        },
-        lanes: |c, i| lanes(spanner_weighted(c, i)),
+        solo: |c, i, m, t| solo(spanner_weighted, c, i, m, t),
+        lanes: |c, i, r| lanes(spanner_weighted(c, i, r)),
     },
     Algorithm {
         name: "apsp",
@@ -947,15 +1016,25 @@ static ALGORITHMS: &[Algorithm] = &[
         round_budget: |_n| 24,
         solo: |c, i, m, t| {
             let (k, weighted, stretch) = apsp_shape(i);
-            if !weighted {
-                solo(plain_spanner(c, i.n, i.edges, k, Some(stretch)), c, m, t)
-            } else if i.params.batch_instances {
-                solo(class_spanner(c, i.n, i.edges, k, Some(stretch)), c, m, t)
+            if weighted {
+                solo(
+                    |c, i, _| class_spanner(c, i.n, i.edges, k, Some(stretch)),
+                    c,
+                    i,
+                    m,
+                    t,
+                )
             } else {
-                class_spanner_sequential(c, i, k, Some(stretch), m, t)
+                solo(
+                    |c, i, _| plain_spanner(c, i.n, i.edges, k, Some(stretch)),
+                    c,
+                    i,
+                    m,
+                    t,
+                )
             }
         },
-        lanes: |c, i| {
+        lanes: |c, i, _| {
             let (k, weighted, stretch) = apsp_shape(i);
             if weighted {
                 lanes(class_spanner(c, i.n, i.edges, k, Some(stretch)))
@@ -973,15 +1052,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // 3-round connectivity wave plus slack, independent of the
         // O(log_{1+ε} W) grid size — the theorem's parallel figure.
         round_budget: |_n| 8,
-        solo: |c, i, m, t| {
-            if i.params.batch_instances {
-                mst_approx::batched(c, i.n, i.edges, i.params.epsilon, m, t)
-                    .map(AlgoOutput::MstApprox)
-            } else {
-                solo(mst_approx_program(c, i), c, m, t)
-            }
-        },
-        lanes: |c, i| lanes(mst_approx_program(c, i)),
+        solo: |c, i, m, t| solo(mst_approx, c, i, m, t),
+        lanes: |c, i, r| lanes(mst_approx(c, i, r)),
     },
     Algorithm {
         name: "mincut",
@@ -991,8 +1063,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // O(1) per trial (12 engine rounds), at the default trial count,
         // plus the degree kickoff.
         round_budget: |_n| 12 * DEFAULT_MINCUT_TRIALS as u64 + 8,
-        solo: |c, i, m, t| solo(mincut(c, i), c, m, t),
-        lanes: |c, i| lanes(mincut(c, i)),
+        solo: |c, i, m, t| solo(mincut, c, i, m, t),
+        lanes: |c, i, r| lanes(mincut(c, i, r)),
     },
     Algorithm {
         name: "mincut-approx",
@@ -1003,15 +1075,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // plus the conditional whole-graph fallback, independent of the
         // geometric guess count — the theorem's parallel figure.
         round_budget: |_n| 10,
-        solo: |c, i, m, t| {
-            if i.params.batch_instances {
-                mincut_approx::batched(c, i.n, i.edges, i.params.epsilon, m, t)
-                    .map(AlgoOutput::MinCutApprox)
-            } else {
-                solo(mincut_approx_program(c, i), c, m, t)
-            }
-        },
-        lanes: |c, i| lanes(mincut_approx_program(c, i)),
+        solo: |c, i, m, t| solo(mincut_approx, c, i, m, t),
+        lanes: |c, i, r| lanes(mincut_approx(c, i, r)),
     },
     Algorithm {
         name: "mis",
@@ -1019,8 +1084,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.6",
         polylog_exponent: 1.6,
         round_budget: |n| 10 * (loglog(n) + 1) + 10,
-        solo: |c, i, m, t| solo(mis(c, i), c, m, t),
-        lanes: |c, i| lanes(mis(c, i)),
+        solo: |c, i, m, t| solo(mis, c, i, m, t),
+        lanes: |c, i, r| lanes(mis(c, i, r)),
     },
     Algorithm {
         name: "coloring",
@@ -1029,15 +1094,14 @@ static ALGORITHMS: &[Algorithm] = &[
         polylog_exponent: 2.0,
         // O(1) plus at most MAX_RESTARTS + 1 attempt waves (2 rounds each).
         round_budget: |_n| 6 + 2 * (mpc_core::ported::coloring::MAX_RESTARTS as u64 + 1),
-        solo: |c, i, m, t| solo(coloring(c, i), c, m, t),
-        lanes: |c, i| lanes(coloring(c, i)),
+        solo: |c, i, m, t| solo(coloring, c, i, m, t),
+        lanes: |c, i, r| lanes(coloring(c, i, r)),
     },
 ];
 
 /// The registry names whose paper-parallel instances run interleaved
-/// through the [multi-program scheduler](crate::multiplex) by default
-/// (and sequentially under [`AlgoInput::sequential_instances`]) — the
-/// single source of truth for the `budgets` collapse gate and the batched
+/// through the [multi-program scheduler](crate::multiplex) — the single
+/// source of truth for the `budgets` collapse gate and the multiplexed
 /// schedule-independence sweep.
 pub const BATCHED_NAMES: [&str; 3] = ["spanner-weighted", "mst-approx", "mincut-approx"];
 
@@ -1135,19 +1199,21 @@ pub fn run_job(
 }
 
 /// Builds the service lanes of one [`JobSpec`] from exactly the input
-/// [`run_job`] would run solo. Must run with the cluster's capacity factor
-/// at 1 — the constructors snapshot solo capacities.
+/// [`run_job`] would run solo, drawing host-side randomness from
+/// `large_rng` — the job's stream for the large machine, which its large
+/// lane then carries on. Must run with the cluster's capacity factor at 1
+/// — the constructors snapshot solo capacities.
 ///
 /// # Panics
 ///
 /// Panics on an unregistered name — [`Service::submit`](crate::Service::submit)
 /// turns those away.
-pub(crate) fn job_lanes(spec: &JobSpec, cluster: &Cluster) -> Lanes {
+pub(crate) fn job_lanes(spec: &JobSpec, cluster: &Cluster, large_rng: &mut SmallRng) -> Lanes {
     debug_assert_eq!(cluster.capacity_factor(), 1, "build lanes at solo capacity");
     let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
     let input = spec.input(&edges);
     let algo = get(&spec.name).expect("submit admits registered names only");
-    (algo.lanes)(cluster, &input)
+    (algo.lanes)(cluster, &input, large_rng)
 }
 
 /// Runs the named algorithm with telemetry recording attached and returns
@@ -1188,6 +1254,7 @@ pub fn run_with_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpc_runtime::machine_rng;
 
     #[test]
     fn registry_matches_the_canonical_name_set() {
@@ -1208,6 +1275,15 @@ mod tests {
         }
     }
 
+    /// A row's lanes on `config`'s cluster, built as the service builds
+    /// them: the large machine's stream minted from the job seed.
+    fn lanes_of(spec: &JobSpec, config: mpc_runtime::ClusterConfig) -> (Cluster, Lanes) {
+        let cluster = Cluster::new(config);
+        let large = cluster.large().expect("a large machine");
+        let lanes = job_lanes(spec, &cluster, &mut machine_rng(spec.seed, large));
+        (cluster, lanes)
+    }
+
     /// The table is total: every row builds service lanes (one program
     /// per machine, or a finished result), its one-job [`Service`] drain
     /// agrees with its solo run, and `Service::submit` accepts exactly
@@ -1225,26 +1301,14 @@ mod tests {
         };
         for algo in algorithms() {
             let spec = JobSpec::new(algo.name, Arc::clone(&g)).seed(5);
-            let cluster = Cluster::new(config(algo));
-            match job_lanes(&spec, &cluster) {
-                Description::Wave { programs, .. } => {
+            match lanes_of(&spec, config(algo)) {
+                (cluster, Description::Wave { programs, .. }) => {
                     assert_eq!(programs.len(), cluster.machines());
                 }
-                Description::Immediate(result) => assert!(result.is_ok(), "{}", algo.name),
+                (_, Description::Immediate(result)) => assert!(result.is_ok(), "{}", algo.name),
             }
 
-            // The lanes of `mst-approx` / `mincut-approx` are their
-            // single-program forms, which solo runs reach through
-            // `sequential_instances`.
-            let mut solo_spec = spec.clone();
-            if matches!(algo.name, "mst-approx" | "mincut-approx") {
-                solo_spec.params = solo_spec.params.sequential_instances();
-            }
-            let solo = run_job(
-                &solo_spec,
-                &mut Cluster::new(config(algo)),
-                ExecMode::Serial,
-            );
+            let solo = run_job(&spec, &mut Cluster::new(config(algo)), ExecMode::Serial);
             let mut service = Service::new(config(algo));
             let handle = service.submit(spec).expect("registered name");
             service.run(ExecMode::Serial).expect("drain");
@@ -1263,6 +1327,29 @@ mod tests {
         }
         assert!(service.submit(JobSpec::new("nope", g)).is_err());
         assert_eq!(service.queued(), names().len());
+    }
+
+    /// Admission reserves what a solo run scales by: for every name, on a
+    /// weighted and a unit-weight graph, the derived shares equal the
+    /// built description's `factor`.
+    #[test]
+    fn derived_shares_equal_the_description_factor() {
+        use mpc_graph::generators::gnm;
+        for g in [
+            gnm(64, 320, 3).with_random_weights(1 << 12, 3),
+            gnm(48, 200, 5),
+        ] {
+            let g = Arc::new(g);
+            for algo in algorithms() {
+                let spec = JobSpec::new(algo.name, Arc::clone(&g));
+                let config = mpc_runtime::ClusterConfig::new(g.n(), g.m())
+                    .polylog_exponent(algo.polylog_exponent);
+                let Description::Wave { factor, .. } = lanes_of(&spec, config).1 else {
+                    panic!("{}: a graph with edges runs a wave", algo.name);
+                };
+                assert_eq!(derived_shares(&spec), factor, "{}", algo.name);
+            }
+        }
     }
 
     #[test]

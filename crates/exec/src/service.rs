@@ -14,23 +14,22 @@
 //! lane halt votes, inbox tags) — all bit-identical between serial and
 //! pool execution — and each job's lanes draw from private
 //! [`machine_rng`](mpc_runtime::machine_rng) streams minted from the job's
-//! seed. The same submission sequence therefore yields the same admission
+//! seed. A description's host-side draws come from the large machine's
+//! stream before its lane carries that stream on, and a job whose
+//! description chains a second wave re-enters it on the same lanes' streams.
+//! The same submission sequence therefore yields the same admission
 //! rounds, round log, and results in every mode, and each job's output is
 //! bit-identical to a solo [`registry::run_job`] on a fresh cluster
-//! seeded with the job's seed (for `spanner-weighted`/`apsp` the batched
-//! solo path; for `mst-approx`/`mincut-approx` the
-//! [`sequential_instances`](crate::registry::JobParams::sequential_instances)
-//! solo path — their batched forms pre-draw host-side seeds, which has no
-//! mid-wave equivalent).
+//! seeded with the job's seed.
 //!
 //! [`RoundHook`]: crate::driver::RoundHook
 
 use crate::driver::{ExecError, ExecMode, Executor, WaveRound};
 use crate::mixed::{ErasedProgram, MixedWave};
-use crate::registry::{self, AlgoOutput, Description, Finish, JobSpec};
-use mpc_core::spanner::weight_class;
+use crate::registry::{self, derived_shares, AlgoOutput, Description, Finish, JobSpec};
 use mpc_runtime::telemetry::TraceEvent;
-use mpc_runtime::{machine_rng, Cluster, ClusterConfig};
+use mpc_runtime::{machine_rng, Cluster, ClusterConfig, MachineId};
+use rand::rngs::SmallRng;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -141,7 +140,8 @@ pub struct ServiceRun {
 // Internals
 // ---------------------------------------------------------------------------
 
-const HAS_LARGE: &str = "a job ran, so the cluster has a large machine";
+const HAS_LARGE: &str = "registry jobs run on a cluster with a large machine";
+const HAS_LANE: &str = "a running job has a lane on every machine";
 
 struct QueuedJob {
     id: u64,
@@ -159,7 +159,8 @@ struct RunningJob {
     shares: usize,
     admitted_round: u64,
     state: Arc<Mutex<JobState>>,
-    /// Turns the large machine's retired lane into the job's output.
+    /// Turns the large machine's retired lane into the job's output or
+    /// its next wave.
     finish: Finish<Box<dyn ErasedProgram>>,
     /// The full spec, kept so a quarantined job can be resubmitted (its
     /// lanes are rebuilt from scratch on re-admission).
@@ -168,24 +169,62 @@ struct RunningJob {
     attempt: u32,
 }
 
-/// The capacity shares a job occupies while running: its explicit
-/// [`JobSpec::shares`] if set, otherwise derived from the program shape —
-/// 1 for single-instance jobs, the non-empty weight-class count for the
-/// batched weighted-spanner family (each class is a full spanner instance
-/// on the wire).
-fn derived_shares(spec: &JobSpec) -> usize {
-    if spec.shares > 0 {
-        return spec.shares;
-    }
-    match spec.name.as_str() {
-        // Unit weights are one class: `apsp` then runs one plain spanner.
-        "spanner-weighted" | "apsp" => {
-            // A u64 weight has 64 classes: the set of them is one word.
-            let edges = spec.graph.edges().iter();
-            let classes = edges.fold(0u64, |set, e| set | 1 << weight_class(e.w));
-            (classes.count_ones() as usize).max(1)
+/// A wave of a job about to enter the mixed wave: one program and one RNG
+/// stream per machine. A job's first wave gets streams minted from its
+/// seed; a chained wave inherits the streams the previous one left.
+struct Link {
+    job: RunningJob,
+    programs: Vec<Box<dyn ErasedProgram>>,
+    rngs: Vec<SmallRng>,
+}
+
+impl Link {
+    /// Installs the lanes with `wave_round` as their round 0; the job is
+    /// running again.
+    fn admit(self, view: &mut WaveRound<'_, MixedWave>, wave_round: u64) -> RunningJob {
+        let id = self.job.id;
+        for (mid, (program, rng)) in self.programs.into_iter().zip(self.rngs).enumerate() {
+            view.with(mid, |wave| wave.admit(id, program, rng, wave_round));
+            view.wake(mid);
         }
-        _ => 1,
+        self.job
+    }
+}
+
+/// Ends a job's current wave once its lanes have all halted: the large
+/// machine's program yields either the job's result, recorded at `round`,
+/// or the next wave of its chain, staged in `links` on the same job id,
+/// shares and RNG streams.
+fn retire(
+    cluster: &Cluster,
+    records: &mut Vec<JobRecord>,
+    links: &mut Vec<Link>,
+    job: RunningJob,
+    lanes: Vec<(Box<dyn ErasedProgram>, SmallRng)>,
+    large: MachineId,
+    round: u64,
+) {
+    let (mut programs, rngs): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
+    match (job.finish)(programs.swap_remove(large)) {
+        Description::Immediate(outcome) => finish_job(
+            cluster,
+            records,
+            job.id,
+            job.spec.name.clone(),
+            job.shares,
+            job.admitted_round,
+            &job.state,
+            round,
+            job.attempt,
+            outcome,
+        ),
+        Description::Wave {
+            programs, finish, ..
+        } => links.push(Link {
+            job: RunningJob { finish, ..job },
+            programs,
+            rngs,
+        }),
     }
 }
 
@@ -466,6 +505,8 @@ impl Service {
         let mut queue = std::mem::take(&mut self.queue);
         let mut running: Vec<RunningJob> = Vec::new();
         let mut records: Vec<JobRecord> = Vec::new();
+        // Chained waves waiting for the next hook call.
+        let mut links: Vec<Link> = Vec::new();
 
         let mut exec = Executor::new("svc", mode);
         if self.threads > 0 {
@@ -479,12 +520,13 @@ impl Service {
         // added to every driver round for records, events, deadlines, and
         // backoff gates.
         let mut base: u64 = 0;
-        let outcome = loop {
+        let rounds = loop {
             let waves = MixedWave::for_cluster(cluster);
             let last_hook = std::cell::Cell::new(0u64);
             let result = {
                 let running = &mut running;
                 let records = &mut records;
+                let links = &mut links;
                 let queue = &mut queue;
                 let last_hook = &last_hook;
                 let mut hook = |cluster: &mut Cluster,
@@ -495,11 +537,11 @@ impl Service {
                     let round = base + wave_round;
                     last_hook.set(wave_round);
 
-                    // 1. Retirement: a job is done when every one of its
-                    // lanes has voted to halt and no mail tagged with it
-                    // is pending. The peek-only scan leaves the round
-                    // clean; removal marks it dirty, forcing a checkpoint
-                    // under fault plans.
+                    // 1. Retirement: a job's wave is done when every one
+                    // of its lanes has voted to halt and no mail tagged
+                    // with it is pending. The peek-only scan leaves the
+                    // round clean; removal marks it dirty, forcing a
+                    // checkpoint under fault plans.
                     let mut i = 0;
                     while i < running.len() {
                         let job = running[i].id;
@@ -512,29 +554,22 @@ impl Service {
                             i += 1;
                             continue;
                         }
-                        let rj = running.remove(i);
-                        let mut boxes: Vec<_> = (0..machines)
-                            .map(|mid| {
-                                view.with(mid, |wave| {
-                                    wave.remove(job)
-                                        .expect("a running job has a lane on every machine")
-                                })
-                            })
+                        let lanes = (0..machines)
+                            .map(|mid| view.with(mid, |wave| wave.remove(job).expect(HAS_LANE)))
                             .collect();
-                        let outcome = (rj.finish)(boxes.swap_remove(large.expect(HAS_LARGE)));
-                        finish_job(
+                        let large = large.expect(HAS_LARGE);
+                        retire(
                             cluster,
                             records,
-                            rj.id,
-                            rj.spec.name.clone(),
-                            rj.shares,
-                            rj.admitted_round,
-                            &rj.state,
+                            links,
+                            running.remove(i),
+                            lanes,
+                            large,
                             round,
-                            rj.attempt,
-                            outcome,
                         );
                     }
+                    // A chained wave re-enters at once, on its job's lanes.
+                    running.extend(links.drain(..).map(|link| link.admit(view, wave_round)));
 
                     // 2. Deadlines: a job still running `round_deadline`
                     // rounds past admission is cancelled through the
@@ -636,7 +671,13 @@ impl Service {
                                 shares,
                             });
                         }
-                        match registry::job_lanes(&qj.spec, cluster) {
+                        // The builder's host-side draws advance the large
+                        // machine's stream before its lane carries it on.
+                        let mut rngs: Vec<SmallRng> = (0..machines)
+                            .map(|mid| machine_rng(qj.spec.seed, mid))
+                            .collect();
+                        let large = large.expect(HAS_LARGE);
+                        match registry::job_lanes(&qj.spec, cluster, &mut rngs[large]) {
                             Description::Immediate(outcome) => {
                                 finish_job(
                                     cluster,
@@ -655,18 +696,7 @@ impl Service {
                                 programs, finish, ..
                             } => {
                                 qj.state.lock().unwrap().status = JobStatus::Running;
-                                for (mid, program) in programs.into_iter().enumerate() {
-                                    view.with(mid, |wave| {
-                                        wave.admit(
-                                            qj.id,
-                                            program,
-                                            machine_rng(qj.spec.seed, mid),
-                                            wave_round,
-                                        );
-                                    });
-                                    view.wake(mid);
-                                }
-                                running.push(RunningJob {
+                                let job = RunningJob {
                                     id: qj.id,
                                     shares,
                                     admitted_round: round,
@@ -674,7 +704,13 @@ impl Service {
                                     finish,
                                     spec: qj.spec,
                                     attempt: qj.attempt,
-                                });
+                                };
+                                let link = Link {
+                                    job,
+                                    programs,
+                                    rngs,
+                                };
+                                running.push(link.admit(view, wave_round));
                             }
                         }
                     }
@@ -691,7 +727,26 @@ impl Service {
             cluster.set_capacity_factor(1);
 
             let e = match result {
-                Ok(outcome) => break outcome,
+                Ok(outcome) => {
+                    // Jobs that halted in the final round never saw
+                    // another hook call; their lanes sit in the returned
+                    // wave states. A chained wave among them restarts the
+                    // run, its hook admitting the wave at round 0.
+                    let round = base + outcome.rounds;
+                    let mut waves = outcome.programs;
+                    for job in std::mem::take(&mut running) {
+                        let lanes = (waves.iter_mut())
+                            .map(|wave| wave.remove(job.id).expect(HAS_LANE))
+                            .collect();
+                        let large = large.expect(HAS_LARGE);
+                        retire(cluster, &mut records, &mut links, job, lanes, large, round);
+                    }
+                    if links.is_empty() {
+                        break round;
+                    }
+                    base = round;
+                    continue;
+                }
                 Err(e) => e,
             };
             if !Self::quarantinable(&e) || running.is_empty() {
@@ -792,36 +847,7 @@ impl Service {
             base = round + 1;
         };
 
-        // Jobs that halted in the final round never saw another hook call;
-        // their lanes sit in the returned wave states.
-        let mut waves = outcome.programs;
-        for rj in running.drain(..) {
-            let mut boxes: Vec<_> = waves
-                .iter_mut()
-                .map(|wave| {
-                    wave.remove(rj.id)
-                        .expect("a running job has a lane on every machine")
-                })
-                .collect();
-            let job_outcome = (rj.finish)(boxes.swap_remove(large.expect(HAS_LARGE)));
-            finish_job(
-                cluster,
-                &mut records,
-                rj.id,
-                rj.spec.name.clone(),
-                rj.shares,
-                rj.admitted_round,
-                &rj.state,
-                base + outcome.rounds,
-                rj.attempt,
-                job_outcome,
-            );
-        }
-
         records.sort_by_key(|r| r.job);
-        Ok(ServiceRun {
-            rounds: base + outcome.rounds,
-            records,
-        })
+        Ok(ServiceRun { rounds, records })
     }
 }

@@ -167,8 +167,8 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     assert_eq!(got, legacy);
 
     // Weights ≥ 2: the first threshold (τ = 1) filters every edge on every
-    // machine, so that wave moves nothing and counts n singletons — in
-    // both shapes of the estimator, as in the legacy path.
+    // machine, so that wave sends nothing and counts n singletons, as in
+    // the legacy path.
     let heavier = g.edges().iter().map(|e| Edge::new(e.u, e.v, e.w + 1));
     let heavy = mpc_graph::Graph::new(n, heavier);
     let mut legacy_cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
@@ -176,22 +176,12 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     let legacy =
         mpc_core::ported::approximate_mst_weight(&mut legacy_cluster, n, &input, 0.5).unwrap();
     assert_eq!((legacy.thresholds[0], legacy.component_counts[0]), (1, n));
-    for batched in [true, false] {
-        let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
-        let mut algo_input = AlgoInput::new(n, &input).epsilon(0.5);
-        if !batched {
-            algo_input = algo_input.sequential_instances();
-        }
-        let got = registry::run("mst-approx", &mut cluster, &algo_input, ExecMode::Serial)
-            .unwrap()
-            .into_mst_approx()
-            .unwrap();
-        assert_eq!(got.component_counts, legacy.component_counts);
-        assert_eq!(got.estimate, legacy.estimate);
-        if !batched {
-            // Wave 0 is rounds 1–4: its broadcast, then nothing at all.
-            let log = words_and_messages(&cluster);
-            assert_eq!(log[2..4], [(0, 0), (0, 0)], "{log:?}");
-        }
-    }
+    let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
+    let algo_input = AlgoInput::new(n, &input).epsilon(0.5);
+    let got = registry::run("mst-approx", &mut cluster, &algo_input, ExecMode::Serial)
+        .unwrap()
+        .into_mst_approx()
+        .unwrap();
+    assert_eq!(got.component_counts, legacy.component_counts);
+    assert_eq!(got.estimate, legacy.estimate);
 }

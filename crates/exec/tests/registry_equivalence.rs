@@ -495,6 +495,11 @@ fn mincut_program_is_bit_identical_to_legacy() {
     }
 }
 
+/// The registry samples every λ̂ guess up front, while the legacy loop
+/// stops drawing at a winning or over-budget guess: results must always
+/// agree, RNG stream positions only where the loop sampled every guess
+/// too. On these inputs it does — no guess overflows its budget, and none
+/// wins before the last (the forest's cut is 0, so every guess fails).
 #[test]
 fn mincut_approx_program_is_bit_identical_to_legacy() {
     for (g, eps, seed) in [
@@ -504,6 +509,7 @@ fn mincut_approx_program_is_bit_identical_to_legacy() {
             1u64,
         ),
         (generators::gnm(48, 700, 3), 0.3, 3),
+        (generators::random_forest(40, 2, 2), 0.4, 2),
     ] {
         let make = |s| {
             Cluster::new(
@@ -522,17 +528,10 @@ fn mincut_approx_program_is_bit_identical_to_legacy() {
         for mode in [ExecMode::Serial, ExecMode::Parallel] {
             let mut engine_cluster = make(seed);
             let engine_input = common::distribute_edges(&engine_cluster, &g);
-            // The sequential oracle mode: its RNG consumption mirrors the
-            // legacy loop draw for draw (the batched default samples every
-            // guess up front, so its stream positions only match legacy
-            // when no early exit fires — batched-vs-sequential equality is
-            // asserted in crates/exec/tests/multiplex.rs).
             let engine = registry::run(
                 "mincut-approx",
                 &mut engine_cluster,
-                &AlgoInput::new(g.n(), &engine_input)
-                    .epsilon(eps)
-                    .sequential_instances(),
+                &AlgoInput::new(g.n(), &engine_input).epsilon(eps),
                 mode,
             )
             .unwrap()
@@ -699,8 +698,7 @@ fn mincut_edge_cases_agree_across_paths() {
 /// Engine runs must be bit-identical across Serial / Parallel at worker
 /// counts {1, 3, 16}: result digests, round counts, full round logs
 /// (labels, traffic, work, makespans), and RNG positions — for all twelve
-/// names in their default (solo) form, the batched runs of
-/// `registry::BATCHED_NAMES` included, through the one registry entry.
+/// names, the multiplexed ones included, through the one registry entry.
 #[test]
 fn engine_algorithms_are_schedule_independent_at_threads_1_3_16() {
     let g = generators::gnm(140, 1100, 9).with_random_weights(1 << 16, 9);

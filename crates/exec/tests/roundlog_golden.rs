@@ -16,10 +16,17 @@
 //! To re-take the table after an intended behaviour change, run
 //! `cargo test -p mpc-exec --release --test roundlog_golden -- --ignored --nocapture`
 //! and paste the printed rows.
+//!
+//! [`CASES`] pins, with the same fingerprint, the edge paths the default
+//! inputs never take: the `xcut-fb` whole-graph fallback of `mincut-approx`
+//! (every guess disconnected; every guess over its budget), an
+//! `mst-approx` threshold that filters every edge, and a zero-weight edge
+//! in the weighted spanner. Each case asserts which path it ran.
 
-use mpc_exec::{registry, ExecMode, JobSpec};
-use mpc_graph::generators;
-use mpc_runtime::{Cluster, ClusterConfig};
+use mpc_core::ported::connectivity::sketch_friendly_config;
+use mpc_exec::{registry, AlgoOutput, ExecMode, JobSpec};
+use mpc_graph::{generators, Edge, Graph};
+use mpc_runtime::{Cluster, ClusterConfig, Enforcement, Topology};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -68,7 +75,12 @@ fn fingerprint(name: &str, seed: u64, mode: ExecMode) -> Fingerprint {
     );
     let out = registry::run_job(&JobSpec::new(name, g).seed(seed), &mut cluster, mode)
         .unwrap_or_else(|e| panic!("{name} seed {seed} {mode:?}: {e}"));
+    fold(name, &mut cluster, &out)
+}
 
+/// Folds a finished run of `name` on `cluster` into its fingerprint.
+fn fold(name: &str, cluster: &mut Cluster, out: &AlgoOutput) -> Fingerprint {
+    let sketch = SKETCH_NAMES.contains(&name);
     let mut round_log = 0xcbf2_9ce4_8422_2325u64;
     for r in cluster.round_log() {
         for b in r.label.render().bytes() {
@@ -153,8 +165,101 @@ fn round_logs_digests_and_rng_positions_match_the_committed_fingerprints() {
     }
 }
 
+/// `(case, name, rounds, round-log fold, result digest, RNG fold)`.
+#[rustfmt::skip]
+const CASES: [(&str, &str, u64, u64, u128, u64); 4] = [
+    ("forest", "mincut-approx", 4, 0x2f62ca8c7c7843bd, 0x9ce7393ca456e5ea082f0007b4e852fe, 0xc0edc84585d8e3cb),
+    ("starved", "mincut-approx", 2, 0x594592870153f756, 0x9ce7393ca456e5ea48881f07b4eb3474, 0x445f22a6cc75f2cf),
+    ("heavy", "mst-approx", 2, 0xa920a2acd47e9e3b, 0x9130b56aa55a615fdf68d1d90c0353d1, 0x23ab5e0aa1ab2a82),
+    ("bridge", "spanner-weighted", 17, 0x8525e71680ce05c3, 0x5a87a901f38e6aa09a1164536c4bb289, 0x6fcf3dd97a16c4d6),
+];
+
+/// Runs one [`CASES`] input solo, asserts the path it took, and returns
+/// the registry name it ran with the run's fingerprint.
+fn run_case(case: &str, mode: ExecMode) -> (&'static str, Fingerprint) {
+    let bridge = Edge::new(7, 8, 0);
+    let (name, spec, config) = match case {
+        // A forest has cut 0: every λ̂ guess samples a disconnected
+        // skeleton, so the whole graph is gathered.
+        "forest" => {
+            let g = generators::random_forest(40, 2, 2);
+            let config = ClusterConfig::new(g.n(), g.m())
+                .seed(2)
+                .polylog_exponent(1.6);
+            let spec = JobSpec::new("mincut-approx", g).epsilon(0.4);
+            ("mincut-approx", spec, config)
+        }
+        // A starved large machine: the first guess already overflows its
+        // skeleton budget, every finer guess is retired, and the fallback
+        // gather (legitimately over capacity) is recorded, not raised.
+        "starved" => {
+            let g = generators::gnm(40, 400, 11).with_random_weights(1 << 10, 11);
+            let config = ClusterConfig::new(g.n(), g.m())
+                .seed(11)
+                .enforcement(Enforcement::Record)
+                .topology(Topology::Custom {
+                    capacities: vec![600, 4000, 4000, 4000, 4000],
+                    large: Some(0),
+                });
+            ("mincut-approx", JobSpec::new("mincut-approx", g), config)
+        }
+        // Weights ≥ 2: the first threshold (τ = 1) filters every edge.
+        "heavy" => {
+            let g = generators::gnm(64, 160, 3).with_random_weights(50, 3);
+            let heavier = g.edges().iter().map(|e| Edge::new(e.u, e.v, e.w + 1));
+            let config = sketch_friendly_config(64, g.m(), 3);
+            let spec = JobSpec::new("mst-approx", Graph::new(64, heavier)).epsilon(0.5);
+            ("mst-approx", spec, config)
+        }
+        // A path whose one zero-weight edge is weight class 0.
+        "bridge" => {
+            let path = (0..15u32).map(|v| Edge::new(v, v + 1, if v == 7 { 0 } else { 8 }));
+            let g = Graph::new(16, path);
+            let config = ClusterConfig::new(g.n(), g.m())
+                .seed(4)
+                .polylog_exponent(1.6);
+            let spec = JobSpec::new("spanner-weighted", g).spanner_k(2);
+            ("spanner-weighted", spec, config)
+        }
+        other => panic!("unknown case {other}"),
+    };
+    let n = spec.graph.n();
+    let mut cluster = Cluster::new(config);
+    let out = registry::run_job(&spec, &mut cluster, mode)
+        .unwrap_or_else(|e| panic!("{case} {mode:?}: {e}"));
+    let fell_back = (cluster.round_log().iter()).any(|r| r.label.render().starts_with("xcut-fb"));
+    match &out {
+        AlgoOutput::MinCutApprox(r) => {
+            assert!(r.lambda_guess == 1 && fell_back, "{case}: no fallback");
+            assert_eq!(r.parallel_rounds, cluster.rounds(), "{case}");
+        }
+        AlgoOutput::MstApprox(r) => {
+            assert_eq!((r.thresholds[0], r.component_counts[0]), (1, n), "{case}");
+            assert_eq!(r.parallel_rounds, cluster.rounds(), "{case}");
+        }
+        AlgoOutput::Spanner(r) => assert!(r.spanner.edges().contains(&bridge), "{case}"),
+        other => panic!("{case}: unexpected output {other:?}"),
+    }
+    (name, fold(name, &mut cluster, &out))
+}
+
 #[test]
-#[ignore = "prints the table to paste into GOLDEN"]
+fn edge_paths_match_the_committed_fingerprints() {
+    for &(case, name, rounds, round_log, digest, rng) in &CASES {
+        for mode in [ExecMode::Serial, ExecMode::Parallel] {
+            let want = Fingerprint {
+                rounds,
+                round_log,
+                digest,
+                rng,
+            };
+            assert_eq!(run_case(case, mode), (name, want), "{case} {mode:?}");
+        }
+    }
+}
+
+#[test]
+#[ignore = "prints the tables to paste into GOLDEN and CASES"]
 fn print_golden() {
     for name in NAMES {
         for seed in SEEDS {
@@ -164,5 +269,12 @@ fn print_golden() {
                 f.rounds, f.round_log, f.digest, f.rng
             );
         }
+    }
+    for case in ["forest", "starved", "heavy", "bridge"] {
+        let (name, f) = run_case(case, ExecMode::Serial);
+        println!(
+            "    ({case:?}, {name:?}, {}, {:#018x}, {:#034x}, {:#018x}),",
+            f.rounds, f.round_log, f.digest, f.rng
+        );
     }
 }

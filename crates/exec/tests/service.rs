@@ -6,6 +6,7 @@
 //! positions — is identical between serial and pooled execution at any
 //! thread count; and a seeded mid-wave crash recovers every tenant.
 
+use mpc_core::ported::mst_approx::geometric_thresholds;
 use mpc_core::spanner::weight_class_shards;
 use mpc_exec::{
     registry, ExecError, ExecMode, JobRecord, JobRetryPolicy, JobSpec, JobStatus, Service,
@@ -110,20 +111,12 @@ fn mixed_wave_results_are_bit_identical_to_solo_runs() {
 #[test]
 fn every_registry_algorithm_runs_as_a_service_job() {
     // All 12 registered names in one submission wave — multi-output apsp
-    // included — each bit-identical to its solo twin. mst-approx and
-    // mincut-approx run their sequential single-program forms inside a
-    // wave, so the solo oracle uses `sequential_instances` for them.
+    // included — each bit-identical to its solo twin.
     let g = Arc::new(weighted_graph());
     let mut svc = Service::new(config(&g, 5));
-    let mut specs = Vec::new();
-    for (i, name) in registry::names().into_iter().enumerate() {
-        let mut spec = JobSpec::new(name, Arc::clone(&g)).seed(100 + i as u64);
-        if matches!(name, "mst-approx" | "mincut-approx") {
-            let sequential = spec.params.clone().sequential_instances();
-            spec = spec.params(sequential);
-        }
-        specs.push(spec);
-    }
+    let specs: Vec<JobSpec> = (registry::names().into_iter().enumerate())
+        .map(|(i, name)| JobSpec::new(name, Arc::clone(&g)).seed(100 + i as u64))
+        .collect();
     let handles: Vec<_> = specs
         .iter()
         .map(|s| svc.submit(s.clone()).expect("known name"))
@@ -141,6 +134,70 @@ fn every_registry_algorithm_runs_as_a_service_job() {
             "{} diverged from its solo run",
             spec.name
         );
+    }
+}
+
+/// The multiplexed estimators run in a service lane as they run solo:
+/// `mst-approx` with its sketch seeds drawn from the large machine's
+/// stream, `mincut-approx` — on a forest, whose every guess fails — with
+/// the `xcut-fb` gather chained onto the guess wave. Each matches its solo
+/// digest within two rounds of its solo round count and holds one share
+/// per instance — alone, where the chained wave restarts the finished
+/// run, and beside a long `mincut` job, where it re-enters mid-run.
+#[test]
+fn multiplexed_estimators_run_their_solo_waves_as_service_jobs() {
+    let g = Arc::new(generators::random_forest(40, 2, 2).with_random_weights(1 << 10, 2));
+    let specs = [
+        JobSpec::new("mst-approx", Arc::clone(&g)).seed(7),
+        JobSpec::new("mincut-approx", Arc::clone(&g)).seed(8),
+    ];
+    let companion = JobSpec::new("mincut", Arc::clone(&g)).seed(9);
+    for (mode, with_companion) in [
+        (ExecMode::Serial, false),
+        (ExecMode::Parallel, false),
+        (ExecMode::Serial, true),
+    ] {
+        let mut svc = Service::new(config(&g, 3));
+        let handles: Vec<_> = (specs.iter())
+            .map(|spec| svc.submit(spec.clone()).expect("known name"))
+            .collect();
+        if with_companion {
+            svc.submit(companion.clone()).expect("known name");
+        }
+        let run = svc.run(mode).expect("service run");
+        if with_companion {
+            // Still running when the fallback wave re-enters.
+            assert!(run.records[2].completed_round > run.records[1].completed_round);
+        }
+        for ((handle, spec), record) in handles.iter().zip(&specs).zip(&run.records) {
+            let mut solo_cluster = Cluster::new(config(&g, spec.seed));
+            let solo = registry::run_job(spec, &mut solo_cluster, mode).expect("solo run");
+            let instances = match &solo {
+                mpc_exec::AlgoOutput::MstApprox(r) => r.thresholds.len(),
+                mpc_exec::AlgoOutput::MinCutApprox(r) => {
+                    assert_eq!(r.lambda_guess, 1, "the forest takes the fallback");
+                    let log = solo_cluster.round_log();
+                    assert!(log.iter().any(|r| r.label.render().starts_with("xcut-fb")));
+                    // One λ̂ guess per bit of the total weight.
+                    let total: u64 = g.edges().iter().map(|e| e.w).sum();
+                    (u64::BITS - total.leading_zeros()) as usize
+                }
+                other => panic!("unexpected output {other:?}"),
+            };
+            let served = handle
+                .take_result()
+                .expect("finished")
+                .expect("no job error");
+            assert_eq!(served.digest(), solo.digest(), "{} {mode:?}", spec.name);
+            assert!(
+                record.rounds <= solo_cluster.rounds() + 2,
+                "{} {mode:?}: {} service rounds against {} solo",
+                spec.name,
+                record.rounds,
+                solo_cluster.rounds()
+            );
+            assert_eq!(record.shares, instances, "{}", spec.name);
+        }
     }
 }
 
@@ -720,19 +777,21 @@ fn empty_weighted_spanner_completes_without_entering_the_wave() {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-    /// The shares admission reserves for a `spanner-weighted` / `apsp` job
-    /// are the instances its lanes multiplex — one per non-empty weight
-    /// class — for zero weights and weights up to `u64::MAX` alike (unit
-    /// weights: `apsp` runs one plain spanner). Read off the record of a
-    /// job a zero-attempt policy fails at the queue front: its shares are
-    /// derived exactly as for an admission, and nothing is built or run.
+    /// The shares admission reserves are the instances a job's lanes
+    /// multiplex — one per non-empty weight class for `spanner-weighted` /
+    /// `apsp` (unit weights: `apsp` runs one plain spanner), one per
+    /// threshold for `mst-approx`, one per λ̂ guess (one per bit of the
+    /// total weight) for `mincut-approx` — for zero weights and weights up
+    /// to `u64::MAX` alike. Read off the record of a job a zero-attempt
+    /// policy fails at the queue front: its shares are derived exactly as
+    /// for an admission, and nothing is built or run.
     #[test]
     fn derived_shares_count_the_weight_class_instances(
         edges in proptest::collection::vec(
             (0u32..24, 0u32..24, 0u32..66, proptest::prelude::any::<u64>()),
             0..40,
         ),
-        name in 0usize..2,
+        name in 0usize..4,
     ) {
         let weight = |shift: u32, low: u64| match shift {
             64 => 0,
@@ -744,12 +803,20 @@ proptest::proptest! {
             edges.iter().map(|&(u, v, shift, low)| Edge::new(u, v, weight(shift, low))),
         ));
         let classes = weight_class_shards(&ShardedVec::from_shards(vec![g.edges().to_vec()]));
+        let w_max = g.edges().iter().map(|e| e.w).max().unwrap_or(1).max(1);
+        let total = g.edges().iter().fold(0u64, |sum, e| sum.saturating_add(e.w));
+        let name = ["spanner-weighted", "apsp", "mst-approx", "mincut-approx"][name];
+        let instances = match name {
+            "mst-approx" => geometric_thresholds(w_max, 0.3).len(),
+            "mincut-approx" => (u64::BITS - total.max(1).leading_zeros()) as usize,
+            _ => classes.shards.len().max(1),
+        };
 
         let mut svc = Service::new(config(&g, 1));
-        let spec = JobSpec::new(["spanner-weighted", "apsp"][name], Arc::clone(&g));
+        let spec = JobSpec::new(name, Arc::clone(&g));
         svc.submit(spec.retry(JobRetryPolicy { max_attempts: 0, backoff_rounds: 0 }))
             .expect("known name");
         let run = svc.run(ExecMode::Serial).expect("service run");
-        proptest::prop_assert_eq!(run.records[0].shares, classes.shards.len().max(1));
+        proptest::prop_assert_eq!(run.records[0].shares, instances);
     }
 }
