@@ -820,3 +820,77 @@ proptest::proptest! {
         proptest::prop_assert_eq!(run.records[0].shares, instances);
     }
 }
+
+// ------------------------------------------------- generated queues --
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+    /// A generated queue — 2–8 registry names in any mix, each with its own
+    /// seed and share count (0 = derived), on a share limit of 1–3 —
+    /// drains with every job completed and bit-identical to its solo run,
+    /// and the drain's records, rounds and round log are the same serially
+    /// and pooled at 1 and 3 threads.
+    #[test]
+    fn generated_queues_drain_to_solo_digests_in_every_mode(
+        (n, density, graph_seed) in (32usize..65, 1usize..4, proptest::prelude::any::<u64>()),
+        jobs in proptest::collection::vec(
+            (0usize..12, proptest::prelude::any::<u64>(), 0usize..4),
+            2..9,
+        ),
+        limit in 1usize..4,
+    ) {
+        let g = Arc::new(
+            generators::gnm(n, density * n, graph_seed).with_random_weights(1 << 10, graph_seed),
+        );
+        // A job that multiplexes instances keeps its derived shares: fewer
+        // would under-reserve, which strict enforcement rightly fails.
+        let names = registry::names();
+        let specs: Vec<JobSpec> = (jobs.iter())
+            .map(|&(name, seed, shares)| {
+                let name = names[name];
+                let multiplexed = registry::BATCHED_NAMES.contains(&name) || name == "apsp";
+                let shares = if multiplexed { 0 } else { shares };
+                JobSpec::new(name, Arc::clone(&g)).seed(seed).shares(shares)
+            })
+            .collect();
+        let solo: Vec<u128> = (specs.iter())
+            .map(|spec| solo_digest(&g, spec, ExecMode::Serial))
+            .collect();
+
+        let mut runs = Vec::new();
+        for (mode, threads) in [
+            (ExecMode::Serial, 0),
+            (ExecMode::Parallel, 1),
+            (ExecMode::Parallel, 3),
+        ] {
+            let mut cluster = Cluster::new(config(&g, 13));
+            let mut svc = Service::new(config(&g, 13))
+                .capacity_shares(limit)
+                .threads(threads);
+            let handles: Vec<_> = (specs.iter())
+                .map(|spec| svc.submit(spec.clone()).expect("known name"))
+                .collect();
+            let run = svc.run_on(&mut cluster, mode).expect("service run");
+            for ((handle, spec), &solo) in handles.iter().zip(&specs).zip(&solo) {
+                proptest::prop_assert_eq!(handle.status(), JobStatus::Completed, "{}", spec.name);
+                let served = handle.take_result().expect("finished").expect("no job error");
+                proptest::prop_assert_eq!(
+                    served.digest(),
+                    solo,
+                    "{} (seed {}, shares {}) diverged from its solo run in {:?} at {} threads",
+                    spec.name,
+                    spec.seed,
+                    spec.shares,
+                    mode,
+                    threads
+                );
+            }
+            let records: Vec<_> = run.records.iter().map(record_key).collect();
+            runs.push((records, run.rounds, cluster.round_log().to_vec()));
+        }
+        for other in &runs[1..] {
+            proptest::prop_assert!(*other == runs[0], "the drain diverged across modes");
+        }
+    }
+}
