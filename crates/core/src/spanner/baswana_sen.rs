@@ -14,7 +14,7 @@
 //! * the distributed algorithm can run phase 1 on the large machine,
 //! * the Figure-1 / Lemma-4.3 experiments can compare the two directly.
 
-use mpc_graph::{Edge, Graph, VertexId};
+use mpc_graph::{Adjacency, Edge, Graph, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,26 +59,30 @@ impl BsPhase1 {
     }
 }
 
-/// Runs phase 1 (lines 1–15 of Algorithm 2) over per-level edge sets.
+/// Runs phase 1 (lines 1–15 of Algorithm 2) over per-level neighborhood
+/// graphs.
 ///
-/// `level_edges[i]` is the neighborhood graph used at BS level `i+1`
-/// (`i = 0..k-1`): the full edge set for the original Algorithm 1, or the
-/// sampled `G_i` for the modified version. Center sampling uses
-/// probability `center_universe^{−1/k}` derived from `seed`
-/// (`center_universe` is the true vertex count of the graph being spanned —
-/// for clustering graphs `A_i` this is `|V_i|`, not the id-space size `n`).
+/// `level_adj[i]` is the neighborhood graph re-clustered over at BS level
+/// `i+1` (`i = 0..k-1`; level `k` samples no center, so nobody re-clusters
+/// there), with every vertex's pairs in ascending order
+/// ([`Adjacency::sorted`]): the full graph at every level for the original
+/// Algorithm 1, so one adjacency serves them all, or the sampled `G_i` for
+/// the modified version. Center sampling uses probability
+/// `center_universe^{−1/k}` derived from `seed` (`center_universe` is the
+/// true vertex count of the graph being spanned — for clustering graphs
+/// `A_i` this is `|V_i|`, not the id-space size `n`).
 pub fn phase1(
     n: usize,
-    level_edges: &[Vec<Edge>],
+    level_adj: &[&Adjacency],
     k: usize,
     seed: u64,
     center_universe: usize,
 ) -> BsPhase1 {
     assert!(k >= 1, "spanner parameter k must be >= 1");
     assert_eq!(
-        level_edges.len(),
-        k,
-        "need one edge set per level (level k may be empty)"
+        level_adj.len(),
+        k - 1,
+        "need one neighborhood graph per re-clustering level"
     );
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xBA5A_0A5E);
     let p_center = (center_universe.max(2) as f64).powf(-1.0 / k as f64);
@@ -100,13 +104,7 @@ pub fn phase1(
                 .map(|&a| a && rng.random_bool(p_center))
                 .collect()
         };
-        // Adjacency of this level's (sampled) graph.
-        let level_adj = if i < k {
-            build_adj(n, &level_edges[i - 1])
-        } else {
-            Vec::new() // never consulted: C_k = ∅ re-clusters nobody
-        };
-        let prev = centers[i - 1].clone();
+        let prev = &centers[i - 1];
         let mut cur: Vec<Option<VertexId>> = vec![None; n];
         let mut st = BsLevelStats::default();
         for v in 0..n as VertexId {
@@ -118,17 +116,12 @@ pub fn phase1(
             }
             // Try re-clustering through a (sampled) neighbor with a live
             // center; scan in neighbor order for determinism.
-            let mut adopted: Option<(VertexId, VertexId, u64)> = None;
-            if i < k {
-                for &(u, w) in &level_adj[v as usize] {
-                    if let Some(cu) = prev[u as usize] {
-                        if next_alive[cu as usize] {
-                            adopted = Some((cu, u, w));
-                            break;
-                        }
-                    }
-                }
-            }
+            let adopted = level_adj.get(i - 1).and_then(|adj| {
+                adj.neighbors(v).iter().find_map(|&(u, w)| {
+                    let cu = prev[u as usize]?;
+                    next_alive[cu as usize].then_some((cu, u, w))
+                })
+            });
             match adopted {
                 Some((c, u, w)) => {
                     cur[v as usize] = Some(c);
@@ -152,18 +145,6 @@ pub fn phase1(
         removal_level,
         stats,
     }
-}
-
-fn build_adj(n: usize, edges: &[Edge]) -> Vec<Vec<(VertexId, u64)>> {
-    let mut adj: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); n];
-    for e in edges {
-        adj[e.u as usize].push((e.v, e.w));
-        adj[e.v as usize].push((e.u, e.w));
-    }
-    for a in &mut adj {
-        a.sort_unstable();
-    }
-    adj
 }
 
 /// Phase 2 (lines 16–18): for every removed vertex `v`, add one edge to each
@@ -199,9 +180,8 @@ pub fn phase2(g: &Graph, p1: &BsPhase1) -> Vec<Edge> {
 /// The original Baswana–Sen `(2k−1)`-spanner (Algorithm 1): phase 1 over the
 /// full graph plus phase 2.
 pub fn baswana_sen(g: &Graph, k: usize, seed: u64) -> (Graph, BsPhase1) {
-    let full: Vec<Edge> = g.edges().to_vec();
-    let levels: Vec<Vec<Edge>> = (0..k).map(|_| full.clone()).collect();
-    let p1 = phase1(g.n(), &levels, k, seed, g.n());
+    let adj = g.adjacency().sorted();
+    let p1 = phase1(g.n(), &vec![&adj; k.saturating_sub(1)], k, seed, g.n());
     let mut edges = p1.edges.clone();
     edges.extend(phase2(g, &p1));
     (Graph::new(g.n(), edges), p1)
@@ -217,16 +197,18 @@ pub fn modified_baswana_sen(g: &Graph, k: usize, p: f64, seed: u64) -> (Graph, B
         "sampling probability must be in [0,1]"
     );
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x90D1F1ED);
-    let levels: Vec<Vec<Edge>> = (0..k)
+    let levels: Vec<Adjacency> = (1..k)
         .map(|_| {
-            g.edges()
+            let sample: Vec<Edge> = g
+                .edges()
                 .iter()
                 .filter(|_| rng.random_bool(p))
                 .copied()
-                .collect()
+                .collect();
+            Adjacency::from_edges(g.n(), &sample).sorted()
         })
         .collect();
-    let p1 = phase1(g.n(), &levels, k, seed, g.n());
+    let p1 = phase1(g.n(), &levels.iter().collect::<Vec<_>>(), k, seed, g.n());
     let mut edges = p1.edges.clone();
     edges.extend(phase2(g, &p1));
     (Graph::new(g.n(), edges), p1)

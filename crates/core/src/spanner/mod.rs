@@ -24,7 +24,7 @@ pub mod clustering;
 
 use crate::common;
 use clustering::{level_edge_key, unpack_level_edge, LevelEdgeKey};
-use mpc_graph::{Edge, Graph, VertexId, Weight};
+use mpc_graph::{Adjacency, Edge, Graph, VertexId, Weight};
 use mpc_runtime::primitives::{aggregate_by_key, gather_to};
 use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
 use rand::Rng;
@@ -103,9 +103,10 @@ pub fn span_levels(n: usize, k: usize, received: &[(u32, LevelEdgeKey, Edge)]) -
                 .or_default()
                 .push(Edge::unweighted(a, b));
         } else {
+            // BS levels 1..k−1 re-cluster over subsamples j = 1..k−1.
             let slot = sampled_edges
                 .entry(i)
-                .or_insert_with(|| vec![Vec::new(); k]);
+                .or_insert_with(|| vec![Vec::new(); k - 1]);
             slot[j - 1].push(Edge::unweighted(a, b));
         }
     }
@@ -118,8 +119,8 @@ pub fn span_levels(n: usize, k: usize, received: &[(u32, LevelEdgeKey, Edge)]) -
         let level_edges = &full_edges[&i];
         let a_i = Graph::new(n, level_edges.iter().copied());
         let n_i = distinct_endpoints(level_edges).max(2);
-        let levels: Vec<Vec<Edge>> = (0..k).map(|_| a_i.edges().to_vec()).collect();
-        let p1 = baswana_sen::phase1(n, &levels, k, 0xF011 + i as u64, n_i);
+        let adj = a_i.adjacency().sorted();
+        let p1 = baswana_sen::phase1(n, &vec![&adj; k - 1], k, 0xF011 + i as u64, n_i);
         let mut h_i = p1.edges.clone();
         h_i.extend(baswana_sen::phase2(&a_i, &p1));
         phase1_edges += h_i.len();
@@ -134,10 +135,11 @@ pub fn span_levels(n: usize, k: usize, received: &[(u32, LevelEdgeKey, Edge)]) -
     sampled_levels.sort_unstable();
     for i in sampled_levels {
         let subs = &sampled_edges[&i];
-        let n_i = distinct_endpoints(&subs.concat()).max(2);
-        // BS levels 1..k−1 use subsample j = 1..k−1; level k is unused.
-        let mut levels: Vec<Vec<Edge>> = subs[..k - 1].to_vec();
-        levels.push(Vec::new());
+        let n_i = distinct_endpoints(subs.iter().flatten()).max(2);
+        let adjs: Vec<Adjacency> = (subs.iter())
+            .map(|sub| Adjacency::from_edges(n, sub).sorted())
+            .collect();
+        let levels: Vec<&Adjacency> = adjs.iter().collect();
         let p1 = baswana_sen::phase1(n, &levels, k, 0x5AAD + i as u64, n_i);
         phase1_edges += p1.edges.len();
         for e in &p1.edges {
@@ -473,8 +475,8 @@ pub fn merge_class_results(
     }
 }
 
-fn distinct_endpoints(edges: &[Edge]) -> usize {
-    let mut v: Vec<VertexId> = edges.iter().flat_map(|e| [e.u, e.v]).collect();
+fn distinct_endpoints<'e>(edges: impl IntoIterator<Item = &'e Edge>) -> usize {
+    let mut v: Vec<VertexId> = edges.into_iter().flat_map(|e| [e.u, e.v]).collect();
     v.sort_unstable();
     v.dedup();
     v.len()

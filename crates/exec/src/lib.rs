@@ -60,7 +60,7 @@ pub mod service;
 pub use combinators::{Driven, Outbox, Owners, RoleProgram};
 pub use driver::{ExecError, ExecMode, ExecOutcome, Executor, WaveRound};
 pub use machine::{MachineCtx, MachineProgram, StepOutcome};
-pub use mixed::{ErasedMsg, ErasedProgram, MixedMsg, MixedWave};
+pub use mixed::{ErasedProgram, MixedMsg, MixedWave};
 pub use multiplex::{Multiplexed, Mux, MuxSlot};
 pub use programs::{
     BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram, MinCutProgram,

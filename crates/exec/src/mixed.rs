@@ -1,16 +1,22 @@
-//! Type-erased mixed-program waves: different algorithms in one run.
+//! Mixed-program waves: different algorithms in one run.
 //!
 //! [`Multiplexed`](crate::Multiplexed) interleaves many instances of the
 //! *same* program `P` into one bulk-synchronous run. The service layer
 //! (DESIGN.md §2.8) needs the heterogeneous version of that: a spanner, a
 //! matching, and a min cut sharing one engine run, admitted and retired
 //! independently. [`MixedWave`] is that scheduler. Each job owns a *lane*
-//! per machine — a boxed, type-erased program plus a private per-job RNG
-//! stream — and every message crosses the wire as a [`MixedMsg`]: a job
-//! tag around an [`ErasedMsg`] box. Tags are free (like
-//! [`Mux`](crate::Mux), the tag is bookkeeping the paper's model does not
-//! charge); the boxed payload reports its true word size, so capacity
-//! accounting is exactly the sum of the lanes' solo traffic.
+//! per machine — its program behind an [`ErasedProgram`] box, the
+//! program's typed inbox, and a private per-job RNG stream — and every
+//! message crosses the wire as a [`MixedMsg`]: a job tag around a
+//! [`LaneMsg`], the closed enum of the message types registry lanes speak.
+//! Tags are free (like [`Mux`], the tag is bookkeeping the paper's model
+//! does not charge); a wire message reports its payload's true word size,
+//! so capacity accounting is exactly the sum of the lanes' solo traffic.
+//!
+//! No message is boxed on the way: demux unwraps each one straight into
+//! its lane's typed inbox, and a lane's outbox is tagged straight into the
+//! wave's. The set is closed because lanes come only from the registry
+//! table, so the compiler, not a run-time downcast, checks every type.
 //!
 //! Determinism: lanes step in admission order, each against its own RNG
 //! (minted via [`mpc_runtime::machine_rng`] from the job's seed), its own
@@ -20,105 +26,150 @@
 //! alone on a cluster seeded with its job seed.
 
 use crate::machine::{MachineCtx, MachineProgram, StepOutcome};
+use crate::multiplex::Mux;
+use crate::programs::{
+    ColorNetMsg, ConnMsg, MatchNetMsg, MinCutNetMsg, MisNetMsg, MstMsg, MstNetMsg, SpannerNetMsg,
+    XCutNetMsg,
+};
 use mpc_runtime::{Cluster, MachineId, Payload};
+use mpc_sketch::PartialBatch;
 use rand::rngs::SmallRng;
 use std::any::Any;
 
 // ---------------------------------------------------------------------------
-// Message erasure
+// The wire
 // ---------------------------------------------------------------------------
 
-/// Object-safe view of a [`Payload`] message: clone and downcast.
-trait AnyMsg: Send {
-    fn clone_box(&self) -> Box<dyn AnyMsg>;
-    fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
+/// A message type a [`MixedWave`] lane can speak: one variant of
+/// [`LaneMsg`]. A registry name whose programs send any other type does
+/// not compile as a service lane.
+pub trait LaneCodec: Payload + Send + Sized + 'static {
+    /// The message as its wire variant.
+    fn wrap(self) -> LaneMsg;
+
+    /// The message back out of its wire variant, panicking on another
+    /// variant (mail for a lane of another program type is a scheduler
+    /// bug, not a recoverable condition).
+    fn unwrap(msg: LaneMsg) -> Self;
 }
 
-impl<M: Payload + Send + 'static> AnyMsg for M {
-    fn clone_box(&self) -> Box<dyn AnyMsg> {
-        Box::new(self.clone())
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any + Send> {
+/// How a variant holds its message: inline, or boxed for the rare large
+/// ones, so the enum is no wider than the common messages.
+trait Stored<M>: From<M> {
+    fn into_inner(self) -> M;
+}
+
+impl<M> Stored<M> for M {
+    fn into_inner(self) -> M {
         self
     }
 }
 
-/// A boxed message of some concrete [`Payload`] type. Its words are those
-/// of the payload inside, so erasure is invisible to capacity accounting;
-/// they are read once, at boxing — the driver asks three times per message
-/// and a boxed message never changes.
-pub struct ErasedMsg {
-    words: usize,
-    msg: Box<dyn AnyMsg>,
-}
-
-impl ErasedMsg {
-    /// Boxes a concrete message.
-    pub fn new<M: Payload + Send + 'static>(msg: M) -> Self {
-        ErasedMsg {
-            words: msg.words(),
-            msg: Box::new(msg),
-        }
-    }
-
-    /// Recovers the concrete message, panicking on a type mismatch (a
-    /// mismatch means two lanes shared a job tag — a scheduler bug, not a
-    /// recoverable condition).
-    fn downcast<M: Payload + Send + 'static>(self) -> M {
+impl<M> Stored<M> for Box<M> {
+    fn into_inner(self) -> M {
         *self
-            .msg
-            .into_any()
-            .downcast::<M>()
-            .expect("mixed-wave message arrived at a lane of a different program type")
     }
 }
 
-impl Clone for ErasedMsg {
-    fn clone(&self) -> Self {
-        ErasedMsg {
-            words: self.words,
-            msg: self.msg.clone_box(),
+/// Generates [`LaneMsg`], its word count and the [`LaneCodec`] of every
+/// message type it lists.
+macro_rules! lane_messages {
+    ($($variant:ident($msg:ty) in $stored:ty),+ $(,)?) => {
+        /// The closed set of messages registry lanes exchange.
+        #[derive(Clone)]
+        pub enum LaneMsg {
+            $(#[doc = concat!("A [`", stringify!($msg), "`].")] $variant($stored),)+
         }
-    }
+
+        impl Payload for LaneMsg {
+            fn words(&self) -> usize {
+                match self {
+                    $(LaneMsg::$variant(m) => m.words(),)+
+                }
+            }
+        }
+
+        $(impl LaneCodec for $msg {
+            fn wrap(self) -> LaneMsg {
+                LaneMsg::$variant(self.into())
+            }
+            fn unwrap(msg: LaneMsg) -> Self {
+                match msg {
+                    LaneMsg::$variant(m) => m.into_inner(),
+                    _ => panic!("mixed-wave message arrived at a lane of a different program type"),
+                }
+            }
+        })+
+    };
 }
 
-impl Payload for ErasedMsg {
-    fn words(&self) -> usize {
-        self.words
-    }
+lane_messages! {
+    Conn(ConnMsg) in Box<ConnMsg>,
+    Mst(MstMsg) in MstMsg,
+    MstNet(MstNetMsg) in MstNetMsg,
+    Match(MatchNetMsg) in MatchNetMsg,
+    Spanner(SpannerNetMsg) in SpannerNetMsg,
+    SpannerMux(Mux<SpannerNetMsg>) in Box<Mux<SpannerNetMsg>>,
+    SketchMux(Mux<PartialBatch>) in Box<Mux<PartialBatch>>,
+    XCutMux(Mux<XCutNetMsg>) in Mux<XCutNetMsg>,
+    MinCut(MinCutNetMsg) in MinCutNetMsg,
+    Mis(MisNetMsg) in MisNetMsg,
+    Color(ColorNetMsg) in ColorNetMsg,
 }
 
-/// One wave message: the owning job's tag around the erased payload. The
-/// tag is free, matching [`Mux`](crate::Mux).
+/// One wave message: the owning job's tag around the payload. The tag is
+/// free, matching [`Mux`].
 #[derive(Clone)]
 pub struct MixedMsg {
+    /// `job << 32 | words`: the job tag beside the payload's words, read
+    /// once at tagging — the driver asks three times per message.
+    tag: u64,
+    msg: LaneMsg,
+}
+
+const _: () = assert!(size_of::<MixedMsg>() <= 56);
+
+impl MixedMsg {
+    fn new(job: u64, msg: impl LaneCodec) -> Self {
+        let words = u32::try_from(msg.words()).expect("a lane message fits 2³² words");
+        MixedMsg {
+            tag: job << 32 | u64::from(words),
+            msg: msg.wrap(),
+        }
+    }
+
     /// The job whose lane this message belongs to.
-    pub job: u64,
-    msg: ErasedMsg,
+    pub fn job(&self) -> u64 {
+        self.tag >> 32
+    }
 }
 
 impl Payload for MixedMsg {
     fn words(&self) -> usize {
-        self.msg.words()
+        (self.tag & u64::from(u32::MAX)) as usize
     }
 }
 
 // ---------------------------------------------------------------------------
-// Program erasure
+// Lanes
 // ---------------------------------------------------------------------------
 
-/// Object-safe view of a [`MachineProgram`]: step on erased messages,
-/// snapshot behind a box, and downcast back out for result extraction.
-///
-/// Blanket-implemented for every `'static` program, so
-/// [`erase`] is the only conversion a caller needs.
+/// Object-safe view of a lane's program: take mail, step into the wave's
+/// outbox, snapshot behind a box, and downcast back out for result
+/// extraction. [`erase`] is the only way to make one.
 pub trait ErasedProgram: Send {
-    /// [`MachineProgram::step`] with boxed messages on both sides.
-    fn step_erased(
+    /// Demux: unwraps the next `count` messages of `mail` into the lane's
+    /// typed inbox.
+    fn deliver(&mut self, mail: &mut std::vec::IntoIter<(MachineId, MixedMsg)>, count: usize);
+
+    /// [`MachineProgram::step`] on the typed inbox, its outbox tagged with
+    /// `job` and appended to `out`; returns whether the program halted.
+    fn step_into(
         &mut self,
         ctx: &MachineCtx<'_>,
-        inbox: Vec<(MachineId, ErasedMsg)>,
-    ) -> StepOutcome<ErasedMsg>;
+        job: u64,
+        out: &mut Vec<(MachineId, MixedMsg)>,
+    ) -> bool;
 
     /// [`MachineProgram::snapshot`] behind a box (`None` opts the lane —
     /// and with it the whole wave — out of checkpointing).
@@ -131,37 +182,45 @@ pub trait ErasedProgram: Send {
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-impl<P> ErasedProgram for P
+/// A program with its typed inbox — the one [`ErasedProgram`].
+struct Lane<P: MachineProgram> {
+    program: P,
+    inbox: Vec<(MachineId, P::Message)>,
+}
+
+impl<P> ErasedProgram for Lane<P>
 where
     P: MachineProgram + 'static,
-    P::Message: 'static,
+    P::Message: LaneCodec,
 {
-    fn step_erased(
+    fn deliver(&mut self, mail: &mut std::vec::IntoIter<(MachineId, MixedMsg)>, count: usize) {
+        let run = mail.by_ref().take(count);
+        self.inbox
+            .extend(run.map(|(src, m)| (src, P::Message::unwrap(m.msg))));
+    }
+
+    fn step_into(
         &mut self,
         ctx: &MachineCtx<'_>,
-        inbox: Vec<(MachineId, ErasedMsg)>,
-    ) -> StepOutcome<ErasedMsg> {
-        let inbox = inbox
-            .into_iter()
-            .map(|(src, msg)| (src, msg.downcast::<P::Message>()))
-            .collect();
-        match self.step(ctx, inbox) {
-            StepOutcome::Halt => StepOutcome::Halt,
-            StepOutcome::Send(msgs) => StepOutcome::Send(
-                msgs.into_iter()
-                    .map(|(dst, msg)| (dst, ErasedMsg::new(msg)))
-                    .collect(),
-            ),
+        job: u64,
+        out: &mut Vec<(MachineId, MixedMsg)>,
+    ) -> bool {
+        match self.program.step(ctx, std::mem::take(&mut self.inbox)) {
+            StepOutcome::Halt => true,
+            StepOutcome::Send(msgs) => {
+                out.extend(msgs.into_iter().map(|(d, m)| (d, MixedMsg::new(job, m))));
+                false
+            }
         }
     }
 
+    /// The inbox is demux scratch, empty between steps.
     fn snapshot_erased(&self) -> Option<Box<dyn ErasedProgram>> {
-        self.snapshot()
-            .map(|p| Box::new(p) as Box<dyn ErasedProgram>)
+        Some(erase(self.program.snapshot()?))
     }
 
     fn state_words_erased(&self) -> usize {
-        self.state_words()
+        self.program.state_words()
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -169,23 +228,28 @@ where
     }
 }
 
-/// Boxes a concrete program for admission into a [`MixedWave`].
+/// Boxes a concrete program, with an empty inbox, for admission into a
+/// [`MixedWave`].
 pub fn erase<P>(program: P) -> Box<dyn ErasedProgram>
 where
     P: MachineProgram + 'static,
-    P::Message: 'static,
+    P::Message: LaneCodec,
 {
-    Box::new(program)
+    Box::new(Lane {
+        program,
+        inbox: Vec::new(),
+    })
 }
 
 /// Recovers the concrete program from an extracted lane, panicking on a
 /// type mismatch (the extractor and builder are paired per job, so a
 /// mismatch is a scheduler bug).
 pub fn downcast_program<P: MachineProgram + 'static>(boxed: Box<dyn ErasedProgram>) -> P {
-    *boxed
+    boxed
         .into_any()
-        .downcast::<P>()
+        .downcast::<Lane<P>>()
         .expect("mixed-wave lane held a different program type than its extractor expects")
+        .program
 }
 
 // ---------------------------------------------------------------------------
@@ -200,8 +264,6 @@ struct MixedLane {
     rng: SmallRng,
     base_round: u64,
     halted: bool,
-    /// Demux scratch, drained every step.
-    inbox: Vec<(MachineId, ErasedMsg)>,
 }
 
 /// The per-machine mixed-program scheduler: any number of lanes, each a
@@ -242,6 +304,7 @@ impl MixedWave {
         rng: SmallRng,
         base_round: u64,
     ) {
+        assert!(job >> 32 == 0, "job {job} does not fit a wire tag");
         debug_assert!(
             self.lanes.iter().all(|l| l.job != job),
             "job {job} admitted twice on one machine"
@@ -252,7 +315,6 @@ impl MixedWave {
             rng,
             base_round,
             halted: false,
-            inbox: Vec::new(),
         });
     }
 
@@ -269,30 +331,14 @@ impl MixedWave {
 
     /// Removes the lane for `job`, returning its program for extraction
     /// and its RNG stream, which the job's next chained wave carries on.
+    /// Quarantine drops both, and must also purge job-tagged messages from
+    /// the machine's pending inbox ([`WaveRound::with_mail`](crate::WaveRound::with_mail)),
+    /// or the next [`step`](MachineProgram::step) would panic on mail
+    /// addressed to a lane that no longer exists.
     pub fn remove(&mut self, job: u64) -> Option<(Box<dyn ErasedProgram>, SmallRng)> {
         let at = self.lanes.iter().position(|l| l.job == job)?;
         let lane = self.lanes.remove(at);
         Some((lane.program, lane.rng))
-    }
-
-    /// Quarantines `job` on this machine: drops its lane — program, RNG
-    /// stream, and any demuxed mail — without extraction. Returns whether
-    /// a lane existed. The caller must also purge job-tagged messages
-    /// from the machine's pending inbox
-    /// ([`WaveRound::with_mail`](crate::WaveRound::with_mail)), or the
-    /// next [`step`](MachineProgram::step) would panic on mail addressed
-    /// to a lane that no longer exists.
-    pub fn quarantine(&mut self, job: u64) -> bool {
-        let at = self.lanes.iter().position(|l| l.job == job);
-        if let Some(at) = at {
-            self.lanes.remove(at);
-        }
-        at.is_some()
-    }
-
-    /// Number of lanes currently installed.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
     }
 }
 
@@ -304,27 +350,26 @@ impl MachineProgram for MixedWave {
         ctx: &MachineCtx<'_>,
         inbox: Vec<(MachineId, MixedMsg)>,
     ) -> StepOutcome<MixedMsg> {
-        // Demux by job tag. A message for a lane this machine does not
-        // hold means the service removed a job with mail still in flight —
-        // a scheduler bug worth failing loudly on.
-        for (src, msg) in inbox {
-            let lane = self
-                .lanes
-                .iter_mut()
-                .find(|l| l.job == msg.job)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "message for job {} with no lane on machine {}",
-                        msg.job, ctx.mid
-                    )
-                });
-            lane.inbox.push((src, msg.msg));
+        // Demux by job tag; mail wakes its lane. A source sends a lane's
+        // messages back to back, so each run of one job's messages costs
+        // one lane lookup. A message for a lane this machine does not hold
+        // means the service removed a job with mail still in flight — a
+        // scheduler bug worth failing loudly on.
+        let mut mail = inbox.into_iter();
+        while let Some(job) = mail.as_slice().first().map(|(_, m)| m.job()) {
+            let run = (mail.as_slice().iter())
+                .take_while(|(_, m)| m.job() == job)
+                .count();
+            let lane = (self.lanes.iter_mut().find(|l| l.job == job)).unwrap_or_else(|| {
+                panic!("message for job {job} with no lane on machine {}", ctx.mid)
+            });
+            lane.halted = false;
+            lane.program.deliver(&mut mail, run);
         }
 
-        let mut out: Vec<(MachineId, MixedMsg)> = Vec::new();
+        let mut out = Vec::new();
         for lane in &mut self.lanes {
-            let mail = std::mem::take(&mut lane.inbox);
-            if lane.halted && mail.is_empty() {
+            if lane.halted {
                 continue;
             }
             let sub = MachineCtx::new(
@@ -336,18 +381,8 @@ impl MachineProgram for MixedWave {
                 &mut lane.rng,
                 ctx.sink(),
             );
-            let outcome = lane.program.step_erased(&sub, mail);
+            lane.halted = lane.program.step_into(&sub, lane.job, &mut out);
             ctx.charge(sub.charged());
-            match outcome {
-                StepOutcome::Halt => lane.halted = true,
-                StepOutcome::Send(msgs) => {
-                    lane.halted = false;
-                    out.extend(
-                        msgs.into_iter()
-                            .map(|(dst, msg)| (dst, MixedMsg { job: lane.job, msg })),
-                    );
-                }
-            }
         }
 
         if out.is_empty() && self.lanes.iter().all(|l| l.halted) {
@@ -366,7 +401,6 @@ impl MachineProgram for MixedWave {
                 rng: lane.rng.clone(),
                 base_round: lane.base_round,
                 halted: lane.halted,
-                inbox: lane.inbox.clone(),
             });
         }
         Some(MixedWave {
@@ -381,5 +415,46 @@ impl MachineProgram for MixedWave {
             .map(|l| l.program.state_words_erased())
             .sum::<usize>()
             .max(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpc_graph::Edge;
+    use mpc_sketch::OneSparse;
+
+    /// Tags `msg`, then checks the tag, the words and the round trip (the
+    /// message types have no `PartialEq`; their `Debug` forms do).
+    fn round_trip<M: LaneCodec + std::fmt::Debug>(msg: M) {
+        let wire = MixedMsg::new(9, msg.clone());
+        assert_eq!((wire.job(), wire.words()), (9, msg.words()), "{msg:?}");
+        assert_eq!(format!("{:?}", M::unwrap(wire.msg)), format!("{msg:?}"));
+    }
+
+    #[test]
+    fn every_variant_round_trips_with_its_words() {
+        let e = Edge::new(1, 2, 5);
+        let mut batch = PartialBatch::default();
+        batch.push(3, [(0, OneSparse::new()), (7, OneSparse::new())]);
+        batch.push(8, []);
+        round_trip(ConnMsg::Partial(batch.clone()));
+        round_trip(MstMsg::Rename(1, 2));
+        round_trip(MstNetMsg::SampleCounts(vec![1, 2, 3]));
+        round_trip(MatchNetMsg::MinAns(1, 2, e));
+        round_trip(SpannerNetMsg::CandPartial(3, vec![4, 5]));
+        round_trip(Mux(2, SpannerNetMsg::HistAns(6, vec![7, 8, 9])));
+        round_trip(Mux(1, batch));
+        round_trip(Mux(0, PartialBatch::default()));
+        round_trip(Mux(3, XCutNetMsg::Skel(e, 2)));
+        round_trip(MinCutNetMsg::TwoOutUp(1, 2, e));
+        round_trip(MisNetMsg::FinalEdge(e));
+        round_trip(ColorNetMsg::Conflict(e));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane of a different program type")]
+    fn mail_of_another_variant_panics() {
+        MisNetMsg::unwrap(MstMsg::Rename(1, 2).wrap());
     }
 }

@@ -38,7 +38,7 @@
 use crate::combinators::{Driven, RoleProgram};
 use crate::driver::{ExecError, ExecMode, Executor};
 use crate::machine::MachineProgram;
-use crate::mixed::{downcast_program, erase, ErasedProgram};
+use crate::mixed::{downcast_program, erase, ErasedProgram, LaneCodec};
 use crate::multiplex::{CapacityFactor, Multiplexed};
 use crate::programs::{
     mincut_approx, mst_approx, BoruvkaProgram, ColoringProgram, ConnectivityProgram,
@@ -625,7 +625,7 @@ fn solo<P: MachineProgram>(
 fn lanes<P>(description: Description<P>) -> Lanes
 where
     P: MachineProgram + 'static,
-    P::Message: 'static,
+    P::Message: LaneCodec,
 {
     match description {
         Description::Immediate(result) => Description::Immediate(result),

@@ -217,6 +217,7 @@ fn retire(
             round,
             job.attempt,
             outcome,
+            None,
         ),
         Description::Wave {
             programs, finish, ..
@@ -229,7 +230,10 @@ fn retire(
 }
 
 /// Marks a job finished: flips its handle state, appends its record, and
-/// emits the [`TraceEvent::JobCompleted`] instant.
+/// emits the [`TraceEvent::JobCompleted`] instant. A job `pulled` off the
+/// wave without result extraction — the quarantine path's exit (retry
+/// exhaustion, a zero-attempt policy, or a missed deadline) — ends in the
+/// given status and emits [`TraceEvent::JobFailed`] instead.
 #[allow(clippy::too_many_arguments)]
 fn finish_job(
     cluster: &Cluster,
@@ -242,17 +246,32 @@ fn finish_job(
     round: u64,
     attempts: u32,
     result: Result<AlgoOutput, ExecError>,
+    pulled: Option<JobStatus>,
 ) {
-    let failed = result.is_err();
+    let (failed, rounds) = (result.is_err(), round - admitted_round);
+    if let Some(sink) = cluster.trace_sink() {
+        sink.record(&match (&pulled, &result) {
+            (Some(_), Err(e)) => TraceEvent::JobFailed {
+                round,
+                job: id,
+                error: e.to_string(),
+            },
+            _ => TraceEvent::JobCompleted {
+                round,
+                job: id,
+                rounds,
+                failed,
+            },
+        });
+    }
     {
         let mut s = state.lock().unwrap();
-        s.status = match &result {
+        s.status = pulled.unwrap_or_else(|| match &result {
             Ok(_) => JobStatus::Completed,
             Err(e) => JobStatus::Failed { error: e.clone() },
-        };
+        });
         s.result = Some(result);
     }
-    let rounds = round - admitted_round;
     records.push(JobRecord {
         job: id,
         name,
@@ -261,56 +280,6 @@ fn finish_job(
         completed_round: round,
         rounds,
         failed,
-        attempts,
-    });
-    if let Some(sink) = cluster.trace_sink() {
-        sink.record(&TraceEvent::JobCompleted {
-            round,
-            job: id,
-            rounds,
-            failed,
-        });
-    }
-}
-
-/// Marks a job terminally failed *without* result extraction — the
-/// quarantine path's exit (retry exhaustion, a zero-attempt policy, or a
-/// missed deadline). Emits [`TraceEvent::JobFailed`] instead of
-/// `JobCompleted`: the job's lanes never retired, they were pulled.
-#[allow(clippy::too_many_arguments)]
-fn fail_job(
-    cluster: &Cluster,
-    records: &mut Vec<JobRecord>,
-    id: u64,
-    name: String,
-    shares: usize,
-    admitted_round: u64,
-    state: &Arc<Mutex<JobState>>,
-    round: u64,
-    attempts: u32,
-    status: JobStatus,
-    error: ExecError,
-) {
-    if let Some(sink) = cluster.trace_sink() {
-        sink.record(&TraceEvent::JobFailed {
-            round,
-            job: id,
-            error: error.to_string(),
-        });
-    }
-    {
-        let mut s = state.lock().unwrap();
-        s.status = status;
-        s.result = Some(Err(error));
-    }
-    records.push(JobRecord {
-        job: id,
-        name,
-        shares,
-        admitted_round,
-        completed_round: round,
-        rounds: round - admitted_round,
-        failed: true,
         attempts,
     });
 }
@@ -547,7 +516,7 @@ impl Service {
                         let job = running[i].id;
                         let done = (0..machines).all(|mid| {
                             view.peek(mid, |wave, inbox| {
-                                wave.lane_idle(job) && !inbox.iter().any(|(_, m)| m.job == job)
+                                wave.lane_idle(job) && !inbox.iter().any(|(_, m)| m.job() == job)
                             })
                         });
                         if !done {
@@ -590,8 +559,8 @@ impl Service {
                         let deadline = rj.spec.round_deadline.expect("checked above");
                         for mid in 0..machines {
                             view.with_mail(mid, |wave, inbox| {
-                                wave.quarantine(rj.id);
-                                inbox.retain(|(_, m)| m.job != rj.id);
+                                wave.remove(rj.id);
+                                inbox.retain(|(_, m)| m.job() != rj.id);
                             });
                         }
                         if let Some(sink) = cluster.trace_sink() {
@@ -601,7 +570,7 @@ impl Service {
                                 reason: "deadline".into(),
                             });
                         }
-                        fail_job(
+                        finish_job(
                             cluster,
                             records,
                             rj.id,
@@ -611,8 +580,8 @@ impl Service {
                             &rj.state,
                             round,
                             rj.attempt,
-                            JobStatus::DeadlineExceeded,
-                            ExecError::RoundLimit { limit: deadline },
+                            Err(ExecError::RoundLimit { limit: deadline }),
+                            Some(JobStatus::DeadlineExceeded),
                         );
                     }
 
@@ -634,26 +603,21 @@ impl Service {
                         // to a queue that never contained this job.
                         if front.spec.retry.max_attempts == 0 {
                             let qj = queue.pop_front().expect("front was just inspected");
-                            let shares = derived_shares(&qj.spec);
-                            fail_job(
+                            let error = ExecError::Algorithm {
+                                message: "retry policy allows zero admission attempts".into(),
+                            };
+                            finish_job(
                                 cluster,
                                 records,
                                 qj.id,
                                 qj.spec.name.clone(),
-                                shares,
+                                derived_shares(&qj.spec),
                                 round,
                                 &qj.state,
                                 round,
                                 0,
-                                JobStatus::Failed {
-                                    error: ExecError::Algorithm {
-                                        message: "retry policy allows zero admission attempts"
-                                            .into(),
-                                    },
-                                },
-                                ExecError::Algorithm {
-                                    message: "retry policy allows zero admission attempts".into(),
-                                },
+                                Err(error.clone()),
+                                Some(JobStatus::Failed { error }),
                             );
                             continue;
                         }
@@ -690,6 +654,7 @@ impl Service {
                                     round,
                                     qj.attempt,
                                     outcome,
+                                    None,
                                 );
                             }
                             Description::Wave {
@@ -822,7 +787,7 @@ impl Service {
                     },
                 );
             } else {
-                fail_job(
+                finish_job(
                     cluster,
                     &mut records,
                     culprit.id,
@@ -832,8 +797,8 @@ impl Service {
                     &culprit.state,
                     round,
                     culprit.attempt,
-                    JobStatus::Failed { error: e.clone() },
-                    e.clone(),
+                    Err(e.clone()),
+                    Some(JobStatus::Failed { error: e.clone() }),
                 );
             }
 

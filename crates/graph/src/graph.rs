@@ -110,7 +110,7 @@ impl Graph {
 
     /// Builds the adjacency view (CSR layout) for traversal algorithms.
     pub fn adjacency(&self) -> Adjacency {
-        Adjacency::build(self)
+        Adjacency::from_edges(self.n, &self.edges)
     }
 
     /// Returns the same graph with every weight replaced by a fresh uniform
@@ -159,10 +159,12 @@ pub struct Adjacency {
 }
 
 impl Adjacency {
-    fn build(g: &Graph) -> Self {
-        let n = g.n();
+    /// The adjacency of `edges` over vertices `0..n`, each vertex's pairs
+    /// in edge order (both directions of every edge, parallel edges and
+    /// self-loops included).
+    pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
         let mut counts = vec![0usize; n + 1];
-        for e in g.edges() {
+        for e in edges {
             counts[e.u as usize + 1] += 1;
             counts[e.v as usize + 1] += 1;
         }
@@ -171,14 +173,22 @@ impl Adjacency {
         }
         let offsets = counts.clone();
         let mut cursor = counts;
-        let mut targets = vec![(0 as VertexId, 0 as Weight); 2 * g.m()];
-        for e in g.edges() {
+        let mut targets = vec![(0 as VertexId, 0 as Weight); 2 * edges.len()];
+        for e in edges {
             targets[cursor[e.u as usize]] = (e.v, e.w);
             cursor[e.u as usize] += 1;
             targets[cursor[e.v as usize]] = (e.u, e.w);
             cursor[e.v as usize] += 1;
         }
         Adjacency { offsets, targets }
+    }
+
+    /// The same adjacency with every vertex's pairs in ascending order.
+    pub fn sorted(mut self) -> Self {
+        for v in 0..self.n() {
+            self.targets[self.offsets[v]..self.offsets[v + 1]].sort_unstable();
+        }
+        self
     }
 
     /// Number of vertices.
