@@ -903,9 +903,9 @@ const BATCH_COLLAPSE_FACTOR: u64 = 5;
 /// budgets workload (`m = 6n`, weights `< 2¹²`): a fixed constant for the
 /// `O(1)` results, an explicit `a·⌈log log n⌉ + b` cap for the
 /// doubly-logarithmic ones (each algorithm declares its own cap, see
-/// [`mpc_exec::Algorithm::round_budget`]). The multiplexed workloads
+/// [`mpc_exec::Algorithm::round_budget`]). The batched workloads
 /// ([`mpc_exec::registry::BATCHED_NAMES`]) run their paper-parallel
-/// instances interleaved through the multi-program scheduler, so their
+/// instances as the lanes of one wave, so their
 /// caps are the theorems' *parallel* figures; the gate additionally fails
 /// unless batching collapses their measured rounds by
 /// ≥[`BATCH_COLLAPSE_FACTOR`]× against the sequential compositions' round

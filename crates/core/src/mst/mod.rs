@@ -28,9 +28,9 @@ pub mod kkt;
 pub use contract::{contract_lightest_lists, ContractionOutcome};
 
 use crate::common;
-use mpc_graph::{mst::Forest, Edge, VertexId, WeightKey};
+use mpc_graph::{mst::Forest, Edge, VertexId};
 use mpc_runtime::payload::TaggedEdge;
-use mpc_runtime::primitives::{aggregate_by_key, gather_to, sum_to, top_t_per_key};
+use mpc_runtime::primitives::{aggregate_by_key, gather_to, top_t_per_key};
 use mpc_runtime::{Cluster, ModelViolation, Payload, ShardedVec};
 use std::error::Error;
 use std::fmt;
@@ -393,9 +393,14 @@ fn boruvka_step(
         owners,
     )?;
     cluster.release("mst.large.rename");
+    // The relabel step rebuilds per-machine maps from one deduplicated list
+    // (each machine only ever uses keys it requested).
+    let mut rename: Vec<(VertexId, VertexId)> = delivered.iter().map(|(_, kv)| *kv).collect();
+    rename.sort_unstable();
+    rename.dedup();
     Ok(BoruvkaStepOutcome {
         chosen: outcome.chosen,
-        rename: delivered_into_rename(cluster, delivered, outcome.new_vertex_count),
+        rename,
         new_vertex_count: outcome.new_vertex_count,
     })
 }
@@ -487,22 +492,6 @@ fn collect_lightest_sorted(
         .collect())
 }
 
-/// Repackages the delivered rename pairs; kept as a helper so the relabel
-/// step below can consume per-machine maps without re-requesting.
-fn delivered_into_rename(
-    _cluster: &Cluster,
-    delivered: ShardedVec<(VertexId, VertexId)>,
-    _new_count: usize,
-) -> Vec<(VertexId, VertexId)> {
-    // Flatten per-machine deliveries into a deduplicated list; the relabel
-    // step rebuilds per-machine maps from the same delivery (kept simple —
-    // each machine only ever uses keys it requested).
-    let mut all: Vec<(VertexId, VertexId)> = delivered.iter().map(|(_, kv)| *kv).collect();
-    all.sort_unstable();
-    all.dedup();
-    all
-}
-
 /// Applies the rename map on the small machines, drops internal edges, and
 /// deduplicates parallel edges keeping the lightest (aggregation round).
 fn relabel_and_dedup(
@@ -539,30 +528,11 @@ fn relabel_and_dedup(
     ))
 }
 
-/// Reports the total current edge count to the large machine
-/// (diagnostic; `O(log_F K)` rounds). Exposed for the benches.
-pub fn count_edges(
-    cluster: &mut Cluster,
-    edges: &ShardedVec<TaggedEdge>,
-) -> Result<u64, ModelViolation> {
-    let participants: Vec<usize> = (0..cluster.machines()).collect();
-    let values: Vec<u64> = (0..cluster.machines())
-        .map(|mid| edges.shard(mid).len() as u64)
-        .collect();
-    let dst = cluster.large().unwrap_or(0);
-    sum_to(cluster, "mst.count", &participants, values, dst)
-}
-
 /// Convenience for tests: checks that `result` is a minimum spanning forest
 /// of `g` (valid spanning forest + weight equal to Kruskal's).
 pub fn is_minimum_spanning_forest(g: &mpc_graph::Graph, result: &Forest) -> bool {
     mpc_graph::is_spanning_forest(g, &result.edges)
         && result.total_weight == mpc_graph::mst::kruskal(g).total_weight
-}
-
-#[allow(unused)]
-fn weight_key_of(te: &TaggedEdge) -> WeightKey {
-    te.orig.weight_key()
 }
 
 #[cfg(test)]

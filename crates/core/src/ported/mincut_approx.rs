@@ -7,8 +7,8 @@
 //! `(1±ε)` estimate. Since `λ` is unknown, all `O(log W·n)` geometric
 //! guesses run in parallel (here: sequentially, with the parallel round
 //! figure reported — this legacy loop survives as the equivalence oracle
-//! for the engine's batched path in `mpc_exec::multiplex`, which runs all
-//! guesses interleaved and achieves the parallel figure for real); the
+//! for the engine's batched path in `mpc_exec`, which runs every guess as
+//! a lane of one wave and achieves the parallel figure for real); the
 //! right guess is the sparsest skeleton that is still
 //! connected and has `Ω(log n/ε²)` min degree — coarser guesses
 //! under-sample and disconnect, finer ones only waste memory. As the paper

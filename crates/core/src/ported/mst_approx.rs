@@ -15,9 +15,9 @@
 //! connectivity of Theorem C.1, run **in parallel** in the paper. This
 //! legacy implementation runs them sequentially and reports both the sum
 //! of rounds and the parallel figure (max over instances); it survives as
-//! the equivalence oracle for the engine's batched path
-//! (`mpc_exec::multiplex`), which interleaves all instances into one
-//! engine run and achieves the parallel figure for real.
+//! the equivalence oracle for the engine's batched path in `mpc_exec`,
+//! which runs every instance as a lane of one wave and achieves the
+//! parallel figure for real.
 
 use super::connectivity::{components_below_threshold, ConnectivityConfig};
 use crate::common;

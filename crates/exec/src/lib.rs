@@ -50,7 +50,6 @@ pub mod combinators;
 pub mod driver;
 pub mod machine;
 pub mod mixed;
-pub mod multiplex;
 pub mod pool;
 pub mod programs;
 pub mod registry;
@@ -61,7 +60,6 @@ pub use combinators::{Driven, Outbox, Owners, RoleProgram};
 pub use driver::{ExecError, ExecMode, ExecOutcome, Executor, WaveRound};
 pub use machine::{MachineCtx, MachineProgram, StepOutcome};
 pub use mixed::{ErasedProgram, MixedMsg, MixedWave};
-pub use multiplex::{Multiplexed, Mux, MuxSlot};
 pub use programs::{
     BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram, MinCutProgram,
     MisProgram, MstProgram, SpannerProgram,

@@ -43,6 +43,7 @@ pub struct MachineCtx<'a> {
     pub round: u64,
     rng: RefCell<&'a mut SmallRng>,
     extra_work: Cell<u64>,
+    retire_later: Cell<bool>,
     /// Telemetry sink, present only when the driving cluster has one
     /// attached — lets scheduler layers (and programs, via
     /// [`trace`](MachineCtx::trace)) emit events from inside a step.
@@ -67,6 +68,7 @@ impl<'a> MachineCtx<'a> {
             round,
             rng: RefCell::new(rng),
             extra_work: Cell::new(0),
+            retire_later: Cell::new(false),
             sink,
         }
     }
@@ -128,6 +130,20 @@ impl<'a> MachineCtx<'a> {
 
     pub(crate) fn charged(&self) -> u64 {
         self.extra_work.get()
+    }
+
+    /// Retires every later instance of this program's job on this machine:
+    /// the cross-instance early exit (a λ̂ guess over its skeleton budget
+    /// makes every finer guess pointless). The [wave](crate::MixedWave)
+    /// halts them for good before they step this round and drops mail
+    /// addressed to them. A program run alone has no later instance, so
+    /// there this does nothing.
+    pub fn retire_later_instances(&self) {
+        self.retire_later.set(true);
+    }
+
+    pub(crate) fn retires_later(&self) -> bool {
+        self.retire_later.get()
     }
 }
 

@@ -1,40 +1,53 @@
-//! Mixed-program waves: different algorithms in one run.
+//! Mixed-program waves: different algorithms, and many instances of one,
+//! in one run.
 //!
-//! [`Multiplexed`](crate::Multiplexed) interleaves many instances of the
-//! *same* program `P` into one bulk-synchronous run. The service layer
-//! (DESIGN.md §2.8) needs the heterogeneous version of that: a spanner, a
-//! matching, and a min cut sharing one engine run, admitted and retired
-//! independently. [`MixedWave`] is that scheduler. Each job owns a *lane*
-//! per machine — its program behind an [`ErasedProgram`] box, the
-//! program's typed inbox, and a private per-job RNG stream — and every
-//! message crosses the wire as a [`MixedMsg`]: a job tag around a
-//! [`LaneMsg`], the closed enum of the message types registry lanes speak.
-//! Tags are free (like [`Mux`], the tag is bookkeeping the paper's model
-//! does not charge); a wire message reports its payload's true word size,
-//! so capacity accounting is exactly the sum of the lanes' solo traffic.
+//! The service layer (DESIGN.md §2.8) has a spanner, a matching, and a min
+//! cut share one bulk-synchronous run, admitted and retired independently;
+//! the paper's parallel compositions (the Theorem C.2 thresholds, the C.4
+//! λ̂ guesses, the weight classes of Theorem 4.1) run many independent
+//! instances of one program side by side (DESIGN.md §2.5). [`MixedWave`] is
+//! the one scheduler for both. A *job* owns one *lane* per instance on every
+//! machine — the instance's program behind an [`ErasedProgram`] box, with
+//! its typed inbox — and the job's lanes share its private RNG stream and
+//! its round origin. Every message crosses the wire as a [`MixedMsg`]: a
+//! lane tag around a [`LaneMsg`], the closed enum of the message types
+//! registry lanes speak. Tags are free (scheduler bookkeeping, like the
+//! `(src, dst)` routing words the paper's model never charges); a wire
+//! message reports its payload's true word size, so capacity accounting is
+//! exactly the sum of the lanes' solo traffic.
 //!
 //! No message is boxed on the way: demux unwraps each one straight into
 //! its lane's typed inbox, and a lane's outbox is tagged straight into the
 //! wave's. The set is closed because lanes come only from the registry
 //! table, so the compiler, not a run-time downcast, checks every type.
 //!
-//! Determinism: lanes step in admission order, each against its own RNG
-//! (minted via [`mpc_runtime::machine_rng`] from the job's seed), its own
-//! program-local round clock (`ctx.round - base_round`), and the *solo*
-//! capacity snapshotted before any combined-round scaling — so a job's
-//! execution inside a mixed wave is bit-identical to the same job run
-//! alone on a cluster seeded with its job seed.
+//! An instance may retire the job's later instances on its machine
+//! ([`MachineCtx::retire_later_instances`]): they halt for good before
+//! they step again and mail addressed to them is dropped, so they move
+//! zero words from then on — the cross-instance early exit of `mincut-approx`.
+//!
+//! Determinism: jobs step in admission order and a job's lanes in instance
+//! order, each against the job's RNG stream (minted via
+//! [`mpc_runtime::machine_rng`] from the job's seed, or a solo run's own
+//! cluster streams), the job's program-local round clock
+//! (`ctx.round - base_round`), and the *solo* capacity snapshotted before
+//! any combined-round scaling. The inbox arrives in canonical order
+//! (ascending source, then send order) and demux keeps that order per lane,
+//! so a job's execution inside a mixed wave is bit-identical to the same
+//! job run alone, and its instances consume each machine's stream
+//! instance-major — the order of the sequential composition.
 
 use crate::machine::{MachineCtx, MachineProgram, StepOutcome};
-use crate::multiplex::Mux;
 use crate::programs::{
     ColorNetMsg, ConnMsg, MatchNetMsg, MinCutNetMsg, MisNetMsg, MstMsg, MstNetMsg, SpannerNetMsg,
     XCutNetMsg,
 };
+use mpc_runtime::telemetry::TraceEvent;
 use mpc_runtime::{Cluster, MachineId, Payload};
 use mpc_sketch::PartialBatch;
 use rand::rngs::SmallRng;
 use std::any::Any;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // The wire
@@ -42,7 +55,7 @@ use std::any::Any;
 
 /// A message type a [`MixedWave`] lane can speak: one variant of
 /// [`LaneMsg`]. A registry name whose programs send any other type does
-/// not compile as a service lane.
+/// not compile.
 pub trait LaneCodec: Payload + Send + Sized + 'static {
     /// The message as its wire variant.
     fn wrap(self) -> LaneMsg;
@@ -74,22 +87,22 @@ impl<M> Stored<M> for Box<M> {
 /// Generates [`LaneMsg`], its word count and the [`LaneCodec`] of every
 /// message type it lists.
 macro_rules! lane_messages {
-    ($($variant:ident($msg:ty) in $stored:ty),+ $(,)?) => {
+    ($($(#[$attr:meta])* $variant:ident($msg:ty) in $stored:ty),+ $(,)?) => {
         /// The closed set of messages registry lanes exchange.
         #[derive(Clone)]
         pub enum LaneMsg {
-            $(#[doc = concat!("A [`", stringify!($msg), "`].")] $variant($stored),)+
+            $($(#[$attr])* #[doc = concat!("A [`", stringify!($msg), "`].")] $variant($stored),)+
         }
 
         impl Payload for LaneMsg {
             fn words(&self) -> usize {
                 match self {
-                    $(LaneMsg::$variant(m) => m.words(),)+
+                    $($(#[$attr])* LaneMsg::$variant(m) => m.words(),)+
                 }
             }
         }
 
-        $(impl LaneCodec for $msg {
+        $($(#[$attr])* impl LaneCodec for $msg {
             fn wrap(self) -> LaneMsg {
                 LaneMsg::$variant(self.into())
             }
@@ -109,19 +122,20 @@ lane_messages! {
     MstNet(MstNetMsg) in MstNetMsg,
     Match(MatchNetMsg) in MatchNetMsg,
     Spanner(SpannerNetMsg) in SpannerNetMsg,
-    SpannerMux(Mux<SpannerNetMsg>) in Box<Mux<SpannerNetMsg>>,
-    SketchMux(Mux<PartialBatch>) in Box<Mux<PartialBatch>>,
-    XCutMux(Mux<XCutNetMsg>) in Mux<XCutNetMsg>,
+    Sketch(PartialBatch) in Box<PartialBatch>,
+    XCut(XCutNetMsg) in XCutNetMsg,
     MinCut(MinCutNetMsg) in MinCutNetMsg,
     Mis(MisNetMsg) in MisNetMsg,
     Color(ColorNetMsg) in ColorNetMsg,
+    #[cfg(test)]
+    Test(u64) in u64,
 }
 
-/// One wave message: the owning job's tag around the payload. The tag is
-/// free, matching [`Mux`].
+/// One wave message: the addressed lane's tag around the payload. The tag
+/// is free.
 #[derive(Clone)]
 pub struct MixedMsg {
-    /// `job << 32 | words`: the job tag beside the payload's words, read
+    /// `lane << 32 | words`: the lane id beside the payload's words, read
     /// once at tagging — the driver asks three times per message.
     tag: u64,
     msg: LaneMsg,
@@ -130,16 +144,16 @@ pub struct MixedMsg {
 const _: () = assert!(size_of::<MixedMsg>() <= 56);
 
 impl MixedMsg {
-    fn new(job: u64, msg: impl LaneCodec) -> Self {
+    fn new(lane: u64, msg: impl LaneCodec) -> Self {
         let words = u32::try_from(msg.words()).expect("a lane message fits 2³² words");
         MixedMsg {
-            tag: job << 32 | u64::from(words),
+            tag: lane << 32 | u64::from(words),
             msg: msg.wrap(),
         }
     }
 
-    /// The job whose lane this message belongs to.
-    pub fn job(&self) -> u64 {
+    /// The lane this message is addressed to.
+    pub fn lane(&self) -> u64 {
         self.tag >> 32
     }
 }
@@ -163,11 +177,11 @@ pub trait ErasedProgram: Send {
     fn deliver(&mut self, mail: &mut std::vec::IntoIter<(MachineId, MixedMsg)>, count: usize);
 
     /// [`MachineProgram::step`] on the typed inbox, its outbox tagged with
-    /// `job` and appended to `out`; returns whether the program halted.
+    /// `lane` and appended to `out`; returns whether the program halted.
     fn step_into(
         &mut self,
         ctx: &MachineCtx<'_>,
-        job: u64,
+        lane: u64,
         out: &mut Vec<(MachineId, MixedMsg)>,
     ) -> bool;
 
@@ -183,12 +197,12 @@ pub trait ErasedProgram: Send {
 }
 
 /// A program with its typed inbox — the one [`ErasedProgram`].
-struct Lane<P: MachineProgram> {
+struct Typed<P: MachineProgram> {
     program: P,
     inbox: Vec<(MachineId, P::Message)>,
 }
 
-impl<P> ErasedProgram for Lane<P>
+impl<P> ErasedProgram for Typed<P>
 where
     P: MachineProgram + 'static,
     P::Message: LaneCodec,
@@ -202,19 +216,20 @@ where
     fn step_into(
         &mut self,
         ctx: &MachineCtx<'_>,
-        job: u64,
+        lane: u64,
         out: &mut Vec<(MachineId, MixedMsg)>,
     ) -> bool {
         match self.program.step(ctx, std::mem::take(&mut self.inbox)) {
             StepOutcome::Halt => true,
             StepOutcome::Send(msgs) => {
-                out.extend(msgs.into_iter().map(|(d, m)| (d, MixedMsg::new(job, m))));
+                out.extend(msgs.into_iter().map(|(d, m)| (d, MixedMsg::new(lane, m))));
                 false
             }
         }
     }
 
-    /// The inbox is demux scratch, empty between steps.
+    /// The inbox is demux scratch, empty between steps (a retired lane's
+    /// last mail is dropped here).
     fn snapshot_erased(&self) -> Option<Box<dyn ErasedProgram>> {
         Some(erase(self.program.snapshot()?))
     }
@@ -235,7 +250,7 @@ where
     P: MachineProgram + 'static,
     P::Message: LaneCodec,
 {
-    Box::new(Lane {
+    Box::new(Typed {
         program,
         inbox: Vec::new(),
     })
@@ -247,7 +262,7 @@ where
 pub fn downcast_program<P: MachineProgram + 'static>(boxed: Box<dyn ErasedProgram>) -> P {
     boxed
         .into_any()
-        .downcast::<Lane<P>>()
+        .downcast::<Typed<P>>()
         .expect("mixed-wave lane held a different program type than its extractor expects")
         .program
 }
@@ -256,22 +271,103 @@ pub fn downcast_program<P: MachineProgram + 'static>(boxed: Box<dyn ErasedProgra
 // The wave
 // ---------------------------------------------------------------------------
 
-/// One job's per-machine lane: the erased program, its private RNG
-/// stream, its program-local round origin, and its halt vote.
-struct MixedLane {
-    job: u64,
-    program: Box<dyn ErasedProgram>,
-    rng: SmallRng,
-    base_round: u64,
-    halted: bool,
+/// Regroups instance-major programs (`instances[i][mid]`) by machine: item
+/// `mid` holds every instance's program on machine `mid`, in instance
+/// order — the lanes [`MixedWave::admit`] installs there.
+pub(crate) fn by_machine<T>(instances: Vec<Vec<T>>) -> impl Iterator<Item = Vec<T>> {
+    let machines = instances.first().map_or(0, Vec::len);
+    let mut columns: Vec<_> = instances.into_iter().map(Vec::into_iter).collect();
+    (0..machines).map(move |_| {
+        (columns.iter_mut())
+            .map(|column| column.next().expect("one program per machine"))
+            .collect()
+    })
 }
 
-/// The per-machine mixed-program scheduler: any number of lanes, each a
-/// different algorithm, stepped in admission order within one engine
-/// round. An empty wave halts immediately; the service hook wakes the
-/// machine when it admits a lane.
+/// One instance's lane on one machine: its program, its halt vote, and
+/// whether an earlier instance retired it.
+struct Lane {
+    program: Box<dyn ErasedProgram>,
+    halted: bool,
+    retired: bool,
+}
+
+/// One job on one machine: a lane per instance, sharing the job's RNG
+/// stream and program-local round origin.
+struct Job {
+    /// Instance `i` is lane `lanes.start + i`.
+    lanes: Range<u64>,
+    instances: Vec<Lane>,
+    rng: SmallRng,
+    base_round: u64,
+}
+
+impl Job {
+    fn idle(&self) -> bool {
+        self.instances.iter().all(|l| l.halted)
+    }
+
+    /// Steps every awake lane in instance order, appending their outboxes
+    /// to `out`. A lane that asks for it retires every later lane before
+    /// they step. A multi-instance job reports each round a lane of it
+    /// steps as a [`TraceEvent::MuxRound`].
+    fn step(
+        &mut self,
+        ctx: &MachineCtx<'_>,
+        capacity: usize,
+        out: &mut Vec<(MachineId, MixedMsg)>,
+    ) {
+        let round = ctx.round - self.base_round;
+        let mut live = 0;
+        for i in 0..self.instances.len() {
+            let lane = &mut self.instances[i];
+            if lane.halted {
+                continue;
+            }
+            live += 1;
+            let sub = MachineCtx::new(
+                ctx.mid,
+                ctx.machines,
+                ctx.large,
+                capacity,
+                round,
+                &mut self.rng,
+                ctx.sink(),
+            );
+            lane.halted = lane
+                .program
+                .step_into(&sub, self.lanes.start + i as u64, out);
+            ctx.charge(sub.charged());
+            if sub.retires_later() {
+                for (later, lane) in self.instances.iter_mut().enumerate().skip(i + 1) {
+                    if !lane.retired {
+                        (lane.retired, lane.halted) = (true, true);
+                        ctx.trace(|| TraceEvent::InstanceRetired {
+                            round,
+                            machine: ctx.mid,
+                            instance: later as u32,
+                        });
+                    }
+                }
+            }
+        }
+        if self.instances.len() > 1 && live > 0 {
+            ctx.trace(|| TraceEvent::MuxRound {
+                round,
+                machine: ctx.mid,
+                live,
+                retired: self.instances.iter().filter(|l| l.retired).count(),
+            });
+        }
+    }
+}
+
+/// The per-machine scheduler: any number of jobs, each any number of
+/// instances of one algorithm, stepped in admission order within one
+/// engine round. An empty wave halts immediately; the service hook wakes
+/// the machine when it admits a job.
 pub struct MixedWave {
-    lanes: Vec<MixedLane>,
+    jobs: Vec<Job>,
     /// This machine's capacity with no combined-round scaling applied —
     /// what each lane's program sees, exactly as in a solo run.
     solo_capacity: usize,
@@ -288,57 +384,79 @@ impl MixedWave {
         );
         (0..cluster.machines())
             .map(|mid| MixedWave {
-                lanes: Vec::new(),
+                jobs: Vec::new(),
                 solo_capacity: cluster.capacity(mid),
             })
             .collect()
     }
 
-    /// Installs a job's lane on this machine. `base_round` becomes the
-    /// lane's round-0 origin; `rng` is the job's private stream for this
-    /// machine ([`mpc_runtime::machine_rng`] of the job seed).
+    /// Installs a job's lanes on this machine: `programs[i]` is instance
+    /// `i`, addressed as lane `lanes.start + i`. `base_round` becomes the
+    /// job's round-0 origin; `rng` is the job's stream for this machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one program per lane id and the ids fit a
+    /// 32-bit wire tag.
     pub fn admit(
         &mut self,
-        job: u64,
-        program: Box<dyn ErasedProgram>,
+        lanes: Range<u64>,
+        programs: Vec<Box<dyn ErasedProgram>>,
         rng: SmallRng,
         base_round: u64,
     ) {
-        assert!(job >> 32 == 0, "job {job} does not fit a wire tag");
-        debug_assert!(
-            self.lanes.iter().all(|l| l.job != job),
-            "job {job} admitted twice on one machine"
+        assert!(
+            lanes.end <= 1 << 32,
+            "lanes {lanes:?} do not fit a wire tag"
         );
-        self.lanes.push(MixedLane {
-            job,
-            program,
+        assert_eq!(
+            programs.len() as u64,
+            lanes.end - lanes.start,
+            "one program per lane"
+        );
+        debug_assert!(
+            (self.jobs.iter()).all(|j| j.lanes.end <= lanes.start || lanes.end <= j.lanes.start),
+            "lanes {lanes:?} admitted twice on one machine"
+        );
+        let instances = (programs.into_iter())
+            .map(|program| Lane {
+                program,
+                halted: false,
+                retired: false,
+            })
+            .collect();
+        self.jobs.push(Job {
+            lanes,
+            instances,
             rng,
             base_round,
-            halted: false,
         });
     }
 
-    /// Whether this machine's lane for `job` has voted to halt (vacuously
-    /// true if the lane was never admitted or already removed). Completion
-    /// additionally requires no in-flight mail tagged with the job — the
-    /// service checks the slot inbox for that.
-    pub fn lane_idle(&self, job: u64) -> bool {
-        self.lanes
-            .iter()
-            .find(|l| l.job == job)
-            .is_none_or(|l| l.halted)
+    /// Whether every lane of the job whose lanes start at `first` has
+    /// voted to halt (vacuously true if the job was never admitted or
+    /// already removed). Completion additionally requires no in-flight
+    /// mail for its lanes — the service checks the slot inbox for that.
+    pub fn idle(&self, first: u64) -> bool {
+        (self.jobs.iter())
+            .find(|j| j.lanes.start == first)
+            .is_none_or(Job::idle)
     }
 
-    /// Removes the lane for `job`, returning its program for extraction
-    /// and its RNG stream, which the job's next chained wave carries on.
-    /// Quarantine drops both, and must also purge job-tagged messages from
-    /// the machine's pending inbox ([`WaveRound::with_mail`](crate::WaveRound::with_mail)),
-    /// or the next [`step`](MachineProgram::step) would panic on mail
+    /// Removes the job whose lanes start at `first`, returning its
+    /// programs in instance order for extraction and its RNG stream, which
+    /// the job's next chained wave carries on. Quarantine drops both, and
+    /// must also purge mail for the job's lanes from the machine's pending
+    /// inbox ([`WaveRound::with_mail`](crate::WaveRound::with_mail)), or
+    /// the next [`step`](MachineProgram::step) would panic on mail
     /// addressed to a lane that no longer exists.
-    pub fn remove(&mut self, job: u64) -> Option<(Box<dyn ErasedProgram>, SmallRng)> {
-        let at = self.lanes.iter().position(|l| l.job == job)?;
-        let lane = self.lanes.remove(at);
-        Some((lane.program, lane.rng))
+    pub fn remove(&mut self, first: u64) -> Option<(Vec<Box<dyn ErasedProgram>>, SmallRng)> {
+        let at = self.jobs.iter().position(|j| j.lanes.start == first)?;
+        let job = self.jobs.remove(at);
+        Some((
+            job.instances.into_iter().map(|l| l.program).collect(),
+            job.rng,
+        ))
     }
 }
 
@@ -350,42 +468,36 @@ impl MachineProgram for MixedWave {
         ctx: &MachineCtx<'_>,
         inbox: Vec<(MachineId, MixedMsg)>,
     ) -> StepOutcome<MixedMsg> {
-        // Demux by job tag; mail wakes its lane. A source sends a lane's
-        // messages back to back, so each run of one job's messages costs
-        // one lane lookup. A message for a lane this machine does not hold
-        // means the service removed a job with mail still in flight — a
-        // scheduler bug worth failing loudly on.
+        // Demux by lane tag; mail wakes its lane, or is dropped if the lane
+        // is retired. A source sends a lane's messages back to back, so
+        // each run of one lane's messages costs one lookup. A message for a
+        // lane this machine does not hold means the service removed a job
+        // with mail still in flight — a scheduler bug worth failing loudly
+        // on.
         let mut mail = inbox.into_iter();
-        while let Some(job) = mail.as_slice().first().map(|(_, m)| m.job()) {
+        while let Some(lane) = mail.as_slice().first().map(|(_, m)| m.lane()) {
             let run = (mail.as_slice().iter())
-                .take_while(|(_, m)| m.job() == job)
+                .take_while(|(_, m)| m.lane() == lane)
                 .count();
-            let lane = (self.lanes.iter_mut().find(|l| l.job == job)).unwrap_or_else(|| {
-                panic!("message for job {job} with no lane on machine {}", ctx.mid)
-            });
-            lane.halted = false;
-            lane.program.deliver(&mut mail, run);
+            let job =
+                (self.jobs.iter_mut().find(|j| j.lanes.contains(&lane))).unwrap_or_else(|| {
+                    panic!("message for lane {lane} with no job on machine {}", ctx.mid)
+                });
+            let lane = &mut job.instances[(lane - job.lanes.start) as usize];
+            if lane.retired {
+                mail.by_ref().take(run).for_each(drop);
+            } else {
+                lane.halted = false;
+                lane.program.deliver(&mut mail, run);
+            }
         }
 
         let mut out = Vec::new();
-        for lane in &mut self.lanes {
-            if lane.halted {
-                continue;
-            }
-            let sub = MachineCtx::new(
-                ctx.mid,
-                ctx.machines,
-                ctx.large,
-                self.solo_capacity,
-                ctx.round - lane.base_round,
-                &mut lane.rng,
-                ctx.sink(),
-            );
-            lane.halted = lane.program.step_into(&sub, lane.job, &mut out);
-            ctx.charge(sub.charged());
+        for job in &mut self.jobs {
+            job.step(ctx, self.solo_capacity, &mut out);
         }
 
-        if out.is_empty() && self.lanes.iter().all(|l| l.halted) {
+        if out.is_empty() && self.jobs.iter().all(Job::idle) {
             StepOutcome::Halt
         } else {
             StepOutcome::Send(out)
@@ -393,25 +505,32 @@ impl MachineProgram for MixedWave {
     }
 
     fn snapshot(&self) -> Option<Self> {
-        let mut lanes = Vec::with_capacity(self.lanes.len());
-        for lane in &self.lanes {
-            lanes.push(MixedLane {
-                job: lane.job,
-                program: lane.program.snapshot_erased()?,
-                rng: lane.rng.clone(),
-                base_round: lane.base_round,
-                halted: lane.halted,
+        let mut jobs = Vec::with_capacity(self.jobs.len());
+        for job in &self.jobs {
+            let mut instances = Vec::with_capacity(job.instances.len());
+            for lane in &job.instances {
+                instances.push(Lane {
+                    program: lane.program.snapshot_erased()?,
+                    halted: lane.halted,
+                    retired: lane.retired,
+                });
+            }
+            jobs.push(Job {
+                lanes: job.lanes.clone(),
+                instances,
+                rng: job.rng.clone(),
+                base_round: job.base_round,
             });
         }
         Some(MixedWave {
-            lanes,
+            jobs,
             solo_capacity: self.solo_capacity,
         })
     }
 
     fn state_words(&self) -> usize {
-        self.lanes
-            .iter()
+        (self.jobs.iter())
+            .flat_map(|j| &j.instances)
             .map(|l| l.program.state_words_erased())
             .sum::<usize>()
             .max(1)
@@ -421,14 +540,18 @@ impl MachineProgram for MixedWave {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Executor;
+    use crate::registry::run_instances;
     use mpc_graph::Edge;
+    use mpc_runtime::{ClusterConfig, RingSink, Topology};
     use mpc_sketch::OneSparse;
+    use std::sync::Arc;
 
     /// Tags `msg`, then checks the tag, the words and the round trip (the
     /// message types have no `PartialEq`; their `Debug` forms do).
     fn round_trip<M: LaneCodec + std::fmt::Debug>(msg: M) {
         let wire = MixedMsg::new(9, msg.clone());
-        assert_eq!((wire.job(), wire.words()), (9, msg.words()), "{msg:?}");
+        assert_eq!((wire.lane(), wire.words()), (9, msg.words()), "{msg:?}");
         assert_eq!(format!("{:?}", M::unwrap(wire.msg)), format!("{msg:?}"));
     }
 
@@ -443,10 +566,10 @@ mod tests {
         round_trip(MstNetMsg::SampleCounts(vec![1, 2, 3]));
         round_trip(MatchNetMsg::MinAns(1, 2, e));
         round_trip(SpannerNetMsg::CandPartial(3, vec![4, 5]));
-        round_trip(Mux(2, SpannerNetMsg::HistAns(6, vec![7, 8, 9])));
-        round_trip(Mux(1, batch));
-        round_trip(Mux(0, PartialBatch::default()));
-        round_trip(Mux(3, XCutNetMsg::Skel(e, 2)));
+        round_trip(SpannerNetMsg::HistAns(6, vec![7, 8, 9]));
+        round_trip(batch);
+        round_trip(PartialBatch::default());
+        round_trip(XCutNetMsg::Skel(e, 2));
         round_trip(MinCutNetMsg::TwoOutUp(1, 2, e));
         round_trip(MisNetMsg::FinalEdge(e));
         round_trip(ColorNetMsg::Conflict(e));
@@ -456,5 +579,143 @@ mod tests {
     #[should_panic(expected = "lane of a different program type")]
     fn mail_of_another_variant_panics() {
         MisNetMsg::unwrap(MstMsg::Rename(1, 2).wrap());
+    }
+
+    /// A two-machine ping-pong: machine 0 sends `budget` tokens to machine
+    /// 1, one per round; machine 1 echoes each. Tracks everything received.
+    /// Machine 0 retires the job's later instances at `retire_at`.
+    struct PingPong {
+        budget: u64,
+        received: u64,
+        retire_at: Option<u64>,
+    }
+
+    impl PingPong {
+        fn pair(budget: u64) -> Vec<PingPong> {
+            (0..2)
+                .map(|_| PingPong {
+                    budget,
+                    received: 0,
+                    retire_at: None,
+                })
+                .collect()
+        }
+    }
+
+    impl MachineProgram for PingPong {
+        type Message = u64;
+
+        fn step(&mut self, ctx: &MachineCtx<'_>, inbox: Vec<(MachineId, u64)>) -> StepOutcome<u64> {
+            self.received += inbox.iter().map(|(_, m)| m).sum::<u64>();
+            if ctx.mid == 0 {
+                if self.retire_at == Some(ctx.round) {
+                    ctx.retire_later_instances();
+                }
+                if ctx.round < self.budget {
+                    return StepOutcome::Send(vec![(1, ctx.round + 1)]);
+                }
+                return StepOutcome::Halt;
+            }
+            if inbox.is_empty() {
+                return StepOutcome::Halt;
+            }
+            StepOutcome::Send(inbox.into_iter().map(|(src, m)| (src, m * 10)).collect())
+        }
+    }
+
+    fn two_machine_cluster() -> Cluster {
+        Cluster::new(ClusterConfig::new(16, 16).topology(Topology::Custom {
+            capacities: vec![1000, 1000],
+            large: Some(0),
+        }))
+    }
+
+    /// Runs the instances as one job and returns every machine's
+    /// instances, machine-major.
+    fn run_job(cluster: &mut Cluster, instances: Vec<Vec<PingPong>>) -> Vec<Vec<PingPong>> {
+        run_instances(&Executor::serial("mux"), cluster, instances).unwrap()
+    }
+
+    #[test]
+    fn instances_of_one_job_match_their_solo_runs() {
+        // Three instances with different budgets, interleaved.
+        let budgets = [1u64, 3, 2];
+        let solo: Vec<(u64, u64)> = budgets
+            .iter()
+            .map(|&b| {
+                let out = Executor::serial("solo")
+                    .run(&mut two_machine_cluster(), PingPong::pair(b))
+                    .unwrap();
+                (out.programs[0].received, out.programs[1].received)
+            })
+            .collect();
+
+        let mut cluster = two_machine_cluster();
+        let out = run_job(&mut cluster, budgets.map(PingPong::pair).into());
+
+        // The combined run takes max(solo rounds) — budget b finishes in
+        // b + 1 rounds (last echo lands at round b + 1) — not the sum.
+        assert_eq!(
+            cluster.rounds(),
+            3 + 1,
+            "combined rounds = slowest instance"
+        );
+        for (i, &(s0, s1)) in solo.iter().enumerate() {
+            assert_eq!(out[0][i].received, s0, "instance {i} on machine 0");
+            assert_eq!(out[1][i].received, s1, "instance {i} on machine 1");
+        }
+    }
+
+    #[test]
+    fn retired_instances_move_zero_words_in_later_rounds() {
+        // Two instances; instance 0 on machine 0 retires instance 1 at
+        // round 1, before it steps — so rounds ≥ 2 carry only instance 0's
+        // traffic, instance 1's peer is never reactivated, and its echo of
+        // the round-0 token reaches a retired lane and is dropped.
+        let mut cluster = two_machine_cluster();
+        let ring = Arc::new(RingSink::unbounded());
+        cluster.set_trace_sink(Some(ring.clone()));
+        let mut per_instance = vec![PingPong::pair(6), PingPong::pair(6)];
+        per_instance[0][0].retire_at = Some(1);
+        let out = run_job(&mut cluster, per_instance);
+
+        let retired: Vec<_> = (ring.take().into_iter())
+            .filter(|e| matches!(e, TraceEvent::InstanceRetired { .. }))
+            .collect();
+        let event = TraceEvent::InstanceRetired {
+            round: 1,
+            machine: 0,
+            instance: 1,
+        };
+        assert_eq!(retired, [event]);
+        // Rounds 0–1 carry both instances; from round 2 on, only instance
+        // 0's token + echo (2 words) are in flight.
+        let log = cluster.round_log();
+        assert!(log[1].total_words >= 3, "both instances live at round 1");
+        for rec in &log[2..] {
+            assert!(
+                rec.total_words <= 2,
+                "retired instance leaked traffic into {}: {} words",
+                rec.label,
+                rec.total_words
+            );
+        }
+        // Instance 1's machine-1 half stopped at the retirement point, and
+        // its machine-0 half never stepped again to read the echo.
+        assert!(out[1][1].received < out[1][0].received);
+        assert_eq!(out[0][1].received, 0, "late mail reached a retired lane");
+    }
+
+    #[test]
+    fn halted_instances_wake_on_their_own_mail() {
+        // Instance 0 finishes long before instance 1; the machine as a
+        // whole must stay live and instance 1's late mail must still be
+        // delivered (per-lane halt mirrors machine-level halt).
+        let mut cluster = two_machine_cluster();
+        let out = run_job(&mut cluster, vec![PingPong::pair(1), PingPong::pair(5)]);
+        // Instance 1 exchanged all 5 tokens even though instance 0's halves
+        // halted rounds earlier.
+        assert_eq!(out[0][1].received, 10 + 20 + 30 + 40 + 50);
+        assert_eq!(out[1][1].received, 1 + 2 + 3 + 4 + 5);
     }
 }

@@ -12,15 +12,16 @@
 //! The `mincut-approx` description of the [registry](crate::registry) is a
 //! chain of two waves, in a solo run and a service lane alike:
 //!
-//! 1. every guess as one instance of the [multi-program
-//!    scheduler](crate::multiplex) — `O(1)` combined rounds, the paper's
-//!    parallel figure. Small machines sample all guesses in guess order
-//!    inside the first combined round, so each guess's skeleton is
-//!    bit-identical to the legacy loop's, and the coordinator keeps the
-//!    legacy early exit by *retiring* every guess finer than the first one
-//!    to overflow its skeleton budget (finer guesses only get denser), so
-//!    retired guesses ship nothing. `scan` picks the verdict by the
-//!    legacy largest-first scan. Results equal the legacy loop's; its RNG
+//! 1. every guess as one instance — one lane of a single
+//!    [`MixedWave`](crate::MixedWave) job — `O(1)` combined rounds, the
+//!    paper's parallel figure. Small machines sample all guesses in guess
+//!    order inside the first combined round, so each guess's skeleton is
+//!    bit-identical to the legacy loop's, and the large machine keeps the
+//!    legacy early exit: the first guess to overflow its skeleton budget
+//!    [retires](MachineCtx::retire_later_instances) every finer guess
+//!    (finer guesses only get denser) before they step, so retired guesses
+//!    ship nothing. `scan` picks the verdict by the legacy largest-first
+//!    scan. Results equal the legacy loop's; its RNG
 //!    consumption stops at a winning or over-budget guess, whereas the
 //!    wave samples every guess up front, so stream positions agree only
 //!    when the loop sampled every guess too;
@@ -32,7 +33,7 @@
 //! | round | who | does |
 //! |------:|-----|------|
 //! | 0     | smalls | sample the skeleton shard, report its size |
-//! | 1     | large  | over budget: halt (finer guesses retire); else `Ship` |
+//! | 1     | large  | over budget: retire finer guesses, halt; else `Ship` |
 //! | 2     | smalls | ship `(edge, multiplicity)` pairs |
 //! | 3     | large  | connectivity + min-cut-value verdict (`min_cut_weight`) |
 //!
@@ -41,7 +42,6 @@
 
 use crate::combinators::{Driven, Outbox, RoleProgram};
 use crate::machine::{MachineCtx, StepOutcome};
-use crate::multiplex::Multiplexed;
 use mpc_core::ported::mincut_approx::{
     c_sample_for, evaluate_skeleton, sample_binomial, skeleton_budget, ApproxMinCut,
     SkeletonVerdict,
@@ -96,8 +96,7 @@ pub enum GuessOutcome {
 }
 
 /// One λ̂ guess of the Theorem C.4 estimator — or, with no guess, the
-/// whole-graph fallback — as a standalone instance for the [multi-program
-/// scheduler](crate::multiplex).
+/// whole-graph fallback — as one instance of its wave.
 ///
 /// Small machines halt whenever they have nothing in flight, so a guess
 /// that is never shipped costs zero traffic after its count report.
@@ -171,10 +170,11 @@ impl RoleProgram for MinCutGuessWave {
                         _ => None,
                     })
                     .sum();
-                // `ctx.capacity` is the solo capacity (the multiplexer
-                // snapshots it before the combined-run factor is applied),
-                // so the budget rule is bit-identical to a solo run.
+                // `ctx.capacity` is the solo capacity (the wave snapshots
+                // it before the combined-run factor is applied), so the
+                // budget rule is bit-identical to a solo run.
                 if total > skeleton_budget(ctx.capacity) {
+                    ctx.retire_later_instances();
                     return self.resolve(ctx, GuessOutcome::OverBudget);
                 }
                 let mut out = Outbox::new();
@@ -224,9 +224,9 @@ impl RoleProgram for MinCutGuessWave {
                 }
                 return out.into_step();
             };
-            // One Binomial(w, p) draw per edge in shard order; the
-            // multiplexer steps instances in guess order, so the machine's
-            // stream is consumed guess-major — the legacy order.
+            // One Binomial(w, p) draw per edge in shard order; the wave
+            // steps instances in guess order, so the machine's stream is
+            // consumed guess-major — the legacy order.
             let p = (self.c_sample / guess as f64).min(1.0);
             for e in self.input.iter() {
                 let copies = sample_binomial(&mut ctx.rng(), e.w, p);
@@ -250,26 +250,16 @@ impl RoleProgram for MinCutGuessWave {
     }
 }
 
-/// The two links of the `mincut-approx` description: one
-/// [`MinCutGuessWave`] per λ̂ guess, multiplexed, and the one-instance
-/// fallback wave.
-///
-/// The large machine of the first carries the early-exit controller: the
-/// first guess to overflow its skeleton budget retires every finer guess —
-/// their staged `Ship` commands are discarded before they leave the
-/// machine, so retired guesses contribute zero traffic to later combined
-/// rounds.
+/// The programs of the `mincut-approx` description, instance-major: one
+/// [`MinCutGuessWave`] instance per λ̂ guess — the guess link — then the
+/// fallback's, the one instance with no guess.
 pub(crate) fn waves(
     cluster: &Cluster,
     n: usize,
     edges: &ShardedVec<Edge>,
     guesses: &[u64],
     epsilon: f64,
-) -> [Vec<Multiplexed<Driven<MinCutGuessWave>>>; 2] {
-    assert!(
-        (0.0..1.0).contains(&epsilon) && epsilon > 0.0,
-        "epsilon in (0,1)"
-    );
+) -> Vec<Vec<Driven<MinCutGuessWave>>> {
     let large = cluster.large().expect("min cut requires a large machine");
     assert!(
         edges.shard(large).is_empty(),
@@ -294,36 +284,16 @@ pub(crate) fn waves(
             })
             .collect()
     };
-    let per_guess = guesses.iter().map(|&guess| instance(Some(guess))).collect();
-    let mut guess_link = Multiplexed::build(cluster, per_guess);
-    let coordinator = guess_link
-        .remove(large)
-        .with_controller(Arc::new(|_ctx, slots| {
-            if let Some(j) = slots
-                .iter()
-                .position(|s| matches!(s.program.0.outcome, Some((_, GuessOutcome::OverBudget))))
-            {
-                for slot in &mut slots[j + 1..] {
-                    if !slot.is_retired() {
-                        slot.retire();
-                    }
-                }
-            }
-        }));
-    guess_link.insert(large, coordinator);
-    [
-        guess_link,
-        Multiplexed::build(cluster, vec![instance(None)]),
-    ]
+    let guesses = guesses.iter().map(|&guess| Some(guess));
+    guesses.chain([None]).map(instance).collect()
 }
 
-/// The legacy largest-first scan over the guess link's verdicts: the first
-/// over-budget guess (or one retired behind it) aborts to the fallback, the
+/// The legacy largest-first scan over the guess link's verdicts on the
+/// large machine: the first over-budget guess aborts to the fallback, the
 /// first concentrated estimate wins, anything else keeps scanning.
 /// `Err(rounds)` — the rounds the guess link took — when the whole graph
 /// must be gathered.
-pub(crate) fn scan(coordinator: Multiplexed<Driven<MinCutGuessWave>>) -> Result<ApproxMinCut, u64> {
-    let waves = coordinator.into_programs();
+pub(crate) fn scan(waves: Vec<Driven<MinCutGuessWave>>) -> Result<ApproxMinCut, u64> {
     // The link ends when the last guess resolves on the large machine.
     let parallel_rounds = (waves.iter())
         .filter_map(|wave| wave.0.outcome.as_ref().map(|&(round, _)| round))
@@ -353,11 +323,7 @@ pub(crate) fn scan(coordinator: Multiplexed<Driven<MinCutGuessWave>>) -> Result<
 }
 
 /// The fallback link's result, `rounds` after the guess link's start.
-pub(crate) fn gathered(
-    coordinator: Multiplexed<Driven<MinCutGuessWave>>,
-    rounds: u64,
-) -> ApproxMinCut {
-    let wave = coordinator.into_programs().swap_remove(0);
+pub(crate) fn gathered(wave: Driven<MinCutGuessWave>, rounds: u64) -> ApproxMinCut {
     let Some((round, GuessOutcome::Gathered { estimate, edges })) = wave.0.outcome else {
         panic!("large machine halts with the fallback result");
     };

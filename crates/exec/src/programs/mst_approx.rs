@@ -10,8 +10,8 @@
 //! linearity, and the large machine runs sketch-Borůvka locally.
 //!
 //! The `mst-approx` description of the [registry](crate::registry) runs
-//! every threshold as one instance of the [multi-program
-//! scheduler](crate::multiplex): `O(1)` combined rounds, the paper's
+//! every threshold as one instance — one lane of a single
+//! [`MixedWave`](crate::MixedWave) job: `O(1)` combined rounds, the paper's
 //! parallel figure. `threshold_waves` draws the per-wave sketch seeds from
 //! the large machine's stream in ascending threshold order — the legacy
 //! per-wave draws, made up front — so a solo run and a service lane alike
@@ -30,7 +30,6 @@
 
 use crate::combinators::{Driven, Outbox, RoleProgram};
 use crate::machine::{MachineCtx, StepOutcome};
-use crate::multiplex::Multiplexed;
 use mpc_core::ported::connectivity::ConnectivityConfig;
 use mpc_graph::Edge;
 use mpc_runtime::{Cluster, MachineId, ShardedVec};
@@ -39,8 +38,8 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use std::sync::Arc;
 
-/// One threshold wave of the Theorem C.2 estimator as a standalone
-/// instance for the [multi-program scheduler](crate::multiplex): sketch
+/// One threshold wave of the Theorem C.2 estimator as one instance of the
+/// `mst-approx` wave: sketch
 /// the weight-filtered shard, merge at owners, count components on the
 /// large machine — three combined rounds for *every* threshold at once.
 ///
@@ -55,8 +54,8 @@ pub struct MstApproxWave {
     threshold: u64,
     seed: u64,
     owners: Arc<[MachineId]>,
-    /// This machine's input shard, shared across the instances multiplexed
-    /// onto the machine.
+    /// This machine's input shard, shared across the instances on the
+    /// machine.
     input: Arc<[Edge]>,
     /// Set on the large machine when the wave completes: `c_τ`.
     pub count: Option<usize>,
@@ -139,16 +138,16 @@ impl RoleProgram for MstApproxWave {
     }
 }
 
-/// The programs of the `mst-approx` description: one [`MstApproxWave`]
-/// per threshold, multiplexed. Each wave's sketch seed is drawn from `rng`
-/// — the large machine's stream — in ascending threshold order.
+/// The instances of the `mst-approx` description: one [`MstApproxWave`]
+/// per threshold, on every machine. Each wave's sketch seed is drawn from
+/// `rng` — the large machine's stream — in ascending threshold order.
 pub(crate) fn threshold_waves(
     cluster: &Cluster,
     n: usize,
     edges: &ShardedVec<Edge>,
     thresholds: &[u64],
     rng: &mut SmallRng,
-) -> Vec<Multiplexed<Driven<MstApproxWave>>> {
+) -> Vec<Vec<Driven<MstApproxWave>>> {
     let large = cluster
         .large()
         .expect("MST estimation requires a large machine");
@@ -162,7 +161,7 @@ pub(crate) fn threshold_waves(
     let shards: Vec<Arc<[Edge]>> = (0..cluster.machines())
         .map(|mid| Arc::from(edges.shard(mid)))
         .collect();
-    let per_instance = (thresholds.iter())
+    (thresholds.iter())
         .map(|&threshold| {
             let seed = rng.random();
             (shards.iter())
@@ -179,6 +178,5 @@ pub(crate) fn threshold_waves(
                 })
                 .collect()
         })
-        .collect();
-    Multiplexed::build(cluster, per_instance)
+        .collect()
 }

@@ -11,14 +11,17 @@
 //! producing legacy-identical results.
 //!
 //! Each name is written down once, as a *description*: a function that
-//! builds the per-machine programs — drawing any host-side randomness from
-//! the large machine's stream — and says how the large machine's final
-//! program becomes an [`AlgoOutput`] or the next wave of a chain. Two
-//! drivers consume a description — a solo run on the [`Executor`] (typed:
-//! no program or message is erased) and the [service](crate::service)'s
-//! lanes (each program [erased](crate::mixed::erase), the large machine's
-//! box downcast at extraction) — so a solo run and a service lane cannot
-//! drift apart: every name has one form.
+//! builds the per-machine programs of every instance — drawing any
+//! host-side randomness from the large machine's stream — and says how the
+//! large machine's final programs become an [`AlgoOutput`] or the next wave
+//! of a chain. Two drivers consume a description — a solo run and the
+//! [service](crate::service)'s lanes — so a solo run and a service lane
+//! cannot drift apart: every name has one form. A one-instance wave runs
+//! solo typed on the [`Executor`] (no program or message is erased); a
+//! wave of many instances — the paper's parallel compositions — runs solo
+//! as a one-job [`MixedWave`], a lane per instance, exactly as the service
+//! runs it beside other jobs (each program [erased](crate::mixed::erase),
+//! the large machine's boxes downcast at extraction).
 //!
 //! | name | paper result | programs |
 //! |------|--------------|----------|
@@ -27,19 +30,18 @@
 //! | `mst`          | Thm 3.1 | [`MstProgram`] |
 //! | `matching`     | Thm 5.1 | [`MatchingProgram`] |
 //! | `spanner`      | Thm 4.1 | [`SpannerProgram`] |
-//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | per-class [`SpannerProgram`], [multiplexed](crate::multiplex) |
+//! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | one [`SpannerProgram`] instance per weight class |
 //! | `apsp`         | Cor 4.2 | the `k = ⌈log₂ n⌉` run of `spanner` (unit weights) or `spanner-weighted`, oracle indexed on the large machine |
-//! | `mst-approx`   | Thm C.2 | per-threshold [`MstApproxWave`], [multiplexed](crate::multiplex), sketch seeds drawn by the builder |
+//! | `mst-approx`   | Thm C.2 | one [`MstApproxWave`] instance per threshold, sketch seeds drawn by the builder |
 //! | `mincut`       | Thm C.3 | [`MinCutProgram`] |
-//! | `mincut-approx` | Thm C.4 | per-guess [`MinCutGuessWave`], [multiplexed](crate::multiplex), then — if every guess failed — the `xcut-fb` gather |
+//! | `mincut-approx` | Thm C.4 | one [`MinCutGuessWave`] instance per λ̂ guess, then — if every guess failed — the `xcut-fb` gather |
 //! | `mis`          | Thm C.6 | [`MisProgram`] |
 //! | `coloring`     | Thm C.7 | [`ColoringProgram`] |
 
 use crate::combinators::{Driven, RoleProgram};
 use crate::driver::{ExecError, ExecMode, Executor};
 use crate::machine::MachineProgram;
-use crate::mixed::{downcast_program, erase, ErasedProgram, LaneCodec};
-use crate::multiplex::{CapacityFactor, Multiplexed};
+use crate::mixed::{by_machine, downcast_program, erase, ErasedProgram, LaneCodec, MixedWave};
 use crate::programs::{
     mincut_approx, mst_approx, BoruvkaProgram, ColoringProgram, ConnectivityProgram,
     MatchingProgram, MinCutGuessWave, MinCutProgram, MisProgram, MstApproxWave, MstProgram,
@@ -532,15 +534,14 @@ pub(crate) enum Description<P> {
     Wave {
         /// Round-label prefix of a solo run.
         label: &'static str,
-        /// The combined-round capacity factor the programs need: 1, or
-        /// the instance count of a [`Multiplexed`] run. A service lane
-        /// ignores it — admission reserved the job's shares
-        /// ([`derived_shares`]) before it built anything.
-        factor: usize,
-        /// One program per machine (index = machine id).
-        programs: Vec<P>,
-        /// Turns the large machine's final program into the next link of
-        /// the chain.
+        /// Instance-major: `instances[i][mid]` is instance `i`'s program
+        /// on machine `mid`. The instance count is the combined-round
+        /// capacity factor a solo run applies; a service lane runs under
+        /// the shares admission reserved ([`derived_shares`]) before it
+        /// built anything.
+        instances: Vec<Vec<P>>,
+        /// Turns the large machine's final programs, in instance order,
+        /// into the next link of the chain.
         finish: Finish<P>,
     },
     /// The end of a chain: the result. A degenerate input (a weighted
@@ -548,52 +549,67 @@ pub(crate) enum Description<P> {
     Immediate(Result<AlgoOutput, ExecError>),
 }
 
-/// How the large machine's final program becomes the next link.
-pub(crate) type Finish<P> = Box<dyn FnOnce(P) -> Description<P>>;
+/// How the large machine's final programs become the next link.
+pub(crate) type Finish<P> = Box<dyn FnOnce(Vec<P>) -> Description<P>>;
 
-/// A job's service lanes: every program erased, the large machine's box
+/// A job's service lanes: every program erased, the large machine's boxes
 /// downcast again at extraction.
 pub(crate) type Lanes = Description<Box<dyn ErasedProgram>>;
 
 impl<P: 'static> Description<P> {
-    /// A wave whose large machine's final program yields the result.
+    /// A one-instance wave whose large machine's final program yields the
+    /// result.
     fn wave(
         label: &'static str,
-        factor: usize,
         programs: Vec<P>,
         finish: impl FnOnce(P) -> Result<AlgoOutput, ExecError> + 'static,
     ) -> Self {
-        Description::chain(label, factor, programs, |p| {
-            Description::Immediate(finish(p))
+        Description::waves(label, vec![programs], |large| {
+            finish(large.into_iter().next().expect("one instance"))
         })
     }
 
-    /// A wave whose large machine's final program yields the next link —
-    /// which runs on the same lanes and RNG streams.
+    /// A wave of many instances whose large machine's final programs
+    /// yield the result.
+    fn waves(
+        label: &'static str,
+        instances: Vec<Vec<P>>,
+        finish: impl FnOnce(Vec<P>) -> Result<AlgoOutput, ExecError> + 'static,
+    ) -> Self {
+        Description::chain(label, instances, |large| {
+            Description::Immediate(finish(large))
+        })
+    }
+
+    /// A wave whose large machine's final programs yield the next link —
+    /// which runs on the same job and RNG streams.
     fn chain(
         label: &'static str,
-        factor: usize,
-        programs: Vec<P>,
-        next: impl FnOnce(P) -> Description<P> + 'static,
+        instances: Vec<Vec<P>>,
+        next: impl FnOnce(Vec<P>) -> Description<P> + 'static,
     ) -> Self {
         Description::Wave {
             label,
-            factor,
-            programs,
+            instances,
             finish: Box::new(next),
         }
     }
 }
 
 /// The solo driver: lends the large machine's stream to the builder, then
-/// runs each link of the chain, typed, on the [`Executor`].
-fn solo<P: MachineProgram>(
+/// runs each link of the chain — one instance typed on the [`Executor`],
+/// many through [`run_instances`].
+fn solo<P>(
     build: impl FnOnce(&Cluster, &AlgoInput<'_>, &mut SmallRng) -> Description<P>,
     cluster: &mut Cluster,
     input: &AlgoInput<'_>,
     mode: ExecMode,
     threads: usize,
-) -> Result<AlgoOutput, ExecError> {
+) -> Result<AlgoOutput, ExecError>
+where
+    P: MachineProgram + 'static,
+    P::Message: LaneCodec,
+{
     let large = cluster
         .large()
         .expect("registry algorithms require a large machine");
@@ -605,20 +621,76 @@ fn solo<P: MachineProgram>(
             Description::Immediate(result) => return result,
             Description::Wave {
                 label,
-                factor,
-                programs,
+                mut instances,
                 finish,
             } => {
-                let mut outcome = {
-                    let mut scaled = CapacityFactor::scale(cluster, factor);
-                    Executor::new(label, mode)
-                        .threads(threads)
-                        .run(scaled.cluster(), programs)
-                }?;
-                description = finish(outcome.programs.swap_remove(large));
+                let exec = Executor::new(label, mode).threads(threads);
+                let programs = if instances.len() == 1 {
+                    let programs = instances.pop().expect("one instance");
+                    vec![exec.run(cluster, programs)?.programs.swap_remove(large)]
+                } else {
+                    run_instances(&exec, cluster, instances)?.swap_remove(large)
+                };
+                description = finish(programs);
             }
         }
     }
+}
+
+/// RAII wrapper for [`Cluster::set_capacity_factor`]: scales the cluster's
+/// capacities for a combined run and restores the solo factor of 1 on drop
+/// — including when the run panics, so a caller that catches the panic
+/// never observes a cluster with silently-disabled strict enforcement.
+struct CapacityFactor<'a> {
+    cluster: &'a mut Cluster,
+}
+
+impl<'a> CapacityFactor<'a> {
+    /// Applies `factor` (clamped to ≥ 1) for the guard's lifetime.
+    fn scale(cluster: &'a mut Cluster, factor: usize) -> Self {
+        cluster.set_capacity_factor(factor.max(1));
+        CapacityFactor { cluster }
+    }
+}
+
+impl Drop for CapacityFactor<'_> {
+    fn drop(&mut self) {
+        self.cluster.set_capacity_factor(1);
+    }
+}
+
+/// Runs a wave of many instances solo: one [`MixedWave`] job, a lane per
+/// instance, under a capacity factor of the instance count. The job's
+/// streams are clones of the cluster's own and are written back after the
+/// run, so the cluster's stream positions are those the instances left.
+/// Returns every machine's final programs, machine-major.
+pub(crate) fn run_instances<P>(
+    exec: &Executor,
+    cluster: &mut Cluster,
+    instances: Vec<Vec<P>>,
+) -> Result<Vec<Vec<P>>, ExecError>
+where
+    P: MachineProgram + 'static,
+    P::Message: LaneCodec,
+{
+    let lanes = 0..instances.len() as u64;
+    let mut waves = MixedWave::for_cluster(cluster);
+    for (mid, (wave, programs)) in waves.iter_mut().zip(by_machine(instances)).enumerate() {
+        let programs = programs.into_iter().map(erase).collect();
+        wave.admit(lanes.clone(), programs, cluster.rng(mid).clone(), 0);
+    }
+    let outcome = {
+        let scaled = CapacityFactor::scale(cluster, lanes.end as usize);
+        exec.run(&mut *scaled.cluster, waves)
+    }?;
+    let machines = outcome.programs.into_iter().enumerate();
+    Ok(machines
+        .map(|(mid, mut wave)| {
+            let (programs, rng) = wave.remove(0).expect("the job has lanes on every machine");
+            *cluster.rng(mid) = rng;
+            programs.into_iter().map(downcast_program).collect()
+        })
+        .collect())
 }
 
 /// The service driver: every link's programs become erased lanes.
@@ -631,14 +703,14 @@ where
         Description::Immediate(result) => Description::Immediate(result),
         Description::Wave {
             label,
-            factor,
-            programs,
+            instances,
             finish,
         } => Description::chain(
             label,
-            factor,
-            programs.into_iter().map(erase).collect(),
-            move |boxed| lanes(finish(downcast_program::<P>(boxed))),
+            (instances.into_iter())
+                .map(|programs| programs.into_iter().map(erase).collect())
+                .collect(),
+            move |large| lanes(finish(large.into_iter().map(downcast_program).collect())),
         ),
     }
 }
@@ -655,9 +727,28 @@ fn algorithm_error(e: impl std::fmt::Display) -> ExecError {
     }
 }
 
+/// Rejects the parameters a name's description cannot run with: a spanner
+/// stretch `k < 2`, an `mst-approx` ε that is not finite and positive, an
+/// `mincut-approx` ε outside `(0, 1)`. Reads parameters only and scans no
+/// graph, so [`Service::submit`](crate::Service::submit) can afford it.
+pub(crate) fn check_params(name: &str, params: &JobParams) -> Result<(), ExecError> {
+    let (k, eps) = (params.spanner_k, params.epsilon);
+    let problem = match name {
+        "spanner" | "spanner-weighted" if k < 2 => format!("spanner_k = {k}, needs k ≥ 2"),
+        "mst-approx" if !(eps.is_finite() && eps > 0.0) => {
+            format!("epsilon = {eps}, needs a finite ε > 0")
+        }
+        "mincut-approx" if !(eps > 0.0 && eps < 1.0) => format!("epsilon = {eps}, needs 0 < ε < 1"),
+        _ => return Ok(()),
+    };
+    Err(ExecError::Algorithm {
+        message: format!("{name}: {problem}"),
+    })
+}
+
 /// The capacity shares a job occupies while running: its explicit
-/// [`JobSpec::shares`] if set, otherwise the instance count its description
-/// multiplexes — the `factor` a solo run applies — counted with the
+/// [`JobSpec::shares`] if set, otherwise the instance count of its
+/// description — the capacity factor a solo run applies — counted with the
 /// builders' own helpers: one share per non-empty weight class for
 /// `spanner-weighted` and `apsp` (unit weights are one class: `apsp` then
 /// runs one plain spanner), per threshold for `mst-approx`, per λ̂ guess for
@@ -702,7 +793,7 @@ fn connectivity(
         .clone()
         .unwrap_or_else(|| ConnectivityConfig::for_n(input.n));
     let programs = ConnectivityProgram::for_cluster(cluster, input.n, input.edges, &config);
-    Description::wave("conn", 1, programs, |p| {
+    Description::wave("conn", programs, |p| {
         Ok(AlgoOutput::Components(p.result.expect(HALTED)))
     })
 }
@@ -713,7 +804,7 @@ fn boruvka_msf(
     _rng: &mut SmallRng,
 ) -> Description<BoruvkaProgram> {
     let programs = BoruvkaProgram::for_cluster(cluster, input.edges);
-    Description::wave("boruvka", 1, programs, |p| {
+    Description::wave("boruvka", programs, |p| {
         Ok(AlgoOutput::Forest(p.forest.expect(HALTED)))
     })
 }
@@ -724,7 +815,7 @@ fn mst(
     _rng: &mut SmallRng,
 ) -> Description<Driven<MstProgram>> {
     let programs = MstProgram::for_cluster_with(cluster, input.n, input.edges, &input.params.mst);
-    Description::wave("mst", 1, driven(programs), |p| {
+    Description::wave("mst", driven(programs), |p| {
         let result = p.0.result.expect(HALTED);
         result.map(AlgoOutput::Mst).map_err(algorithm_error)
     })
@@ -736,7 +827,7 @@ fn matching(
     _rng: &mut SmallRng,
 ) -> Description<Driven<MatchingProgram>> {
     let programs = MatchingProgram::for_cluster(cluster, input.n, input.edges);
-    Description::wave("match", 1, driven(programs), |p| {
+    Description::wave("match", driven(programs), |p| {
         let result = p.0.result.expect(HALTED);
         result.map(AlgoOutput::Matching).map_err(algorithm_error)
     })
@@ -754,15 +845,6 @@ fn spanner_output(spanner: SpannerResult, apsp_stretch: Option<usize>) -> AlgoOu
     }
 }
 
-fn spanner_programs(
-    cluster: &Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-    k: usize,
-) -> Vec<Driven<SpannerProgram>> {
-    driven(SpannerProgram::for_cluster(cluster, n, edges, k))
-}
-
 /// The `(6k−1)`-spanner of Theorem 4.1 on `edges` read as unweighted.
 fn plain_spanner(
     cluster: &Cluster,
@@ -771,41 +853,37 @@ fn plain_spanner(
     k: usize,
     apsp_stretch: Option<usize>,
 ) -> Description<Driven<SpannerProgram>> {
-    let programs = spanner_programs(cluster, n, edges, k);
-    Description::wave("spanner", 1, programs, move |p| {
+    let programs = driven(SpannerProgram::for_cluster(cluster, n, edges, k));
+    Description::wave("spanner", programs, move |p| {
         Ok(spanner_output(p.0.result.expect(HALTED), apsp_stretch))
     })
 }
 
 /// The weighted spanner: all factor-2 weight classes (the \[22\]
-/// reduction) as interleaved instances of one [`Multiplexed`] run — one
-/// 17-round spanner clock for *every* class. The spanner program's draws
-/// happen at fixed rounds and the scheduler steps instances in class
-/// order, so each machine consumes its RNG stream class-major — exactly
-/// the legacy loop's order — and the spanner, statistics, and RNG stream
-/// positions are bit-identical to the legacy path.
+/// reduction) as the instances of one wave — one 17-round spanner clock
+/// for *every* class. The spanner program's draws happen at fixed rounds
+/// and a job's lanes step in instance order, so each machine consumes its
+/// RNG stream class-major — exactly the legacy loop's order — and the
+/// spanner, statistics, and RNG stream positions are bit-identical to the
+/// legacy path.
 fn class_spanner(
     cluster: &Cluster,
     n: usize,
     edges: &ShardedVec<Edge>,
     k: usize,
     apsp_stretch: Option<usize>,
-) -> Description<Multiplexed<Driven<SpannerProgram>>> {
+) -> Description<Driven<SpannerProgram>> {
     let classes = weight_class_shards(edges);
     if classes.shards.is_empty() {
         let spanner = merge_class_results(n, &classes, Vec::new());
         return Description::Immediate(Ok(spanner_output(spanner, apsp_stretch)));
     }
     let per_class = (classes.shards.iter())
-        .map(|(_c, class_edges)| spanner_programs(cluster, n, class_edges, k))
+        .map(|(_c, class_edges)| driven(SpannerProgram::for_cluster(cluster, n, class_edges, k)))
         .collect();
-    let programs = Multiplexed::build(cluster, per_class);
-    let instances = classes.shards.len();
-    Description::wave("wspan", instances, programs, move |coordinator| {
-        let results = (coordinator.into_programs().into_iter())
-            .map(|p| p.0.result.expect(HALTED))
-            .collect();
-        let spanner = merge_class_results(n, &classes, results);
+    Description::waves("wspan", per_class, move |large| {
+        let results = large.into_iter().map(|p| p.0.result.expect(HALTED));
+        let spanner = merge_class_results(n, &classes, results.collect());
         Ok(spanner_output(spanner, apsp_stretch))
     })
 }
@@ -822,36 +900,43 @@ fn spanner_weighted(
     cluster: &Cluster,
     input: &AlgoInput<'_>,
     _rng: &mut SmallRng,
-) -> Description<Multiplexed<Driven<SpannerProgram>>> {
+) -> Description<Driven<SpannerProgram>> {
     class_spanner(cluster, input.n, input.edges, input.params.spanner_k, None)
 }
 
 /// `apsp` is one spanner run at stretch parameter `k = ⌈log₂ n⌉` — plain
 /// on unit weights, per weight class otherwise — with the oracle indexed
-/// on the large machine (local, no rounds): `(k, weighted, stretch bound)`.
-fn apsp_shape(input: &AlgoInput<'_>) -> (usize, bool, usize) {
-    let k = ApspOracle::stretch_parameter(input.n);
-    let weighted = input.edges.iter().any(|(_, e)| e.w != 1);
-    (k, weighted, if weighted { 12 * k - 1 } else { 6 * k - 1 })
+/// on the large machine (local, no rounds).
+fn apsp(
+    cluster: &Cluster,
+    input: &AlgoInput<'_>,
+    _rng: &mut SmallRng,
+) -> Description<Driven<SpannerProgram>> {
+    let (n, edges) = (input.n, input.edges);
+    let k = ApspOracle::stretch_parameter(n);
+    if edges.iter().any(|(_, e)| e.w != 1) {
+        class_spanner(cluster, n, edges, k, Some(12 * k - 1))
+    } else {
+        plain_spanner(cluster, n, edges, k, Some(6 * k - 1))
+    }
 }
 
 /// The Theorem C.2 estimator: every `(1+ε)^j` threshold as one
-/// [`MstApproxWave`] of one [`Multiplexed`] run, each wave's sketch seed
-/// drawn here from the large machine's stream in ascending threshold order
-/// — the legacy per-wave draws, made up front — so results *and* RNG
-/// stream positions are bit-identical to the legacy loop.
+/// [`MstApproxWave`] instance of one wave, each wave's sketch seed drawn
+/// here from the large machine's stream in ascending threshold order — the
+/// legacy per-wave draws, made up front — so results *and* RNG stream
+/// positions are bit-identical to the legacy loop.
 fn mst_approx(
     cluster: &Cluster,
     input: &AlgoInput<'_>,
     rng: &mut SmallRng,
-) -> Description<Multiplexed<Driven<MstApproxWave>>> {
+) -> Description<Driven<MstApproxWave>> {
     let (n, epsilon) = (input.n, input.params.epsilon);
-    assert!(epsilon > 0.0, "epsilon must be positive");
     let w_max = max_weight(input.edges.iter().map(|(_, e)| e));
     let thresholds = geometric_thresholds(w_max, epsilon);
-    let programs = mst_approx::threshold_waves(cluster, n, input.edges, &thresholds, rng);
-    Description::wave("xmst", thresholds.len(), programs, move |coordinator| {
-        let component_counts: Vec<usize> = (coordinator.into_programs().into_iter())
+    let instances = mst_approx::threshold_waves(cluster, n, input.edges, &thresholds, rng);
+    Description::waves("xmst", instances, move |large| {
+        let component_counts: Vec<usize> = (large.into_iter())
             .map(|wave| {
                 wave.0
                     .count
@@ -875,33 +960,29 @@ fn mincut(
 ) -> Description<Driven<MinCutProgram>> {
     let trials = input.params.mincut_trials;
     let programs = MinCutProgram::for_cluster(cluster, input.n, input.edges, trials);
-    Description::wave("cut", 1, driven(programs), |p| {
+    Description::wave("cut", driven(programs), |p| {
         Ok(AlgoOutput::MinCut(p.0.result.expect(HALTED)))
     })
 }
 
 /// The Theorem C.4 estimator: every geometric λ̂ guess as one
-/// [`MinCutGuessWave`] of one [`Multiplexed`] run, then — only when every
-/// guess failed — the `xcut-fb` whole-graph gather as the chain's second
-/// link (see [`crate::programs::mincut_approx`]).
+/// [`MinCutGuessWave`] instance of one wave, then — only when every guess
+/// failed — the `xcut-fb` whole-graph gather as the chain's second link
+/// (see [`crate::programs::mincut_approx`]).
 fn mincut_approx(
     cluster: &Cluster,
     input: &AlgoInput<'_>,
     _rng: &mut SmallRng,
-) -> Description<Multiplexed<Driven<MinCutGuessWave>>> {
+) -> Description<Driven<MinCutGuessWave>> {
     let guesses = lambda_guesses(total_weight(input.edges.iter().map(|(_, e)| e)));
-    let [guess_link, fallback] = mincut_approx::waves(
-        cluster,
-        input.n,
-        input.edges,
-        &guesses,
-        input.params.epsilon,
-    );
-    Description::chain("xcut", guesses.len(), guess_link, move |coordinator| {
-        match mincut_approx::scan(coordinator) {
+    let epsilon = input.params.epsilon;
+    let mut per_guess = mincut_approx::waves(cluster, input.n, input.edges, &guesses, epsilon);
+    let fallback = per_guess.pop().expect("the fallback follows the guesses");
+    Description::chain("xcut", per_guess, move |large| {
+        match mincut_approx::scan(large) {
             Ok(cut) => Description::Immediate(Ok(AlgoOutput::MinCutApprox(cut))),
-            Err(rounds) => Description::wave("xcut-fb", 1, fallback, move |coordinator| {
-                let cut = mincut_approx::gathered(coordinator, rounds);
+            Err(rounds) => Description::wave("xcut-fb", fallback, move |large| {
+                let cut = mincut_approx::gathered(large, rounds);
                 Ok(AlgoOutput::MinCutApprox(cut))
             }),
         }
@@ -914,7 +995,7 @@ fn mis(
     _rng: &mut SmallRng,
 ) -> Description<Driven<MisProgram>> {
     let programs = MisProgram::for_cluster(cluster, input.n, input.edges);
-    Description::wave("mis", 1, driven(programs), |p| {
+    Description::wave("mis", driven(programs), |p| {
         Ok(AlgoOutput::Mis(p.0.result.expect(HALTED)))
     })
 }
@@ -925,7 +1006,7 @@ fn coloring(
     _rng: &mut SmallRng,
 ) -> Description<Driven<ColoringProgram>> {
     let programs = ColoringProgram::for_cluster(cluster, input.n, input.edges);
-    Description::wave("color", 1, driven(programs), |p| {
+    Description::wave("color", driven(programs), |p| {
         Ok(AlgoOutput::Coloring(p.0.result.expect(HALTED)))
     })
 }
@@ -936,9 +1017,9 @@ fn loglog(n: usize) -> u64 {
     l.max(1)
 }
 
-// The three multiplexed workloads (`spanner-weighted`, `mst-approx`,
-// `mincut-approx`) run their paper-parallel instances interleaved through
-// the multi-program scheduler, so their round budgets are the theorems'
+// The three batched workloads (`spanner-weighted`, `mst-approx`,
+// `mincut-approx`) run their paper-parallel instances as the lanes of one
+// wave, so their round budgets are the theorems'
 // *parallel* figures — flat constants, independent of the instance count
 // (weight classes, thresholds, λ̂ guesses). The `budgets` experiment gates
 // the ≥5× collapse against the sequential round counts committed in
@@ -1014,34 +1095,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // One spanner run (the fixed 17-round clock, weight classes
         // interleaved when the input is weighted).
         round_budget: |_n| 24,
-        solo: |c, i, m, t| {
-            let (k, weighted, stretch) = apsp_shape(i);
-            if weighted {
-                solo(
-                    |c, i, _| class_spanner(c, i.n, i.edges, k, Some(stretch)),
-                    c,
-                    i,
-                    m,
-                    t,
-                )
-            } else {
-                solo(
-                    |c, i, _| plain_spanner(c, i.n, i.edges, k, Some(stretch)),
-                    c,
-                    i,
-                    m,
-                    t,
-                )
-            }
-        },
-        lanes: |c, i, _| {
-            let (k, weighted, stretch) = apsp_shape(i);
-            if weighted {
-                lanes(class_spanner(c, i.n, i.edges, k, Some(stretch)))
-            } else {
-                lanes(plain_spanner(c, i.n, i.edges, k, Some(stretch)))
-            }
-        },
+        solo: |c, i, m, t| solo(apsp, c, i, m, t),
+        lanes: |c, i, r| lanes(apsp(c, i, r)),
     },
     Algorithm {
         name: "mst-approx",
@@ -1099,10 +1154,9 @@ static ALGORITHMS: &[Algorithm] = &[
     },
 ];
 
-/// The registry names whose paper-parallel instances run interleaved
-/// through the [multi-program scheduler](crate::multiplex) — the single
-/// source of truth for the `budgets` collapse gate and the multiplexed
-/// schedule-independence sweep.
+/// The registry names whose paper-parallel instances run as the lanes of
+/// one [`MixedWave`] job — the single source of truth for the `budgets`
+/// collapse gate and the batched schedule-independence sweep.
 pub const BATCHED_NAMES: [&str; 3] = ["spanner-weighted", "mst-approx", "mincut-approx"];
 
 /// The canonical registry contents: every paper result, exactly once, in
@@ -1144,8 +1198,9 @@ pub fn get(name: &str) -> Option<&'static Algorithm> {
 ///
 /// # Errors
 ///
-/// [`ExecError::Algorithm`] for unknown names; otherwise whatever the
-/// algorithm surfaces (see [`ExecError`]).
+/// [`ExecError::Algorithm`] for unknown names and for parameters the
+/// algorithm cannot run with (a spanner `k < 2`, an ε out of range);
+/// otherwise whatever the algorithm surfaces (see [`ExecError`]).
 pub fn run(
     name: &str,
     cluster: &mut Cluster,
@@ -1175,6 +1230,7 @@ pub fn run_threads(
             names().join(", ")
         ),
     })?;
+    check_params(name, &input.params)?;
     (algo.solo)(cluster, input, mode, threads)
 }
 
@@ -1206,8 +1262,8 @@ pub fn run_job(
 ///
 /// # Panics
 ///
-/// Panics on an unregistered name — [`Service::submit`](crate::Service::submit)
-/// turns those away.
+/// Panics on an unregistered name or parameters [`check_params`] rejects —
+/// [`Service::submit`](crate::Service::submit) turns those away.
 pub(crate) fn job_lanes(spec: &JobSpec, cluster: &Cluster, large_rng: &mut SmallRng) -> Lanes {
     debug_assert_eq!(cluster.capacity_factor(), 1, "build lanes at solo capacity");
     let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
@@ -1302,8 +1358,10 @@ mod tests {
         for algo in algorithms() {
             let spec = JobSpec::new(algo.name, Arc::clone(&g)).seed(5);
             match lanes_of(&spec, config(algo)) {
-                (cluster, Description::Wave { programs, .. }) => {
-                    assert_eq!(programs.len(), cluster.machines());
+                (cluster, Description::Wave { instances, .. }) => {
+                    for programs in instances {
+                        assert_eq!(programs.len(), cluster.machines());
+                    }
                 }
                 (_, Description::Immediate(result)) => assert!(result.is_ok(), "{}", algo.name),
             }
@@ -1331,7 +1389,7 @@ mod tests {
 
     /// Admission reserves what a solo run scales by: for every name, on a
     /// weighted and a unit-weight graph, the derived shares equal the
-    /// built description's `factor`.
+    /// built description's instance count.
     #[test]
     fn derived_shares_equal_the_description_factor() {
         use mpc_graph::generators::gnm;
@@ -1344,10 +1402,10 @@ mod tests {
                 let spec = JobSpec::new(algo.name, Arc::clone(&g));
                 let config = mpc_runtime::ClusterConfig::new(g.n(), g.m())
                     .polylog_exponent(algo.polylog_exponent);
-                let Description::Wave { factor, .. } = lanes_of(&spec, config).1 else {
+                let Description::Wave { instances, .. } = lanes_of(&spec, config).1 else {
                     panic!("{}: a graph with edges runs a wave", algo.name);
                 };
-                assert_eq!(derived_shares(&spec), factor, "{}", algo.name);
+                assert_eq!(derived_shares(&spec), instances.len(), "{}", algo.name);
             }
         }
     }

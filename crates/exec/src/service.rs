@@ -25,12 +25,15 @@
 //! [`RoundHook`]: crate::driver::RoundHook
 
 use crate::driver::{ExecError, ExecMode, Executor, WaveRound};
-use crate::mixed::{ErasedProgram, MixedWave};
-use crate::registry::{self, derived_shares, AlgoOutput, Description, Finish, JobSpec};
+use crate::mixed::{by_machine, ErasedProgram, MixedWave};
+use crate::registry::{
+    self, check_params, derived_shares, AlgoOutput, Description, Finish, JobSpec,
+};
 use mpc_runtime::telemetry::TraceEvent;
 use mpc_runtime::{machine_rng, Cluster, ClusterConfig, MachineId};
 use rand::rngs::SmallRng;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -80,7 +83,7 @@ pub struct JobHandle {
 
 impl JobHandle {
     /// The service-assigned job id (dense, starting at 1 — also the tag on
-    /// every wave message and telemetry event this job produces).
+    /// every telemetry event this job produces).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -156,10 +159,13 @@ struct QueuedJob {
 
 struct RunningJob {
     id: u64,
+    /// The lane ids of the job's current wave: instance `i` is lane
+    /// `lanes.start + i`, and every message of the job is tagged with one.
+    lanes: Range<u64>,
     shares: usize,
     admitted_round: u64,
     state: Arc<Mutex<JobState>>,
-    /// Turns the large machine's retired lane into the job's output or
+    /// Turns the large machine's retired lanes into the job's output or
     /// its next wave.
     finish: Finish<Box<dyn ErasedProgram>>,
     /// The full spec, kept so a quarantined job can be resubmitted (its
@@ -169,30 +175,49 @@ struct RunningJob {
     attempt: u32,
 }
 
-/// A wave of a job about to enter the mixed wave: one program and one RNG
-/// stream per machine. A job's first wave gets streams minted from its
-/// seed; a chained wave inherits the streams the previous one left.
+/// A wave of a job about to enter the mixed wave: its instances' programs
+/// (instance-major) and one RNG stream per machine. A job's first wave gets
+/// streams minted from its seed; a chained wave inherits the streams the
+/// previous one left.
 struct Link {
     job: RunningJob,
-    programs: Vec<Box<dyn ErasedProgram>>,
+    instances: Vec<Vec<Box<dyn ErasedProgram>>>,
     rngs: Vec<SmallRng>,
 }
 
 impl Link {
-    /// Installs the lanes with `wave_round` as their round 0; the job is
-    /// running again.
-    fn admit(self, view: &mut WaveRound<'_, MixedWave>, wave_round: u64) -> RunningJob {
-        let id = self.job.id;
-        for (mid, (program, rng)) in self.programs.into_iter().zip(self.rngs).enumerate() {
-            view.with(mid, |wave| wave.admit(id, program, rng, wave_round));
+    /// Installs the lanes — the next free range of lane ids, one per
+    /// instance — with `wave_round` as their round 0; the job is running
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Algorithm`] when the range would not fit the 32-bit
+    /// lane id of a wire tag.
+    fn admit(
+        self,
+        view: &mut WaveRound<'_, MixedWave>,
+        wave_round: u64,
+        next_lane: &mut u64,
+    ) -> Result<RunningJob, ExecError> {
+        let lanes = *next_lane..*next_lane + self.instances.len() as u64;
+        if lanes.end > 1 << 32 {
+            let message = format!("job {}: lanes {lanes:?} overflow the wire tag", self.job.id);
+            return Err(ExecError::Algorithm { message });
+        }
+        *next_lane = lanes.end;
+        for (mid, (programs, rng)) in by_machine(self.instances).zip(self.rngs).enumerate() {
+            view.with(mid, |wave| {
+                wave.admit(lanes.clone(), programs, rng, wave_round)
+            });
             view.wake(mid);
         }
-        self.job
+        Ok(RunningJob { lanes, ..self.job })
     }
 }
 
 /// Ends a job's current wave once its lanes have all halted: the large
-/// machine's program yields either the job's result, recorded at `round`,
+/// machine's programs yield either the job's result, recorded at `round`,
 /// or the next wave of its chain, staged in `links` on the same job id,
 /// shares and RNG streams.
 fn retire(
@@ -200,7 +225,7 @@ fn retire(
     records: &mut Vec<JobRecord>,
     links: &mut Vec<Link>,
     job: RunningJob,
-    lanes: Vec<(Box<dyn ErasedProgram>, SmallRng)>,
+    lanes: Vec<(Vec<Box<dyn ErasedProgram>>, SmallRng)>,
     large: MachineId,
     round: u64,
 ) {
@@ -220,10 +245,10 @@ fn retire(
             None,
         ),
         Description::Wave {
-            programs, finish, ..
+            instances, finish, ..
         } => links.push(Link {
             job: RunningJob { finish, ..job },
-            programs,
+            instances,
             rngs,
         }),
     }
@@ -357,18 +382,21 @@ impl Service {
         self.queue.len()
     }
 
-    /// Enqueues a job, validating its registry name up front.
+    /// Enqueues a job, validating its registry name and parameters up
+    /// front.
     ///
     /// # Errors
     ///
     /// [`ExecError::Algorithm`] when `spec.name` is not a registered
-    /// algorithm — nothing is enqueued.
+    /// algorithm or its parameters are out of range (a spanner `k < 2`, an
+    /// ε the estimator cannot use) — nothing is enqueued.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobHandle, ExecError> {
         if registry::get(&spec.name).is_none() {
             return Err(ExecError::Algorithm {
                 message: format!("no registered algorithm named {:?}", spec.name),
             });
         }
+        check_params(&spec.name, &spec.params)?;
         let id = self.next_id;
         self.next_id += 1;
         let state = Arc::new(Mutex::new(JobState {
@@ -491,12 +519,15 @@ impl Service {
         let mut base: u64 = 0;
         let rounds = loop {
             let waves = MixedWave::for_cluster(cluster);
+            // Lane ids are handed out afresh in every wave.
+            let mut next_lane: u64 = 0;
             let last_hook = std::cell::Cell::new(0u64);
             let result = {
                 let running = &mut running;
                 let records = &mut records;
                 let links = &mut links;
                 let queue = &mut queue;
+                let next_lane = &mut next_lane;
                 let last_hook = &last_hook;
                 let mut hook = |cluster: &mut Cluster,
                                 view: &mut WaveRound<'_, MixedWave>|
@@ -507,24 +538,26 @@ impl Service {
                     last_hook.set(wave_round);
 
                     // 1. Retirement: a job's wave is done when every one
-                    // of its lanes has voted to halt and no mail tagged
-                    // with it is pending. The peek-only scan leaves the
+                    // of its lanes has voted to halt and no mail for its
+                    // lanes is pending. The peek-only scan leaves the
                     // round clean; removal marks it dirty, forcing a
                     // checkpoint under fault plans.
                     let mut i = 0;
                     while i < running.len() {
-                        let job = running[i].id;
+                        let lanes = &running[i].lanes;
                         let done = (0..machines).all(|mid| {
                             view.peek(mid, |wave, inbox| {
-                                wave.lane_idle(job) && !inbox.iter().any(|(_, m)| m.job() == job)
+                                wave.idle(lanes.start)
+                                    && !inbox.iter().any(|(_, m)| lanes.contains(&m.lane()))
                             })
                         });
                         if !done {
                             i += 1;
                             continue;
                         }
+                        let first = lanes.start;
                         let lanes = (0..machines)
-                            .map(|mid| view.with(mid, |wave| wave.remove(job).expect(HAS_LANE)))
+                            .map(|mid| view.with(mid, |wave| wave.remove(first).expect(HAS_LANE)))
                             .collect();
                         let large = large.expect(HAS_LARGE);
                         retire(
@@ -537,8 +570,10 @@ impl Service {
                             round,
                         );
                     }
-                    // A chained wave re-enters at once, on its job's lanes.
-                    running.extend(links.drain(..).map(|link| link.admit(view, wave_round)));
+                    // A chained wave re-enters at once, on its job's streams.
+                    for link in links.drain(..) {
+                        running.push(link.admit(view, wave_round, next_lane)?);
+                    }
 
                     // 2. Deadlines: a job still running `round_deadline`
                     // rounds past admission is cancelled through the
@@ -559,8 +594,8 @@ impl Service {
                         let deadline = rj.spec.round_deadline.expect("checked above");
                         for mid in 0..machines {
                             view.with_mail(mid, |wave, inbox| {
-                                wave.remove(rj.id);
-                                inbox.retain(|(_, m)| m.job() != rj.id);
+                                wave.remove(rj.lanes.start);
+                                inbox.retain(|(_, m)| !rj.lanes.contains(&m.lane()));
                             });
                         }
                         if let Some(sink) = cluster.trace_sink() {
@@ -658,11 +693,12 @@ impl Service {
                                 );
                             }
                             Description::Wave {
-                                programs, finish, ..
+                                instances, finish, ..
                             } => {
                                 qj.state.lock().unwrap().status = JobStatus::Running;
                                 let job = RunningJob {
                                     id: qj.id,
+                                    lanes: 0..0,
                                     shares,
                                     admitted_round: round,
                                     state: qj.state,
@@ -672,10 +708,10 @@ impl Service {
                                 };
                                 let link = Link {
                                     job,
-                                    programs,
+                                    instances,
                                     rngs,
                                 };
-                                running.push(link.admit(view, wave_round));
+                                running.push(link.admit(view, wave_round, next_lane)?);
                             }
                         }
                     }
@@ -701,7 +737,7 @@ impl Service {
                     let mut waves = outcome.programs;
                     for job in std::mem::take(&mut running) {
                         let lanes = (waves.iter_mut())
-                            .map(|wave| wave.remove(job.id).expect(HAS_LANE))
+                            .map(|wave| wave.remove(job.lanes.start).expect(HAS_LANE))
                             .collect();
                         let large = large.expect(HAS_LARGE);
                         retire(cluster, &mut records, &mut links, job, lanes, large, round);

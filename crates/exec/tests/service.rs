@@ -753,6 +753,51 @@ fn unknown_names_are_rejected_at_submit() {
     assert_eq!(svc.queued(), 0);
 }
 
+/// A parameter a description cannot run with is turned away at submit,
+/// with nothing enqueued, instead of panicking the whole drain at
+/// admission; the innocent jobs around it drain `Completed`, and the same
+/// spec run solo returns the error too.
+#[test]
+fn invalid_parameters_are_rejected_at_submit_and_solo() {
+    let g = Arc::new(weighted_graph());
+    let bad = [
+        JobSpec::new("spanner", Arc::clone(&g)).spanner_k(1),
+        JobSpec::new("spanner-weighted", Arc::clone(&g)).spanner_k(0),
+        JobSpec::new("mst-approx", Arc::clone(&g)).epsilon(0.0),
+        JobSpec::new("mst-approx", Arc::clone(&g)).epsilon(f64::NAN),
+        JobSpec::new("mst-approx", Arc::clone(&g)).epsilon(f64::INFINITY),
+        JobSpec::new("mincut-approx", Arc::clone(&g)).epsilon(1.5),
+        JobSpec::new("mincut-approx", Arc::clone(&g)).epsilon(0.0),
+    ];
+    let mut svc = Service::new(config(&g, 3));
+    let before = svc
+        .submit(JobSpec::new("mis", Arc::clone(&g)).seed(1))
+        .unwrap();
+    for spec in &bad {
+        let rejected = svc.submit(spec.clone());
+        assert!(
+            matches!(rejected, Err(ExecError::Algorithm { .. })),
+            "{} {:?} was accepted",
+            spec.name,
+            spec.params
+        );
+        let solo = registry::run_job(spec, &mut Cluster::new(config(&g, 3)), ExecMode::Serial);
+        assert!(
+            matches!(solo, Err(ExecError::Algorithm { .. })),
+            "{}",
+            spec.name
+        );
+    }
+    assert_eq!(svc.queued(), 1, "a rejected spec was enqueued");
+    let after = svc
+        .submit(JobSpec::new("mst-approx", Arc::clone(&g)).seed(2))
+        .unwrap();
+    let run = svc.run(ExecMode::Serial).expect("service run");
+    assert_eq!(run.records.len(), 2);
+    assert_eq!(before.status(), JobStatus::Completed);
+    assert_eq!(after.status(), JobStatus::Completed);
+}
+
 #[test]
 fn empty_weighted_spanner_completes_without_entering_the_wave() {
     let g = Arc::new(Graph::new(8, Vec::new()));
