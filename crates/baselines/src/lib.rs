@@ -22,8 +22,9 @@
 //! classic `O(log n)`-type algorithms. Table 1's contrast needs baselines
 //! whose rounds *grow with n*; these provide that shape honestly, and the
 //! gap they show against the heterogeneous algorithms is therefore an
-//! upper bound on the regime's capability, not a straw man — EXPERIMENTS.md
-//! reports the asymptotics of the best known algorithms alongside.
+//! upper bound on the regime's capability, not a straw man — Table 1
+//! (`experiments -- table1`, DESIGN.md §4) quotes the asymptotics of the
+//! best known algorithms alongside.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

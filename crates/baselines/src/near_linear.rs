@@ -27,21 +27,22 @@ pub fn near_linear_config(n: usize, m: usize, seed: u64) -> ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_core::{common, mst};
+    use mpc_core::mst;
+    use mpc_exec::{registry, ExecMode, JobSpec};
     use mpc_graph::generators;
     use mpc_runtime::Cluster;
 
     #[test]
     fn near_linear_mst_uses_fewer_rounds_than_heterogeneous() {
         let g = generators::gnm(256, 256 * 24, 3).with_random_weights(1 << 20, 3);
+        let spec = JobSpec::new("mst", g.clone());
 
         let mut het = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(3));
-        let input = common::distribute_edges(&het, &g);
-        mst::heterogeneous_mst(&mut het, g.n(), input).unwrap();
+        registry::run_job(&spec, &mut het, ExecMode::Serial).unwrap();
 
         let mut nl = Cluster::new(near_linear_config(g.n(), g.m(), 3));
-        let input = common::distribute_edges(&nl, &g);
-        let r = mst::heterogeneous_mst(&mut nl, g.n(), input).unwrap();
+        let r = registry::run_job(&spec, &mut nl, ExecMode::Serial).unwrap();
+        let r = r.into_mst().unwrap();
         assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
         assert!(
             nl.rounds() <= het.rounds(),

@@ -56,7 +56,8 @@ pub fn sublinear_components(
 
 /// The 1-vs-2-cycle baseline: counts components the sublinear way and
 /// reports `true` for a single cycle. Rounds grow with `log n` — the
-/// contrast to [`mpc_core::ported::one_vs_two_cycles`]'s `O(1)`.
+/// contrast to the `O(1)` rounds of the heterogeneous connectivity port
+/// (the `connectivity` registry entry).
 ///
 /// # Errors
 ///

@@ -6,9 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpc_baselines::sublinear::{distribute_all, sublinear_config, sublinear_mst};
-use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
+use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_core::spanner::baswana_sen;
-use mpc_core::{common, matching, mst, ported, spanner};
+use mpc_exec::{registry, ExecMode, JobSpec};
 use mpc_graph::generators;
 use mpc_runtime::{Cluster, ClusterConfig};
 use std::hint::black_box;
@@ -20,48 +20,48 @@ fn bench_table1(c: &mut Criterion) {
 
     let g = generators::gnm(256, 4096, 1).with_random_weights(1 << 16, 1);
     group.bench_function("het_mst_n256_m4096", |b| {
+        let spec = JobSpec::new("mst", g.clone());
+        let config = || ClusterConfig::new(g.n(), g.m()).seed(1);
         b.iter(|| {
-            let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(1));
-            let input = common::distribute_edges(&cluster, &g);
-            black_box(mst::heterogeneous_mst(&mut cluster, g.n(), input).unwrap());
+            black_box(
+                registry::run_job(&spec, &mut Cluster::new(config()), ExecMode::Serial).unwrap(),
+            )
         })
     });
 
     let gu = generators::gnm(256, 4096, 1);
     group.bench_function("het_spanner_k3_n256", |b| {
+        let spec = JobSpec::new("spanner", gu.clone()).spanner_k(3);
+        let config = || {
+            ClusterConfig::new(gu.n(), gu.m())
+                .seed(1)
+                .polylog_exponent(1.6)
+        };
         b.iter(|| {
-            let mut cluster = Cluster::new(
-                ClusterConfig::new(gu.n(), gu.m())
-                    .seed(1)
-                    .polylog_exponent(1.6),
-            );
-            let input = common::distribute_edges(&cluster, &gu);
-            black_box(spanner::heterogeneous_spanner(&mut cluster, gu.n(), &input, 3).unwrap());
+            black_box(
+                registry::run_job(&spec, &mut Cluster::new(config()), ExecMode::Serial).unwrap(),
+            )
         })
     });
 
     group.bench_function("het_matching_n256", |b| {
+        let spec = JobSpec::new("matching", gu.clone());
+        let config = || ClusterConfig::new(gu.n(), gu.m()).seed(1);
         b.iter(|| {
-            let mut cluster = Cluster::new(ClusterConfig::new(gu.n(), gu.m()).seed(1));
-            let input = common::distribute_edges(&cluster, &gu);
-            black_box(matching::heterogeneous_matching(&mut cluster, gu.n(), &input).unwrap());
+            black_box(
+                registry::run_job(&spec, &mut Cluster::new(config()), ExecMode::Serial).unwrap(),
+            )
         })
     });
 
     let gc = generators::gnm(128, 384, 1);
     group.bench_function("het_connectivity_n128", |b| {
+        let spec = JobSpec::new("connectivity", gc.clone());
+        let config = || sketch_friendly_config(gc.n(), gc.m(), 1);
         b.iter(|| {
-            let mut cluster = Cluster::new(sketch_friendly_config(gc.n(), gc.m(), 1));
-            let input = common::distribute_edges(&cluster, &gc);
             black_box(
-                ported::heterogeneous_connectivity(
-                    &mut cluster,
-                    gc.n(),
-                    &input,
-                    &ConnectivityConfig::for_n(gc.n()),
-                )
-                .unwrap(),
-            );
+                registry::run_job(&spec, &mut Cluster::new(config()), ExecMode::Serial).unwrap(),
+            )
         })
     });
     group.finish();
@@ -74,10 +74,13 @@ fn bench_mst_scaling(c: &mut Criterion) {
     for &density in &[8usize, 64] {
         let g = generators::gnm(512, 512 * density, 2).with_random_weights(1 << 18, 2);
         group.bench_function(format!("het_mst_density_{density}"), |b| {
+            let spec = JobSpec::new("mst", g.clone());
+            let config = || ClusterConfig::new(g.n(), g.m()).seed(2);
             b.iter(|| {
-                let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(2));
-                let input = common::distribute_edges(&cluster, &g);
-                black_box(mst::heterogeneous_mst(&mut cluster, g.n(), input).unwrap());
+                black_box(
+                    registry::run_job(&spec, &mut Cluster::new(config()), ExecMode::Serial)
+                        .unwrap(),
+                )
             })
         });
     }

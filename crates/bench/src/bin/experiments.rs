@@ -26,7 +26,7 @@ fn main() {
         }
     }
     println!("# het-mpc experiment suite");
-    println!("# (markdown tables; see EXPERIMENTS.md for the paper-vs-measured record)");
+    println!("# (markdown tables; DESIGN.md §4 indexes the experiments)");
     let started = std::time::Instant::now();
     for name in selected {
         let t0 = std::time::Instant::now();

@@ -1,6 +1,6 @@
-//! The experiment implementations (index: DESIGN.md §3).
+//! The experiment implementations (index: DESIGN.md §4).
 //!
-//! Every experiment prints markdown tables whose rows feed EXPERIMENTS.md.
+//! Every experiment prints markdown tables; DESIGN.md §4 indexes them.
 //! Independent repetitions run on crossbeam scoped threads — the
 //! simulator is deterministic per seed, so parallelism never changes
 //! results, only wall-clock.
@@ -13,13 +13,9 @@ use mpc_baselines::sublinear::{
 };
 use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_core::spanner::baswana_sen;
-use mpc_core::{common, matching, mst, ported, spanner};
+use mpc_core::{common, matching, mst, spanner};
 use mpc_graph::{generators, Graph};
 use mpc_runtime::{Cluster, ClusterConfig, Topology};
-
-fn het_cluster(g: &Graph, seed: u64) -> Cluster {
-    Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed))
-}
 
 /// Runs a registry algorithm on its preferred heterogeneous engine cluster
 /// (the algorithm's declared polylog headroom), returning the output and
@@ -40,11 +36,21 @@ fn run_registry(
             .seed(seed)
             .polylog_exponent(polylog),
     );
-    let input = common::distribute_edges(&c, g);
-    let algo_input = tweak(mpc_exec::AlgoInput::new(g.n(), &input));
-    let out = mpc_exec::registry::run(name, &mut c, &algo_input, mpc_exec::ExecMode::Parallel)
-        .expect("registry run");
+    let out = run_on(name, &mut c, g, tweak);
     (out, c.rounds())
+}
+
+/// [`run_registry`] on a cluster the caller configured.
+fn run_on(
+    name: &str,
+    c: &mut Cluster,
+    g: &Graph,
+    tweak: impl for<'a> FnOnce(mpc_exec::AlgoInput<'a>) -> mpc_exec::AlgoInput<'a>,
+) -> mpc_exec::AlgoOutput {
+    let input = common::distribute_edges(c, g);
+    let algo_input = tweak(mpc_exec::AlgoInput::new(g.n(), &input));
+    mpc_exec::registry::run(name, c, &algo_input, mpc_exec::ExecMode::Parallel)
+        .expect("registry run")
 }
 
 fn run_het_mst(g: &Graph, seed: u64) -> (mst::MstResult, u64) {
@@ -246,8 +252,9 @@ pub fn mst_scaling() {
         let g = generators::gnm(n, n * density, 7).with_random_weights(1 << 20, 7);
         // Tight collection budget: the doubly-exponential schedule shows.
         let mut c = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(7).mem_constant(3.0));
-        let input = common::distribute_edges(&c, &g);
-        let r = mst::heterogeneous_mst(&mut c, g.n(), input).unwrap();
+        let r = run_on("mst", &mut c, &g, |i| i)
+            .into_mst()
+            .expect("mst output");
         assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
         let (phases, sub_rounds) = run_sub_mst(&g, 7);
         t.rowd(&[
@@ -316,18 +323,13 @@ pub fn spanner() {
         "measured stretch",
     ]);
     for &k in &[2usize, 3, 4, 6] {
-        let mut c = Cluster::new(
-            ClusterConfig::new(g.n(), g.m())
-                .seed(9)
-                .polylog_exponent(1.6),
-        );
-        let input = common::distribute_edges(&c, &g);
-        let r = spanner::heterogeneous_spanner(&mut c, g.n(), &input, k).unwrap();
+        let (out, rounds) = run_registry("spanner", &g, 9, |i| i.spanner_k(k));
+        let r = out.into_spanner().expect("spanner output");
         let rep = mpc_graph::verify_spanner(&g, &r.spanner, Some(16), 1);
         let norm = r.spanner.m() as f64 / (n as f64).powf(1.0 + 1.0 / k as f64);
         t.rowd(&[
             k.to_string(),
-            c.rounds().to_string(),
+            rounds.to_string(),
             r.spanner.m().to_string(),
             format!("{norm:.2}"),
             (6 * k - 1).to_string(),
@@ -341,15 +343,10 @@ pub fn spanner() {
     for &exp in &[8usize, 9, 10] {
         let n = 1 << exp;
         let g = generators::gnm(n, n * 12, 4);
-        let mut c = Cluster::new(
-            ClusterConfig::new(g.n(), g.m())
-                .seed(4)
-                .polylog_exponent(1.6),
-        );
-        let input = common::distribute_edges(&c, &g);
-        let r = spanner::heterogeneous_spanner(&mut c, g.n(), &input, 3).unwrap();
+        let (out, rounds) = run_registry("spanner", &g, 4, |i| i.spanner_k(3));
+        let r = out.into_spanner().expect("spanner output");
         let norm = r.spanner.m() as f64 / (n as f64).powf(4.0 / 3.0);
-        t.rowd(&[n.to_string(), c.rounds().to_string(), format!("{norm:.2}")]);
+        t.rowd(&[n.to_string(), rounds.to_string(), format!("{norm:.2}")]);
     }
     t.print();
 }
@@ -428,15 +425,14 @@ pub fn matching() {
     ]);
     for &density in &[2usize, 4, 8, 16, 32] {
         let g = generators::gnm(n, n * density, 15);
-        let mut c = het_cluster(&g, 15);
-        let input = common::distribute_edges(&c, &g);
-        let r = matching::heterogeneous_matching(&mut c, n, &input).unwrap();
+        let (out, rounds) = run_registry("matching", &g, 15, |i| i);
+        let r = out.into_matching().expect("matching output");
         let mut cs = Cluster::new(sublinear_config(g.n(), g.m(), 15));
         let input = distribute_all(&cs, &g);
         sublinear_matching(&mut cs, &input).unwrap();
         t.rowd(&[
             density.to_string(),
-            c.rounds().to_string(),
+            rounds.to_string(),
             r.stats.phase1_iterations.to_string(),
             r.stats.high_vertices.to_string(),
             cs.rounds().to_string(),
@@ -449,16 +445,14 @@ pub fn matching() {
     for &exp in &[8usize, 9, 10] {
         let n = 1 << exp;
         let g = generators::chung_lu(n, n * 3, 2.2, exp as u64);
-        let mut c = het_cluster(&g, 17);
-        let input = common::distribute_edges(&c, &g);
-        matching::heterogeneous_matching(&mut c, n, &input).unwrap();
+        let (_, rounds) = run_registry("matching", &g, 17, |i| i);
         let mut cs = Cluster::new(sublinear_config(g.n(), g.m(), 17));
         let input = distribute_all(&cs, &g);
         sublinear_matching(&mut cs, &input).unwrap();
         t.rowd(&[
             n.to_string(),
             g.max_degree().to_string(),
-            c.rounds().to_string(),
+            rounds.to_string(),
             cs.rounds().to_string(),
         ]);
     }
@@ -498,7 +492,8 @@ pub fn apsp() {
     let mut t = Table::new(&["n", "build rounds", "stretch bound", "measured stretch"]);
     for &n in &[128usize, 256, 384] {
         let g = generators::gnm(n, n * 6, 23);
-        let (oracle, rounds) = spanner::apsp::oracle_for_graph(&g, 23).unwrap();
+        let (out, rounds) = run_registry("apsp", &g, 23, |i| i);
+        let (oracle, _) = out.into_apsp().expect("apsp output");
         let measured = spanner::apsp::measured_stretch(&g, &oracle, 16);
         t.rowd(&[
             n.to_string(),
@@ -681,8 +676,8 @@ pub fn two_vs_one() {
                 generators::two_cycles(n, exp as u64)
             };
             let mut c = Cluster::new(sketch_friendly_config(n, n, 1));
-            let input = common::distribute_edges(&c, &g);
-            let one = ported::one_vs_two_cycles(&mut c, n, &input).unwrap();
+            let comps = run_on("connectivity", &mut c, &g, |i| i);
+            let one = comps.into_components().expect("components output").count == 1;
             assert_eq!(one, which == 0);
             het = het.max(c.rounds());
 
@@ -908,7 +903,7 @@ const BATCH_COLLAPSE_FACTOR: u64 = 5;
 /// instances as the lanes of one wave, so their
 /// caps are the theorems' *parallel* figures; the gate additionally fails
 /// unless batching collapses their measured rounds by
-/// ≥[`BATCH_COLLAPSE_FACTOR`]× against the sequential compositions' round
+/// ≥ `BATCH_COLLAPSE_FACTOR` (5)× against the sequential compositions' round
 /// counts — committed figures in `BENCH_rounds.json`, measured when the
 /// sequential forms still ran.
 ///

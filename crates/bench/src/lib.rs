@@ -4,8 +4,7 @@
 //! problems across three memory regimes) and **Figure 1** (original vs.
 //! modified Baswana–Sen behaviour); every theorem additionally gets a
 //! scaling experiment so the *shape* of each claimed bound is measured.
-//! The experiment index lives in `DESIGN.md §3`; results are recorded in
-//! `EXPERIMENTS.md`.
+//! The experiment index lives in `DESIGN.md` §4.
 //!
 //! Run everything:
 //!

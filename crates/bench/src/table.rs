@@ -1,5 +1,5 @@
 //! Minimal aligned-table printer (markdown-compatible output, so rows can
-//! be pasted into EXPERIMENTS.md verbatim).
+//! be pasted into an experiments log verbatim).
 
 /// A simple text table.
 #[derive(Debug, Default)]

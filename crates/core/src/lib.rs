@@ -12,9 +12,13 @@
 //! | §5, Thm 5.1, Thm 5.5 | [`matching`] | maximal matching in rounds depending only on the *average* degree; `O(1/f)`-round filtering variant |
 //! | App C.1–C.5 | [`ported`] | `O(1)`-round connectivity / (1+ε)-MST / min-cuts / (Δ+1)-coloring, `O(log log Δ)` MIS |
 //!
-//! Every algorithm takes a [`mpc_runtime::Cluster`] plus the sharded input
-//! edges, runs under strict capacity enforcement, and returns its result
-//! together with the measured round count (via `cluster.rounds()`).
+//! The engine's programs in `mpc-exec` run every algorithm through its
+//! registry; this crate holds their mathematics — the result types and the
+//! local steps each machine role runs. MST's cluster-owning loop
+//! ([`mst::heterogeneous_mst`]) still runs on its own: it takes a
+//! [`mpc_runtime::Cluster`] plus the sharded input edges, runs under strict
+//! capacity enforcement, and returns its result together with the measured
+//! round count (via `cluster.rounds()`).
 //!
 //! # Example: exact MST on a heterogeneous cluster
 //!

@@ -1,8 +1,9 @@
 //! Maximal matching in the heterogeneous model (§5).
 //!
-//! [`heterogeneous_matching`] is the paper's three-phase algorithm
-//! (Theorem 5.1), whose round complexity depends only on the **average**
-//! degree `d = 2m/n` — not on `n` or on the maximum degree Δ:
+//! The paper's three-phase algorithm (Theorem 5.1), whose round complexity
+//! depends only on the **average** degree `d = 2m/n` — not on `n` or on the
+//! maximum degree Δ — runs as the engine's matching program in `mpc-exec`,
+//! from the steps here:
 //!
 //! * **Phase 1** — a maximal matching `M₁` of the subgraph induced by the
 //!   low-degree vertices (`deg ≤ d²`), computed on the small machines alone
@@ -20,13 +21,10 @@
 pub mod filtering;
 pub mod peeling;
 
-use crate::common;
 use mpc_graph::matching::Matching;
 use mpc_graph::{Edge, VertexId};
-use mpc_runtime::primitives::{aggregate_by_key, gather_to, lookup, sum_to, top_t_per_key};
-use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
-use rand::Rng;
-use std::collections::{HashMap, HashSet};
+use mpc_runtime::ModelViolation;
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -134,226 +132,4 @@ pub fn greedy_extend(
         }
     }
     m2_edges
-}
-
-/// Runs the three-phase maximal-matching algorithm (Theorem 5.1).
-///
-/// # Errors
-///
-/// [`MatchingError::Model`] on capacity violations;
-/// [`MatchingError::ResidualOverflow`] in the unlikely event the Phase-3
-/// residual exceeds its `O(n)` bound.
-pub fn heterogeneous_matching(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-) -> Result<MatchingResult, MatchingError> {
-    let large = cluster.large().expect("matching requires a large machine");
-    let owners = common::owners(cluster);
-    let m = edges.total_len();
-    let mut stats = MatchingStats::default();
-    if m == 0 {
-        return Ok(MatchingResult {
-            matching: Matching::new(),
-            stats,
-        });
-    }
-    let (d, threshold) = degree_split(n, m);
-    stats.average_degree = d;
-    stats.threshold = threshold;
-
-    // Degrees at owners (aggregation), mirrored to the large machine.
-    let mut deg_items: ShardedVec<(VertexId, u32)> = ShardedVec::new(cluster);
-    for mid in 0..edges.machines() {
-        let shard = deg_items.shard_mut(mid);
-        for e in edges.shard(mid) {
-            shard.push((e.u, 1));
-            shard.push((e.v, 1));
-        }
-    }
-    let deg_at_owner =
-        aggregate_by_key(cluster, "match.degree", &deg_items, &owners, |a, b| a + b)?;
-    let deg_pairs = gather_to(cluster, "match.degree-up", &deg_at_owner, large)?;
-    let deg: HashMap<VertexId, u32> = deg_pairs.iter().copied().collect();
-    let high: HashSet<VertexId> = deg
-        .iter()
-        .filter(|(_, &dv)| dv as usize > threshold)
-        .map(|(&v, _)| v)
-        .collect();
-    stats.high_vertices = high.len();
-
-    // Edge classification on the small machines needs endpoint degrees.
-    let requests = common::endpoint_requests(cluster, edges, |e| (e.u, e.v));
-    let local_deg = lookup(cluster, "match.deg-look", &deg_at_owner, &requests, &owners)?;
-    let mut low_edges: ShardedVec<Edge> = ShardedVec::new(cluster);
-    for mid in 0..edges.machines() {
-        let dl: HashMap<VertexId, u32> = local_deg.shard(mid).iter().copied().collect();
-        let shard = low_edges.shard_mut(mid);
-        for e in edges.shard(mid) {
-            if dl[&e.u] as usize <= threshold && dl[&e.v] as usize <= threshold {
-                shard.push(*e);
-            }
-        }
-    }
-
-    // Phase 1: maximal matching of the low-degree subgraph.
-    let empty: ShardedVec<(VertexId, u32)> = ShardedVec::new(cluster);
-    let p1 = peeling::peeling_matching(cluster, &low_edges, &empty, "match.p1")?;
-    stats.phase1_iterations = p1.iterations;
-    let m1_edges = gather_to(cluster, "match.m1-up", &p1.matching, large)?;
-    stats.m1 = m1_edges.len();
-
-    // Phase 2: the large machine samples ~2d·log n random incident edges of
-    // every high-degree vertex (random ranks + top-t selection, exactly the
-    // paper's rank trick) and greedily extends the matching.
-    let t = phase2_t(cluster.capacity(large), n, d, high.len());
-    let mut high_items: ShardedVec<(VertexId, (u64, Edge))> = ShardedVec::new(cluster);
-    for mid in 0..edges.machines() {
-        let shard = high_items.shard_mut(mid);
-        for e in edges.shard(mid) {
-            for v in [e.u, e.v] {
-                if high.contains(&v) {
-                    let rank = cluster.rng(mid).random::<u64>();
-                    shard.push((v, (rank, *e)));
-                }
-            }
-        }
-    }
-    let sampled = top_t_per_key(
-        cluster,
-        "match.p2-sample",
-        &high_items,
-        &owners,
-        large,
-        |_| t,
-        |re| re.0,
-    )?;
-    // Greedy M2 over the sampled edges, seeded with M1's matched vertices.
-    let mut used: HashSet<VertexId> = HashSet::new();
-    for e in &m1_edges {
-        used.insert(e.u);
-        used.insert(e.v);
-    }
-    let m2_edges = greedy_extend(&sampled, &mut used);
-    stats.m2 = m2_edges.len();
-
-    // Phase 3: disseminate matched flags, count and collect the residual.
-    let matched_pairs: Vec<(VertexId, u32)> = {
-        let mut v: Vec<VertexId> = used.iter().copied().collect();
-        v.sort_unstable();
-        v.into_iter().map(|x| (x, 1)).collect()
-    };
-    let delivered = mpc_runtime::primitives::disseminate(
-        cluster,
-        "match.flags",
-        &matched_pairs,
-        large,
-        &requests,
-        &owners,
-    )?;
-    let mut residual: ShardedVec<Edge> = ShardedVec::new(cluster);
-    for mid in 0..edges.machines() {
-        let flag: HashSet<VertexId> = delivered.shard(mid).iter().map(|&(v, _)| v).collect();
-        let shard = residual.shard_mut(mid);
-        for e in edges.shard(mid) {
-            if !flag.contains(&e.u) && !flag.contains(&e.v) {
-                shard.push(*e);
-            }
-        }
-    }
-    let participants: Vec<usize> = (0..cluster.machines()).collect();
-    let counts: Vec<u64> = (0..cluster.machines())
-        .map(|mid| residual.shard(mid).len() as u64)
-        .collect();
-    let residual_count = sum_to(
-        cluster,
-        "match.residual-count",
-        &participants,
-        counts,
-        large,
-    )?;
-    stats.residual_edges = residual_count;
-    // The paper aborts above 2n; we use the volume the large machine can
-    // actually accept — the same O(n) bound with its real constant.
-    let abort_threshold = (cluster.capacity(large) / 4) as u64;
-    if residual_count > abort_threshold {
-        return Err(MatchingError::ResidualOverflow {
-            found: residual_count,
-            threshold: abort_threshold,
-        });
-    }
-    let residual_edges = gather_to(cluster, "match.residual-up", &residual, large)?;
-    let pre: Vec<VertexId> = used.iter().copied().collect();
-    let m3 = mpc_graph::matching::greedy_matching_over(n, residual_edges.iter().copied(), &pre);
-    stats.m3 = m3.len();
-
-    let mut all = m1_edges;
-    all.extend(m2_edges);
-    all.extend(m3.edges.iter().copied());
-    Ok(MatchingResult {
-        matching: Matching { edges: all },
-        stats,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mpc_graph::generators;
-    use mpc_graph::matching::is_maximal_matching;
-    use mpc_runtime::ClusterConfig;
-
-    fn run(g: &mpc_graph::Graph, seed: u64) -> (MatchingResult, u64) {
-        let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));
-        let input = common::distribute_edges(&cluster, g);
-        let r = heterogeneous_matching(&mut cluster, g.n(), &input).unwrap();
-        (r, cluster.rounds())
-    }
-
-    #[test]
-    fn matching_is_maximal_on_random_graphs() {
-        for seed in 0..4 {
-            let g = generators::gnm(120, 700, seed);
-            let (r, _) = run(&g, seed);
-            assert!(is_maximal_matching(&g, &r.matching), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn skewed_graphs_exercise_the_high_degree_path() {
-        // Power-law graph: a few very high degree vertices, low average.
-        let g = generators::chung_lu(300, 1800, 2.3, 5);
-        let (r, _) = run(&g, 5);
-        assert!(is_maximal_matching(&g, &r.matching));
-        assert!(
-            r.stats.high_vertices > 0,
-            "expected high-degree vertices; stats = {:?}",
-            r.stats
-        );
-    }
-
-    #[test]
-    fn star_graph_is_fully_high_degree_at_center() {
-        let g = generators::star(200);
-        let (r, _) = run(&g, 2);
-        assert!(is_maximal_matching(&g, &r.matching));
-        assert_eq!(r.matching.len(), 1); // a star admits one matched edge
-    }
-
-    #[test]
-    fn empty_graph() {
-        let g = mpc_graph::Graph::empty(10);
-        let mut cluster = Cluster::new(ClusterConfig::new(10, 1));
-        let input = common::distribute_edges(&cluster, &g);
-        let r = heterogeneous_matching(&mut cluster, 10, &input).unwrap();
-        assert!(r.matching.is_empty());
-    }
-
-    #[test]
-    fn stats_add_up() {
-        let g = generators::gnm(150, 2000, 8);
-        let (r, _) = run(&g, 8);
-        assert_eq!(r.matching.len(), r.stats.m1 + r.stats.m2 + r.stats.m3);
-        assert!(r.stats.average_degree > 1.0);
-    }
 }

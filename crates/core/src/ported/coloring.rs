@@ -18,13 +18,9 @@
 //!   randomized-greedy list coloring with restarts (fresh seed per restart,
 //!   each restart costing one extra broadcast + gather round).
 
-use crate::common;
 use mpc_graph::coloring::Color;
 use mpc_graph::{Edge, VertexId};
-use mpc_runtime::primitives::{aggregate_by_key, broadcast, gather_to};
-use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Result of the coloring port.
@@ -56,7 +52,7 @@ pub fn palette_size_for(n: usize) -> usize {
 }
 
 /// Whether `e` is a *conflict edge* under `seed`: its endpoints' palettes
-/// intersect, so it could be monochromatic. Shared by both paths.
+/// intersect, so it could be monochromatic.
 pub fn edge_conflicts(seed: u64, e: &Edge, delta: u32, palette_size: usize) -> bool {
     let pu = palette(seed, e.u, delta, palette_size);
     let pv = palette(seed, e.v, delta, palette_size);
@@ -84,91 +80,6 @@ pub fn attempt_coloring(
 /// Restarts before the whole-graph gather fallback kicks in.
 pub const MAX_RESTARTS: usize = 16;
 
-/// Runs the ported (Δ+1)-coloring.
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode (conflict-edge volume is
-/// `Θ(n log² n)` words w.h.p., so use `polylog_exponent ≥ 2`).
-pub fn heterogeneous_coloring(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-) -> Result<ColoringResult, ModelViolation> {
-    let large = cluster.large().expect("coloring requires a large machine");
-    let owners = common::owners(cluster);
-    let targets = cluster.small_ids();
-
-    // Max degree Δ via aggregation.
-    let mut deg_items: ShardedVec<(VertexId, u32)> = ShardedVec::new(cluster);
-    for mid in 0..edges.machines() {
-        let shard = deg_items.shard_mut(mid);
-        for e in edges.shard(mid) {
-            shard.push((e.u, 1));
-            shard.push((e.v, 1));
-        }
-    }
-    let agg = aggregate_by_key(cluster, "color.deg", &deg_items, &owners, |a, b| a + b)?;
-    let deg_pairs = gather_to(cluster, "color.deg-up", &agg, large)?;
-    let delta = deg_pairs.iter().map(|&(_, d)| d).max().unwrap_or(0);
-    if delta == 0 {
-        return Ok(ColoringResult {
-            colors: vec![0; n],
-            conflict_edges: 0,
-            restarts: 0,
-        });
-    }
-    let palette_size = palette_size_for(n);
-
-    let mut restarts = 0usize;
-    loop {
-        // Broadcast the palette seed; machines derive palettes locally.
-        let seed: u64 = cluster.rng(large).random();
-        broadcast(cluster, "color.seed", large, &seed, &targets)?;
-
-        // Conflict edges: palettes of the endpoints intersect.
-        let mut conflicts: ShardedVec<Edge> = ShardedVec::new(cluster);
-        for mid in 0..edges.machines() {
-            let shard = conflicts.shard_mut(mid);
-            for e in edges.shard(mid) {
-                if edge_conflicts(seed, e, delta, palette_size) {
-                    shard.push(*e);
-                }
-            }
-        }
-        let conflict_edges = gather_to(cluster, "color.conflicts", &conflicts, large)?;
-        cluster.account("color.large", large, conflict_edges.len() * 2)?;
-
-        // Local: randomized-greedy list coloring of the conflict graph.
-        let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-        order.shuffle(cluster.rng(large));
-        if let Some(colors) =
-            attempt_coloring(n, &conflict_edges, seed, delta, palette_size, &order)
-        {
-            cluster.release("color.large");
-            return Ok(ColoringResult {
-                colors,
-                conflict_edges: conflict_edges.len(),
-                restarts,
-            });
-        }
-        cluster.release("color.large");
-        restarts += 1;
-        if restarts > MAX_RESTARTS {
-            // Degenerate instance (e.g. tiny Δ with adversarial palettes):
-            // fall back to gathering the whole graph, which must then fit.
-            let all = gather_to(cluster, "color.fallback", edges, large)?;
-            let g = mpc_graph::Graph::new(n, all);
-            let colors = mpc_graph::coloring::greedy_coloring(&g, &[]);
-            return Ok(ColoringResult {
-                colors,
-                conflict_edges: g.m(),
-                restarts,
-            });
-        }
-    }
-}
-
 fn intersects(a: &[Color], b: &[Color]) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -185,34 +96,36 @@ fn intersects(a: &[Color], b: &[Color]) -> bool {
 mod tests {
     use super::*;
     use mpc_graph::coloring::{color_count, is_proper_coloring};
-    use mpc_graph::generators;
-    use mpc_runtime::ClusterConfig;
+    use mpc_graph::{generators, Graph};
 
-    fn run(g: &mpc_graph::Graph, seed: u64) -> (ColoringResult, u64) {
-        let mut cluster = Cluster::new(
-            ClusterConfig::new(g.n(), g.m().max(1))
-                .seed(seed)
-                .polylog_exponent(2.0),
-        );
-        let input = common::distribute_edges(&cluster, g);
-        let r = heterogeneous_coloring(&mut cluster, g.n(), &input).unwrap();
-        (r, cluster.rounds())
+    /// The large machine's steps: conflict edges under a palette seed, one
+    /// list-coloring attempt per seed until one completes.
+    fn color(g: &Graph) -> (Vec<Color>, usize) {
+        let delta = g.max_degree() as u32;
+        let size = palette_size_for(g.n());
+        let order: Vec<VertexId> = (0..g.n() as VertexId).collect();
+        (0..=MAX_RESTARTS as u64)
+            .find_map(|seed| {
+                let conflicts: Vec<Edge> = (g.edges().iter())
+                    .filter(|e| edge_conflicts(seed, e, delta, size))
+                    .copied()
+                    .collect();
+                let colors = attempt_coloring(g.n(), &conflicts, seed, delta, size, &order)?;
+                Some((colors, conflicts.len()))
+            })
+            .expect("a restart completes")
     }
 
     #[test]
     fn colorings_are_proper_and_within_delta_plus_one() {
         for seed in 0..4 {
             let g = generators::gnm(100, 900, seed);
-            let (r, _) = run(&g, seed);
-            assert!(is_proper_coloring(&g, &r.colors), "seed {seed}");
+            let (colors, _) = color(&g);
+            // Non-conflict edges have disjoint palettes: proper on all of G.
+            assert!(is_proper_coloring(&g, &colors), "seed {seed}");
+            assert!(color_count(&colors) <= g.max_degree() + 1, "seed {seed}");
             assert!(
-                color_count(&r.colors) <= g.max_degree() + 1,
-                "seed {seed}: {} colors for Δ = {}",
-                color_count(&r.colors),
-                g.max_degree()
-            );
-            assert!(
-                r.colors.iter().all(|&c| c as usize <= g.max_degree()),
+                colors.iter().all(|&c| c as usize <= g.max_degree()),
                 "colors must come from {{0..Δ}}"
             );
         }
@@ -221,29 +134,23 @@ mod tests {
     #[test]
     fn dense_graphs_have_few_conflicts_relative_to_m() {
         let g = generators::gnm(128, 4000, 7);
-        let (r, _) = run(&g, 7);
-        assert!(is_proper_coloring(&g, &r.colors));
+        let (colors, conflicts) = color(&g);
+        assert!(is_proper_coloring(&g, &colors));
         assert!(
-            r.conflict_edges < g.m(),
-            "conflict graph ({}) should be sparser than G ({})",
-            r.conflict_edges,
+            conflicts < g.m(),
+            "conflict graph ({conflicts}) should be sparser than G ({})",
             g.m()
         );
     }
 
     #[test]
     fn empty_graph_gets_one_color() {
-        let g = mpc_graph::Graph::empty(5);
-        let mut cluster = Cluster::new(ClusterConfig::new(5, 1));
-        let input = common::distribute_edges(&cluster, &g);
-        let r = heterogeneous_coloring(&mut cluster, 5, &input).unwrap();
-        assert_eq!(r.colors, vec![0; 5]);
+        assert_eq!(color(&Graph::empty(5)).0, vec![0; 5]);
     }
 
     #[test]
     fn star_graph_colors_center_differently() {
         let g = generators::star(64);
-        let (r, _) = run(&g, 3);
-        assert!(is_proper_coloring(&g, &r.colors));
+        assert!(is_proper_coloring(&g, &color(&g).0));
     }
 }

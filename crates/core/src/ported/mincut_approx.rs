@@ -5,19 +5,15 @@
 //! `p = Θ(log n / (ε²·λ))` every cut of the skeleton concentrates within
 //! `(1±ε)` of `p` times its true weight, so `min-cut(skeleton)/p` is a
 //! `(1±ε)` estimate. Since `λ` is unknown, all `O(log W·n)` geometric
-//! guesses run in parallel (here: sequentially, with the parallel round
-//! figure reported — this legacy loop survives as the equivalence oracle
-//! for the engine's batched path in `mpc_exec`, which runs every guess as
-//! a lane of one wave and achieves the parallel figure for real); the
-//! right guess is the sparsest skeleton that is still
+//! guesses run in parallel (the engine's `mincut-approx` runs every guess
+//! as a lane of one wave, and gathers the whole graph if every guess
+//! fails); the right guess is the sparsest skeleton that is still
 //! connected and has `Ω(log n/ε²)` min degree — coarser guesses
 //! under-sample and disconnect, finer ones only waste memory. As the paper
 //! notes, the whole procedure reduces to connectivity plus one local
 //! min-cut computation on the large machine.
 
 use mpc_graph::{Edge, VertexId};
-use mpc_runtime::primitives::{gather_to, sum_to};
-use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
 use rand::Rng;
 
 /// Result of the approximate min-cut.
@@ -69,8 +65,7 @@ pub enum SkeletonVerdict {
     Estimate(f64),
 }
 
-/// The local computation on a gathered skeleton, shared by the legacy loop
-/// body and the engine program: the skeleton's minimum cut value
+/// The large machine's local computation on a gathered skeleton: the skeleton's minimum cut value
 /// ([`mpc_graph::mincut::min_cut_weight`], which also reports a skeleton
 /// that does not connect all `n` vertices) and the concentration threshold.
 /// Skeleton endpoints are vertices of the input graph, `< n`, and the value
@@ -88,90 +83,8 @@ pub fn evaluate_skeleton(n: usize, sk: &[(Edge, u32)], c_sample: f64, p: f64) ->
     SkeletonVerdict::Estimate(weight as f64 / p)
 }
 
-/// Estimates the weighted minimum cut within `(1±ε)` w.h.p.
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode. Returns an estimate of 0
-/// for disconnected inputs.
-pub fn approximate_min_cut(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-    epsilon: f64,
-) -> Result<ApproxMinCut, ModelViolation> {
-    assert!(
-        (0.0..1.0).contains(&epsilon) && epsilon > 0.0,
-        "epsilon in (0,1)"
-    );
-    let large = cluster.large().expect("min cut requires a large machine");
-    let total_weight: u64 = edges.iter().map(|(_, e)| e.w).sum();
-    let c_sample = c_sample_for(n, epsilon);
-    let guesses = lambda_guesses(total_weight);
-
-    let participants: Vec<usize> = (0..cluster.machines()).collect();
-    let mut parallel_rounds = 0u64;
-    for guess in guesses {
-        let before = cluster.rounds();
-        let p = (c_sample / guess as f64).min(1.0);
-        // Weighted skeleton: an edge of weight w contributes Binomial(w, p)
-        // unweighted copies.
-        let mut skeleton: ShardedVec<(Edge, u32)> = ShardedVec::new(cluster);
-        for mid in 0..edges.machines() {
-            let shard = skeleton.shard_mut(mid);
-            for e in edges.shard(mid) {
-                let copies = sample_binomial(cluster.rng(mid), e.w, p);
-                if copies > 0 {
-                    shard.push((*e, copies));
-                }
-            }
-        }
-        // Volume check before gathering (abort this guess if oversampled).
-        let counts: Vec<u64> = (0..cluster.machines())
-            .map(|mid| skeleton.shard(mid).len() as u64)
-            .collect();
-        let total = sum_to(cluster, "xcut.count", &participants, counts, large)?;
-        let budget = skeleton_budget(cluster.capacity(large));
-        if total > budget {
-            // Finer guesses only get denser; the current estimate stands.
-            parallel_rounds = parallel_rounds.max(cluster.rounds() - before);
-            break;
-        }
-        let sk = gather_to(cluster, "xcut.gather", &skeleton, large)?;
-        cluster.account("xcut.large", large, sk.len() * 3)?;
-        parallel_rounds = parallel_rounds.max(cluster.rounds() - before);
-        // Local: connectivity + minimum cut value of the skeleton multigraph.
-        let verdict = evaluate_skeleton(n, &sk, c_sample, p);
-        cluster.release("xcut.large");
-        match verdict {
-            SkeletonVerdict::Disconnected | SkeletonVerdict::NotConcentrated => continue,
-            SkeletonVerdict::Estimate(estimate) => {
-                return Ok(ApproxMinCut {
-                    estimate,
-                    lambda_guess: guess,
-                    skeleton_edges: sk.len(),
-                    parallel_rounds,
-                });
-            }
-        }
-    }
-    // All guesses failed to produce a connected, concentrated skeleton:
-    // either the graph is disconnected (estimate 0) or tiny — fall back to
-    // gathering everything if it fits.
-    let all = gather_to(cluster, "xcut.fallback", edges, large)?;
-    let g = mpc_graph::Graph::new(n, all);
-    let est = mpc_graph::mincut::min_cut(&g).map_or(0.0, |m| m.weight as f64);
-    Ok(ApproxMinCut {
-        estimate: est,
-        lambda_guess: 1,
-        skeleton_edges: g.m(),
-        parallel_rounds,
-    })
-}
-
 /// Samples Binomial(w, p) with the per-machine RNG (w is small in practice;
-/// the loop is local computation and therefore free in the model). Public
-/// so the engine program draws the identical per-edge sequence.
+/// the loop is local computation and therefore free in the model).
 pub fn sample_binomial(rng: &mut rand::rngs::SmallRng, w: u64, p: f64) -> u32 {
     if p >= 1.0 {
         return w.min(u32::MAX as u64) as u32;
@@ -202,48 +115,17 @@ fn standard_normal(rng: &mut rand::rngs::SmallRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common;
     use mpc_graph::generators;
-    use mpc_runtime::ClusterConfig;
-
-    fn run(g: &mpc_graph::Graph, eps: f64, seed: u64) -> ApproxMinCut {
-        let mut cluster = Cluster::new(
-            ClusterConfig::new(g.n(), g.m())
-                .seed(seed)
-                .polylog_exponent(1.6),
-        );
-        let input = common::distribute_edges(&cluster, g);
-        approximate_min_cut(&mut cluster, g.n(), &input, eps).unwrap()
-    }
-
-    #[test]
-    fn estimates_weighted_planted_cuts() {
-        let g = generators::planted_cut(20, 0.8, 4, 1).with_random_weights(8, 1);
-        let exact = mpc_graph::mincut::min_cut(&g).unwrap().weight as f64;
-        let r = run(&g, 0.3, 1);
-        assert!(
-            r.estimate >= exact * 0.5 && r.estimate <= exact * 1.7,
-            "estimate {} vs exact {exact}",
-            r.estimate
-        );
-    }
-
-    #[test]
-    fn dense_unweighted_graph() {
-        let g = generators::gnm(48, 700, 3);
-        let exact = mpc_graph::mincut::min_cut(&g).unwrap().weight as f64;
-        let r = run(&g, 0.3, 3);
-        assert!(
-            (r.estimate - exact).abs() <= exact * 0.7 + 3.0,
-            "estimate {} vs exact {exact}",
-            r.estimate
-        );
-    }
 
     #[test]
     fn disconnected_graph_estimates_zero() {
-        let g = generators::random_forest(40, 2, 2); // a forest has cut 0
-        let r = run(&g, 0.4, 2);
-        assert_eq!(r.estimate, 0.0);
+        // A forest has cut 0: even its densest skeleton (every edge kept)
+        // is disconnected, so no guess estimates and the whole-graph
+        // fallback's cut is 0.
+        let g = generators::random_forest(40, 2, 2);
+        let sk: Vec<(Edge, u32)> = g.edges().iter().map(|&e| (e, 1)).collect();
+        let verdict = evaluate_skeleton(g.n(), &sk, c_sample_for(g.n(), 0.4), 1.0);
+        assert_eq!(verdict, SkeletonVerdict::Disconnected);
+        assert!(mpc_graph::mincut::min_cut(&g).is_none_or(|m| m.weight == 0));
     }
 }

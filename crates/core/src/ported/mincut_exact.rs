@@ -17,12 +17,7 @@
 //! trials amplify. Every trial's answer is a real cut, so the minimum over
 //! trials is an upper bound that equals the true min cut w.h.p.
 
-use crate::common;
-use mpc_graph::{DisjointSets, Edge, VertexId};
-use mpc_runtime::primitives::{aggregate_by_key, gather_to, top_t_per_key};
-use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
-use rand::Rng;
-use std::collections::HashMap;
+use mpc_graph::VertexId;
 
 /// Result of the exact min-cut port.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,8 +46,7 @@ pub enum TrialOutcome {
     Disconnected,
 }
 
-/// Step 3's local computation, shared by the legacy loop body and the
-/// engine program: index the contracted multigraph `(pair → multiplicity)`
+/// Step 3's local computation on the large machine: index the contracted multigraph `(pair → multiplicity)`
 /// and take its minimum cut value. `components` is the contracted vertex
 /// count (the component count after both contraction steps) — a contracted
 /// vertex with no incident crossing edge is an isolated component, so
@@ -84,190 +78,71 @@ pub fn evaluate_contraction(
     }
 }
 
-/// Runs `trials` independent contraction trials and returns the best cut.
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode.
-pub fn heterogeneous_min_cut(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-    trials: usize,
-) -> Result<MinCutResult, ModelViolation> {
-    let large = cluster.large().expect("min cut requires a large machine");
-    let owners = common::owners(cluster);
-
-    // Degrees → min degree δ (singleton cuts are exact and free to check).
-    let mut deg_items: ShardedVec<(VertexId, u32)> = ShardedVec::new(cluster);
-    for mid in 0..edges.machines() {
-        let shard = deg_items.shard_mut(mid);
-        for e in edges.shard(mid) {
-            shard.push((e.u, 1));
-            shard.push((e.v, 1));
-        }
-    }
-    let deg_at_owner = aggregate_by_key(cluster, "cut.degree", &deg_items, &owners, |a, b| a + b)?;
-    let deg_pairs = gather_to(cluster, "cut.degree-up", &deg_at_owner, large)?;
-    let delta = deg_pairs.iter().map(|&(_, d)| d).min().unwrap_or(0).max(1);
-    let mut best = u128::from(delta);
-    let mut singleton = true;
-    let mut trial_sizes = Vec::new();
-
-    for _trial in 0..trials {
-        // Step 1: 2-out — random-rank top-2 incident edges per vertex.
-        let mut items: ShardedVec<(VertexId, (u64, Edge))> = ShardedVec::new(cluster);
-        for mid in 0..edges.machines() {
-            let shard = items.shard_mut(mid);
-            for e in edges.shard(mid) {
-                let r1 = cluster.rng(mid).random::<u64>();
-                let r2 = cluster.rng(mid).random::<u64>();
-                shard.push((e.u, (r1, *e)));
-                shard.push((e.v, (r2, *e)));
-            }
-        }
-        let two_out = top_t_per_key(cluster, "cut.2out", &items, &owners, large, |_| 2, |x| x.0)?;
-        let mut dsu = DisjointSets::new(n);
-        for (_v, es) in &two_out {
-            for (_r, e) in es {
-                dsu.union(e.u, e.v);
-            }
-        }
-
-        // Step 2: disseminate labels; sample surviving edges w.p. 1/(2δ).
-        let p = step2_probability(delta);
-        let labels = mpc_graph::traversal::components_from_dsu(&mut dsu);
-        let label_pairs: Vec<(VertexId, VertexId)> = (0..n as VertexId)
-            .map(|v| (v, labels.label[v as usize]))
-            .collect();
-        let requests = common::endpoint_requests(cluster, edges, |e| (e.u, e.v));
-        let delivered = mpc_runtime::primitives::disseminate(
-            cluster,
-            "cut.labels",
-            &label_pairs,
-            large,
-            &requests,
-            &owners,
-        )?;
-        let mut extra: ShardedVec<Edge> = ShardedVec::new(cluster);
-        for mid in 0..edges.machines() {
-            let lab: HashMap<VertexId, VertexId> = delivered.shard(mid).iter().copied().collect();
-            let shard = extra.shard_mut(mid);
-            for e in edges.shard(mid) {
-                if lab[&e.u] != lab[&e.v] && cluster.rng(mid).random_bool(p) {
-                    shard.push(*e);
-                }
-            }
-        }
-        let extra_edges = gather_to(cluster, "cut.sample", &extra, large)?;
-        for e in &extra_edges {
-            dsu.union(e.u, e.v);
-        }
-        let labels = mpc_graph::traversal::components_from_dsu(&mut dsu);
-
-        // Step 3: contracted multigraph with multiplicities via aggregation.
-        let label_pairs: Vec<(VertexId, VertexId)> = (0..n as VertexId)
-            .map(|v| (v, labels.label[v as usize]))
-            .collect();
-        let delivered = mpc_runtime::primitives::disseminate(
-            cluster,
-            "cut.labels2",
-            &label_pairs,
-            large,
-            &requests,
-            &owners,
-        )?;
-        let mut multi: ShardedVec<((u32, u32), u64)> = ShardedVec::new(cluster);
-        for mid in 0..edges.machines() {
-            let lab: HashMap<VertexId, VertexId> = delivered.shard(mid).iter().copied().collect();
-            let shard = multi.shard_mut(mid);
-            for e in edges.shard(mid) {
-                let (a, b) = (lab[&e.u], lab[&e.v]);
-                if a != b {
-                    shard.push(((a.min(b), a.max(b)), 1));
-                }
-            }
-        }
-        let agg = aggregate_by_key(cluster, "cut.multi", &multi, &owners, |a, b| a + b)?;
-        let pairs = gather_to(cluster, "cut.multi-up", &agg, large)?;
-        cluster.account("cut.large", large, pairs.len() * 3)?;
-
-        // Local minimum cut of the contracted multigraph.
-        let (sizes, outcome) = evaluate_contraction(labels.count, &pairs);
-        trial_sizes.push(sizes);
-        match outcome {
-            TrialOutcome::TooSmall => {}
-            TrialOutcome::Cut(w) => {
-                if w < best {
-                    best = w;
-                    singleton = false;
-                }
-            }
-            TrialOutcome::Disconnected => {
-                // Contracted graph disconnected ⇒ the input is disconnected.
-                best = 0;
-                singleton = false;
-            }
-        }
-        cluster.release("cut.large");
-    }
-    Ok(MinCutResult {
-        value: best,
-        singleton,
-        trial_sizes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_graph::generators;
-    use mpc_runtime::ClusterConfig;
+    use mpc_graph::{generators, DisjointSets, Edge, Graph};
 
-    fn run(g: &mpc_graph::Graph, trials: usize, seed: u64) -> (MinCutResult, u64) {
-        let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(seed));
-        let input = common::distribute_edges(&cluster, g);
-        let r = heterogeneous_min_cut(&mut cluster, g.n(), &input, trials).unwrap();
-        (r, cluster.rounds())
+    /// Step 3 on `g` with the edges `merged` contracted: the contracted
+    /// multigraph over component labels, as the owners aggregate it.
+    fn contracted(g: &Graph, merged: &[Edge]) -> TrialOutcome {
+        let mut dsu = DisjointSets::new(g.n());
+        for e in merged {
+            dsu.union(e.u, e.v);
+        }
+        let labels = mpc_graph::traversal::components_from_dsu(&mut dsu);
+        let label = |v: VertexId| labels.label[v as usize];
+        let mut pairs: Vec<((VertexId, VertexId), u64)> = Vec::new();
+        for e in g.edges() {
+            let (a, b) = (label(e.u), label(e.v));
+            if a != b {
+                pairs.push(((a.min(b), a.max(b)), 1));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup_by(|next, kept| {
+            next.0 == kept.0 && {
+                kept.1 += next.1;
+                true
+            }
+        });
+        evaluate_contraction(labels.count, &pairs).1
     }
 
     #[test]
     fn finds_planted_cuts() {
         for (bridge, seed) in [(2usize, 1u64), (3, 2), (4, 3)] {
             let g = generators::planted_cut(24, 0.7, bridge, seed);
-            let (r, _) = run(&g, 8, seed);
             let want = mpc_graph::mincut::min_cut(&g).unwrap().weight;
-            assert_eq!(r.value, want, "bridge {bridge} seed {seed}");
+            assert_eq!(
+                contracted(&g, &[]),
+                TrialOutcome::Cut(want),
+                "bridge {bridge}"
+            );
         }
     }
 
     #[test]
     fn singleton_cut_is_immediate() {
-        // A pendant vertex: min cut 1 via the degree check alone.
+        // A pendant vertex: min cut 1.
         let mut edges: Vec<Edge> = generators::complete(8).edges().to_vec();
         edges.push(Edge::unweighted(0, 8));
-        let g = mpc_graph::Graph::new(9, edges);
-        let (r, _) = run(&g, 4, 5);
-        assert_eq!(r.value, 1);
+        assert_eq!(contracted(&Graph::new(9, edges), &[]), TrialOutcome::Cut(1));
     }
 
     #[test]
     fn never_underestimates() {
-        // Every reported value is a real cut, so value >= true min cut.
+        // Contraction only merges sides, so every trial's cut is a real
+        // cut of the input: value >= true min cut.
         for seed in 0..4 {
             let g = generators::gnm(40, 160, seed);
-            let (r, _) = run(&g, 3, seed);
             let want = mpc_graph::mincut::min_cut(&g).map_or(0, |m| m.weight);
-            assert!(r.value >= want, "seed {seed}: {} < {want}", r.value);
-        }
-    }
-
-    #[test]
-    fn contraction_shrinks_the_graph() {
-        let g = generators::gnm(120, 2000, 9);
-        let (r, _) = run(&g, 2, 9);
-        for &(nv, _ne) in &r.trial_sizes {
-            assert!(nv < 120 / 4, "contraction left {nv} vertices");
+            let merged: Vec<Edge> = g.edges().iter().step_by(5).copied().collect();
+            match contracted(&g, &merged) {
+                TrialOutcome::Cut(w) => assert!(w >= want, "seed {seed}: {w} < {want}"),
+                TrialOutcome::Disconnected => assert_eq!(want, 0, "seed {seed}"),
+                TrialOutcome::TooSmall => {}
+            }
         }
     }
 }

@@ -14,10 +14,7 @@
 //! equals the sequential greedy MIS under `π` — always a correct MIS, with
 //! the round bound being the probabilistic part.
 
-use crate::common;
 use mpc_graph::{Edge, VertexId};
-use mpc_runtime::primitives::{aggregate_by_key, gather_to, lookup, sum_to};
-use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
 use rand::seq::SliceRandom;
 
 /// Result of the MIS port.
@@ -32,8 +29,7 @@ pub struct MisResult {
 }
 
 /// Draws the uniform permutation `π` and its rank array — the algorithm's
-/// single random draw, shared by the legacy path and the engine port so
-/// both consume the large machine's RNG stream identically.
+/// single random draw, from the large machine's RNG stream.
 pub fn permutation_ranks(rng: &mut rand::rngs::SmallRng, n: usize) -> (Vec<VertexId>, Vec<u32>) {
     let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
     perm.shuffle(rng);
@@ -83,7 +79,7 @@ fn adjacency(edges: &[Edge]) -> std::collections::HashMap<VertexId, Vec<VertexId
 
 /// Extends the greedy-by-`π` MIS over the prefix of ranks `< t`, given the
 /// batch of surviving conflicts among the prefix. Returns the vertices that
-/// joined. Shared by the legacy loop body and the engine program.
+/// joined.
 pub fn greedy_extend_prefix(
     perm: &[VertexId],
     rank: &[u32],
@@ -120,7 +116,7 @@ pub fn greedy_extend_prefix(
 
 /// The final sweep: the greedy over all still-undecided, non-dominated
 /// vertices, with `rest` being the surviving live edges. Sequentially
-/// consistent with the batched greedy. Shared by both paths.
+/// consistent with the batched greedy.
 pub fn final_sweep(
     perm: &[VertexId],
     rank: &[u32],
@@ -143,256 +139,71 @@ pub fn final_sweep(
     }
 }
 
-/// Runs the ported MIS algorithm.
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode.
-pub fn heterogeneous_mis(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-) -> Result<MisResult, ModelViolation> {
-    let large = cluster.large().expect("MIS requires a large machine");
-    let owners = common::owners(cluster);
-    let participants: Vec<usize> = (0..cluster.machines()).collect();
-
-    // Permutation ranks, drawn by the large machine and disseminated.
-    let (perm, rank) = permutation_ranks(cluster.rng(large), n);
-    let rank_pairs: Vec<(VertexId, u32)> =
-        (0..n as VertexId).map(|v| (v, rank[v as usize])).collect();
-    let requests = common::endpoint_requests(cluster, edges, |e| (e.u, e.v));
-    let ranks_delivered = mpc_runtime::primitives::disseminate(
-        cluster,
-        "mis.ranks",
-        &rank_pairs,
-        large,
-        &requests,
-        &owners,
-    )?;
-
-    // Live edges, each machine knowing its endpoints' ranks.
-    let mut live: ShardedVec<Edge> = ShardedVec::new(cluster);
-    let mut local_rank: Vec<std::collections::HashMap<VertexId, u32>> = (0..cluster.machines())
-        .map(|_| std::collections::HashMap::new())
-        .collect();
-    for mid in 0..edges.machines() {
-        local_rank[mid] = ranks_delivered.shard(mid).iter().copied().collect();
-        *live.shard_mut(mid) = edges.shard(mid).to_vec();
-    }
-
-    let delta = {
-        // Max degree via aggregation (needed for the prefix schedule).
-        let mut deg_items: ShardedVec<(VertexId, u32)> = ShardedVec::new(cluster);
-        for mid in 0..edges.machines() {
-            let shard = deg_items.shard_mut(mid);
-            for e in edges.shard(mid) {
-                shard.push((e.u, 1));
-                shard.push((e.v, 1));
-            }
-        }
-        let agg = aggregate_by_key(cluster, "mis.deg", &deg_items, &owners, |a, b| a + b)?;
-        let pairs = gather_to(cluster, "mis.deg-up", &agg, large)?;
-        pairs.iter().map(|&(_, d)| d).max().unwrap_or(1).max(2)
-    };
-
-    // Prefix thresholds: t_i = n / Δ^(α^i), α = 3/4, until the prefix is V.
-    let thresholds = prefix_thresholds(n, delta);
-
-    let mut in_mis: Vec<bool> = vec![false; n];
-    let mut dominated_flag: Vec<bool> = vec![false; n];
-    let mut decided_upto = 0u32; // ranks below this are fully decided
-    let mut iterations = 0usize;
-    let mut batch_edges = Vec::new();
-    let budget = mis_budget(cluster.capacity(large));
-
-    for &t in &thresholds {
-        if decided_upto >= n as u32 {
-            break;
-        }
-        iterations += 1;
-        // Ship the residual edges with both endpoints in the prefix.
-        let mut batch: ShardedVec<Edge> = ShardedVec::new(cluster);
-        for mid in 0..live.machines() {
-            let shard = batch.shard_mut(mid);
-            for e in live.shard(mid) {
-                if local_rank[mid][&e.u] < t && local_rank[mid][&e.v] < t {
-                    shard.push(*e);
-                }
-            }
-        }
-        let counts: Vec<u64> = (0..cluster.machines())
-            .map(|mid| batch.shard(mid).len() as u64)
-            .collect();
-        let total = sum_to(cluster, "mis.count", &participants, counts, large)?;
-        batch_edges.push(total as usize);
-        if total as usize * 2 > budget {
-            // Residual prefix unexpectedly dense (low-probability event):
-            // skip to a smaller growth step by ending this iteration early.
-            continue;
-        }
-        let batch_edges_at_large = gather_to(cluster, "mis.batch", &batch, large)?;
-        cluster.account("mis.large", large, batch_edges_at_large.len() * 2)?;
-
-        // Local greedy by π over ranks [0, t), consistent with prior batches.
-        let newly = greedy_extend_prefix(
-            &perm,
-            &rank,
-            t,
-            decided_upto,
-            &dominated_flag,
-            &mut in_mis,
-            &batch_edges_at_large,
-        );
-        decided_upto = t;
-
-        // Prune: machines learn which vertices joined the MIS and drop every
-        // edge with an endpoint that is dominated or chosen.
-        let mis_pairs: Vec<(VertexId, u32)> = newly.iter().map(|&v| (v, 1)).collect();
-        let live_requests = common::endpoint_requests(cluster, &live, |e| (e.u, e.v));
-        let delivered = mpc_runtime::primitives::disseminate(
-            cluster,
-            "mis.newly",
-            &mis_pairs,
-            large,
-            &live_requests,
-            &owners,
-        )?;
-        // Dominated vertices: neighbors of MIS vertices (found locally, then
-        // shared through aggregation so every holder of the vertex knows).
-        let mut dominated_items: ShardedVec<(VertexId, u32)> = ShardedVec::new(cluster);
-        for mid in 0..live.machines() {
-            let chosen: std::collections::HashSet<VertexId> =
-                delivered.shard(mid).iter().map(|&(v, _)| v).collect();
-            let shard = dominated_items.shard_mut(mid);
-            for e in live.shard(mid) {
-                if chosen.contains(&e.u) {
-                    shard.push((e.v, 1));
-                    shard.push((e.u, 1));
-                }
-                if chosen.contains(&e.v) {
-                    shard.push((e.u, 1));
-                    shard.push((e.v, 1));
-                }
-            }
-        }
-        let dominated = aggregate_by_key(
-            cluster,
-            "mis.dominated",
-            &dominated_items,
-            &owners,
-            |a, b| a | b,
-        )?;
-        // Mirror domination to the large machine so the final sweep knows
-        // which undecided vertices are already covered.
-        let dom_pairs = gather_to(cluster, "mis.dominated-up", &dominated, large)?;
-        for &(v, _) in &dom_pairs {
-            dominated_flag[v as usize] = true;
-        }
-        let live_requests = common::endpoint_requests(cluster, &live, |e| (e.u, e.v));
-        let dom_local = lookup(
-            cluster,
-            "mis.dominated-look",
-            &dominated,
-            &live_requests,
-            &owners,
-        )?;
-        for mid in 0..live.machines() {
-            let dead: std::collections::HashSet<VertexId> =
-                dom_local.shard(mid).iter().map(|&(v, _)| v).collect();
-            live.shard_mut(mid)
-                .retain(|e| !dead.contains(&e.u) && !dead.contains(&e.v));
-        }
-        cluster.release("mis.large");
-
-        // The paper's stop rule: once the residual graph fits the large
-        // machine, skip the remaining prefixes — the final sweep gathers it
-        // whole. This is what makes O(log log Δ) iterations suffice.
-        let live_counts: Vec<u64> = (0..cluster.machines())
-            .map(|mid| live.shard(mid).len() as u64)
-            .collect();
-        let live_total = sum_to(cluster, "mis.live-count", &participants, live_counts, large)?;
-        if (live_total as usize) * 2 <= budget {
-            break;
-        }
-    }
-
-    // Final sweep: gather whatever live edges remain (small w.h.p.) and run
-    // the greedy over all still-undecided, non-dominated vertices. Edges
-    // between two such vertices are exactly the surviving live edges, so
-    // this is sequentially consistent with the batched greedy.
-    let rest = gather_to(cluster, "mis.final", &live, large)?;
-    final_sweep(
-        &perm,
-        &rank,
-        decided_upto,
-        &dominated_flag,
-        &mut in_mis,
-        &rest,
-    );
-    let mis: Vec<VertexId> = (0..n as VertexId).filter(|&v| in_mis[v as usize]).collect();
-    Ok(MisResult {
-        mis,
-        iterations,
-        batch_edges,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_graph::generators;
-    use mpc_graph::mis::is_maximal_independent_set;
-    use mpc_runtime::ClusterConfig;
+    use mpc_graph::mis::{greedy_mis, is_maximal_independent_set};
+    use mpc_graph::{generators, Graph};
+    use rand::SeedableRng;
 
-    fn run(g: &mpc_graph::Graph, seed: u64) -> (MisResult, u64) {
-        let mut cluster = Cluster::new(
-            ClusterConfig::new(g.n(), g.m().max(1))
-                .seed(seed)
-                .polylog_exponent(1.6),
-        );
-        let input = common::distribute_edges(&cluster, g);
-        let r = heterogeneous_mis(&mut cluster, g.n(), &input).unwrap();
-        (r, cluster.rounds())
+    /// The large machine's steps over the whole prefix schedule, the small
+    /// machines' pruning done in place: each prefix ships the live edges
+    /// inside it, and the final sweep takes what stays live.
+    fn mis(g: &Graph, seed: u64) -> (Vec<VertexId>, Vec<VertexId>) {
+        let n = g.n();
+        let (perm, rank) = permutation_ranks(&mut rand::rngs::SmallRng::seed_from_u64(seed), n);
+        let (mut in_mis, mut dominated) = (vec![false; n], vec![false; n]);
+        let mut live = g.edges().to_vec();
+        let mut decided_upto = 0;
+        for t in prefix_thresholds(n, (g.max_degree() as u32).max(2)) {
+            let inside = |e: &&Edge| rank[e.u as usize] < t && rank[e.v as usize] < t;
+            let batch: Vec<Edge> = live.iter().filter(inside).copied().collect();
+            greedy_extend_prefix(
+                &perm,
+                &rank,
+                t,
+                decided_upto,
+                &dominated,
+                &mut in_mis,
+                &batch,
+            );
+            decided_upto = t;
+            for e in &live {
+                if in_mis[e.u as usize] || in_mis[e.v as usize] {
+                    (dominated[e.u as usize], dominated[e.v as usize]) = (true, true);
+                }
+            }
+            live.retain(|e| !dominated[e.u as usize] && !dominated[e.v as usize]);
+        }
+        final_sweep(&perm, &rank, decided_upto, &dominated, &mut in_mis, &live);
+        let set = (0..n as VertexId).filter(|&v| in_mis[v as usize]).collect();
+        (set, perm)
+    }
+
+    /// Batched greedy-by-`π` equals the sequential greedy under `π`.
+    fn check(g: &Graph, seed: u64) -> Vec<VertexId> {
+        let (set, perm) = mis(g, seed);
+        let mut greedy = greedy_mis(g, &perm);
+        greedy.sort_unstable();
+        assert_eq!(set, greedy, "seed {seed}");
+        assert!(is_maximal_independent_set(g, &set), "seed {seed}");
+        set
     }
 
     #[test]
     fn produces_maximal_independent_sets() {
         for seed in 0..4 {
-            let g = generators::gnm(120, 900, seed);
-            let (r, _) = run(&g, seed);
-            assert!(
-                is_maximal_independent_set(&g, &r.mis),
-                "seed {seed}: {:?}",
-                r.mis.len()
-            );
+            check(&generators::gnm(120, 900, seed), seed);
         }
     }
 
     #[test]
     fn handles_high_degree_graphs() {
-        let g = generators::star(300);
-        let (r, _) = run(&g, 1);
-        assert!(is_maximal_independent_set(&g, &r.mis));
-    }
-
-    #[test]
-    fn iteration_count_is_doubly_logarithmic() {
-        let g = generators::gnm(256, 8000, 3); // Δ ≈ 60+
-        let (r, _) = run(&g, 3);
-        assert!(
-            r.iterations <= 12,
-            "expected O(log log Δ) iterations, got {}",
-            r.iterations
-        );
+        check(&generators::star(300), 1);
     }
 
     #[test]
     fn empty_graph_mis_is_everything() {
-        let g = mpc_graph::Graph::empty(8);
-        let mut cluster = Cluster::new(ClusterConfig::new(8, 1));
-        let input = common::distribute_edges(&cluster, &g);
-        let r = heterogeneous_mis(&mut cluster, 8, &input).unwrap();
-        assert_eq!(r.mis.len(), 8);
+        assert_eq!(check(&Graph::empty(8), 0).len(), 8);
     }
 }

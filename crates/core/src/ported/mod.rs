@@ -1,5 +1,6 @@
 //! Near-linear MPC algorithms ported to the heterogeneous model
-//! (Appendix C of the paper).
+//! (Appendix C of the paper): their result types and the local steps the
+//! engine's programs in `mpc-exec` run.
 //!
 //! Each of these was originally designed for the near-linear regime; the
 //! paper observes that a *single* near-linear machine suffices, because the
@@ -22,10 +23,3 @@ pub mod mincut_approx;
 pub mod mincut_exact;
 pub mod mis;
 pub mod mst_approx;
-
-pub use coloring::heterogeneous_coloring;
-pub use connectivity::{heterogeneous_connectivity, one_vs_two_cycles};
-pub use mincut_approx::approximate_min_cut;
-pub use mincut_exact::heterogeneous_min_cut;
-pub use mis::heterogeneous_mis;
-pub use mst_approx::approximate_mst_weight;

@@ -12,17 +12,8 @@
 //! geometrically spaced thresholds `τ_j = (1+ε)^j` over-counts each interval
 //! by at most a `(1+ε)` factor, giving a `(1+ε)`-approximation from
 //! `O(log_{1+ε} W)` connectivity instances — each the `O(1)`-round sketch
-//! connectivity of Theorem C.1, run **in parallel** in the paper. This
-//! legacy implementation runs them sequentially and reports both the sum
-//! of rounds and the parallel figure (max over instances); it survives as
-//! the equivalence oracle for the engine's batched path in `mpc_exec`,
-//! which runs every instance as a lane of one wave and achieves the
-//! parallel figure for real.
-
-use super::connectivity::{components_below_threshold, ConnectivityConfig};
-use crate::common;
-use mpc_graph::Edge;
-use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
+//! connectivity of Theorem C.1, run **in parallel** as in the paper: the
+//! engine's `mst-approx` runs every instance as a lane of one wave.
 
 /// Result of the MST-weight estimator.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,8 +28,7 @@ pub struct MstApprox {
     pub parallel_rounds: u64,
 }
 
-/// Geometric thresholds `1 = τ_0 < τ_1 < … ≥ W` on the `(1+ε)` grid —
-/// shared by the legacy path and the engine program.
+/// Geometric thresholds `1 = τ_0 < τ_1 < … ≥ W` on the `(1+ε)` grid.
 pub fn geometric_thresholds(w_max: u64, epsilon: f64) -> Vec<u64> {
     let mut thresholds: Vec<u64> = vec![1];
     loop {
@@ -54,7 +44,7 @@ pub fn geometric_thresholds(w_max: u64, epsilon: f64) -> Vec<u64> {
 
 /// The estimator formula on the geometric grid: each interval
 /// `[τ_j, τ_{j+1})` contributes `(τ_{j+1} − τ_j) · c_{τ_j}`, and the whole
-/// estimate is `n − W·c_W + Σ intervals`. Shared by both paths.
+/// estimate is `n − W·c_W + Σ intervals`.
 pub fn estimate_from_counts(
     n: usize,
     w_max: u64,
@@ -77,76 +67,37 @@ pub fn estimate_from_counts(
     n as f64 - (w_max as f64) * c_last as f64 + sum
 }
 
-/// Estimates the MSF weight within `(1+ε)` w.h.p.
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode.
-pub fn approximate_mst_weight(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-    epsilon: f64,
-) -> Result<MstApprox, ModelViolation> {
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    let w_max = edges.iter().map(|(_, e)| e.w).max().unwrap_or(1).max(1);
-    let thresholds = geometric_thresholds(w_max, epsilon);
-    let config = ConnectivityConfig::for_n(n);
-    let mut component_counts = Vec::with_capacity(thresholds.len());
-    let mut parallel_rounds = 0u64;
-    for &t in &thresholds {
-        let before = cluster.rounds();
-        let c = components_below_threshold(cluster, n, edges, t, &config)?;
-        parallel_rounds = parallel_rounds.max(cluster.rounds() - before);
-        component_counts.push(c);
-    }
-    let estimate = estimate_from_counts(n, w_max, &thresholds, &component_counts);
-    Ok(MstApprox {
-        estimate,
-        thresholds,
-        component_counts,
-        parallel_rounds,
-    })
-}
-
-/// Convenience wrapper used by tests and benches: builds a sketch-friendly
-/// cluster, distributes `g`, estimates.
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode.
-pub fn estimate_for_graph(
-    g: &mpc_graph::Graph,
-    epsilon: f64,
-    seed: u64,
-) -> Result<(MstApprox, u64), ModelViolation> {
-    let mut cluster = Cluster::new(super::connectivity::sketch_friendly_config(
-        g.n(),
-        g.m().max(1),
-        seed,
-    ));
-    let input = common::distribute_edges(&cluster, g);
-    let r = approximate_mst_weight(&mut cluster, g.n(), &input, epsilon)?;
-    Ok((r, cluster.rounds()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_graph::{generators, mst::kruskal};
+    use mpc_graph::traversal::connected_components;
+    use mpc_graph::{generators, mst::kruskal, Graph};
+
+    /// The estimator on exact threshold counts — what the sketches
+    /// recover w.h.p. — with the thresholds it evaluated.
+    fn estimate(g: &Graph, epsilon: f64) -> (f64, Vec<u64>) {
+        let w_max = g.edges().iter().map(|e| e.w).max().unwrap_or(1).max(1);
+        let thresholds = geometric_thresholds(w_max, epsilon);
+        let counts: Vec<usize> = (thresholds.iter())
+            .map(|&t| {
+                let light = g.edges().iter().filter(|e| e.w <= t).copied();
+                connected_components(&Graph::new(g.n(), light)).count
+            })
+            .collect();
+        let est = estimate_from_counts(g.n(), w_max, &thresholds, &counts);
+        (est, thresholds)
+    }
 
     #[test]
     fn estimate_is_close_to_exact_mst() {
         let g = generators::gnm(80, 400, 2).with_random_weights(32, 2);
         let exact = kruskal(&g).total_weight as f64;
-        let (r, _) = estimate_for_graph(&g, 0.25, 2).unwrap();
-        // Thresholded counts are exact (sketches are w.h.p. exact), so the
-        // only error is the geometric grid: within (1+ε) above, never below
+        let (est, _) = estimate(&g, 0.25);
+        // Only the geometric grid errs: within (1+ε) above, never below
         // by more than the grid slack.
         assert!(
-            r.estimate >= exact * 0.95 && r.estimate <= exact * 1.35,
-            "estimate {} vs exact {exact}",
-            r.estimate
+            est >= exact * 0.95 && est <= exact * 1.35,
+            "estimate {est} vs exact {exact}"
         );
     }
 
@@ -154,30 +105,12 @@ mod tests {
     fn unweighted_graph_estimate_equals_spanning_forest_size() {
         let g = generators::gnm(60, 150, 3); // all weights 1
         let exact = kruskal(&g).total_weight as f64;
-        let (r, _) = estimate_for_graph(&g, 0.5, 3).unwrap();
-        assert!(
-            (r.estimate - exact).abs() < 1e-9,
-            "{} vs {exact}",
-            r.estimate
-        );
+        let (est, _) = estimate(&g, 0.5);
+        assert!((est - exact).abs() < 1e-9, "{est} vs {exact}");
     }
 
     #[test]
     fn finer_epsilon_means_more_thresholds() {
-        let g = generators::gnm(40, 120, 4).with_random_weights(64, 4);
-        let (coarse, _) = estimate_for_graph(&g, 1.0, 4).unwrap();
-        let (fine, _) = estimate_for_graph(&g, 0.1, 4).unwrap();
-        assert!(fine.thresholds.len() > coarse.thresholds.len());
-    }
-
-    #[test]
-    fn parallel_rounds_are_constant() {
-        let g = generators::gnm(64, 200, 5).with_random_weights(16, 5);
-        let (r, _) = estimate_for_graph(&g, 0.5, 5).unwrap();
-        assert!(
-            r.parallel_rounds <= 12,
-            "parallel rounds {}",
-            r.parallel_rounds
-        );
+        assert!(geometric_thresholds(64, 0.1).len() > geometric_thresholds(64, 1.0).len());
     }
 }

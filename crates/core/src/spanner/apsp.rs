@@ -5,9 +5,7 @@
 //! further communication — an APSP *oracle* with multiplicative error
 //! `O(log n)` (6k−1 unweighted, 12k−1 weighted).
 
-use crate::common;
-use mpc_graph::{traversal, Edge, Graph, VertexId};
-use mpc_runtime::{Cluster, ModelViolation, ShardedVec};
+use mpc_graph::{traversal, Graph, VertexId};
 
 /// A distance oracle resident on the large machine.
 #[derive(Clone, Debug)]
@@ -21,8 +19,7 @@ pub struct ApspOracle {
 impl ApspOracle {
     /// Wraps an already-computed spanner as a distance oracle (the engine
     /// registry's `apsp` entry computes the spanner through the executor
-    /// and only needs the local indexing step done here;
-    /// [`build_apsp_oracle`] stays the call-style one-shot).
+    /// and only needs the local indexing step done here).
     pub fn from_spanner(spanner: Graph, stretch_bound: usize) -> Self {
         let adj = spanner.adjacency();
         ApspOracle {
@@ -57,29 +54,6 @@ impl ApspOracle {
     }
 }
 
-/// Builds the APSP oracle in `O(1)` rounds.
-///
-/// Uses the weighted spanner pipeline when the input has non-unit weights.
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode.
-pub fn build_apsp_oracle(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-) -> Result<ApspOracle, ModelViolation> {
-    let k = ApspOracle::stretch_parameter(n);
-    let weighted = edges.iter().any(|(_, e)| e.w != 1);
-    let result = if weighted {
-        super::heterogeneous_spanner_weighted(cluster, n, edges, k)?
-    } else {
-        super::heterogeneous_spanner(cluster, n, edges, k)?
-    };
-    let stretch_bound = if weighted { 12 * k - 1 } else { 6 * k - 1 };
-    Ok(ApspOracle::from_spanner(result.spanner, stretch_bound))
-}
-
 /// Measures the worst observed stretch of `oracle` against exact distances
 /// over `sources` BFS/Dijkstra sources (diagnostics for experiment E9).
 pub fn measured_stretch(g: &Graph, oracle: &ApspOracle, sources: usize) -> f64 {
@@ -102,55 +76,20 @@ pub fn measured_stretch(g: &Graph, oracle: &ApspOracle, sources: usize) -> f64 {
     worst
 }
 
-/// Convenience: distributes `g`, builds the oracle, returns it with the
-/// round count (used by examples and benches).
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode.
-pub fn oracle_for_graph(g: &Graph, seed: u64) -> Result<(ApspOracle, u64), ModelViolation> {
-    let mut cluster = Cluster::new(
-        mpc_runtime::ClusterConfig::new(g.n(), g.m().max(1))
-            .seed(seed)
-            .polylog_exponent(1.6),
-    );
-    let input = common::distribute_edges(&cluster, g);
-    let oracle = build_apsp_oracle(&mut cluster, g.n(), &input)?;
-    Ok((oracle, cluster.rounds()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_graph::generators;
 
     #[test]
-    fn oracle_stretch_is_within_the_log_bound() {
-        let g = generators::gnm(128, 512, 3);
-        let (oracle, rounds) = oracle_for_graph(&g, 3).unwrap();
-        let stretch = measured_stretch(&g, &oracle, 16);
-        assert!(
-            stretch <= oracle.stretch_bound as f64,
-            "stretch {stretch} exceeds bound {}",
-            oracle.stretch_bound
-        );
-        assert!(rounds > 0);
-    }
-
-    #[test]
-    fn weighted_oracle_works() {
-        let g = generators::gnm(96, 400, 5).with_random_weights(32, 5);
-        let (oracle, _) = oracle_for_graph(&g, 5).unwrap();
-        let stretch = measured_stretch(&g, &oracle, 12);
-        assert!(stretch <= oracle.stretch_bound as f64, "stretch {stretch}");
-    }
-
-    #[test]
     fn oracle_distances_match_dijkstra_on_its_own_spanner() {
         let g = generators::gnm(64, 256, 7);
-        let (oracle, _) = oracle_for_graph(&g, 7).unwrap();
+        let oracle = ApspOracle::from_spanner(g.clone(), 1);
         let d = oracle.distances_from(0);
         assert_eq!(d[0], 0);
         assert_eq!(oracle.distance(0, 5), d[5]);
+        assert_eq!(d, traversal::dijkstra(&g.adjacency(), 0));
+        // The graph is its own 1-spanner.
+        assert_eq!(measured_stretch(&g, &oracle, 8), 1.0);
     }
 }

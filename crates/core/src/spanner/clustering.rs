@@ -1,8 +1,8 @@
 //! Distributed construction of the clustering graphs `A_0 … A_{logΔ−1}`
 //! (Algorithm 5 / Lemma A.1, after Dory–Fischer–Khoury–Leitersdorf \[22\]).
 //!
-//! The pipeline (all `O(1)` rounds, levels and trials batched into shared
-//! exchanges):
+//! The pipeline the engine's spanner program runs from the steps here (all
+//! `O(1)` rounds, levels and trials batched into shared exchanges):
 //!
 //! 1. degrees via aggregation (Claim 2);
 //! 2. the large machine samples the candidate hitting sets `D^j_i`
@@ -19,10 +19,7 @@
 //!    `σ_u ≠ σ_v` contributes `(σ_u, σ_v)` to `E_i`, carrying its smallest
 //!    original witness edge (`E_G`, Lemma A.2).
 
-use crate::common;
 use mpc_graph::{Edge, VertexId};
-use mpc_runtime::primitives::{aggregate_by_key, gather_to, lookup};
-use mpc_runtime::{Cluster, MachineId, ModelViolation, ShardedVec};
 use rand::Rng;
 
 /// Number of independent hitting-set trials per level.
@@ -201,213 +198,12 @@ pub fn edge_level(du: u32, dv: u32, levels: usize) -> usize {
     level.min(levels - 1)
 }
 
-/// The distributed clustering-graph structure.
-#[derive(Debug)]
-pub struct ClusteringGraphs {
-    /// Number of levels (`⌈log₂ Δ⌉`, at least 1).
-    pub levels: usize,
-    /// Star edges `(u, σ_u)` — already spanner edges — owner-sharded.
-    pub star_edges: ShardedVec<Edge>,
-    /// Cluster edges with their smallest witness, owner-sharded by key.
-    pub cluster_edges: ShardedVec<(LevelEdgeKey, Edge)>,
-    /// Per-vertex `(σ_u, deg_u)`, owner-sharded (for lookups).
-    pub sigma: ShardedVec<(VertexId, (VertexId, u32))>,
-    /// `|E_i|` per level (known to the large machine).
-    pub level_edge_counts: Vec<usize>,
-    /// Approximate `|V_i|` per level: number of centers serving level `i`.
-    pub level_vertex_counts: Vec<usize>,
-}
-
-/// Builds the clustering graphs; see the module docs.
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode.
-pub fn build_clustering_graphs(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-) -> Result<ClusteringGraphs, ModelViolation> {
-    let large = cluster
-        .large()
-        .expect("clustering graphs need a large machine");
-    let owners = common::owners(cluster);
-
-    // Step 1: degrees (aggregation) → owners → large.
-    let mut deg_items: ShardedVec<(VertexId, u32)> = ShardedVec::new(cluster);
-    for mid in 0..edges.machines() {
-        let shard = deg_items.shard_mut(mid);
-        for e in edges.shard(mid) {
-            shard.push((e.u, 1));
-            shard.push((e.v, 1));
-        }
-    }
-    let deg_at_owner = aggregate_by_key(cluster, "cg.degree", &deg_items, &owners, |a, b| a + b)?;
-    let deg_pairs = gather_to(cluster, "cg.degree-up", &deg_at_owner, large)?;
-    let mut deg: Vec<u32> = vec![0; n];
-    for &(v, d) in &deg_pairs {
-        deg[v as usize] = d;
-    }
-    let delta = deg.iter().copied().max().unwrap_or(1);
-    let levels = levels_for_delta(delta);
-    assert!(
-        levels * HITTING_SET_TRIALS <= 60,
-        "mask packing supports log Δ · trials <= 60"
-    );
-
-    // Step 2: the large machine samples D^j_i (i >= 1) and disseminates
-    // per-vertex (deg, membership-mask) — O(polylog) bits per vertex.
-    let sampled = sample_hitting_masks(cluster.rng(large), n, levels);
-    let pairs: Vec<(VertexId, (u32, u64))> = (0..n as VertexId)
-        .filter(|&v| deg[v as usize] > 0)
-        .map(|v| (v, (deg[v as usize], sampled[v as usize])))
-        .collect();
-    let requests = common::endpoint_requests(cluster, edges, |e| (e.u, e.v));
-    let delivered = mpc_runtime::primitives::disseminate(
-        cluster, "cg.masks", &pairs, large, &requests, &owners,
-    )?;
-
-    // Step 3: coverage — for each vertex, OR of neighbors' sampled masks.
-    let mut cover_items: ShardedVec<(VertexId, u64)> = ShardedVec::new(cluster);
-    let mut local_info: Vec<std::collections::HashMap<VertexId, (u32, u64)>> = (0..cluster
-        .machines())
-        .map(|_| std::collections::HashMap::new())
-        .collect();
-    for mid in 0..cluster.machines() {
-        local_info[mid] = delivered
-            .shard(mid)
-            .iter()
-            .map(|&(v, dm)| (v, dm))
-            .collect();
-        let shard = cover_items.shard_mut(mid);
-        for e in edges.shard(mid) {
-            let mu = local_info[mid].get(&e.u).map_or(0, |x| x.1);
-            let mv = local_info[mid].get(&e.v).map_or(0, |x| x.1);
-            shard.push((e.u, mv));
-            shard.push((e.v, mu));
-        }
-    }
-    let cover_at_owner =
-        aggregate_by_key(cluster, "cg.cover", &cover_items, &owners, |a, b| a | b)?;
-    let cover_pairs = gather_to(cluster, "cg.cover-up", &cover_at_owner, large)?;
-    let mut covered: Vec<u64> = vec![0; n];
-    for &(v, c) in &cover_pairs {
-        covered[v as usize] = c;
-    }
-
-    // Large machine: additions, best trial per level, B_i masks.
-    // final D^j_i = sampled ∪ {u : deg(u) >= 2^i, not covered in D^j_i}.
-    let b_mask = finalize_b_masks(&deg, &sampled, &covered, levels);
-
-    // Step 4: disseminate B-masks; aggregate per-level min-neighbor-in-B.
-    let b_pairs: Vec<(VertexId, u64)> = (0..n as VertexId)
-        .filter(|&v| deg[v as usize] > 0)
-        .map(|v| (v, b_mask[v as usize]))
-        .collect();
-    let delivered_b = mpc_runtime::primitives::disseminate(
-        cluster, "cg.bmask", &b_pairs, large, &requests, &owners,
-    )?;
-    // Candidate neighbor per level: value = Vec<u32> (u32::MAX = none).
-    let mut cand_items: ShardedVec<(VertexId, Vec<u32>)> = ShardedVec::new(cluster);
-    for mid in 0..cluster.machines() {
-        let bm: std::collections::HashMap<VertexId, u64> =
-            delivered_b.shard(mid).iter().copied().collect();
-        let shard = edges.shard(mid);
-        let mask = |y: VertexId| bm.get(&y).copied().unwrap_or(0);
-        *cand_items.shard_mut(mid) =
-            min_neighbor_candidates(levels, shard, |i| (mask(shard[i].u), mask(shard[i].v)));
-    }
-    let cand_at_owner = aggregate_by_key(cluster, "cg.cands", &cand_items, &owners, |a, b| {
-        a.iter().zip(b).map(|(x, y)| (*x).min(*y)).collect()
-    })?;
-
-    // The owners need (deg, B-mask) of their vertices: one scatter from large.
-    let mut out = cluster.empty_outboxes::<(VertexId, (u32, u64))>();
-    for v in 0..n as VertexId {
-        if deg[v as usize] == 0 {
-            continue;
-        }
-        let dst = mpc_runtime::primitives::owner_of(&v, &owners);
-        out[large].push((dst, (v, (deg[v as usize], b_mask[v as usize]))));
-    }
-    let inboxes = cluster.exchange("cg.owner-info", out)?;
-    let mut sigma: ShardedVec<(VertexId, (VertexId, u32))> = ShardedVec::new(cluster);
-    let mut star_edges: ShardedVec<Edge> = ShardedVec::new(cluster);
-    let mut center_level_counts: Vec<usize> = vec![0; levels];
-    for (mid, inbox) in inboxes.into_iter().enumerate() {
-        let cands: std::collections::HashMap<VertexId, &Vec<u32>> = cand_at_owner
-            .shard(mid)
-            .iter()
-            .map(|(v, c)| (*v, c))
-            .collect();
-        for (_src, (v, (d, bmask))) in inbox {
-            let nbr = cands.get(&v).map(|c| c.as_slice());
-            // i_u = max level where v ∈ B_i or some neighbor ∈ B_i.
-            let (sigma_v, iu) = sigma_for(v, bmask, nbr, levels);
-            sigma.shard_mut(mid).push((v, (sigma_v, d)));
-            if sigma_v != v {
-                star_edges.shard_mut(mid).push(Edge::unweighted(v, sigma_v));
-            } else {
-                // v is a center: serves levels 0..=i_u (the paper's V_i).
-                for (lvl, count) in center_level_counts.iter_mut().enumerate().take(iu + 1) {
-                    let _ = lvl;
-                    *count += 1;
-                }
-            }
-        }
-    }
-    // Center counts were tallied owner-side in this simulation for
-    // reporting; physically each owner holds its share (they are summed
-    // here because the loop above already runs at the orchestrator level).
-
-    // Step 5: cluster edges. Machines look up (σ, deg) for their endpoints.
-    let sigma_of_endpoints = lookup(cluster, "cg.sigma", &sigma, &requests, &owners)?;
-    let mut level_items: ShardedVec<(LevelEdgeKey, Edge)> = ShardedVec::new(cluster);
-    for mid in 0..cluster.machines() {
-        let info: std::collections::HashMap<VertexId, (VertexId, u32)> =
-            sigma_of_endpoints.shard(mid).iter().copied().collect();
-        let shard = level_items.shard_mut(mid);
-        for e in edges.shard(mid) {
-            let (su, du) = info[&e.u];
-            let (sv, dv) = info[&e.v];
-            if su == sv {
-                continue;
-            }
-            let level = edge_level(du, dv, levels);
-            shard.push((level_edge_key(level, su, sv), *e));
-        }
-    }
-    let cluster_edges =
-        aggregate_by_key(cluster, "cg.level-edges", &level_items, &owners, |a, b| {
-            (*a).min(*b)
-        })?;
-    let mut level_edge_counts = vec![0usize; levels];
-    for (_mid, (key, _)) in cluster_edges.iter() {
-        level_edge_counts[unpack_level_edge(key).0] += 1;
-    }
-
-    Ok(ClusteringGraphs {
-        levels,
-        star_edges,
-        cluster_edges,
-        sigma,
-        level_edge_counts,
-        level_vertex_counts: center_level_counts,
-    })
-}
-
-/// Owners of the clustering structure (same as [`common::owners`]; re-export
-/// for the orchestrator).
-pub fn owners_of(cluster: &Cluster) -> Vec<MachineId> {
-    common::owners(cluster)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_graph::generators;
-    use mpc_runtime::ClusterConfig;
     use proptest::prelude::*;
+    use rand::SeedableRng;
     use std::collections::BTreeMap;
 
     /// The `BTreeMap` form [`min_neighbor_candidates`] replaced, kept as
@@ -456,96 +252,42 @@ mod tests {
         }
     }
 
-    fn build(g: &mpc_graph::Graph, seed: u64) -> (ClusteringGraphs, Cluster) {
-        let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(seed));
-        let input = common::distribute_edges(&cluster, g);
-        let cg = build_clustering_graphs(&mut cluster, g.n(), &input).unwrap();
-        (cg, cluster)
-    }
-
     #[test]
     fn key_packing_roundtrips() {
         let k = level_edge_key(5, 70, 3);
         assert_eq!(unpack_level_edge(&k), (5, 3, 70));
     }
 
-    #[test]
-    fn every_edge_is_covered_by_star_or_cluster_edge() {
-        // Lemma A.1 property 2: each edge lies in a star or yields a
-        // cluster edge — equivalently (σ_u = σ_v) ∨ ((σ_u, σ_v) ∈ E_i).
-        let g = generators::gnm(80, 400, 3);
-        let (cg, cluster) = build(&g, 3);
-        let mut sigma: std::collections::HashMap<VertexId, VertexId> =
-            std::collections::HashMap::new();
-        for (_m, (v, (s, _d))) in cg.sigma.iter() {
-            sigma.insert(*v, *s);
-        }
-        let cluster_pairs: std::collections::HashSet<(VertexId, VertexId)> = cg
-            .cluster_edges
-            .iter()
-            .map(|(_m, (k, _))| {
-                let (_, a, b) = unpack_level_edge(k);
-                (a, b)
-            })
-            .collect();
+    /// Steps 1–4 on one machine: `(v, σ_v)` for every vertex with an edge.
+    fn sigmas(g: &mpc_graph::Graph, seed: u64) -> Vec<(VertexId, VertexId)> {
+        let deg: Vec<u32> = g.degrees().into_iter().map(|d| d as u32).collect();
+        let levels = levels_for_delta(deg.iter().copied().max().unwrap_or(1));
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let sampled = sample_hitting_masks(&mut rng, g.n(), levels);
+        let mut covered = vec![0u64; g.n()];
         for e in g.edges() {
-            let su = sigma[&e.u];
-            let sv = sigma[&e.v];
-            if su == sv {
-                continue; // same star
-            }
-            let pair = (su.min(sv), su.max(sv));
-            assert!(
-                cluster_pairs.contains(&pair),
-                "edge {e:?} not represented: sigma=({su},{sv})"
-            );
+            covered[e.u as usize] |= sampled[e.v as usize];
+            covered[e.v as usize] |= sampled[e.u as usize];
         }
-        drop(cluster);
+        let b = finalize_b_masks(&deg, &sampled, &covered, levels);
+        let edges = g.edges();
+        let cands = min_neighbor_candidates(levels, edges, |i| {
+            (b[edges[i].u as usize], b[edges[i].v as usize])
+        });
+        (cands.iter())
+            .map(|(v, c)| (*v, sigma_for(*v, b[*v as usize], Some(c), levels).0))
+            .collect()
     }
 
     #[test]
     fn sigma_is_self_or_neighbor() {
         let g = generators::gnm(60, 240, 5);
-        let (cg, _cluster) = build(&g, 5);
         let adj = g.adjacency();
-        for (_m, (v, (s, _))) in cg.sigma.iter() {
-            if v != s {
-                assert!(
-                    adj.neighbors(*v).iter().any(|&(u, _)| u == *s),
-                    "sigma({v}) = {s} is not a neighbor"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn witness_edges_connect_the_right_clusters() {
-        let g = generators::gnm(70, 300, 7);
-        let (cg, _cluster) = build(&g, 7);
-        let mut sigma: std::collections::HashMap<VertexId, VertexId> =
-            std::collections::HashMap::new();
-        for (_m, (v, (s, _d))) in cg.sigma.iter() {
-            sigma.insert(*v, *s);
-        }
-        for (_m, (key, orig)) in cg.cluster_edges.iter() {
-            let (_lvl, a, b) = unpack_level_edge(key);
-            let (su, sv) = (sigma[&orig.u], sigma[&orig.v]);
-            assert_eq!(
-                (su.min(sv), su.max(sv)),
-                (a, b),
-                "witness {orig:?} does not connect clusters {a},{b}"
+        for (v, s) in sigmas(&g, 5) {
+            assert!(
+                v == s || adj.neighbors(v).iter().any(|&(u, _)| u == s),
+                "sigma({v}) = {s} is not a neighbor"
             );
         }
-    }
-
-    #[test]
-    fn level_sizes_decrease_in_center_count() {
-        // |V_i| should broadly shrink with i (hitting sets get sparser).
-        let g = generators::gnm(200, 3000, 11);
-        let (cg, _cluster) = build(&g, 11);
-        assert!(cg.levels >= 3);
-        let first = cg.level_vertex_counts[0].max(1);
-        let last = *cg.level_vertex_counts.last().unwrap();
-        assert!(last <= first);
     }
 }

@@ -13,12 +13,12 @@
 //! this bit-for-bit.
 //!
 //! The round loop is the engine's host-side hot path: round labels share
-//! one interned prefix ([`RoundLabel`](mpc_runtime::RoundLabel)), the
+//! one interned prefix ([`RoundLabel`]), the
 //! outbox list and the cluster's accounting scratch are reused through
 //! [`Cluster::exchange_into`](mpc_runtime::Cluster::exchange_into), and in
 //! [`ExecMode::Parallel`] the worker threads are spawned **once per run**
 //! ([`pool`](crate::pool)) instead of once per round. The loop reaches the
-//! machines through [`Slots`]: in [`ExecMode::Serial`] the driving thread
+//! machines through `Slots`: in [`ExecMode::Serial`] the driving thread
 //! owns them outright and steps and folds each machine in one pass; only
 //! the pool puts them behind (uncontended) locks, steps behind a barrier
 //! and folds afterwards in machine-id order — the same fold, on the same

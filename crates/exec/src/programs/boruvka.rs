@@ -13,7 +13,7 @@
 //!
 //! Ties break on the full [`weight_key`](Edge::weight_key) (weight, then
 //! endpoints), a total order, so the chosen edge set is the unique MSF of
-//! the perturbed weights — the same tie-breaking the legacy
+//! the perturbed weights — the same tie-breaking the MST loop
 //! [`heterogeneous_mst`](mpc_core::mst::heterogeneous_mst) uses, which is
 //! why the equivalence tests can compare edge sets, not just weights.
 //!

@@ -2,20 +2,20 @@
 //! palette sampling + conflict-graph list coloring) as a per-machine state
 //! machine.
 //!
-//! Same algorithm as the legacy call-style
-//! [`mpc_core::ported::heterogeneous_coloring`], in the coordinator shape
-//! of the [`combinators`](crate::combinators) layer. All randomness lives
-//! on the large machine (the palette seed, then the list-coloring order per
-//! attempt — the legacy draw order); the small machines derive palettes
-//! from the broadcast seed via the deterministic per-vertex PRF
-//! ([`palette`](mpc_core::ported::coloring::palette)) and ship only the
-//! conflict edges, so results, statistics, and RNG stream positions are
-//! bit-identical to the legacy path.
+//! Same algorithm as the legacy cluster-owning loop it replaced, in the
+//! coordinator shape of the [`combinators`](crate::combinators) layer.
+//! All randomness lives on the large machine (the palette seed, then the
+//! list-coloring order per attempt — the legacy draw order); the small
+//! machines derive palettes from the broadcast seed via the deterministic
+//! per-vertex PRF ([`palette`](mpc_core::ported::coloring::palette)) and
+//! ship only the conflict edges, so results, statistics, and RNG stream
+//! positions are bit-identical to the legacy path (the loop is gone; the
+//! golden `LEGACY_CASES` rows pin what it produced).
 //!
 //! Flow: degrees up (rounds 0–2), then per attempt: `Attempt{seed}`
 //! broadcast → conflict edges gathered two rounds later → local list
 //! coloring. A failed attempt restarts with a fresh seed; after
-//! [`MAX_RESTARTS`](mpc_core::ported::coloring::MAX_RESTARTS) the whole
+//! [`MAX_RESTARTS`] the whole
 //! graph is gathered and greedy-colored (the legacy fallback).
 
 use crate::combinators::{

@@ -1,7 +1,7 @@
 //! [`ConnectivityProgram`]: the paper's `O(1)`-round connectivity port
 //! (Theorem C.1) expressed as a per-machine state machine.
 //!
-//! Same mathematics as [`mpc_core::ported::heterogeneous_connectivity`],
+//! Same mathematics as the legacy cluster-owning loop it replaced,
 //! re-phased onto the program clock (`ctx.round`):
 //!
 //! | round | who    | does |
@@ -15,12 +15,12 @@
 //! into; a machine with nothing to send sends no batch, and a small machine
 //! with no local edge builds no sketch family.
 //!
-//! The three local steps are the kernels of [`mpc_sketch::connectivity`],
-//! shared with the legacy implementation. The seed is the large machine's
-//! **first** RNG draw — exactly what the legacy implementation draws — and
-//! sketch merging is field addition (commutative and associative), so the
-//! resulting components are *identical* to the legacy path on the same
-//! cluster seed, which the equivalence tests assert.
+//! The three local steps are the kernels of [`mpc_sketch::connectivity`].
+//! The seed is the large machine's **first** RNG draw — exactly what the
+//! legacy loop drew — and sketch merging is field addition (commutative
+//! and associative), so the resulting components are *identical* to the
+//! legacy path on the same cluster seed (the loop is gone; the golden
+//! `LEGACY_CASES` rows pin what it produced).
 
 use crate::machine::{MachineCtx, MachineProgram, StepOutcome};
 use mpc_core::ported::connectivity::ConnectivityConfig;

@@ -2,14 +2,14 @@
 //! Theorem 5.1 — low-degree peeling, high-degree sampling, residual finish)
 //! as a per-machine state machine.
 //!
-//! Same algorithm as the legacy call-style
-//! [`mpc_core::matching::heterogeneous_matching`], in the coordinator shape
-//! of the [`combinators`](crate::combinators) layer. Every random draw a
-//! small machine makes — the peeling edge ranks over the low-degree
-//! subgraph, then the Phase-2 sampling ranks over the high-degree
-//! incidences — happens in exactly the legacy per-machine order, so the
-//! matching *and* the RNG stream positions are bit-identical to the legacy
-//! path (asserted by the registry equivalence tests).
+//! Same algorithm as the legacy cluster-owning loop it replaced, in the
+//! coordinator shape of the [`combinators`](crate::combinators) layer, on
+//! the steps of [`mpc_core::matching`]. Every random draw a small machine
+//! makes — the peeling edge ranks over the low-degree subgraph, then the
+//! Phase-2 sampling ranks over the high-degree incidences — happens in
+//! exactly the legacy per-machine order, so the matching *and* the RNG
+//! stream positions are bit-identical to the legacy path (the loop is
+//! gone; the golden `LEGACY_CASES` rows pin what it produced).
 //!
 //! Flow (numbers are rounds; peeling iterates the middle block):
 //!

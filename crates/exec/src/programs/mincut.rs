@@ -3,19 +3,19 @@
 //! minimum cut of the contracted multigraph) as a per-machine state
 //! machine.
 //!
-//! Same algorithm as the legacy call-style
-//! [`mpc_core::ported::heterogeneous_min_cut`], in the coordinator shape of
-//! the [`combinators`](crate::combinators) layer. All randomness lives on
-//! the *small* machines (two edge ranks per local edge, then one
-//! `Bernoulli(1/(2δ))` draw per surviving inter-component edge — the legacy
-//! per-machine order); the large machine draws nothing, contracts, and takes
-//! the contracted multigraph's minimum cut value locally
-//! (`mpc_graph::mincut::min_cut_weight`; only the value is read, never a
-//! side). Top-2 rank selection and pair-multiplicity
-//! aggregation route through the legacy primitives' group-collector trees
+//! Same algorithm as the legacy cluster-owning loop it replaced, in the
+//! coordinator shape of the [`combinators`](crate::combinators) layer.
+//! All randomness lives on the *small* machines (two edge ranks per local
+//! edge, then one `Bernoulli(1/(2δ))` draw per surviving inter-component
+//! edge — the legacy per-machine order); the large machine draws nothing,
+//! contracts, and takes the contracted multigraph's minimum cut value
+//! locally (`mpc_graph::mincut::min_cut_weight`; only the value is read,
+//! never a side). Top-2 rank selection and pair-multiplicity aggregation
+//! route through the legacy primitives' group-collector trees
 //! ([`Owners::collector_of`]), so no machine ever receives a hot key's full
 //! multiplicity. Results, statistics, and RNG stream positions are
-//! bit-identical to the legacy path.
+//! bit-identical to the legacy path (the loop is gone; the golden
+//! `LEGACY_CASES` rows pin what it produced).
 //!
 //! One trial (`Trial` broadcast at round `R`):
 //!

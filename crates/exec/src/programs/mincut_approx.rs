@@ -3,8 +3,8 @@
 //! geometric `λ` guesses) as a per-machine state machine, and — with no
 //! guess — its whole-graph fallback.
 //!
-//! Same algorithm as the legacy call-style
-//! [`mpc_core::ported::approximate_min_cut`]. All randomness lives on the
+//! Same algorithm as the legacy cluster-owning loop it replaced (the golden
+//! `LEGACY_CASES` rows pin what it produced). All randomness lives on the
 //! *small* machines (one `Binomial(w, p)` draw per local edge per guess, in
 //! shard order — the legacy per-machine order, via the shared
 //! [`sample_binomial`]); the large machine draws nothing.

@@ -2,9 +2,9 @@
 //! (Theorem C.6 — greedy-by-`π` over geometrically growing rank prefixes)
 //! as a per-machine state machine.
 //!
-//! Same algorithm as the legacy call-style
-//! [`mpc_core::ported::heterogeneous_mis`], in the coordinator shape of the
-//! [`combinators`](crate::combinators) layer. The large machine draws the
+//! Same algorithm as the legacy cluster-owning loop it replaced, in the
+//! coordinator shape of the [`combinators`](crate::combinators) layer, on
+//! the steps of [`mpc_core::ported::mis`]. The large machine draws the
 //! permutation (its **only** RNG draw, mirroring the legacy order), owns
 //! the prefix schedule, and replays every legacy orchestrator decision
 //! (batch-budget skips, the early-stop rule) from the same aggregated
@@ -12,7 +12,8 @@
 //! shards and as hash-owners of per-vertex ranks, chosen flags, and
 //! domination flags. Small machines draw no randomness at all, so results,
 //! statistics, and RNG stream positions are bit-identical to the legacy
-//! path (asserted by the registry equivalence tests).
+//! path (the loop is gone; the golden `LEGACY_CASES` rows pin what it
+//! produced).
 //!
 //! One prefix iteration (`Batch` issued at round `R`):
 //!

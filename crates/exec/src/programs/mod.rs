@@ -1,9 +1,11 @@
 //! Algorithms ported to the [`MachineProgram`](crate::MachineProgram)
 //! execution model.
 //!
-//! Each port is mathematically the same algorithm as its legacy call-style
-//! twin in `mpc-core` and produces **identical results** on the same
-//! cluster seed (asserted by the `legacy_equivalence` tests); what changes
+//! Each port is mathematically the same algorithm as the cluster-owning
+//! loop it replaced in `mpc-core` and produces **identical results** on the
+//! same cluster seed — asserted against MST's surviving loop by
+//! `registry_equivalence.rs`, and pinned for the rest by the golden
+//! `LEGACY_CASES` rows, taken while their loops still ran; what changes
 //! is the shape: per-machine state machines the engine can schedule
 //! concurrently, instead of a loop that owns the whole cluster.
 

@@ -6,7 +6,7 @@
 //! [`mpc_core::mst::heterogeneous_mst`], re-expressed in the coordinator
 //! shape of the [`combinators`](crate::combinators) layer: the large
 //! machine replays the legacy orchestrator's decisions through the shared
-//! [`next_move`](mpc_core::mst::next_move) rule, and every small machine
+//! [`next_move`] rule, and every small machine
 //! draws its KKT sampling coins in exactly the legacy per-machine order —
 //! so the resulting forest, the statistics, *and* the per-machine RNG
 //! stream positions are bit-identical to the legacy path (asserted by the

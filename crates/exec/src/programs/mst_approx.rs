@@ -2,8 +2,8 @@
 //! MST weight (Theorem C.2 — the CRT/AGM estimator over geometric weight
 //! thresholds) as a per-machine state machine.
 //!
-//! Same algorithm as the legacy call-style
-//! [`mpc_core::ported::approximate_mst_weight`]: one sketch-connectivity
+//! Same algorithm as the legacy cluster-owning loop it replaced (the golden
+//! `LEGACY_CASES` rows pin what it produced): one sketch-connectivity
 //! instance (Theorem C.1) per threshold `τ_j = (1+ε)^j`, each the exact
 //! 3-round wave of [`ConnectivityProgram`](crate::programs::ConnectivityProgram)
 //! — the smalls sketch their weight-filtered shards, hash-owners merge by

@@ -2,9 +2,9 @@
 //! — clustering graphs + per-level Baswana–Sen) as a per-machine state
 //! machine.
 //!
-//! Same algorithm as the legacy call-style
-//! [`mpc_core::spanner::heterogeneous_spanner`], in the coordinator shape
-//! of the [`combinators`](crate::combinators) layer. The phase structure is
+//! Same algorithm as the legacy cluster-owning loop it replaced, in the
+//! coordinator shape of the [`combinators`](crate::combinators) layer, on
+//! the steps of [`mpc_core::spanner`]. The phase structure is
 //! *static* (no data-dependent iteration), so the whole program runs on a
 //! fixed 17-round clock with no per-phase commands beyond the initial
 //! `Levels` broadcast:
@@ -18,15 +18,15 @@
 //! | 7–8   | large/owners | `B_i` masks finalized, pushed, looked up |
 //! | 9–10  | smalls/owners | min-neighbor-in-`B` candidates aggregated; star centers `σ` assigned |
 //! | 11–12 | smalls/owners | cluster edges `(level, σ_u, σ_v)` deduplicated at owners; per-level subsamples drawn and shipped |
-//! | 13    | large  | per-level spanning ([`span_levels`](mpc_core::spanner::span_levels)); history answers |
+//! | 13    | large  | per-level spanning ([`span_levels`]); history answers |
 //! | 14–15 | owners | removal candidates aggregated; stars + removals shipped |
 //! | 16    | large  | combine (Lemma A.2), halt |
 //!
 //! Every random draw — the large machine's hitting-set masks, the small
 //! machines' per-cluster-edge subsampling coins — happens in exactly the
 //! legacy per-machine order, so the spanner edge set, the statistics, and
-//! the RNG stream positions are bit-identical to the legacy path (asserted
-//! by the registry equivalence tests).
+//! the RNG stream positions are bit-identical to the legacy path (the loop
+//! is gone; the golden `LEGACY_CASES` rows pin what it produced).
 
 use crate::combinators::{
     announce_degrees, fold_by_key, keep_last, sorted_get, EndpointIndex, Outbox, Owners,

@@ -7,8 +7,8 @@
 //! run on the [`Executor`] under both [`ExecMode::Serial`] and
 //! [`ExecMode::Parallel`] with bit-identical results, and anything *not*
 //! registered here is by definition not fast-path-capable — the
-//! `registry` bench experiment fails if a registered program stops
-//! producing legacy-identical results.
+//! `registry` bench experiment fails if a registered program's serial and
+//! pooled runs disagree.
 //!
 //! Each name is written down once, as a *description*: a function that
 //! builds the per-machine programs of every instance — drawing any
@@ -1236,7 +1236,7 @@ pub fn run_threads(
 
 /// Runs one [`JobSpec`] solo on `cluster`: distributes the spec's graph
 /// and delegates to [`run`] with the spec's parameters — with
-/// [`job_lanes`], the single bridge between the job description the
+/// `job_lanes`, the single bridge between the job description the
 /// [service](crate::service) consumes and the [`AlgoInput`] entry point,
 /// so the two cannot drift. The caller seeds the cluster (typically with
 /// [`JobSpec::seed`]) to reproduce a service job bit-for-bit.

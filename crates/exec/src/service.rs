@@ -13,7 +13,7 @@
 //! Determinism: admission decisions depend only on (round, queue order,
 //! lane halt votes, inbox tags) — all bit-identical between serial and
 //! pool execution — and each job's lanes draw from private
-//! [`machine_rng`](mpc_runtime::machine_rng) streams minted from the job's
+//! [`machine_rng`] streams minted from the job's
 //! seed. A description's host-side draws come from the large machine's
 //! stream before its lane carries that stream on, and a job whose
 //! description chains a second wave re-enters it on the same lanes' streams.
@@ -461,7 +461,7 @@ impl Service {
     ///
     /// # Failure isolation (DESIGN.md §2.9)
     ///
-    /// A [quarantinable](Self::quarantinable) engine error does not abort
+    /// A quarantinable engine error does not abort
     /// the run. The service attributes it to the *marginal tenant* — the
     /// most recently admitted running job (ties broken toward the higher
     /// id) — quarantines that job, refunds its capacity shares, restarts

@@ -1,10 +1,12 @@
-//! Engine-ported programs must reproduce the legacy call-style results:
-//! same components, same forest, on the same cluster seed.
+//! The sketch and Borůvka programs against sequential references: the
+//! same components as union–find, the same forest as Kruskal. The legacy
+//! connectivity loop's components on the seeds below are the
+//! `connectivity-*` rows of `LEGACY_CASES` in `roundlog_golden.rs`.
 
 use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
 use mpc_core::{common, mst};
 use mpc_exec::{registry, AlgoInput, ExecMode, JobParams};
-use mpc_graph::mst::Forest;
+use mpc_graph::mst::{kruskal, Forest};
 use mpc_graph::traversal::{connected_components, Components};
 use mpc_graph::{generators, Edge};
 use mpc_runtime::{Cluster, ClusterConfig, ShardedVec};
@@ -44,31 +46,11 @@ fn connectivity_program_equals_legacy_exactly() {
     for seed in [1u64, 5, 11] {
         let g = generators::gnm(96, 240, seed);
         let config = ConnectivityConfig::for_n(g.n());
-
-        let mut legacy_cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
-        let legacy_input = common::distribute_edges(&legacy_cluster, &g);
-        let legacy = mpc_core::ported::heterogeneous_connectivity(
-            &mut legacy_cluster,
-            g.n(),
-            &legacy_input,
-            &config,
-        )
-        .unwrap();
-
-        let mut engine_cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
-        let engine_input = common::distribute_edges(&engine_cluster, &g);
-        let engine = connectivity(
-            &mut engine_cluster,
-            g.n(),
-            &engine_input,
-            &config,
-            ExecMode::Parallel,
-        );
-
-        // Exact equality: the program draws the same seed from the same
-        // RNG stream and sums the same linear sketches.
-        assert_eq!(engine, legacy, "seed {seed}");
-        // And both match the sequential reference.
+        let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
+        let input = common::distribute_edges(&cluster, &g);
+        let engine = connectivity(&mut cluster, g.n(), &input, &config, ExecMode::Parallel);
+        // Exact: sketch decoding is fingerprint-verified, and these seeds
+        // decode every component.
         assert_eq!(engine, connected_components(&g), "seed {seed}");
     }
 }
@@ -86,11 +68,7 @@ fn boruvka_program_matches_legacy_mst() {
             .collect();
         let g = mpc_graph::Graph::new(100, edges);
 
-        let mut legacy_cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));
-        let legacy_input = common::distribute_edges(&legacy_cluster, &g);
-        let legacy = mst::heterogeneous_mst(&mut legacy_cluster, g.n(), legacy_input)
-            .unwrap()
-            .forest;
+        let want = kruskal(&g);
 
         let mut engine_cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));
         let engine_input = common::distribute_edges(&engine_cluster, &g);
@@ -101,8 +79,8 @@ fn boruvka_program_matches_legacy_mst() {
             ExecMode::Parallel,
         );
 
-        assert_eq!(engine.keys(), legacy.keys(), "seed {seed}");
-        assert_eq!(engine.total_weight, legacy.total_weight, "seed {seed}");
+        assert_eq!(engine.keys(), want.keys(), "seed {seed}");
+        assert_eq!(engine.total_weight, want.total_weight, "seed {seed}");
         assert!(mst::is_minimum_spanning_forest(&g, &engine), "seed {seed}");
     }
 }
@@ -160,28 +138,17 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     let log = words_and_messages(&cluster);
     assert!((1..=smalls).contains(&log[1].1), "sender round: {log:?}");
     assert_eq!(log[2].1, log[1].1, "owner round: {log:?}");
-    let mut legacy_cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
-    let legacy =
-        mpc_core::ported::heterogeneous_connectivity(&mut legacy_cluster, n, &one_shard, &config)
-            .unwrap();
-    assert_eq!(got, legacy);
 
     // Weights ≥ 2: the first threshold (τ = 1) filters every edge on every
-    // machine, so that wave sends nothing and counts n singletons, as in
-    // the legacy path.
+    // machine, so that wave sends nothing and counts n singletons.
     let heavier = g.edges().iter().map(|e| Edge::new(e.u, e.v, e.w + 1));
     let heavy = mpc_graph::Graph::new(n, heavier);
-    let mut legacy_cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
-    let input = common::distribute_edges(&legacy_cluster, &heavy);
-    let legacy =
-        mpc_core::ported::approximate_mst_weight(&mut legacy_cluster, n, &input, 0.5).unwrap();
-    assert_eq!((legacy.thresholds[0], legacy.component_counts[0]), (1, n));
     let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
+    let input = common::distribute_edges(&cluster, &heavy);
     let algo_input = AlgoInput::new(n, &input).epsilon(0.5);
     let got = registry::run("mst-approx", &mut cluster, &algo_input, ExecMode::Serial)
         .unwrap()
         .into_mst_approx()
         .unwrap();
-    assert_eq!(got.component_counts, legacy.component_counts);
-    assert_eq!(got.estimate, legacy.estimate);
+    assert_eq!((got.thresholds[0], got.component_counts[0]), (1, n));
 }

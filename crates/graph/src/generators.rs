@@ -1,7 +1,7 @@
 //! Deterministic (seeded) workload generators.
 //!
 //! Every generator is a pure function of its parameters and a `seed`, so all
-//! experiments in `EXPERIMENTS.md` are reproducible bit-for-bit. Weights
+//! experiments of `DESIGN.md` §4 are reproducible bit-for-bit. Weights
 //! default to 1 (unweighted); compose with
 //! [`Graph::with_random_weights`](crate::Graph::with_random_weights) for
 //! weighted workloads.

@@ -994,10 +994,10 @@ const TID_ROUNDS: u64 = 1_000_000;
 /// Exports events as a Chrome-trace/Perfetto JSON document (load at
 /// <https://ui.perfetto.dev> or `chrome://tracing`).
 ///
-/// Layout: process [`PID_MACHINES`] carries one track per simulated
+/// Layout: process `PID_MACHINES` (1) carries one track per simulated
 /// machine (slice = that machine's cost-model duration per round, on the
 /// simulated timeline, µs = simulated seconds × 10⁶) plus one
-/// whole-round track; process [`PID_WORKERS`] carries one track per pool
+/// whole-round track; process `PID_WORKERS` (2) carries one track per pool
 /// worker with alternating `barrier-wait` / `round` slices on the host
 /// timeline. Instance retirements and violations appear as instant
 /// events on the owning track.

@@ -244,8 +244,8 @@ impl SketchFamily {
     }
 
     /// [`prepare`](Self::prepare) for every edge of `edges`, into `out`: the
-    /// level hashes of [`LANES`] edges at a time, then their bucket hashes,
-    /// queued until [`LANES`] are ready — each the chain of one edge alone.
+    /// level hashes of `LANES` (8) edges at a time, then their bucket
+    /// hashes, queued until `LANES` are ready — each the chain of one edge alone.
     ///
     /// # Panics
     ///

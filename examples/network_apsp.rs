@@ -24,7 +24,25 @@ fn main() {
         g.average_degree()
     );
 
-    let (oracle, rounds) = apsp::oracle_for_graph(&g, 11).expect("oracle build");
+    // The `apsp` registry entry: a `k = ⌈log₂ n⌉` spanner through the
+    // engine, indexed as an oracle on the large machine.
+    let polylog = registry::get("apsp").expect("registered").polylog_exponent;
+    let mut cluster = Cluster::new(
+        ClusterConfig::new(g.n(), g.m())
+            .seed(11)
+            .polylog_exponent(polylog),
+    );
+    let input = common::distribute_edges(&cluster, &g);
+    let (oracle, _) = registry::run(
+        "apsp",
+        &mut cluster,
+        &AlgoInput::new(g.n(), &input),
+        ExecMode::Parallel,
+    )
+    .expect("oracle build")
+    .into_apsp()
+    .expect("apsp output");
+    let rounds = cluster.rounds();
     println!(
         "oracle: spanner of {} edges ({}x sparser), stretch bound {}, built in {rounds} rounds",
         oracle.spanner().m(),

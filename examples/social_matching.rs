@@ -27,7 +27,15 @@ fn main() {
         // Heterogeneous three-phase matching.
         let mut het = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(5));
         let input = common::distribute_edges(&het, &g);
-        let r = matching::heterogeneous_matching(&mut het, g.n(), &input).unwrap();
+        let r = registry::run(
+            "matching",
+            &mut het,
+            &AlgoInput::new(g.n(), &input),
+            ExecMode::Parallel,
+        )
+        .unwrap()
+        .into_matching()
+        .unwrap();
         assert!(is_maximal_matching(&g, &r.matching));
 
         // Sublinear peeling baseline.

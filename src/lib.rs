@@ -8,8 +8,8 @@
 //! against, and validation oracles for all of them.
 //!
 //! This crate is a facade: it re-exports the workspace members under short
-//! names. See `README.md` for the architecture and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the paper-to-code mapping.
+//! names. See `README.md` for the architecture and `DESIGN.md` for the
+//! paper-to-code mapping (§4 indexes the experiments).
 //!
 //! ## Quickstart
 //!
@@ -84,10 +84,10 @@ pub use mpc_sketch as sketch;
 ///
 /// Algorithms are run by name through the
 /// [`registry`](mpc_exec::registry) (`registry::run`, `registry::run_job`)
-/// on the parallel [`Executor`](mpc_exec::Executor). The legacy
-/// cluster-owning loops in `mpc-core` (`mst`, `matching`, `spanner`,
-/// `ported`) survive as reference implementations — the oracle the
-/// equivalence tests compare the engine against.
+/// on the parallel [`Executor`](mpc_exec::Executor). `mpc-core`'s modules
+/// (`mst`, `matching`, `spanner`, `ported`) hold the result types and local
+/// steps the engine's programs run; MST's cluster-owning loop is the one
+/// left, the live twin the equivalence tests compare the engine against.
 pub mod prelude {
     pub use mpc_core::common;
     pub use mpc_core::{matching, mst, ported, spanner};

@@ -7,8 +7,14 @@ fn mst_is_bit_for_bit_deterministic() {
     let g = generators::gnm(180, 2000, 13).with_random_weights(1 << 16, 13);
     let run = || {
         let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(99));
-        let input = common::distribute_edges(&cluster, &g);
-        let r = mst::heterogeneous_mst(&mut cluster, g.n(), input).unwrap();
+        let r = registry::run_job(
+            &JobSpec::new("mst", g.clone()),
+            &mut cluster,
+            ExecMode::Serial,
+        )
+        .unwrap()
+        .into_mst()
+        .unwrap();
         (r.forest.keys(), cluster.rounds(), r.stats.boruvka_steps)
     };
     assert_eq!(run(), run());
@@ -19,11 +25,15 @@ fn different_seeds_change_random_choices_not_answers() {
     let g = generators::gnm(150, 1800, 17).with_random_weights(1 << 16, 17);
     let weight_at = |seed: u64| {
         let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(seed));
-        let input = common::distribute_edges(&cluster, &g);
-        mst::heterogeneous_mst(&mut cluster, g.n(), input)
-            .unwrap()
-            .forest
-            .total_weight
+        let r = registry::run_job(
+            &JobSpec::new("mst", g.clone()),
+            &mut cluster,
+            ExecMode::Serial,
+        )
+        .unwrap()
+        .into_mst()
+        .unwrap();
+        r.forest.total_weight
     };
     // The MST weight is seed-independent even though sampling differs.
     assert_eq!(weight_at(1), weight_at(2));
@@ -39,16 +49,25 @@ fn spanner_and_matching_are_deterministic() {
                 .seed(5)
                 .polylog_exponent(1.6),
         );
-        let input = common::distribute_edges(&cluster, &g);
-        let r = spanner::heterogeneous_spanner(&mut cluster, g.n(), &input, 3).unwrap();
+        let spec = JobSpec::new("spanner", g.clone()).spanner_k(3);
+        let r = registry::run_job(&spec, &mut cluster, ExecMode::Serial)
+            .unwrap()
+            .into_spanner()
+            .unwrap();
         (r.spanner.m(), cluster.rounds())
     };
     assert_eq!(spanner_run(), spanner_run());
 
     let match_run = || {
         let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(5));
-        let input = common::distribute_edges(&cluster, &g);
-        let r = matching::heterogeneous_matching(&mut cluster, g.n(), &input).unwrap();
+        let r = registry::run_job(
+            &JobSpec::new("matching", g.clone()),
+            &mut cluster,
+            ExecMode::Serial,
+        )
+        .unwrap()
+        .into_matching()
+        .unwrap();
         (r.matching.len(), cluster.rounds())
     };
     assert_eq!(match_run(), match_run());

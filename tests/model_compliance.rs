@@ -3,7 +3,7 @@
 //! All algorithms execute under `Enforcement::Strict`, so merely finishing
 //! proves no machine ever exceeded its send/receive/memory budget. These
 //! tests additionally sweep γ and densities, and check the audit trail
-//! (round log, peak memory) that EXPERIMENTS.md reports.
+//! (round log, peak memory) that the experiments of DESIGN.md §4 report.
 
 use het_mpc::prelude::*;
 use mpc_graph::mst::kruskal;
@@ -21,9 +21,11 @@ fn mst_respects_capacities_across_gamma() {
                 .enforcement(Enforcement::Strict)
                 .seed(9),
         );
-        let input = common::distribute_edges(&cluster, &g);
-        let r = mst::heterogeneous_mst(&mut cluster, g.n(), input)
-            .unwrap_or_else(|e| panic!("gamma {gamma}: {e}"));
+        let spec = JobSpec::new("mst", g.clone());
+        let r = registry::run_job(&spec, &mut cluster, ExecMode::Serial)
+            .unwrap_or_else(|e| panic!("gamma {gamma}: {e}"))
+            .into_mst()
+            .unwrap();
         assert_eq!(r.forest.total_weight, kruskal(&g).total_weight);
         assert!(cluster.violations().is_empty());
         // Peak resident memory stayed within every machine's capacity.
@@ -42,8 +44,12 @@ fn mst_respects_capacities_across_gamma() {
 fn round_log_labels_every_exchange() {
     let g = generators::gnm(128, 1024, 3).with_random_weights(100, 3);
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(3));
-    let input = common::distribute_edges(&cluster, &g);
-    mst::heterogeneous_mst(&mut cluster, g.n(), input).unwrap();
+    registry::run_job(
+        &JobSpec::new("mst", g.clone()),
+        &mut cluster,
+        ExecMode::Serial,
+    )
+    .unwrap();
     assert_eq!(cluster.round_log().len() as u64, cluster.rounds());
     for rec in cluster.round_log() {
         assert!(!rec.label.is_empty());
@@ -59,8 +65,8 @@ fn per_round_traffic_never_exceeds_the_largest_capacity() {
             .seed(5)
             .polylog_exponent(1.6),
     );
-    let input = common::distribute_edges(&cluster, &g);
-    spanner::heterogeneous_spanner(&mut cluster, g.n(), &input, 3).unwrap();
+    let spec = JobSpec::new("spanner", g.clone()).spanner_k(3);
+    registry::run_job(&spec, &mut cluster, ExecMode::Serial).unwrap();
     let large_cap = cluster.capacity(cluster.large().unwrap());
     assert!(cluster.max_round_traffic() <= large_cap);
 }
@@ -74,8 +80,14 @@ fn record_mode_agrees_with_strict_mode_results() {
                 .enforcement(enforcement)
                 .seed(7),
         );
-        let input = common::distribute_edges(&cluster, &g);
-        let r = mst::heterogeneous_mst(&mut cluster, g.n(), input).unwrap();
+        let r = registry::run_job(
+            &JobSpec::new("mst", g.clone()),
+            &mut cluster,
+            ExecMode::Serial,
+        )
+        .unwrap()
+        .into_mst()
+        .unwrap();
         (r.forest.total_weight, cluster.rounds())
     };
     assert_eq!(run(Enforcement::Strict), run(Enforcement::Record));

@@ -20,8 +20,8 @@ proptest! {
     #[test]
     fn het_mst_weight_always_matches_kruskal((g, seed) in arbitrary_graph()) {
         let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));
-        let input = common::distribute_edges(&cluster, &g);
-        let r = mst::heterogeneous_mst(&mut cluster, g.n(), input).unwrap();
+        let spec = JobSpec::new("mst", g.clone());
+        let r = registry::run_job(&spec, &mut cluster, ExecMode::Serial).unwrap().into_mst().unwrap();
         prop_assert!(mpc_graph::is_spanning_forest(&g, &r.forest.edges));
         prop_assert_eq!(r.forest.total_weight, kruskal(&g).total_weight);
     }
@@ -29,8 +29,9 @@ proptest! {
     #[test]
     fn het_matching_is_always_maximal((g, seed) in arbitrary_graph()) {
         let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));
-        let input = common::distribute_edges(&cluster, &g);
-        let r = matching::heterogeneous_matching(&mut cluster, g.n(), &input).unwrap();
+        let spec = JobSpec::new("matching", g.clone());
+        let r = registry::run_job(&spec, &mut cluster, ExecMode::Serial).unwrap();
+        let r = r.into_matching().unwrap();
         prop_assert!(is_maximal_matching(&g, &r.matching));
     }
 
@@ -46,8 +47,9 @@ proptest! {
         let mut cluster = Cluster::new(
             ClusterConfig::new(g.n(), g.m().max(1)).seed(seed).polylog_exponent(1.7),
         );
-        let input = common::distribute_edges(&cluster, &unweighted);
-        let r = spanner::heterogeneous_spanner(&mut cluster, g.n(), &input, k).unwrap();
+        let spec = JobSpec::new("spanner", unweighted.clone()).spanner_k(k);
+        let r = registry::run_job(&spec, &mut cluster, ExecMode::Serial).unwrap();
+        let r = r.into_spanner().unwrap();
         let rep = verify_spanner(&unweighted, &r.spanner, Some(12), seed);
         prop_assert!(
             rep.within((6 * k - 1) as f64),
