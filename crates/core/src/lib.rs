@@ -43,3 +43,20 @@ pub mod matching;
 pub mod mst;
 pub mod ported;
 pub mod spanner;
+
+/// Runs the registry program `name` solo on `g`, serially: what a unit
+/// test of a module's steps uses to check the whole program they make up.
+/// Returns the output and the rounds the run took.
+#[cfg(test)]
+fn run_program(
+    name: &str,
+    g: &mpc_graph::Graph,
+    config: mpc_runtime::ClusterConfig,
+    params: mpc_exec::JobParams,
+) -> (mpc_exec::AlgoOutput, u64) {
+    let mut cluster = mpc_runtime::Cluster::new(config);
+    let spec = mpc_exec::JobSpec::new(name, g.clone()).params(params);
+    let out = mpc_exec::registry::run_job(&spec, &mut cluster, mpc_exec::ExecMode::Serial)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    (out, cluster.rounds())
+}

@@ -133,3 +133,57 @@ pub fn greedy_extend(
     }
     m2_edges
 }
+
+#[cfg(test)]
+mod tests {
+    use mpc_exec::{AlgoOutput, JobParams};
+    use mpc_graph::matching::is_maximal_matching;
+    use mpc_graph::{generators, Graph};
+    use mpc_runtime::ClusterConfig;
+
+    /// The engine's matching program, which runs this module's steps.
+    fn run(g: &Graph, seed: u64) -> AlgoOutput {
+        let config = ClusterConfig::new(g.n(), g.m().max(1)).seed(seed);
+        crate::run_program("matching", g, config, JobParams::default()).0
+    }
+
+    #[test]
+    fn matching_is_maximal_on_random_graphs() {
+        for seed in 0..4 {
+            let g = generators::gnm(120, 700, seed);
+            let r = run(&g, seed).into_matching().unwrap();
+            assert!(is_maximal_matching(&g, &r.matching), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn skewed_graphs_exercise_the_high_degree_path() {
+        // Power-law graph: a few very high degree vertices, low average.
+        let g = generators::chung_lu(300, 1800, 2.3, 5);
+        let r = run(&g, 5).into_matching().unwrap();
+        assert!(is_maximal_matching(&g, &r.matching));
+        assert!(r.stats.high_vertices > 0, "stats = {:?}", r.stats);
+    }
+
+    #[test]
+    fn star_graph_is_fully_high_degree_at_center() {
+        let g = generators::star(200);
+        let r = run(&g, 2).into_matching().unwrap();
+        assert!(is_maximal_matching(&g, &r.matching));
+        assert_eq!(r.matching.len(), 1); // a star admits one matched edge
+    }
+
+    #[test]
+    fn empty_graph() {
+        let r = run(&Graph::empty(10), 0).into_matching().unwrap();
+        assert!(r.matching.is_empty());
+    }
+
+    #[test]
+    fn stats_add_up() {
+        let g = generators::gnm(150, 2000, 8);
+        let r = run(&g, 8).into_matching().unwrap();
+        assert_eq!(r.matching.len(), r.stats.m1 + r.stats.m2 + r.stats.m3);
+        assert!(r.stats.average_degree > 1.0);
+    }
+}

@@ -44,7 +44,7 @@ pub fn sketch_friendly_config(n: usize, m: usize, seed: u64) -> mpc_runtime::Clu
 mod tests {
     use super::*;
     use mpc_graph::traversal::{connected_components, Components};
-    use mpc_graph::{generators, Graph};
+    use mpc_graph::{generators, Edge, Graph};
     use mpc_sketch::{merge_batches, sketch_connectivity_batches, SketchFamily};
 
     /// The program's three local steps at [`ConnectivityConfig::for_n`]:
@@ -87,5 +87,36 @@ mod tests {
         let two = generators::two_cycles(120, 7);
         assert_eq!(components(&one, 5, 4, 3).count, 1);
         assert_eq!(components(&two, 5, 4, 3).count, 2);
+    }
+
+    /// The engine's program `name` on `g`, on a [`sketch_friendly_config`]
+    /// cluster.
+    fn run(name: &str, g: &Graph, seed: u64, eps: f64) -> (mpc_exec::AlgoOutput, u64) {
+        let config = sketch_friendly_config(g.n(), g.m().max(1), seed);
+        let params = mpc_exec::JobParams::default().epsilon(eps);
+        crate::run_program(name, g, config, params)
+    }
+
+    #[test]
+    fn constant_rounds_across_sizes() {
+        let (_, r1) = run("connectivity", &generators::gnm(64, 160, 1), 1, 0.5);
+        let (_, r2) = run("connectivity", &generators::gnm(256, 640, 1), 1, 0.5);
+        assert!(r2 <= r1 + 4, "rounds should not grow with n: {r1} -> {r2}");
+    }
+
+    /// The thresholded counts the MST-weight estimator sketches: on a path
+    /// whose edge `i–(i+1)` weighs `i + 1`, threshold `τ` keeps the first
+    /// `τ` edges, leaving `10 − τ` components.
+    #[test]
+    fn threshold_counting() {
+        let edges = (0..9).map(|i| Edge::new(i, i + 1, u64::from(i) + 1));
+        let g = Graph::new(10, edges);
+        let r = run("mst-approx", &g, 5, 0.1).0.into_mst_approx().unwrap();
+        assert_eq!(r.thresholds, (1..=9).collect::<Vec<u64>>());
+        for (&tau, &count) in r.thresholds.iter().zip(&r.component_counts) {
+            assert_eq!(count, 10 - tau as usize, "threshold {tau}");
+        }
+        // Edges 1..=5 survive: vertices 0-5 connected, 6,7,8,9 isolated.
+        assert_eq!(r.component_counts[4], 5);
     }
 }

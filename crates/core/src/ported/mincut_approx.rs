@@ -128,4 +128,34 @@ mod tests {
         assert_eq!(verdict, SkeletonVerdict::Disconnected);
         assert!(mpc_graph::mincut::min_cut(&g).is_none_or(|m| m.weight == 0));
     }
+
+    /// The engine's `mincut-approx` estimate and the exact cut of `g`.
+    fn estimate(g: &mpc_graph::Graph, eps: f64, seed: u64) -> (f64, f64) {
+        let config = mpc_runtime::ClusterConfig::new(g.n(), g.m())
+            .seed(seed)
+            .polylog_exponent(1.6);
+        let params = mpc_exec::JobParams::default().epsilon(eps);
+        let (out, _) = crate::run_program("mincut-approx", g, config, params);
+        let exact = mpc_graph::mincut::min_cut(g).unwrap().weight as f64;
+        (out.into_mincut_approx().unwrap().estimate, exact)
+    }
+
+    #[test]
+    fn estimates_weighted_planted_cuts() {
+        let g = generators::planted_cut(20, 0.8, 4, 1).with_random_weights(8, 1);
+        let (est, exact) = estimate(&g, 0.3, 1);
+        assert!(
+            est >= exact * 0.5 && est <= exact * 1.7,
+            "estimate {est} vs exact {exact}"
+        );
+    }
+
+    #[test]
+    fn dense_unweighted_graph() {
+        let (est, exact) = estimate(&generators::gnm(48, 700, 3), 0.3, 3);
+        assert!(
+            (est - exact).abs() <= exact * 0.7 + 3.0,
+            "estimate {est} vs exact {exact}"
+        );
+    }
 }

@@ -145,4 +145,15 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn contraction_shrinks_the_graph() {
+        let g = generators::gnm(120, 2000, 9);
+        let config = mpc_runtime::ClusterConfig::new(g.n(), g.m()).seed(9);
+        let params = mpc_exec::JobParams::default().mincut_trials(2);
+        let (out, _) = crate::run_program("mincut", &g, config, params);
+        for &(nv, _ne) in &out.into_mincut().unwrap().trial_sizes {
+            assert!(nv < 120 / 4, "contraction left {nv} vertices");
+        }
+    }
 }

@@ -206,4 +206,20 @@ mod tests {
     fn empty_graph_mis_is_everything() {
         assert_eq!(check(&Graph::empty(8), 0).len(), 8);
     }
+
+    #[test]
+    fn iteration_count_is_doubly_logarithmic() {
+        let g = generators::gnm(256, 8000, 3); // Δ ≈ 60+
+        let config = mpc_runtime::ClusterConfig::new(g.n(), g.m())
+            .seed(3)
+            .polylog_exponent(1.6);
+        let (out, _) = crate::run_program("mis", &g, config, Default::default());
+        let r = out.into_mis().unwrap();
+        assert!(is_maximal_independent_set(&g, &r.mis));
+        assert!(
+            r.iterations <= 12,
+            "expected O(log log Δ) iterations, got {}",
+            r.iterations
+        );
+    }
 }

@@ -113,4 +113,15 @@ mod tests {
     fn finer_epsilon_means_more_thresholds() {
         assert!(geometric_thresholds(64, 0.1).len() > geometric_thresholds(64, 1.0).len());
     }
+
+    #[test]
+    fn parallel_rounds_are_constant() {
+        let g = generators::gnm(64, 200, 5).with_random_weights(16, 5);
+        let config = crate::ported::connectivity::sketch_friendly_config(g.n(), g.m(), 5);
+        let params = mpc_exec::JobParams::default().epsilon(0.5);
+        let (out, rounds) = crate::run_program("mst-approx", &g, config, params);
+        let r = out.into_mst_approx().unwrap();
+        assert_eq!(r.parallel_rounds, rounds);
+        assert!(rounds <= 12, "parallel rounds {rounds}");
+    }
 }

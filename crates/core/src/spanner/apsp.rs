@@ -92,4 +92,40 @@ mod tests {
         // The graph is its own 1-spanner.
         assert_eq!(measured_stretch(&g, &oracle, 8), 1.0);
     }
+
+    /// The engine's `apsp` on `g`: the oracle over its spanner, and the
+    /// rounds the run took.
+    fn engine_oracle(g: &Graph, seed: u64) -> (ApspOracle, u64) {
+        let config = mpc_runtime::ClusterConfig::new(g.n(), g.m())
+            .seed(seed)
+            .polylog_exponent(1.6);
+        let (out, rounds) = crate::run_program("apsp", g, config, Default::default());
+        let (oracle, _) = out.into_apsp().unwrap();
+        let spanner = oracle.spanner().clone();
+        (
+            ApspOracle::from_spanner(spanner, oracle.stretch_bound),
+            rounds,
+        )
+    }
+
+    #[test]
+    fn oracle_stretch_is_within_the_log_bound() {
+        let g = generators::gnm(128, 512, 3);
+        let (oracle, rounds) = engine_oracle(&g, 3);
+        let stretch = measured_stretch(&g, &oracle, 16);
+        assert!(
+            stretch <= oracle.stretch_bound as f64,
+            "stretch {stretch} exceeds bound {}",
+            oracle.stretch_bound
+        );
+        assert!(rounds > 0);
+    }
+
+    #[test]
+    fn weighted_oracle_works() {
+        let g = generators::gnm(96, 400, 5).with_random_weights(32, 5);
+        let (oracle, _) = engine_oracle(&g, 5);
+        let stretch = measured_stretch(&g, &oracle, 12);
+        assert!(stretch <= oracle.stretch_bound as f64, "stretch {stretch}");
+    }
 }

@@ -204,7 +204,7 @@ mod tests {
     use mpc_graph::generators;
     use proptest::prelude::*;
     use rand::SeedableRng;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap, HashSet};
 
     /// The `BTreeMap` form [`min_neighbor_candidates`] replaced, kept as
     /// oracle.
@@ -288,6 +288,67 @@ mod tests {
                 v == s || adj.neighbors(v).iter().any(|&(u, _)| u == s),
                 "sigma({v}) = {s} is not a neighbor"
             );
+        }
+    }
+
+    /// Step 5 on one machine after [`sigmas`]: `σ` per vertex, and each
+    /// cluster edge with the first witness that names it.
+    fn cluster_edges(
+        g: &mpc_graph::Graph,
+        seed: u64,
+    ) -> (HashMap<VertexId, VertexId>, BTreeMap<LevelEdgeKey, Edge>) {
+        let sigma: HashMap<VertexId, VertexId> = sigmas(g, seed).into_iter().collect();
+        let deg = g.degrees();
+        let levels = levels_for_delta(g.max_degree() as u32);
+        let mut edges = BTreeMap::new();
+        for e in g.edges() {
+            let (su, sv) = (sigma[&e.u], sigma[&e.v]);
+            if su != sv {
+                let (du, dv) = (deg[e.u as usize] as u32, deg[e.v as usize] as u32);
+                let key = level_edge_key(edge_level(du, dv, levels), su, sv);
+                edges.entry(key).or_insert(*e);
+            }
+        }
+        (sigma, edges)
+    }
+
+    #[test]
+    fn every_edge_is_covered_by_star_or_cluster_edge() {
+        // Lemma A.1 property 2: each edge lies in a star or yields a
+        // cluster edge — equivalently (σ_u = σ_v) ∨ ((σ_u, σ_v) ∈ E_i).
+        let g = generators::gnm(80, 400, 3);
+        let (sigma, cluster_edges) = cluster_edges(&g, 3);
+        let pairs: HashSet<(VertexId, VertexId)> = (cluster_edges.keys())
+            .map(|k| {
+                let (_, a, b) = unpack_level_edge(k);
+                (a, b)
+            })
+            .collect();
+        for e in g.edges() {
+            let (su, sv) = (sigma[&e.u], sigma[&e.v]);
+            assert!(
+                su == sv || pairs.contains(&(su.min(sv), su.max(sv))),
+                "edge {e:?} not represented: sigma=({su},{sv})"
+            );
+        }
+    }
+
+    #[test]
+    fn witness_edges_connect_the_right_clusters() {
+        let g = generators::gnm(70, 300, 7);
+        let (sigma, cluster_edges) = cluster_edges(&g, 7);
+        let deg = g.degrees();
+        let levels = levels_for_delta(g.max_degree() as u32);
+        for (key, orig) in &cluster_edges {
+            let (level, a, b) = unpack_level_edge(key);
+            let (su, sv) = (sigma[&orig.u], sigma[&orig.v]);
+            assert_eq!(
+                (su.min(sv), su.max(sv)),
+                (a, b),
+                "witness {orig:?} does not connect clusters {a},{b}"
+            );
+            let (du, dv) = (deg[orig.u as usize] as u32, deg[orig.v as usize] as u32);
+            assert_eq!(level, edge_level(du, dv, levels), "witness {orig:?}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The sketch and Borůvka programs against sequential references: the
 //! same components as union–find, the same forest as Kruskal. The legacy
 //! connectivity loop's components on the seeds below are the
-//! `connectivity-*` rows of `LEGACY_CASES` in `roundlog_golden.rs`.
+//! `connectivity-*` rows of `LEGACY_CASES` in `registry_equivalence.rs`.
 
 use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
 use mpc_core::{common, mst};

@@ -1,12 +1,14 @@
 //! What the paper's theorems promise about a registry run's *result* —
-//! stretch, cut values, estimate error, iteration counts, sparsity — one
-//! case per input, each run solo through the registry on the cluster the
-//! case names.
+//! the oracle's distances, cut values, estimate error, conflict counts —
+//! one case per input, each run solo through the registry on the cluster
+//! the case names.
 //!
 //! `roundlog_golden.rs` pins what a run produces bit for bit; this table
-//! says why those outputs are right. Its cases are the properties the unit
-//! tests of the deleted cluster-owning `mpc-core` loops checked and no
-//! other engine test does.
+//! says why those outputs are right. Its cases are the whole-program
+//! properties whose namesake unit tests in `mpc-core` check the local
+//! steps alone. The rest (stretch, sparsity, matching and MIS statistics,
+//! round counts) are checked on the engine by the unit tests of the module
+//! whose steps the program runs.
 
 use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_core::spanner::apsp::measured_stretch;
@@ -35,33 +37,18 @@ fn polylog(g: &Graph, seed: u64, exponent: f64) -> ClusterConfig {
 fn registry_runs_meet_the_theorem_guarantees() {
     let params = JobParams::default;
 
-    // Corollary 4.2: the oracle's stretch stays within its O(log n) bound,
-    // weighted inputs included, and it answers from its own spanner.
-    for (n, m, seed, weighted) in [
-        (128, 512, 3, false),
-        (96, 400, 5, true),
-        (64, 256, 7, false),
-    ] {
-        let g = generators::gnm(n, m, seed);
-        let g = if weighted {
-            g.with_random_weights(32, seed)
-        } else {
-            g
-        };
-        let case = format!("apsp/{n}");
-        let out = run(&case, &g, polylog(&g, seed, 1.6), params());
-        let (oracle, _) = out.into_apsp().expect("apsp output");
-        let stretch = measured_stretch(&g, &oracle, 16);
-        assert!(
-            stretch <= oracle.stretch_bound as f64,
-            "{case}: stretch {stretch}"
-        );
-        let d = oracle.distances_from(0);
-        assert_eq!((d[0], oracle.distance(0, 5)), (0, d[5]), "{case}");
-    }
+    // Corollary 4.2: the oracle answers from its own spanner, within its
+    // O(log n) stretch bound.
+    let g = generators::gnm(64, 256, 7);
+    let out = run("apsp", &g, polylog(&g, 7, 1.6), params());
+    let (oracle, _) = out.into_apsp().expect("apsp output");
+    let stretch = measured_stretch(&g, &oracle, 16);
+    assert!(stretch <= oracle.stretch_bound as f64, "stretch {stretch}");
+    let d = oracle.distances_from(0);
+    assert_eq!((d[0], oracle.distance(0, 5)), (0, d[5]));
 
-    // Theorem C.3: every trial's answer is a real cut, the planted cut is
-    // found, and the two contraction steps leave far fewer vertices.
+    // Theorem C.3: every trial's answer is a real cut, and the planted cut
+    // is found.
     for seed in 0..4 {
         let g = generators::gnm(40, 160, seed);
         let case = format!("mincut/gnm-{seed}");
@@ -77,52 +64,6 @@ fn registry_runs_meet_the_theorem_guarantees() {
         let got = out.into_mincut().expect("min-cut output").value;
         assert_eq!(got, min_cut(&g).unwrap().weight, "{case}");
     }
-    let g = generators::gnm(120, 2000, 9);
-    let out = run(
-        "mincut/contraction",
-        &g,
-        plain(&g, 9),
-        params().mincut_trials(2),
-    );
-    let r = out.into_mincut().expect("min-cut output");
-    assert!(r.trial_sizes.iter().all(|&(v, _)| v < g.n() / 4), "{r:?}");
-
-    // Theorem C.4: within (1±ε) of the exact cut, with slack for small
-    // inputs.
-    let g = generators::planted_cut(20, 0.8, 4, 1).with_random_weights(8, 1);
-    let out = run(
-        "mincut-approx/planted",
-        &g,
-        polylog(&g, 1, 1.6),
-        params().epsilon(0.3),
-    );
-    let est = out.into_mincut_approx().expect("output").estimate;
-    let exact = min_cut(&g).unwrap().weight as f64;
-    assert!(
-        est >= exact * 0.5 && est <= exact * 1.7,
-        "planted: {est} vs {exact}"
-    );
-    let g = generators::gnm(48, 700, 3);
-    let out = run(
-        "mincut-approx/dense",
-        &g,
-        polylog(&g, 3, 1.6),
-        params().epsilon(0.3),
-    );
-    let est = out.into_mincut_approx().expect("output").estimate;
-    let exact = min_cut(&g).unwrap().weight as f64;
-    assert!(
-        (est - exact).abs() <= exact * 0.7 + 3.0,
-        "dense: {est} vs {exact}"
-    );
-
-    // Theorem C.6: O(log log Δ) prefix iterations.
-    let g = generators::gnm(256, 8000, 3);
-    let r = run("mis/dense", &g, polylog(&g, 3, 1.6), params())
-        .into_mis()
-        .expect("MIS output");
-    assert!(mpc_graph::mis::is_maximal_independent_set(&g, &r.mis));
-    assert!(r.iterations <= 12, "{} iterations", r.iterations);
 
     // Theorem C.2: within (1+ε) of the exact MSF weight in O(1) rounds;
     // exact on unit weights, where the estimate is the spanning forest's
@@ -150,68 +91,4 @@ fn registry_runs_meet_the_theorem_guarantees() {
     let r = out.into_coloring().expect("coloring output");
     assert!(mpc_graph::coloring::is_proper_coloring(&g, &r.colors));
     assert!(r.conflict_edges < g.m(), "{} conflicts", r.conflict_edges);
-
-    // Theorem 5.1: the three phases account for the whole matching; the
-    // high-degree path runs where there are hubs; a star admits one
-    // matched edge; no edges match nothing.
-    let g = generators::gnm(150, 2000, 8);
-    let r = run("matching/stats", &g, plain(&g, 8), params());
-    let r = r.into_matching().expect("matching output");
-    assert!(mpc_graph::matching::is_maximal_matching(&g, &r.matching));
-    assert_eq!(r.matching.len(), r.stats.m1 + r.stats.m2 + r.stats.m3);
-    assert!(r.stats.average_degree > 1.0);
-    for (g, seed) in [
-        (generators::chung_lu(300, 1800, 2.3, 5), 5),
-        (generators::star(200), 2),
-    ] {
-        let case = format!("matching/hubs-{seed}");
-        let r = run(&case, &g, plain(&g, seed), params());
-        let r = r.into_matching().expect("matching output");
-        assert!(
-            mpc_graph::matching::is_maximal_matching(&g, &r.matching),
-            "{case}"
-        );
-        assert!(r.stats.high_vertices > 0, "{case}: {:?}", r.stats);
-        if g.max_degree() == g.m() {
-            assert_eq!(r.matching.len(), 1, "{case}: a star");
-        }
-    }
-    let g = Graph::empty(10);
-    let r = run("matching/empty", &g, plain(&g, 0), params());
-    assert!(r
-        .into_matching()
-        .expect("matching output")
-        .matching
-        .is_empty());
-
-    // Theorem 4.1: sparser than a dense input with every level accounted
-    // for; stretch ≤ 12k−1 on weighted inputs.
-    let g = generators::gnm(150, 4000, 4);
-    let r = run(
-        "spanner/dense",
-        &g,
-        polylog(&g, 4, 1.6),
-        params().spanner_k(3),
-    );
-    let r = r.into_spanner().expect("spanner output");
-    assert!(
-        r.spanner.m() < g.m() / 2,
-        "{} of {} edges",
-        r.spanner.m(),
-        g.m()
-    );
-    let s = &r.stats;
-    assert_eq!(s.full_levels.len() + s.sampled_levels.len(), s.levels);
-    assert!(s.levels >= 2 && s.star_edges > 0, "{s:?}");
-    let g = generators::gnm(100, 800, 6).with_random_weights(64, 6);
-    let r = run(
-        "spanner-weighted/k2",
-        &g,
-        polylog(&g, 6, 1.6),
-        params().spanner_k(2),
-    );
-    let r = r.into_spanner().expect("spanner output");
-    let rep = mpc_graph::verify_spanner(&g, &r.spanner, None, 0);
-    assert!(rep.within(23.0), "stretch {}", rep.max_stretch);
-    assert!(r.stats.weight_classes >= 2);
 }
