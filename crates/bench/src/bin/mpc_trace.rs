@@ -11,11 +11,13 @@
 //! cargo run -p mpc-bench --release --bin mpc-trace -- --validate out.jsonl
 //! ```
 
-use mpc_core::common;
-use mpc_exec::{registry, AlgoInput, ExecMode};
-use mpc_graph::generators;
+use mpc_bench::experiments::{
+    budgets_graph, cost_profile, diverged, drain, preferred, solo, zero_replicas,
+};
+use mpc_exec::{registry, ExecMode, JobParams, JobRetryPolicy, RunReport};
+use mpc_graph::Graph;
 use mpc_runtime::telemetry::{perfetto_export, validate_jsonl};
-use mpc_runtime::{Cluster, ClusterConfig, CostModel, FaultPlan, JsonlSink, TraceSink};
+use mpc_runtime::{Cluster, FanoutSink, FaultPlan, JsonlSink, RingSink, TraceSink};
 use std::sync::Arc;
 
 const USAGE: &str =
@@ -24,8 +26,8 @@ const USAGE: &str =
                      [--jsonl out.jsonl] [--validate file.jsonl] [--list]";
 
 struct Opts {
-    service: bool,
-    names: Vec<&'static str>,
+    /// The positional target: a registry name, `all` or `service`.
+    target: Option<String>,
     profile: String,
     n: usize,
     mode: ExecMode,
@@ -40,15 +42,40 @@ fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Opts {
+fn number<T: std::str::FromStr<Err = std::num::ParseIntError>>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|e| fail(&format!("{flag}: {e}")))
+}
+
+/// `--validate FILE`: exits 0 when every line is a schema-valid event, 1
+/// otherwise.
+fn validate(path: &str) -> ! {
+    let body =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    match validate_jsonl(&body) {
+        Ok(count) => println!("{path}: {count} events, all schema-valid"),
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            std::process::exit(1);
+        }
+    }
+    std::process::exit(0);
+}
+
+/// Parses the command line; returns the options and the registry names to
+/// run (none for the `service` target).
+fn parse_args() -> (Opts, Vec<&'static str>) {
+    let mut opts = Opts {
+        target: None,
+        profile: "straggler".to_string(),
+        n: 256,
+        mode: ExecMode::Parallel,
+        faults: None,
+        trace: None,
+        jsonl: None,
+    };
     let mut args = std::env::args().skip(1);
-    let mut name: Option<String> = None;
-    let mut profile = "straggler".to_string();
-    let mut n = 256usize;
-    let mut mode = ExecMode::Parallel;
-    let mut faults = None;
-    let mut trace = None;
-    let mut jsonl = None;
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
             args.next()
@@ -56,57 +83,40 @@ fn parse_args() -> Opts {
         };
         match arg.as_str() {
             "--list" => {
-                for name in registry::names() {
-                    println!("{name}");
-                }
+                println!("{}", registry::names().join("\n"));
                 std::process::exit(0);
             }
-            "--validate" => {
-                let path = value("--validate");
-                let body = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-                match validate_jsonl(&body) {
-                    Ok(count) => {
-                        println!("{path}: {count} events, all schema-valid");
-                        std::process::exit(0);
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "--profile" => profile = value("--profile"),
-            "--n" => {
-                n = value("--n")
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("--n: {e}")));
-            }
+            "--validate" => validate(&value("--validate")),
+            "--profile" => opts.profile = value("--profile"),
+            "--n" => opts.n = number("--n", value("--n")),
             "--mode" => {
-                mode = match value("--mode").as_str() {
+                opts.mode = match value("--mode").as_str() {
                     "serial" => ExecMode::Serial,
                     "pool" => ExecMode::Parallel,
                     other => fail(&format!("unknown mode '{other}' (serial|pool)")),
                 };
             }
-            "--faults" => {
-                faults = Some(
-                    value("--faults")
-                        .parse()
-                        .unwrap_or_else(|e| fail(&format!("--faults: {e}"))),
-                );
-            }
-            "--trace" => trace = Some(value("--trace")),
-            "--jsonl" => jsonl = Some(value("--jsonl")),
-            other if !other.starts_with('-') && name.is_none() => name = Some(arg),
+            "--faults" => opts.faults = Some(number("--faults", value("--faults"))),
+            "--trace" => opts.trace = Some(value("--trace")),
+            "--jsonl" => opts.jsonl = Some(value("--jsonl")),
+            other if !other.starts_with('-') && opts.target.is_none() => opts.target = Some(arg),
             other => fail(&format!("unknown argument '{other}'")),
         }
     }
-    if !matches!(profile.as_str(), "uniform" | "straggler" | "proportional") {
-        fail(&format!("unknown profile '{profile}'"));
+    if !matches!(
+        opts.profile.as_str(),
+        "uniform" | "straggler" | "proportional"
+    ) {
+        fail(&format!("unknown profile '{}'", opts.profile));
     }
-    let service = name.as_deref() == Some("service");
-    let names = match name.as_deref() {
+    // The workload is gnm(n, 6n), which needs 6n ≤ n(n−1)/2.
+    if opts.n < 13 {
+        fail(&format!(
+            "--n must be at least 13 (gnm(n, 6n) needs it), got {}",
+            opts.n
+        ));
+    }
+    let names = match opts.target.as_deref() {
         Some("service") => Vec::new(),
         None | Some("all") => registry::names(),
         Some(one) => match registry::get(one) {
@@ -117,152 +127,23 @@ fn parse_args() -> Opts {
             )),
         },
     };
-    if trace.is_some() && names.len() > 1 {
+    if opts.trace.is_some() && names.len() > 1 {
         fail("--trace needs a single algorithm NAME (tracks would overlap across runs)");
     }
-    Opts {
-        service,
-        names,
-        profile,
-        n,
-        mode,
-        faults,
-        trace,
-        jsonl,
-    }
+    (opts, names)
 }
 
-fn cost_profile(profile: &str, cluster: &Cluster) -> CostModel {
-    let caps: Vec<usize> = (0..cluster.machines())
-        .map(|m| cluster.capacity(m))
-        .collect();
-    match profile {
-        "uniform" => CostModel::uniform(caps.len(), 1.0, 1.0, 0.0),
-        "proportional" => CostModel::proportional_to_capacity(&caps, 1.0),
-        // One small machine at 10% speed and bandwidth — the schedule the
-        // model calls "free" shows up as its bottleneck rounds.
-        _ => CostModel::uniform(caps.len(), 1.0, 1.0, 0.0)
-            .with_straggler(cluster.small_ids()[0], 0.1),
-    }
-}
-
-/// The `service` target: drains the standard six-tenant mixed queue
-/// ([`mpc_bench::experiments::SERVICE_JOBS`]) through one hooked engine
-/// run and prints the straggler report plus a per-job quarantine/retry
-/// breakdown. With `--faults SEED` a seeded small-machine crash is
-/// injected under a **zero-replica** recovery policy, making it job-fatal:
-/// the service must quarantine the culprit tenant, re-admit it on its
-/// two-admission retry budget, and keep every surviving tenant
-/// bit-identical to the fault-free drain — any divergence exits 1.
-fn run_service(opts: &Opts, g: &Arc<mpc_graph::Graph>, jsonl_sink: Option<Arc<JsonlSink>>) {
-    use mpc_bench::experiments::{service_polylog, SERVICE_JOBS, SERVICE_SHARES};
-    use mpc_exec::{JobRetryPolicy, JobSpec, JobStatus, RunReport, Service};
-    use mpc_runtime::{FanoutSink, RecoveryPolicy, RingSink};
-
-    let config = || {
-        ClusterConfig::new(g.n(), g.m())
-            .seed(5)
-            .polylog_exponent(service_polylog())
-    };
-    let drain = |plan: Option<FaultPlan>, sink: Option<Arc<dyn TraceSink>>| {
-        let mut service = Service::new(config()).capacity_shares(SERVICE_SHARES);
-        let handles: Vec<_> = SERVICE_JOBS
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                service
-                    .submit(JobSpec::new(*name, g.clone()).seed(100 + i as u64).retry(
-                        JobRetryPolicy {
-                            max_attempts: 2,
-                            backoff_rounds: 1,
-                        },
-                    ))
-                    .expect("canonical registry name")
-            })
-            .collect();
-        let mut cluster = Cluster::new(config());
-        cluster.set_cost_model(cost_profile(&opts.profile, &cluster));
-        cluster.set_fault_plan(plan);
-        cluster.set_trace_sink(sink);
-        let run = service
-            .run_on(&mut cluster, opts.mode)
-            .unwrap_or_else(|e| fail(&format!("service drain: {e}")));
-        let outcomes: Vec<(JobStatus, Option<u128>)> = handles
-            .iter()
-            .map(|h| {
-                let digest = h
-                    .take_result()
-                    .expect("job finished")
-                    .ok()
-                    .map(|out| out.digest());
-                (h.status(), digest)
-            })
-            .collect();
-        (cluster, run, outcomes)
-    };
-
-    // Fault-free preflight learns the round count (to scope the seeded
-    // crash) and the per-tenant digests recovery must reproduce.
-    let (pre, _, clean) = drain(None, None);
-    let plan = opts.faults.map(|seed| {
-        FaultPlan::seeded_single_crash(seed, &pre.small_ids(), pre.rounds()).with_policy(
-            RecoveryPolicy {
-                replicas: 0,
-                ..RecoveryPolicy::default()
-            },
-        )
-    });
-    if let Some(plan) = &plan {
-        for f in plan.faults() {
-            println!(
-                "\nservice: injecting {} ({}) with zero peer replicas — job-fatal",
-                f.kind(),
-                f.detail()
-            );
-        }
-    }
-    let ring = Arc::new(RingSink::unbounded());
-    let sink: Arc<dyn TraceSink> = match &jsonl_sink {
-        Some(j) => Arc::new(FanoutSink::new(vec![
-            j.clone() as Arc<dyn TraceSink>,
-            ring.clone(),
-        ])),
+/// The trace sink of a reported run: the report's ring, teed into the
+/// `--jsonl` stream when there is one.
+fn tee(jsonl: &Option<Arc<JsonlSink>>, ring: &Arc<RingSink>) -> Arc<dyn TraceSink> {
+    match jsonl {
+        Some(j) => Arc::new(FanoutSink::new(vec![j.clone(), ring.clone()])),
         None => ring.clone(),
-    };
-    let (cluster, run, outcomes) = drain(plan.clone(), Some(sink));
-    let report = RunReport::from_events("service", ring.take(), cluster.cost_model());
-    println!("\n{}", report.render());
+    }
+}
 
-    println!("### per-job breakdown\n");
-    println!("job  name              attempts  status             admitted  completed");
-    for (r, (status, _)) in run.records.iter().zip(&outcomes) {
-        println!(
-            "{:>3}  {:<16}  {:>8}  {:<17}  {:>8}  {:>9}",
-            r.job,
-            r.name,
-            r.attempts,
-            format!("{status:?}"),
-            r.admitted_round,
-            r.completed_round
-        );
-    }
-
-    let mut diverged = false;
-    for (i, (status, digest)) in outcomes.iter().enumerate() {
-        if *status == JobStatus::Completed && *digest != clean[i].1 {
-            eprintln!(
-                "service: surviving tenant {} DIVERGED from the fault-free drain",
-                SERVICE_JOBS[i]
-            );
-            diverged = true;
-        }
-    }
-    if diverged {
-        std::process::exit(1);
-    }
-    if plan.is_some() {
-        println!("\nall surviving tenants are bit-identical to the fault-free drain");
-    }
+/// With `--trace`, writes the report's Perfetto export.
+fn export(opts: &Opts, report: &RunReport) {
     if let Some(path) = &opts.trace {
         std::fs::write(path, perfetto_export(&report.events))
             .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
@@ -273,10 +154,116 @@ fn run_service(opts: &Opts, g: &Arc<mpc_graph::Graph>, jsonl_sink: Option<Arc<Js
     }
 }
 
+/// The `service` target: drains the standard six-tenant mixed queue
+/// ([`mpc_bench::experiments::SERVICE_JOBS`]) and prints the straggler
+/// report plus a per-job quarantine/retry breakdown. With `--faults SEED`
+/// a seeded small-machine crash is injected under a **zero-replica**
+/// recovery policy, making it job-fatal: the service must quarantine the
+/// culprit tenant, re-admit it on its two-admission retry budget, and keep
+/// every surviving tenant bit-identical to the fault-free drain — any
+/// divergence exits 1.
+fn run_service(opts: &Opts, g: &Arc<Graph>, jsonl: &Option<Arc<JsonlSink>>) {
+    let retry = JobRetryPolicy {
+        max_attempts: 2,
+        backoff_rounds: 1,
+    };
+    let cost = |c: &Cluster| cost_profile(&opts.profile, 0.0, c);
+    let run = |plan, sink| {
+        drain(g, retry, &cost, plan, sink, opts.mode)
+            .unwrap_or_else(|e| fail(&format!("service drain: {e}")))
+    };
+    // Fault-free preflight learns the round count (to scope the seeded
+    // crash) and the per-tenant digests recovery must reproduce.
+    let clean = run(None, None);
+    let plan = opts.faults.map(|seed| {
+        let (smalls, rounds) = (clean.cluster.small_ids(), clean.cluster.rounds());
+        FaultPlan::seeded_single_crash(seed, &smalls, rounds).with_policy(zero_replicas())
+    });
+    for f in plan.iter().flat_map(FaultPlan::faults) {
+        println!(
+            "\nservice: injecting {} ({}) with zero peer replicas — job-fatal",
+            f.kind(),
+            f.detail()
+        );
+    }
+    let ring = Arc::new(RingSink::unbounded());
+    let traced = run(plan.clone(), Some(tee(jsonl, &ring)));
+    let report = RunReport::from_events("service", ring.take(), traced.cluster.cost_model());
+    println!("\n{}", report.render());
+    println!("### per-job breakdown\n");
+    println!("job  name              attempts  status             admitted  completed");
+    for (r, (status, _)) in traced.records.iter().zip(&traced.outcomes) {
+        println!(
+            "{:>3}  {:<16}  {:>8}  {:<17}  {:>8}  {:>9}",
+            r.job,
+            r.name,
+            r.attempts,
+            format!("{status:?}"),
+            r.admitted_round,
+            r.completed_round
+        );
+    }
+    let diverged = diverged(&traced.outcomes, &clean.outcomes);
+    for name in &diverged {
+        eprintln!("service: surviving tenant {name} DIVERGED from the fault-free drain");
+    }
+    if !diverged.is_empty() {
+        std::process::exit(1);
+    }
+    if plan.is_some() {
+        println!("\nall surviving tenants are bit-identical to the fault-free drain");
+    }
+    export(opts, &report);
+}
+
+/// Runs one registry name with the report attached. With `--faults SEED`
+/// a fault-free preflight learns the round count (to place the seeded
+/// crash mid-run) and the digest recovery must reproduce; a divergence
+/// exits 1.
+fn run_name(opts: &Opts, name: &str, g: &Graph, jsonl: &Option<Arc<JsonlSink>>) {
+    let run = |mode, prepare: Option<&dyn Fn(&mut Cluster)>| {
+        solo(
+            name,
+            g,
+            preferred(name, g, 5),
+            JobParams::default(),
+            mode,
+            prepare,
+        )
+    };
+    let clean = opts.faults.map(|seed| {
+        let pre = run(ExecMode::Serial, None)
+            .unwrap_or_else(|e| fail(&format!("{name} (fault-free preflight): {e}")));
+        let plan = FaultPlan::seeded_single_crash(seed, &pre.cluster.small_ids(), pre.rounds);
+        (pre.digest, plan)
+    });
+    for f in clean.iter().flat_map(|(_, plan)| plan.faults()) {
+        println!("\n{name}: injecting {} ({})", f.kind(), f.detail());
+    }
+    let ring = Arc::new(RingSink::unbounded());
+    let prepare = |c: &mut Cluster| {
+        c.set_cost_model(cost_profile(&opts.profile, 0.0, c));
+        c.set_fault_plan(clean.as_ref().map(|(_, plan)| plan.clone()));
+        c.set_trace_sink(Some(tee(jsonl, &ring)));
+    };
+    let run = run(opts.mode, Some(&prepare)).unwrap_or_else(|e| fail(&format!("{name}: {e}")));
+    let report = RunReport::from_events(name, ring.take(), run.cluster.cost_model());
+    println!("\n{}", report.render());
+    if let Some((clean_digest, _)) = &clean {
+        if run.digest == *clean_digest {
+            println!("recovered result is bit-identical to the fault-free run");
+        } else {
+            eprintln!("{name}: recovered digest DIVERGED from the fault-free run");
+            std::process::exit(1);
+        }
+    }
+    export(opts, &report);
+}
+
 fn main() {
-    let opts = parse_args();
-    let g = Arc::new(generators::gnm(opts.n, opts.n * 6, 5).with_random_weights(1 << 12, 5));
-    let jsonl_sink = opts.jsonl.as_ref().map(|path| {
+    let (opts, names) = parse_args();
+    let g = Arc::new(budgets_graph(opts.n));
+    let jsonl = opts.jsonl.as_ref().map(|path| {
         Arc::new(
             JsonlSink::create(path).unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}"))),
         )
@@ -288,74 +275,14 @@ fn main() {
         g.m(),
         opts.mode
     );
-    if opts.service {
-        run_service(&opts, &g, jsonl_sink.clone());
+    if opts.target.as_deref() == Some("service") {
+        run_service(&opts, &g, &jsonl);
     }
-    for name in &opts.names {
-        let algo = registry::get(name).expect("validated above");
-        let config = || {
-            ClusterConfig::new(g.n(), g.m())
-                .seed(5)
-                .polylog_exponent(algo.polylog_exponent)
-        };
-        let mut cluster = Cluster::new(config());
-        cluster.set_cost_model(cost_profile(&opts.profile, &cluster));
-        // --faults: a fault-free preflight learns the round count (to place
-        // the seeded crash mid-run) and the digest the recovery must
-        // reproduce; the traced run below then carries the plan.
-        let clean = opts.faults.map(|seed| {
-            let mut pre = Cluster::new(config());
-            let input = common::distribute_edges(&pre, &g);
-            let out = registry::run(
-                name,
-                &mut pre,
-                &AlgoInput::new(g.n(), &input),
-                ExecMode::Serial,
-            )
-            .unwrap_or_else(|e| fail(&format!("{name} (fault-free preflight): {e}")));
-            let plan = FaultPlan::seeded_single_crash(seed, &pre.small_ids(), pre.rounds());
-            (out.digest(), plan)
-        });
-        if let Some((_, plan)) = &clean {
-            for f in plan.faults() {
-                println!("\n{name}: injecting {} ({})", f.kind(), f.detail());
-            }
-            cluster.set_fault_plan(Some(plan.clone()));
-        }
-        if let Some(sink) = &jsonl_sink {
-            cluster.set_trace_sink(Some(sink.clone() as Arc<dyn TraceSink>));
-        }
-        let input = common::distribute_edges(&cluster, &g);
-        let (out, report) = registry::run_with_report(
-            name,
-            &mut cluster,
-            &AlgoInput::new(g.n(), &input),
-            opts.mode,
-        )
-        .unwrap_or_else(|e| fail(&format!("{name}: {e}")));
-        println!("\n{}", report.render());
-        if let Some((clean_digest, _)) = &clean {
-            if out.digest() == *clean_digest {
-                println!("recovered result is bit-identical to the fault-free run");
-            } else {
-                eprintln!("{name}: recovered digest DIVERGED from the fault-free run");
-                std::process::exit(1);
-            }
-        }
-        if let Some(path) = &opts.trace {
-            std::fs::write(path, perfetto_export(&report.events))
-                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-            println!(
-                "perfetto trace ({} events) written to {path}",
-                report.events.len()
-            );
-        }
+    for name in names {
+        run_name(&opts, name, &g, &jsonl);
     }
-    if let Some(sink) = &jsonl_sink {
+    if let (Some(sink), Some(path)) = (&jsonl, &opts.jsonl) {
         sink.flush();
-        println!(
-            "\njsonl event log written to {}",
-            opts.jsonl.as_deref().unwrap()
-        );
+        println!("\njsonl event log written to {path}");
     }
 }

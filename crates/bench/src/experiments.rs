@@ -1,9 +1,13 @@
-//! The experiment implementations (index: DESIGN.md §4).
+//! The experiment table, [`EXPERIMENTS`] (DESIGN.md §4 lists each row
+//! with its theorem, its checks and its CI gate), and the shared harness:
+//! [`solo`] (one registry run), the registry pass behind `registry`,
+//! `budgets` and `chaos`, and [`drain`] (one service drain), which
+//! `mpc-trace` uses too.
 //!
-//! Every experiment prints markdown tables; DESIGN.md §4 indexes them.
-//! Independent repetitions run on crossbeam scoped threads — the
-//! simulator is deterministic per seed, so parallelism never changes
-//! results, only wall-clock.
+//! A sweep experiment is data: per table a grid, a graph generator,
+//! parameters and column headers, whose cells the extractors in `cell`
+//! read off [`AlgoOutput`]; each grid point is one solo run, with the
+//! sublinear baseline as an optional column.
 
 use crate::Table;
 use mpc_baselines::near_linear::near_linear_config;
@@ -12,1142 +16,155 @@ use mpc_baselines::sublinear::{
     sublinear_mst, two_vs_one_cycle_baseline,
 };
 use mpc_core::ported::connectivity::sketch_friendly_config;
-use mpc_core::spanner::baswana_sen;
-use mpc_core::{common, matching, mst, spanner};
-use mpc_graph::{generators, Graph};
-use mpc_runtime::{Cluster, ClusterConfig, Topology};
+use mpc_core::spanner::{apsp::measured_stretch, baswana_sen};
+use mpc_core::{common, matching, mst};
+use mpc_exec::ExecMode::{self, Parallel, Serial};
+use mpc_exec::{
+    registry, AlgoInput, AlgoOutput, Algorithm, ExecError, JobParams, JobRecord, JobRetryPolicy,
+    JobSpec, JobStatus, Service,
+};
+use mpc_graph::{generators, Edge, Graph};
+use mpc_runtime::{
+    Cluster, ClusterConfig, CostModel, Fault, FaultPlan, RecoveryPolicy, ShardedVec, Topology,
+    TraceSink,
+};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Runs a registry algorithm on its preferred heterogeneous engine cluster
-/// (the algorithm's declared polylog headroom), returning the output and
-/// the measured engine rounds — the standard way every experiment invokes
-/// the ported algorithms since the registry became the sole
-/// consumer-facing entry point.
-fn run_registry(
+/// What one [`solo`] run leaves behind.
+pub struct Solo {
+    /// The algorithm's output.
+    pub out: AlgoOutput,
+    /// Engine rounds the run took.
+    pub rounds: u64,
+    /// [`AlgoOutput::digest`] of `out`.
+    pub digest: u128,
+    /// Host wall-clock of the engine run (edge distribution excluded).
+    pub wall: Duration,
+    /// The cluster after the run.
+    pub cluster: Cluster,
+}
+
+/// Runs registry algorithm `name` once on `g`: builds the cluster from
+/// `config`, lets `prepare` attach a cost model, fault plan or trace sink,
+/// shards the edges over the small machines and runs under `mode`.
+///
+/// # Errors
+///
+/// Whatever [`registry::run`] returns.
+pub fn solo(
     name: &str,
     g: &Graph,
-    seed: u64,
-    tweak: impl for<'a> FnOnce(mpc_exec::AlgoInput<'a>) -> mpc_exec::AlgoInput<'a>,
-) -> (mpc_exec::AlgoOutput, u64) {
-    let polylog = mpc_exec::registry::get(name)
+    config: ClusterConfig,
+    params: JobParams,
+    mode: ExecMode,
+    prepare: Option<&dyn Fn(&mut Cluster)>,
+) -> Result<Solo, ExecError> {
+    let ((out, wall), cluster) = on_cluster(g, config, |c, edges| {
+        if let Some(prepare) = prepare {
+            prepare(c);
+        }
+        let input = AlgoInput {
+            n: g.n(),
+            edges: &edges,
+            params,
+        };
+        let started = Instant::now();
+        (registry::run(name, c, &input, mode), started.elapsed())
+    });
+    let out = out?;
+    let (rounds, digest) = (cluster.rounds(), out.digest());
+    Ok(Solo {
+        out,
+        rounds,
+        digest,
+        wall,
+        cluster,
+    })
+}
+
+/// Builds a cluster from `config`, shards `g`'s edges over its small
+/// machines and hands both to `run`: [`solo`]'s body, and the way in for
+/// the two call-style algorithms outside the registry.
+fn on_cluster<T>(
+    g: &Graph,
+    config: ClusterConfig,
+    run: impl FnOnce(&mut Cluster, ShardedVec<Edge>) -> T,
+) -> (T, Cluster) {
+    let mut cluster = Cluster::new(config);
+    let edges = common::distribute_edges(&cluster, g);
+    (run(&mut cluster, edges), cluster)
+}
+
+/// The cluster registry algorithm `name` prefers on `g`: `g`'s shape, the
+/// seed, and the polylog capacity headroom the algorithm declares.
+///
+/// # Panics
+///
+/// Panics on an unregistered name.
+pub fn preferred(name: &str, g: &Graph, seed: u64) -> ClusterConfig {
+    let polylog = registry::get(name)
         .expect("registered algorithm")
         .polylog_exponent;
-    let mut c = Cluster::new(
-        ClusterConfig::new(g.n(), g.m().max(1))
-            .seed(seed)
-            .polylog_exponent(polylog),
-    );
-    let out = run_on(name, &mut c, g, tweak);
-    (out, c.rounds())
+    ClusterConfig::new(g.n(), g.m().max(1))
+        .seed(seed)
+        .polylog_exponent(polylog)
 }
 
-/// [`run_registry`] on a cluster the caller configured.
-fn run_on(
-    name: &str,
-    c: &mut Cluster,
-    g: &Graph,
-    tweak: impl for<'a> FnOnce(mpc_exec::AlgoInput<'a>) -> mpc_exec::AlgoInput<'a>,
-) -> mpc_exec::AlgoOutput {
-    let input = common::distribute_edges(c, g);
-    let algo_input = tweak(mpc_exec::AlgoInput::new(g.n(), &input));
-    mpc_exec::registry::run(name, c, &algo_input, mpc_exec::ExecMode::Parallel)
-        .expect("registry run")
+/// The budgets workload at `n`: `gnm(n, 6n)` with weights below 2¹², seed
+/// 5 — the graph of every registry, chaos and service experiment and of
+/// `mpc-trace`.
+pub fn budgets_graph(n: usize) -> Graph {
+    generators::gnm(n, n * 6, 5).with_random_weights(1 << 12, 5)
 }
 
-fn run_het_mst(g: &Graph, seed: u64) -> (mst::MstResult, u64) {
-    let (out, rounds) = run_registry("mst", g, seed, |i| i);
-    (out.into_mst().expect("mst output"), rounds)
+/// The cost model of a named profile on `c`: `uniform` (unit speeds,
+/// `latency` seconds a round), `proportional` (speed and bandwidth
+/// proportional to capacity, 1 s a round) or `straggler` (uniform, with the
+/// first small machine at 10 % speed and bandwidth).
+pub fn cost_profile(profile: &str, latency: f64, c: &Cluster) -> CostModel {
+    let caps: Vec<usize> = (0..c.machines()).map(|m| c.capacity(m)).collect();
+    let uniform = CostModel::uniform(caps.len(), 1.0, 1.0, latency);
+    match profile {
+        "uniform" => uniform,
+        "proportional" => CostModel::proportional_to_capacity(&caps, 1.0),
+        _ => uniform.with_straggler(c.small_ids()[0], 0.1),
+    }
 }
 
-fn run_sub_mst(g: &Graph, seed: u64) -> (usize, u64) {
-    let mut cluster = Cluster::new(sublinear_config(g.n(), g.m(), seed));
-    let input = distribute_all(&cluster, g);
-    let r = sublinear_mst(&mut cluster, g.n(), &input).expect("sub mst");
-    (r.phases, cluster.rounds())
+/// A recovery policy without peer replicas: a crash is job-fatal.
+pub fn zero_replicas() -> RecoveryPolicy {
+    RecoveryPolicy {
+        replicas: 0,
+        ..RecoveryPolicy::default()
+    }
 }
 
-/// E1: Table 1 — measured rounds per problem per regime on a common
-/// workload (`n = 512`, `m/n = 16`, random weights). Cells marked `lit.`
-/// quote the literature bound where the regime's best algorithm is outside
-/// this reproduction's scope (see DESIGN.md §4).
-pub fn table1() {
-    println!("\n## E1 — Table 1 (measured rounds; n=512, m/n=16)\n");
-    let n = 512;
-    let g = generators::gnm(n, n * 16, 42).with_random_weights(1 << 18, 42);
-    let gu = generators::gnm(n, n * 16, 42); // unweighted view
-    let mut t = Table::new(&[
-        "problem",
-        "sublinear (measured)",
-        "heterogeneous (measured)",
-        "near-linear (measured)",
-        "paper het. bound",
-    ]);
+/// Reruns one registry pass run under another mode and `prepare`.
+type Rerun<'a> = &'a dyn Fn(ExecMode, Option<&dyn Fn(&mut Cluster)>) -> Solo;
 
-    // Connectivity.
-    let (_, het) = run_registry("connectivity", &gu, 1, |i| i);
-    let sub = {
-        let mut c = Cluster::new(sublinear_config(n, g.m(), 1));
-        let input = distribute_all(&c, &g);
-        sublinear_mst(&mut c, n, &input).unwrap();
-        c.rounds()
-    };
-    let nl = {
-        // Near-linear capacities derived from the sketch-friendly polylog
-        // budget (capacities must be computed *after* setting the budget).
-        let base = sketch_friendly_config(n, g.m(), 1);
-        let cap = base.capacity_for_exponent(1.0);
-        let machines = (g.m() / n).max(2) + 1;
-        let mut c = Cluster::new(base.topology(Topology::Custom {
-            capacities: vec![cap; machines],
-            large: Some(0),
-        }));
-        let input = common::distribute_edges(&c, &gu);
-        mpc_exec::registry::run(
-            "connectivity",
-            &mut c,
-            &mpc_exec::AlgoInput::new(n, &input),
-            mpc_exec::ExecMode::Parallel,
-        )
-        .unwrap();
-        c.rounds()
-    };
-    t.row(&[
-        "connectivity".into(),
-        format!("{sub}"),
-        format!("{het}"),
-        format!("{nl}"),
-        "O(1)".into(),
-    ]);
-
-    // MST.
-    let (_, het) = run_het_mst(&g, 2);
-    let (_, sub) = run_sub_mst(&g, 2);
-    let nl = {
-        let mut c = Cluster::new(near_linear_config(n, g.m(), 2));
-        let input = common::distribute_edges(&c, &g);
-        mpc_exec::registry::run(
-            "mst",
-            &mut c,
-            &mpc_exec::AlgoInput::new(n, &input),
-            mpc_exec::ExecMode::Parallel,
-        )
-        .unwrap();
-        c.rounds()
-    };
-    t.row(&[
-        "MST".into(),
-        format!("{sub}"),
-        format!("{het}"),
-        format!("{nl}"),
-        "O(log log(m/n))".into(),
-    ]);
-
-    // (1+eps)-approx MST — every threshold wave interleaved through the
-    // multi-program scheduler, so the measured rounds *are* the parallel
-    // figure.
-    let (_, het) = run_registry("mst-approx", &g, 3, |i| i.epsilon(0.5));
-    t.row(&[
-        "(1+eps)-approx MST".into(),
-        "lit. O(log n)".into(),
-        format!("{het} (batched)"),
-        format!("{het}"),
-        "O(1)".into(),
-    ]);
-
-    // Spanner.
-    let (_, het) = run_registry("spanner", &gu, 4, |i| i.spanner_k(3));
-    t.row(&[
-        "O(k)-spanner".into(),
-        "lit. O(log k)".into(),
-        format!("{het}"),
-        format!("{het} (same impl.)"),
-        "O(1)".into(),
-    ]);
-
-    // Exact unweighted min cut.
-    let pc = generators::planted_cut(n / 2, 0.05, 4, 5);
-    let (_, het) = run_registry("mincut", &pc, 5, |i| i.mincut_trials(4));
-    t.row(&[
-        "exact unweighted min cut".into(),
-        "lit. O(polylog n)".into(),
-        format!("{het} (4 trials)"),
-        format!("{het}"),
-        "O(1)".into(),
-    ]);
-
-    // Approx weighted min cut — all λ̂ guesses interleaved, measured
-    // rounds are the parallel figure.
-    let (_, het) = run_registry("mincut-approx", &pc, 6, |i| i.epsilon(0.3));
-    t.row(&[
-        "(1±eps) weighted min cut".into(),
-        "lit. O(log n loglog n)".into(),
-        format!("{het} (batched)"),
-        format!("{het}"),
-        "O(1)".into(),
-    ]);
-
-    // Coloring.
-    let (_, het) = run_registry("coloring", &gu, 7, |i| i);
-    let sub = {
-        let mut c = Cluster::new(sublinear_config(n, g.m(), 7));
-        let input = distribute_all(&c, &gu);
-        sublinear_coloring(&mut c, n, &input, gu.max_degree()).unwrap();
-        c.rounds()
-    };
-    t.row(&[
-        "(Δ+1) coloring".into(),
-        format!("{sub}"),
-        format!("{het}"),
-        format!("{het} (same impl.)"),
-        "O(1)".into(),
-    ]);
-
-    // MIS.
-    let (_, het) = run_registry("mis", &gu, 8, |i| i);
-    let sub = {
-        let mut c = Cluster::new(sublinear_config(n, g.m(), 8));
-        let input = distribute_all(&c, &gu);
-        sublinear_mis(&mut c, n, &input).unwrap();
-        c.rounds()
-    };
-    t.row(&[
-        "maximal independent set".into(),
-        format!("{sub}"),
-        format!("{het}"),
-        format!("{het} (same impl.)"),
-        "O(log log Δ)".into(),
-    ]);
-
-    // Maximal matching.
-    let (_, het) = run_registry("matching", &gu, 9, |i| i);
-    let sub = {
-        let mut c = Cluster::new(sublinear_config(n, g.m(), 9));
-        let input = distribute_all(&c, &gu);
-        sublinear_matching(&mut c, &input).unwrap();
-        c.rounds()
-    };
-    t.row(&[
-        "maximal matching".into(),
-        format!("{sub}"),
-        format!("{het}"),
-        format!("{het} (same impl.)"),
-        "O(sqrt(log(m/n) loglog(m/n)))".into(),
-    ]);
-
-    t.print();
-}
-
-/// E2: MST rounds vs. density and vs. n (§3's `O(log log(m/n))` shape).
-pub fn mst_scaling() {
-    println!("\n## E2 — MST scaling (Theorem: O(log log(m/n)) rounds)\n");
-    println!("### density sweep at n = 1024 (tight budget exposes the schedule)\n");
-    let mut t = Table::new(&[
-        "m/n",
-        "het rounds",
-        "Boruvka steps",
-        "sublinear rounds",
-        "sublinear phases",
-    ]);
-    let n = 1024;
-    for &density in &[4usize, 8, 16, 32, 64, 128] {
-        let g = generators::gnm(n, n * density, 7).with_random_weights(1 << 20, 7);
-        // Tight collection budget: the doubly-exponential schedule shows.
-        let mut c = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(7).mem_constant(3.0));
-        let r = run_on("mst", &mut c, &g, |i| i)
-            .into_mst()
-            .expect("mst output");
-        assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
-        let (phases, sub_rounds) = run_sub_mst(&g, 7);
-        t.rowd(&[
-            density.to_string(),
-            c.rounds().to_string(),
-            r.stats.boruvka_steps.to_string(),
-            sub_rounds.to_string(),
-            phases.to_string(),
-        ]);
-    }
-    t.print();
-
-    println!("\n### n sweep at m/n = 16 (het flat, sublinear grows)\n");
-    let mut t = Table::new(&["n", "het rounds", "sublinear rounds"]);
-    for &exp in &[8usize, 9, 10, 11] {
-        let n = 1 << exp;
-        let g = generators::gnm(n, n * 16, 3).with_random_weights(1 << 20, 3);
-        let (_, het) = run_het_mst(&g, 3);
-        let (_, sub) = run_sub_mst(&g, 3);
-        t.rowd(&[n.to_string(), het.to_string(), sub.to_string()]);
-    }
-    t.print();
-}
-
-/// E3: the generalized Theorem 3.1 — a superlinear large machine shrinks
-/// the Borůvka schedule.
-pub fn mst_superlinear() {
-    println!("\n## E3 — MST with a superlinear large machine (Theorem 3.1)\n");
-    let n = 512;
-    let g = generators::gnm(n, n * 64, 5).with_random_weights(1 << 20, 5);
-    let mut t = Table::new(&["f (memory n^(1+f))", "rounds", "Boruvka steps"]);
-    for &f in &[0.0f64, 0.1, 0.2, 0.4, 0.7] {
-        let mut c = Cluster::new(
-            ClusterConfig::new(g.n(), g.m())
-                .topology(Topology::Heterogeneous {
-                    gamma: 0.5,
-                    large_exponent: 1.0 + f,
-                })
-                .mem_constant(4.0)
-                .seed(5),
-        );
-        let input = common::distribute_edges(&c, &g);
-        let r = mst::heterogeneous_mst(&mut c, g.n(), input).unwrap();
-        assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
-        t.rowd(&[
-            format!("{f:.1}"),
-            c.rounds().to_string(),
-            r.stats.boruvka_steps.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// E4: spanner size/stretch/rounds vs. k and vs. n (Theorem 4.1).
-pub fn spanner() {
-    println!("\n## E4 — spanner (Theorem 4.1: O(1) rounds, size O(n^(1+1/k)), stretch ≤ 6k−1)\n");
-    println!("### k sweep at n = 512, m/n = 16\n");
-    let n = 512;
-    let g = generators::gnm(n, n * 16, 9);
-    let mut t = Table::new(&[
-        "k",
-        "rounds",
-        "|H|",
-        "|H| / n^(1+1/k)",
-        "stretch bound",
-        "measured stretch",
-    ]);
-    for &k in &[2usize, 3, 4, 6] {
-        let (out, rounds) = run_registry("spanner", &g, 9, |i| i.spanner_k(k));
-        let r = out.into_spanner().expect("spanner output");
-        let rep = mpc_graph::verify_spanner(&g, &r.spanner, Some(16), 1);
-        let norm = r.spanner.m() as f64 / (n as f64).powf(1.0 + 1.0 / k as f64);
-        t.rowd(&[
-            k.to_string(),
-            rounds.to_string(),
-            r.spanner.m().to_string(),
-            format!("{norm:.2}"),
-            (6 * k - 1).to_string(),
-            format!("{:.2}", rep.max_stretch),
-        ]);
-    }
-    t.print();
-
-    println!("\n### n sweep at k = 3 (rounds stay flat)\n");
-    let mut t = Table::new(&["n", "rounds", "|H|/n^(4/3)"]);
-    for &exp in &[8usize, 9, 10] {
-        let n = 1 << exp;
-        let g = generators::gnm(n, n * 12, 4);
-        let (out, rounds) = run_registry("spanner", &g, 4, |i| i.spanner_k(3));
-        let r = out.into_spanner().expect("spanner output");
-        let norm = r.spanner.m() as f64 / (n as f64).powf(4.0 / 3.0);
-        t.rowd(&[n.to_string(), rounds.to_string(), format!("{norm:.2}")]);
-    }
-    t.print();
-}
-
-/// E5: Lemma 4.3 ablation — modified Baswana–Sen size scales like `1/p`.
-pub fn baswana_ablation() {
-    println!("\n## E5 — modified Baswana–Sen size vs p (Lemma 4.3: O(k·n^(1+1/k)/p))\n");
-    let g = generators::gnm(400, 8000, 11);
-    let k = 3;
-    let norm = (k as f64) * (g.n() as f64).powf(1.0 + 1.0 / k as f64);
-    let mut t = Table::new(&["p", "size (avg of 5 seeds)", "size·p / (k·n^(1+1/k))"]);
-    for &p in &[1.0f64, 0.6, 0.3, 0.15, 0.08] {
-        let avg: f64 = (0..5)
-            .map(|s| baswana_sen::modified_baswana_sen(&g, k, p, 100 + s).0.m() as f64)
-            .sum::<f64>()
-            / 5.0;
-        t.rowd(&[
-            format!("{p:.2}"),
-            format!("{avg:.0}"),
-            format!("{:.3}", avg * p / norm),
-        ]);
-    }
-    t.print();
-    println!("\n(The last column being ~flat is the 1/p law of Lemma 4.3.)");
-}
-
-/// E6: Figure 1 — per-level behaviour of original vs. modified BS.
-pub fn figure1() {
-    println!("\n## E6 — Figure 1: original vs modified Baswana–Sen, per level\n");
-    let g = generators::gnm(400, 6000, 13);
-    let k = 4;
-    let (h_orig, p_orig) = baswana_sen::baswana_sen(&g, k, 21);
-    let (h_mod, p_mod) = baswana_sen::modified_baswana_sen(&g, k, 0.2, 21);
-    let mut t = Table::new(&[
-        "level",
-        "orig retained",
-        "orig reclustered",
-        "orig removed",
-        "mod retained",
-        "mod reclustered",
-        "mod removed",
-    ]);
-    for i in 0..k {
-        let a = &p_orig.stats[i];
-        let b = &p_mod.stats[i];
-        t.rowd(&[
-            (i + 1).to_string(),
-            a.retained.to_string(),
-            a.reclustered.to_string(),
-            a.removed.to_string(),
-            b.retained.to_string(),
-            b.reclustered.to_string(),
-            b.removed.to_string(),
-        ]);
-    }
-    t.print();
-    println!(
-        "\nspanner sizes: original {} edges, modified (p=0.2) {} edges",
-        h_orig.m(),
-        h_mod.m()
-    );
-    println!("(modified re-clusters fewer and removes more — Figure 1's panels b/c)");
-}
-
-/// E7: matching rounds track the average degree `d`, not n (Theorem 5.1).
-pub fn matching() {
-    println!("\n## E7 — maximal matching (Theorem 5.1: rounds depend on d = 2m/n)\n");
-    println!("### d sweep at n = 1024\n");
-    let n = 1024;
-    let mut t = Table::new(&[
-        "m/n",
-        "het rounds",
-        "p1 iters",
-        "high-deg vertices",
-        "sublinear rounds",
-    ]);
-    for &density in &[2usize, 4, 8, 16, 32] {
-        let g = generators::gnm(n, n * density, 15);
-        let (out, rounds) = run_registry("matching", &g, 15, |i| i);
-        let r = out.into_matching().expect("matching output");
-        let mut cs = Cluster::new(sublinear_config(g.n(), g.m(), 15));
-        let input = distribute_all(&cs, &g);
-        sublinear_matching(&mut cs, &input).unwrap();
-        t.rowd(&[
-            density.to_string(),
-            rounds.to_string(),
-            r.stats.phase1_iterations.to_string(),
-            r.stats.high_vertices.to_string(),
-            cs.rounds().to_string(),
-        ]);
-    }
-    t.print();
-
-    println!("\n### skewed graphs: fixed avg degree, hubs grow with n\n");
-    let mut t = Table::new(&["n", "Δ", "het rounds", "sublinear rounds"]);
-    for &exp in &[8usize, 9, 10] {
-        let n = 1 << exp;
-        let g = generators::chung_lu(n, n * 3, 2.2, exp as u64);
-        let (_, rounds) = run_registry("matching", &g, 17, |i| i);
-        let mut cs = Cluster::new(sublinear_config(g.n(), g.m(), 17));
-        let input = distribute_all(&cs, &g);
-        sublinear_matching(&mut cs, &input).unwrap();
-        t.rowd(&[
-            n.to_string(),
-            g.max_degree().to_string(),
-            rounds.to_string(),
-            cs.rounds().to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// E8: filtering matching rounds ~ 1/f (Theorem 5.5).
-pub fn matching_filtering() {
-    println!("\n## E8 — filtering matching (Theorem 5.5: O(1/f) rounds)\n");
-    let n = 512;
-    let g = generators::gnm(n, n * 48, 19);
-    let mut t = Table::new(&["f", "levels", "rounds"]);
-    for &f in &[0.1f64, 0.15, 0.25, 0.4, 0.7] {
-        let mut c = Cluster::new(
-            ClusterConfig::new(g.n(), g.m())
-                .topology(Topology::Heterogeneous {
-                    gamma: 0.66,
-                    large_exponent: 1.0 + f,
-                })
-                .seed(19),
-        );
-        let input = common::distribute_edges(&c, &g);
-        let (m, stats) = matching::filtering::filtering_matching(&mut c, n, &input, f).unwrap();
-        assert!(mpc_graph::matching::is_maximal_matching(&g, &m));
-        t.rowd(&[
-            format!("{f:.2}"),
-            stats.levels.to_string(),
-            c.rounds().to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// E9: APSP oracle stretch (Corollary 4.2).
-pub fn apsp() {
-    println!("\n## E9 — APSP oracle (Corollary 4.2: O(log n)-approx in O(1) rounds)\n");
-    let mut t = Table::new(&["n", "build rounds", "stretch bound", "measured stretch"]);
-    for &n in &[128usize, 256, 384] {
-        let g = generators::gnm(n, n * 6, 23);
-        let (out, rounds) = run_registry("apsp", &g, 23, |i| i);
-        let (oracle, _) = out.into_apsp().expect("apsp output");
-        let measured = spanner::apsp::measured_stretch(&g, &oracle, 16);
-        t.rowd(&[
-            n.to_string(),
-            rounds.to_string(),
-            oracle.stretch_bound.to_string(),
-            format!("{measured:.2}"),
-        ]);
-    }
-    t.print();
-}
-
-/// E10a: connectivity rounds are flat in n (Theorem C.1).
-pub fn connectivity() {
-    println!("\n## E10a — connectivity (Theorem C.1: O(1) rounds)\n");
-    let mut t = Table::new(&["n", "m", "rounds", "components correct"]);
-    for &exp in &[7usize, 8, 9] {
-        let n = 1 << exp;
-        let g = generators::gnm(n, n * 3, 29);
-        let (out, rounds) = run_registry("connectivity", &g, 29, |i| i);
-        let got = out.into_components().expect("components output");
-        let ok = got == mpc_graph::traversal::connected_components(&g);
-        t.rowd(&[
-            n.to_string(),
-            g.m().to_string(),
-            rounds.to_string(),
-            ok.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// E10b: (1+ε)-MST estimate error (Theorem C.2).
-pub fn mst_approx() {
-    println!("\n## E10b — (1+eps)-approx MST weight (Theorem C.2)\n");
-    let g = generators::gnm(96, 500, 31).with_random_weights(64, 31);
-    let exact = mpc_graph::mst::kruskal(&g).total_weight as f64;
-    let mut t = Table::new(&["eps", "estimate", "exact", "ratio", "rounds (batched)"]);
-    for &eps in &[1.0f64, 0.5, 0.25] {
-        let (out, rounds) = run_registry("mst-approx", &g, 31, |i| i.epsilon(eps));
-        let r = out.into_mst_approx().expect("estimator output");
-        t.rowd(&[
-            format!("{eps:.2}"),
-            format!("{:.0}", r.estimate),
-            format!("{exact:.0}"),
-            format!("{:.3}", r.estimate / exact),
-            rounds.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// E10c: min cuts — exact success and approximation error.
-pub fn mincut() {
-    println!("\n## E10c — min cut (Theorems C.3/C.4)\n");
-    println!("### exact unweighted (8 trials per instance)\n");
-    let mut t = Table::new(&["planted bridge", "found", "exact", "rounds"]);
-    for &bridge in &[2usize, 3, 5] {
-        let g = generators::planted_cut(40, 0.5, bridge, 37);
-        let (out, rounds) = run_registry("mincut", &g, 37, |i| i.mincut_trials(8));
-        let r = out.into_mincut().expect("min-cut output");
-        let exact = mpc_graph::mincut::min_cut(&g).unwrap().weight;
-        t.rowd(&[
-            bridge.to_string(),
-            r.value.to_string(),
-            exact.to_string(),
-            rounds.to_string(),
-        ]);
-    }
-    t.print();
-
-    println!("\n### (1±eps) weighted approximation\n");
-    let mut t = Table::new(&["eps", "estimate", "exact", "rounds (batched)"]);
-    let g = generators::planted_cut(30, 0.6, 5, 41).with_random_weights(8, 41);
-    let exact = mpc_graph::mincut::min_cut(&g).unwrap().weight as f64;
-    for &eps in &[0.5f64, 0.3, 0.2] {
-        let (out, rounds) = run_registry("mincut-approx", &g, 41, |i| i.epsilon(eps));
-        let r = out.into_mincut_approx().expect("approx min-cut output");
-        t.rowd(&[
-            format!("{eps:.2}"),
-            format!("{:.1}", r.estimate),
-            format!("{exact:.0}"),
-            rounds.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// E10d: MIS iterations grow ~log log Δ (Theorem C.6).
-pub fn mis() {
-    println!("\n## E10d — MIS (Theorem C.6: O(log log Δ) rounds)\n");
-    let n = 512;
-    let mut t = Table::new(&[
-        "m/n",
-        "Δ",
-        "iterations",
-        "rounds",
-        "sublinear (Luby) rounds",
-    ]);
-    for &density in &[4usize, 16, 64] {
-        let g = generators::gnm(n, n * density, 43);
-        let (out, rounds) = run_registry("mis", &g, 43, |i| i);
-        let r = out.into_mis().expect("MIS output");
-        assert!(mpc_graph::mis::is_maximal_independent_set(&g, &r.mis));
-        let mut cs = Cluster::new(sublinear_config(n, g.m(), 43));
-        let input = distribute_all(&cs, &g);
-        sublinear_mis(&mut cs, n, &input).unwrap();
-        t.rowd(&[
-            density.to_string(),
-            g.max_degree().to_string(),
-            r.iterations.to_string(),
-            rounds.to_string(),
-            cs.rounds().to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// E10e: coloring conflict volume and rounds (Theorem C.7).
-///
-/// The conflict graph is sparse relative to `m` once `Δ ≫ log² n` (the
-/// regime of Lemma C.8); the star row demonstrates it. At moderate Δ the
-/// conflict graph is ≈ the input — still correct, just not sparsified.
-pub fn coloring() {
-    println!("\n## E10e — (Δ+1)-coloring (Theorem C.7: O(1) rounds)\n");
-    let mut t = Table::new(&[
-        "graph",
-        "m",
-        "Δ",
-        "conflict edges",
-        "conflicts/m",
-        "restarts",
-        "rounds",
-    ]);
-    // High-Δ instance: sparsification clearly visible.
-    {
-        let g = generators::star(4096);
-        let (out, rounds) = run_registry("coloring", &g, 47, |i| i);
-        let r = out.into_coloring().expect("coloring output");
-        assert!(mpc_graph::coloring::is_proper_coloring(&g, &r.colors));
-        t.rowd(&[
-            "star(4096)".to_string(),
-            g.m().to_string(),
-            g.max_degree().to_string(),
-            r.conflict_edges.to_string(),
-            format!("{:.3}", r.conflict_edges as f64 / g.m() as f64),
-            r.restarts.to_string(),
-            rounds.to_string(),
-        ]);
-    }
-    for &exp in &[8usize, 9, 10] {
-        let n = 1 << exp;
-        let g = generators::gnm(n, n * 12, 47);
-        let (out, rounds) = run_registry("coloring", &g, 47, |i| i);
-        let r = out.into_coloring().expect("coloring output");
-        assert!(mpc_graph::coloring::is_proper_coloring(&g, &r.colors));
-        t.rowd(&[
-            format!("gnm({n})"),
-            g.m().to_string(),
-            g.max_degree().to_string(),
-            r.conflict_edges.to_string(),
-            format!("{:.3}", r.conflict_edges as f64 / g.m() as f64),
-            r.restarts.to_string(),
-            rounds.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// E11: the motivating 1-vs-2 cycles separation (§1).
-pub fn two_vs_one() {
-    println!("\n## E11 — 1-vs-2 cycles (§1: trivial with one large machine)\n");
-    let mut t = Table::new(&["n", "het rounds", "sublinear rounds"]);
-    for &exp in &[6usize, 7, 8, 9] {
-        let n = 1 << exp;
-        let (mut het, mut sub) = (0, 0);
-        for which in 0..2 {
-            let g = if which == 0 {
-                generators::cycle(n, exp as u64)
-            } else {
-                generators::two_cycles(n, exp as u64)
-            };
-            let mut c = Cluster::new(sketch_friendly_config(n, n, 1));
-            let comps = run_on("connectivity", &mut c, &g, |i| i);
-            let one = comps.into_components().expect("components output").count == 1;
-            assert_eq!(one, which == 0);
-            het = het.max(c.rounds());
-
-            let gw = g.with_random_weights(1 << 10, 3);
-            let mut c = Cluster::new(sublinear_config(n, n, 1));
-            let input = distribute_all(&c, &gw);
-            let one = two_vs_one_cycle_baseline(&mut c, n, &input).unwrap();
-            assert_eq!(one, which == 0);
-            sub = sub.max(c.rounds());
-        }
-        t.rowd(&[n.to_string(), het.to_string(), sub.to_string()]);
-    }
-    t.print();
-}
-
-/// E12: the execution engine — serial vs parallel wall-clock for the
-/// `MachineProgram` ports, and the simulated per-round makespan under
-/// uniform / capacity-proportional / straggler cost profiles.
-///
-/// Wall-clock compares *host* time of the two schedules (identical results,
-/// asserted); makespans are the [`mpc_runtime::CostModel`]'s simulated
-/// critical path — the quantity the round-counting model cannot see.
-pub fn exec_engine() {
-    use mpc_exec::ExecMode;
-    use mpc_runtime::CostModel;
-
-    println!("\n## E12 — execution engine (serial vs parallel; heterogeneous cost model)\n");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "host cores: {cores} — parallel wall-clock can only beat serial with >1 core;\n\
-         on a single core the comparison measures pure engine overhead (results are\n\
-         bit-identical across schedules either way, see crates/exec/tests/determinism.rs)\n"
-    );
-
-    let topologies: Vec<(&str, f64)> = vec![("gamma=0.66", 0.66), ("gamma=0.50", 0.50)];
-    let mut t = Table::new(&[
-        "algorithm",
-        "topology",
-        "machines",
-        "rounds",
-        "serial wall",
-        "parallel wall",
-        "speedup",
-        "uniform makespan",
-        "prop-cap makespan",
-        "straggler makespan",
-    ]);
-
-    // A cluster for the given profile; the cost model is orthogonal to
-    // behavior, so every profile sees identical rounds and traffic.
-    let cluster_for = |gamma: f64, n: usize, m: usize, seed: u64| {
-        Cluster::new(
-            sketch_friendly_config(n, m, seed).topology(Topology::Heterogeneous {
-                gamma,
-                large_exponent: 1.0,
-            }),
-        )
-    };
-
-    let n = 384;
-    let g_conn = generators::gnm(n, n * 6, 7);
-    let g_mst = generators::gnm(n, n * 6, 7).with_random_weights(1 << 16, 7);
-
-    // One run of `algo` — through the Algorithm registry, like every other
-    // consumer — on a fresh cluster; returns (wall, makespan, rounds,
-    // machines, result digest). The digest — component count, forest
-    // weight, or matching size — lets the mode comparison assert result
-    // equality.
-    let run_once = |algo: &str, gamma: f64, model: &str, mode: ExecMode| {
-        let g = if algo == "connectivity" || algo == "matching" {
-            &g_conn
-        } else {
-            &g_mst
-        };
-        let mut c = cluster_for(gamma, g.n(), g.m(), 7);
-        let caps: Vec<usize> = (0..c.machines()).map(|m| c.capacity(m)).collect();
-        let straggle_mid = c.small_ids()[0];
-        c.set_cost_model(match model {
-            "uniform" => CostModel::uniform(caps.len(), 1.0, 1.0, 0.0),
-            "prop" => CostModel::proportional_to_capacity(&caps, 1.0),
-            _ => CostModel::uniform(caps.len(), 1.0, 1.0, 0.0).with_straggler(straggle_mid, 0.1),
-        });
-        let input = common::distribute_edges(&c, g);
-        let started = std::time::Instant::now();
-        let out =
-            mpc_exec::registry::run(algo, &mut c, &mpc_exec::AlgoInput::new(g.n(), &input), mode)
-                .expect("registered algorithm run");
-        let wall = started.elapsed();
-        let digest = out.digest();
-        (
-            wall,
-            c.critical_path_seconds(),
-            c.rounds(),
-            c.machines(),
-            digest,
-        )
-    };
-
-    for (name, gamma) in &topologies {
-        for algo in ["connectivity", "boruvka-msf", "mst", "matching"] {
-            // Both modes under the uniform profile for the wall-clock
-            // comparison — with the result digests asserted equal.
-            let (wall_s, span_uniform, rounds, machines, digest_s) =
-                run_once(algo, *gamma, "uniform", ExecMode::Serial);
-            let (wall_p, _, _, _, digest_p) = run_once(algo, *gamma, "uniform", ExecMode::Parallel);
-            assert_eq!(
-                digest_s, digest_p,
-                "{algo} {name}: serial and parallel results diverged"
-            );
-            // The cost model is orthogonal to behavior, so the remaining
-            // profiles need one (serial) run each, just for the makespan.
-            let (_, span_prop, _, _, _) = run_once(algo, *gamma, "prop", ExecMode::Serial);
-            let (_, span_straggler, _, _, _) =
-                run_once(algo, *gamma, "straggler", ExecMode::Serial);
-            let walls = [wall_s, wall_p];
-            let spans = [span_uniform, span_prop, span_straggler];
-            let speedup = walls[0].as_secs_f64() / walls[1].as_secs_f64().max(1e-9);
-            t.row(&[
-                algo.to_string(),
-                name.to_string(),
-                machines.to_string(),
-                rounds.to_string(),
-                format!("{:.2?}", walls[0]),
-                format!("{:.2?}", walls[1]),
-                format!("{speedup:.2}x"),
-                format!("{:.0}", spans[0]),
-                format!("{:.0}", spans[1]),
-                format!("{:.0}", spans[2]),
-            ]);
-        }
-    }
-    t.print();
-    println!("\nmakespans: simulated seconds along the critical path (unit-rate words);");
-    println!("prop-cap = speeds/bandwidths proportional to machine capacity, latency 1s/round;");
-    println!("straggler = one small machine at 10% speed — the schedule the model calls 'free'");
-    println!("dominates exactly when that machine holds the bottleneck shard.");
-}
-
-/// E13: registry smoke — every registered algorithm runs under both
-/// `ExecMode::Serial` and `ExecMode::Parallel` with identical results.
-///
-/// This is the CI gate the multi-layer port promises: a program that
-/// drifts from its serial twin, or an algorithm that drops out of the
-/// registry, fails this experiment (and with it the build).
-pub fn registry_smoke() {
-    use mpc_exec::{registry, AlgoInput, ExecMode};
-    use mpc_runtime::{JsonlSink, TraceSink};
-    use std::sync::Arc;
-
-    println!("\n## E13 — registry smoke (every algorithm, serial vs parallel)\n");
-    assert_eq!(
-        registry::names(),
-        registry::CANONICAL_NAMES.to_vec(),
-        "registry names drifted from the canonical set"
-    );
-    if let Ok(threads) = std::env::var("MPC_POOL_THREADS") {
-        println!("(pool worker threads pinned to {threads} via MPC_POOL_THREADS)\n");
-    }
-    // CI's trace-schema leg: `MPC_TRACE_JSONL=path` streams every telemetry
-    // event from every run (both modes, all algorithms) into one JSONL file,
-    // which the workflow then checks with `mpc-trace --validate`.
-    let jsonl: Option<Arc<JsonlSink>> = std::env::var("MPC_TRACE_JSONL").ok().map(|path| {
-        println!("(streaming telemetry events to {path} via MPC_TRACE_JSONL)\n");
-        Arc::new(JsonlSink::create(&path).expect("create MPC_TRACE_JSONL file"))
-    });
-
-    let g = generators::gnm(128, 768, 5).with_random_weights(1 << 12, 5);
-    let mut t = Table::new(&[
-        "algorithm",
-        "paper",
-        "rounds",
-        "digest",
-        "serial == parallel",
-    ]);
-    for algo in registry::algorithms() {
-        let run = |mode: ExecMode| {
-            // Each algorithm declares the polylog capacity headroom its
-            // traffic honestly needs, so new registrations are picked up
-            // here without per-name edits.
-            let mut c = Cluster::new(
-                ClusterConfig::new(g.n(), g.m())
-                    .seed(5)
-                    .polylog_exponent(algo.polylog_exponent),
-            );
-            if let Some(sink) = &jsonl {
-                c.set_trace_sink(Some(sink.clone() as Arc<dyn TraceSink>));
-            }
-            let input = common::distribute_edges(&c, &g);
-            let out = registry::run(algo.name, &mut c, &AlgoInput::new(g.n(), &input), mode)
-                .expect("registered algorithm run");
-            (out.digest(), c.rounds())
-        };
-        let (d_serial, r_serial) = run(ExecMode::Serial);
-        let (d_pool, r_pool) = run(ExecMode::Parallel);
-        assert_eq!(
-            (d_serial, r_serial),
-            (d_pool, r_pool),
-            "{}: serial and parallel runs diverged",
-            algo.name
-        );
-        t.row(&[
-            algo.name.to_string(),
-            algo.paper.to_string(),
-            r_serial.to_string(),
-            d_serial.to_string(),
-            "yes".to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// Minimum round-collapse factor the multi-program scheduler must deliver
-/// over the sequential composition on the budgets workload.
-const BATCH_COLLAPSE_FACTOR: u64 = 5;
-
-/// E14: registry round budgets — the CI gate asserting every registered
-/// algorithm's round count stays in its theorem's class on the standard
-/// budgets workload (`m = 6n`, weights `< 2¹²`): a fixed constant for the
-/// `O(1)` results, an explicit `a·⌈log log n⌉ + b` cap for the
-/// doubly-logarithmic ones (each algorithm declares its own cap, see
-/// [`mpc_exec::Algorithm::round_budget`]). The batched workloads
-/// ([`mpc_exec::registry::BATCHED_NAMES`]) run their paper-parallel
-/// instances as the lanes of one wave, so their
-/// caps are the theorems' *parallel* figures; the gate additionally fails
-/// unless batching collapses their measured rounds by
-/// ≥ `BATCH_COLLAPSE_FACTOR` (5)× against the sequential compositions' round
-/// counts — committed figures in `BENCH_rounds.json`, measured when the
-/// sequential forms still ran.
-///
-/// Every measured round count is also recorded into the committed
-/// `BENCH_rounds.json`, which CI diffs after this experiment rewrites it,
-/// so round-count drift *below* the caps fails the build too.
-pub fn budgets() {
-    use mpc_exec::{registry, AlgoInput, AlgoOutput, ExecMode};
-
-    /// The `O(1)`-per-instance cap on the engine's parallel-round figure.
-    const PARALLEL_CAP: u64 = 6;
-
-    println!("\n## E14 — registry round budgets (per-theorem round-class caps)\n");
-    let mut t = Table::new(&[
-        "algorithm",
-        "paper",
-        "n",
-        "rounds",
-        "cap",
-        "sequential rounds",
-        "parallel rounds",
-        "within budget",
-    ]);
-    let mut failures: Vec<String> = Vec::new();
-    let mut telemetry: Vec<RoundsRow> = Vec::new();
-    let committed = committed_sequential_rounds();
-    for &n in &[128usize, 512] {
-        let g = generators::gnm(n, n * 6, 5).with_random_weights(1 << 12, 5);
+/// The registry pass: one clean serial [`solo`] run of every registry
+/// algorithm on the budgets graph at each `n`, on its preferred cluster at
+/// seed 5 (`prepare` as in [`solo`]), printed as one table with a `row` of
+/// named cells per run; `row` may rerun it.
+fn registry_pass(
+    ns: &[usize],
+    prepare: Option<&dyn Fn(&mut Cluster)>,
+    mut row: impl FnMut(&Algorithm, usize, Rerun, Solo) -> Vec<(&'static str, String)>,
+) {
+    let mut t = Table::default();
+    for &n in ns {
+        let g = budgets_graph(n);
         for algo in registry::algorithms() {
-            let mut c = Cluster::new(
-                ClusterConfig::new(g.n(), g.m())
-                    .seed(5)
-                    .polylog_exponent(algo.polylog_exponent),
-            );
-            let input = common::distribute_edges(&c, &g);
-            let out = registry::run(
-                algo.name,
-                &mut c,
-                &AlgoInput::new(g.n(), &input),
-                ExecMode::Serial,
-            )
-            .expect("registered algorithm run");
-            let rounds = c.rounds();
-            let cap = (algo.round_budget)(g.n());
-            let parallel = match &out {
-                AlgoOutput::MstApprox(r) => Some(r.parallel_rounds),
-                AlgoOutput::MinCutApprox(r) => Some(r.parallel_rounds),
-                _ => None,
+            let rerun = |mode, prepare: Option<&dyn Fn(&mut Cluster)>| {
+                let config = preferred(algo.name, &g, 5);
+                let run = solo(algo.name, &g, config, JobParams::default(), mode, prepare);
+                run.expect("registered algorithm run")
             };
-            // A batched workload's committed sequential figure: the
-            // scheduler must collapse its measured rounds against it.
-            let sequential = committed.get(&(algo.name.to_string(), n)).copied();
-            let batched = registry::BATCHED_NAMES.contains(&algo.name);
-            let collapsed = match sequential {
-                Some(s) => rounds * BATCH_COLLAPSE_FACTOR <= s,
-                None => !batched,
-            };
-            let ok = rounds <= cap && parallel.is_none_or(|p| p <= PARALLEL_CAP) && collapsed;
-            if !ok {
-                failures.push(format!(
-                    "{} at n={n}: {rounds} rounds (cap {cap}), parallel {parallel:?} \
-                     (cap {PARALLEL_CAP}), sequential {sequential:?} \
-                     (≥{BATCH_COLLAPSE_FACTOR}× collapse required)",
-                    algo.name
-                ));
-            }
-            telemetry.push(RoundsRow {
-                name: algo.name,
-                n,
-                rounds,
-                cap,
-                sequential_rounds: sequential,
-                parallel_rounds: parallel,
-            });
-            t.row(&[
-                algo.name.to_string(),
-                algo.paper.to_string(),
-                n.to_string(),
-                rounds.to_string(),
-                cap.to_string(),
-                sequential.map_or_else(|| "-".to_string(), |s| s.to_string()),
-                parallel.map_or_else(|| "-".to_string(), |p| p.to_string()),
-                if ok { "yes" } else { "NO" }.to_string(),
-            ]);
+            t.cells(&row(algo, n, &rerun, rerun(Serial, prepare)));
         }
     }
     t.print();
-    let path = write_rounds_json(&telemetry);
-    println!("\n[budgets: wrote {}]", path.display());
-    assert!(
-        failures.is_empty(),
-        "round-budget violations:\n  {}",
-        failures.join("\n  ")
-    );
-    println!("(each cap is the theorem's round class on this workload; a violation fails CI.)");
-}
-
-/// One row of the committed round-count telemetry.
-struct RoundsRow {
-    name: &'static str,
-    n: usize,
-    rounds: u64,
-    cap: u64,
-    sequential_rounds: Option<u64>,
-    parallel_rounds: Option<u64>,
-}
-
-/// `BENCH_rounds.json` at the repo root.
-fn rounds_json_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_rounds.json")
-}
-
-/// The sequential-composition round counts committed in
-/// `BENCH_rounds.json`, keyed by `(name, n)`, for every row that has one.
-fn committed_sequential_rounds() -> std::collections::BTreeMap<(String, usize), u64> {
-    use mpc_runtime::telemetry::{parse_json, JsonValue};
-    let body = std::fs::read_to_string(rounds_json_path()).expect("read BENCH_rounds.json");
-    let doc = parse_json(&body).expect("BENCH_rounds.json is JSON");
-    let rows = doc
-        .get("rows")
-        .and_then(JsonValue::as_arr)
-        .expect("a rows array");
-    rows.iter()
-        .filter_map(|row| {
-            let sequential = row.get("sequential_rounds")?.as_f64()?;
-            let name = row.get("name")?.as_str()?.to_string();
-            let n = row.get("n")?.as_f64()? as usize;
-            Some(((name, n), sequential as u64))
-        })
-        .collect()
-}
-
-/// Writes `BENCH_rounds.json` at the repo root: the measured rounds per
-/// registry name on the budgets workload, committed so drift *below* the
-/// caps shows up in a diff (the hard gate only catches cap breaches).
-fn write_rounds_json(rows: &[RoundsRow]) -> std::path::PathBuf {
-    let path = rounds_json_path();
-    let mut body = String::new();
-    body.push_str("{\n");
-    body.push_str("  \"bench\": \"registry_rounds\",\n");
-    body.push_str("  \"workload\": \"gnm(m=6n, weights<2^12, seed 5), ExecMode::Serial\",\n");
-    body.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let seq = r
-            .sequential_rounds
-            .map_or_else(|| "null".to_string(), |s| s.to_string());
-        let par = r
-            .parallel_rounds
-            .map_or_else(|| "null".to_string(), |p| p.to_string());
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"rounds\": {}, \"cap\": {}, \
-             \"sequential_rounds\": {}, \"parallel_rounds\": {}}}{}\n",
-            r.name,
-            r.n,
-            r.rounds,
-            r.cap,
-            seq,
-            par,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write(&path, body).expect("write BENCH_rounds.json");
-    path
-}
-
-/// E15: chaos smoke — every registered algorithm survives a deterministic
-/// mid-run crash of one small machine (victim chosen per-name by the
-/// seeded fault matrix) with results **bit-identical** to the fault-free
-/// run, under both `ExecMode::Serial` and `ExecMode::Parallel` (CI runs
-/// the parallel leg at 2 and 16 pool threads via `MPC_POOL_THREADS`).
-///
-/// This is the recovery protocol's CI gate: a crash that changes a digest,
-/// leaves a machine quarantined, or fails to recover fails the build.
-pub fn chaos() {
-    use mpc_exec::{registry, AlgoInput, ExecMode};
-    use mpc_runtime::FaultPlan;
-
-    println!("\n## E15 — chaos smoke (seeded single crash, recovery must be exact)\n");
-    if let Ok(threads) = std::env::var("MPC_POOL_THREADS") {
-        println!("(pool worker threads pinned to {threads} via MPC_POOL_THREADS)\n");
-    }
-    let g = generators::gnm(128, 768, 5).with_random_weights(1 << 12, 5);
-    let mut t = Table::new(&[
-        "algorithm",
-        "victim",
-        "crash round",
-        "clean rounds",
-        "faulted rounds",
-        "recovered == clean",
-    ]);
-    for algo in registry::algorithms() {
-        let run = |plan: Option<FaultPlan>, mode: ExecMode| {
-            let mut c = Cluster::new(
-                ClusterConfig::new(g.n(), g.m())
-                    .seed(5)
-                    .polylog_exponent(algo.polylog_exponent),
-            );
-            let input = common::distribute_edges(&c, &g);
-            c.set_fault_plan(plan);
-            let out = registry::run(algo.name, &mut c, &AlgoInput::new(g.n(), &input), mode)
-                .expect("registered algorithm run under chaos");
-            let smalls = c.small_ids();
-            (out.digest(), c.rounds(), smalls)
-        };
-        let (clean_digest, clean_rounds, smalls) = run(None, ExecMode::Serial);
-        // One crash per run; the victim varies per algorithm name so the
-        // matrix covers different shards across the registry.
-        let name_seed = algo
-            .name
-            .bytes()
-            .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64));
-        let plan = FaultPlan::seeded_single_crash(name_seed, &smalls, clean_rounds);
-        let (victim, crash_round) = match plan.faults()[0] {
-            mpc_runtime::Fault::Crash { machine, round } => (machine, round),
-            _ => unreachable!("seeded_single_crash schedules a crash"),
-        };
-        let mut faulted_rounds = 0;
-        for mode in [ExecMode::Serial, ExecMode::Parallel] {
-            let (digest, rounds, _) = run(Some(plan.clone()), mode);
-            assert_eq!(
-                digest, clean_digest,
-                "{} under {mode:?}: crash of machine {victim} changed the result",
-                algo.name
-            );
-            assert!(
-                rounds > clean_rounds,
-                "{} under {mode:?}: recovery must add checkpoint/recovery rounds",
-                algo.name
-            );
-            faulted_rounds = rounds;
-        }
-        t.row(&[
-            algo.name.to_string(),
-            victim.to_string(),
-            crash_round.to_string(),
-            clean_rounds.to_string(),
-            faulted_rounds.to_string(),
-            "yes".to_string(),
-        ]);
-    }
-    t.print();
-    println!("\nchaos matrix: one seeded small-machine crash per algorithm, serial + pool legs;");
-    println!("recovery replays from peer replicas and must reproduce the fault-free digest.");
 }
 
 /// The standard service workload: six mixed tenants drained FIFO through
@@ -1166,408 +183,1209 @@ pub const SERVICE_JOBS: &[&str] = &[
 /// Capacity shares the service cluster holds open concurrently.
 pub const SERVICE_SHARES: usize = 3;
 
-/// The headroom exponent the shared service cluster must carry: the
-/// largest any [`SERVICE_JOBS`] tenant declares — new workload entries are
-/// picked up automatically.
-pub fn service_polylog() -> f64 {
-    SERVICE_JOBS
-        .iter()
+/// One job's terminal outcome from a [`drain`]: its final status and the
+/// output digest (`None` when the job failed or was cancelled).
+pub type JobOutcome = (JobStatus, Option<u128>);
+
+/// What one [`drain`] leaves behind.
+pub struct Drain {
+    /// Host wall-clock of the drain, in milliseconds.
+    pub wall_ms: f64,
+    /// The shared cluster after the drain.
+    pub cluster: Cluster,
+    /// The service's scheduling records.
+    pub records: Vec<JobRecord>,
+    /// Per-job outcomes in submission order.
+    pub outcomes: Vec<JobOutcome>,
+}
+
+impl Drain {
+    /// What must not move between drains of one queue: the round count,
+    /// each job's shares and admission/completion rounds, and the outcomes.
+    fn facts(&self) -> (u64, Vec<(u64, usize, u64, u64)>, Vec<JobOutcome>) {
+        let schedule = (self.records.iter())
+            .map(|r| (r.job, r.shares, r.admitted_round, r.completed_round))
+            .collect();
+        (self.cluster.rounds(), schedule, self.outcomes.clone())
+    }
+}
+
+/// Drains [`SERVICE_JOBS`] (seeds `100 + i`, each with `retry`) through
+/// one [`Service`] with [`SERVICE_SHARES`] shares on `g`'s cluster, whose
+/// headroom is the largest any tenant declares. `cost` builds the cost
+/// model; `plan` and `sink` are attached to the shared cluster.
+///
+/// # Errors
+///
+/// Whatever [`Service::run_on`] returns.
+pub fn drain(
+    g: &Arc<Graph>,
+    retry: JobRetryPolicy,
+    cost: &dyn Fn(&Cluster) -> CostModel,
+    plan: Option<FaultPlan>,
+    sink: Option<Arc<dyn TraceSink>>,
+    mode: ExecMode,
+) -> Result<Drain, ExecError> {
+    let polylog = (SERVICE_JOBS.iter())
         .map(|name| {
-            mpc_exec::registry::get(name)
+            registry::get(name)
                 .expect("registered algorithm")
                 .polylog_exponent
         })
-        .fold(1.0_f64, f64::max)
-}
-
-/// One job's terminal outcome from a service drain: its final status and
-/// the output digest (`None` when the job failed or was cancelled).
-type JobOutcome = (mpc_exec::JobStatus, Option<u128>);
-
-/// One timed service drain: submits [`SERVICE_JOBS`] (seeds `100 + i`),
-/// runs the queue to completion under `mode` with an optional fault plan
-/// attached to the shared cluster, and returns (wall ms, simulated
-/// makespan, exchange rounds, machines, scheduling records, per-job
-/// outcomes in submission order).
-fn service_drain_with(
-    g: &std::sync::Arc<Graph>,
-    straggler: bool,
-    plan: Option<mpc_runtime::FaultPlan>,
-    mode: mpc_exec::ExecMode,
-) -> (
-    f64,
-    f64,
-    u64,
-    usize,
-    Vec<mpc_exec::JobRecord>,
-    Vec<JobOutcome>,
-) {
-    use mpc_runtime::CostModel;
-
+        .fold(1.0_f64, f64::max);
     let config = ClusterConfig::new(g.n(), g.m())
         .seed(5)
-        .polylog_exponent(service_polylog());
-    let mut service = mpc_exec::Service::new(config.clone()).capacity_shares(SERVICE_SHARES);
-    let handles: Vec<_> = SERVICE_JOBS
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            service
-                .submit(mpc_exec::JobSpec::new(*name, g.clone()).seed(100 + i as u64))
-                .expect("canonical registry name")
+        .polylog_exponent(polylog);
+    let mut service = Service::new(config.clone()).capacity_shares(SERVICE_SHARES);
+    let handles: Vec<_> = (SERVICE_JOBS.iter().zip(100..))
+        .map(|(name, seed)| {
+            let spec = JobSpec::new(*name, g.clone()).seed(seed).retry(retry);
+            service.submit(spec).expect("canonical registry name")
         })
         .collect();
     let mut cluster = Cluster::new(config);
-    let victim = cluster.small_ids()[0];
-    let mut model = CostModel::uniform(cluster.machines(), 1.0, 1.0, 0.5);
-    if straggler {
-        model = model.with_straggler(victim, 0.1);
-    }
-    cluster.set_cost_model(model);
+    cluster.set_cost_model(cost(&cluster));
     cluster.set_fault_plan(plan);
-    let started = std::time::Instant::now();
-    let run = service.run_on(&mut cluster, mode).expect("service drain");
-    let wall = started.elapsed().as_secs_f64() * 1e3;
-    let outcomes: Vec<JobOutcome> = handles
-        .iter()
-        .map(|h| {
-            let digest = h
-                .take_result()
-                .expect("job finished")
-                .ok()
-                .map(|out| out.digest());
-            (h.status(), digest)
-        })
-        .collect();
-    (
-        wall,
-        cluster.critical_path_seconds(),
-        cluster.rounds(),
-        cluster.machines(),
-        run.records,
+    cluster.set_trace_sink(sink);
+    let started = Instant::now();
+    let records = service.run_on(&mut cluster, mode)?.records;
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let outcome = |h: &mpc_exec::JobHandle| {
+        let result = h.take_result().expect("job finished");
+        (h.status(), result.ok().map(|out| out.digest()))
+    };
+    let outcomes = handles.iter().map(outcome).collect();
+    Ok(Drain {
+        wall_ms,
+        cluster,
+        records,
         outcomes,
-    )
+    })
 }
 
-/// Fault-free [`service_drain_with`]: every tenant must complete, so the
-/// outcomes collapse to plain digests.
-fn service_drain(
-    g: &std::sync::Arc<Graph>,
-    straggler: bool,
-    mode: mpc_exec::ExecMode,
-) -> (f64, f64, u64, usize, Vec<mpc_exec::JobRecord>, Vec<u128>) {
-    let (wall, makespan, rounds, machines, records, outcomes) =
-        service_drain_with(g, straggler, None, mode);
-    let digests = outcomes
-        .into_iter()
-        .map(|(status, digest)| {
-            assert_eq!(status, mpc_exec::JobStatus::Completed, "fault-free drain");
-            digest.expect("job succeeded")
-        })
-        .collect();
-    (wall, makespan, rounds, machines, records, digests)
+/// The tenants that completed in `outcomes` with another digest than in
+/// the fault-free `clean`.
+pub fn diverged(outcomes: &[JobOutcome], clean: &[JobOutcome]) -> Vec<&'static str> {
+    (outcomes.iter().zip(clean).zip(SERVICE_JOBS))
+        .filter(|((o, c), _)| o.0 == JobStatus::Completed && o.1 != c.1)
+        .map(|(_, name)| *name)
+        .collect()
 }
 
-/// E16: the job-queue service (DESIGN.md §2.8) — six mixed tenants
-/// submitted to one [`mpc_exec::Service`] with three capacity shares, so
-/// half the queue waits for admission-on-retirement. Times the drain
-/// serial vs pool (schedules, results, and round counts asserted
-/// identical), reports serving throughput in jobs/sec, and the simulated
-/// makespan under uniform vs straggler cost profiles (asserted not to
-/// change the schedule). Host numbers for a drain worth comparing across
-/// commits are the benchmark's `service-drain` workload's, not this table's.
-pub fn service() {
-    use mpc_exec::ExecMode;
+/// A sublinear-regime baseline (Table 1's left column).
+#[derive(Clone, Copy)]
+enum Sub {
+    Mst,
+    Coloring,
+    Mis,
+    Matching,
+    Cycles,
+}
 
-    println!("\n## E16 — job-queue service (mixed tenants, admission on retirement)\n");
+/// Runs baseline `sub` on `g` on a fresh sublinear cluster; returns its
+/// rounds and its headline figure (Borůvka phases for MST, 1 when the
+/// cycle test saw one cycle, else 0).
+fn sublinear(sub: Sub, g: &Graph, seed: u64) -> (u64, usize) {
+    let mut c = Cluster::new(sublinear_config(g.n(), g.m(), seed));
+    let edges = distribute_all(&c, g);
+    let (n, cl) = (g.n(), &mut c);
+    let figure = match sub {
+        Sub::Mst => sublinear_mst(cl, n, &edges).map(|r| r.phases),
+        Sub::Coloring => sublinear_coloring(cl, n, &edges, g.max_degree()).map(|_| 0),
+        Sub::Mis => sublinear_mis(cl, n, &edges).map(|_| 0),
+        Sub::Matching => sublinear_matching(cl, &edges).map(|_| 0),
+        Sub::Cycles => two_vs_one_cycle_baseline(cl, n, &edges).map(usize::from),
+    }
+    .expect("sublinear baseline");
+    (c.rounds(), figure)
+}
+
+/// One experiment: a row of [`EXPERIMENTS`].
+pub struct Experiment {
+    /// The CLI name.
+    pub name: &'static str,
+    /// The heading, numbered as in DESIGN.md §4.
+    pub heading: &'static str,
+    /// The paper result or setting it measures (empty for none).
+    pub anchor: &'static str,
+    body: Body,
+}
+
+/// What an experiment runs: sweep tables, or a function for those whose
+/// rows are not one solo run each.
+enum Body {
+    Sweeps(&'static [Sweep]),
+    Run(fn()),
+}
+
+impl Experiment {
+    /// Prints the heading and the experiment's tables; panics on a failed
+    /// check.
+    pub fn run(&self) {
+        match self.anchor {
+            "" => println!("\n## {}\n", self.heading),
+            anchor => println!("\n## {} ({anchor})\n", self.heading),
+        }
+        match self.body {
+            Body::Sweeps(sweeps) => run_sweeps(sweeps),
+            Body::Run(run) => run(),
+        }
+    }
+}
+
+/// One table of a sweep experiment: each grid value `x` is one solo run of
+/// `algo` on `graph(x)` with `params(x)`.
+struct Sweep {
+    /// Sub-heading; empty for a single-table experiment.
+    title: &'static str,
+    algo: &'static str,
+    /// Cluster and baseline seed.
+    seed: u64,
+    grid: &'static [f64],
+    graph: fn(f64) -> Graph,
+    params: fn(f64) -> JobParams,
+    /// The cluster, when not the algorithm's preferred one.
+    config: Option<fn(&Graph) -> ClusterConfig>,
+    baseline: Option<Sub>,
+    /// Column headers; `cell` extracts each.
+    cols: &'static [&'static str],
+}
+
+/// Defaults for a [`Sweep`]'s optional fields.
+const SWEEP: Sweep = Sweep {
+    title: "",
+    algo: "",
+    seed: 0,
+    grid: &[],
+    graph: |_| unreachable!("every sweep names its graph"),
+    params: |_| JobParams::default(),
+    config: None,
+    baseline: None,
+    cols: &[],
+};
+
+/// One grid point of a [`Sweep`].
+struct Point<'a> {
+    x: f64,
+    g: &'a Graph,
+    run: Solo,
+    /// The baseline's rounds and headline figure (zeros without one).
+    sub: (u64, usize),
+}
+
+fn run_sweeps(sweeps: &[Sweep]) {
+    for (i, s) in sweeps.iter().enumerate() {
+        match (s.title, i) {
+            ("", _) => {}
+            (title, 0) => println!("### {title}\n"),
+            (title, _) => println!("\n### {title}\n"),
+        }
+        let mut t = Table::default();
+        for &x in s.grid {
+            let g = (s.graph)(x);
+            let config = s
+                .config
+                .map_or_else(|| preferred(s.algo, &g, s.seed), |f| f(&g));
+            let run =
+                solo(s.algo, &g, config, (s.params)(x), Parallel, None).expect("registry run");
+            let sub = s.baseline.map_or((0, 0), |b| sublinear(b, &g, s.seed));
+            let p = Point { x, g: &g, run, sub };
+            assert!(valid(s.algo, &p), "{} at {x}: invalid output", s.algo);
+            let cells = s.cols.iter().map(|&col| (col, cell(col, &p)));
+            t.cells(&cells.collect::<Vec<_>>());
+        }
+        t.print();
+    }
+}
+
+/// Whether a sweep point's output is the variant `algo` returns and, where
+/// a sequential checker exists, a correct answer.
+fn valid(algo: &str, p: &Point) -> bool {
+    let g = p.g;
+    match (algo, &p.run.out) {
+        ("mst", AlgoOutput::Mst(r)) => mst::is_minimum_spanning_forest(g, &r.forest),
+        ("mis", AlgoOutput::Mis(r)) => mpc_graph::mis::is_maximal_independent_set(g, &r.mis),
+        ("coloring", AlgoOutput::Coloring(r)) => {
+            mpc_graph::coloring::is_proper_coloring(g, &r.colors)
+        }
+        (algo, _) => !matches!(algo, "mst" | "mis" | "coloring"),
+    }
+}
+
+/// Column `col`'s cell at sweep point `p`: every sweep column's extractor,
+/// keyed by header and output variant.
+fn cell(col: &str, p: &Point) -> String {
+    use AlgoOutput as O;
+    let (g, x) = (p.g, p.x);
+    let exact_mst = || mpc_graph::mst::kruskal(g).total_weight as f64;
+    let exact_cut = || mpc_graph::mincut::min_cut(g).expect("a cut").weight as f64;
+    let h = |r: &mpc_core::spanner::SpannerResult| r.spanner.m() as f64;
+    match (col, &p.run.out) {
+        ("n" | "k" | "m/n" | "planted bridge", _) => (x as usize).to_string(),
+        ("eps", _) => format!("{x:.2}"),
+        ("m", _) => g.m().to_string(),
+        ("Δ", _) => g.max_degree().to_string(),
+        ("rounds" | "het rounds" | "build rounds" | "rounds (batched)", _) => {
+            p.run.rounds.to_string()
+        }
+        ("sublinear rounds" | "sublinear (Luby) rounds", _) => p.sub.0.to_string(),
+        ("sublinear phases", _) => p.sub.1.to_string(),
+        ("Boruvka steps", O::Mst(r)) => r.stats.boruvka_steps.to_string(),
+        ("|H|", O::Spanner(r)) => r.spanner.m().to_string(),
+        ("|H| / n^(1+1/k)", O::Spanner(r)) => {
+            format!("{:.2}", h(r) / (g.n() as f64).powf(1.0 + 1.0 / x))
+        }
+        ("|H|/n^(4/3)", O::Spanner(r)) => format!("{:.2}", h(r) / x.powf(4.0 / 3.0)),
+        ("stretch bound", O::Spanner(_)) => (6 * x as usize - 1).to_string(),
+        ("measured stretch", O::Spanner(r)) => {
+            let stretch = mpc_graph::verify_spanner(g, &r.spanner, Some(16), 1).max_stretch;
+            format!("{stretch:.2}")
+        }
+        ("stretch bound", O::Apsp { oracle, .. }) => oracle.stretch_bound.to_string(),
+        ("measured stretch", O::Apsp { oracle, .. }) => {
+            format!("{:.2}", measured_stretch(g, oracle, 16))
+        }
+        ("p1 iters", O::Matching(r)) => r.stats.phase1_iterations.to_string(),
+        ("high-deg vertices", O::Matching(r)) => r.stats.high_vertices.to_string(),
+        ("components correct", O::Components(c)) => {
+            (*c == mpc_graph::traversal::connected_components(g)).to_string()
+        }
+        ("estimate", O::MstApprox(r)) => format!("{:.0}", r.estimate),
+        ("exact", O::MstApprox(_)) => format!("{:.0}", exact_mst()),
+        ("ratio", O::MstApprox(r)) => format!("{:.3}", r.estimate / exact_mst()),
+        ("found", O::MinCut(r)) => r.value.to_string(),
+        ("estimate", O::MinCutApprox(r)) => format!("{:.1}", r.estimate),
+        ("exact", O::MinCut(_) | O::MinCutApprox(_)) => format!("{:.0}", exact_cut()),
+        ("iterations", O::Mis(r)) => r.iterations.to_string(),
+        ("graph", _) if x == 0.0 => "star(4096)".to_string(),
+        ("graph", _) => format!("gnm({x})"),
+        ("conflict edges", O::Coloring(r)) => r.conflict_edges.to_string(),
+        ("conflicts/m", O::Coloring(r)) => {
+            format!("{:.3}", r.conflict_edges as f64 / g.m() as f64)
+        }
+        ("restarts", O::Coloring(r)) => r.restarts.to_string(),
+        (col, _) => unreachable!("no extractor for column '{col}'"),
+    }
+}
+
+/// Every experiment, in presentation order — the only list of their names.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table1",
+        heading: "E1 — Table 1",
+        anchor: "measured rounds; n=512, m/n=16",
+        body: Body::Run(table1),
+    },
+    Experiment {
+        name: "mst_scaling",
+        heading: "E2 — MST scaling",
+        anchor: "Theorem: O(log log(m/n)) rounds",
+        body: Body::Sweeps(&[
+            Sweep {
+                title: "density sweep at n = 1024 (tight budget exposes the schedule)",
+                algo: "mst",
+                seed: 7,
+                grid: &[4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
+                graph: |d| {
+                    generators::gnm(1024, 1024 * d as usize, 7).with_random_weights(1 << 20, 7)
+                },
+                // A tight collection budget shows the doubly-exponential schedule.
+                config: Some(|g| ClusterConfig::new(g.n(), g.m()).seed(7).mem_constant(3.0)),
+                baseline: Some(Sub::Mst),
+                cols: &[
+                    "m/n",
+                    "het rounds",
+                    "Boruvka steps",
+                    "sublinear rounds",
+                    "sublinear phases",
+                ],
+                ..SWEEP
+            },
+            Sweep {
+                title: "n sweep at m/n = 16 (het flat, sublinear grows)",
+                algo: "mst",
+                seed: 3,
+                grid: &[256.0, 512.0, 1024.0, 2048.0],
+                graph: |n| {
+                    generators::gnm(n as usize, 16 * n as usize, 3).with_random_weights(1 << 20, 3)
+                },
+                baseline: Some(Sub::Mst),
+                cols: &["n", "het rounds", "sublinear rounds"],
+                ..SWEEP
+            },
+        ]),
+    },
+    Experiment {
+        name: "mst_superlinear",
+        heading: "E3 — MST with a superlinear large machine",
+        anchor: "Theorem 3.1",
+        body: Body::Run(mst_superlinear),
+    },
+    Experiment {
+        name: "spanner",
+        heading: "E4 — spanner",
+        anchor: "Theorem 4.1: O(1) rounds, size O(n^(1+1/k)), stretch ≤ 6k−1",
+        body: Body::Sweeps(&[
+            Sweep {
+                title: "k sweep at n = 512, m/n = 16",
+                algo: "spanner",
+                seed: 9,
+                grid: &[2.0, 3.0, 4.0, 6.0],
+                graph: |_| generators::gnm(512, 512 * 16, 9),
+                params: |k| JobParams::default().spanner_k(k as usize),
+                cols: &[
+                    "k",
+                    "rounds",
+                    "|H|",
+                    "|H| / n^(1+1/k)",
+                    "stretch bound",
+                    "measured stretch",
+                ],
+                ..SWEEP
+            },
+            Sweep {
+                title: "n sweep at k = 3 (rounds stay flat)",
+                algo: "spanner",
+                seed: 4,
+                grid: &[256.0, 512.0, 1024.0],
+                graph: |n| generators::gnm(n as usize, 12 * n as usize, 4),
+                params: |_| JobParams::default().spanner_k(3),
+                cols: &["n", "rounds", "|H|/n^(4/3)"],
+                ..SWEEP
+            },
+        ]),
+    },
+    Experiment {
+        name: "baswana_ablation",
+        heading: "E5 — modified Baswana–Sen size vs p",
+        anchor: "Lemma 4.3: O(k·n^(1+1/k)/p)",
+        body: Body::Run(baswana_ablation),
+    },
+    Experiment {
+        name: "figure1",
+        heading: "E6 — Figure 1: original vs modified Baswana–Sen, per level",
+        anchor: "",
+        body: Body::Run(figure1),
+    },
+    Experiment {
+        name: "matching",
+        heading: "E7 — maximal matching",
+        anchor: "Theorem 5.1: rounds depend on d = 2m/n",
+        body: Body::Sweeps(&[
+            Sweep {
+                title: "d sweep at n = 1024",
+                algo: "matching",
+                seed: 15,
+                grid: &[2.0, 4.0, 8.0, 16.0, 32.0],
+                graph: |d| generators::gnm(1024, 1024 * d as usize, 15),
+                baseline: Some(Sub::Matching),
+                cols: &[
+                    "m/n",
+                    "het rounds",
+                    "p1 iters",
+                    "high-deg vertices",
+                    "sublinear rounds",
+                ],
+                ..SWEEP
+            },
+            Sweep {
+                title: "skewed graphs: fixed avg degree, hubs grow with n",
+                algo: "matching",
+                seed: 17,
+                grid: &[256.0, 512.0, 1024.0],
+                graph: |n| generators::chung_lu(n as usize, 3 * n as usize, 2.2, n.log2() as u64),
+                baseline: Some(Sub::Matching),
+                cols: &["n", "Δ", "het rounds", "sublinear rounds"],
+                ..SWEEP
+            },
+        ]),
+    },
+    Experiment {
+        name: "matching_filtering",
+        heading: "E8 — filtering matching",
+        anchor: "Theorem 5.5: O(1/f) rounds",
+        body: Body::Run(matching_filtering),
+    },
+    Experiment {
+        name: "apsp",
+        heading: "E9 — APSP oracle",
+        anchor: "Corollary 4.2: O(log n)-approx in O(1) rounds",
+        body: Body::Sweeps(&[Sweep {
+            algo: "apsp",
+            seed: 23,
+            grid: &[128.0, 256.0, 384.0],
+            graph: |n| generators::gnm(n as usize, 6 * n as usize, 23),
+            cols: &["n", "build rounds", "stretch bound", "measured stretch"],
+            ..SWEEP
+        }]),
+    },
+    Experiment {
+        name: "connectivity",
+        heading: "E10a — connectivity",
+        anchor: "Theorem C.1: O(1) rounds",
+        body: Body::Sweeps(&[Sweep {
+            algo: "connectivity",
+            seed: 29,
+            grid: &[128.0, 256.0, 512.0],
+            graph: |n| generators::gnm(n as usize, 3 * n as usize, 29),
+            cols: &["n", "m", "rounds", "components correct"],
+            ..SWEEP
+        }]),
+    },
+    Experiment {
+        name: "mst_approx",
+        heading: "E10b — (1+eps)-approx MST weight",
+        anchor: "Theorem C.2",
+        body: Body::Sweeps(&[Sweep {
+            algo: "mst-approx",
+            seed: 31,
+            grid: &[1.0, 0.5, 0.25],
+            graph: |_| generators::gnm(96, 500, 31).with_random_weights(64, 31),
+            params: |eps| JobParams::default().epsilon(eps),
+            cols: &["eps", "estimate", "exact", "ratio", "rounds (batched)"],
+            ..SWEEP
+        }]),
+    },
+    Experiment {
+        name: "mincut",
+        heading: "E10c — min cut",
+        anchor: "Theorems C.3/C.4",
+        body: Body::Sweeps(&[
+            Sweep {
+                title: "exact unweighted (8 trials per instance)",
+                algo: "mincut",
+                seed: 37,
+                grid: &[2.0, 3.0, 5.0],
+                graph: |bridge| generators::planted_cut(40, 0.5, bridge as usize, 37),
+                params: |_| JobParams::default().mincut_trials(8),
+                cols: &["planted bridge", "found", "exact", "rounds"],
+                ..SWEEP
+            },
+            Sweep {
+                title: "(1±eps) weighted approximation",
+                algo: "mincut-approx",
+                seed: 41,
+                grid: &[0.5, 0.3, 0.2],
+                graph: |_| generators::planted_cut(30, 0.6, 5, 41).with_random_weights(8, 41),
+                params: |eps| JobParams::default().epsilon(eps),
+                cols: &["eps", "estimate", "exact", "rounds (batched)"],
+                ..SWEEP
+            },
+        ]),
+    },
+    Experiment {
+        name: "mis",
+        heading: "E10d — MIS",
+        anchor: "Theorem C.6: O(log log Δ) rounds",
+        body: Body::Sweeps(&[Sweep {
+            algo: "mis",
+            seed: 43,
+            grid: &[4.0, 16.0, 64.0],
+            graph: |d| generators::gnm(512, 512 * d as usize, 43),
+            baseline: Some(Sub::Mis),
+            cols: &[
+                "m/n",
+                "Δ",
+                "iterations",
+                "rounds",
+                "sublinear (Luby) rounds",
+            ],
+            ..SWEEP
+        }]),
+    },
+    Experiment {
+        name: "coloring",
+        heading: "E10e — (Δ+1)-coloring",
+        anchor: "Theorem C.7: O(1) rounds",
+        // The conflict graph is sparse relative to m once Δ ≫ log² n (the
+        // regime of Lemma C.8), which the star (x = 0) shows; at moderate Δ
+        // it is ≈ the input: still correct, just not sparsified.
+        body: Body::Sweeps(&[Sweep {
+            algo: "coloring",
+            seed: 47,
+            grid: &[0.0, 256.0, 512.0, 1024.0],
+            graph: |n| match n as usize {
+                0 => generators::star(4096),
+                n => generators::gnm(n, n * 12, 47),
+            },
+            cols: &[
+                "graph",
+                "m",
+                "Δ",
+                "conflict edges",
+                "conflicts/m",
+                "restarts",
+                "rounds",
+            ],
+            ..SWEEP
+        }]),
+    },
+    Experiment {
+        name: "two_vs_one",
+        heading: "E11 — 1-vs-2 cycles",
+        anchor: "§1: trivial with one large machine",
+        body: Body::Run(two_vs_one),
+    },
+    Experiment {
+        name: "exec",
+        heading: "E12 — execution engine",
+        anchor: "serial vs parallel; heterogeneous cost model",
+        body: Body::Run(exec_engine),
+    },
+    Experiment {
+        name: "service",
+        heading: "E16 — job-queue service",
+        anchor: "mixed tenants, admission on retirement",
+        body: Body::Run(service),
+    },
+    Experiment {
+        name: "registry",
+        heading: "E13 — registry smoke",
+        anchor: "every algorithm, serial vs parallel",
+        body: Body::Run(registry_smoke),
+    },
+    Experiment {
+        name: "budgets",
+        heading: "E14 — registry round budgets",
+        anchor: "per-theorem round-class caps",
+        body: Body::Run(budgets),
+    },
+    Experiment {
+        name: "chaos",
+        heading: "E15 — chaos smoke",
+        anchor: "seeded single crash, recovery must be exact",
+        body: Body::Run(chaos),
+    },
+    Experiment {
+        name: "chaos-service",
+        heading: "E17 — service chaos",
+        anchor: "per-job quarantine, survivors must be exact",
+        body: Body::Run(chaos_service),
+    },
+];
+
+/// Table 1's rows: problem, registry name, the paper's heterogeneous
+/// bound. Row `i` runs at seed `i + 1`.
+const TABLE1: [(&str, &str, &str); 9] = [
+    ("connectivity", "connectivity", "O(1)"),
+    ("MST", "mst", "O(log log(m/n))"),
+    ("(1+eps)-approx MST", "mst-approx", "O(1)"),
+    ("O(k)-spanner", "spanner", "O(1)"),
+    ("exact unweighted min cut", "mincut", "O(1)"),
+    ("(1±eps) weighted min cut", "mincut-approx", "O(1)"),
+    ("(Δ+1) coloring", "coloring", "O(1)"),
+    ("maximal independent set", "mis", "O(log log Δ)"),
+    (
+        "maximal matching",
+        "matching",
+        "O(sqrt(log(m/n) loglog(m/n)))",
+    ),
+];
+
+fn table1() {
+    let n = 512;
+    let gu = generators::gnm(n, n * 16, 42);
+    let g = gu.clone().with_random_weights(1 << 18, 42);
+    let pc = generators::planted_cut(n / 2, 0.05, 4, 5);
+    let mut t = Table::default();
+    for ((problem, algo, bound), seed) in TABLE1.iter().zip(1..) {
+        let graph = match *algo {
+            "mincut" | "mincut-approx" => &pc,
+            "mst" | "mst-approx" => &g,
+            _ => &gu,
+        };
+        let params = match *algo {
+            "mst-approx" => JobParams::default().epsilon(0.5),
+            "mincut" => JobParams::default().mincut_trials(4),
+            _ => JobParams::default(),
+        };
+        let rounds = |config, params| {
+            let run = solo(algo, graph, config, params, Parallel, None);
+            run.expect("registry run").rounds
+        };
+        let het = rounds(preferred(algo, graph, seed), params);
+        // A sublinear baseline where this reproduction has one, else the
+        // literature's bound for the regime's best algorithm (DESIGN.md §4).
+        let sub = |sub, g| sublinear(sub, g, seed).0.to_string();
+        let sub = match *algo {
+            "connectivity" | "mst" => sub(Sub::Mst, &g),
+            "coloring" => sub(Sub::Coloring, &gu),
+            "mis" => sub(Sub::Mis, &gu),
+            "matching" => sub(Sub::Matching, &gu),
+            "mst-approx" => "lit. O(log n)".to_string(),
+            "spanner" => "lit. O(log k)".to_string(),
+            "mincut" => "lit. O(polylog n)".to_string(),
+            _ => "lit. O(log n loglog n)".to_string(),
+        };
+        // The batched names run every instance as a lane of one wave, so
+        // their rounds are the parallel figure.
+        let note = match *algo {
+            "mst-approx" | "mincut-approx" => " (batched)",
+            "mincut" => " (4 trials)",
+            _ => "",
+        };
+        let near = match *algo {
+            "mst" => rounds(near_linear_config(n, g.m(), seed), JobParams::default()).to_string(),
+            // Near-linear capacities under the sketch-friendly polylog
+            // budget (computed after setting the budget).
+            "connectivity" => {
+                let base = sketch_friendly_config(n, g.m(), seed);
+                let capacities = vec![base.capacity_for_exponent(1.0); (g.m() / n).max(2) + 1];
+                let large = Some(0);
+                let custom = Topology::Custom { capacities, large };
+                rounds(base.topology(custom), JobParams::default()).to_string()
+            }
+            "spanner" | "coloring" | "mis" | "matching" => format!("{het} (same impl.)"),
+            _ => het.to_string(),
+        };
+        t.cells(&[
+            ("problem", problem.to_string()),
+            ("sublinear (measured)", sub),
+            ("heterogeneous (measured)", format!("{het}{note}")),
+            ("near-linear (measured)", near),
+            ("paper het. bound", bound.to_string()),
+        ]);
+    }
+    t.print();
+}
+
+/// Small machines of memory `n^gamma` beside one large machine of memory
+/// `n^(1+f)`.
+fn heterogeneous(gamma: f64, f: f64) -> Topology {
+    let large_exponent = 1.0 + f;
+    Topology::Heterogeneous {
+        gamma,
+        large_exponent,
+    }
+}
+
+/// E3 runs MST's own cluster loop: the engine `mst` breaks strict capacity
+/// when the large machine is superlinear.
+fn mst_superlinear() {
+    let g = generators::gnm(512, 512 * 64, 5).with_random_weights(1 << 20, 5);
+    let mut t = Table::default();
+    for f in [0.0f64, 0.1, 0.2, 0.4, 0.7] {
+        let config = ClusterConfig::new(g.n(), g.m())
+            .topology(heterogeneous(0.5, f))
+            .mem_constant(4.0)
+            .seed(5);
+        let (r, c) = on_cluster(&g, config, |c, e| mst::heterogeneous_mst(c, g.n(), e));
+        let r = r.expect("heterogeneous MST");
+        assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
+        t.cells(&[
+            ("f (memory n^(1+f))", format!("{f:.1}")),
+            ("rounds", c.rounds().to_string()),
+            ("Boruvka steps", r.stats.boruvka_steps.to_string()),
+        ]);
+    }
+    t.print();
+}
+
+fn baswana_ablation() {
+    let g = generators::gnm(400, 8000, 11);
+    let k = 3;
+    let norm = (k as f64) * (g.n() as f64).powf(1.0 + 1.0 / k as f64);
+    let mut t = Table::default();
+    for p in [1.0f64, 0.6, 0.3, 0.15, 0.08] {
+        let sizes = (0..5).map(|s| baswana_sen::modified_baswana_sen(&g, k, p, 100 + s).0.m());
+        let avg = sizes.map(|m| m as f64).sum::<f64>() / 5.0;
+        t.cells(&[
+            ("p", format!("{p:.2}")),
+            ("size (avg of 5 seeds)", format!("{avg:.0}")),
+            ("size·p / (k·n^(1+1/k))", format!("{:.3}", avg * p / norm)),
+        ]);
+    }
+    t.print();
+    println!("\n(The last column being ~flat is the 1/p law of Lemma 4.3.)");
+}
+
+fn figure1() {
+    let g = generators::gnm(400, 6000, 13);
+    let k = 4;
+    let (h_orig, p_orig) = baswana_sen::baswana_sen(&g, k, 21);
+    let (h_mod, p_mod) = baswana_sen::modified_baswana_sen(&g, k, 0.2, 21);
+    let mut t = Table::default();
+    for level in 0..k {
+        let (a, b) = (&p_orig.stats[level], &p_mod.stats[level]);
+        t.cells(&[
+            ("level", (level + 1).to_string()),
+            ("orig retained", a.retained.to_string()),
+            ("orig reclustered", a.reclustered.to_string()),
+            ("orig removed", a.removed.to_string()),
+            ("mod retained", b.retained.to_string()),
+            ("mod reclustered", b.reclustered.to_string()),
+            ("mod removed", b.removed.to_string()),
+        ]);
+    }
+    t.print();
+    let (orig, modified) = (h_orig.m(), h_mod.m());
+    println!("\nspanner sizes: original {orig} edges, modified (p=0.2) {modified} edges");
+    println!("(modified re-clusters fewer and removes more — Figure 1's panels b/c)");
+}
+
+/// E8 runs filtering matching, a call-style algorithm outside the registry.
+fn matching_filtering() {
+    let g = generators::gnm(512, 512 * 48, 19);
+    let mut t = Table::default();
+    for f in [0.1f64, 0.15, 0.25, 0.4, 0.7] {
+        let config = ClusterConfig::new(g.n(), g.m())
+            .topology(heterogeneous(0.66, f))
+            .seed(19);
+        let (r, c) = on_cluster(&g, config, |c, e| {
+            matching::filtering::filtering_matching(c, g.n(), &e, f)
+        });
+        let (m, stats) = r.expect("filtering matching");
+        assert!(mpc_graph::matching::is_maximal_matching(&g, &m));
+        t.cells(&[
+            ("f", format!("{f:.2}")),
+            ("levels", stats.levels.to_string()),
+            ("rounds", c.rounds().to_string()),
+        ]);
+    }
+    t.print();
+}
+
+/// E11 prints per regime the larger round count of the two inputs, each
+/// answer asserted.
+fn two_vs_one() {
+    let mut t = Table::default();
+    for exp in 6..10u64 {
+        let n = 1usize << exp;
+        let (mut het, mut sub) = (0, 0);
+        for (g, one) in [
+            (generators::cycle(n, exp), true),
+            (generators::two_cycles(n, exp), false),
+        ] {
+            let config = sketch_friendly_config(n, n, 1);
+            let run = solo(
+                "connectivity",
+                &g,
+                config,
+                JobParams::default(),
+                Parallel,
+                None,
+            )
+            .expect("registry run");
+            het = het.max(run.rounds);
+            let comps = run.out.into_components().expect("components output");
+            assert_eq!(comps.count == 1, one);
+            let (rounds, cycles) = sublinear(Sub::Cycles, &g.with_random_weights(1 << 10, 3), 1);
+            assert_eq!(cycles == 1, one);
+            sub = sub.max(rounds);
+        }
+        t.cells(&[
+            ("n", n.to_string()),
+            ("het rounds", het.to_string()),
+            ("sublinear rounds", sub.to_string()),
+        ]);
+    }
+    t.print();
+}
+
+/// E12: serial vs parallel wall-clock of registry runs (identical results,
+/// asserted), and the simulated makespan — the [`CostModel`]'s critical
+/// path, which round counts cannot see — per cost profile.
+fn exec_engine() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "host cores: {cores} — parallel wall-clock can only beat serial with >1 core;\n\
+         on a single core the comparison measures pure engine overhead (results are\n\
+         bit-identical across schedules either way, see crates/exec/tests/determinism.rs)\n"
+    );
+    let mut t = Table::default();
+    let g_conn = generators::gnm(384, 384 * 6, 7);
+    let g_mst = g_conn.clone().with_random_weights(1 << 16, 7);
+    for (topology, gamma) in [("gamma=0.66", 0.66), ("gamma=0.50", 0.50)] {
+        for algo in ["connectivity", "boruvka-msf", "mst", "matching"] {
+            let g = match algo {
+                "connectivity" | "matching" => &g_conn,
+                _ => &g_mst,
+            };
+            let config =
+                sketch_friendly_config(g.n(), g.m(), 7).topology(heterogeneous(gamma, 0.0));
+            // The cost model is orthogonal to behaviour: every profile sees
+            // the same rounds and traffic.
+            let run = |profile: &str, mode| {
+                let cost = |c: &mut Cluster| c.set_cost_model(cost_profile(profile, 0.0, c));
+                let params = JobParams::default();
+                let run = solo(algo, g, config.clone(), params, mode, Some(&cost));
+                run.expect("registered algorithm run")
+            };
+            let (serial, pool) = (run("uniform", Serial), run("uniform", Parallel));
+            assert_eq!(
+                serial.digest, pool.digest,
+                "{algo} {topology}: serial and parallel results diverged"
+            );
+            let span = |run: Solo| format!("{:.0}", run.cluster.critical_path_seconds());
+            let speedup = serial.wall.as_secs_f64() / pool.wall.as_secs_f64().max(1e-9);
+            t.cells(&[
+                ("algorithm", algo.to_string()),
+                ("topology", topology.to_string()),
+                ("machines", serial.cluster.machines().to_string()),
+                ("rounds", serial.rounds.to_string()),
+                ("serial wall", format!("{:.2?}", serial.wall)),
+                ("parallel wall", format!("{:.2?}", pool.wall)),
+                ("speedup", format!("{speedup:.2}x")),
+                ("uniform makespan", span(serial)),
+                ("prop-cap makespan", span(run("proportional", Serial))),
+                ("straggler makespan", span(run("straggler", Serial))),
+            ]);
+        }
+    }
+    t.print();
+    println!("\nmakespans: simulated seconds along the critical path (unit-rate words);");
+    println!("prop-cap = speeds/bandwidths proportional to machine capacity, latency 1s/round;");
+    println!("straggler = one small machine at 10% speed — the schedule the model calls 'free'");
+    println!("dominates exactly when that machine holds the bottleneck shard.");
+}
+
+fn pool_note() {
     if let Ok(threads) = std::env::var("MPC_POOL_THREADS") {
         println!("(pool worker threads pinned to {threads} via MPC_POOL_THREADS)\n");
     }
-    let n = 256;
-    let g = std::sync::Arc::new(generators::gnm(n, n * 6, 5).with_random_weights(1 << 12, 5));
-    let reps = 3;
-    let key = |rs: &[mpc_exec::JobRecord]| {
-        rs.iter()
-            .map(|r| (r.job, r.shares, r.admitted_round, r.completed_round))
-            .collect::<Vec<_>>()
-    };
+}
 
-    // Best-of-`reps` drain under one (profile, mode), asserting the
-    // schedule and results never move between repetitions.
-    let best = |straggler: bool, mode: ExecMode| {
-        let (mut wall, makespan, rounds, machines, records, digests) =
-            service_drain(&g, straggler, mode);
-        for _ in 1..reps {
-            let (w, _, r, _, recs, digs) = service_drain(&g, straggler, mode);
+/// E13 (a CI gate): `Serial` == `Parallel` in digest and rounds for every
+/// registered name. `MPC_TRACE_JSONL=path` streams every event of every
+/// run into one JSONL file, which CI checks with `mpc-trace --validate`.
+fn registry_smoke() {
+    use mpc_runtime::JsonlSink;
+
+    assert_eq!(
+        registry::names(),
+        registry::CANONICAL_NAMES.to_vec(),
+        "registry names drifted from the canonical set"
+    );
+    pool_note();
+    let jsonl: Option<Arc<JsonlSink>> = std::env::var("MPC_TRACE_JSONL").ok().map(|path| {
+        println!("(streaming telemetry events to {path} via MPC_TRACE_JSONL)\n");
+        Arc::new(JsonlSink::create(&path).expect("create MPC_TRACE_JSONL file"))
+    });
+    let attach = |c: &mut Cluster| {
+        c.set_trace_sink(jsonl.clone().map(|s| s as Arc<dyn TraceSink>));
+    };
+    let prepare = jsonl.is_some().then_some(&attach as &dyn Fn(&mut Cluster));
+    registry_pass(&[128], prepare, |algo, _, rerun, serial| {
+        let pool = rerun(Parallel, prepare);
+        let (s, p) = ((serial.digest, serial.rounds), (pool.digest, pool.rounds));
+        assert_eq!(s, p, "{}: serial and parallel runs diverged", algo.name);
+        vec![
+            ("algorithm", algo.name.to_string()),
+            ("paper", algo.paper.to_string()),
+            ("rounds", serial.rounds.to_string()),
+            ("digest", serial.digest.to_string()),
+            ("serial == parallel", "yes".to_string()),
+        ]
+    });
+}
+
+/// E14 (a CI gate): every name's rounds stay within its theorem's class
+/// ([`Algorithm::round_budget`]); a batched name
+/// ([`registry::BATCHED_NAMES`]) keeps its parallel figure `O(1)` and its
+/// rounds at least `BATCH_COLLAPSE_FACTOR`× below the sequential
+/// composition's count committed in `BENCH_rounds.json`. The experiment
+/// rewrites that file with every measured count, so CI's diff also catches
+/// drift below the caps.
+fn budgets() {
+    /// The `O(1)`-per-instance cap on the engine's parallel-round figure.
+    const PARALLEL_CAP: u64 = 6;
+    /// Minimum collapse of a batched name's rounds against its sequential
+    /// composition.
+    const BATCH_COLLAPSE_FACTOR: u64 = 5;
+
+    let (mut failures, mut json) = (Vec::new(), Vec::new());
+    let committed = committed_sequential_rounds();
+    let show = |v: Option<u64>, none: &str| v.map_or_else(|| none.to_string(), |v| v.to_string());
+    registry_pass(&[128, 512], None, |algo, n, _, run| {
+        let (rounds, cap) = (run.rounds, (algo.round_budget)(n));
+        let parallel = match &run.out {
+            AlgoOutput::MstApprox(r) => Some(r.parallel_rounds),
+            AlgoOutput::MinCutApprox(r) => Some(r.parallel_rounds),
+            _ => None,
+        };
+        let sequential = committed.get(&(algo.name.to_string(), n)).copied();
+        let collapsed = match sequential {
+            Some(s) => rounds * BATCH_COLLAPSE_FACTOR <= s,
+            None => !registry::BATCHED_NAMES.contains(&algo.name),
+        };
+        let ok = rounds <= cap && parallel.is_none_or(|p| p <= PARALLEL_CAP) && collapsed;
+        if !ok {
+            failures.push(format!(
+                "{} at n={n}: {rounds} rounds (cap {cap}), parallel {parallel:?} \
+                 (cap {PARALLEL_CAP}), sequential {sequential:?} \
+                 (≥{BATCH_COLLAPSE_FACTOR}× collapse required)",
+                algo.name
+            ));
+        }
+        let (seq, par) = (show(sequential, "null"), show(parallel, "null"));
+        json.push(format!(
+            "    {{\"name\": \"{}\", \"n\": {n}, \"rounds\": {rounds}, \"cap\": {cap}, \
+             \"sequential_rounds\": {seq}, \"parallel_rounds\": {par}}}",
+            algo.name
+        ));
+        vec![
+            ("algorithm", algo.name.to_string()),
+            ("paper", algo.paper.to_string()),
+            ("n", n.to_string()),
+            ("rounds", rounds.to_string()),
+            ("cap", cap.to_string()),
+            ("sequential rounds", show(sequential, "-")),
+            ("parallel rounds", show(parallel, "-")),
+            ("within budget", if ok { "yes" } else { "NO" }.to_string()),
+        ]
+    });
+    let path = rounds_json_path();
+    let body = format!(
+        "{{\n  \"bench\": \"registry_rounds\",\n  \"workload\": \"gnm(m=6n, weights<2^12, \
+         seed 5), ExecMode::Serial\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        json.join(",\n")
+    );
+    std::fs::write(&path, body).expect("write BENCH_rounds.json");
+    println!("\n[budgets: wrote {}]", path.display());
+    assert!(
+        failures.is_empty(),
+        "round-budget violations:\n  {}",
+        failures.join("\n  ")
+    );
+    println!("(each cap is the theorem's round class on this workload; a violation fails CI.)");
+}
+
+/// `BENCH_rounds.json` at the repo root.
+fn rounds_json_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_rounds.json")
+}
+
+/// The sequential-composition round counts committed in
+/// `BENCH_rounds.json`, keyed by `(name, n)`, for every row that has one.
+fn committed_sequential_rounds() -> std::collections::BTreeMap<(String, usize), u64> {
+    use mpc_runtime::telemetry::{parse_json, JsonValue};
+    let body = std::fs::read_to_string(rounds_json_path()).expect("read BENCH_rounds.json");
+    let doc = parse_json(&body).expect("BENCH_rounds.json is JSON");
+    let rows = doc.get("rows").and_then(JsonValue::as_arr);
+    let row = |row: &JsonValue| {
+        let sequential = row.get("sequential_rounds")?.as_f64()?;
+        let name = row.get("name")?.as_str()?.to_string();
+        let n = row.get("n")?.as_f64()? as usize;
+        Some(((name, n), sequential as u64))
+    };
+    rows.expect("a rows array").iter().filter_map(row).collect()
+}
+
+/// E15 (a CI gate): one seeded mid-run crash of a small machine per name
+/// (the victim varies per name) leaves the digest bit-identical to the
+/// fault-free run and adds recovery rounds, under `Serial` and `Parallel`.
+fn chaos() {
+    pool_note();
+    registry_pass(&[128], None, |algo, _, rerun, clean| {
+        let name = algo.name;
+        let name_seed =
+            (name.bytes()).fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(b.into()));
+        let smalls = clean.cluster.small_ids();
+        let plan = FaultPlan::seeded_single_crash(name_seed, &smalls, clean.rounds);
+        let Fault::Crash { machine, round } = plan.faults()[0] else {
+            unreachable!("seeded_single_crash schedules a crash")
+        };
+        let attach = |c: &mut Cluster| {
+            c.set_fault_plan(Some(plan.clone()));
+        };
+        let mut faulted = 0;
+        for mode in [Serial, Parallel] {
+            let run = rerun(mode, Some(&attach));
             assert_eq!(
-                (r, key(&recs), &digs),
-                (rounds, key(&records), &digests),
+                run.digest, clean.digest,
+                "{name} under {mode:?}: crash of machine {machine} changed the result"
+            );
+            assert!(
+                run.rounds > clean.rounds,
+                "{name} under {mode:?}: recovery must add checkpoint/recovery rounds"
+            );
+            faulted = run.rounds;
+        }
+        vec![
+            ("algorithm", name.to_string()),
+            ("victim", machine.to_string()),
+            ("crash round", round.to_string()),
+            ("clean rounds", clean.rounds.to_string()),
+            ("faulted rounds", faulted.to_string()),
+            ("recovered == clean", "yes".to_string()),
+        ]
+    });
+    println!("\nchaos matrix: one seeded small-machine crash per algorithm, serial + pool legs;");
+    println!("recovery replays from peer replicas and must reproduce the fault-free digest.");
+}
+
+/// One leg of a service experiment: `reps` drains of `g`'s queue per mode
+/// under `profile` and `plan`, whose round counts, schedules and outcomes
+/// must not move across repetitions or modes, nor across cost profiles
+/// when fault-free. Exactly `lost` tenants fail; with `clean`, the
+/// survivors match its digests and a fault adds recovery rounds. Returns
+/// the best serial and pool wall-clock (ms) and the first serial drain.
+fn leg(
+    g: &Arc<Graph>,
+    profile: &str,
+    plan: Option<FaultPlan>,
+    reps: usize,
+    lost: usize,
+    clean: Option<&Drain>,
+) -> (f64, f64, Drain) {
+    let cost = |c: &Cluster| cost_profile(profile, 0.5, c);
+    let best = |mode| {
+        let once = || {
+            drain(
+                g,
+                JobRetryPolicy::default(),
+                &cost,
+                plan.clone(),
+                None,
+                mode,
+            )
+        };
+        let runs: Vec<Drain> = (0..reps).map(|_| once().expect("service drain")).collect();
+        for again in &runs[1..] {
+            assert_eq!(
+                again.facts(),
+                runs[0].facts(),
                 "nondeterministic service drain"
             );
-            wall = wall.min(w);
         }
-        (wall, makespan, rounds, machines, records, digests)
+        let wall = runs.iter().map(|d| d.wall_ms).fold(f64::INFINITY, f64::min);
+        (wall, runs.into_iter().next().expect("one drain at least"))
     };
-
-    let mut t = Table::new(&[
-        "cost profile",
-        "machines",
-        "rounds",
-        "serial ms",
-        "pool ms",
-        "jobs/s serial",
-        "jobs/s pool",
-        "sim makespan",
-    ]);
-    let mut schedule: Option<(Vec<(u64, usize, u64, u64)>, Vec<u128>)> = None;
-    let mut uniform_records: Vec<mpc_exec::JobRecord> = Vec::new();
-    let mut uniform_rounds = 0u64;
-    for straggler in [false, true] {
-        let (serial_ms, makespan, rounds, machines, records, digests) =
-            best(straggler, ExecMode::Serial);
-        let (pool_ms, _, pool_rounds, _, pool_records, pool_digests) =
-            best(straggler, ExecMode::Parallel);
-        assert_eq!(
-            (pool_rounds, key(&pool_records), &pool_digests),
-            (rounds, key(&records), &digests),
-            "service: pool drain diverged from serial"
-        );
-        // The cost model is observational — switching profiles must not
-        // move a single admission or digest.
-        let this = (key(&records), digests.clone());
-        match &schedule {
-            None => schedule = Some(this),
-            Some(s) => assert_eq!(s, &this, "cost profile changed the schedule"),
+    let ((serial_ms, serial), (pool_ms, pool)) = (best(Serial), best(Parallel));
+    assert_eq!(
+        pool.facts(),
+        serial.facts(),
+        "{profile}: pool drain diverged from serial"
+    );
+    let failed = serial
+        .outcomes
+        .iter()
+        .filter(|o| o.0 != JobStatus::Completed);
+    assert_eq!(
+        failed.count(),
+        lost,
+        "{profile}: wrong number of tenants lost"
+    );
+    if let Some(clean) = clean {
+        if plan.is_none() {
+            assert_eq!(
+                serial.facts(),
+                clean.facts(),
+                "cost profile changed the schedule"
+            );
         }
-        if !straggler {
-            uniform_records = records.clone();
-            uniform_rounds = rounds;
-        }
-        let profile = if straggler { "straggler" } else { "uniform" };
-        let jobs = SERVICE_JOBS.len() as f64;
-        let (jps_serial, jps_pool) = (
-            jobs / (serial_ms / 1e3).max(1e-9),
-            jobs / (pool_ms / 1e3).max(1e-9),
+        let diverged = diverged(&serial.outcomes, &clean.outcomes);
+        assert!(
+            diverged.is_empty(),
+            "{profile}: surviving {diverged:?} diverged"
         );
-        t.row(&[
-            profile.to_string(),
-            machines.to_string(),
-            rounds.to_string(),
-            format!("{serial_ms:.2}"),
-            format!("{pool_ms:.2}"),
-            format!("{jps_serial:.1}"),
-            format!("{jps_pool:.1}"),
-            format!("{makespan:.1}s"),
-        ]);
+        let (rounds, clean_rounds) = (serial.cluster.rounds(), clean.cluster.rounds());
+        assert!(
+            plan.is_none() || rounds > clean_rounds,
+            "recovery must add rounds"
+        );
     }
+    (serial_ms, pool_ms, serial)
+}
 
-    // Faulted leg: one seeded mid-drain crash with zero peer replicas is
-    // job-fatal, so the service quarantines exactly one tenant and replays
-    // the survivors (DESIGN.md §2.9). Throughput counts served jobs only.
-    {
-        use mpc_runtime::{Fault, FaultPlan, RecoveryPolicy};
-        let smalls = Cluster::new(
-            ClusterConfig::new(g.n(), g.m())
-                .seed(5)
-                .polylog_exponent(service_polylog()),
-        )
-        .small_ids();
-        let plan = FaultPlan::new()
-            .with_policy(RecoveryPolicy {
-                replicas: 0,
-                ..RecoveryPolicy::default()
-            })
-            .with_fault(Fault::Crash {
-                machine: smalls[0],
-                round: uniform_rounds / 2,
-            });
-        let best = |mode: ExecMode| {
-            let (mut wall, makespan, rounds, machines, records, outcomes) =
-                service_drain_with(&g, false, Some(plan.clone()), mode);
-            for _ in 1..reps {
-                let (w, _, r, _, recs, outs) =
-                    service_drain_with(&g, false, Some(plan.clone()), mode);
-                assert_eq!(
-                    (r, key(&recs), &outs),
-                    (rounds, key(&records), &outcomes),
-                    "nondeterministic faulted service drain"
-                );
-                wall = wall.min(w);
+/// A plan crashing `machine` at `round` under `policy`.
+fn crash(machine: usize, round: u64, policy: RecoveryPolicy) -> FaultPlan {
+    let crash = Fault::Crash { machine, round };
+    FaultPlan::new().with_policy(policy).with_fault(crash)
+}
+
+/// E16 (DESIGN.md §2.8): best of three drains per mode and leg; the
+/// faulted leg's crash, with zero peer replicas halfway through the clean
+/// drain, is job-fatal (DESIGN.md §2.9), and its jobs/s count served jobs.
+/// Host numbers worth comparing across commits are the benchmark's
+/// `service-drain` workload's, not this table's.
+fn service() {
+    pool_note();
+    let g = Arc::new(budgets_graph(256));
+    let mut t = Table::default();
+    let mut clean: Option<Drain> = None;
+    for leg_name in ["uniform", "straggler", "faulted (1 lost)"] {
+        let (profile, plan) = match &clean {
+            Some(c) if leg_name.starts_with("faulted") => {
+                let (machine, round) = (c.cluster.small_ids()[0], c.cluster.rounds() / 2);
+                ("uniform", Some(crash(machine, round, zero_replicas())))
             }
-            (wall, makespan, rounds, machines, records, outcomes)
+            _ => (leg_name, None),
         };
-        let (serial_ms, makespan, rounds, machines, records, outcomes) = best(ExecMode::Serial);
-        let (pool_ms, _, pool_rounds, _, pool_records, pool_outcomes) = best(ExecMode::Parallel);
-        assert_eq!(
-            (pool_rounds, key(&pool_records), &pool_outcomes),
-            (rounds, key(&records), &outcomes),
-            "faulted service: pool drain diverged from serial"
-        );
-        let served = outcomes
-            .iter()
-            .filter(|(s, _)| *s == mpc_exec::JobStatus::Completed)
-            .count();
-        assert_eq!(served, SERVICE_JOBS.len() - 1, "exactly one tenant lost");
-        // Survivors must be bit-identical to the fault-free drain.
-        if let Some((_, clean_digests)) = &schedule {
-            for (i, (status, digest)) in outcomes.iter().enumerate() {
-                if *status == mpc_exec::JobStatus::Completed {
-                    assert_eq!(
-                        *digest,
-                        Some(clean_digests[i]),
-                        "surviving tenant {} diverged from the fault-free drain",
-                        SERVICE_JOBS[i]
-                    );
-                }
-            }
-        }
-        let (jps_serial, jps_pool) = (
-            served as f64 / (serial_ms / 1e3).max(1e-9),
-            served as f64 / (pool_ms / 1e3).max(1e-9),
-        );
-        t.row(&[
-            "faulted (1 lost)".to_string(),
-            machines.to_string(),
-            rounds.to_string(),
-            format!("{serial_ms:.2}"),
-            format!("{pool_ms:.2}"),
-            format!("{jps_serial:.1}"),
-            format!("{jps_pool:.1}"),
-            format!("{makespan:.1}s"),
+        let lost = usize::from(plan.is_some());
+        let (serial_ms, pool_ms, serial) = leg(&g, profile, plan, 3, lost, clean.as_ref());
+        let served = (SERVICE_JOBS.len() - lost) as f64;
+        let jobs_per_s = |ms: f64| format!("{:.1}", served / (ms / 1e3).max(1e-9));
+        t.cells(&[
+            ("cost profile", leg_name.to_string()),
+            ("machines", serial.cluster.machines().to_string()),
+            ("rounds", serial.cluster.rounds().to_string()),
+            ("serial ms", format!("{serial_ms:.2}")),
+            ("pool ms", format!("{pool_ms:.2}")),
+            ("jobs/s serial", jobs_per_s(serial_ms)),
+            ("jobs/s pool", jobs_per_s(pool_ms)),
+            (
+                "sim makespan",
+                format!("{:.1}s", serial.cluster.critical_path_seconds()),
+            ),
         ]);
+        clean.get_or_insert(serial);
     }
     t.print();
 
     println!("\n### schedule (identical across modes, profiles, and repetitions)\n");
-    let mut t = Table::new(&[
-        "job",
-        "name",
-        "shares",
-        "admitted round",
-        "completed round",
-        "rounds held",
-    ]);
-    for r in &uniform_records {
-        t.rowd(&[
-            r.job.to_string(),
-            r.name.clone(),
-            r.shares.to_string(),
-            r.admitted_round.to_string(),
-            r.completed_round.to_string(),
-            r.rounds.to_string(),
+    let mut t = Table::default();
+    for r in &clean.expect("the uniform leg ran").records {
+        t.cells(&[
+            ("job", r.job.to_string()),
+            ("name", r.name.clone()),
+            ("shares", r.shares.to_string()),
+            ("admitted round", r.admitted_round.to_string()),
+            ("completed round", r.completed_round.to_string()),
+            ("rounds held", r.rounds.to_string()),
         ]);
     }
     t.print();
 }
 
-/// E17: service chaos — the six-tenant mixed queue (E16's workload) under
-/// seeded faults, exercising both recovery tiers of DESIGN.md §2.9:
-///
-/// * **recoverable** — a seeded small-machine crash under the default
-///   replica policy replays from peer checkpoints inside the wave; every
-///   tenant completes and all six digests match the fault-free drain;
-/// * **job-fatal** — the same crash with zero peer replicas cannot be
-///   replayed, so the service quarantines exactly one tenant, fails it
-///   with a typed error, and restarts the wave for the survivors, whose
-///   digests must still match the fault-free drain bit-for-bit.
-///
-/// Both legs run under `ExecMode::Serial` and `ExecMode::Parallel` and
-/// must agree exactly (CI pins the pool leg to 2 and 16 worker threads
-/// via `MPC_POOL_THREADS`).
-pub fn chaos_service() {
-    use mpc_exec::{ExecMode, JobStatus};
-    use mpc_runtime::{Fault, FaultPlan, RecoveryPolicy};
-
-    println!("\n## E17 — service chaos (per-job quarantine, survivors must be exact)\n");
-    if let Ok(threads) = std::env::var("MPC_POOL_THREADS") {
-        println!("(pool worker threads pinned to {threads} via MPC_POOL_THREADS)\n");
-    }
-    let g = std::sync::Arc::new(generators::gnm(128, 768, 5).with_random_weights(1 << 12, 5));
-    let (_, _, clean_rounds, _, _, clean) = service_drain_with(&g, false, None, ExecMode::Serial);
-    let smalls = Cluster::new(
-        ClusterConfig::new(g.n(), g.m())
-            .seed(5)
-            .polylog_exponent(service_polylog()),
-    )
-    .small_ids();
-    let crash = Fault::Crash {
-        machine: FaultPlan::seeded_single_crash(17, &smalls, clean_rounds)
-            .faults()
-            .iter()
-            .find_map(|f| match f {
-                Fault::Crash { machine, .. } => Some(*machine),
-                _ => None,
-            })
-            .expect("seeded_single_crash schedules a crash"),
-        round: clean_rounds / 2,
+/// E17 (DESIGN.md §2.9): E16's queue on the budgets graph under one seeded
+/// crash, recoverable (peer replicas: every tenant completes) and job-fatal
+/// (zero replicas: one tenant is quarantined and fails, the wave restarts
+/// for the rest).
+fn chaos_service() {
+    pool_note();
+    let g = Arc::new(budgets_graph(128));
+    let (_, _, clean) = leg(&g, "uniform", None, 1, 0, None);
+    let clean_rounds = clean.cluster.rounds();
+    let seeded = FaultPlan::seeded_single_crash(17, &clean.cluster.small_ids(), clean_rounds);
+    let Fault::Crash { machine, .. } = seeded.faults()[0] else {
+        unreachable!("seeded_single_crash schedules a crash")
     };
-    let legs: [(&str, FaultPlan, usize); 2] = [
-        ("recoverable", FaultPlan::new().with_fault(crash.clone()), 0),
-        (
-            "job-fatal",
-            FaultPlan::new()
-                .with_policy(RecoveryPolicy {
-                    replicas: 0,
-                    ..RecoveryPolicy::default()
-                })
-                .with_fault(crash.clone()),
-            1,
-        ),
-    ];
-
-    let mut t = Table::new(&[
-        "leg",
-        "crash",
-        "clean rounds",
-        "faulted rounds",
-        "tenants lost",
-        "survivors exact",
-    ]);
-    for (leg, plan, expect_lost) in legs {
-        let mut faulted_rounds = 0;
-        let mut lost: Vec<String> = Vec::new();
-        for mode in [ExecMode::Serial, ExecMode::Parallel] {
-            let (_, _, rounds, _, _, outcomes) =
-                service_drain_with(&g, false, Some(plan.clone()), mode);
-            lost = outcomes
-                .iter()
-                .enumerate()
-                .filter(|(_, (s, _))| *s != JobStatus::Completed)
-                .map(|(i, _)| SERVICE_JOBS[i].to_string())
-                .collect();
-            assert_eq!(
-                lost.len(),
-                expect_lost,
-                "{leg} under {mode:?}: wrong number of tenants lost"
-            );
-            for (i, (status, digest)) in outcomes.iter().enumerate() {
-                if *status == JobStatus::Completed {
-                    assert_eq!(
-                        (status, *digest),
-                        (&clean[i].0, clean[i].1),
-                        "{leg} under {mode:?}: surviving tenant {} diverged \
-                         from the fault-free drain",
-                        SERVICE_JOBS[i]
-                    );
-                }
-            }
-            assert!(
-                rounds > clean_rounds,
-                "{leg} under {mode:?}: recovery must add checkpoint/replay rounds"
-            );
-            faulted_rounds = rounds;
-        }
-        t.row(&[
-            leg.to_string(),
-            crash.detail(),
-            clean_rounds.to_string(),
-            faulted_rounds.to_string(),
-            if lost.is_empty() {
-                "none".to_string()
-            } else {
-                lost.join(", ")
-            },
-            "yes".to_string(),
+    let mut t = Table::default();
+    for (leg_name, policy, lost) in [
+        ("recoverable", RecoveryPolicy::default(), 0),
+        ("job-fatal", zero_replicas(), 1),
+    ] {
+        let plan = crash(machine, clean_rounds / 2, policy);
+        let (_, _, faulted) = leg(&g, "uniform", Some(plan.clone()), 1, lost, Some(&clean));
+        let outcomes = faulted.outcomes.iter().zip(SERVICE_JOBS);
+        let lost: Vec<&str> = (outcomes.filter(|(o, _)| o.0 != JobStatus::Completed))
+            .map(|(_, name)| *name)
+            .collect();
+        t.cells(&[
+            ("leg", leg_name.to_string()),
+            ("crash", plan.faults()[0].detail()),
+            ("clean rounds", clean_rounds.to_string()),
+            ("faulted rounds", faulted.cluster.rounds().to_string()),
+            (
+                "tenants lost",
+                if lost.is_empty() {
+                    "none".into()
+                } else {
+                    lost.join(", ")
+                },
+            ),
+            ("survivors exact", "yes".to_string()),
         ]);
     }
     t.print();

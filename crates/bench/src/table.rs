@@ -1,7 +1,7 @@
 //! Minimal aligned-table printer (markdown-compatible output, so rows can
 //! be pasted into an experiments log verbatim).
 
-/// A simple text table.
+/// A simple text table whose rows name their cells.
 #[derive(Debug, Default)]
 pub struct Table {
     header: Vec<String>,
@@ -9,23 +9,18 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        Table {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+    /// Appends a row of named cells; the first row's names become the
+    /// header, and every later row must name the same columns in order.
+    pub fn cells(&mut self, cells: &[(&str, String)]) {
+        if self.header.is_empty() {
+            self.header = cells.iter().map(|c| c.0.to_string()).collect();
         }
-    }
-
-    /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
-        self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience: appends a row of displayable items.
-    pub fn rowd<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
+        let names = cells.iter().map(|c| c.0);
+        assert!(
+            names.eq(self.header.iter().map(String::as_str)),
+            "row names differ from the header"
+        );
+        self.rows.push(cells.iter().map(|c| c.1.clone()).collect());
     }
 
     /// Prints the table as markdown with aligned columns.
@@ -59,15 +54,24 @@ mod tests {
 
     #[test]
     fn renders_markdown() {
-        let mut t = Table::new(&["a", "bbb"]);
-        t.rowd(&[1, 22]);
-        t.print(); // visual; just ensure no panic and arity checks hold
+        let mut t = Table::default();
+        t.cells(&[("a", "1".to_string()), ("bbb", "22".to_string())]);
+        t.print(); // visual; just ensure no panic and the name checks hold
+    }
+
+    #[test]
+    #[should_panic(expected = "row names differ from the header")]
+    fn named_cells_must_match_the_header() {
+        let mut t = Table::default();
+        t.cells(&[("a", "1".to_string()), ("b", "2".to_string())]);
+        t.cells(&[("a", "3".to_string()), ("c", "4".to_string())]);
     }
 
     #[test]
     #[should_panic]
     fn arity_mismatch_panics() {
-        let mut t = Table::new(&["a"]);
-        t.rowd(&[1, 2]);
+        let mut t = Table::default();
+        t.cells(&[("a", "1".to_string())]);
+        t.cells(&[("a", "1".to_string()), ("b", "2".to_string())]);
     }
 }

@@ -689,7 +689,7 @@ impl JsonValue {
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -703,14 +703,26 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// The deepest array/object nesting [`parse_json`] accepts: the parser
+/// recurses once per level, so an unbounded document from outside
+/// (`mpc-trace --validate FILE`) could overflow the stack. Every document
+/// the repository writes nests fewer than ten levels.
+const MAX_JSON_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
     let Some(&c) = bytes.get(*pos) else {
         return Err("unexpected end of input".to_string());
     };
+    if matches!(c, b'{' | b'[') && depth >= MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match c {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
+        b'{' => parse_object(bytes, pos, depth + 1),
+        b'[' => parse_array(bytes, pos, depth + 1),
         b'"' => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         b't' => parse_lit(bytes, pos, "true", JsonValue::Bool(true)),
         b'f' => parse_lit(bytes, pos, "false", JsonValue::Bool(false)),
@@ -816,7 +828,7 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -825,7 +837,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(&b',') => *pos += 1,
@@ -838,7 +850,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -857,7 +869,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -1518,6 +1530,17 @@ mod tests {
         let s = "weird \"label\"\twith\nnewlines\\";
         let parsed = parse_json(&json_string(s)).unwrap();
         assert_eq!(parsed.as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_JSON_DEPTH + 1)).is_err());
+        let deep = "[".repeat(100_000);
+        assert!(parse_json(&deep).is_err());
+        let line = format!("{{\"type\":\"round_begin\",\"round\":1,\"label\":{deep}}}\n");
+        assert!(validate_jsonl(&line).is_err());
     }
 
     #[test]
