@@ -85,7 +85,7 @@ pub fn solo(
 
 /// Builds a cluster from `config`, shards `g`'s edges over its small
 /// machines and hands both to `run`: [`solo`]'s body, and the way in for
-/// the two call-style algorithms outside the registry.
+/// filtering matching, the call-style algorithm outside the registry.
 fn on_cluster<T>(
     g: &Graph,
     config: ClusterConfig,
@@ -859,8 +859,7 @@ fn heterogeneous(gamma: f64, f: f64) -> Topology {
     }
 }
 
-/// E3 runs MST's own cluster loop: the engine `mst` breaks strict capacity
-/// when the large machine is superlinear.
+/// E3 runs the engine `mst` under strict capacity (the cluster default).
 fn mst_superlinear() {
     let g = generators::gnm(512, 512 * 64, 5).with_random_weights(1 << 20, 5);
     let mut t = Table::default();
@@ -869,12 +868,13 @@ fn mst_superlinear() {
             .topology(heterogeneous(0.5, f))
             .mem_constant(4.0)
             .seed(5);
-        let (r, c) = on_cluster(&g, config, |c, e| mst::heterogeneous_mst(c, g.n(), e));
-        let r = r.expect("heterogeneous MST");
+        let run =
+            solo("mst", &g, config, JobParams::default(), Serial, None).expect("registry run");
+        let r = run.out.into_mst().expect("an MST output");
         assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
         t.cells(&[
             ("f (memory n^(1+f))", format!("{f:.1}")),
-            ("rounds", c.rounds().to_string()),
+            ("rounds", run.rounds.to_string()),
             ("Boruvka steps", r.stats.boruvka_steps.to_string()),
         ]);
     }

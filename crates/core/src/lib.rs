@@ -14,24 +14,28 @@
 //!
 //! The engine's programs in `mpc-exec` run every algorithm through its
 //! registry; this crate holds their mathematics — the result types and the
-//! local steps each machine role runs. MST's cluster-owning loop
-//! ([`mst::heterogeneous_mst`]) still runs on its own: it takes a
-//! [`mpc_runtime::Cluster`] plus the sharded input edges, runs under strict
-//! capacity enforcement, and returns its result together with the measured
-//! round count (via `cluster.rounds()`).
+//! local steps each machine role runs. Two loops still own a
+//! [`mpc_runtime::Cluster`] themselves: filtering matching
+//! ([`matching::filtering`]) and the peeling loop the sublinear baseline
+//! calls ([`matching::peeling::peeling_matching`]).
 //!
 //! # Example: exact MST on a heterogeneous cluster
 //!
 //! ```
 //! use mpc_core::{common, mst};
+//! use mpc_exec::{registry, AlgoInput, ExecMode};
 //! use mpc_graph::{generators, mst::kruskal};
 //! use mpc_runtime::{Cluster, ClusterConfig};
 //!
 //! let g = generators::gnm(128, 1024, 7).with_random_weights(10_000, 7);
 //! let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(7));
 //! let input = common::distribute_edges(&cluster, &g);
-//! let result = mst::heterogeneous_mst(&mut cluster, g.n(), input).unwrap();
+//! let result = registry::run("mst", &mut cluster, &AlgoInput::new(g.n(), &input), ExecMode::Serial)
+//!     .unwrap()
+//!     .into_mst()
+//!     .unwrap();
 //! assert_eq!(result.forest.total_weight, kruskal(&g).total_weight);
+//! assert!(mst::is_minimum_spanning_forest(&g, &result.forest));
 //! println!("MST found in {} rounds", cluster.rounds());
 //! ```
 

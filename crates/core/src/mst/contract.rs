@@ -47,8 +47,8 @@ struct VertexLists {
 /// Contracts along lightest-edge lists; see the module docs.
 ///
 /// `lists[v]` must be sorted ascending by original weight key and truncated
-/// to at most `k` entries ([`top_t_per_key`](mpc_runtime::primitives::top_t_per_key)
-/// produces exactly this shape).
+/// to at most `k` entries (the shape the `mst` program's collector tree
+/// delivers to the large machine).
 pub fn contract_lightest_lists(
     lists: Vec<(VertexId, Vec<TaggedEdge>)>,
     k: usize,

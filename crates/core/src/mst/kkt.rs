@@ -1,29 +1,15 @@
-//! The KKT sampling finish (§3): sample, build the sampled MSF on the large
-//! machine, disseminate max-edge labels, keep F-light edges, finish locally.
+//! The KKT sampling finish (§3), its local steps: the sampling
+//! probability, the sampled MSF with its max-edge labeling and the final
+//! MST over sample ∪ F-light, all on the large machine. The engine's `mst`
+//! program runs the rounds between them (sample, disseminate labels, keep
+//! F-light edges).
 
-use crate::common;
 use mpc_graph::{Edge, Graph, VertexId};
-use mpc_labeling::{Label, MaxEdgeLabeling};
+use mpc_labeling::MaxEdgeLabeling;
 use mpc_runtime::payload::TaggedEdge;
-use mpc_runtime::primitives::{disseminate, gather_to, reduce_to};
-use mpc_runtime::{Cluster, Payload, ShardedVec};
-use rand::Rng;
 use std::collections::HashMap;
 
-use super::MstError;
-
-/// Output of the KKT finish.
-pub struct KktOutcome {
-    /// MST edges (original-graph ids) of the remaining contracted graph.
-    pub mst_edges: Vec<Edge>,
-    /// Which sampling repetition succeeded.
-    pub rep_used: usize,
-    /// F-light edges shipped to the large machine.
-    pub f_light_count: usize,
-}
-
-/// The KKT sampling probability `p = budget/(4m')`, capped at 1 — shared
-/// with the engine's `MstProgram` so both draw the same per-edge coins.
+/// The KKT sampling probability `p = budget/(4m')`, capped at 1.
 pub fn sample_probability(budget_edges: usize, m_cur: usize) -> f64 {
     ((budget_edges as f64) / (4.0 * m_cur.max(1) as f64)).min(1.0)
 }
@@ -55,163 +41,35 @@ pub fn finish_pool(n: usize, pool: &[TaggedEdge]) -> Vec<Edge> {
         .collect()
 }
 
-/// Runs the sampling + F-light finish on the current contracted edges.
-///
-/// `n` is the *original* vertex-universe size (labels are indexed by
-/// original ids); `n_cur` the current contracted vertex count (drives the
-/// sampling probability `p = budget/(4m')`, for which the expected F-light
-/// count `n'/p` fits the large machine by the caller's stop rule).
-pub fn kkt_finish(
-    cluster: &mut Cluster,
-    n: usize,
-    n_cur: usize,
-    cur: &ShardedVec<TaggedEdge>,
-    budget_edges: usize,
-    reps: usize,
-) -> Result<KktOutcome, MstError> {
-    let large = cluster.large().expect("KKT requires a large machine");
-    let owners = common::owners(cluster);
-    let m_cur = cur.total_len().max(1);
-    let p = sample_probability(budget_edges, m_cur);
-    let _ = n_cur;
-
-    // Sample `reps` subgraphs in parallel on the small machines.
-    let mut samples: Vec<ShardedVec<TaggedEdge>> = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let mut s: ShardedVec<TaggedEdge> = ShardedVec::new(cluster);
-        for mid in 0..cur.machines() {
-            let mut keep: Vec<TaggedEdge> = Vec::new();
-            for te in cur.shard(mid) {
-                if cluster.rng(mid).random_bool(p) {
-                    keep.push(*te);
-                }
-            }
-            *s.shard_mut(mid) = keep;
-        }
-        samples.push(s);
-    }
-
-    // Count all repetitions in one reduction (vector of counts).
-    let participants: Vec<usize> = (0..cluster.machines()).collect();
-    let values: Vec<Vec<u64>> = (0..cluster.machines())
-        .map(|mid| samples.iter().map(|s| s.shard(mid).len() as u64).collect())
-        .collect();
-    let totals = reduce_to(
-        cluster,
-        "mst.kkt.count",
-        &participants,
-        values,
-        large,
-        |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect(),
-    )
-    .map_err(MstError::Model)?;
-
-    // Pick the first repetition whose sample volume fits the budget.
-    let rep = totals
-        .iter()
-        .position(|&c| (c as usize) <= budget_edges)
-        .ok_or(MstError::SamplingFailed)?;
-
-    let sampled = gather_to(cluster, "mst.kkt.gather-sample", &samples[rep], large)
-        .map_err(MstError::Model)?;
-    cluster
-        .account("mst.kkt.sample", large, sampled.words())
-        .map_err(MstError::Model)?;
-
-    // Sampled MSF F on current-id edges (weights tie-broken by cur key;
-    // the F-light test below uses the same key, so the order is consistent).
-    let (_msf, labeling) = span_sample(n, &sampled);
-    let label_words: usize = labeling.labels().iter().map(Payload::words).sum();
-    cluster
-        .account("mst.kkt.labels", large, label_words)
-        .map_err(MstError::Model)?;
-
-    // Disseminate labels for the endpoints the machines actually hold.
-    let requests = common::endpoint_requests(cluster, cur, |te| (te.cur.u, te.cur.v));
-    let mut needed: Vec<bool> = vec![false; n];
-    for mid in 0..requests.machines() {
-        for &v in requests.shard(mid) {
-            needed[v as usize] = true;
-        }
-    }
-    let pairs: Vec<(VertexId, Label)> = (0..n as VertexId)
-        .filter(|&v| needed[v as usize])
-        .map(|v| (v, labeling.label(v).clone()))
-        .collect();
-    let delivered = disseminate(cluster, "mst.kkt.labels", &pairs, large, &requests, &owners)
-        .map_err(MstError::Model)?;
-
-    // Small machines keep only F-light edges.
-    let mut light: ShardedVec<TaggedEdge> = ShardedVec::new(cluster);
-    for mid in 0..cur.machines() {
-        let local: HashMap<VertexId, &Label> =
-            delivered.shard(mid).iter().map(|(v, l)| (*v, l)).collect();
-        let keep = light.shard_mut(mid);
-        for te in cur.shard(mid) {
-            let (Some(lu), Some(lv)) = (local.get(&te.cur.u), local.get(&te.cur.v)) else {
-                // Endpoint absent from the forest universe: cannot happen
-                // (labels cover all requested ids), but stay safe: light.
-                keep.push(*te);
-                continue;
-            };
-            if MaxEdgeLabeling::is_f_light(lu, lv, &te.cur) {
-                keep.push(*te);
-            }
-        }
-    }
-
-    let lights =
-        gather_to(cluster, "mst.kkt.gather-light", &light, large).map_err(MstError::Model)?;
-    let f_light_count = lights.len();
-
-    // Finish locally: MST over (sampled ∪ light) in current ids, then map
-    // every chosen edge back to the original edge it tags.
-    let mut pool: Vec<TaggedEdge> = sampled;
-    pool.extend(lights.iter().copied());
-    let mst_edges = finish_pool(n, &pool);
-
-    cluster.release("mst.kkt.sample");
-    cluster.release("mst.kkt.labels");
-    Ok(KktOutcome {
-        mst_edges,
-        rep_used: rep,
-        f_light_count,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_graph::generators;
-    use mpc_runtime::{ClusterConfig, Enforcement};
+    use mpc_runtime::{ClusterConfig, Enforcement, Topology};
+
+    /// A cluster whose large machine has memory `n^exponent`: superlinear
+    /// enough that the coordinator skips Borůvka and goes straight to KKT.
+    fn straight_to_kkt(g: &Graph, seed: u64, exponent: f64) -> ClusterConfig {
+        ClusterConfig::new(g.n(), g.m())
+            .topology(Topology::Heterogeneous {
+                gamma: 0.66,
+                large_exponent: exponent,
+            })
+            .seed(seed)
+            .enforcement(Enforcement::Strict)
+    }
 
     #[test]
     fn kkt_alone_computes_msf_of_moderate_graphs() {
-        // Configure so the orchestrator would jump straight to KKT.
         for seed in 0..3 {
             let g = generators::gnm(200, 2000, seed).with_random_weights(1 << 20, seed);
-            let mut cluster = Cluster::new(
-                ClusterConfig::new(g.n(), g.m())
-                    .seed(seed)
-                    .enforcement(Enforcement::Strict),
-            );
-            let input = common::distribute_edges(&cluster, &g);
-            let tagged = ShardedVec::from_shards(
-                (0..input.machines())
-                    .map(|mid| {
-                        input
-                            .shard(mid)
-                            .iter()
-                            .map(|&e| TaggedEdge::identity(e))
-                            .collect()
-                    })
-                    .collect(),
-            );
-            let budget = cluster.capacity(cluster.large().unwrap()) / 16;
-            let out = kkt_finish(&mut cluster, g.n(), g.n(), &tagged, budget, 5).unwrap();
-            let forest = mpc_graph::mst::Forest::from_edges(out.mst_edges);
+            let config = straight_to_kkt(&g, seed, 1.2);
+            let (out, _) = crate::run_program("mst", &g, config, Default::default());
+            let r = out.into_mst().expect("an MST output");
+            assert_eq!(r.stats.boruvka_steps, 0, "seed {seed}");
+            assert!(r.stats.kkt_rep_used.is_some(), "seed {seed}");
             assert!(
-                super::super::is_minimum_spanning_forest(&g, &forest),
+                super::super::is_minimum_spanning_forest(&g, &r.forest),
                 "seed {seed}"
             );
         }
@@ -220,26 +78,18 @@ mod tests {
     #[test]
     fn f_light_volume_is_near_theory() {
         let g = generators::gnm(150, 3000, 9).with_random_weights(1 << 20, 9);
-        let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(9));
-        let input = common::distribute_edges(&cluster, &g);
-        let tagged = ShardedVec::from_shards(
-            (0..input.machines())
-                .map(|mid| {
-                    input
-                        .shard(mid)
-                        .iter()
-                        .map(|&e| TaggedEdge::identity(e))
-                        .collect()
-                })
-                .collect(),
-        );
-        let budget = 1200usize; // p = 1200/(4*3000) = 0.1 → E[light] ≤ n/p = 1500
-        let out = kkt_finish(&mut cluster, g.n(), g.n(), &tagged, budget, 5).unwrap();
-        // Markov-style sanity margin (4× expectation).
+        let config = straight_to_kkt(&g, 9, 1.3);
+        let budget = super::super::collection_budget(config.capacity_for_exponent(1.3));
+        let p = sample_probability(budget, g.m());
+        let (out, _) = crate::run_program("mst", &g, config, Default::default());
+        let r = out.into_mst().expect("an MST output");
+        assert!(r.stats.kkt_rep_used.is_some());
+        // E[light] ≤ n/p (Lemma 3.2); Markov-style sanity margin of 4×.
+        let bound = 4.0 * g.n() as f64 / p;
         assert!(
-            out.f_light_count <= 4 * 150 * 10,
-            "light = {}",
-            out.f_light_count
+            (r.stats.f_light_edges as f64) <= bound,
+            "light = {}, bound {bound}",
+            r.stats.f_light_edges
         );
     }
 }

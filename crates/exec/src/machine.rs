@@ -1,6 +1,6 @@
 //! The [`MachineProgram`] abstraction: an algorithm as per-machine state.
 //!
-//! The legacy call-style API (`heterogeneous_mst(&mut cluster, ...)`) is a
+//! A call-style algorithm (`filtering_matching(&mut cluster, ...)`) is a
 //! loop that *owns* the cluster: it computes every machine's "free local
 //! computation" inline, serially, so wall-clock scales with cluster size.
 //! A [`MachineProgram`] inverts that: the algorithm is **data** — one state

@@ -13,9 +13,9 @@
 //!
 //! Ties break on the full [`weight_key`](Edge::weight_key) (weight, then
 //! endpoints), a total order, so the chosen edge set is the unique MSF of
-//! the perturbed weights — the same tie-breaking the MST loop
-//! [`heterogeneous_mst`](mpc_core::mst::heterogeneous_mst) uses, which is
-//! why the equivalence tests can compare edge sets, not just weights.
+//! the perturbed weights — the same tie-breaking the `mst` program
+//! ([`MstProgram`](crate::programs::MstProgram)) uses, which is why the
+//! equivalence tests can compare edge sets, not just weights.
 //!
 //! Unlike the legacy doubly-exponential schedule this is plain Borůvka
 //! (`O(log n)` waves, not `O(log log (m/n))`): the point here is the

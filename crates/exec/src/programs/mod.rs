@@ -3,11 +3,10 @@
 //!
 //! Each port is mathematically the same algorithm as the cluster-owning
 //! loop it replaced in `mpc-core` and produces **identical results** on the
-//! same cluster seed — asserted against MST's surviving loop by
-//! `registry_equivalence.rs`, and pinned for the rest by the golden
-//! `LEGACY_CASES` rows, taken while their loops still ran; what changes
-//! is the shape: per-machine state machines the engine can schedule
-//! concurrently, instead of a loop that owns the whole cluster.
+//! inputs they were compared on — pinned by the golden `LEGACY_CASES` rows
+//! of `registry_equivalence.rs`, taken while the loops still ran; what
+//! changes is the shape: per-machine state machines the engine can
+//! schedule concurrently, instead of a loop that owns the whole cluster.
 
 pub mod boruvka;
 pub mod coloring;

@@ -1,66 +1,80 @@
 //! [`MstProgram`]: the full heterogeneous MST algorithm (§3, Theorem 3.1 —
-//! doubly-exponential Borůvka + KKT sampling finish) as a per-machine state
-//! machine.
+//! doubly-exponential Borůvka + KKT sampling finish, general `n^(1+f)`
+//! large machine included) as a per-machine state machine.
 //!
-//! This is the *same algorithm* as the legacy call-style
-//! [`mpc_core::mst::heterogeneous_mst`], re-expressed in the coordinator
-//! shape of the [`combinators`](crate::combinators) layer: the large
-//! machine replays the legacy orchestrator's decisions through the shared
-//! [`next_move`] rule, and every small machine
-//! draws its KKT sampling coins in exactly the legacy per-machine order —
-//! so the resulting forest, the statistics, *and* the per-machine RNG
-//! stream positions are bit-identical to the legacy path (asserted by the
-//! registry equivalence tests). The forest itself is additionally forced
-//! by the workspace's total edge order: the MSF is unique, so any exact
-//! schedule must produce it.
+//! The large machine is the coordinator: it picks every move through the
+//! shared [`next_move`] rule, and every small machine draws its KKT
+//! sampling coins repetition-major over its shard. The forest itself is
+//! forced by the workspace's total edge order: the MSF is unique, so any
+//! exact schedule must produce it.
 //!
-//! One contraction wave spans nine rounds, clocked from the round `W` at
-//! which the smalls receive [`MstCmd::Wave`]. Collection and dedup go
-//! through *group collectors* (the legacy Claim-2/Claim-4 two-stage
+//! **Contraction wave.** Collection, renames and dedup travel through a
+//! *collector tree* of depth `L` (the paper's Claim-2/Claim-4 aggregation
 //! trees), so a hot vertex never concentrates its full multiplicity on one
-//! machine:
+//! machine. A leaf is a small machine holding edges; level `i < L` has one
+//! node per `(key, sender group)`, a group being `F^i` consecutive machines
+//! with `F = ⌈machines^(1/L)⌉`; level `L` is the key's hash-owner. One wave
+//! spans `3L + 4` rounds, clocked from the round `W` at which the smalls
+//! receive [`MstCmd::Wave`]:
 //!
-//! | round | who        | does |
-//! |------:|------------|------|
-//! | W     | smalls     | announce each current vertex's `k` locally-lightest edges to the vertex's group collector |
-//! | W+1   | collectors | keep the `k` lightest per vertex, forward to the vertex's hash-owner |
-//! | W+2   | owners     | keep the `k` globally-lightest per vertex, forward to the large machine |
-//! | W+3   | large      | [`contract_lightest_lists`], send rename pairs to the owners |
-//! | W+4   | owners     | route each rename to the collectors that forwarded its vertex |
-//! | W+5   | collectors | route each rename to exactly the machines that announced its vertex |
-//! | W+6   | smalls     | relabel, drop internals, send `(pair, original)` partials to the pair's collector |
-//! | W+7   | collectors | pre-combine parallel pairs, forward to the pair's hash-owner |
-//! | W+8   | owners     | dedup keeping the lightest — the new owner-sorted shards — report counts |
-//! | W+9   | large      | update `(n', m')`, pick the next move via the shared rule |
+//! | round | who | does |
+//! |------:|-----|------|
+//! | W | leaves | announce each current vertex's `k` locally-lightest edges to its level-1 node |
+//! | W+i | level `i < L` | keep the `k` lightest per vertex, forward them one level up |
+//! | W+L | owners | keep the `k` globally-lightest per vertex, forward to the large machine |
+//! | W+L+1 | large | [`contract_lightest_lists`], send rename pairs to the owners |
+//! | W+L+2 … W+2L+1 | owners, then each level down | route each rename to the nodes (at level 1: the leaves) that forwarded its vertex |
+//! | W+2L+2 | leaves | relabel, drop internals, send `(pair, original)` partials to the pair's level-1 node |
+//! | W+2L+2+i | level `i < L` | combine parallel pairs keeping the lightest, forward one level up |
+//! | W+3L+2 | owners | dedup keeping the lightest — the new owner-sorted shards — report counts |
+//! | W+3L+3 | large | update `(n', m')`, pick the next move via the shared rule |
 //!
-//! The KKT finish (sample → count → choose repetition → labels → F-light →
-//! local MST) and the tiny-remainder direct gather mirror
-//! [`mpc_core::mst::kkt`] step for step through the shared
-//! `sample_probability` / `span_sample` / `finish_pool` functions.
+//! The large machine picks `L` per wave (`tree_depth`): `L = 2` (one
+//! collector level, then the owner) while a vertex's worst owner intake —
+//! `k` entries from each of `⌈√machines⌉` collectors, 5 words each — fits
+//! half a small machine, and the shallowest deeper tree whose intake fits
+//! otherwise. A deeper tree also has each leaf combine its parallel pairs
+//! before sending them. Only a superlinear large machine (large `k`) or a
+//! very tight small one needs `L > 2`.
+//!
+//! **KKT finish.** Sample → count → choose repetition → labels → F-light →
+//! local MST through the shared `sample_probability` / `span_sample` /
+//! `finish_pool` steps of [`mpc_core::mst::kkt`]. A label reaches every
+//! machine holding an edge of its vertex from the vertex's owner. An owner
+//! (or relay) whose direct answers would not fit a small machine sends
+//! each label instead to the heads of a few requester subtrees, which pass
+//! it on the same way (the paper's dissemination trees), and tells the
+//! large machine, which then waits one round longer for the F-light
+//! edges. A small machine filters once every label it asked for is in.
+//! The tiny remainder finishes by a direct gather.
 
 use crate::combinators::{
-    fold_by_key, grouped, keep_last, sender_group, sorted_get, top_by_key, Announcers, Outbox,
-    Owners, RoleProgram,
+    fold_by_key, grouped, keep_last, sorted_get, top_by_key, Announcers, Outbox, Owners,
+    RoleProgram,
 };
 use crate::machine::{MachineCtx, StepOutcome};
 use mpc_core::mst::{
     collection_budget, contract_lightest_lists, kkt, local_msf_finish, next_move, pair_to_tagged,
-    relabel_pairs, MstConfig, MstError, MstMove, MstResult, MstStats,
+    relabel_pairs, MstError, MstMove, MstResult, MstStats, KKT_REPETITIONS,
 };
 use mpc_graph::mst::Forest;
 use mpc_graph::{Edge, VertexId};
 use mpc_labeling::{Label, MaxEdgeLabeling};
 use mpc_runtime::payload::TaggedEdge;
+use mpc_runtime::primitives::HashKey;
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
 use rand::Rng;
 
 /// Phase commands broadcast by the large machine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MstCmd {
-    /// Run one contraction wave with lightest-list length `k`.
+    /// Run one contraction wave with lightest-list length `k` through a
+    /// collector tree of depth `depth`.
     Wave {
         /// List length for this wave.
         k: u32,
+        /// Levels of the collector tree, the owners included (≥ 2).
+        depth: u32,
     },
     /// Ship everything to the large machine (tiny remainder).
     Gather,
@@ -87,22 +101,23 @@ pub enum MstNetMsg {
     Cmd(MstCmd),
     /// Small → large: current local edge count after a relabel.
     Count(u64),
-    /// Small → group collector: one entry of a vertex's locally-lightest
-    /// list.
+    /// Leaf → level-1 node: one entry of a vertex's locally-lightest list.
     Announce(VertexId, TaggedEdge),
-    /// Collector → owner: a surviving lightest-list entry.
+    /// Level `i` → level `i + 1` node (the owner at `L`): a surviving
+    /// lightest-list entry.
     AnnounceFwd(VertexId, TaggedEdge),
     /// Owner → large: one entry of a vertex's globally-lightest list.
     Collected(VertexId, TaggedEdge),
     /// Large → owner: a rename pair from the contraction.
     Rename(VertexId, VertexId),
-    /// Owner → collectors: a rename pair, one routing hop down.
+    /// Owner or collector → the collectors one level down: a rename pair.
     RenameToC(VertexId, VertexId),
-    /// Collector → announcers: a rename pair for a vertex this machine holds.
+    /// Level-1 node → leaves: a rename pair for a vertex this machine holds.
     RenameFwd(VertexId, VertexId),
-    /// Small → group collector: relabeled `(pair, original)` dedup partial.
+    /// Leaf → level-1 node: relabeled `(pair, original)` dedup partial.
     Pair(u32, u32, Edge),
-    /// Collector → owner: a combined `(pair, original)` partial.
+    /// Level `i` → level `i + 1` node (the owner at `L`): a combined
+    /// `(pair, original)` partial.
     PairFwd(u32, u32, Edge),
     /// Small → large: a tagged edge (gather / sample / F-light shipment).
     Ship(TaggedEdge),
@@ -114,17 +129,25 @@ pub enum MstNetMsg {
     NeedUp(VertexId),
     /// Large → owner: the label of `v`.
     LabelPush(VertexId, Label),
-    /// Owner → needers: the label of `v`.
+    /// Owner or relay → needer: the label of `v`.
     LabelAns(VertexId, Label),
+    /// Owner or relay → subtree head: the label of `v`, for the head and
+    /// for the rest of its subtree of needers.
+    LabelRelay(VertexId, Box<(Label, Vec<MachineId>)>),
+    /// Owner or relay → large: labels went down a relay subtree this round,
+    /// so the F-light edges arrive one round later.
+    Relayed,
 }
 
 impl Payload for MstNetMsg {
     fn words(&self) -> usize {
         match self {
             MstNetMsg::Cmd(MstCmd::Sample { .. }) => 3,
+            // A wave's `k` and depth share one word.
             MstNetMsg::Cmd(MstCmd::Wave { .. }) | MstNetMsg::Cmd(MstCmd::ChooseRep { .. }) => 2,
             MstNetMsg::Cmd(MstCmd::Gather) | MstNetMsg::Cmd(MstCmd::Finish) => 1,
             MstNetMsg::Count(_) | MstNetMsg::Need(_) | MstNetMsg::NeedUp(_) => 1,
+            MstNetMsg::Relayed => 1,
             MstNetMsg::Announce(_, te)
             | MstNetMsg::AnnounceFwd(_, te)
             | MstNetMsg::Collected(_, te) => 1 + te.words(),
@@ -133,7 +156,113 @@ impl Payload for MstNetMsg {
             MstNetMsg::Ship(te) => te.words(),
             MstNetMsg::SampleCounts(v) => v.words(),
             MstNetMsg::LabelPush(_, l) | MstNetMsg::LabelAns(_, l) => 1 + l.words(),
+            MstNetMsg::LabelRelay(_, relay) => 1 + relay.0.words() + relay.1.len(),
         }
+    }
+}
+
+/// Words of one lightest-list entry on the wire (vertex + tagged edge).
+const ENTRY_WORDS: usize = 5;
+
+/// The collector-tree depth of a wave with list length `k` on a cluster of
+/// `machines` machines whose small machines hold `small_cap` words: the
+/// smallest `L ≥ 2` at which one vertex's worst owner intake — `k` entries
+/// from each of the `⌈machines^(1/L)⌉` nodes below it — fits half a small
+/// machine, capped where the fan-in reaches 2.
+fn tree_depth(k: usize, machines: usize, small_cap: usize) -> usize {
+    let deepest = (2..)
+        .find(|&l| fan_in(machines, l) <= 2)
+        .expect("fan-in falls to 2");
+    (2..deepest)
+        .find(|&l| ENTRY_WORDS * k * fan_in(machines, l) <= small_cap / 2)
+        .unwrap_or(deepest)
+}
+
+/// `⌈machines^(1/depth)⌉`: the smallest fan-in `F` with `F^depth ≥
+/// machines`, so `depth` levels of groups cover every machine. At depth 2
+/// it is `⌈√machines⌉`, the group size of
+/// [`sender_group`](crate::combinators::sender_group).
+fn fan_in(machines: usize, depth: usize) -> usize {
+    let covers = |f: usize| {
+        (0..depth)
+            .try_fold(1usize, |p, _| p.checked_mul(f))
+            .is_none_or(|p| p >= machines)
+    };
+    (1..).find(|&f| covers(f)).expect("some fan-in covers")
+}
+
+/// One contraction wave as a small machine sees it.
+#[derive(Clone, Copy, Debug)]
+struct WaveClock {
+    /// The round at which the smalls received [`MstCmd::Wave`].
+    start: u64,
+    /// Lightest-list length.
+    k: usize,
+    /// Collector-tree depth `L`.
+    depth: usize,
+    /// Sender-group fan-in `F = ⌈machines^(1/L)⌉`.
+    fan_in: u64,
+}
+
+impl WaveClock {
+    /// Machines per level-`level` sender group: `F^level`.
+    fn span(&self, level: usize) -> u64 {
+        self.fan_in.saturating_pow(level as u32)
+    }
+
+    /// The level a machine acts at in `round` of an upward pass whose
+    /// leaves sent at `start + first`.
+    fn level(&self, round: u64, first: u64) -> usize {
+        (round - self.start - first) as usize
+    }
+
+    /// The level a machine routes renames at in `round` (owners at
+    /// `W + L + 2`, one level down per round).
+    fn rename_level(&self, round: u64) -> usize {
+        self.depth - (round - (self.start + self.depth as u64 + 2)) as usize
+    }
+
+    /// The group of the next node up from a level-`level` node of group
+    /// `g` — 0 when that node is the owner, whose placement ignores it.
+    fn parent_group(&self, level: usize, g: u64) -> u64 {
+        if level + 1 >= self.depth {
+            0
+        } else {
+            g / self.fan_in
+        }
+    }
+
+    /// The group a level-`level` node serves, read off its own id (levels
+    /// above the first sit inside their group's id range).
+    fn own_group(&self, mid: MachineId, level: usize) -> u64 {
+        mid as u64 / self.span(level)
+    }
+
+    /// The level-`level` node of `key` for sender group `g`: the group
+    /// collector of [`Owners::collector_of`] at level 1, a machine inside
+    /// the group's own id range above it (so the node knows its group
+    /// without being told), the key's hash-owner at level `L`.
+    fn node<K: HashKey>(
+        &self,
+        owners: &Owners,
+        level: usize,
+        key: &K,
+        g: u64,
+        ctx: &MachineCtx<'_>,
+    ) -> MachineId {
+        if level == self.depth {
+            return owners.of(key);
+        }
+        if level == 1 {
+            return owners.collector_of(key, g);
+        }
+        let lo = g * self.span(level);
+        let len = self.span(level).min(ctx.machines as u64 - lo);
+        let mut at = key.hash64() % len;
+        if Some((lo + at) as MachineId) == ctx.large {
+            at = (at + 1) % len;
+        }
+        (lo + at) as MachineId
     }
 }
 
@@ -144,14 +273,20 @@ impl Payload for MstNetMsg {
 enum LargePhase {
     /// Round 0: issue the first command.
     Boot,
-    /// Contract at `issued + 4`, post-relabel counts at `issued + 10`.
-    Wave { issued: u64, k: usize },
+    /// Contract at `issued + L + 2`, post-relabel counts at
+    /// `issued + 3L + 4`.
+    Wave { issued: u64, k: usize, depth: usize },
     /// Remainder arrives at `issued + 2`.
     Gather { issued: u64 },
     /// Per-repetition sample counts arrive at `issued + 2`.
     SampleCounts { issued: u64 },
-    /// Sample at `issued + 2`, needs at `+3`, F-light edges at `+6`.
-    Kkt { issued: u64, rep: usize },
+    /// Sample at `issued + 2`, needs at `+3`, the last F-light edges at
+    /// `lights_at` (`+6`, one round later per relay level).
+    Kkt {
+        issued: u64,
+        rep: usize,
+        lights_at: u64,
+    },
     /// Finish broadcast; halt on the next step.
     Done,
 }
@@ -160,23 +295,27 @@ enum LargePhase {
 #[derive(Clone)]
 pub struct MstProgram {
     n: usize,
-    config: MstConfig,
     owners: Owners,
+    /// The smallest small-machine capacity, snapshotted at build time: the
+    /// budget of the label relay and of the tree-depth rule.
+    small_cap: usize,
     // ---- small-machine state ----
     /// Current contracted edges: initially the input shard, after each wave
-    /// the owner-sorted deduplicated pairs — exactly the legacy shard
-    /// content and order, which is what makes the KKT coin flips align.
+    /// the owner-sorted deduplicated pairs — the shard order the KKT coin
+    /// flips run over.
     local: Vec<TaggedEdge>,
-    /// Collector role: which machines announced each vertex this wave.
-    announcers: Announcers<VertexId>,
-    /// Owner role: which collectors forwarded each vertex this wave.
-    collectors_of: Announcers<VertexId>,
+    /// Tree roles: `tree[i]` records, per vertex, which machines forwarded
+    /// it to this machine's level-`i + 1` node this wave.
+    tree: Vec<Announcers<VertexId>>,
     /// Owner role: who needs each label (KKT).
     needers: Announcers<VertexId>,
-    /// Worker clock: round at which `Wave` was received, plus its `k`.
-    wave: Option<(u64, usize)>,
+    /// Worker clock of the current wave.
+    wave: Option<WaveClock>,
     /// KKT samples, one per repetition, until a repetition is chosen.
     samples: Vec<Vec<TaggedEdge>>,
+    /// KKT labels received so far, and how many this machine asked for.
+    labels: Vec<(VertexId, Label)>,
+    awaiting: usize,
     // ---- large-machine state ----
     phase: LargePhase,
     budget: usize,
@@ -191,34 +330,30 @@ pub struct MstProgram {
 }
 
 impl MstProgram {
-    /// Builds one program per machine, lifting `edges` into tagged form
-    /// exactly like the legacy entry point.
-    pub fn for_cluster_with(
-        cluster: &Cluster,
-        n: usize,
-        edges: &ShardedVec<Edge>,
-        config: &MstConfig,
-    ) -> Vec<Self> {
+    /// Builds one program per machine, lifting `edges` into tagged form.
+    pub fn for_cluster(cluster: &Cluster, n: usize, edges: &ShardedVec<Edge>) -> Vec<Self> {
         let large = cluster.large().expect("MST requires a large machine");
         let owners = Owners::of_cluster(cluster);
         assert!(!owners.ids().is_empty(), "MST requires small machines");
         let budget = collection_budget(cluster.capacity(large));
+        let small_cap = cluster.min_small_capacity();
         let m0 = edges.total_len();
         (0..cluster.machines())
             .map(|mid| MstProgram {
                 n,
-                config: config.clone(),
                 owners: owners.clone(),
+                small_cap,
                 local: edges
                     .shard(mid)
                     .iter()
                     .map(|&e| TaggedEdge::identity(e.normalized()))
                     .collect(),
-                announcers: Announcers::default(),
-                collectors_of: Announcers::default(),
+                tree: Vec::new(),
                 needers: Announcers::default(),
                 wave: None,
                 samples: Vec::new(),
+                labels: Vec::new(),
+                awaiting: 0,
                 phase: LargePhase::Boot,
                 budget,
                 m_cur: m0,
@@ -231,14 +366,13 @@ impl MstProgram {
             .collect()
     }
 
-    /// Issues the next orchestration move — the shared legacy decision rule.
+    /// Issues the next orchestration move by the shared decision rule.
     fn issue_next(&mut self, ctx: &MachineCtx<'_>, out: &mut Outbox<MstNetMsg>) {
         match next_move(
             self.m_cur,
             self.n_cur,
             self.stats.boruvka_steps,
             self.budget,
-            &self.config,
         ) {
             MstMove::FinishGather => {
                 self.phase = LargePhase::Gather { issued: ctx.round };
@@ -251,18 +385,23 @@ impl MstProgram {
                     ctx.small_ids_iter(),
                     MstNetMsg::Cmd(MstCmd::Sample {
                         p_bits: p.to_bits(),
-                        reps: self.config.kkt_repetitions as u32,
+                        reps: KKT_REPETITIONS as u32,
                     }),
                 );
             }
             MstMove::Wave { k } => {
+                let depth = tree_depth(k, ctx.machines, self.small_cap);
                 self.phase = LargePhase::Wave {
                     issued: ctx.round,
                     k,
+                    depth,
                 };
                 out.broadcast(
                     ctx.small_ids_iter(),
-                    MstNetMsg::Cmd(MstCmd::Wave { k: k as u32 }),
+                    MstNetMsg::Cmd(MstCmd::Wave {
+                        k: k as u32,
+                        depth: depth as u32,
+                    }),
                 );
             }
         }
@@ -282,7 +421,7 @@ impl MstProgram {
     }
 
     /// Extracts the `Ship`ped tagged edges of an inbox, in arrival order
-    /// (ascending source, then send order — the legacy gather order).
+    /// (ascending source, then send order).
     fn shipped(inbox: Vec<(MachineId, MstNetMsg)>) -> Vec<TaggedEdge> {
         inbox
             .into_iter()
@@ -292,6 +431,47 @@ impl MstProgram {
             })
             .collect()
     }
+}
+
+/// Sends each `(vertex, label, needers)` task's label to its needers:
+/// directly when those answers fit `budget` words, otherwise to the heads
+/// of as many subtrees per task as `budget` pays for (at least two), each
+/// head receiving the rest of its subtree to serve in turn — and then
+/// tells the large machine a relay level was added.
+fn answer_labels(
+    out: &mut Outbox<MstNetMsg>,
+    tasks: Vec<(VertexId, Label, Vec<MachineId>)>,
+    budget: usize,
+    large: MachineId,
+) {
+    let direct: usize = (tasks.iter())
+        .map(|(_, l, to)| to.len() * (1 + l.words()))
+        .sum();
+    if direct <= budget {
+        for (v, l, to) in tasks {
+            for m in to {
+                out.send(m, MstNetMsg::LabelAns(v, l.clone()));
+            }
+        }
+        return;
+    }
+    // A head costs its message header and the label; every other needer
+    // one id word.
+    let ids: usize = tasks.iter().map(|(_, _, to)| to.len()).sum();
+    let per_head: usize = tasks.iter().map(|(_, l, _)| 1 + l.words()).sum();
+    let heads = (budget.saturating_sub(ids) / per_head.max(1)).max(2);
+    for (v, l, mut to) in tasks {
+        // Rotate by the key so different labels' trees have different heads.
+        let turn = (v.hash64() >> 32) as usize % to.len().max(1);
+        to.rotate_left(turn);
+        for part in to.chunks(to.len().div_ceil(heads).max(1)) {
+            out.send(
+                part[0],
+                MstNetMsg::LabelRelay(v, Box::new((l.clone(), part[1..].to_vec()))),
+            );
+        }
+    }
+    out.send(large, MstNetMsg::Relayed);
 }
 
 impl RoleProgram for MstProgram {
@@ -309,8 +489,9 @@ impl RoleProgram for MstProgram {
         let mut out = Outbox::new();
         match self.phase {
             LargePhase::Boot => self.issue_next(ctx, &mut out),
-            LargePhase::Wave { issued, k } => {
-                if ctx.round == issued + 4 {
+            LargePhase::Wave { issued, k, depth } => {
+                let depth = depth as u64;
+                if ctx.round == issued + depth + 2 {
                     // Collected lists are in: contract locally.
                     let mut entries: Vec<(VertexId, TaggedEdge)> = inbox
                         .into_iter()
@@ -331,7 +512,7 @@ impl RoleProgram for MstProgram {
                             out.send(self.owners.of(&old), MstNetMsg::Rename(old, new));
                         }
                     }
-                } else if ctx.round == issued + 10 {
+                } else if ctx.round == issued + 3 * depth + 4 {
                     // Post-relabel counts are in: update m' and decide.
                     self.m_cur = inbox
                         .iter()
@@ -360,8 +541,7 @@ impl RoleProgram for MstProgram {
             }
             LargePhase::SampleCounts { issued } => {
                 if ctx.round == issued + 2 {
-                    let reps = self.config.kkt_repetitions;
-                    let mut totals = vec![0u64; reps];
+                    let mut totals = [0u64; KKT_REPETITIONS];
                     for (_src, msg) in inbox {
                         if let MstNetMsg::SampleCounts(counts) = msg {
                             for (t, c) in totals.iter_mut().zip(counts) {
@@ -374,6 +554,7 @@ impl RoleProgram for MstProgram {
                             self.phase = LargePhase::Kkt {
                                 issued: ctx.round,
                                 rep,
+                                lights_at: ctx.round + 6,
                             };
                             out.broadcast(
                                 ctx.small_ids_iter(),
@@ -388,7 +569,11 @@ impl RoleProgram for MstProgram {
                     }
                 }
             }
-            LargePhase::Kkt { issued, rep } => {
+            LargePhase::Kkt {
+                issued,
+                rep,
+                lights_at,
+            } => {
                 if ctx.round == issued + 2 {
                     // The chosen sample arrives (gather order).
                     self.pool = Self::shipped(inbox);
@@ -412,16 +597,30 @@ impl RoleProgram for MstProgram {
                             MstNetMsg::LabelPush(v, labeling.label(v).clone()),
                         );
                     }
-                } else if ctx.round == issued + 6 {
-                    // The F-light edges arrive; finish locally.
+                } else if ctx.round > issued + 3 {
+                    // F-light edges arrive, from issued + 6 on; a relay
+                    // note pushes the last arrival one round later.
+                    let relayed = inbox.iter().any(|(_, m)| matches!(m, MstNetMsg::Relayed));
                     let lights = Self::shipped(inbox);
-                    self.stats.kkt_rep_used = Some(rep);
-                    self.stats.f_light_edges = lights.len();
+                    self.stats.f_light_edges += lights.len();
                     self.pool.extend(lights);
-                    ctx.charge(self.pool.len() as u64);
-                    let pool = std::mem::take(&mut self.pool);
-                    self.chosen.extend(kkt::finish_pool(self.n, &pool));
-                    self.finish(ctx, &mut out);
+                    let lights_at = if relayed {
+                        lights_at.max(ctx.round + 2)
+                    } else {
+                        lights_at
+                    };
+                    self.phase = LargePhase::Kkt {
+                        issued,
+                        rep,
+                        lights_at,
+                    };
+                    if ctx.round == lights_at {
+                        self.stats.kkt_rep_used = Some(rep);
+                        ctx.charge(self.pool.len() as u64);
+                        let pool = std::mem::take(&mut self.pool);
+                        self.chosen.extend(kkt::finish_pool(self.n, &pool));
+                        self.finish(ctx, &mut out);
+                    }
                 }
             }
             LargePhase::Done => return StepOutcome::Halt,
@@ -436,84 +635,124 @@ impl RoleProgram for MstProgram {
     ) -> StepOutcome<MstNetMsg> {
         let mut out = Outbox::new();
         let large = ctx.large.expect("checked in for_cluster");
-        // Owner-side scratch filled from this round's inbox.
+        let machines = ctx.machines;
+        let wave = self.wave;
+        // Role scratch filled from this round's inbox. Tree entries are
+        // keyed by `(key, group of the next node up)`.
         let mut cmd: Option<MstCmd> = None;
         let mut renames: Vec<(VertexId, VertexId)> = Vec::new();
         let mut pair_dedup: Vec<((u32, u32), Edge)> = Vec::new();
-        let mut announce_lists: Vec<(VertexId, TaggedEdge)> = Vec::new();
+        let mut lists: Vec<((VertexId, u64), TaggedEdge)> = Vec::new();
+        let mut owner_lists: Vec<(VertexId, TaggedEdge)> = Vec::new();
+        let mut pair_combine: Vec<(((u32, u32), u64), Edge)> = Vec::new();
         let mut needs: Vec<VertexId> = Vec::new();
-        let mut labels: Vec<(VertexId, Label)> = Vec::new();
+        let mut tasks: Vec<(VertexId, Label, Vec<MachineId>)> = Vec::new();
         let mut routed_labels = false;
+        // This machine's tree level in this round's upward pass: announces
+        // leave the leaves at W, pairs at W + 2L + 2.
+        let (mut list_level, mut pair_level) = (1, 1);
+        let clock = || wave.expect("tree messages arrive during a wave");
+        let pair_start = || 2 * clock().depth as u64 + 2;
 
-        let mut fwd_lists: Vec<(VertexId, TaggedEdge)> = Vec::new();
-        let mut pair_combine: Vec<((u32, u32), Edge)> = Vec::new();
         for (src, msg) in inbox {
             match msg {
                 MstNetMsg::Cmd(c) => cmd = Some(c),
-                // Collector role: group announces per vertex.
+                // Level 1: group announces per vertex and parent group.
                 MstNetMsg::Announce(v, te) => {
-                    self.announcers.note(v, src);
-                    announce_lists.push((v, te));
+                    self.tree[0].note(v, src);
+                    let g = src as u64 / clock().fan_in;
+                    lists.push(((v, clock().parent_group(1, g)), te));
                 }
-                // Owner role: group the collectors' survivors per vertex.
+                // Level i > 1: the same below the top; the owner groups
+                // the survivors per vertex.
                 MstNetMsg::AnnounceFwd(v, te) => {
-                    self.collectors_of.note(v, src);
-                    fwd_lists.push((v, te));
+                    list_level = clock().level(ctx.round, 0);
+                    self.tree[list_level - 1].note(v, src);
+                    if list_level == clock().depth {
+                        owner_lists.push((v, te));
+                    } else {
+                        let g = clock().own_group(ctx.mid, list_level);
+                        lists.push(((v, clock().parent_group(list_level, g)), te));
+                    }
                 }
-                // Owner role: route each rename one hop down the tree.
+                // Owner: route each rename one level down the tree.
                 MstNetMsg::Rename(old, new) => {
-                    for m in self.collectors_of.get(old) {
+                    for m in self.tree[clock().depth - 1].get(old) {
                         out.send(m, MstNetMsg::RenameToC(old, new));
                     }
                 }
-                // Collector role: route each rename to the announcers.
+                // Collector: route each rename one level down, to the
+                // leaves from level 1.
                 MstNetMsg::RenameToC(old, new) => {
-                    for m in self.announcers.get(old) {
-                        out.send(m, MstNetMsg::RenameFwd(old, new));
+                    let level = clock().rename_level(ctx.round);
+                    for m in self.tree[level - 1].get(old) {
+                        let msg = if level == 1 {
+                            MstNetMsg::RenameFwd(old, new)
+                        } else {
+                            MstNetMsg::RenameToC(old, new)
+                        };
+                        out.send(m, msg);
                     }
                 }
-                // Worker role: collect the renames for this round's relabel.
+                // Leaf: collect the renames for this round's relabel.
                 MstNetMsg::RenameFwd(old, new) => renames.push((old, new)),
-                // Collector role: pre-combine pair partials.
-                MstNetMsg::Pair(a, b, orig) => pair_combine.push(((a, b), orig)),
-                // Owner role: final pair dedup (the new shard).
-                MstNetMsg::PairFwd(a, b, orig) => pair_dedup.push(((a, b), orig)),
+                // Collectors: combine pair partials; the owner dedups
+                // them into the new shard.
+                MstNetMsg::Pair(a, b, orig) => {
+                    let g = src as u64 / clock().fan_in;
+                    pair_combine.push((((a, b), clock().parent_group(1, g)), orig));
+                }
+                MstNetMsg::PairFwd(a, b, orig) => {
+                    pair_level = clock().level(ctx.round, pair_start());
+                    if pair_level == clock().depth {
+                        pair_dedup.push(((a, b), orig));
+                    } else {
+                        let g = clock().own_group(ctx.mid, pair_level);
+                        pair_combine.push((((a, b), clock().parent_group(pair_level, g)), orig));
+                    }
+                }
                 MstNetMsg::Need(v) => {
                     self.needers.note(v, src);
                     needs.push(v);
                 }
                 MstNetMsg::LabelPush(v, l) => {
                     routed_labels = true;
-                    for m in self.needers.get(v) {
-                        out.send(m, MstNetMsg::LabelAns(v, l.clone()));
-                    }
+                    tasks.push((v, l, self.needers.get(v).collect()));
                 }
-                MstNetMsg::LabelAns(v, l) => labels.push((v, l)),
+                MstNetMsg::LabelRelay(v, relay) => {
+                    let (l, rest) = *relay;
+                    self.labels.push((v, l.clone()));
+                    tasks.push((v, l, rest));
+                }
+                MstNetMsg::LabelAns(v, l) => self.labels.push((v, l)),
                 _ => {}
             }
         }
 
-        let k = self.wave.map_or(1, |(_, k)| k);
         let keep_lighter = |best: &mut Edge, orig: &Edge| {
             if orig.weight_key() < best.weight_key() {
                 *best = *orig;
             }
         };
-        // Collector role: truncate each vertex's list to the k survivors
-        // and forward them to the vertex's hash-owner.
-        top_by_key(&mut announce_lists, k, |te| te.orig.weight_key());
-        for (v, te) in announce_lists {
-            out.send(self.owners.of(&v), MstNetMsg::AnnounceFwd(v, te));
-        }
-        // Owner role: forward each vertex's globally-lightest list.
-        top_by_key(&mut fwd_lists, k, |te| te.orig.weight_key());
-        for (v, te) in fwd_lists {
-            out.send(large, MstNetMsg::Collected(v, te));
-        }
-        // Collector role: forward the combined pair partials to the owners.
-        fold_by_key(&mut pair_combine, keep_lighter);
-        for ((a, b), orig) in pair_combine {
-            out.send(self.owners.of(&(a, b)), MstNetMsg::PairFwd(a, b, orig));
+        if let Some(clock) = wave {
+            // Collector: truncate each vertex's list to the k survivors and
+            // forward them one level up.
+            top_by_key(&mut lists, clock.k, |te| te.orig.weight_key());
+            for ((v, g), te) in lists {
+                let to = clock.node(&self.owners, list_level + 1, &v, g, ctx);
+                out.send(to, MstNetMsg::AnnounceFwd(v, te));
+            }
+            // Owner: forward each vertex's globally-lightest list.
+            top_by_key(&mut owner_lists, clock.k, |te| te.orig.weight_key());
+            for (v, te) in owner_lists {
+                out.send(large, MstNetMsg::Collected(v, te));
+            }
+            // Collector: forward the combined pair partials one level up.
+            fold_by_key(&mut pair_combine, keep_lighter);
+            for (((a, b), g), orig) in pair_combine {
+                let to = clock.node(&self.owners, pair_level + 1, &(a, b), g, ctx);
+                out.send(to, MstNetMsg::PairFwd(a, b, orig));
+            }
         }
         // Owner role: forward distinct label needs to the large machine.
         needs.sort_unstable();
@@ -521,32 +760,33 @@ impl RoleProgram for MstProgram {
         for v in needs {
             out.send(large, MstNetMsg::NeedUp(v));
         }
-        if routed_labels {
-            self.needers.clear();
-        }
 
         // Worker role: command handling.
         match cmd {
             Some(MstCmd::Finish) => return StepOutcome::Halt,
-            Some(MstCmd::Wave { k }) => {
-                self.wave = Some((ctx.round, k as usize));
-                self.announcers.clear();
-                self.collectors_of.clear();
+            Some(MstCmd::Wave { k, depth }) => {
+                let depth = depth as usize;
+                let clock = WaveClock {
+                    start: ctx.round,
+                    k: k as usize,
+                    depth,
+                    fan_in: fan_in(machines, depth) as u64,
+                };
+                self.wave = Some(clock);
+                self.tree = vec![Announcers::default(); depth];
                 // Announce each current vertex's k locally-lightest edges
-                // to the vertex's group collector (Claim-4 tree, stage 1).
-                let group = sender_group(ctx.mid, ctx.machines);
+                // to the vertex's level-1 node (Claim-4 tree, stage 1).
+                let group = ctx.mid as u64 / clock.fan_in;
                 let mut lists: Vec<(VertexId, TaggedEdge)> = self
                     .local
                     .iter()
                     .flat_map(|te| [(te.cur.u, *te), (te.cur.v, *te)])
                     .collect();
-                top_by_key(&mut lists, k as usize, |te| te.orig.weight_key());
+                top_by_key(&mut lists, clock.k, |te| te.orig.weight_key());
                 ctx.charge(self.local.len() as u64);
                 for (v, te) in lists {
-                    out.send(
-                        self.owners.collector_of(&v, group),
-                        MstNetMsg::Announce(v, te),
-                    );
+                    let to = clock.node(&self.owners, 1, &v, group, ctx);
+                    out.send(to, MstNetMsg::Announce(v, te));
                 }
             }
             Some(MstCmd::Gather) => {
@@ -556,8 +796,8 @@ impl RoleProgram for MstProgram {
                 self.wave = None;
             }
             Some(MstCmd::Sample { p_bits, reps }) => {
-                // The legacy per-machine draw order: repetition-major over
-                // the shard — bit-identical RNG consumption.
+                // Repetition-major over the shard: the draw order every
+                // run reproduces.
                 let p = f64::from_bits(p_bits);
                 let mut rng = ctx.rng();
                 self.samples = (0..reps as usize)
@@ -579,8 +819,8 @@ impl RoleProgram for MstProgram {
                 for te in &samples[rep as usize] {
                     out.send(large, MstNetMsg::Ship(*te));
                 }
-                // Request labels for this machine's current endpoints
-                // (sorted and deduplicated, the legacy request shape).
+                // Request labels for this machine's current endpoints,
+                // sorted and deduplicated.
                 let mut endpoints: Vec<VertexId> = self
                     .local
                     .iter()
@@ -588,6 +828,7 @@ impl RoleProgram for MstProgram {
                     .collect();
                 endpoints.sort_unstable();
                 endpoints.dedup();
+                self.awaiting = endpoints.len();
                 for v in endpoints {
                     out.send(self.owners.of(&v), MstNetMsg::Need(v));
                 }
@@ -595,24 +836,29 @@ impl RoleProgram for MstProgram {
             None => {}
         }
 
-        // Worker clock: relabel at wave+6 (renames took two routing hops),
-        // rebuild the shard and report counts at wave+8 (pairs took two).
-        if let Some((w, _k)) = self.wave {
-            if ctx.round == w + 6 {
+        // Worker clock: relabel once the renames came down the tree, rebuild
+        // the shard and report counts once the pairs went up it.
+        if let Some(clock) = wave {
+            let depth = clock.depth as u64;
+            if ctx.round == clock.start + 2 * depth + 2 {
                 let local = std::mem::take(&mut self.local);
-                let group = sender_group(ctx.mid, ctx.machines);
+                let group = ctx.mid as u64 / clock.fan_in;
                 fold_by_key(&mut renames, keep_last);
                 let rename = |v: VertexId| sorted_get(&renames, v).copied().unwrap_or(v);
-                for ((a, b), orig) in relabel_pairs(&local, rename) {
-                    out.send(
-                        self.owners.collector_of(&(a, b), group),
-                        MstNetMsg::Pair(a, b, orig),
-                    );
+                let mut partials = relabel_pairs(&local, rename);
+                if clock.depth > 2 {
+                    // A deeper tree's leaves combine their own parallel
+                    // pairs first, so a hot pair costs one partial per leaf.
+                    fold_by_key(&mut partials, keep_lighter);
+                }
+                for ((a, b), orig) in partials {
+                    let to = clock.node(&self.owners, 1, &(a, b), group, ctx);
+                    out.send(to, MstNetMsg::Pair(a, b, orig));
                 }
                 ctx.charge(local.len() as u64);
-            } else if ctx.round == w + 8 {
-                // Owner role: the deduplicated pairs become the new shard
-                // (sorted by pair key — the legacy owner-shard order).
+            } else if ctx.round == clock.start + 3 * depth + 2 {
+                // Owner: the deduplicated pairs become the new shard
+                // (sorted by pair key).
                 fold_by_key(&mut pair_dedup, keep_lighter);
                 self.local = pair_dedup
                     .into_iter()
@@ -623,21 +869,36 @@ impl RoleProgram for MstProgram {
             }
         }
 
-        // KKT F-light filtering: triggered by label answers arriving.
-        if !labels.is_empty() {
+        // KKT F-light filtering, once every label this machine asked for
+        // has arrived.
+        let mut shipped = 0;
+        if self.awaiting > 0 && self.labels.len() == self.awaiting {
+            let mut labels = std::mem::take(&mut self.labels);
+            self.awaiting = 0;
             labels.sort_by_key(|&(v, _)| v);
             for te in &self.local {
                 let (Some(lu), Some(lv)) =
                     (sorted_get(&labels, te.cur.u), sorted_get(&labels, te.cur.v))
                 else {
                     out.send(large, MstNetMsg::Ship(*te));
+                    shipped += te.words();
                     continue;
                 };
                 if MaxEdgeLabeling::is_f_light(lu, lv, &te.cur) {
                     out.send(large, MstNetMsg::Ship(*te));
+                    shipped += te.words();
                 }
             }
             ctx.charge(self.local.len() as u64);
+        }
+        // Owner or relay: pass labels on within what this round's sends
+        // leave of a small machine.
+        if !tasks.is_empty() {
+            let budget = self.small_cap.saturating_sub(shipped);
+            answer_labels(&mut out, tasks, budget, large);
+        }
+        if routed_labels {
+            self.needers.clear();
         }
 
         out.into_step()

@@ -48,7 +48,7 @@ use crate::programs::{
     SpannerProgram,
 };
 use mpc_core::matching::MatchingResult;
-use mpc_core::mst::{MstConfig, MstResult};
+use mpc_core::mst::MstResult;
 use mpc_core::ported::coloring::ColoringResult;
 use mpc_core::ported::connectivity::ConnectivityConfig;
 use mpc_core::ported::mincut_approx::{lambda_guesses, ApproxMinCut};
@@ -73,11 +73,6 @@ use std::sync::Arc;
 pub struct JobParams {
     /// Spanner stretch parameter `k` (ignored by non-spanner algorithms).
     pub spanner_k: usize,
-    /// MST tuning knobs.
-    pub mst: MstConfig,
-    /// Connectivity configuration (defaults to
-    /// [`ConnectivityConfig::for_n`]).
-    pub connectivity: Option<ConnectivityConfig>,
     /// Contraction trials for `mincut` (Theorem C.3 amplification).
     pub mincut_trials: usize,
     /// Approximation parameter ε for `mincut-approx` and `mst-approx`.
@@ -90,8 +85,6 @@ impl Default for JobParams {
     fn default() -> Self {
         JobParams {
             spanner_k: 3,
-            mst: MstConfig::default(),
-            connectivity: None,
             mincut_trials: DEFAULT_MINCUT_TRIALS,
             epsilon: 0.3,
         }
@@ -114,18 +107,6 @@ impl JobParams {
     /// Overrides the approximation parameter ε.
     pub fn epsilon(mut self, eps: f64) -> Self {
         self.epsilon = eps;
-        self
-    }
-
-    /// Overrides the MST tuning knobs.
-    pub fn mst(mut self, config: MstConfig) -> Self {
-        self.mst = config;
-        self
-    }
-
-    /// Overrides the connectivity configuration.
-    pub fn connectivity(mut self, config: ConnectivityConfig) -> Self {
-        self.connectivity = Some(config);
         self
     }
 }
@@ -787,11 +768,7 @@ fn connectivity(
     input: &AlgoInput<'_>,
     _rng: &mut SmallRng,
 ) -> Description<ConnectivityProgram> {
-    let config = input
-        .params
-        .connectivity
-        .clone()
-        .unwrap_or_else(|| ConnectivityConfig::for_n(input.n));
+    let config = ConnectivityConfig::for_n(input.n);
     let programs = ConnectivityProgram::for_cluster(cluster, input.n, input.edges, &config);
     Description::wave("conn", programs, |p| {
         Ok(AlgoOutput::Components(p.result.expect(HALTED)))
@@ -814,7 +791,7 @@ fn mst(
     input: &AlgoInput<'_>,
     _rng: &mut SmallRng,
 ) -> Description<Driven<MstProgram>> {
-    let programs = MstProgram::for_cluster_with(cluster, input.n, input.edges, &input.params.mst);
+    let programs = MstProgram::for_cluster(cluster, input.n, input.edges);
     Description::wave("mst", driven(programs), |p| {
         let result = p.0.result.expect(HALTED);
         result.map(AlgoOutput::Mst).map_err(algorithm_error)

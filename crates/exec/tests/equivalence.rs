@@ -3,9 +3,9 @@
 //! connectivity loop's components on the seeds below are the
 //! `connectivity-*` rows of `LEGACY_CASES` in `registry_equivalence.rs`.
 
-use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
+use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_core::{common, mst};
-use mpc_exec::{registry, AlgoInput, ExecMode, JobParams};
+use mpc_exec::{registry, AlgoInput, ExecMode};
 use mpc_graph::mst::{kruskal, Forest};
 use mpc_graph::traversal::{connected_components, Components};
 use mpc_graph::{generators, Edge};
@@ -15,15 +15,9 @@ fn connectivity(
     cluster: &mut Cluster,
     n: usize,
     edges: &ShardedVec<Edge>,
-    config: &ConnectivityConfig,
     mode: ExecMode,
 ) -> Components {
-    let input = AlgoInput {
-        n,
-        edges,
-        params: JobParams::default().connectivity(config.clone()),
-    };
-    registry::run("connectivity", cluster, &input, mode)
+    registry::run("connectivity", cluster, &AlgoInput::new(n, edges), mode)
         .unwrap()
         .into_components()
         .unwrap()
@@ -45,10 +39,9 @@ fn boruvka_msf(
 fn connectivity_program_equals_legacy_exactly() {
     for seed in [1u64, 5, 11] {
         let g = generators::gnm(96, 240, seed);
-        let config = ConnectivityConfig::for_n(g.n());
         let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
         let input = common::distribute_edges(&cluster, &g);
-        let engine = connectivity(&mut cluster, g.n(), &input, &config, ExecMode::Parallel);
+        let engine = connectivity(&mut cluster, g.n(), &input, ExecMode::Parallel);
         // Exact: sketch decoding is fingerprint-verified, and these seeds
         // decode every component.
         assert_eq!(engine, connected_components(&g), "seed {seed}");
@@ -109,7 +102,6 @@ fn boruvka_handles_disconnected_and_tiny_inputs() {
 fn machines_with_nothing_to_sketch_send_nothing() {
     let n = 64;
     let g = generators::gnm(n, 160, 3).with_random_weights(50, 3);
-    let config = ConnectivityConfig::for_n(n);
     let words_and_messages = |cluster: &Cluster| -> Vec<(usize, usize)> {
         (cluster.round_log().iter())
             .map(|r| (r.total_words, r.messages))
@@ -120,7 +112,7 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
     let smalls = cluster.small_ids().len();
     let empty = ShardedVec::new(&cluster);
-    let got = connectivity(&mut cluster, n, &empty, &config, ExecMode::Serial);
+    let got = connectivity(&mut cluster, n, &empty, ExecMode::Serial);
     assert_eq!(got.count, n);
     assert_eq!(
         words_and_messages(&cluster),
@@ -133,7 +125,7 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
     let mut one_shard: ShardedVec<Edge> = ShardedVec::new(&cluster);
     *one_shard.shard_mut(cluster.small_ids()[0]) = few.edges().to_vec();
-    let got = connectivity(&mut cluster, n, &one_shard, &config, ExecMode::Serial);
+    let got = connectivity(&mut cluster, n, &one_shard, ExecMode::Serial);
     assert_eq!(got, connected_components(&few));
     let log = words_and_messages(&cluster);
     assert!((1..=smalls).contains(&log[1].1), "sender round: {log:?}");

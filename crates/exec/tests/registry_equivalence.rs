@@ -1,18 +1,14 @@
-//! The registry contract against the cluster-owning `mpc-core` loops.
+//! The registry contract against the cluster-owning `mpc-core` loops the
+//! engine programs replaced.
 //!
-//! `mst` still has its live twin: the engine program is **bit-identical**
-//! to the legacy call-style loop — same forest, same statistics, same
-//! per-machine RNG stream positions. MST keeps its loop because the
-//! engine's `mst` does not yet hold strict capacity on the superlinear
-//! inputs the loop handles (ROADMAP item 1).
-//!
-//! Every other name's loop is gone. [`LEGACY_CASES`] pins every input
-//! those loops were compared on, with the trajectories and statistics the
-//! comparisons checked; its rows were taken while the comparisons still
-//! ran, so each row is the loop's own result. Each name's test below runs
-//! its rows under `Serial` and `Parallel` against that certificate and
-//! checks the output is right on its own terms (maximal, within stretch,
-//! the exact cut, ...).
+//! Those loops are gone. [`LEGACY_CASES`] pins every input they were
+//! compared on, with the trajectories and statistics the comparisons
+//! checked (forest, statistics and per-machine RNG stream positions for
+//! MST); its rows were taken while the comparisons still ran, so each row
+//! is the loop's own result. Each name's test below runs its rows under
+//! `Serial` and `Parallel` against that certificate and checks the output
+//! is right on its own terms (a minimum spanning forest, maximal, within
+//! stretch, the exact cut, ...).
 //!
 //! The engine itself is schedule-independent: serial and pooled execution
 //! at any thread count produce identical results, round logs (labels,
@@ -43,102 +39,17 @@ fn rng_positions(cluster: &mut Cluster) -> Vec<u64> {
         .collect()
 }
 
-fn cluster_for(g: &Graph, seed: u64) -> Cluster {
-    Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed))
-}
-
-/// A denser topology that forces MST contraction waves before KKT.
-fn dense_cluster_for(g: &Graph, seed: u64) -> Cluster {
-    Cluster::new(
-        ClusterConfig::new(g.n(), g.m().max(1))
-            .topology(Topology::Heterogeneous {
-                gamma: 0.5,
-                large_exponent: 1.0,
-            })
-            .seed(seed),
-    )
-}
-
 // ---------------------------------------------------------------- MST --
-
-fn mst_graph(seed: u64) -> Graph {
-    generators::gnm(200, 2400, seed).with_random_weights(1 << 20, seed)
-}
 
 #[test]
 fn mst_program_is_bit_identical_to_legacy() {
-    for seed in [3u64, 11] {
-        for dense in [false, true] {
-            let g = if dense {
-                generators::gnm(256, 8000, seed).with_random_weights(1 << 20, seed)
-            } else {
-                mst_graph(seed)
-            };
-            let make = |s| {
-                if dense {
-                    dense_cluster_for(&g, s)
-                } else {
-                    cluster_for(&g, s)
-                }
-            };
-
-            // The row pins the round log the live comparison leaves out.
-            legacy_case(&format!("mst-{seed}{}", if dense { "-dense" } else { "" }));
-
-            let mut legacy_cluster = make(seed);
-            let legacy_input = common::distribute_edges(&legacy_cluster, &g);
-            let legacy =
-                mpc_core::mst::heterogeneous_mst(&mut legacy_cluster, g.n(), legacy_input).unwrap();
-            let legacy_rng = rng_positions(&mut legacy_cluster);
-
-            for mode in [ExecMode::Serial, ExecMode::Parallel] {
-                let mut engine_cluster = make(seed);
-                let engine_input = common::distribute_edges(&engine_cluster, &g);
-                let engine = registry::run(
-                    "mst",
-                    &mut engine_cluster,
-                    &AlgoInput::new(g.n(), &engine_input),
-                    mode,
-                )
-                .unwrap()
-                .into_mst()
-                .unwrap();
-                let engine_rng = rng_positions(&mut engine_cluster);
-
-                assert_eq!(
-                    engine.forest, legacy.forest,
-                    "seed {seed} dense {dense} {mode:?}: forests differ"
-                );
-                assert_eq!(
-                    engine.stats.boruvka_steps, legacy.stats.boruvka_steps,
-                    "seed {seed} dense {dense} {mode:?}: wave counts differ"
-                );
-                assert_eq!(
-                    engine.stats.contraction_trace, legacy.stats.contraction_trace,
-                    "seed {seed} dense {dense} {mode:?}: contraction traces differ"
-                );
-                assert_eq!(
-                    engine.stats.finished_by_direct_gather, legacy.stats.finished_by_direct_gather,
-                    "seed {seed} dense {dense} {mode:?}: finish paths differ"
-                );
-                assert_eq!(
-                    engine.stats.kkt_rep_used, legacy.stats.kkt_rep_used,
-                    "seed {seed} dense {dense} {mode:?}: KKT repetitions differ"
-                );
-                assert_eq!(
-                    engine.stats.f_light_edges, legacy.stats.f_light_edges,
-                    "seed {seed} dense {dense} {mode:?}: F-light counts differ"
-                );
-                assert_eq!(
-                    engine_rng, legacy_rng,
-                    "seed {seed} dense {dense} {mode:?}: RNG positions differ"
-                );
-                assert!(mpc_core::mst::is_minimum_spanning_forest(
-                    &g,
-                    &engine.forest
-                ));
-            }
-        }
+    for case in ["mst-3", "mst-3-dense", "mst-11", "mst-11-dense"] {
+        let (g, out) = legacy_case(case);
+        let r = out.into_mst().expect("MST output");
+        assert!(
+            mpc_core::mst::is_minimum_spanning_forest(&g, &r.forest),
+            "{case}"
+        );
     }
 }
 

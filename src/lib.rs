@@ -86,8 +86,7 @@ pub use mpc_sketch as sketch;
 /// [`registry`](mpc_exec::registry) (`registry::run`, `registry::run_job`)
 /// on the parallel [`Executor`](mpc_exec::Executor). `mpc-core`'s modules
 /// (`mst`, `matching`, `spanner`, `ported`) hold the result types and local
-/// steps the engine's programs run; MST's cluster-owning loop is the one
-/// left, the live twin the equivalence tests compare the engine against.
+/// steps the engine's programs run.
 pub mod prelude {
     pub use mpc_core::common;
     pub use mpc_core::{matching, mst, ported, spanner};

@@ -169,7 +169,10 @@ fn filtering_matching_respects_superlinear_memory() {
 fn general_mst_theorem_3_1_with_superlinear_machine() {
     // A bigger large machine must not hurt (usually: fewer Borůvka steps).
     let g = generators::gnm(256, 256 * 40, 4).with_random_weights(1 << 18, 4);
+    let budget = (registry::get("mst").unwrap().round_budget)(g.n());
     let run = |f: f64| {
+        // Deliberately tight memory (mem_constant 3.0) to expose the
+        // Borůvka schedule, under strict capacity.
         let mut cluster = Cluster::new(
             ClusterConfig::new(g.n(), g.m())
                 .topology(Topology::Heterogeneous {
@@ -177,19 +180,24 @@ fn general_mst_theorem_3_1_with_superlinear_machine() {
                     large_exponent: 1.0 + f,
                 })
                 .mem_constant(3.0)
+                .enforcement(Enforcement::Strict)
                 .seed(4),
         );
-        let input = common::distribute_edges(&cluster, &g);
-        // Deliberately tight memory (mem_constant 3.0) to expose the
-        // Borůvka schedule — the regime of the legacy oracle loop, whose
-        // fused collector waves fit where the engine's explicit per-phase
-        // exchanges would overflow strict capacity.
-        let r = mst::heterogeneous_mst(&mut cluster, g.n(), input).unwrap();
+        let spec = JobSpec::new("mst", g.clone());
+        let r = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
+            .unwrap_or_else(|e| panic!("f {f}: {e}"))
+            .into_mst()
+            .unwrap();
         assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
-        (r.stats.boruvka_steps, cluster.rounds())
+        assert!(
+            cluster.rounds() <= budget,
+            "f {f}: {} rounds",
+            cluster.rounds()
+        );
+        r.stats.boruvka_steps
     };
-    let (steps_near, _) = run(0.0);
-    let (steps_super, _) = run(0.4);
+    let steps_near = run(0.0);
+    let steps_super = run(0.4);
     assert!(
         steps_super <= steps_near,
         "superlinear memory should not need more steps ({steps_super} vs {steps_near})"

@@ -8,35 +8,111 @@
 use het_mpc::prelude::*;
 use mpc_graph::mst::kruskal;
 
+/// A heterogeneous cluster for `g`: small machines of memory `n^gamma`,
+/// a large one of memory `n^(1+f)`, memory constant `c`, strict capacity.
+fn regime(g: &Graph, gamma: f64, f: f64, c: f64, seed: u64) -> ClusterConfig {
+    ClusterConfig::new(g.n(), g.m())
+        .topology(Topology::Heterogeneous {
+            gamma,
+            large_exponent: 1.0 + f,
+        })
+        .mem_constant(c)
+        .enforcement(Enforcement::Strict)
+        .seed(seed)
+}
+
+/// Runs `mst` on `g` under `config` and checks the model: the output is a
+/// minimum spanning forest, no machine ever overflowed (strict mode, so
+/// finishing proves it; the peaks are checked on top), and the run took at
+/// most the registry's round budget. Returns the cluster afterwards.
+fn check_mst(label: &str, g: &Graph, config: ClusterConfig) -> Cluster {
+    let mut cluster = Cluster::new(config);
+    let spec = JobSpec::new("mst", g.clone());
+    let r = registry::run_job(&spec, &mut cluster, ExecMode::Serial)
+        .unwrap_or_else(|e| panic!("{label}: {e}"))
+        .into_mst()
+        .unwrap();
+    assert!(mst::is_minimum_spanning_forest(g, &r.forest), "{label}");
+    assert!(cluster.violations().is_empty(), "{label}");
+    for mid in 0..cluster.machines() {
+        assert!(
+            cluster.peak_resident()[mid] <= cluster.capacity(mid),
+            "{label}: machine {mid} peaked at {} of {}",
+            cluster.peak_resident()[mid],
+            cluster.capacity(mid)
+        );
+    }
+    let budget = (registry::get("mst").unwrap().round_budget)(g.n());
+    assert!(
+        cluster.rounds() <= budget,
+        "{label}: {} rounds, budget {budget}",
+        cluster.rounds()
+    );
+    cluster
+}
+
 #[test]
 fn mst_respects_capacities_across_gamma() {
+    // γ at a near-linear large machine.
+    let g = generators::gnm(256, 256 * 16, 9).with_random_weights(1 << 16, 9);
     for &gamma in &[0.4f64, 0.5, 0.66, 0.8] {
-        let g = generators::gnm(256, 256 * 16, 9).with_random_weights(1 << 16, 9);
-        let mut cluster = Cluster::new(
-            ClusterConfig::new(g.n(), g.m())
-                .topology(Topology::Heterogeneous {
-                    gamma,
-                    large_exponent: 1.0,
-                })
-                .enforcement(Enforcement::Strict)
-                .seed(9),
+        check_mst(
+            &format!("gamma {gamma}"),
+            &g,
+            regime(&g, gamma, 0.0, 6.0, 9),
         );
-        let spec = JobSpec::new("mst", g.clone());
-        let r = registry::run_job(&spec, &mut cluster, ExecMode::Serial)
-            .unwrap_or_else(|e| panic!("gamma {gamma}: {e}"))
-            .into_mst()
-            .unwrap();
-        assert_eq!(r.forest.total_weight, kruskal(&g).total_weight);
-        assert!(cluster.violations().is_empty());
-        // Peak resident memory stayed within every machine's capacity.
-        for mid in 0..cluster.machines() {
+    }
+    // A superlinear large machine (memory n^(1+f)): the regime cells in
+    // which the label answer (KKT straight away), the owners' lightest-list
+    // intake or the pair combine once overflowed a small machine.
+    for (d, gamma, f, c) in [
+        (32, 0.5, 0.2, 6.0),
+        (32, 0.5, 0.4, 4.0),
+        (32, 0.66, 0.2, 6.0),
+        (32, 0.66, 0.4, 4.0),
+        (64, 0.5, 0.2, 4.0),
+        (64, 0.5, 0.4, 4.0),
+        (64, 0.5, 0.4, 6.0),
+        (64, 0.66, 0.4, 4.0),
+        (64, 0.66, 0.4, 6.0),
+    ] {
+        let g = generators::gnm(512, 512 * d, 5).with_random_weights(1 << 16, 5);
+        let label = format!("n 512 d {d} gamma {gamma} f {f} c {c}");
+        check_mst(&label, &g, regime(&g, gamma, f, c, 5));
+    }
+    // The inputs of `experiments -- mst_superlinear` and of
+    // `end_to_end.rs`'s superlinear test.
+    let e3 = generators::gnm(512, 512 * 64, 5).with_random_weights(1 << 20, 5);
+    let e2e = generators::gnm(256, 256 * 40, 4).with_random_weights(1 << 18, 4);
+    for f in [0.1, 0.2, 0.4] {
+        check_mst(&format!("E3 f {f}"), &e3, regime(&e3, 0.5, f, 4.0, 5));
+        check_mst(&format!("e2e f {f}"), &e2e, regime(&e2e, 0.5, f, 3.0, 4));
+    }
+    // A deeper collector tree (f 0.2) and a label relay (f 0.4) are
+    // schedule-independent, and run in a service lane as they run solo.
+    for f in [0.2, 0.4] {
+        let config = regime(&e2e, 0.5, f, 3.0, 4);
+        let run = |mode, threads| {
+            let mut cluster = Cluster::new(config.clone());
+            let edges = common::distribute_edges(&cluster, &e2e);
+            let input = AlgoInput::new(e2e.n(), &edges);
+            let out = registry::run_threads("mst", &mut cluster, &input, mode, threads).unwrap();
+            (out.digest(), cluster.round_log().to_vec())
+        };
+        let serial = run(ExecMode::Serial, 1);
+        for threads in [1, 3] {
             assert!(
-                cluster.peak_resident()[mid] <= cluster.capacity(mid),
-                "gamma {gamma}: machine {mid} peaked at {} of {}",
-                cluster.peak_resident()[mid],
-                cluster.capacity(mid)
+                run(ExecMode::Parallel, threads) == serial,
+                "f {f}: pool at {threads} threads"
             );
         }
+        let mut service = Service::new(config);
+        let job = service
+            .submit(JobSpec::new("mst", e2e.clone()).seed(4))
+            .unwrap();
+        service.run(ExecMode::Serial).unwrap();
+        let lane = job.take_result().unwrap().unwrap().digest();
+        assert_eq!(lane, serial.0, "f {f}: service lane");
     }
 }
 
