@@ -1,13 +1,17 @@
 //! Connectivity in `O(1)` rounds (Theorem C.1, after AGM \[1\]): the
 //! tuning the engine's connectivity program runs with.
 //!
-//! Flow (the program in `mpc-exec`):
+//! Flow (the program in `mpc-exec`, which also runs every threshold of
+//! Theorem C.2's `mst-approx`):
 //! 1. the large machine draws the hash seeds for the sketch family
 //!    (`O(polylog n)` bits) and broadcasts them — this replaces the shared
-//!    randomness of \[36\], as the paper prescribes;
+//!    randomness of \[36\], as the paper prescribes (`mst-approx` draws
+//!    one seed per threshold up front from the same stream and skips the
+//!    broadcast);
 //! 2. every small machine builds a *partial* sparse sketch per
-//!    `(phase, vertex)` from its local edges (Property 1: sketches are
-//!    linear, so partial sketches sum to the true vertex sketch);
+//!    `(phase, vertex)` from its local edges — for `mst-approx`, those of
+//!    weight `≤ τ` (Property 1: sketches are linear, so partial sketches
+//!    sum to the true vertex sketch);
 //! 3. the hash-owners merge the partials and forward the per-vertex
 //!    sketches to the large machine (`Õ(n)` words);
 //! 4. the large machine runs sketch-Borůvka **locally** — all `O(log n)`

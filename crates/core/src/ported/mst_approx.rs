@@ -13,7 +13,9 @@
 //! by at most a `(1+ε)` factor, giving a `(1+ε)`-approximation from
 //! `O(log_{1+ε} W)` connectivity instances — each the `O(1)`-round sketch
 //! connectivity of Theorem C.1, run **in parallel** as in the paper: the
-//! engine's `mst-approx` runs every instance as a lane of one wave.
+//! engine's `mst-approx` runs every threshold as one instance of the
+//! `connectivity` program, with that threshold and a sketch seed drawn up
+//! front, as a lane of one wave.
 
 /// Result of the MST-weight estimator.
 #[derive(Clone, Debug, PartialEq)]

@@ -44,7 +44,6 @@ use crate::programs::{
 };
 use mpc_runtime::telemetry::TraceEvent;
 use mpc_runtime::{Cluster, MachineId, Payload};
-use mpc_sketch::PartialBatch;
 use rand::rngs::SmallRng;
 use std::any::Any;
 use std::ops::Range;
@@ -122,7 +121,6 @@ lane_messages! {
     MstNet(MstNetMsg) in MstNetMsg,
     Match(MatchNetMsg) in MatchNetMsg,
     Spanner(SpannerNetMsg) in SpannerNetMsg,
-    Sketch(PartialBatch) in Box<PartialBatch>,
     XCut(XCutNetMsg) in XCutNetMsg,
     MinCut(MinCutNetMsg) in MinCutNetMsg,
     Mis(MisNetMsg) in MisNetMsg,
@@ -544,7 +542,7 @@ mod tests {
     use crate::registry::run_instances;
     use mpc_graph::Edge;
     use mpc_runtime::{ClusterConfig, RingSink, Topology};
-    use mpc_sketch::OneSparse;
+    use mpc_sketch::{OneSparse, PartialBatch};
     use std::sync::Arc;
 
     /// Tags `msg`, then checks the tag, the words and the round trip (the
@@ -567,8 +565,8 @@ mod tests {
         round_trip(MatchNetMsg::MinAns(1, 2, e));
         round_trip(SpannerNetMsg::CandPartial(3, vec![4, 5]));
         round_trip(SpannerNetMsg::HistAns(6, vec![7, 8, 9]));
-        round_trip(batch);
-        round_trip(PartialBatch::default());
+        round_trip(ConnMsg::Partial(PartialBatch::default()));
+        round_trip(ConnMsg::Seed(4));
         round_trip(XCutNetMsg::Skel(e, 2));
         round_trip(MinCutNetMsg::TwoOutUp(1, 2, e));
         round_trip(MisNetMsg::FinalEdge(e));

@@ -1,5 +1,6 @@
-//! [`ConnectivityProgram`]: the paper's `O(1)`-round connectivity port
-//! (Theorem C.1) expressed as a per-machine state machine.
+//! [`ConnectivityProgram`]: the paper's `O(1)`-round sketch connectivity
+//! (Theorem C.1) expressed as a per-machine state machine — the one sketch
+//! program, run by both `connectivity` and `mst-approx`.
 //!
 //! Same mathematics as the legacy cluster-owning loop it replaced,
 //! re-phased onto the program clock (`ctx.round`):
@@ -7,28 +8,36 @@
 //! | round | who    | does |
 //! |------:|--------|------|
 //! | 0     | large  | draws the sketch-family seed from its private RNG, sends it to every machine |
-//! | 1     | smalls | build partial sparse sketches of their local edges, send each hash-owner its `(phase, vertex)` partials as one [`PartialBatch`] |
+//! | 1     | smalls | build partial sparse sketches of their local edges of weight `≤ τ`, send each hash-owner its `(phase, vertex)` partials as one [`PartialBatch`] |
 //! | 2     | owners | sum partials per key (sketches are linear), forward one batch to the large machine |
 //! | 3     | large  | runs sketch-Borůvka locally over the merged sparse sketches, halts with the [`Components`] |
 //!
 //! A batch costs one word per key and four per cell, whatever it is split
-//! into; a machine with nothing to send sends no batch, and a small machine
-//! with no local edge builds no sketch family.
+//! into; a machine with nothing to send sends no batch, an owner with no
+//! mail halts at round 2, and a machine with nothing to sketch or decode
+//! builds no sketch family.
 //!
 //! The three local steps are the kernels of [`mpc_sketch::connectivity`].
-//! The seed is the large machine's **first** RNG draw — exactly what the
-//! legacy loop drew — and sketch merging is field addition (commutative
-//! and associative), so the resulting components are *identical* to the
-//! legacy path on the same cluster seed (the loop is gone; the golden
-//! `LEGACY_CASES` rows pin what it produced).
+//! `connectivity` runs one instance with `τ = Weight::MAX`, its seed the
+//! large machine's **first** RNG draw — exactly what the legacy loop drew.
+//! `mst-approx` (Theorem C.2) runs one instance per threshold `τ_j` as the
+//! lanes of one wave, each seed drawn by the builder from the large
+//! machine's stream in ascending threshold order and baked in — the legacy
+//! per-threshold draws, made up front — so its instances skip round 0 and
+//! the large machine counts `c_τ` at round 2. Sketch merging is field
+//! addition (commutative and associative), so both reproduce the legacy
+//! results and RNG stream positions (the loops are gone; the golden
+//! `LEGACY_CASES` rows pin what they produced).
 
 use crate::machine::{MachineCtx, MachineProgram, StepOutcome};
 use mpc_core::ported::connectivity::ConnectivityConfig;
 use mpc_graph::traversal::Components;
-use mpc_graph::Edge;
+use mpc_graph::{Edge, VertexId, Weight};
 use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
 use mpc_sketch::{merge_batches, sketch_connectivity_batches, PartialBatch, SketchFamily};
+use rand::rngs::SmallRng;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Messages of the connectivity program.
 #[derive(Clone, Debug)]
@@ -60,43 +69,77 @@ impl Payload for ConnMsg {
     }
 }
 
-/// Per-machine state of the connectivity port.
+/// Per-machine state of one sketch-connectivity instance.
 #[derive(Clone)]
 pub struct ConnectivityProgram {
     n: usize,
     phases: usize,
-    owners: Vec<MachineId>,
-    local_edges: Vec<Edge>,
-    /// The family seed: drawn in round 0 on the large machine, received in
-    /// round 1 on the smalls.
+    /// Only edges of weight `≤ threshold` are sketched.
+    threshold: Weight,
+    /// The hash-owners, shared by the instances on the machine.
+    owners: Arc<[MachineId]>,
+    /// This machine's input shard, shared by the instances on the machine.
+    local_edges: Arc<[Edge]>,
+    /// The family seed: baked in by the builder, or drawn in round 0 on
+    /// the large machine and received in round 1 on the smalls.
     seed: Option<u64>,
+    /// Whether the seed was baked in, so the instance starts at round 1.
+    baked: bool,
     /// Set on the large machine when it halts.
     pub result: Option<Components>,
 }
 
 impl ConnectivityProgram {
+    /// Exchanges an instance with a baked-in seed takes: partials to the
+    /// owners, merged batches to the large machine.
+    pub const SEEDED_ROUNDS: u64 = 2;
+
     /// Builds one program per machine of `cluster`, with the input edges
     /// sharded as `edges` (typically
     /// [`common::distribute_edges`](mpc_core::common::distribute_edges)).
-    pub fn for_cluster(
+    pub fn for_cluster(cluster: &Cluster, n: usize, edges: &ShardedVec<Edge>) -> Vec<Self> {
+        let mut instances = Self::instances(cluster, n, edges, &[Weight::MAX], None);
+        instances.pop().expect("one threshold, one instance")
+    }
+
+    /// One instance per threshold, one program per machine each. With
+    /// `rng` — the large machine's stream — each instance's seed is drawn
+    /// from it in threshold order and baked in; without, the large machine
+    /// draws it at round 0 and broadcasts it.
+    pub fn instances(
         cluster: &Cluster,
         n: usize,
         edges: &ShardedVec<Edge>,
-        config: &ConnectivityConfig,
-    ) -> Vec<Self> {
-        let owners = cluster.small_ids();
+        thresholds: &[Weight],
+        mut rng: Option<&mut SmallRng>,
+    ) -> Vec<Vec<Self>> {
+        let large = cluster
+            .large()
+            .expect("sketch connectivity requires a large machine");
         assert!(
-            cluster.large().is_some(),
-            "connectivity requires a large machine"
+            edges.shard(large).is_empty(),
+            "engine programs expect the input on the small machines only"
         );
-        (0..cluster.machines())
-            .map(|mid| ConnectivityProgram {
-                n,
-                phases: config.phases,
-                owners: owners.clone(),
-                local_edges: edges.shard(mid).to_vec(),
-                seed: None,
-                result: None,
+        let owners: Arc<[MachineId]> = cluster.small_ids().into();
+        let phases = ConnectivityConfig::for_n(n).phases;
+        let shards: Vec<Arc<[Edge]>> = (0..cluster.machines())
+            .map(|mid| Arc::from(edges.shard(mid)))
+            .collect();
+        (thresholds.iter())
+            .map(|&threshold| {
+                let seed = rng.as_deref_mut().map(|rng| rng.random());
+                (shards.iter())
+                    .map(|local_edges| ConnectivityProgram {
+                        n,
+                        phases,
+                        threshold,
+                        owners: owners.clone(),
+                        local_edges: local_edges.clone(),
+                        seed,
+                        baked: seed.is_some(),
+                        result: None,
+                    })
+                    .collect()
             })
             .collect()
     }
@@ -114,7 +157,7 @@ impl MachineProgram for ConnectivityProgram {
         ctx: &MachineCtx<'_>,
         inbox: Vec<(MachineId, ConnMsg)>,
     ) -> StepOutcome<ConnMsg> {
-        match ctx.round {
+        match ctx.round + u64::from(self.baked) {
             // Round 0 — the large machine distributes shared randomness.
             0 => {
                 if !ctx.is_large() {
@@ -130,18 +173,24 @@ impl MachineProgram for ConnectivityProgram {
             }
             // Round 1 — small machines sketch their local edges.
             1 => {
-                let Some((_, ConnMsg::Seed(seed))) = inbox.into_iter().next() else {
-                    return StepOutcome::idle(); // the large machine
-                };
-                self.seed = Some(seed);
+                if ctx.is_large() {
+                    return StepOutcome::idle();
+                }
+                if let Some((_, ConnMsg::Seed(seed))) = inbox.into_iter().next() {
+                    self.seed = Some(seed);
+                }
+                let local: Vec<_> = (self.local_edges.iter())
+                    .filter(|e| e.w <= self.threshold)
+                    .map(|e| (e.u, e.v))
+                    .collect();
                 // Sketch construction is the dominant local computation;
                 // report it so the cost model sees the skew.
-                ctx.charge((self.local_edges.len() * self.phases) as u64);
-                if self.local_edges.is_empty() {
+                ctx.charge((local.len() * self.phases) as u64);
+                if local.is_empty() {
                     return StepOutcome::idle(); // nothing to sketch
                 }
+                let seed = self.seed.expect("seed baked in or received");
                 let family = SketchFamily::new(self.n, self.phases, seed);
-                let local: Vec<_> = self.local_edges.iter().map(|e| (e.u, e.v)).collect();
                 let batches = family.partial_batches(&local, self.owners.len());
                 let out = (self.owners.iter().copied().zip(batches))
                     .filter(|(_, batch)| !batch.is_empty())
@@ -152,9 +201,14 @@ impl MachineProgram for ConnectivityProgram {
             // Round 2 — owners sum partials per key (linearity).
             2 => {
                 if inbox.is_empty() {
-                    return StepOutcome::idle();
+                    // The large machine waits for round 3 whatever comes.
+                    return if ctx.is_large() {
+                        StepOutcome::idle()
+                    } else {
+                        StepOutcome::Halt
+                    };
                 }
-                let large = ctx.large.expect("checked in for_cluster");
+                let large = ctx.large.expect("checked in instances");
                 let merged = merge_batches(&partials_of(inbox));
                 debug_assert!(!merged.is_empty());
                 StepOutcome::Send(vec![(large, ConnMsg::Partial(merged))])
@@ -164,14 +218,20 @@ impl MachineProgram for ConnectivityProgram {
                 if !ctx.is_large() {
                     return StepOutcome::Halt;
                 }
-                let seed = self.seed.expect("seed drawn in round 0");
-                let family = SketchFamily::new(self.n, self.phases, seed);
                 ctx.charge((self.n * self.phases) as u64);
-                self.result = Some(sketch_connectivity_batches(
-                    &family,
-                    &partials_of(inbox),
-                    self.n,
-                ));
+                let batches = partials_of(inbox);
+                self.result = Some(if batches.is_empty() {
+                    // No edge was sketched: `n` singletons.
+                    let label = (0..self.n as VertexId).collect();
+                    Components {
+                        label,
+                        count: self.n,
+                    }
+                } else {
+                    let seed = self.seed.expect("seed baked in or drawn in round 0");
+                    let family = SketchFamily::new(self.n, self.phases, seed);
+                    sketch_connectivity_batches(&family, &batches, self.n)
+                });
                 StepOutcome::Halt
             }
         }

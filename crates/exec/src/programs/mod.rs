@@ -7,6 +7,9 @@
 //! of `registry_equivalence.rs`, taken while the loops still ran; what
 //! changes is the shape: per-machine state machines the engine can
 //! schedule concurrently, instead of a loop that owns the whole cluster.
+//!
+//! [`ConnectivityProgram`] is the one sketch program: `connectivity` runs
+//! it once, `mst-approx` once per weight threshold.
 
 pub mod boruvka;
 pub mod coloring;
@@ -16,7 +19,6 @@ pub mod mincut;
 pub mod mincut_approx;
 pub mod mis;
 pub mod mst;
-pub mod mst_approx;
 pub mod spanner;
 
 pub use boruvka::{BoruvkaProgram, MstMsg};
@@ -27,5 +29,4 @@ pub use mincut::{MinCutCmd, MinCutNetMsg, MinCutProgram};
 pub use mincut_approx::{GuessOutcome, MinCutGuessWave, XCutNetMsg};
 pub use mis::{MisCmd, MisNetMsg, MisProgram};
 pub use mst::{MstCmd, MstNetMsg, MstProgram};
-pub use mst_approx::MstApproxWave;
 pub use spanner::{SpannerNetMsg, SpannerProgram};

@@ -32,7 +32,7 @@
 //! | `spanner`      | Thm 4.1 | [`SpannerProgram`] |
 //! | `spanner-weighted` | Thm 4.1 + \[22\] reduction | one [`SpannerProgram`] instance per weight class |
 //! | `apsp`         | Cor 4.2 | the `k = ⌈log₂ n⌉` run of `spanner` (unit weights) or `spanner-weighted`, oracle indexed on the large machine |
-//! | `mst-approx`   | Thm C.2 | one [`MstApproxWave`] instance per threshold, sketch seeds drawn by the builder |
+//! | `mst-approx`   | Thm C.2 | one [`ConnectivityProgram`] instance per threshold, sketch seeds drawn by the builder |
 //! | `mincut`       | Thm C.3 | [`MinCutProgram`] |
 //! | `mincut-approx` | Thm C.4 | one [`MinCutGuessWave`] instance per λ̂ guess, then — if every guess failed — the `xcut-fb` gather |
 //! | `mis`          | Thm C.6 | [`MisProgram`] |
@@ -43,14 +43,12 @@ use crate::driver::{ExecError, ExecMode, Executor};
 use crate::machine::MachineProgram;
 use crate::mixed::{by_machine, downcast_program, erase, ErasedProgram, LaneCodec, MixedWave};
 use crate::programs::{
-    mincut_approx, mst_approx, BoruvkaProgram, ColoringProgram, ConnectivityProgram,
-    MatchingProgram, MinCutGuessWave, MinCutProgram, MisProgram, MstApproxWave, MstProgram,
-    SpannerProgram,
+    mincut_approx, BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram,
+    MinCutGuessWave, MinCutProgram, MisProgram, MstProgram, SpannerProgram,
 };
 use mpc_core::matching::MatchingResult;
 use mpc_core::mst::MstResult;
 use mpc_core::ported::coloring::ColoringResult;
-use mpc_core::ported::connectivity::ConnectivityConfig;
 use mpc_core::ported::mincut_approx::{lambda_guesses, ApproxMinCut};
 use mpc_core::ported::mincut_exact::MinCutResult;
 use mpc_core::ported::mis::MisResult;
@@ -768,8 +766,7 @@ fn connectivity(
     input: &AlgoInput<'_>,
     _rng: &mut SmallRng,
 ) -> Description<ConnectivityProgram> {
-    let config = ConnectivityConfig::for_n(input.n);
-    let programs = ConnectivityProgram::for_cluster(cluster, input.n, input.edges, &config);
+    let programs = ConnectivityProgram::for_cluster(cluster, input.n, input.edges);
     Description::wave("conn", programs, |p| {
         Ok(AlgoOutput::Components(p.result.expect(HALTED)))
     })
@@ -899,33 +896,29 @@ fn apsp(
 }
 
 /// The Theorem C.2 estimator: every `(1+ε)^j` threshold as one
-/// [`MstApproxWave`] instance of one wave, each wave's sketch seed drawn
-/// here from the large machine's stream in ascending threshold order — the
-/// legacy per-wave draws, made up front — so results *and* RNG stream
-/// positions are bit-identical to the legacy loop.
+/// [`ConnectivityProgram`] instance of one wave, each instance's sketch
+/// seed drawn here from the large machine's stream in ascending threshold
+/// order — the legacy per-wave draws, made up front — so results *and* RNG
+/// stream positions are bit-identical to the legacy loop.
 fn mst_approx(
     cluster: &Cluster,
     input: &AlgoInput<'_>,
     rng: &mut SmallRng,
-) -> Description<Driven<MstApproxWave>> {
+) -> Description<ConnectivityProgram> {
     let (n, epsilon) = (input.n, input.params.epsilon);
     let w_max = max_weight(input.edges.iter().map(|(_, e)| e));
     let thresholds = geometric_thresholds(w_max, epsilon);
-    let instances = mst_approx::threshold_waves(cluster, n, input.edges, &thresholds, rng);
+    let instances = ConnectivityProgram::instances(cluster, n, input.edges, &thresholds, Some(rng));
     Description::waves("xmst", instances, move |large| {
         let component_counts: Vec<usize> = (large.into_iter())
-            .map(|wave| {
-                wave.0
-                    .count
-                    .expect("large machine halts with a per-wave count")
-            })
+            .map(|p| p.result.expect(HALTED).count)
             .collect();
         let estimate = estimate_from_counts(n, w_max, &thresholds, &component_counts);
         Ok(AlgoOutput::MstApprox(MstApprox {
             estimate,
             thresholds,
             component_counts,
-            parallel_rounds: MstApproxWave::ROUNDS,
+            parallel_rounds: ConnectivityProgram::SEEDED_ROUNDS,
         }))
     })
 }

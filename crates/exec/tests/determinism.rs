@@ -4,7 +4,7 @@
 //! ported program, across seeds and topologies.
 
 use mpc_core::common;
-use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
+use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_exec::{registry, AlgoInput, ExecMode};
 use mpc_graph::generators;
 use mpc_runtime::{Cluster, ClusterConfig, Enforcement, Topology};
@@ -154,12 +154,11 @@ fn parallel_thread_count_does_not_change_results() {
     use mpc_exec::{ConnectivityProgram, Executor};
     let seed = 42;
     let g = generators::gnm(80, 200, seed);
-    let config = ConnectivityConfig::for_n(g.n());
     let mut reference: Option<(Vec<mpc_runtime::RoundRecord>, _)> = None;
     for threads in [1usize, 2, 8] {
         let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
         let edges = common::distribute_edges(&cluster, &g);
-        let programs = ConnectivityProgram::for_cluster(&cluster, g.n(), &edges, &config);
+        let programs = ConnectivityProgram::for_cluster(&cluster, g.n(), &edges);
         let outcome = Executor::parallel("conn")
             .threads(threads)
             .run(&mut cluster, programs)

@@ -96,8 +96,8 @@ fn boruvka_handles_disconnected_and_tiny_inputs() {
 }
 
 /// A machine with nothing to sketch — an empty shard, or a threshold that
-/// filters every edge — sends no batch, its owners get no mail and stay
-/// idle, and the large machine still counts the singletons.
+/// filters every edge — sends no batch, its owners get no mail and halt
+/// at the merge round, and the large machine still counts the singletons.
 #[test]
 fn machines_with_nothing_to_sketch_send_nothing() {
     let n = 64;

@@ -13,6 +13,7 @@
 use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_core::spanner::apsp::measured_stretch;
 use mpc_exec::{registry, AlgoOutput, ExecMode, JobParams, JobSpec};
+use mpc_graph::traversal::connected_components;
 use mpc_graph::{generators, mincut::min_cut, mst::kruskal, Graph};
 use mpc_runtime::{Cluster, ClusterConfig};
 
@@ -65,19 +66,31 @@ fn registry_runs_meet_the_theorem_guarantees() {
         assert_eq!(got, min_cut(&g).unwrap().weight, "{case}");
     }
 
-    // Theorem C.2: within (1+ε) of the exact MSF weight in O(1) rounds;
-    // exact on unit weights, where the estimate is the spanning forest's
-    // size.
-    let g = generators::gnm(80, 400, 2).with_random_weights(32, 2);
-    let config = sketch_friendly_config(g.n(), g.m(), 2);
-    let r = run("mst-approx/weighted", &g, config, params().epsilon(0.25));
-    let r = r.into_mst_approx().expect("estimator output");
-    let exact = kruskal(&g).total_weight as f64;
-    assert!(
-        r.estimate >= exact * 0.95 && r.estimate <= exact * 1.35,
-        "{r:?} vs {exact}"
-    );
-    assert!(r.parallel_rounds <= 12, "{r:?}");
+    // Theorem C.2: every threshold's count `c_τ` is the component count of
+    // the subgraph with edges of weight `≤ τ`, so the estimate is within
+    // (1+ε) of the exact MSF weight, in O(1) rounds; exact on unit
+    // weights, where the estimate is the spanning forest's size.
+    let inputs = [
+        (80, 400, 32, 0.25),
+        (256, 1536, 1 << 10, 0.5),
+        (192, 960, 500, 0.25),
+        (64, 160, 50, 0.5),
+    ];
+    for (seed, (n, m, w, epsilon)) in (2..).zip(inputs) {
+        let g = generators::gnm(n, m, seed).with_random_weights(w, seed);
+        let case = format!("mst-approx/gnm-{n}-{m}");
+        let config = sketch_friendly_config(n, m, seed);
+        let out = run(&case, &g, config, params().epsilon(epsilon));
+        let r = out.into_mst_approx().expect("estimator output");
+        for (&tau, &count) in r.thresholds.iter().zip(&r.component_counts) {
+            let light = Graph::new(n, g.edges().iter().filter(|e| e.w <= tau).copied());
+            assert_eq!(count, connected_components(&light).count, "{case} τ {tau}");
+        }
+        let exact = kruskal(&g).total_weight as f64;
+        let within = exact - 1e-9..=(1.0 + epsilon) * exact + 1e-9;
+        assert!(within.contains(&r.estimate), "{case}: {r:?} vs {exact}");
+        assert!(r.parallel_rounds <= 12, "{case}: {r:?}");
+    }
     let g = generators::gnm(60, 150, 3);
     let config = sketch_friendly_config(g.n(), g.m(), 3);
     let r = run("mst-approx/unweighted", &g, config, params().epsilon(0.5));

@@ -7,7 +7,7 @@
 //! both forms to the same behaviour.
 
 use mpc_core::common;
-use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
+use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_exec::{
     ConnectivityProgram, ExecError, ExecMode, Executor, MachineCtx, MachineProgram, StepOutcome,
     WaveRound,
@@ -37,10 +37,9 @@ fn run_connectivity(
     Vec<u64>,
 ) {
     let g = generators::gnm(90, 260, seed);
-    let config = ConnectivityConfig::for_n(g.n());
     let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
     let edges = common::distribute_edges(&cluster, &g);
-    let programs = ConnectivityProgram::for_cluster(&cluster, g.n(), &edges, &config);
+    let programs = ConnectivityProgram::for_cluster(&cluster, g.n(), &edges);
     let outcome = Executor::new("conn", mode)
         .threads(threads)
         .run(&mut cluster, programs)

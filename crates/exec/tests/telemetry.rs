@@ -9,7 +9,7 @@
 //!   batched multiplex run under the pool with a retired instance.
 
 use mpc_core::common;
-use mpc_core::ported::connectivity::{sketch_friendly_config, ConnectivityConfig};
+use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_exec::{registry, AlgoInput, ConnectivityProgram, ExecMode, Executor};
 use mpc_graph::generators;
 use mpc_runtime::telemetry::{parse_json, perfetto_export};
@@ -33,13 +33,12 @@ fn rng_positions(cluster: &mut Cluster) -> Vec<u64> {
 fn recording_sink_keeps_serial_and_pool_bit_identical() {
     let seed = 42;
     let g = generators::gnm(96, 260, seed);
-    let config = ConnectivityConfig::for_n(g.n());
     let run = |mode: ExecMode, threads: usize| {
         let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
         let ring = Arc::new(RingSink::unbounded());
         cluster.set_trace_sink(Some(ring.clone()));
         let edges = common::distribute_edges(&cluster, &g);
-        let programs = ConnectivityProgram::for_cluster(&cluster, g.n(), &edges, &config);
+        let programs = ConnectivityProgram::for_cluster(&cluster, g.n(), &edges);
         let outcome = Executor::new("conn", mode)
             .threads(threads)
             .run(&mut cluster, programs)

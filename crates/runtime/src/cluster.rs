@@ -217,12 +217,6 @@ impl Cluster {
         self.pending_delay += seconds;
     }
 
-    /// Quarantines machine `mid` in the cost model (its seconds drop out
-    /// of the barrier max until [`restore_machine`](Cluster::restore_machine)).
-    pub fn quarantine_machine(&mut self, mid: MachineId) {
-        self.cost.quarantine(mid);
-    }
-
     /// Lifts a cost-model quarantine after recovery.
     pub fn restore_machine(&mut self, mid: MachineId) {
         self.cost.restore(mid);
