@@ -321,9 +321,9 @@ const LEGACY_CASES: [(&str, &str, u64, u64, u128, u64, u64); 30] = [
     ("mincut-empty", "mincut", 51, 0xc3c9597fcd8eb93a, 0x9b2346847e3a0940262a773f9dce13f5, 0x391f01b28ebb5198, 0xafac7e311ac5d4fd),
     ("mincut-disconnected", "mincut", 51, 0xd08f60fd6371fd07, 0x765b460e67992d0defbb28939dce13f5, 0xb34d6e6a004a0d5a, 0x529e83e8315ac13d),
     ("mincut-single-edge", "mincut", 51, 0x8148d3c09a601fd2, 0x287f45fad04b63059e704f899dce13f4, 0xfba40633b72c28db, 0x9fe7aee28d8678b5),
-    ("mincut-approx-planted", "mincut-approx", 4, 0x38653e518fdded06, 0x9ce7393ca456e5ea48081407b4ea27fa, 0x46f045760be4b957, 0x9090137f9b38e714),
-    ("mincut-approx-gnm", "mincut-approx", 4, 0xe82b6378b6374019, 0x9ce7393ca456e5ea48198607b4e5d0b0, 0xb90770795c77b960, 0x95c6477f93fb3a42),
-    ("mincut-approx-forest", "mincut-approx", 4, 0x2f62ca8c7c7843bd, 0x9ce7393ca456e5ea082f0007b4e852fe, 0xc0edc84585d8e3cb, 0x4416037f988f6fb0),
+    ("mincut-approx-planted", "mincut-approx", 4, 0x8e4f0a604951d538, 0x9ce7393ca456e5ea48081407b4ea27fa, 0x46f045760be4b957, 0x9090137f9b38e714),
+    ("mincut-approx-gnm", "mincut-approx", 4, 0x27822d18d225af65, 0x9ce7393ca456e5ea48198607b4e5d0b0, 0xb90770795c77b960, 0x95c6477f93fb3a42),
+    ("mincut-approx-forest", "mincut-approx", 4, 0xacdb75d664f184af, 0x9ce7393ca456e5ea082f0007b4e852fe, 0xc0edc84585d8e3cb, 0x4416037f988f6fb0),
     ("mst-approx-0.25", "mst-approx", 2, 0x6d60208050c9d7d5, 0x5d70ff1fe1041c1e9074664f61df8775, 0x83bfd759963db976, 0xba750166b8e06657),
     ("mst-approx-0.5", "mst-approx", 2, 0xbfac5fc9c1314ba3, 0x2880c3962a53cc7c73a8cfbd81c2f7e7, 0x1ce924e6b9d3c610, 0x1a3b8583792df6dc),
     ("connectivity-1", "connectivity", 3, 0x118113954d7421e9, 0x00000000000000000000000000000001, 0x844126a25d7d10ae, 0xa6c65b19240b7924),
