@@ -559,7 +559,7 @@ mod tests {
         let mut batch = PartialBatch::default();
         batch.push(3, [(0, OneSparse::new()), (7, OneSparse::new())]);
         batch.push(8, []);
-        round_trip(ConnMsg::Partial(batch.clone()));
+        round_trip(ConnMsg::Partial(batch));
         round_trip(MstMsg::Rename(1, 2));
         round_trip(MstNetMsg::SampleCounts(vec![1, 2, 3]));
         round_trip(MatchNetMsg::MinAns(1, 2, e));
