@@ -556,9 +556,15 @@ mod tests {
     #[test]
     fn every_variant_round_trips_with_its_words() {
         let e = Edge::new(1, 2, 5);
+        let (mut a, mut b) = (OneSparse::new(), OneSparse::new());
+        a.update_term(5, 1, 25);
+        b.update_term(6, -1, 36);
+        // A row with a value per cell, a one-value row, a cancelled key.
         let mut batch = PartialBatch::default();
-        batch.push(3, [(0, OneSparse::new()), (7, OneSparse::new())]);
+        batch.push(3, [(0, a), (7, b)]);
+        batch.push_one_value(5, &[1, 4, 8], a);
         batch.push(8, []);
+        assert_eq!(batch.words(), 3 + 4 * 5);
         round_trip(ConnMsg::Partial(batch));
         round_trip(MstMsg::Rename(1, 2));
         round_trip(MstNetMsg::SampleCounts(vec![1, 2, 3]));

@@ -13,9 +13,10 @@
 //! | 3     | large  | runs sketch-Borůvka locally over the merged sparse sketches, halts with the [`Components`] |
 //!
 //! A batch costs one word per key and four per cell, whatever it is split
-//! into; a machine with nothing to send sends no batch, an owner with no
-//! mail halts at round 2, and a machine with nothing to sketch or decode
-//! builds no sketch family.
+//! into and however its host layout stores the cells (a one-edge partial
+//! keeps its one value once, not once per cell); a machine with nothing to
+//! send sends no batch, an owner with no mail halts at round 2, and a
+//! machine with nothing to sketch or decode builds no sketch family.
 //!
 //! The three local steps are the kernels of [`mpc_sketch::connectivity`].
 //! `connectivity` runs one instance with `τ = Weight::MAX`, its seed the

@@ -746,20 +746,49 @@ fn parse_lit(
     }
 }
 
+/// A number by RFC 8259's grammar, `-? (0 | [1-9][0-9]*) (.[0-9]+)?
+/// ([eE][+-]?[0-9]+)?`: no leading zeros, no bare `.` or exponent.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     let start = *pos;
+    // Consumes a run of digits; whether there was one.
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    let invalid = |pos: usize| format!("invalid number at byte {pos}");
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(invalid(*pos)),
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad utf8".to_string())?;
-    text.parse::<f64>()
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return Err(invalid(*pos));
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return Err(invalid(*pos));
+        }
+    }
+    // The grammar is a subset of Rust's, so this does not fail.
+    (std::str::from_utf8(&bytes[start..*pos]).ok())
+        .and_then(|text| text.parse().ok())
         .map(JsonValue::Num)
-        .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+        .ok_or_else(|| invalid(start))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -788,13 +817,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'b' => out.push('\u{8}'),
                     b'f' => out.push('\u{c}'),
                     b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| "bad utf8 in \\u".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape '{hex}'"))?;
+                        let hex = (bytes.get(*pos..*pos + 4))
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or_else(|| format!("\\u needs four hex digits at byte {}", *pos))?;
+                        let code = (hex.iter()).fold(0, |code, &h| {
+                            code * 16 + char::from(h).to_digit(16).expect("hex digit")
+                        });
                         *pos += 4;
                         // Surrogate pairs are not needed for our own traces;
                         // map unpaired surrogates to the replacement char.
@@ -1530,6 +1558,100 @@ mod tests {
         let s = "weird \"label\"\twith\nnewlines\\";
         let parsed = parse_json(&json_string(s)).unwrap();
         assert_eq!(parsed.as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn json_parser_follows_the_rfc_grammar() {
+        let refused = [
+            r#""\u+041""#,
+            r#""\u04""#,
+            r#""\u00g1""#,
+            r#""\u 041""#,
+            "1.",
+            "01",
+            "-01",
+            "-",
+            ".5",
+            "+1",
+            "1e",
+            "1e+",
+            "1.e5",
+            "--1",
+            "0x10",
+            "[1.]",
+            "[01]",
+        ];
+        for text in refused {
+            assert!(parse_json(text).is_err(), "{text} parsed");
+        }
+        let numbers = [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("-1.25", -1.25),
+            ("0.5e1", 5.0),
+            ("2E-2", 0.02),
+            ("1e+2", 100.0),
+        ];
+        for (text, x) in numbers {
+            assert_eq!(parse_json(text), Ok(JsonValue::Num(x)), "{text}");
+        }
+        let escaped = parse_json(r#""\u0041\u00E9""#).unwrap();
+        assert_eq!(escaped.as_str(), Some("Aé"));
+    }
+
+    /// Random text biased towards the bytes JSON's grammar turns on, so it
+    /// reaches past the first byte of the parser.
+    fn fuzz_text(picks: &[u32]) -> String {
+        const GRAMMAR: &[u8] = br#"{}[]":,.-+0123456789eEtrufalsn\/ "#;
+        let pick = |r: u32| match r % 4 {
+            0 => char::from_u32(r / 4 % 0x11_0000).unwrap_or('\u{fffd}'),
+            _ => char::from(GRAMMAR[(r / 4) as usize % GRAMMAR.len()]),
+        };
+        picks.iter().map(|&r| pick(r)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// The reader and the JSONL validator answer `Ok` or `Err` on any
+        /// text, alone or as the value of an otherwise valid event.
+        #[test]
+        fn reader_never_panics(picks in proptest::collection::vec(proptest::any::<u32>(), 0..48)) {
+            let text = fuzz_text(&picks);
+            let _ = parse_json(&text);
+            let _ = validate_jsonl(&text);
+            let event = format!("{{\"type\":\"round_begin\",\"round\":1,\"label\":{text}}}");
+            let _ = validate_jsonl(&event);
+        }
+
+        /// `json_string` round-trips every string: control characters,
+        /// quotes and backslashes, non-BMP characters.
+        #[test]
+        fn json_string_round_trips(picks in proptest::collection::vec(proptest::any::<u32>(), 0..32)) {
+            let s: String = (picks.iter())
+                .filter_map(|&r| match r % 4 {
+                    0 => char::from_u32(r / 4 % 0x20),
+                    1 => char::from_u32(0x1_0000 + r / 4 % 0x10_0000),
+                    2 => Some(char::from(b"\"\\/ab"[(r / 4) as usize % 5])),
+                    _ => char::from_u32(r / 4 % 0x11_0000),
+                })
+                .collect();
+            proptest::prop_assert_eq!(parse_json(&json_string(&s)), Ok(JsonValue::Str(s)));
+        }
+
+        /// `json_f64` round-trips every finite `f64` bit for bit, `-0`
+        /// becoming `0`.
+        #[test]
+        fn json_f64_round_trips(bits in proptest::any::<u64>(), small in proptest::any::<i32>()) {
+            for x in [f64::from_bits(bits), f64::from(small), f64::from(small) / 1024.0] {
+                if x.is_finite() {
+                    let back = parse_json(&json_f64(x)).unwrap().as_f64().unwrap();
+                    let want = if x == 0.0 { 0.0 } else { x };
+                    proptest::prop_assert_eq!(back.to_bits(), want.to_bits(), "{}", x);
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,73 +32,206 @@ fn split_key(key: u64) -> (usize, VertexId) {
     ((key >> 32) as usize, key as VertexId)
 }
 
+/// The header of one key's row in a [`PartialBatch`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RowHead {
+    key: u64,
+    /// Cells in the row: at most 256, the `u8` index range.
+    cells: u16,
+    /// One value stands for every cell of the row, rather than one each.
+    one_value: bool,
+}
+
+impl RowHead {
+    fn values(self) -> usize {
+        if self.one_value {
+            1
+        } else {
+            usize::from(self.cells)
+        }
+    }
+}
+
 /// The sparse partial sketches of many keys as one message: what a sender
 /// ships to one hash-owner, and an owner to the large machine. It costs one
 /// word per key (also one whose cells all cancelled) plus four per cell —
 /// what its partials cost as one `(key, SparseSketch)` message each.
+///
+/// The host layout is three flat vectors, none per key: row headers, the
+/// rows' cell indices back to back, and their values. A row whose cells
+/// all hold the same value — a one-edge partial, most of a sender's rows —
+/// stores that value once. The layout is canonical (a row has one value iff
+/// it has a cell and all its cells are equal), so equal batches compare
+/// equal whatever built them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartialBatch {
-    /// `(partial_key, cell count)`, ascending by key.
-    keys: Vec<(u64, u32)>,
-    /// The keys' cells back to back; per key ascending by index, nonzero.
-    cells: Vec<SparseCell>,
+    /// Ascending by key.
+    rows: Vec<RowHead>,
+    /// Per row, its cell indices, strictly ascending.
+    idx: Vec<u8>,
+    /// Per row, one value (a one-value row) or one per cell; never zero.
+    values: Vec<OneSparse>,
+}
+
+/// One key's partial as a [`PartialBatch`] holds it.
+#[derive(Clone, Copy, Debug)]
+pub struct PartialRow<'a> {
+    /// The row's [`partial_key`].
+    pub key: u64,
+    idx: &'a [u8],
+    /// One value for every index, or one per index (a one-cell row is both).
+    values: &'a [OneSparse],
+}
+
+impl<'a> PartialRow<'a> {
+    /// The nonzero cells, strictly ascending by index: a one-value row's
+    /// value at each of its indices.
+    pub fn cells(self) -> impl Iterator<Item = SparseCell> + 'a {
+        let values = self.values.iter().cycle();
+        self.idx.iter().zip(values).map(|(&i, &value)| (i, value))
+    }
 }
 
 impl PartialBatch {
     /// Whether the batch holds no key.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.rows.is_empty()
     }
 
     /// Appends `key` with its cells (strictly ascending by index, nonzero).
     pub fn push(&mut self, key: u64, cells: impl IntoIterator<Item = SparseCell>) {
-        debug_assert!(self.keys.last().is_none_or(|&(last, _)| last < key));
-        let before = self.cells.len();
-        self.cells.extend(cells);
-        self.keys.push((key, (self.cells.len() - before) as u32));
+        let (idx_from, values_from) = (self.idx.len(), self.values.len());
+        for (i, value) in cells {
+            self.idx.push(i);
+            self.values.push(value);
+        }
+        self.close_row(key, idx_from, values_from);
     }
 
-    /// The `(key, cells)` partials, in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[SparseCell])> {
-        let mut rest = self.cells.as_slice();
-        self.keys.iter().map(move |&(key, count)| {
-            let (cells, tail) = rest.split_at(count as usize);
-            rest = tail;
-            (key, cells)
+    /// Appends `key` with `value` (nonzero) at each of `idx` (nonempty,
+    /// strictly ascending).
+    pub fn push_one_value(&mut self, key: u64, idx: &[u8], value: OneSparse) {
+        // The senders' hot path: `close_row` without the equality scan.
+        debug_assert!(!idx.is_empty() && !value.is_zero());
+        debug_assert!(idx.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(self.rows.last().is_none_or(|r| r.key < key));
+        self.idx.extend_from_slice(idx);
+        self.values.push(value);
+        let cells = u16::try_from(idx.len()).expect("at most 256 indices");
+        self.rows.push(RowHead {
+            key,
+            cells,
+            one_value: true,
+        });
+    }
+
+    /// Closes row `key` over the cells pushed since `idx_from`, one value
+    /// each since `values_from`, keeping one value if they are all equal.
+    fn close_row(&mut self, key: u64, idx_from: usize, values_from: usize) {
+        debug_assert!(self.rows.last().is_none_or(|r| r.key < key));
+        debug_assert!(self.idx[idx_from..].windows(2).all(|w| w[0] < w[1]));
+        let values = &self.values[values_from..];
+        debug_assert!(values.iter().all(|v| !v.is_zero()));
+        let one_value = values
+            .first()
+            .is_some_and(|v| values.iter().all(|w| w == v));
+        if one_value {
+            self.values.truncate(values_from + 1);
+        }
+        let cells = u16::try_from(self.idx.len() - idx_from).expect("at most 256 indices");
+        self.rows.push(RowHead {
+            key,
+            cells,
+            one_value,
+        });
+    }
+
+    /// The rows, in ascending key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PartialRow<'_>> {
+        let (mut idx, mut values) = (0, 0);
+        self.rows.iter().map(move |&head| {
+            let (cells, n_values) = (usize::from(head.cells), head.values());
+            let row = PartialRow {
+                key: head.key,
+                idx: &self.idx[idx..idx + cells],
+                values: &self.values[values..values + n_values],
+            };
+            (idx, values) = (idx + cells, values + n_values);
+            row
         })
+    }
+
+    /// The rows dealt out by `key % owners` into `owners` batches, each
+    /// allocated at its exact size: a batch lives until its receiver's
+    /// step, beside every other batch of the round, so it carries no
+    /// growth slack.
+    fn deal(&self, owners: usize) -> Vec<PartialBatch> {
+        let owner_of: Vec<usize> = (self.rows.iter())
+            .map(|head| (head.key % owners as u64) as usize)
+            .collect();
+        let mut sizes = vec![(0, 0, 0); owners];
+        for (head, &owner) in self.rows.iter().zip(&owner_of) {
+            let size = &mut sizes[owner];
+            *size = (
+                size.0 + 1,
+                size.1 + usize::from(head.cells),
+                size.2 + head.values(),
+            );
+        }
+        let mut dealt: Vec<_> = (sizes.into_iter())
+            .map(|(rows, idx, values)| PartialBatch {
+                rows: Vec::with_capacity(rows),
+                idx: Vec::with_capacity(idx),
+                values: Vec::with_capacity(values),
+            })
+            .collect();
+        for ((&head, row), owner) in self.rows.iter().zip(self.iter()).zip(owner_of) {
+            let batch = &mut dealt[owner];
+            batch.rows.push(head);
+            batch.idx.extend_from_slice(row.idx);
+            batch.values.extend_from_slice(row.values);
+        }
+        dealt
     }
 }
 
 impl Payload for PartialBatch {
     fn words(&self) -> usize {
-        self.keys.len() + 4 * self.cells.len()
+        self.rows.len() + 4 * self.idx.len()
     }
 }
 
 /// Sums sparse cells into a dense accumulator that remembers which indices
 /// it touched, so a sum costs its cells, not the sketch size.
-#[derive(Default)]
 struct CellSum {
-    acc: Vec<OneSparse>,
+    /// One sum per `u8` cell index.
+    acc: [OneSparse; 256],
     /// Bit `i` is set if `acc[i]` was added to since the last `finish`.
-    touched: Vec<u64>,
+    touched: [u64; 4],
+}
+
+impl Default for CellSum {
+    fn default() -> Self {
+        CellSum {
+            acc: [OneSparse::new(); 256],
+            touched: [0; 4],
+        }
+    }
 }
 
 impl CellSum {
-    fn add(&mut self, (idx, cell): SparseCell) {
-        let i = idx as usize;
-        if self.acc.len() <= i {
-            self.acc.resize(i + 1, OneSparse::new());
-            self.touched.resize(i / 64 + 1, 0);
+    fn add(&mut self, cells: impl IntoIterator<Item = SparseCell>) {
+        for (i, value) in cells {
+            let i = usize::from(i);
+            self.touched[i / 64] |= 1 << (i % 64);
+            self.acc[i].merge(&value);
         }
-        self.touched[i / 64] |= 1 << (i % 64);
-        self.acc[i].merge(&cell);
     }
 
     /// Closes `key` in `batch` with the nonzero sums, ascending by index,
     /// and resets.
     fn finish(&mut self, key: u64, batch: &mut PartialBatch) {
-        let before = batch.cells.len();
+        let (idx_from, values_from) = (batch.idx.len(), batch.values.len());
         for (w, word) in self.touched.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
@@ -106,11 +239,12 @@ impl CellSum {
                 bits &= bits - 1;
                 let sum = std::mem::take(&mut self.acc[i]);
                 if !sum.is_zero() {
-                    batch.cells.push((i as u32, sum));
+                    batch.idx.push(i as u8);
+                    batch.values.push(sum);
                 }
             }
         }
-        batch.keys.push((key, (batch.cells.len() - before) as u32));
+        batch.close_row(key, idx_from, values_from);
     }
 }
 
@@ -119,7 +253,8 @@ impl SketchFamily {
     /// `(phase, endpoint)` [`partial_key`], that of `key` in batch
     /// `key % owners` of the `owners` returned (some may be empty). Each
     /// phase [prepares](SketchFamily::prepare_slice) the edges once for both
-    /// endpoints; only an endpoint with several local edges needs a sum.
+    /// endpoints; an endpoint with one local edge is a one-value row of that
+    /// edge's cells, only one with several needs a sum.
     pub fn partial_batches(
         &self,
         edges: &[(VertexId, VertexId)],
@@ -132,7 +267,8 @@ impl SketchFamily {
             .collect();
         incident.sort_unstable();
 
-        let mut batches = vec![PartialBatch::default(); owners];
+        // Every owner's rows in key order, dealt out once complete.
+        let mut rows = PartialBatch::default();
         let mut sum = CellSum::default();
         let mut updates = vec![EdgeUpdate::EMPTY; edges.len()];
         for phase in 0..self.phases() {
@@ -140,66 +276,61 @@ impl SketchFamily {
             for of_v in incident.chunk_by(|a, b| a.0 == b.0) {
                 let v = of_v[0].0;
                 let key = partial_key(phase, v);
-                let batch = &mut batches[(key % owners as u64) as usize];
                 if let [(_, e)] = of_v {
-                    batch.push(key, updates[*e as usize].sparse_cells(v));
+                    let update = &updates[*e as usize];
+                    rows.push_one_value(key, update.hits(), update.value(v));
                 } else {
                     for &(_, e) in of_v {
-                        updates[e as usize].sparse_cells(v).for_each(|c| sum.add(c));
+                        sum.add(updates[e as usize].sparse_cells(v));
                     }
-                    sum.finish(key, batch);
+                    sum.finish(key, &mut rows);
                 }
             }
         }
-        // A batch lives on beside every other batch of its round.
-        batches.iter_mut().for_each(|b| b.cells.shrink_to_fit());
-        batches
+        rows.deal(owners)
     }
 }
 
-/// The partials of `batches` as `(key, cells)` rows, ascending by key (the
-/// rows of one key in no particular order: sums do not depend on it).
-fn sorted_rows(batches: &[PartialBatch]) -> Vec<(u64, &[SparseCell])> {
-    let mut rows: Vec<_> = batches.iter().flat_map(PartialBatch::iter).collect();
-    rows.sort_unstable_by_key(|&(key, _)| key);
+/// The rows of `batches`, ascending by key (the rows of one key in no
+/// particular order: sums do not depend on it).
+fn sorted_rows(batches: &[PartialBatch]) -> Vec<PartialRow<'_>> {
+    let mut rows = Vec::with_capacity(batches.iter().map(|b| b.rows.len()).sum());
+    batches.iter().for_each(|batch| rows.extend(batch.iter()));
+    // Each batch is ascending already: a stable sort merges the runs.
+    rows.sort_by_key(|row| row.key);
     rows
 }
 
 /// Sums the partial sketches of each key into one batch: the hash-owner's
 /// step. Any merge order gives the same batch — cell addition is commutative
-/// and associative and the sparse form is canonical.
+/// and associative and the layout is canonical.
 pub fn merge_batches(batches: &[PartialBatch]) -> PartialBatch {
     let mut merged = PartialBatch::default();
     let mut sum = CellSum::default();
-    for of_key in sorted_rows(batches).chunk_by(|a, b| a.0 == b.0) {
-        for &cell in of_key.iter().flat_map(|(_, cells)| *cells) {
-            sum.add(cell);
+    for of_key in sorted_rows(batches).chunk_by(|a, b| a.key == b.key) {
+        for row in of_key {
+            sum.add(row.cells());
         }
-        sum.finish(of_key[0].0, &mut merged);
+        sum.finish(of_key[0].key, &mut merged);
     }
-    merged.cells.shrink_to_fit();
-    merged
+    merged.deal(1).remove(0)
 }
 
-/// Sketch-Borůvka over `rows_of(phase)`, the `(vertex, sketch)` rows of each
-/// phase, which `add` sums into a dense sketch; a vertex without a row has
-/// the zero sketch.
+/// Sketch-Borůvka over the `(vertex, sketch)` rows `rows_of(phase, rows)`
+/// appends for each phase, which `add` sums into a dense sketch; a vertex
+/// without a row has the zero sketch.
 ///
 /// Each phase sums its rows into one dense accumulator per current
-/// component, decodes an outgoing edge from every sum and contracts. A
-/// phase is only read once the loop reaches it, and the loop stops at one
-/// component.
-fn boruvka<'a, R, I>(
+/// component, decodes an outgoing edge from every sum and contracts.
+/// Phases are read in ascending order, each only once the loop reaches it,
+/// and the loop stops at one component.
+fn boruvka<R>(
     family: &SketchFamily,
     n: usize,
     phases: usize,
-    rows_of: impl Fn(usize) -> I,
-    add: impl Fn(&mut VertexSketch, &R),
-) -> Components
-where
-    R: ?Sized + 'a,
-    I: Iterator<Item = (VertexId, &'a R)>,
-{
+    mut rows_of: impl FnMut(usize, &mut Vec<(VertexId, R)>),
+    add: impl Fn(&mut VertexSketch, R),
+) -> Components {
     const NO_SUM: usize = usize::MAX;
     let mut dsu = DisjointSets::new(n);
     // Dense accumulators, reused across phases; `sum_of[root]` indexes the
@@ -207,11 +338,13 @@ where
     let mut sums: Vec<VertexSketch> = Vec::new();
     let mut sum_of = vec![NO_SUM; n];
     let mut roots: Vec<VertexId> = Vec::new();
+    let mut rows = Vec::new();
     for phase in 0..phases {
         if dsu.component_count() <= 1 {
             break;
         }
-        for (v, row) in rows_of(phase) {
+        rows_of(phase, &mut rows);
+        for (v, row) in rows.drain(..) {
             let root = dsu.find(v);
             if sum_of[root as usize] == NO_SUM {
                 sum_of[root as usize] = roots.len();
@@ -260,15 +393,17 @@ pub fn sketch_connectivity(
         family,
         n,
         sketches.len(),
-        |phase| (0..).zip(&sketches[phase]),
+        |phase, rows| rows.extend((0..).zip(&sketches[phase])),
         VertexSketch::merge,
     )
 }
 
 /// [`sketch_connectivity`] over the merged partials as the large machine
 /// receives them: one batch per owner, absent keys meaning zero sketches.
-/// Nothing is densified per vertex — sparse cells go straight into the
-/// per-component sums of the phases Borůvka reaches.
+/// Nothing is densified per vertex and nothing is sorted — each batch is
+/// ascending by key, so one cursor per batch hands Borůvka each phase's
+/// rows in turn, and their cells go straight into the per-component sums
+/// of the phases it reaches.
 ///
 /// # Panics
 ///
@@ -278,24 +413,26 @@ pub fn sketch_connectivity_batches(
     batches: &[PartialBatch],
     n: usize,
 ) -> Components {
-    let rows = sorted_rows(batches);
-    if let Some(&(key, _)) = rows.last() {
-        assert!(split_key(key).0 < family.phases(), "phase out of range");
+    for batch in batches {
+        if let Some(row) = batch.rows.last() {
+            assert!(split_key(row.key).0 < family.phases(), "phase out of range");
+        }
     }
-    let rows = rows.as_slice();
-    let rows_of = move |phase| {
-        let from = rows.partition_point(|&(key, _)| key < partial_key(phase, 0));
-        let to = rows.partition_point(|&(key, _)| key < partial_key(phase + 1, 0));
-        rows[from..to]
-            .iter()
-            .map(|&(key, cells)| (split_key(key).1, cells))
+    let mut cursors: Vec<_> = batches.iter().map(|b| b.iter().peekable()).collect();
+    let rows_of = |phase, rows: &mut Vec<_>| {
+        let end = partial_key(phase + 1, 0);
+        for cursor in &mut cursors {
+            while let Some(row) = cursor.next_if(|row| row.key < end) {
+                rows.push((split_key(row.key).1, row));
+            }
+        }
     };
     boruvka(
         family,
         n,
         family.phases(),
         rows_of,
-        VertexSketch::merge_cells,
+        |sum, row: PartialRow| sum.merge_cells(row.cells()),
     )
 }
 
@@ -366,6 +503,35 @@ mod tests {
         check_graph(&f, 7);
         let empty = mpc_graph::Graph::empty(10);
         check_graph(&empty, 1);
+    }
+
+    /// The benchmark's sender round: `gnm(1536, 9216)` round-robin over 73
+    /// senders, every phase of a 24-phase family. The batches cost the
+    /// per-cell formula in words, and hold at most 6 host bytes per wire
+    /// word (one `(u32, OneSparse)` per cell held about 10.6).
+    #[test]
+    fn sender_batches_hold_at_most_six_bytes_per_word() {
+        const SENDERS: usize = 73;
+        let fam = SketchFamily::new(1536, 24, 7);
+        let g = generators::gnm(1536, 9216, 7);
+        let (mut words, mut per_cell_words, mut bytes) = (0, 0, 0);
+        for s in 0..SENDERS {
+            let local: Vec<_> = (g.edges().iter().skip(s).step_by(SENDERS))
+                .map(|e| (e.u, e.v))
+                .collect();
+            for batch in fam.partial_batches(&local, SENDERS) {
+                words += batch.words();
+                per_cell_words += (batch.iter())
+                    .map(|row| 1 + 4 * row.cells().count())
+                    .sum::<usize>();
+                bytes += batch.rows.capacity() * size_of::<RowHead>()
+                    + batch.idx.capacity()
+                    + batch.values.capacity() * size_of::<OneSparse>();
+            }
+        }
+        assert_eq!(words, per_cell_words);
+        let per_word = bytes as f64 / words as f64;
+        assert!(per_word <= 6.0, "{per_word:.2} host bytes per wire word");
     }
 
     #[test]

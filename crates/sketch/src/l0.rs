@@ -28,7 +28,7 @@ const _: () = assert!(MAX_LEVELS * BUCKETS <= 256);
 const LANES: usize = 8;
 
 /// A nonzero cell of a sparse sketch: `(cell index, cell)`.
-pub type SparseCell = (u32, OneSparse);
+pub type SparseCell = (u8, OneSparse);
 
 const _: () = assert!(size_of::<OneSparse>() == 32 && size_of::<SparseCell>() == 40);
 
@@ -53,9 +53,7 @@ impl L0Sampler {
 
     /// Adds a prepared edge to the sketch of its endpoint `endpoint`.
     pub fn apply(&mut self, update: &EdgeUpdate, endpoint: VertexId) {
-        for (idx, cell) in update.sparse_cells(endpoint) {
-            self.cells[idx as usize].merge(&cell);
-        }
+        self.merge_cells(update.sparse_cells(endpoint));
     }
 
     /// Merges a sketch from the same family.
@@ -69,9 +67,9 @@ impl L0Sampler {
     }
 
     /// Adds sparse cells of a sketch from the same family.
-    pub fn merge_cells(&mut self, cells: &[SparseCell]) {
+    pub fn merge_cells(&mut self, cells: impl IntoIterator<Item = SparseCell>) {
         for (idx, cell) in cells {
-            self.cells[*idx as usize].merge(cell);
+            self.cells[usize::from(idx)].merge(&cell);
         }
     }
 
@@ -141,19 +139,31 @@ impl EdgeUpdate {
         levels: 0,
     };
 
-    /// This edge alone as a sparse sketch of `endpoint`: its cells, strictly
-    /// ascending by index. The lower endpoint adds the slot (`+z^slot`), the
-    /// higher one removes it, so the two contributions cancel when their
-    /// sketches merge.
-    pub(crate) fn sparse_cells(&self, endpoint: VertexId) -> impl Iterator<Item = SparseCell> + '_ {
+    /// The cell index hit at each level the edge reaches, strictly
+    /// ascending.
+    pub(crate) fn hits(&self) -> &[u8] {
+        &self.cells[..self.levels as usize]
+    }
+
+    /// The value this edge adds to every cell it hits in `endpoint`'s
+    /// sketch. The lower endpoint adds the slot (`+z^slot`), the higher one
+    /// removes it, so the two contributions cancel when their sketches
+    /// merge.
+    pub(crate) fn value(&self, endpoint: VertexId) -> OneSparse {
         let mut cell = OneSparse::new();
         if endpoint < self.hi {
             cell.update_term(self.slot, 1, self.term);
         } else {
             cell.update_term(self.slot, -1, field::sub(0, self.term));
         }
-        let hit = &self.cells[..self.levels as usize];
-        hit.iter().map(move |&idx| (u32::from(idx), cell))
+        cell
+    }
+
+    /// This edge alone as a sparse sketch of `endpoint`: its cells, strictly
+    /// ascending by index, all holding [`value`](Self::value).
+    pub(crate) fn sparse_cells(&self, endpoint: VertexId) -> impl Iterator<Item = SparseCell> + '_ {
+        let value = self.value(endpoint);
+        self.hits().iter().map(move |&idx| (idx, value))
     }
 }
 
@@ -474,8 +484,8 @@ mod tests {
             sparse_u.apply(&update, u);
             sparse_v.apply(&update, v);
             let (mut dense_u, mut dense_v) = (fam.empty(phase), fam.empty(phase));
-            dense_u.merge_cells(sparse_u.cells());
-            dense_v.merge_cells(sparse_v.cells());
+            dense_u.merge_cells(sparse_u.cells().iter().copied());
+            dense_v.merge_cells(sparse_v.cells().iter().copied());
             assert_eq!((&dense_u, &dense_v), (&want_u, &want_v));
         }
 
@@ -572,9 +582,9 @@ mod tests {
 /// them sparsely keeps the per-machine footprint proportional to the local
 /// edge count (times `O(log n)`) instead of the dense sketch size. Linear:
 /// merging sparse sketches adds cells pointwise. Decoding happens on dense
-/// sums ([`L0Sampler::merge_cells`]). This is the one-key form the
-/// call-style primitives aggregate; the engine ships many keys at once as a
-/// [`PartialBatch`](crate::PartialBatch).
+/// sums ([`L0Sampler::merge_cells`]). This is the one-key form, kept as the
+/// reference the tests hold the batched kernels to; the engine ships many
+/// keys at once as a [`PartialBatch`](crate::PartialBatch).
 ///
 /// Cells live in one contiguous vector sorted by cell index (canonical: no
 /// zero cells), so equal sums are equal values whatever order the updates
@@ -587,10 +597,10 @@ pub struct SparseSketch {
 
 impl SparseSketch {
     /// The sketch holding `cells`: strictly ascending by index, nonzero
-    /// (one key of a [`PartialBatch`](crate::PartialBatch)).
-    pub fn from_sorted_cells(cells: &[SparseCell]) -> Self {
+    /// (one row of a [`PartialBatch`](crate::PartialBatch)).
+    pub fn from_sorted_cells(cells: impl IntoIterator<Item = SparseCell>) -> Self {
+        let cells: Vec<_> = cells.into_iter().collect();
         debug_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0));
-        let cells = cells.to_vec();
         SparseSketch { cells }
     }
 
@@ -637,7 +647,7 @@ mod sparse_tests {
 
     fn dense_of(fam: &SketchFamily, sparse: &SparseSketch) -> L0Sampler {
         let mut dense = fam.empty(0);
-        dense.merge_cells(sparse.cells());
+        dense.merge_cells(sparse.cells().iter().copied());
         dense
     }
 

@@ -45,6 +45,7 @@ pub mod onesparse;
 
 pub use connectivity::{
     merge_batches, partial_key, sketch_connectivity, sketch_connectivity_batches, PartialBatch,
+    PartialRow,
 };
 pub use l0::{EdgeUpdate, L0Sampler, SketchFamily, SparseCell, SparseSketch, VertexSketch};
 pub use onesparse::{OneSparse, OneSparseDecode};

@@ -45,8 +45,19 @@ fn old_merge_partials<'a>(
 fn keyed(batch: &PartialBatch) -> BTreeMap<u64, SparseSketch> {
     batch
         .iter()
-        .map(|(key, cells)| (key, SparseSketch::from_sorted_cells(cells)))
+        .map(|row| (row.key, SparseSketch::from_sorted_cells(row.cells())))
         .collect()
+}
+
+/// `batch` rebuilt row by row from its cells, one value per cell: equal to
+/// `batch` iff its layout is the canonical one (a row whose cells are all
+/// equal holds its value once).
+fn repushed(batch: &PartialBatch) -> PartialBatch {
+    let mut out = PartialBatch::default();
+    for row in batch.iter() {
+        out.push(row.key, row.cells());
+    }
+    out
 }
 
 /// What the per-key messages of `partials` cost on the wire.
@@ -114,7 +125,7 @@ proptest! {
             sparse.apply(&fam.prepare(0, u, v), u);
         }
         let mut densified = fam.empty(0);
-        densified.merge_cells(sparse.cells());
+        densified.merge_cells(sparse.cells().iter().copied());
         prop_assert_eq!(densified, dense);
     }
 
@@ -140,9 +151,9 @@ proptest! {
     /// Batched sender and owner kernels == the per-key path they replaced,
     /// key for key and cell for cell, on multigraphs with parallel edges,
     /// reversed duplicates and self-loops, however the edges are split over
-    /// senders and the keys over owners; and a batch costs exactly the
-    /// words of the per-key messages it stands for, per (sender, owner)
-    /// and per owner.
+    /// senders and the keys over owners; a batch costs exactly the words
+    /// of the per-key messages it stands for, per (sender, owner) and per
+    /// owner; and both kernels write the canonical layout.
     #[test]
     fn batches_match_the_per_key_path(
         edges in proptest::collection::vec((0u32..24, 0u32..24), 0..60),
@@ -170,20 +181,22 @@ proptest! {
                 prop_assert_eq!(new[o].is_empty(), want.is_empty());
                 prop_assert_eq!(new[o].words(), old_words(want));
                 prop_assert_eq!(&keyed(&new[o]), want);
+                prop_assert_eq!(&repushed(&new[o]), &new[o]);
             }
             let inbox: Vec<PartialBatch> = sent.iter().map(|b| b[o].clone()).collect();
             let merged = merge_batches(&inbox);
             let want = old_merge_partials(old_inbox.iter().flatten());
-            let keys: Vec<u64> = merged.iter().map(|(key, _)| key).collect();
+            let keys: Vec<u64> = merged.iter().map(|row| row.key).collect();
             prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "one partial per key, ascending");
             prop_assert_eq!(merged.words(), old_words(&want));
             prop_assert_eq!(keyed(&merged), want);
+            prop_assert_eq!(&repushed(&merged), &merged);
         }
     }
 
-    /// One edge at a time (every endpoint on the one-edge path) and all
-    /// edges at once (shared endpoints go through the accumulator) merge
-    /// to the same batch.
+    /// One edge at a time (every endpoint a one-value row) and all edges at
+    /// once (shared endpoints go through the accumulator) merge to the same
+    /// batch, and a lone edge's rows are its cells.
     #[test]
     fn one_edge_path_agrees_with_the_accumulator(
         edges in proptest::collection::vec((0u32..12, 0u32..12), 1..30),
@@ -194,14 +207,19 @@ proptest! {
             edges.iter().flat_map(|&e| fam.partial_batches(&[e], 1)).collect();
         let at_once = fam.partial_batches(&edges, 1);
         prop_assert_eq!(merge_batches(&singly), merge_batches(&at_once));
+        for (&e, batch) in edges.iter().zip(&singly) {
+            prop_assert_eq!(keyed(batch), old_partial_sketches(&fam, &[e]));
+        }
     }
 
     /// Cells that cancel at the owner leave their key behind with no
     /// cells — the one-word message the per-key path sent — and cells
-    /// that cancel only in part leave the rest.
+    /// that cancel only in part leave the rest, whether a side's rows
+    /// hold one value per cell or one for all.
     #[test]
     fn cancelled_keys_keep_their_word(
-        picks in proptest::collection::vec((0u64..6, 0u32..9, 1u64..50, any::<bool>()), 1..40),
+        picks in proptest::collection::vec((0u64..6, 0u8..9, 1u64..50, any::<bool>()), 1..40),
+        same_slots in any::<bool>(),
     ) {
         let cell = |slot: u64, sign: i64| {
             let mut c = OneSparse::new();
@@ -209,17 +227,22 @@ proptest! {
             c
         };
         // Per key, per cell index: the slots added; `mirror` removes the
-        // slots flagged for it.
-        let mut plus: BTreeMap<u64, BTreeMap<u32, Vec<u64>>> = BTreeMap::new();
+        // slots flagged for it. With `same_slots` every cell of a key gets
+        // the key's first slot, so its rows are one-value rows.
+        let mut plus: BTreeMap<u64, BTreeMap<u8, Vec<u64>>> = BTreeMap::new();
         let mut minus = plus.clone();
+        let first_slot: BTreeMap<u64, u64> = picks.iter().rev().map(|p| (p.0, p.2)).collect();
         for &(key, idx, slot, cancel) in &picks {
+            let slot = if same_slots { first_slot[&key] } else { slot };
             plus.entry(key).or_default().entry(idx).or_default().push(slot);
             if cancel {
                 minus.entry(key).or_default().entry(idx).or_default().push(slot);
             }
         }
-        let batch_of = |side: &BTreeMap<u64, BTreeMap<u32, Vec<u64>>>, sign: i64| {
-            let mut batch = PartialBatch::default();
+        // Each key's row pushed as it is, or as one value where it can be;
+        // both are the same batch.
+        let batch_of = |side: &BTreeMap<u64, BTreeMap<u8, Vec<u64>>>, sign: i64| {
+            let (mut batch, mut compact) = (PartialBatch::default(), PartialBatch::default());
             for (&key, by_idx) in side {
                 let cells: Vec<SparseCell> = by_idx
                     .iter()
@@ -229,8 +252,16 @@ proptest! {
                         (idx, sum)
                     })
                     .collect();
-                batch.push(key, cells);
+                batch.push(key, cells.iter().copied());
+                match cells.as_slice() {
+                    [(_, first), ..] if cells.iter().all(|c| c.1 == *first) => {
+                        let idx: Vec<u8> = cells.iter().map(|c| c.0).collect();
+                        compact.push_one_value(key, &idx, *first);
+                    }
+                    _ => compact.push(key, cells),
+                }
             }
+            assert_eq!(batch, compact);
             batch
         };
         let (sender, mirror) = (batch_of(&plus, 1), batch_of(&minus, -1));
@@ -282,10 +313,10 @@ proptest! {
             .map(|o| merge_batches(&sent.iter().map(|b| b[o].clone()).collect::<Vec<_>>()))
             .collect();
         // A merged partial is the vertex's whole-graph sketch.
-        for (key, cells) in arrived.iter().flat_map(PartialBatch::iter) {
-            let (phase, v) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
+        for row in arrived.iter().flat_map(PartialBatch::iter) {
+            let (phase, v) = ((row.key >> 32) as usize, (row.key & 0xFFFF_FFFF) as usize);
             let mut dense = fam.empty(phase);
-            dense.merge_cells(cells);
+            dense.merge_cells(row.cells());
             prop_assert_eq!(&dense, &dense_rows[phase][v]);
         }
         // Arrival order at the large machine is not owner order.
