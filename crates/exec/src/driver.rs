@@ -601,15 +601,15 @@ impl Executor {
                 Slots::Owned(_) => None,
                 Slots::Shared { mark_active, .. } => Some(*mark_active),
             };
-            let mut stepping_count = 0usize;
+            let mut any_stepping = false;
             slots.for_each(|mid, s| {
                 let on = s.activate();
-                stepping_count += on as usize;
+                any_stepping |= on;
                 if let Some(publish) = publish {
                     publish(mid, on);
                 }
             });
-            if stepping_count == 0 {
+            if !any_stepping {
                 break;
             }
             if round >= self.max_rounds {
@@ -628,13 +628,6 @@ impl Executor {
                         return DriveEnd::Failed(e);
                     }
                 }
-            }
-            if let Some(sink) = &ctx.sink {
-                sink.record(&TraceEvent::StepSchedule {
-                    round,
-                    stepping: stepping_count,
-                    machines: k,
-                });
             }
 
             // Fold every outcome in machine order — deterministic whichever

@@ -308,7 +308,8 @@ impl Job {
     /// Steps every awake lane in instance order, appending their outboxes
     /// to `out`. A lane that asks for it retires every later lane before
     /// they step. A multi-instance job reports each round a lane of it
-    /// steps as a [`TraceEvent::MuxRound`].
+    /// steps as a [`TraceEvent::MuxRound`]. Lanes see the job's own clock;
+    /// the events carry the driver round.
     fn step(
         &mut self,
         ctx: &MachineCtx<'_>,
@@ -341,7 +342,7 @@ impl Job {
                     if !lane.retired {
                         (lane.retired, lane.halted) = (true, true);
                         ctx.trace(|| TraceEvent::InstanceRetired {
-                            round,
+                            round: ctx.round,
                             machine: ctx.mid,
                             instance: later as u32,
                         });
@@ -351,7 +352,7 @@ impl Job {
         }
         if self.instances.len() > 1 && live > 0 {
             ctx.trace(|| TraceEvent::MuxRound {
-                round,
+                round: ctx.round,
                 machine: ctx.mid,
                 live,
                 retired: self.instances.iter().filter(|l| l.retired).count(),

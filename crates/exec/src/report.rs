@@ -109,7 +109,7 @@ impl RecoveryBreakdown {
 pub struct RunReport {
     /// The workload name (registry name, or the executor label).
     pub name: String,
-    /// Exchange rounds the run consumed (count of `RoundEnd` events).
+    /// Exchange rounds the run consumed (count of `Round` frames).
     pub rounds: u64,
     /// Per-machine load attribution, indexed by machine id.
     pub machines: Vec<MachineLoad>,
@@ -132,9 +132,10 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Folds a recorded event stream into a report. `cost` supplies the
+    /// Folds a recorded event stream into a report, one event at a time:
+    /// each `Round` frame carries its whole round. `cost` supplies the
     /// wire/compute split of the critical path (per-machine bandwidths and
-    /// speeds); events referencing machines outside the model are ignored.
+    /// speeds); frame columns past the model's machines are ignored.
     pub fn from_events(name: &str, events: Vec<TraceEvent>, cost: &CostModel) -> Self {
         let k = cost.machines();
         let mut machines: Vec<MachineLoad> = (0..k)
@@ -153,15 +154,12 @@ impl RunReport {
         let mut violations = 0usize;
         let mut pool: Option<PoolStats> = None;
         let mut recovery = RecoveryBreakdown::default();
-        // Per-round bottleneck tracking: reset at RoundBegin, resolved at
-        // RoundEnd (MachineRound events for one round sit between the two).
-        let mut bottleneck: Option<(MachineId, f64, usize, u64)> = None; // (mid, secs, sent+recv, work)
 
         for event in &events {
             match event {
-                TraceEvent::RoundBegin { .. } => bottleneck = None,
-                TraceEvent::MachineRound {
-                    machine,
+                TraceEvent::Round {
+                    label,
+                    makespan,
                     sent_words,
                     recv_words,
                     work,
@@ -169,25 +167,8 @@ impl RunReport {
                     capacity,
                     ..
                 } => {
-                    let Some(load) = machines.get_mut(*machine) else {
-                        continue;
-                    };
-                    load.sent_words += *sent_words as u64;
-                    load.recv_words += *recv_words as u64;
-                    load.work += *work;
-                    load.seconds += *seconds;
-                    let headroom = *capacity as i64 - *sent_words.max(recv_words) as i64;
-                    load.min_headroom = load.min_headroom.min(headroom);
-                    // Strictly-greater keeps ties on the lowest machine id,
-                    // matching the cost model's fold-max bottleneck.
-                    if bottleneck.is_none_or(|(_, best, _, _)| *seconds > best) {
-                        bottleneck = Some((*machine, *seconds, sent_words + recv_words, *work));
-                    }
-                }
-                TraceEvent::RoundEnd {
-                    makespan, label, ..
-                } => {
                     rounds += 1;
+                    let label = label.to_string();
                     if label.contains(".ckpt.") {
                         recovery.checkpoint_rounds += 1;
                         recovery.checkpoint_makespan += makespan;
@@ -196,12 +177,27 @@ impl RunReport {
                     }
                     critical_path.total_seconds += makespan;
                     critical_path.latency_seconds += cost.round_latency();
-                    if let Some((mid, _, traffic, work)) = bottleneck.take() {
-                        critical_path.wire_seconds += traffic as f64 / cost.bandwidth(mid);
-                        critical_path.cpu_seconds += work as f64 / cost.speed(mid);
-                        if let Some(load) = machines.get_mut(mid) {
-                            load.bottleneck_rounds += 1;
+                    // The barrier waits on the slowest machine; the first
+                    // maximum keeps ties on the lowest machine id, matching
+                    // the cost model's fold-max bottleneck.
+                    let mut bottleneck: Option<MachineId> = None;
+                    for (mid, load) in machines.iter_mut().enumerate().take(sent_words.len()) {
+                        let (sent, recv) = (sent_words[mid], recv_words[mid]);
+                        load.sent_words += sent as u64;
+                        load.recv_words += recv as u64;
+                        load.work += work[mid];
+                        load.seconds += seconds[mid];
+                        let headroom = capacity[mid] as i64 - sent.max(recv) as i64;
+                        load.min_headroom = load.min_headroom.min(headroom);
+                        if bottleneck.is_none_or(|best| seconds[mid] > seconds[best]) {
+                            bottleneck = Some(mid);
                         }
+                    }
+                    if let Some(mid) = bottleneck {
+                        let traffic = sent_words[mid] + recv_words[mid];
+                        critical_path.wire_seconds += traffic as f64 / cost.bandwidth(mid);
+                        critical_path.cpu_seconds += work[mid] as f64 / cost.speed(mid);
+                        machines[mid].bottleneck_rounds += 1;
                     }
                 }
                 TraceEvent::Violation { .. } => violations += 1,
@@ -384,32 +380,20 @@ mod tests {
 
     fn round_events(round: u64, traffic: [usize; 3]) -> Vec<TraceEvent> {
         let cost = cost();
-        let mut events = vec![TraceEvent::RoundBegin {
+        let seconds: Vec<f64> = (traffic.iter().enumerate())
+            .map(|(machine, &sent)| cost.machine_round_seconds(machine, sent, 0, 0))
+            .collect();
+        vec![TraceEvent::Round {
             round,
-            label: format!("t.r{round:03}"),
-        }];
-        let mut worst = 0.0f64;
-        for (machine, &sent) in traffic.iter().enumerate() {
-            let seconds = cost.machine_round_seconds(machine, sent, 0, 0);
-            worst = worst.max(seconds);
-            events.push(TraceEvent::MachineRound {
-                round,
-                machine,
-                sent_words: sent,
-                recv_words: 0,
-                work: 0,
-                seconds,
-                capacity: 100,
-            });
-        }
-        events.push(TraceEvent::RoundEnd {
-            round,
-            label: format!("t.r{round:03}"),
-            total_words: traffic.iter().sum(),
+            label: format!("t.r{round:03}").into(),
             messages: 3,
-            makespan: cost.round_latency() + worst,
-        });
-        events
+            makespan: cost.round_latency() + seconds.iter().copied().fold(0.0, f64::max),
+            sent_words: traffic.to_vec(),
+            recv_words: vec![0; 3],
+            work: vec![0; 3],
+            seconds,
+            capacity: vec![100; 3],
+        }]
     }
 
     #[test]
@@ -438,6 +422,10 @@ mod tests {
         assert_eq!(ranked[1].machine, 1);
         assert!(report.imbalance > 1.0);
         assert_eq!(report.machines[0].min_headroom, 100 - 20);
+        // A tie goes to the lowest machine id: all three take 4s here.
+        let tie = RunReport::from_events("tie", round_events(1, [4, 1, 4]), &cost());
+        let counts: Vec<u64> = tie.machines.iter().map(|m| m.bottleneck_rounds).collect();
+        assert_eq!(counts, [1, 0, 0]);
         let text = report.render();
         assert!(text.contains("critical path"));
         assert!(text.contains("imbalance"));

@@ -6,11 +6,13 @@
 //! * the event stream reconciles **exactly** with the cluster's round
 //!   log — same totals, same makespans, nothing invented or dropped;
 //! * the Perfetto exporter emits valid JSON for the hardest case: a
-//!   batched multiplex run under the pool with a retired instance.
+//!   batched multiplex run under the pool with a retired instance;
+//! * wave events carry the driver round, so a job admitted late in a
+//!   service drain reports its rounds inside its own admission window.
 
 use mpc_core::common;
 use mpc_core::ported::connectivity::sketch_friendly_config;
-use mpc_exec::{registry, AlgoInput, ConnectivityProgram, ExecMode, Executor};
+use mpc_exec::{registry, AlgoInput, ConnectivityProgram, ExecMode, Executor, JobSpec, Service};
 use mpc_graph::generators;
 use mpc_runtime::telemetry::{parse_json, perfetto_export};
 use mpc_runtime::{Cluster, ClusterConfig, Enforcement, RingSink, Topology, TraceEvent};
@@ -27,8 +29,9 @@ fn rng_positions(cluster: &mut Cluster) -> Vec<u64> {
 
 /// Serial vs pool at worker counts {1, 3, 16}, all with a live recording
 /// sink: results, round logs, and RNG stream positions must match, and
-/// every schedule must record the same machine-level event stream (worker
-/// events differ by schedule, so they are compared after filtering).
+/// every schedule must record the same round frames, one per round, and
+/// the same other machine-level events (worker events differ by schedule,
+/// so they are compared after filtering).
 #[test]
 fn recording_sink_keeps_serial_and_pool_bit_identical() {
     let seed = 42;
@@ -61,10 +64,10 @@ fn recording_sink_keeps_serial_and_pool_bit_identical() {
         )
     };
     let reference = run(ExecMode::Serial, 1);
-    assert!(
-        !reference.3.is_empty(),
-        "serial run recorded no machine events"
-    );
+    let frames = (reference.3.iter())
+        .filter(|e| matches!(e, TraceEvent::Round { .. }))
+        .count();
+    assert_eq!(frames, reference.1.len(), "one frame per round");
     for threads in [1usize, 3, 16] {
         let got = run(ExecMode::Parallel, threads);
         assert_eq!(
@@ -88,9 +91,10 @@ fn recording_sink_keeps_serial_and_pool_bit_identical() {
 
 // ----------------------------------- events reconcile with the log --
 
-/// Every `RoundEnd` must restate its `RoundRecord` exactly, and the
-/// `MachineRound` events between a begin/end pair must sum to the
-/// record's totals — the trace is the log, just wider.
+/// One `Round` frame per `RoundRecord`, in log order, restating it
+/// exactly: same label, message count and makespan, and columns that
+/// sum (sent, work) and peak (sent, received) to the record's totals —
+/// the trace is the log, just wider.
 #[test]
 fn ring_events_reconcile_exactly_with_round_records() {
     let seed = 7;
@@ -104,63 +108,48 @@ fn ring_events_reconcile_exactly_with_round_records() {
 
     let events = ring.take();
     let log = cluster.round_log();
-    let begins = events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::RoundBegin { .. }))
-        .count();
-    assert_eq!(begins as u64, cluster.rounds(), "one RoundBegin per round");
-
-    // Walk the stream: accumulate MachineRound totals until the RoundEnd,
-    // then reconcile against the next record in log order.
-    let mut record_idx = 0usize;
-    let (mut sent_sum, mut work_sum, mut max_sent, mut max_recv) = (0usize, 0u64, 0usize, 0usize);
-    for event in &events {
-        match event {
-            TraceEvent::RoundBegin { label, .. } => {
-                assert_eq!(
-                    label.as_str(),
-                    log[record_idx].label.to_string(),
-                    "round {record_idx}: label mismatch"
-                );
-                (sent_sum, work_sum, max_sent, max_recv) = (0, 0, 0, 0);
-            }
-            TraceEvent::MachineRound {
-                sent_words,
-                recv_words,
-                work,
-                ..
-            } => {
-                sent_sum += sent_words;
-                work_sum += work;
-                max_sent = max_sent.max(*sent_words);
-                max_recv = max_recv.max(*recv_words);
-            }
-            TraceEvent::RoundEnd {
-                total_words,
-                messages,
-                makespan,
-                ..
-            } => {
-                let record = &log[record_idx];
-                assert_eq!(*total_words, record.total_words, "round {record_idx}");
-                assert_eq!(*messages, record.messages, "round {record_idx}");
-                assert_eq!(*makespan, record.makespan, "round {record_idx}");
-                assert_eq!(
-                    sent_sum, record.total_words,
-                    "round {record_idx}: machine sent sums != record total"
-                );
-                assert_eq!(
-                    work_sum, record.total_work,
-                    "round {record_idx}: machine work sums != record total"
-                );
-                assert_eq!(max_sent, record.max_sent, "round {record_idx}");
-                assert_eq!(max_recv, record.max_recv, "round {record_idx}");
-                record_idx += 1;
-            }
-            _ => {}
+    let frames: Vec<&TraceEvent> = (events.iter())
+        .filter(|e| matches!(e, TraceEvent::Round { .. }))
+        .collect();
+    assert_eq!(frames.len() as u64, cluster.rounds(), "one frame per round");
+    assert_eq!(frames.len(), log.len());
+    let k = cluster.machines();
+    for (i, (frame, record)) in frames.into_iter().zip(log).enumerate() {
+        let TraceEvent::Round {
+            round,
+            label,
+            messages,
+            makespan,
+            sent_words,
+            recv_words,
+            work,
+            seconds,
+            capacity,
+        } = frame
+        else {
+            unreachable!()
+        };
+        assert_eq!(*round, i as u64 + 1);
+        assert_eq!(label, &record.label, "round {i}: label mismatch");
+        assert_eq!(*messages, record.messages, "round {i}");
+        assert_eq!(*makespan, record.makespan, "round {i}");
+        for column in [sent_words, recv_words, capacity] {
+            assert_eq!(column.len(), k, "round {i}: one entry per machine");
         }
+        assert_eq!((work.len(), seconds.len()), (k, k), "round {i}");
+        assert_eq!(
+            sent_words.iter().sum::<usize>(),
+            record.total_words,
+            "round {i}: sent column sum != record total"
+        );
+        assert_eq!(
+            work.iter().sum::<u64>(),
+            record.total_work,
+            "round {i}: work column sum != record total"
+        );
+        assert_eq!(sent_words.iter().max(), Some(&record.max_sent), "round {i}");
+        assert_eq!(recv_words.iter().max(), Some(&record.max_recv), "round {i}");
     }
-    assert_eq!(record_idx, log.len(), "every record was reconciled");
 }
 
 // ------------------------------------------- perfetto round-trip --
@@ -240,4 +229,61 @@ fn perfetto_export_round_trips_a_batched_run_with_retirement() {
         retire_instants, retired,
         "every retirement must appear as an instant"
     );
+}
+
+// ------------------------------------------ wave events in a drain --
+
+/// A multi-instance job queued behind a one-share limit is admitted after
+/// round 0; each of its `MuxRound` events must fall between its
+/// `JobAdmitted` and `JobCompleted` rounds — the driver's clock, not the
+/// job's own.
+#[test]
+fn mux_rounds_of_a_late_job_lie_inside_its_admission_window() {
+    let g = Arc::new(generators::gnm(96, 360, 7).with_random_weights(1 << 10, 7));
+    let config = ClusterConfig::new(g.n(), g.m())
+        .seed(3)
+        .polylog_exponent(2.6);
+    let mut service = Service::new(config.clone()).capacity_shares(1);
+    service
+        .submit(JobSpec::new("mis", Arc::clone(&g)).seed(1))
+        .unwrap();
+    let late = service
+        .submit(JobSpec::new("mincut-approx", Arc::clone(&g)).seed(2))
+        .unwrap();
+    let mut cluster = Cluster::new(config);
+    let ring = Arc::new(RingSink::unbounded());
+    cluster.set_trace_sink(Some(ring.clone()));
+    let run = service.run_on(&mut cluster, ExecMode::Serial).unwrap();
+
+    let record = (run.records.iter()).find(|r| r.job == late.id()).unwrap();
+    assert!(
+        record.shares > 1,
+        "mincut-approx must run several instances"
+    );
+    assert!(record.admitted_round > 0, "the job must wait for a share");
+    let events = ring.take();
+    let admitted = events.iter().find_map(|e| match e {
+        TraceEvent::JobAdmitted { round, job, .. } if *job == late.id() => Some(*round),
+        _ => None,
+    });
+    let completed = events.iter().find_map(|e| match e {
+        TraceEvent::JobCompleted { round, job, .. } if *job == late.id() => Some(*round),
+        _ => None,
+    });
+    let window = admitted.unwrap()..=completed.unwrap();
+    assert_eq!(window, record.admitted_round..=record.completed_round);
+    // `mis` has one instance, so every MuxRound is the late job's.
+    let mux_rounds: Vec<u64> = (events.iter())
+        .filter_map(|e| match e {
+            TraceEvent::MuxRound { round, .. } => Some(*round),
+            _ => None,
+        })
+        .collect();
+    assert!(!mux_rounds.is_empty(), "the late job's lanes must step");
+    for round in mux_rounds {
+        assert!(
+            window.contains(&round),
+            "MuxRound at {round} outside {window:?}"
+        );
+    }
 }

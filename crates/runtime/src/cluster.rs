@@ -226,12 +226,14 @@ impl Cluster {
     /// the previous one, so a scoped consumer (e.g. a report builder) can
     /// restore whatever was installed before it.
     ///
-    /// With a sink attached, every [`exchange`](Cluster::exchange) emits
-    /// [`TraceEvent::RoundBegin`], one [`TraceEvent::MachineRound`] per
-    /// machine, and [`TraceEvent::RoundEnd`]; violations emit
-    /// [`TraceEvent::Violation`] in every [`Enforcement`] mode that
-    /// reports them. With no sink the hot path pays exactly one branch
-    /// per exchange and allocates nothing extra.
+    /// With a sink attached, every [`exchange`](Cluster::exchange) that
+    /// returns `Ok` records one [`TraceEvent::Round`] frame: the round's
+    /// label, message count and makespan, and per-machine columns of sent
+    /// and received words, work, simulated seconds and capacity. Faults
+    /// that fire emit [`TraceEvent::FaultInjected`] before the frame;
+    /// violations emit [`TraceEvent::Violation`] in every
+    /// [`Enforcement`] mode that reports them. With no sink the hot path
+    /// pays exactly one branch per exchange and allocates nothing extra.
     pub fn set_trace_sink(
         &mut self,
         sink: Option<Arc<dyn TraceSink>>,
@@ -480,12 +482,6 @@ impl Cluster {
         // unconditionally so Record-mode memory violations can name the
         // exchange they follow even with no sink attached.
         self.last_label = label.clone();
-        if let Some(sink) = &self.sink.0 {
-            sink.record(&TraceEvent::RoundBegin {
-                round,
-                label: label.to_string(),
-            });
-        }
         self.sent_scratch.fill(0);
         self.recv_scratch.fill(0);
         self.inbox_counts.fill(0);
@@ -573,28 +569,21 @@ impl Cluster {
             makespan += extra_delay;
         }
         if let Some(sink) = &self.sink.0 {
-            for mid in 0..k {
-                let (sent, recv, work) = (
-                    self.sent_scratch[mid],
-                    self.recv_scratch[mid],
-                    self.pending_work[mid],
-                );
-                sink.record(&TraceEvent::MachineRound {
-                    round,
-                    machine: mid,
-                    sent_words: sent,
-                    recv_words: recv,
-                    work,
-                    seconds: self.cost.machine_round_seconds(mid, sent, recv, work),
-                    capacity: self.capacity(mid),
-                });
-            }
-            sink.record(&TraceEvent::RoundEnd {
+            let (sent, recv, work) = (&self.sent_scratch, &self.recv_scratch, &self.pending_work);
+            sink.record(&TraceEvent::Round {
                 round,
-                label: label.to_string(),
-                total_words: self.sent_scratch.iter().sum(),
+                label: label.clone(),
                 messages,
                 makespan,
+                sent_words: sent.clone(),
+                recv_words: recv.clone(),
+                work: work.clone(),
+                seconds: (0..k)
+                    .map(|mid| {
+                        (self.cost).machine_round_seconds(mid, sent[mid], recv[mid], work[mid])
+                    })
+                    .collect(),
+                capacity: (0..k).map(|mid| self.capacity(mid)).collect(),
             });
         }
         self.log.push(RoundRecord {
@@ -935,40 +924,39 @@ mod tests {
         c.exchange("trace.r000", out).unwrap();
 
         let events = ring.events();
-        // RoundBegin + one MachineRound per machine + Violation + RoundEnd.
+        // The Violation, then the round's one frame.
+        assert_eq!(events.len(), 2);
         assert!(matches!(
-            &events[0],
-            TraceEvent::RoundBegin { round: 1, label } if label == "trace.r000"
-        ));
-        let machine_rounds: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::MachineRound {
-                    machine,
-                    sent_words,
-                    work,
-                    capacity,
-                    ..
-                } => Some((*machine, *sent_words, *work, *capacity)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(machine_rounds.len(), 3);
-        assert_eq!(machine_rounds[1], (1, 25, 8, 20));
-        assert!(events.iter().any(|e| matches!(
-            e,
+            events[0],
             TraceEvent::Violation {
                 kind: "send_overflow",
                 round: 1,
                 ..
             }
-        )));
+        ));
         let rec = &c.round_log()[0];
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::RoundEnd { round: 1, total_words, makespan, .. }
-                if *total_words == rec.total_words && *makespan == rec.makespan
-        )));
+        let TraceEvent::Round {
+            round,
+            label,
+            messages,
+            makespan,
+            sent_words,
+            recv_words,
+            work,
+            seconds,
+            capacity,
+        } = &events[1]
+        else {
+            panic!("expected a round frame, got {:?}", events[1]);
+        };
+        assert_eq!((*round, label.to_string()), (1, "trace.r000".to_string()));
+        assert_eq!((*messages, *makespan), (rec.messages, rec.makespan));
+        assert_eq!(sent_words, &[0, 25, 0]);
+        assert_eq!(recv_words, &[25, 0, 0]);
+        assert_eq!(work, &[0, 8, 0]);
+        assert_eq!(capacity, &[100, 20, 20]);
+        assert_eq!(seconds.len(), 3);
+        assert_eq!(sent_words.iter().sum::<usize>(), rec.total_words);
 
         // Detaching returns the sink and stops emission.
         let prev = c.set_trace_sink(None);

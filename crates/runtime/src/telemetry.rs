@@ -2,10 +2,13 @@
 //!
 //! The round-counting model answers "how many rounds"; this module answers
 //! **where the time went** — per machine, per round, per pool worker. The
-//! [`Cluster`](crate::Cluster) emits [`TraceEvent`]s from its exchange path
-//! behind a single `Option` check (see `Cluster::set_trace_sink`), the
-//! execution engine adds scheduling and worker events, and sinks turn the
-//! stream into something a human or a tool can read:
+//! [`Cluster`](crate::Cluster) records one [`TraceEvent::Round`] frame per
+//! exchange behind a single `Option` check (see `Cluster::set_trace_sink`):
+//! the round's totals plus one column per per-machine quantity (sent,
+//! received, work, simulated seconds, capacity), so every consumer reads a
+//! round from one event, with no ordering state. The execution engine adds
+//! worker, wave and job events, and sinks turn the stream into something a
+//! human or a tool can read:
 //!
 //! * [`RingSink`] — an in-memory ring buffer (tests, report building);
 //! * [`JsonlSink`] — one JSON object per line, appended to a writer (the
@@ -17,7 +20,8 @@
 //!
 //! **Overhead guarantee:** with no sink attached the hot path pays exactly
 //! one branch per exchange and allocates nothing — every event struct,
-//! string, and lock in this module is only touched when a sink is present.
+//! column, string, and lock in this module is only touched when a sink is
+//! present.
 //! Sinks must be `Send + Sync` (pool workers may record concurrently) and
 //! do their own locking internally.
 //!
@@ -27,62 +31,51 @@
 //! nanoseconds. The Perfetto exporter lays them out as two separate
 //! process groups so neither timeline lies about the other.
 
+use crate::label::RoundLabel;
 use crate::payload::MachineId;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Mutex;
 
 /// One telemetry event. Variants cover the three layers of the stack:
-/// cluster rounds (`RoundBegin`/`MachineRound`/`RoundEnd`/`Violation`),
-/// the driver's stepping schedule (`StepSchedule`), the pool's workers
-/// (`WorkerRound`), and the multi-program scheduler's instance lifecycle
-/// (`MuxRound`/`InstanceRetired`).
+/// cluster rounds (`Round`/`Violation`), the pool's workers
+/// (`WorkerRound`), and the wave scheduler's instance lifecycle
+/// (`MuxRound`/`InstanceRetired`), plus the service's job events and the
+/// fault events.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
-    /// An exchange round opened (emitted before per-machine attribution).
-    RoundBegin {
+    /// One exchange round, stated once: its totals, and one column entry
+    /// per machine (entry `i` is machine `i`; every column has the
+    /// cluster's machine count). Recorded by every exchange that returns
+    /// `Ok`; a failed exchange records none. Σ `sent_words` is the round's
+    /// total words.
+    Round {
         /// Cluster round index (1-based, the value [`Cluster::rounds`]
         /// reports after the exchange).
         ///
         /// [`Cluster::rounds`]: crate::Cluster::rounds
         round: u64,
-        /// Rendered exchange label.
-        label: String,
-    },
-    /// Per-machine attribution for one round: traffic, charged work, the
-    /// cost-model duration, and the capacity the traffic was checked
-    /// against (headroom = `capacity - max(sent, recv)`).
-    MachineRound {
-        /// Cluster round index.
-        round: u64,
-        /// The machine.
-        machine: MachineId,
-        /// Words this machine sent this round.
-        sent_words: usize,
-        /// Words addressed to this machine this round.
-        recv_words: usize,
-        /// Local-computation words charged since the previous round.
-        work: u64,
-        /// Simulated seconds this machine spent (wire + compute, before
-        /// the barrier wait).
-        seconds: f64,
-        /// Capacity in effect for this round's checks (scaled by the
-        /// combined-round factor during multiplexed runs).
-        capacity: usize,
-    },
-    /// An exchange round closed with its aggregate accounting.
-    RoundEnd {
-        /// Cluster round index.
-        round: u64,
-        /// Rendered exchange label.
-        label: String,
-        /// Total words moved.
-        total_words: usize,
+        /// The exchange label (interned; consumers render it).
+        label: RoundLabel,
         /// Message count.
         messages: usize,
         /// Simulated round duration (the barrier waits for the slowest
         /// machine).
         makespan: f64,
+        /// Words each machine sent.
+        sent_words: Vec<usize>,
+        /// Words addressed to each machine.
+        recv_words: Vec<usize>,
+        /// Local-computation words charged to each machine since the
+        /// previous round.
+        work: Vec<u64>,
+        /// Simulated seconds each machine spent (wire + compute, before
+        /// the barrier wait).
+        seconds: Vec<f64>,
+        /// Capacity each machine's traffic was checked against (scaled by
+        /// the combined-round factor during multiplexed runs; headroom =
+        /// `capacity - max(sent, recv)`).
+        capacity: Vec<usize>,
     },
     /// A capacity-model violation was observed (any [`Enforcement`] mode
     /// that reports it — `Strict` before the error returns, `Record` when
@@ -100,16 +93,6 @@ pub enum TraceEvent {
         kind: &'static str,
         /// Human-readable description.
         message: String,
-    },
-    /// The driver's per-round stepping schedule: how many machines step
-    /// this round vs. sit idle (halted with an empty inbox).
-    StepSchedule {
-        /// Driver round index (0-based program clock).
-        round: u64,
-        /// Machines stepped this round.
-        stepping: usize,
-        /// Total machines.
-        machines: usize,
     },
     /// One pool worker's accounting for one round: what it claimed, what
     /// it actually stepped, how long it waited at the round barrier, and
@@ -244,11 +227,8 @@ impl TraceEvent {
     /// The event's type tag — the `"type"` field of its JSONL encoding.
     pub fn kind(&self) -> &'static str {
         match self {
-            TraceEvent::RoundBegin { .. } => "round_begin",
-            TraceEvent::MachineRound { .. } => "machine_round",
-            TraceEvent::RoundEnd { .. } => "round_end",
+            TraceEvent::Round { .. } => "round",
             TraceEvent::Violation { .. } => "violation",
-            TraceEvent::StepSchedule { .. } => "step_schedule",
             TraceEvent::WorkerRound { .. } => "worker_round",
             TraceEvent::MuxRound { .. } => "mux_round",
             TraceEvent::InstanceRetired { .. } => "instance_retired",
@@ -268,35 +248,27 @@ impl TraceEvent {
     /// checks.
     pub fn to_json(&self) -> String {
         match self {
-            TraceEvent::RoundBegin { round, label } => format!(
-                "{{\"type\":\"round_begin\",\"round\":{round},\"label\":{}}}",
-                json_string(label)
-            ),
-            TraceEvent::MachineRound {
+            TraceEvent::Round {
                 round,
-                machine,
+                label,
+                messages,
+                makespan,
                 sent_words,
                 recv_words,
                 work,
                 seconds,
                 capacity,
             } => format!(
-                "{{\"type\":\"machine_round\",\"round\":{round},\"machine\":{machine},\
-                 \"sent_words\":{sent_words},\"recv_words\":{recv_words},\"work\":{work},\
-                 \"seconds\":{},\"capacity\":{capacity}}}",
-                json_f64(*seconds)
-            ),
-            TraceEvent::RoundEnd {
-                round,
-                label,
-                total_words,
-                messages,
-                makespan,
-            } => format!(
-                "{{\"type\":\"round_end\",\"round\":{round},\"label\":{},\
-                 \"total_words\":{total_words},\"messages\":{messages},\"makespan\":{}}}",
-                json_string(label),
-                json_f64(*makespan)
+                "{{\"type\":\"round\",\"round\":{round},\"label\":{},\
+                 \"messages\":{messages},\"makespan\":{},\"sent_words\":{},\
+                 \"recv_words\":{},\"work\":{},\"seconds\":{},\"capacity\":{}}}",
+                json_string(&label.to_string()),
+                json_f64(*makespan),
+                json_array(sent_words.iter().map(usize::to_string)),
+                json_array(recv_words.iter().map(usize::to_string)),
+                json_array(work.iter().map(u64::to_string)),
+                json_array(seconds.iter().map(|&x| json_f64(x))),
+                json_array(capacity.iter().map(usize::to_string)),
             ),
             TraceEvent::Violation {
                 round,
@@ -309,14 +281,6 @@ impl TraceEvent {
                 json_string(label),
                 json_string(kind),
                 json_string(message)
-            ),
-            TraceEvent::StepSchedule {
-                round,
-                stepping,
-                machines,
-            } => format!(
-                "{{\"type\":\"step_schedule\",\"round\":{round},\
-                 \"stepping\":{stepping},\"machines\":{machines}}}"
             ),
             TraceEvent::WorkerRound {
                 round,
@@ -629,6 +593,11 @@ pub fn json_f64(x: f64) -> String {
     s
 }
 
+/// Joins rendered JSON values into a JSON array.
+fn json_array(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(","))
+}
+
 /// A minimal parsed JSON value — just enough structure for schema checks
 /// and the Perfetto round-trip tests; not a general-purpose library.
 #[derive(Clone, Debug, PartialEq)]
@@ -915,66 +884,58 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue
 // JSONL schema validation
 // ---------------------------------------------------------------------------
 
-/// Required numeric fields per event type — the JSONL schema, stated once
-/// so the emitter ([`TraceEvent::to_json`]) and the validator cannot
-/// drift apart silently (the unit tests emit every variant and validate).
-const SCHEMA: &[(&str, &[&str], &[&str])] = &[
-    // (type, required number fields, required string fields)
-    ("round_begin", &["round"], &["label"]),
-    (
-        "machine_round",
-        &[
-            "round",
-            "machine",
-            "sent_words",
-            "recv_words",
-            "work",
-            "seconds",
-            "capacity",
-        ],
-        &[],
-    ),
-    (
-        "round_end",
-        &["round", "total_words", "messages", "makespan"],
-        &["label"],
-    ),
-    ("violation", &["round"], &["label", "kind", "message"]),
-    ("step_schedule", &["round", "stepping", "machines"], &[]),
-    (
-        "worker_round",
-        &[
-            "round",
-            "worker",
-            "claimed",
-            "stepped",
-            "idle_skips",
-            "wait_ns",
-            "busy_ns",
-        ],
-        &[],
-    ),
-    ("mux_round", &["round", "machine", "live", "retired"], &[]),
-    ("instance_retired", &["round", "machine", "instance"], &[]),
-    ("job_admitted", &["round", "job", "shares"], &["name"]),
-    // `failed` is a JSON bool, which the validator's number/string floor
-    // does not cover — it rides along as an allowed extra field.
-    ("job_completed", &["round", "job", "rounds"], &[]),
-    ("job_quarantined", &["round", "job"], &["reason"]),
-    ("job_retried", &["round", "job", "attempt"], &[]),
-    ("job_failed", &["round", "job"], &["error"]),
-    ("fault_injected", &["round"], &["kind", "detail"]),
-    ("machine_quarantined", &["round", "machine"], &[]),
-    (
-        "recovery_round",
-        &["round", "machine", "replayed", "attempt"],
-        &[],
-    ),
+/// The JSON type a schema field must have.
+#[derive(Clone, Copy)]
+enum Kind {
+    Num,
+    Str,
+    Bool,
+    /// An array of numbers: one of a frame's per-machine columns. All the
+    /// columns of one line have the same length.
+    Column,
+}
+
+use Kind::{Bool, Column, Num, Str};
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Num => "number",
+            Str => "string",
+            Bool => "bool",
+            Column => "number array",
+        }
+    }
+}
+
+/// Required fields per event type, each with its JSON type — the JSONL
+/// schema, stated once so the emitter ([`TraceEvent::to_json`]) and the
+/// validator cannot drift apart silently (the unit tests emit every
+/// variant and validate).
+#[rustfmt::skip]
+const SCHEMA: &[(&str, &[(&str, Kind)])] = &[
+    ("round", &[("round", Num), ("label", Str), ("messages", Num), ("makespan", Num),
+        ("sent_words", Column), ("recv_words", Column), ("work", Column), ("seconds", Column),
+        ("capacity", Column)]),
+    ("violation", &[("round", Num), ("label", Str), ("kind", Str), ("message", Str)]),
+    ("worker_round", &[("round", Num), ("worker", Num), ("claimed", Num), ("stepped", Num),
+        ("idle_skips", Num), ("wait_ns", Num), ("busy_ns", Num)]),
+    ("mux_round", &[("round", Num), ("machine", Num), ("live", Num), ("retired", Num)]),
+    ("instance_retired", &[("round", Num), ("machine", Num), ("instance", Num)]),
+    ("job_admitted", &[("round", Num), ("job", Num), ("name", Str), ("shares", Num)]),
+    ("job_completed", &[("round", Num), ("job", Num), ("rounds", Num), ("failed", Bool)]),
+    ("job_quarantined", &[("round", Num), ("job", Num), ("reason", Str)]),
+    ("job_retried", &[("round", Num), ("job", Num), ("attempt", Num)]),
+    ("job_failed", &[("round", Num), ("job", Num), ("error", Str)]),
+    ("fault_injected", &[("round", Num), ("kind", Str), ("detail", Str)]),
+    ("machine_quarantined", &[("round", Num), ("machine", Num)]),
+    ("recovery_round", &[("round", Num), ("machine", Num), ("replayed", Num), ("attempt", Num)]),
 ];
 
 /// Validates one JSONL trace line against the event schema: it must be a
 /// JSON object with a known `"type"` and every field that type requires,
-/// with the right JSON types.
+/// with the right JSON types, and a frame's columns must be equally long.
+/// Extra fields are allowed.
 ///
 /// # Errors
 ///
@@ -985,17 +946,34 @@ pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
         .get("type")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| "missing string field \"type\"".to_string())?;
-    let Some((_, nums, strs)) = SCHEMA.iter().find(|(t, _, _)| *t == ty) else {
+    let Some((_, fields)) = SCHEMA.iter().find(|(t, _)| *t == ty) else {
         return Err(format!("unknown event type \"{ty}\""));
     };
-    for field in *nums {
-        if value.get(field).and_then(JsonValue::as_f64).is_none() {
-            return Err(format!("event \"{ty}\": missing number field \"{field}\""));
+    let mut columns = None;
+    for &(field, kind) in *fields {
+        let found = (value.get(field))
+            .ok_or_else(|| format!("event \"{ty}\": missing field \"{field}\""))?;
+        let ok = match (kind, found) {
+            (Num, JsonValue::Num(_)) | (Str, JsonValue::Str(_)) | (Bool, JsonValue::Bool(_)) => {
+                true
+            }
+            (Column, JsonValue::Arr(items)) => items.iter().all(|x| x.as_f64().is_some()),
+            _ => false,
+        };
+        if !ok {
+            return Err(format!(
+                "event \"{ty}\": field \"{field}\" is not a {}",
+                kind.name()
+            ));
         }
-    }
-    for field in *strs {
-        if value.get(field).and_then(JsonValue::as_str).is_none() {
-            return Err(format!("event \"{ty}\": missing string field \"{field}\""));
+        if let JsonValue::Arr(items) = found {
+            let want = *columns.get_or_insert(items.len());
+            if items.len() != want {
+                return Err(format!(
+                    "event \"{ty}\": column \"{field}\" has {} entries, the first column {want}",
+                    items.len()
+                ));
+            }
         }
     }
     Ok(())
@@ -1077,9 +1055,10 @@ pub fn perfetto_export(events: &[TraceEvent]) -> String {
     );
 
     // Simulated timeline: cumulative makespan cursor; per-round slices for
-    // each machine start at the round's open.
+    // each machine start at the round's open. A machine track is named on
+    // first use; frames list machines from 0, so the named ones are 0..this.
     let mut sim_cursor_us = 0.0f64;
-    let mut named_machines: Vec<MachineId> = Vec::new();
+    let mut named_machines = 0;
     let mut named_workers: Vec<usize> = Vec::new();
     // Host timeline per worker: cumulative wait+busy cursor.
     let mut worker_cursor_us: Vec<f64> = Vec::new();
@@ -1088,57 +1067,56 @@ pub fn perfetto_export(events: &[TraceEvent]) -> String {
 
     for event in events {
         match event {
-            TraceEvent::RoundBegin { .. } => {}
-            TraceEvent::MachineRound {
+            TraceEvent::Round {
                 round,
-                machine,
+                label,
+                messages,
+                makespan,
                 sent_words,
                 recv_words,
                 work,
                 seconds,
                 capacity,
             } => {
-                if !named_machines.contains(machine) {
-                    named_machines.push(*machine);
+                for machine in 0..sent_words.len() {
+                    if machine == named_machines {
+                        named_machines += 1;
+                        push(
+                            format!(
+                                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID_MACHINES},\
+                                 \"tid\":{machine},\"args\":{{\"name\":\"machine {machine}\"}}}}"
+                            ),
+                            &mut out,
+                            &mut first,
+                        );
+                    }
+                    let (sent, recv, cap) =
+                        (sent_words[machine], recv_words[machine], capacity[machine]);
+                    let headroom = cap.saturating_sub(sent.max(recv));
                     push(
                         format!(
-                            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID_MACHINES},\
-                             \"tid\":{machine},\"args\":{{\"name\":\"machine {machine}\"}}}}"
+                            "{{\"name\":\"r{round}\",\"ph\":\"X\",\"pid\":{PID_MACHINES},\
+                             \"tid\":{machine},\"ts\":{},\"dur\":{},\"args\":{{\
+                             \"sent_words\":{sent},\"recv_words\":{recv},\
+                             \"work\":{},\"capacity\":{cap},\"headroom\":{headroom}}}}}",
+                            json_f64(sim_cursor_us),
+                            json_f64(seconds[machine] * 1e6),
+                            work[machine]
                         ),
                         &mut out,
                         &mut first,
                     );
                 }
-                let headroom = capacity.saturating_sub(*sent_words.max(recv_words));
-                push(
-                    format!(
-                        "{{\"name\":\"r{round}\",\"ph\":\"X\",\"pid\":{PID_MACHINES},\
-                         \"tid\":{machine},\"ts\":{},\"dur\":{},\"args\":{{\
-                         \"sent_words\":{sent_words},\"recv_words\":{recv_words},\
-                         \"work\":{work},\"capacity\":{capacity},\"headroom\":{headroom}}}}}",
-                        json_f64(sim_cursor_us),
-                        json_f64(seconds * 1e6)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::RoundEnd {
-                round,
-                label,
-                total_words,
-                messages,
-                makespan,
-            } => {
                 push(
                     format!(
                         "{{\"name\":{},\"ph\":\"X\",\"pid\":{PID_MACHINES},\
                          \"tid\":{TID_ROUNDS},\"ts\":{},\"dur\":{},\"args\":{{\
-                         \"round\":{round},\"total_words\":{total_words},\
+                         \"round\":{round},\"total_words\":{},\
                          \"messages\":{messages}}}}}",
-                        json_string(label),
+                        json_string(&label.to_string()),
                         json_f64(sim_cursor_us),
-                        json_f64(makespan * 1e6)
+                        json_f64(makespan * 1e6),
+                        sent_words.iter().sum::<usize>()
                     ),
                     &mut out,
                     &mut first,
@@ -1165,7 +1143,6 @@ pub fn perfetto_export(events: &[TraceEvent]) -> String {
                     &mut first,
                 );
             }
-            TraceEvent::StepSchedule { .. } => {}
             TraceEvent::WorkerRound {
                 round,
                 worker,
@@ -1372,45 +1349,22 @@ mod tests {
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::RoundBegin {
+            TraceEvent::Round {
                 round: 1,
                 label: "t.r000".into(),
-            },
-            TraceEvent::MachineRound {
-                round: 1,
-                machine: 0,
-                sent_words: 3,
-                recv_words: 1,
-                work: 7,
-                seconds: 4.0,
-                capacity: 100,
-            },
-            TraceEvent::MachineRound {
-                round: 1,
-                machine: 1,
-                sent_words: 1,
-                recv_words: 3,
-                work: 0,
-                seconds: 4.0,
-                capacity: 20,
-            },
-            TraceEvent::RoundEnd {
-                round: 1,
-                label: "t.r000".into(),
-                total_words: 4,
                 messages: 2,
                 makespan: 4.0,
+                sent_words: vec![3, 1],
+                recv_words: vec![1, 3],
+                work: vec![7, 0],
+                seconds: vec![4.0, 4.0],
+                capacity: vec![100, 20],
             },
             TraceEvent::Violation {
                 round: 1,
                 label: "t.r000".into(),
                 kind: "send_overflow",
                 message: "machine 1 sent 25 words".into(),
-            },
-            TraceEvent::StepSchedule {
-                round: 0,
-                stepping: 2,
-                machines: 2,
             },
             TraceEvent::WorkerRound {
                 round: 0,
@@ -1490,29 +1444,47 @@ mod tests {
 
     #[test]
     fn validator_rejects_missing_fields_and_unknown_types() {
-        assert!(validate_jsonl_line("{\"type\":\"round_begin\"}").is_err());
+        assert!(validate_jsonl_line("{\"type\":\"round\"}").is_err());
         assert!(validate_jsonl_line("{\"type\":\"nope\",\"round\":1}").is_err());
         assert!(validate_jsonl_line("not json").is_err());
         // Extra fields are allowed (the schema is a floor, not a ceiling).
         assert!(validate_jsonl_line(
-            "{\"type\":\"step_schedule\",\"round\":1,\"stepping\":2,\"machines\":4,\"x\":1}"
+            "{\"type\":\"machine_quarantined\",\"round\":1,\"machine\":4,\"x\":1}"
         )
         .is_ok());
+        // A bool field must be present and a bool.
+        let completed = "{\"type\":\"job_completed\",\"round\":4,\"job\":1,\"rounds\":4";
+        assert!(validate_jsonl_line(&format!("{completed},\"failed\":false}}")).is_ok());
+        assert!(validate_jsonl_line(&format!("{completed}}}")).is_err());
+        assert!(validate_jsonl_line(&format!("{completed},\"failed\":1}}")).is_err());
+        // A frame's columns hold numbers only, and all have one length.
+        let frame = |sent: &str, seconds: &str| {
+            format!(
+                "{{\"type\":\"round\",\"round\":1,\"label\":\"t\",\"messages\":2,\
+                 \"makespan\":4,\"sent_words\":{sent},\"recv_words\":[1,3],\"work\":[7,0],\
+                 \"seconds\":{seconds},\"capacity\":[100,20]}}"
+            )
+        };
+        assert!(validate_jsonl_line(&frame("[3,1]", "[4,4]")).is_ok());
+        assert!(validate_jsonl_line(&frame("[3,\"1\"]", "[4,4]")).is_err());
+        assert!(validate_jsonl_line(&frame("[3,1]", "[4]")).is_err());
+        assert!(validate_jsonl_line(&frame("[3,1,0]", "[4,4]")).is_err());
+        assert!(validate_jsonl_line(&frame("3", "[4,4]")).is_err());
     }
 
     #[test]
     fn ring_sink_caps_and_counts_drops() {
         let ring = RingSink::with_capacity(3);
         for round in 0..5 {
-            ring.record(&TraceEvent::RoundBegin {
-                round,
-                label: "x".into(),
-            });
+            ring.record(&TraceEvent::MachineQuarantined { round, machine: 1 });
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
         let events = ring.take();
-        assert!(matches!(events[0], TraceEvent::RoundBegin { round: 2, .. }));
+        assert!(matches!(
+            events[0],
+            TraceEvent::MachineQuarantined { round: 2, .. }
+        ));
         assert!(ring.is_empty());
     }
 
@@ -1521,10 +1493,9 @@ mod tests {
         let a = Arc::new(RingSink::unbounded());
         let b = Arc::new(RingSink::unbounded());
         let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        fan.record(&TraceEvent::StepSchedule {
+        fan.record(&TraceEvent::MachineQuarantined {
             round: 0,
-            stepping: 1,
-            machines: 1,
+            machine: 1,
         });
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
@@ -1621,7 +1592,7 @@ mod tests {
             let text = fuzz_text(&picks);
             let _ = parse_json(&text);
             let _ = validate_jsonl(&text);
-            let event = format!("{{\"type\":\"round_begin\",\"round\":1,\"label\":{text}}}");
+            let event = format!("{{\"type\":\"round\",\"round\":1,\"label\":{text}}}");
             let _ = validate_jsonl(&event);
         }
 
@@ -1661,7 +1632,7 @@ mod tests {
         assert!(parse_json(&nested(MAX_JSON_DEPTH + 1)).is_err());
         let deep = "[".repeat(100_000);
         assert!(parse_json(&deep).is_err());
-        let line = format!("{{\"type\":\"round_begin\",\"round\":1,\"label\":{deep}}}\n");
+        let line = format!("{{\"type\":\"round\",\"round\":1,\"label\":{deep}}}\n");
         assert!(validate_jsonl(&line).is_err());
     }
 
