@@ -15,7 +15,7 @@ use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_exec::{registry, AlgoInput, ConnectivityProgram, ExecMode, Executor, JobSpec, Service};
 use mpc_graph::generators;
 use mpc_runtime::telemetry::{parse_json, perfetto_export};
-use mpc_runtime::{Cluster, ClusterConfig, Enforcement, RingSink, Topology, TraceEvent};
+use mpc_runtime::{Cluster, ClusterConfig, Enforcement, FaultPlan, RingSink, Topology, TraceEvent};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -94,19 +94,36 @@ fn recording_sink_keeps_serial_and_pool_bit_identical() {
 /// One `Round` frame per `RoundRecord`, in log order, restating it
 /// exactly: same label, message count and makespan, and columns that
 /// sum (sent, work) and peak (sent, received) to the record's totals —
-/// the trace is the log, just wider.
+/// the trace is the log, just wider. A run under a seeded crash adds the
+/// `.ckpt` and `.recover` exchanges, which must each have their frame too.
 #[test]
 fn ring_events_reconcile_exactly_with_round_records() {
     let seed = 7;
     let g = generators::gnm(120, 700, seed).with_random_weights(1 << 16, seed);
-    let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(seed));
-    let ring = Arc::new(RingSink::unbounded());
-    cluster.set_trace_sink(Some(ring.clone()));
-    let edges = common::distribute_edges(&cluster, &g);
-    let input = AlgoInput::new(g.n(), &edges);
-    registry::run("boruvka-msf", &mut cluster, &input, ExecMode::Parallel).unwrap();
+    let run = |crash_within: Option<u64>| {
+        let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(seed));
+        let plan = crash_within
+            .map(|rounds| FaultPlan::seeded_single_crash(seed, &cluster.small_ids(), rounds));
+        cluster.set_fault_plan(plan);
+        let ring = Arc::new(RingSink::unbounded());
+        cluster.set_trace_sink(Some(ring.clone()));
+        let edges = common::distribute_edges(&cluster, &g);
+        let input = AlgoInput::new(g.n(), &edges);
+        registry::run("boruvka-msf", &mut cluster, &input, ExecMode::Parallel).unwrap();
+        reconcile(&ring.take(), &cluster);
+        cluster
+    };
+    let clean = run(None);
+    let faulted = run(Some(clean.rounds()));
+    for part in [".ckpt.", ".recover."] {
+        assert!(
+            (faulted.round_log().iter()).any(|r| r.label.to_string().contains(part)),
+            "the faulted run has no {part} exchange"
+        );
+    }
+}
 
-    let events = ring.take();
+fn reconcile(events: &[TraceEvent], cluster: &Cluster) {
     let log = cluster.round_log();
     let frames: Vec<&TraceEvent> = (events.iter())
         .filter(|e| matches!(e, TraceEvent::Round { .. }))
