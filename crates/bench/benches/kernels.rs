@@ -352,11 +352,12 @@ fn bench_reference(c: &mut Criterion) {
 
 fn bench_exec_engine(c: &mut Criterion) {
     use mpc_core::ported::connectivity::sketch_friendly_config;
-    use mpc_exec::{registry, AlgoInput, ExecMode};
+    use mpc_exec::{registry, ExecMode, JobSpec};
 
     let mut group = c.benchmark_group("exec_engine");
     group.sample_size(10);
     let g = generators::gnm(256, 2048, 7);
+    let spec = JobSpec::new("connectivity", g.clone());
     for (name, mode) in [
         ("serial", ExecMode::Serial),
         ("parallel", ExecMode::Parallel),
@@ -364,9 +365,7 @@ fn bench_exec_engine(c: &mut Criterion) {
         group.bench_function(format!("connectivity_n256_{name}"), |b| {
             b.iter(|| {
                 let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), 7));
-                let edges = mpc_core::common::distribute_edges(&cluster, &g);
-                let input = AlgoInput::new(g.n(), &edges);
-                black_box(registry::run("connectivity", &mut cluster, &input, mode).unwrap())
+                black_box(registry::run_job(&spec, &mut cluster, mode).unwrap())
             })
         });
     }

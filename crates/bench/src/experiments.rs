@@ -20,13 +20,12 @@ use mpc_core::spanner::{apsp::measured_stretch, baswana_sen};
 use mpc_core::{common, matching, mst};
 use mpc_exec::ExecMode::{self, Parallel, Serial};
 use mpc_exec::{
-    registry, AlgoInput, AlgoOutput, Algorithm, ExecError, JobParams, JobRecord, JobRetryPolicy,
-    JobSpec, JobStatus, Service,
+    registry, AlgoOutput, Algorithm, ExecError, JobParams, JobRecord, JobRetryPolicy, JobSpec,
+    JobStatus, Service,
 };
-use mpc_graph::{generators, Edge, Graph};
+use mpc_graph::{generators, Graph};
 use mpc_runtime::{
-    Cluster, ClusterConfig, CostModel, Fault, FaultPlan, RecoveryPolicy, ShardedVec, Topology,
-    TraceSink,
+    Cluster, ClusterConfig, CostModel, Fault, FaultPlan, RecoveryPolicy, Topology, TraceSink,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,7 +38,7 @@ pub struct Solo {
     pub rounds: u64,
     /// [`AlgoOutput::digest`] of `out`.
     pub digest: u128,
-    /// Host wall-clock of the engine run (edge distribution excluded).
+    /// Host wall-clock of the registry run, edge sharding included.
     pub wall: Duration,
     /// The cluster after the run.
     pub cluster: Cluster,
@@ -47,11 +46,11 @@ pub struct Solo {
 
 /// Runs registry algorithm `name` once on `g`: builds the cluster from
 /// `config`, lets `prepare` attach a cost model, fault plan or trace sink,
-/// shards the edges over the small machines and runs under `mode`.
+/// and runs the job under `mode`.
 ///
 /// # Errors
 ///
-/// Whatever [`registry::run`] returns.
+/// Whatever [`registry::run_job`] returns.
 pub fn solo(
     name: &str,
     g: &Graph,
@@ -60,19 +59,14 @@ pub fn solo(
     mode: ExecMode,
     prepare: Option<&dyn Fn(&mut Cluster)>,
 ) -> Result<Solo, ExecError> {
-    let ((out, wall), cluster) = on_cluster(g, config, |c, edges| {
-        if let Some(prepare) = prepare {
-            prepare(c);
-        }
-        let input = AlgoInput {
-            n: g.n(),
-            edges: &edges,
-            params,
-        };
-        let started = Instant::now();
-        (registry::run(name, c, &input, mode), started.elapsed())
-    });
-    let out = out?;
+    let mut cluster = Cluster::new(config);
+    if let Some(prepare) = prepare {
+        prepare(&mut cluster);
+    }
+    let spec = JobSpec::new(name, g.clone()).params(params);
+    let started = Instant::now();
+    let out = registry::run_job(&spec, &mut cluster, mode)?;
+    let wall = started.elapsed();
     let (rounds, digest) = (cluster.rounds(), out.digest());
     Ok(Solo {
         out,
@@ -81,19 +75,6 @@ pub fn solo(
         wall,
         cluster,
     })
-}
-
-/// Builds a cluster from `config`, shards `g`'s edges over its small
-/// machines and hands both to `run`: [`solo`]'s body, and the way in for
-/// filtering matching, the call-style algorithm outside the registry.
-fn on_cluster<T>(
-    g: &Graph,
-    config: ClusterConfig,
-    run: impl FnOnce(&mut Cluster, ShardedVec<Edge>) -> T,
-) -> (T, Cluster) {
-    let mut cluster = Cluster::new(config);
-    let edges = common::distribute_edges(&cluster, g);
-    (run(&mut cluster, edges), cluster)
 }
 
 /// The cluster registry algorithm `name` prefers on `g`: `g`'s shape, the
@@ -931,9 +912,9 @@ fn matching_filtering() {
         let config = ClusterConfig::new(g.n(), g.m())
             .topology(heterogeneous(0.66, f))
             .seed(19);
-        let (r, c) = on_cluster(&g, config, |c, e| {
-            matching::filtering::filtering_matching(c, g.n(), &e, f)
-        });
+        let mut c = Cluster::new(config);
+        let edges = common::distribute_edges(&c, &g);
+        let r = matching::filtering::filtering_matching(&mut c, g.n(), &edges, f);
         let (m, stats) = r.expect("filtering matching");
         assert!(mpc_graph::matching::is_maximal_matching(&g, &m));
         t.cells(&[

@@ -22,15 +22,15 @@
 //! # Example: exact MST on a heterogeneous cluster
 //!
 //! ```
-//! use mpc_core::{common, mst};
-//! use mpc_exec::{registry, AlgoInput, ExecMode};
+//! use mpc_core::mst;
+//! use mpc_exec::{registry, ExecMode, JobSpec};
 //! use mpc_graph::{generators, mst::kruskal};
 //! use mpc_runtime::{Cluster, ClusterConfig};
 //!
 //! let g = generators::gnm(128, 1024, 7).with_random_weights(10_000, 7);
 //! let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(7));
-//! let input = common::distribute_edges(&cluster, &g);
-//! let result = registry::run("mst", &mut cluster, &AlgoInput::new(g.n(), &input), ExecMode::Serial)
+//! let spec = JobSpec::new("mst", g.clone());
+//! let result = registry::run_job(&spec, &mut cluster, ExecMode::Serial)
 //!     .unwrap()
 //!     .into_mst()
 //!     .unwrap();

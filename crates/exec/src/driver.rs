@@ -219,6 +219,16 @@ fn lock<P: MachineProgram>(slot: &Mutex<MachineSlot<P>>) -> MutexGuard<'_, Machi
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Shuts the pool down when dropped, so the workers are released on every
+/// exit from the scope that spawned them — unwinding included.
+struct Release<'a>(&'a PoolCore);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
 impl<P: MachineProgram> Slots<'_, P> {
     fn len(&self) -> usize {
         match self {
@@ -518,11 +528,11 @@ impl Executor {
                             result
                         },
                     };
-                    let end = self.drive(cluster, slots, ctx, hook);
-                    // Every exit path must release the workers, or the
-                    // scope's implicit join would hang.
-                    pool.shutdown();
-                    end
+                    // Every exit path — a panicking round hook included —
+                    // must release the workers, or the scope's implicit
+                    // join would wait on them forever.
+                    let _release = Release(&pool);
+                    self.drive(cluster, slots, ctx, hook)
                 });
                 let unlocked = shared.into_iter().map(Mutex::into_inner);
                 slots.extend(unlocked.map(|s| s.unwrap_or_else(PoisonError::into_inner)));

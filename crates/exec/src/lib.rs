@@ -26,17 +26,15 @@
 //! ## Example
 //!
 //! ```
-//! use mpc_exec::{registry, AlgoInput, ExecMode};
-//! use mpc_core::common;
+//! use mpc_exec::{registry, ExecMode, JobSpec};
 //! use mpc_core::ported::connectivity::sketch_friendly_config;
 //! use mpc_graph::generators;
 //! use mpc_runtime::Cluster;
 //!
 //! let g = generators::gnm(64, 160, 7);
 //! let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), 7));
-//! let edges = common::distribute_edges(&cluster, &g);
-//! let input = AlgoInput::new(g.n(), &edges);
-//! let comps = registry::run("connectivity", &mut cluster, &input, ExecMode::Parallel)
+//! let spec = JobSpec::new("connectivity", g.clone());
+//! let comps = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
 //!     .unwrap()
 //!     .into_components()
 //!     .unwrap();
@@ -64,6 +62,6 @@ pub use programs::{
     BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram, MinCutProgram,
     MisProgram, MstProgram, SpannerProgram,
 };
-pub use registry::{AlgoInput, AlgoOutput, Algorithm, JobParams, JobRetryPolicy, JobSpec};
+pub use registry::{AlgoOutput, Algorithm, JobParams, JobRetryPolicy, JobSpec};
 pub use report::{CriticalPath, MachineLoad, RecoveryBreakdown, RunReport};
 pub use service::{JobHandle, JobRecord, JobStatus, Service, ServiceRun};

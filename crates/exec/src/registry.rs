@@ -1,8 +1,8 @@
 //! The [`Algorithm`] registry: every engine-ported algorithm behind one
 //! named entry point.
 //!
-//! `registry::run("mst", &mut cluster, &input, ExecMode::Parallel)` is the
-//! single way the facade crate, the examples, the benches, and the CI
+//! `registry::run_job(&JobSpec::new("mst", graph), &mut cluster, mode)` is
+//! the single way the facade crate, the examples, the benches, and the CI
 //! smoke tests execute a workload: a registered algorithm is guaranteed to
 //! run on the [`Executor`] under both [`ExecMode::Serial`] and
 //! [`ExecMode::Parallel`] with bit-identical results, and anything *not*
@@ -11,7 +11,8 @@
 //! pooled runs disagree.
 //!
 //! Each name is written down once, as a *description*: a function that
-//! builds the per-machine programs of every instance — drawing any
+//! builds, from a [`JobSpec`] and its edges sharded round-robin over the
+//! small machines, the per-machine programs of every instance — drawing any
 //! host-side randomness from the large machine's stream — and says how the
 //! large machine's final programs become an [`AlgoOutput`] or the next wave
 //! of a chain. Two drivers consume a description — a solo run and the
@@ -46,6 +47,7 @@ use crate::programs::{
     mincut_approx, BoruvkaProgram, ColoringProgram, ConnectivityProgram, MatchingProgram,
     MinCutGuessWave, MinCutProgram, MisProgram, MstProgram, SpannerProgram,
 };
+use mpc_core::common::distribute_edges;
 use mpc_core::matching::MatchingResult;
 use mpc_core::mst::MstResult;
 use mpc_core::ported::coloring::ColoringResult;
@@ -59,14 +61,13 @@ use mpc_core::spanner::{merge_class_results, weight_class, weight_class_shards};
 use mpc_graph::mst::Forest;
 use mpc_graph::traversal::Components;
 use mpc_graph::{Edge, Graph};
-use mpc_runtime::{Cluster, ShardedVec};
+use mpc_runtime::{Cluster, MachineId, ShardedVec};
 use rand::rngs::SmallRng;
 use std::sync::Arc;
 
-/// Every tuning knob a registered algorithm reads, gathered in one place
-/// so the two consumer-facing entry points — [`run`] with an [`AlgoInput`]
-/// and the [service](crate::service) with a [`JobSpec`] — share a single
-/// parameter surface and cannot drift.
+/// Every tuning knob a registered algorithm reads: the parameters of a
+/// [`JobSpec`], whether it runs solo ([`run_job`]) or as a
+/// [service](crate::service) job.
 #[derive(Clone, Debug)]
 pub struct JobParams {
     /// Spanner stretch parameter `k` (ignored by non-spanner algorithms).
@@ -109,52 +110,11 @@ impl JobParams {
     }
 }
 
-/// The input every registered algorithm consumes: a vertex universe and
-/// the edge list sharded over the small machines (see
-/// [`mpc_core::common::distribute_edges`]), plus tuning parameters.
-pub struct AlgoInput<'a> {
-    /// Number of vertices.
-    pub n: usize,
-    /// Sharded input edges.
-    pub edges: &'a ShardedVec<Edge>,
-    /// Tuning parameters (shared with [`JobSpec`]).
-    pub params: JobParams,
-}
-
 /// Default `mincut` contraction trials — shared by [`JobParams::default`]
 /// and the `mincut` round budget, which assumes the default input knobs (a
 /// caller overriding `mincut_trials` changes the total round count by
 /// `12` engine rounds per trial).
 pub const DEFAULT_MINCUT_TRIALS: usize = 8;
-
-impl<'a> AlgoInput<'a> {
-    /// Input with [default parameters](JobParams::default).
-    pub fn new(n: usize, edges: &'a ShardedVec<Edge>) -> Self {
-        AlgoInput {
-            n,
-            edges,
-            params: JobParams::default(),
-        }
-    }
-
-    /// Overrides the spanner stretch parameter.
-    pub fn spanner_k(mut self, k: usize) -> Self {
-        self.params = self.params.spanner_k(k);
-        self
-    }
-
-    /// Overrides the `mincut` trial count.
-    pub fn mincut_trials(mut self, trials: usize) -> Self {
-        self.params = self.params.mincut_trials(trials);
-        self
-    }
-
-    /// Overrides the approximation parameter ε.
-    pub fn epsilon(mut self, eps: f64) -> Self {
-        self.params = self.params.epsilon(eps);
-        self
-    }
-}
 
 /// How often the [service](crate::service) re-admits a job after an
 /// engine-level failure took its wave down (DESIGN.md §2.9).
@@ -184,13 +144,16 @@ impl Default for JobRetryPolicy {
     }
 }
 
-/// One job for the [service](crate::service): a registry name, the input
-/// graph, tuning [`JobParams`], a private seed, and the combined-round
-/// capacity shares the job holds while running.
+/// One job: a registry name, the input graph, tuning [`JobParams`], and —
+/// for the [service](crate::service) — a private seed, the combined-round
+/// capacity shares the job holds while running, a retry budget and a
+/// deadline.
 ///
-/// The same description also runs solo: [`run_job`] distributes the graph
-/// and delegates to [`run`], so a service job and its solo twin consume
-/// byte-identical inputs — the bit-equality the service tests assert.
+/// It is the registry's only input: [`run_job`] runs it solo and
+/// [`Service::submit`](crate::Service::submit) queues it. Both shard the
+/// graph with [`distribute_edges`] and build the programs with the same
+/// description, so a service job and its solo twin consume byte-identical
+/// inputs — the bit-equality the service tests assert.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
     /// Registry name ([`CANONICAL_NAMES`]).
@@ -279,15 +242,6 @@ impl JobSpec {
     pub fn epsilon(mut self, eps: f64) -> Self {
         self.params = self.params.epsilon(eps);
         self
-    }
-
-    /// The job as an [`AlgoInput`] over its distributed `edges`.
-    fn input<'a>(&self, edges: &'a ShardedVec<Edge>) -> AlgoInput<'a> {
-        AlgoInput {
-            n: self.graph.n(),
-            edges,
-            params: self.params.clone(),
-        }
     }
 }
 
@@ -480,7 +434,7 @@ impl AlgoOutput {
 /// A registered algorithm: a name, its paper anchor, and its description
 /// bound to the two drivers.
 pub struct Algorithm {
-    /// Registry name (the `run` lookup key).
+    /// Registry name (the [`JobSpec::name`] lookup key).
     pub name: &'static str,
     /// One-line description.
     pub summary: &'static str,
@@ -498,16 +452,20 @@ pub struct Algorithm {
     /// `a·⌈log₂log₂n⌉ + b` cap. The `budgets` bench experiment (a CI gate)
     /// fails the build when a run exceeds it.
     pub round_budget: fn(n: usize) -> u64,
-    solo: fn(&mut Cluster, &AlgoInput<'_>, ExecMode, usize) -> Result<AlgoOutput, ExecError>,
-    lanes: fn(&Cluster, &AlgoInput<'_>, &mut SmallRng) -> Lanes,
+    solo: fn(&mut Cluster, &JobSpec, &Edges, ExecMode, usize) -> Result<AlgoOutput, ExecError>,
+    lanes: fn(&Cluster, &JobSpec, &Edges, &mut SmallRng) -> Lanes,
 }
 
 // ---------------------------------------------------------------------------
 // Descriptions and their two drivers
 // ---------------------------------------------------------------------------
 
-/// What a name's description builds from `(&Cluster, &AlgoInput)` and the
-/// large machine's RNG stream, which the drivers lend for host-side draws.
+/// A job's edges, sharded over the small machines by [`distribute_edges`].
+type Edges = ShardedVec<Edge>;
+
+/// What a name's description builds from the cluster, the [`JobSpec`], its
+/// sharded [`Edges`] and the large machine's RNG stream, which the drivers
+/// lend for host-side draws.
 pub(crate) enum Description<P> {
     /// Programs to run.
     Wave {
@@ -579,9 +537,10 @@ impl<P: 'static> Description<P> {
 /// runs each link of the chain — one instance typed on the [`Executor`],
 /// many through [`run_instances`].
 fn solo<P>(
-    build: impl FnOnce(&Cluster, &AlgoInput<'_>, &mut SmallRng) -> Description<P>,
+    build: impl FnOnce(&Cluster, &JobSpec, &Edges, &mut SmallRng) -> Description<P>,
     cluster: &mut Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     mode: ExecMode,
     threads: usize,
 ) -> Result<AlgoOutput, ExecError>
@@ -591,9 +550,9 @@ where
 {
     let large = cluster
         .large()
-        .expect("registry algorithms require a large machine");
+        .expect("run_threads checked the large machine");
     let mut rng = cluster.rng(large).clone();
-    let mut description = build(cluster, input, &mut rng);
+    let mut description = build(cluster, spec, edges, &mut rng);
     *cluster.rng(large) = rng;
     loop {
         match description {
@@ -709,8 +668,8 @@ fn algorithm_error(e: impl std::fmt::Display) -> ExecError {
 /// Rejects the parameters a name's description cannot run with: a spanner
 /// stretch `k < 2`, an `mst-approx` ε that is not finite and positive, an
 /// `mincut-approx` ε outside `(0, 1)`. Reads parameters only and scans no
-/// graph, so [`Service::submit`](crate::Service::submit) can afford it.
-pub(crate) fn check_params(name: &str, params: &JobParams) -> Result<(), ExecError> {
+/// graph.
+fn check_params(name: &str, params: &JobParams) -> Result<(), ExecError> {
     let (k, eps) = (params.spanner_k, params.epsilon);
     let problem = match name {
         "spanner" | "spanner-weighted" if k < 2 => format!("spanner_k = {k}, needs k ≥ 2"),
@@ -763,10 +722,11 @@ fn total_weight<'e>(edges: impl Iterator<Item = &'e Edge>) -> u64 {
 
 fn connectivity(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<ConnectivityProgram> {
-    let programs = ConnectivityProgram::for_cluster(cluster, input.n, input.edges);
+    let programs = ConnectivityProgram::for_cluster(cluster, spec.graph.n(), edges);
     Description::wave("conn", programs, |p| {
         Ok(AlgoOutput::Components(p.result.expect(HALTED)))
     })
@@ -774,10 +734,11 @@ fn connectivity(
 
 fn boruvka_msf(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    _spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<BoruvkaProgram> {
-    let programs = BoruvkaProgram::for_cluster(cluster, input.edges);
+    let programs = BoruvkaProgram::for_cluster(cluster, edges);
     Description::wave("boruvka", programs, |p| {
         Ok(AlgoOutput::Forest(p.forest.expect(HALTED)))
     })
@@ -785,10 +746,11 @@ fn boruvka_msf(
 
 fn mst(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<Driven<MstProgram>> {
-    let programs = MstProgram::for_cluster(cluster, input.n, input.edges);
+    let programs = MstProgram::for_cluster(cluster, spec.graph.n(), edges);
     Description::wave("mst", driven(programs), |p| {
         let result = p.0.result.expect(HALTED);
         result.map(AlgoOutput::Mst).map_err(algorithm_error)
@@ -797,10 +759,11 @@ fn mst(
 
 fn matching(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<Driven<MatchingProgram>> {
-    let programs = MatchingProgram::for_cluster(cluster, input.n, input.edges);
+    let programs = MatchingProgram::for_cluster(cluster, spec.graph.n(), edges);
     Description::wave("match", driven(programs), |p| {
         let result = p.0.result.expect(HALTED);
         result.map(AlgoOutput::Matching).map_err(algorithm_error)
@@ -823,7 +786,7 @@ fn spanner_output(spanner: SpannerResult, apsp_stretch: Option<usize>) -> AlgoOu
 fn plain_spanner(
     cluster: &Cluster,
     n: usize,
-    edges: &ShardedVec<Edge>,
+    edges: &Edges,
     k: usize,
     apsp_stretch: Option<usize>,
 ) -> Description<Driven<SpannerProgram>> {
@@ -843,7 +806,7 @@ fn plain_spanner(
 fn class_spanner(
     cluster: &Cluster,
     n: usize,
-    edges: &ShardedVec<Edge>,
+    edges: &Edges,
     k: usize,
     apsp_stretch: Option<usize>,
 ) -> Description<Driven<SpannerProgram>> {
@@ -864,18 +827,20 @@ fn class_spanner(
 
 fn spanner(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<Driven<SpannerProgram>> {
-    plain_spanner(cluster, input.n, input.edges, input.params.spanner_k, None)
+    plain_spanner(cluster, spec.graph.n(), edges, spec.params.spanner_k, None)
 }
 
 fn spanner_weighted(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<Driven<SpannerProgram>> {
-    class_spanner(cluster, input.n, input.edges, input.params.spanner_k, None)
+    class_spanner(cluster, spec.graph.n(), edges, spec.params.spanner_k, None)
 }
 
 /// `apsp` is one spanner run at stretch parameter `k = ⌈log₂ n⌉` — plain
@@ -883,10 +848,11 @@ fn spanner_weighted(
 /// on the large machine (local, no rounds).
 fn apsp(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<Driven<SpannerProgram>> {
-    let (n, edges) = (input.n, input.edges);
+    let n = spec.graph.n();
     let k = ApspOracle::stretch_parameter(n);
     if edges.iter().any(|(_, e)| e.w != 1) {
         class_spanner(cluster, n, edges, k, Some(12 * k - 1))
@@ -902,13 +868,14 @@ fn apsp(
 /// stream positions are bit-identical to the legacy loop.
 fn mst_approx(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     rng: &mut SmallRng,
 ) -> Description<ConnectivityProgram> {
-    let (n, epsilon) = (input.n, input.params.epsilon);
-    let w_max = max_weight(input.edges.iter().map(|(_, e)| e));
+    let (n, epsilon) = (spec.graph.n(), spec.params.epsilon);
+    let w_max = max_weight(edges.iter().map(|(_, e)| e));
     let thresholds = geometric_thresholds(w_max, epsilon);
-    let instances = ConnectivityProgram::instances(cluster, n, input.edges, &thresholds, Some(rng));
+    let instances = ConnectivityProgram::instances(cluster, n, edges, &thresholds, Some(rng));
     Description::waves("xmst", instances, move |large| {
         let component_counts: Vec<usize> = (large.into_iter())
             .map(|p| p.result.expect(HALTED).count)
@@ -925,11 +892,12 @@ fn mst_approx(
 
 fn mincut(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<Driven<MinCutProgram>> {
-    let trials = input.params.mincut_trials;
-    let programs = MinCutProgram::for_cluster(cluster, input.n, input.edges, trials);
+    let trials = spec.params.mincut_trials;
+    let programs = MinCutProgram::for_cluster(cluster, spec.graph.n(), edges, trials);
     Description::wave("cut", driven(programs), |p| {
         Ok(AlgoOutput::MinCut(p.0.result.expect(HALTED)))
     })
@@ -941,12 +909,13 @@ fn mincut(
 /// (see [`crate::programs::mincut_approx`]).
 fn mincut_approx(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<Driven<MinCutGuessWave>> {
-    let guesses = lambda_guesses(total_weight(input.edges.iter().map(|(_, e)| e)));
-    let epsilon = input.params.epsilon;
-    let mut per_guess = mincut_approx::waves(cluster, input.n, input.edges, &guesses, epsilon);
+    let guesses = lambda_guesses(total_weight(edges.iter().map(|(_, e)| e)));
+    let epsilon = spec.params.epsilon;
+    let mut per_guess = mincut_approx::waves(cluster, spec.graph.n(), edges, &guesses, epsilon);
     let fallback = per_guess.pop().expect("the fallback follows the guesses");
     Description::chain("xcut", per_guess, move |large| {
         match mincut_approx::scan(large) {
@@ -961,10 +930,11 @@ fn mincut_approx(
 
 fn mis(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<Driven<MisProgram>> {
-    let programs = MisProgram::for_cluster(cluster, input.n, input.edges);
+    let programs = MisProgram::for_cluster(cluster, spec.graph.n(), edges);
     Description::wave("mis", driven(programs), |p| {
         Ok(AlgoOutput::Mis(p.0.result.expect(HALTED)))
     })
@@ -972,10 +942,11 @@ fn mis(
 
 fn coloring(
     cluster: &Cluster,
-    input: &AlgoInput<'_>,
+    spec: &JobSpec,
+    edges: &Edges,
     _rng: &mut SmallRng,
 ) -> Description<Driven<ColoringProgram>> {
-    let programs = ColoringProgram::for_cluster(cluster, input.n, input.edges);
+    let programs = ColoringProgram::for_cluster(cluster, spec.graph.n(), edges);
     Description::wave("color", driven(programs), |p| {
         Ok(AlgoOutput::Coloring(p.0.result.expect(HALTED)))
     })
@@ -1007,8 +978,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.1",
         polylog_exponent: 2.6,
         round_budget: |_n| 6,
-        solo: |c, i, m, t| solo(connectivity, c, i, m, t),
-        lanes: |c, i, r| lanes(connectivity(c, i, r)),
+        solo: |c, s, e, m, t| solo(connectivity, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(connectivity(c, s, e, r)),
     },
     Algorithm {
         name: "boruvka-msf",
@@ -1016,8 +987,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "§3 building block",
         polylog_exponent: 1.3,
         round_budget: |n| 4 * log2(n) + 8,
-        solo: |c, i, m, t| solo(boruvka_msf, c, i, m, t),
-        lanes: |c, i, r| lanes(boruvka_msf(c, i, r)),
+        solo: |c, s, e, m, t| solo(boruvka_msf, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(boruvka_msf(c, s, e, r)),
     },
     Algorithm {
         name: "mst",
@@ -1025,8 +996,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 3.1",
         polylog_exponent: 1.3,
         round_budget: |n| 6 * loglog(n) + 16,
-        solo: |c, i, m, t| solo(mst, c, i, m, t),
-        lanes: |c, i, r| lanes(mst(c, i, r)),
+        solo: |c, s, e, m, t| solo(mst, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(mst(c, s, e, r)),
     },
     Algorithm {
         name: "matching",
@@ -1034,8 +1005,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 5.1",
         polylog_exponent: 1.3,
         round_budget: |n| 10 * loglog(n) + 36,
-        solo: |c, i, m, t| solo(matching, c, i, m, t),
-        lanes: |c, i, r| lanes(matching(c, i, r)),
+        solo: |c, s, e, m, t| solo(matching, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(matching(c, s, e, r)),
     },
     Algorithm {
         name: "spanner",
@@ -1043,8 +1014,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 4.1",
         polylog_exponent: 1.6,
         round_budget: |_n| 24,
-        solo: |c, i, m, t| solo(spanner, c, i, m, t),
-        lanes: |c, i, r| lanes(spanner(c, i, r)),
+        solo: |c, s, e, m, t| solo(spanner, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(spanner(c, s, e, r)),
     },
     Algorithm {
         name: "spanner-weighted",
@@ -1054,8 +1025,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // All weight classes interleaved in one engine run: the solo
         // spanner's O(1) clock, independent of the class count.
         round_budget: |_n| 24,
-        solo: |c, i, m, t| solo(spanner_weighted, c, i, m, t),
-        lanes: |c, i, r| lanes(spanner_weighted(c, i, r)),
+        solo: |c, s, e, m, t| solo(spanner_weighted, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(spanner_weighted(c, s, e, r)),
     },
     Algorithm {
         name: "apsp",
@@ -1065,8 +1036,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // One spanner run (the fixed 17-round clock, weight classes
         // interleaved when the input is weighted).
         round_budget: |_n| 24,
-        solo: |c, i, m, t| solo(apsp, c, i, m, t),
-        lanes: |c, i, r| lanes(apsp(c, i, r)),
+        solo: |c, s, e, m, t| solo(apsp, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(apsp(c, s, e, r)),
     },
     Algorithm {
         name: "mst-approx",
@@ -1077,8 +1048,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // 3-round connectivity wave plus slack, independent of the
         // O(log_{1+ε} W) grid size — the theorem's parallel figure.
         round_budget: |_n| 8,
-        solo: |c, i, m, t| solo(mst_approx, c, i, m, t),
-        lanes: |c, i, r| lanes(mst_approx(c, i, r)),
+        solo: |c, s, e, m, t| solo(mst_approx, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(mst_approx(c, s, e, r)),
     },
     Algorithm {
         name: "mincut",
@@ -1088,8 +1059,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // O(1) per trial (12 engine rounds), at the default trial count,
         // plus the degree kickoff.
         round_budget: |_n| 12 * DEFAULT_MINCUT_TRIALS as u64 + 8,
-        solo: |c, i, m, t| solo(mincut, c, i, m, t),
-        lanes: |c, i, r| lanes(mincut(c, i, r)),
+        solo: |c, s, e, m, t| solo(mincut, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(mincut(c, s, e, r)),
     },
     Algorithm {
         name: "mincut-approx",
@@ -1100,8 +1071,8 @@ static ALGORITHMS: &[Algorithm] = &[
         // plus the conditional whole-graph fallback, independent of the
         // geometric guess count — the theorem's parallel figure.
         round_budget: |_n| 10,
-        solo: |c, i, m, t| solo(mincut_approx, c, i, m, t),
-        lanes: |c, i, r| lanes(mincut_approx(c, i, r)),
+        solo: |c, s, e, m, t| solo(mincut_approx, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(mincut_approx(c, s, e, r)),
     },
     Algorithm {
         name: "mis",
@@ -1109,8 +1080,8 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.6",
         polylog_exponent: 1.6,
         round_budget: |n| 10 * (loglog(n) + 1) + 10,
-        solo: |c, i, m, t| solo(mis, c, i, m, t),
-        lanes: |c, i, r| lanes(mis(c, i, r)),
+        solo: |c, s, e, m, t| solo(mis, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(mis(c, s, e, r)),
     },
     Algorithm {
         name: "coloring",
@@ -1119,8 +1090,8 @@ static ALGORITHMS: &[Algorithm] = &[
         polylog_exponent: 2.0,
         // O(1) plus at most MAX_RESTARTS + 1 attempt waves (2 rounds each).
         round_budget: |_n| 6 + 2 * (mpc_core::ported::coloring::MAX_RESTARTS as u64 + 1),
-        solo: |c, i, m, t| solo(coloring, c, i, m, t),
-        lanes: |c, i, r| lanes(coloring(c, i, r)),
+        solo: |c, s, e, m, t| solo(coloring, c, s, e, m, t),
+        lanes: |c, s, e, r| lanes(coloring(c, s, e, r)),
     },
 ];
 
@@ -1163,118 +1134,94 @@ pub fn get(name: &str) -> Option<&'static Algorithm> {
     ALGORITHMS.iter().find(|a| a.name == name)
 }
 
-/// Runs the named algorithm on `cluster` in the given [`ExecMode`] — the
-/// registry entry point everything routes through.
+/// The registered algorithm a job names, once its parameters pass
+/// [`check_params`]. Reads the name and the parameters only, so
+/// [`Service::submit`](crate::Service::submit) can afford it.
 ///
 /// # Errors
 ///
-/// [`ExecError::Algorithm`] for unknown names and for parameters the
-/// algorithm cannot run with (a spanner `k < 2`, an ε out of range);
-/// otherwise whatever the algorithm surfaces (see [`ExecError`]).
-pub fn run(
-    name: &str,
-    cluster: &mut Cluster,
-    input: &AlgoInput<'_>,
-    mode: ExecMode,
-) -> Result<AlgoOutput, ExecError> {
-    run_threads(name, cluster, input, mode, 0)
-}
-
-/// [`run`] with an explicit worker-thread cap for [`ExecMode::Parallel`]
-/// (0 = the [`Executor`]'s default) — the knob the schedule-independence
-/// tests turn.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_threads(
-    name: &str,
-    cluster: &mut Cluster,
-    input: &AlgoInput<'_>,
-    mode: ExecMode,
-    threads: usize,
-) -> Result<AlgoOutput, ExecError> {
+/// [`ExecError::Algorithm`] for an unknown name (the message lists the
+/// catalog) and for parameters the algorithm cannot run with.
+pub(crate) fn lookup(spec: &JobSpec) -> Result<&'static Algorithm, ExecError> {
+    let name = &spec.name;
     let algo = get(name).ok_or_else(|| ExecError::Algorithm {
         message: format!(
             "unknown algorithm '{name}'; registered: {}",
             names().join(", ")
         ),
     })?;
-    check_params(name, &input.params)?;
-    (algo.solo)(cluster, input, mode, threads)
+    check_params(name, &spec.params)?;
+    Ok(algo)
 }
 
-/// Runs one [`JobSpec`] solo on `cluster`: distributes the spec's graph
-/// and delegates to [`run`] with the spec's parameters — with
-/// `job_lanes`, the single bridge between the job description the
-/// [service](crate::service) consumes and the [`AlgoInput`] entry point,
-/// so the two cannot drift. The caller seeds the cluster (typically with
-/// [`JobSpec::seed`]) to reproduce a service job bit-for-bit.
+/// The large machine every registry program reports on.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
+/// [`ExecError::Algorithm`] naming the missing large machine.
+pub(crate) fn large_machine(cluster: &Cluster) -> Result<MachineId, ExecError> {
+    cluster.large().ok_or_else(|| ExecError::Algorithm {
+        message: "registry algorithms need a cluster with a large machine; this one has none"
+            .into(),
+    })
+}
+
+/// Runs one [`JobSpec`] solo on `cluster` in the given [`ExecMode`] — the
+/// registry entry point everything routes through. The caller seeds the
+/// cluster (typically with [`JobSpec::seed`]) to reproduce a service job
+/// bit-for-bit; the spec's seed, shares, retry budget and deadline are
+/// the service's and are not read here.
+///
+/// # Errors
+///
+/// Same as [`run_threads`].
 pub fn run_job(
     spec: &JobSpec,
     cluster: &mut Cluster,
     mode: ExecMode,
 ) -> Result<AlgoOutput, ExecError> {
-    let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
-    let input = spec.input(&edges);
-    run(&spec.name, cluster, &input, mode)
+    run_threads(spec, cluster, mode, 0)
 }
 
-/// Builds the service lanes of one [`JobSpec`] from exactly the input
-/// [`run_job`] would run solo, drawing host-side randomness from
+/// [`run_job`] with an explicit worker-thread cap for
+/// [`ExecMode::Parallel`] (0 = the [`Executor`]'s default) — the knob the
+/// schedule-independence tests turn. Checks the name, the parameters and
+/// the large machine, then shards the spec's graph over the small machines
+/// with [`distribute_edges`] and runs the name's description.
+///
+/// # Errors
+///
+/// [`ExecError::Algorithm`] for unknown names, for parameters the
+/// algorithm cannot run with (a spanner `k < 2`, an ε out of range) and
+/// for a cluster without a large machine — all before anything is sharded
+/// or run; otherwise whatever the algorithm surfaces (see [`ExecError`]).
+pub fn run_threads(
+    spec: &JobSpec,
+    cluster: &mut Cluster,
+    mode: ExecMode,
+    threads: usize,
+) -> Result<AlgoOutput, ExecError> {
+    let algo = lookup(spec)?;
+    large_machine(cluster)?;
+    let edges = distribute_edges(cluster, &spec.graph);
+    (algo.solo)(cluster, spec, &edges, mode, threads)
+}
+
+/// Builds the service lanes of one [`JobSpec`] from exactly the edges
+/// [`run_job`] would shard, drawing host-side randomness from
 /// `large_rng` — the job's stream for the large machine, which its large
 /// lane then carries on. Must run with the cluster's capacity factor at 1
 /// — the constructors snapshot solo capacities.
 ///
 /// # Panics
 ///
-/// Panics on an unregistered name or parameters [`check_params`] rejects —
+/// Panics on a spec [`lookup`] rejects —
 /// [`Service::submit`](crate::Service::submit) turns those away.
 pub(crate) fn job_lanes(spec: &JobSpec, cluster: &Cluster, large_rng: &mut SmallRng) -> Lanes {
     debug_assert_eq!(cluster.capacity_factor(), 1, "build lanes at solo capacity");
-    let edges = mpc_core::common::distribute_edges(cluster, &spec.graph);
-    let input = spec.input(&edges);
+    let edges = distribute_edges(cluster, &spec.graph);
     let algo = get(&spec.name).expect("submit admits registered names only");
-    (algo.lanes)(cluster, &input, large_rng)
-}
-
-/// Runs the named algorithm with telemetry recording attached and returns
-/// its output together with a [`RunReport`](crate::report::RunReport) —
-/// per-machine load, straggler ranking, critical-path breakdown, and (for
-/// pool runs) host-side worker accounting.
-///
-/// An unbounded ring sink is installed for the duration of the run. If the
-/// caller already attached a sink it keeps receiving every event (the two
-/// are fanned out), and it is restored afterwards either way.
-///
-/// # Errors
-///
-/// Same as [`run`]; the caller's sink is restored on the error path too.
-pub fn run_with_report(
-    name: &str,
-    cluster: &mut Cluster,
-    input: &AlgoInput<'_>,
-    mode: ExecMode,
-) -> Result<(AlgoOutput, crate::report::RunReport), ExecError> {
-    use mpc_runtime::{FanoutSink, RingSink, TraceSink};
-    use std::sync::Arc;
-
-    let ring = Arc::new(RingSink::unbounded());
-    let previous = cluster.set_trace_sink(Some(match cluster.trace_sink() {
-        Some(existing) => {
-            Arc::new(FanoutSink::new(vec![existing, ring.clone()])) as Arc<dyn TraceSink>
-        }
-        None => ring.clone() as Arc<dyn TraceSink>,
-    }));
-    let result = run(name, cluster, input, mode);
-    cluster.set_trace_sink(previous);
-    let output = result?;
-    let report = crate::report::RunReport::from_events(name, ring.take(), cluster.cost_model());
-    Ok((output, report))
+    (algo.lanes)(cluster, spec, &edges, large_rng)
 }
 
 #[cfg(test)]
@@ -1384,9 +1331,7 @@ mod tests {
     fn unknown_names_error_with_the_catalog() {
         let g = mpc_graph::generators::gnm(16, 32, 1);
         let mut cluster = Cluster::new(mpc_runtime::ClusterConfig::new(g.n(), g.m()));
-        let edges = mpc_core::common::distribute_edges(&cluster, &g);
-        let input = AlgoInput::new(g.n(), &edges);
-        let err = run("nope", &mut cluster, &input, ExecMode::Serial).unwrap_err();
+        let err = run_job(&JobSpec::new("nope", g), &mut cluster, ExecMode::Serial).unwrap_err();
         assert!(err.to_string().contains("unknown algorithm"));
         assert!(err.to_string().contains("mst"));
     }

@@ -2,13 +2,14 @@
 //! load-imbalance ratios, a critical-path breakdown, and a straggler
 //! ranking, built entirely from the telemetry event stream.
 //!
-//! [`registry::run_with_report`](crate::registry::run_with_report) attaches
-//! an unbounded ring sink for the duration of one registry run (composing
-//! with any sink the caller already installed), then folds the recorded
-//! [`TraceEvent`]s into this report. The report answers the questions the
-//! round-counting model cannot: which machine the barrier waits on, how
-//! much of the critical path is wire vs. compute vs. latency, and how
-//! evenly the pool's workers split the host-side stepping work.
+//! [`RunReport::from_events`] folds the [`TraceEvent`]s a run recorded —
+//! typically into a [`RingSink`](mpc_runtime::RingSink) attached to the
+//! cluster for one [`registry::run_job`](crate::registry::run_job) or one
+//! service drain, as `mpc-trace` does — into this report. The report
+//! answers the questions the round-counting model cannot: which machine
+//! the barrier waits on, how much of the critical path is wire vs.
+//! compute vs. latency, and how evenly the pool's workers split the
+//! host-side stepping work.
 
 use crate::pool::{PoolStats, WorkerStats};
 use mpc_runtime::telemetry::TraceEvent;

@@ -26,9 +26,7 @@
 
 use crate::driver::{ExecError, ExecMode, Executor, WaveRound};
 use crate::mixed::{by_machine, ErasedProgram, MixedWave};
-use crate::registry::{
-    self, check_params, derived_shares, AlgoOutput, Description, Finish, JobSpec,
-};
+use crate::registry::{self, derived_shares, AlgoOutput, Description, Finish, JobSpec};
 use mpc_runtime::telemetry::TraceEvent;
 use mpc_runtime::{machine_rng, Cluster, ClusterConfig, MachineId};
 use rand::rngs::SmallRng;
@@ -143,7 +141,6 @@ pub struct ServiceRun {
 // Internals
 // ---------------------------------------------------------------------------
 
-const HAS_LARGE: &str = "registry jobs run on a cluster with a large machine";
 const HAS_LANE: &str = "a running job has a lane on every machine";
 
 struct QueuedJob {
@@ -391,12 +388,7 @@ impl Service {
     /// algorithm or its parameters are out of range (a spanner `k < 2`, an
     /// ε the estimator cannot use) — nothing is enqueued.
     pub fn submit(&mut self, spec: JobSpec) -> Result<JobHandle, ExecError> {
-        if registry::get(&spec.name).is_none() {
-            return Err(ExecError::Algorithm {
-                message: format!("no registered algorithm named {:?}", spec.name),
-            });
-        }
-        check_params(&spec.name, &spec.params)?;
+        registry::lookup(&spec)?;
         let id = self.next_id;
         self.next_id += 1;
         let state = Arc::new(Mutex::new(JobState {
@@ -476,6 +468,10 @@ impl Service {
     ///
     /// # Errors
     ///
+    /// A cluster without a large machine is refused with
+    /// [`ExecError::Algorithm`] before round 0: the queue is left untouched
+    /// and every job stays [`JobStatus::Queued`].
+    ///
     /// Non-quarantinable engine failures (the round limit, hook errors)
     /// abort the whole run: jobs already admitted are marked
     /// [`JobStatus::Failed`] (their lanes died with the run); jobs still
@@ -491,9 +487,9 @@ impl Service {
             "the service manages the capacity factor; start a run at 1"
         );
         let machines = cluster.machines();
-        // Every registry algorithm reports on the large machine; a lane
-        // could only have been built on a cluster that has one.
-        let large = cluster.large();
+        // Every registry algorithm reports on the large machine: without
+        // one, nothing is admitted and every job stays queued.
+        let large = registry::large_machine(cluster)?;
         let limit = if self.capacity_shares == 0 {
             usize::MAX
         } else {
@@ -559,7 +555,6 @@ impl Service {
                         let lanes = (0..machines)
                             .map(|mid| view.with(mid, |wave| wave.remove(first).expect(HAS_LANE)))
                             .collect();
-                        let large = large.expect(HAS_LARGE);
                         retire(
                             cluster,
                             records,
@@ -675,7 +670,6 @@ impl Service {
                         let mut rngs: Vec<SmallRng> = (0..machines)
                             .map(|mid| machine_rng(qj.spec.seed, mid))
                             .collect();
-                        let large = large.expect(HAS_LARGE);
                         match registry::job_lanes(&qj.spec, cluster, &mut rngs[large]) {
                             Description::Immediate(outcome) => {
                                 finish_job(
@@ -739,7 +733,6 @@ impl Service {
                         let lanes = (waves.iter_mut())
                             .map(|wave| wave.remove(job.lanes.start).expect(HAS_LANE))
                             .collect();
-                        let large = large.expect(HAS_LARGE);
                         retire(cluster, &mut records, &mut links, job, lanes, large, round);
                     }
                     if links.is_empty() {

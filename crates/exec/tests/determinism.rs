@@ -5,7 +5,7 @@
 
 use mpc_core::common;
 use mpc_core::ported::connectivity::sketch_friendly_config;
-use mpc_exec::{registry, AlgoInput, ExecMode};
+use mpc_exec::{registry, ExecMode, JobSpec};
 use mpc_graph::generators;
 use mpc_runtime::{Cluster, ClusterConfig, Enforcement, Topology};
 use rand::RngCore;
@@ -80,27 +80,16 @@ fn connectivity_parallel_matches_serial() {
             .zip(conn_topologies(g.n(), g.m(), seed))
             .enumerate()
         {
-            let input_s = common::distribute_edges(&serial, &g);
-            let input_p = common::distribute_edges(&parallel, &g);
             // Default parameters: `ConnectivityConfig::for_n(n)`.
-            let r_serial = registry::run(
-                "connectivity",
-                &mut serial,
-                &AlgoInput::new(g.n(), &input_s),
-                ExecMode::Serial,
-            )
-            .unwrap()
-            .into_components()
-            .unwrap();
-            let r_parallel = registry::run(
-                "connectivity",
-                &mut parallel,
-                &AlgoInput::new(g.n(), &input_p),
-                ExecMode::Parallel,
-            )
-            .unwrap()
-            .into_components()
-            .unwrap();
+            let spec = JobSpec::new("connectivity", g.clone());
+            let r_serial = registry::run_job(&spec, &mut serial, ExecMode::Serial)
+                .unwrap()
+                .into_components()
+                .unwrap();
+            let r_parallel = registry::run_job(&spec, &mut parallel, ExecMode::Parallel)
+                .unwrap()
+                .into_components()
+                .unwrap();
             let what = format!("connectivity seed {seed} topology {ti}");
             assert_eq!(r_serial, r_parallel, "{what}: results differ");
             assert_clusters_identical(&mut serial, &mut parallel, &what);
@@ -117,26 +106,15 @@ fn boruvka_parallel_matches_serial() {
             .zip(mst_topologies(g.n(), g.m(), seed))
             .enumerate()
         {
-            let input_s = common::distribute_edges(&serial, &g);
-            let input_p = common::distribute_edges(&parallel, &g);
-            let f_serial = registry::run(
-                "boruvka-msf",
-                &mut serial,
-                &AlgoInput::new(g.n(), &input_s),
-                ExecMode::Serial,
-            )
-            .unwrap()
-            .into_forest()
-            .unwrap();
-            let f_parallel = registry::run(
-                "boruvka-msf",
-                &mut parallel,
-                &AlgoInput::new(g.n(), &input_p),
-                ExecMode::Parallel,
-            )
-            .unwrap()
-            .into_forest()
-            .unwrap();
+            let spec = JobSpec::new("boruvka-msf", g.clone());
+            let f_serial = registry::run_job(&spec, &mut serial, ExecMode::Serial)
+                .unwrap()
+                .into_forest()
+                .unwrap();
+            let f_parallel = registry::run_job(&spec, &mut parallel, ExecMode::Parallel)
+                .unwrap()
+                .into_forest()
+                .unwrap();
             let what = format!("boruvka seed {seed} topology {ti}");
             assert_eq!(f_serial.keys(), f_parallel.keys(), "{what}: forests differ");
             assert_eq!(

@@ -3,33 +3,25 @@
 //! connectivity loop's components on the seeds below are the
 //! `connectivity-*` rows of `LEGACY_CASES` in `registry_equivalence.rs`.
 
+use mpc_core::mst;
 use mpc_core::ported::connectivity::sketch_friendly_config;
-use mpc_core::{common, mst};
-use mpc_exec::{registry, AlgoInput, ExecMode};
+use mpc_exec::{registry, ConnectivityProgram, ExecMode, Executor, JobSpec};
 use mpc_graph::mst::{kruskal, Forest};
 use mpc_graph::traversal::{connected_components, Components};
-use mpc_graph::{generators, Edge};
+use mpc_graph::{generators, Edge, Graph};
 use mpc_runtime::{Cluster, ClusterConfig, ShardedVec};
 
-fn connectivity(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-    mode: ExecMode,
-) -> Components {
-    registry::run("connectivity", cluster, &AlgoInput::new(n, edges), mode)
+fn connectivity(cluster: &mut Cluster, g: &Graph, mode: ExecMode) -> Components {
+    let spec = JobSpec::new("connectivity", g.clone());
+    registry::run_job(&spec, cluster, mode)
         .unwrap()
         .into_components()
         .unwrap()
 }
 
-fn boruvka_msf(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-    mode: ExecMode,
-) -> Forest {
-    registry::run("boruvka-msf", cluster, &AlgoInput::new(n, edges), mode)
+fn boruvka_msf(cluster: &mut Cluster, g: &Graph, mode: ExecMode) -> Forest {
+    let spec = JobSpec::new("boruvka-msf", g.clone());
+    registry::run_job(&spec, cluster, mode)
         .unwrap()
         .into_forest()
         .unwrap()
@@ -40,8 +32,7 @@ fn connectivity_program_equals_legacy_exactly() {
     for seed in [1u64, 5, 11] {
         let g = generators::gnm(96, 240, seed);
         let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
-        let input = common::distribute_edges(&cluster, &g);
-        let engine = connectivity(&mut cluster, g.n(), &input, ExecMode::Parallel);
+        let engine = connectivity(&mut cluster, &g, ExecMode::Parallel);
         // Exact: sketch decoding is fingerprint-verified, and these seeds
         // decode every component.
         assert_eq!(engine, connected_components(&g), "seed {seed}");
@@ -59,18 +50,12 @@ fn boruvka_program_matches_legacy_mst() {
             .enumerate()
             .map(|(i, e)| Edge::new(e.u, e.v, 1_000 + i as u64))
             .collect();
-        let g = mpc_graph::Graph::new(100, edges);
+        let g = Graph::new(100, edges);
 
         let want = kruskal(&g);
 
         let mut engine_cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));
-        let engine_input = common::distribute_edges(&engine_cluster, &g);
-        let engine = boruvka_msf(
-            &mut engine_cluster,
-            g.n(),
-            &engine_input,
-            ExecMode::Parallel,
-        );
+        let engine = boruvka_msf(&mut engine_cluster, &g, ExecMode::Parallel);
 
         assert_eq!(engine.keys(), want.keys(), "seed {seed}");
         assert_eq!(engine.total_weight, want.total_weight, "seed {seed}");
@@ -83,15 +68,13 @@ fn boruvka_handles_disconnected_and_tiny_inputs() {
     // Disconnected forest input.
     let g = generators::random_forest(80, 5, 3).with_random_weights(500, 3);
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(9));
-    let input = common::distribute_edges(&cluster, &g);
-    let forest = boruvka_msf(&mut cluster, g.n(), &input, ExecMode::Parallel);
+    let forest = boruvka_msf(&mut cluster, &g, ExecMode::Parallel);
     assert!(mst::is_minimum_spanning_forest(&g, &forest));
 
     // Empty graph: engine must terminate with an empty forest.
-    let empty = mpc_graph::Graph::empty(10);
+    let empty = Graph::empty(10);
     let mut cluster = Cluster::new(ClusterConfig::new(10, 1).seed(1));
-    let input = common::distribute_edges(&cluster, &empty);
-    let forest = boruvka_msf(&mut cluster, 10, &input, ExecMode::Serial);
+    let forest = boruvka_msf(&mut cluster, &empty, ExecMode::Serial);
     assert!(forest.is_empty());
 }
 
@@ -111,8 +94,7 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     // No edges anywhere: only the seed broadcast moves.
     let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
     let smalls = cluster.small_ids().len();
-    let empty = ShardedVec::new(&cluster);
-    let got = connectivity(&mut cluster, n, &empty, ExecMode::Serial);
+    let got = connectivity(&mut cluster, &Graph::empty(n), ExecMode::Serial);
     assert_eq!(got.count, n);
     assert_eq!(
         words_and_messages(&cluster),
@@ -120,12 +102,17 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     );
 
     // A few edges, all on one machine: one sender, at most one batch per
-    // owner, and one batch from each owner that got one.
-    let few = mpc_graph::Graph::new(n, g.edges()[..20].iter().copied());
+    // owner, and one batch from each owner that got one. The registry
+    // spreads edges round-robin, so this layout runs the program directly.
+    let few = Graph::new(n, g.edges()[..20].iter().copied());
     let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
     let mut one_shard: ShardedVec<Edge> = ShardedVec::new(&cluster);
     *one_shard.shard_mut(cluster.small_ids()[0]) = few.edges().to_vec();
-    let got = connectivity(&mut cluster, n, &one_shard, ExecMode::Serial);
+    let programs = ConnectivityProgram::for_cluster(&cluster, n, &one_shard);
+    let exec = Executor::new("conn", ExecMode::Serial);
+    let mut outcome = exec.run(&mut cluster, programs).unwrap();
+    let large = cluster.large().unwrap();
+    let got = outcome.programs.swap_remove(large).result.unwrap();
     assert_eq!(got, connected_components(&few));
     let log = words_and_messages(&cluster);
     assert!((1..=smalls).contains(&log[1].1), "sender round: {log:?}");
@@ -134,11 +121,10 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     // Weights ≥ 2: the first threshold (τ = 1) filters every edge on every
     // machine, so that wave sends nothing and counts n singletons.
     let heavier = g.edges().iter().map(|e| Edge::new(e.u, e.v, e.w + 1));
-    let heavy = mpc_graph::Graph::new(n, heavier);
+    let heavy = Graph::new(n, heavier);
     let mut cluster = Cluster::new(sketch_friendly_config(n, g.m(), 3));
-    let input = common::distribute_edges(&cluster, &heavy);
-    let algo_input = AlgoInput::new(n, &input).epsilon(0.5);
-    let got = registry::run("mst-approx", &mut cluster, &algo_input, ExecMode::Serial)
+    let spec = JobSpec::new("mst-approx", heavy).epsilon(0.5);
+    let got = registry::run_job(&spec, &mut cluster, ExecMode::Serial)
         .unwrap()
         .into_mst_approx()
         .unwrap();

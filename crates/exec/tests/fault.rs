@@ -4,8 +4,9 @@
 //! as real traffic and resident memory, and unrecoverable situations must
 //! surface as typed errors — never as silent corruption.
 
-use mpc_core::common;
-use mpc_exec::{registry, AlgoInput, ExecError, ExecMode, Executor, MachineProgram, StepOutcome};
+use mpc_exec::{
+    registry, ExecError, ExecMode, Executor, JobSpec, MachineProgram, RunReport, StepOutcome,
+};
 use mpc_graph::generators;
 use mpc_runtime::fault::{Fault, FaultPlan, RecoveryPolicy};
 use mpc_runtime::telemetry::{RingSink, TraceEvent};
@@ -42,10 +43,8 @@ fn run_registry_sized(
             .seed(seed)
             .polylog_exponent(polylog),
     );
-    let edges = common::distribute_edges(&c, &g);
     c.set_fault_plan(plan);
-    let input = AlgoInput::new(g.n(), &edges);
-    let out = registry::run(name, &mut c, &input, mode).expect("registry run");
+    let out = registry::run_job(&JobSpec::new(name, g), &mut c, mode).expect("registry run");
     let digest = out.digest();
     let draws: Vec<u64> = c.rngs_mut().iter_mut().map(RngCore::next_u64).collect();
     (digest, draws, c)
@@ -512,32 +511,30 @@ fn a_crash_during_recovery_is_replayed_on_the_retry() {
 #[test]
 fn run_report_breaks_out_recovery_overhead() {
     let g = generators::gnm(220, 2600, 13).with_random_weights(1 << 16, 13);
+    let spec = JobSpec::new("mst", g);
     let polylog = registry::get("mst").expect("registered").polylog_exponent;
-    let build = || {
-        Cluster::new(
-            ClusterConfig::new(g.n(), g.m())
+    // The report is folded from a ring sink's events, the way `mpc-trace`
+    // builds its own.
+    let reported = |crash_within: Option<u64>| {
+        let mut cluster = Cluster::new(
+            ClusterConfig::new(spec.graph.n(), spec.graph.m())
                 .seed(13)
                 .polylog_exponent(polylog),
-        )
+        );
+        let plan = crash_within
+            .map(|rounds| FaultPlan::seeded_single_crash(13, &cluster.small_ids(), rounds));
+        cluster.set_fault_plan(plan);
+        let ring = Arc::new(RingSink::unbounded());
+        cluster.set_trace_sink(Some(ring.clone()));
+        registry::run_job(&spec, &mut cluster, ExecMode::Serial).expect("mst run");
+        let report = RunReport::from_events("mst", ring.take(), cluster.cost_model());
+        (report, cluster.rounds())
     };
-    let mut clean = build();
-    let edges = common::distribute_edges(&clean, &g);
-    let input = AlgoInput::new(g.n(), &edges);
-    let (_, clean_report) =
-        registry::run_with_report("mst", &mut clean, &input, ExecMode::Serial).expect("clean");
+    let (clean_report, clean_rounds) = reported(None);
     assert!(clean_report.recovery.is_empty());
     assert_eq!(clean_report.recovery.overhead_ratio(1.0), 0.0);
 
-    let mut faulted = build();
-    let edges = common::distribute_edges(&faulted, &g);
-    let input = AlgoInput::new(g.n(), &edges);
-    faulted.set_fault_plan(Some(FaultPlan::seeded_single_crash(
-        13,
-        &faulted.small_ids(),
-        clean.rounds(),
-    )));
-    let (_, report) =
-        registry::run_with_report("mst", &mut faulted, &input, ExecMode::Serial).expect("faulted");
+    let (report, _) = reported(Some(clean_rounds));
     let r = &report.recovery;
     assert_eq!(r.faults_injected, 1);
     assert_eq!(r.machines_quarantined, 1);

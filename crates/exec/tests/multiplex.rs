@@ -12,11 +12,11 @@
 //! experiment's, against the sequential round counts committed in
 //! `BENCH_rounds.json`.
 
-use mpc_core::common;
-use mpc_exec::{registry, AlgoInput, ExecMode};
+use mpc_exec::{registry, ExecMode, JobSpec};
 use mpc_graph::{generators, Graph};
 use mpc_runtime::{Cluster, ClusterConfig, Enforcement, Topology};
 use rand::RngCore;
+use std::sync::Arc;
 
 /// Draws one value from every machine's RNG — equal vectors mean equal
 /// stream positions.
@@ -42,7 +42,7 @@ fn cluster_for(g: &Graph, seed: u64, polylog: f64) -> Cluster {
 /// O(1) combined rounds.
 #[test]
 fn budget_abort_retires_finer_guesses_and_matches_sequential_fallback() {
-    let g = generators::gnm(40, 400, 11).with_random_weights(1 << 10, 11);
+    let g = Arc::new(generators::gnm(40, 400, 11).with_random_weights(1 << 10, 11));
     // Record mode: the tiny large machine is the *point* (its skeleton
     // budget trips), and the fallback gather legitimately exceeds it.
     let make = || {
@@ -58,16 +58,11 @@ fn budget_abort_retires_finer_guesses_and_matches_sequential_fallback() {
     };
 
     let mut bat_cluster = make();
-    let bat_input = common::distribute_edges(&bat_cluster, &g);
-    let bat = registry::run(
-        "mincut-approx",
-        &mut bat_cluster,
-        &AlgoInput::new(g.n(), &bat_input).epsilon(0.3),
-        ExecMode::Serial,
-    )
-    .unwrap()
-    .into_mincut_approx()
-    .unwrap();
+    let spec = JobSpec::new("mincut-approx", Arc::clone(&g)).epsilon(0.3);
+    let bat = registry::run_job(&spec, &mut bat_cluster, ExecMode::Serial)
+        .unwrap()
+        .into_mincut_approx()
+        .unwrap();
     let bat_rounds = bat_cluster.rounds();
 
     // The run aborted to the fallback (λ̂ = 1 marker): the exact cut of
@@ -105,14 +100,13 @@ fn budget_abort_retires_finer_guesses_and_matches_sequential_fallback() {
 /// coarser ε = 0.5 grid.)
 #[test]
 fn batched_workloads_are_schedule_independent_at_threads_1_3_16() {
-    let g = generators::gnm(140, 1100, 9).with_random_weights(1 << 16, 9);
+    let g = Arc::new(generators::gnm(140, 1100, 9).with_random_weights(1 << 16, 9));
     for name in registry::BATCHED_NAMES {
         let polylog = registry::get(name).unwrap().polylog_exponent;
         let run = |mode: ExecMode, threads: usize| {
             let mut cluster = cluster_for(&g, 9, polylog);
-            let edges = common::distribute_edges(&cluster, &g);
-            let input = AlgoInput::new(g.n(), &edges).epsilon(0.5);
-            let out = registry::run_threads(name, &mut cluster, &input, mode, threads).unwrap();
+            let spec = JobSpec::new(name, Arc::clone(&g)).epsilon(0.5);
+            let out = registry::run_threads(&spec, &mut cluster, mode, threads).unwrap();
             let log = cluster.round_log().to_vec();
             let rng = rng_positions(&mut cluster);
             (out.digest(), cluster.rounds(), log, rng)

@@ -158,6 +158,58 @@ fn panicking_step_propagates_instead_of_deadlocking() {
     }
 }
 
+/// A round hook that panics reaches the caller in every mode. The pool's
+/// workers wait at the round barrier while the hook runs; unless the
+/// unwind releases them, the scope's implicit join never returns — so each
+/// run happens on a thread of its own, and the test waits 10 s at most.
+#[test]
+fn panicking_round_hook_propagates_instead_of_hanging() {
+    let runs = [
+        (ExecMode::Serial, 1),
+        (ExecMode::Parallel, 1),
+        (ExecMode::Parallel, 3),
+    ];
+    for (mode, threads) in runs {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                let mut cluster = flat_cluster(4);
+                let programs = (0..4)
+                    .map(|_| BufferRing {
+                        rounds: 6,
+                        sent: Vec::new(),
+                        checked: 0,
+                    })
+                    .collect();
+                let mut hook = |_: &mut Cluster, view: &mut WaveRound<'_, BufferRing>| {
+                    if view.round() == 2 {
+                        panic!("hook detonated");
+                    }
+                    Ok(false)
+                };
+                Executor::new("hook", mode)
+                    .threads(threads)
+                    .run_hooked(&mut cluster, programs, &mut hook)
+                    .map(|_| ())
+            });
+            let message = run.map_err(|err| {
+                let text = err.downcast_ref::<&str>().map(|s| s.to_string());
+                text.or_else(|| err.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            done.send(message).ok();
+        });
+        let got = outcome
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{mode:?} at {threads} threads: the run hung"));
+        let message = got.expect_err("the hook panic must propagate to the caller");
+        assert!(
+            message.contains("hook detonated"),
+            "{mode:?} at {threads} threads: expected the hook's payload, got {message:?}"
+        );
+    }
+}
+
 /// A ring whose one-message outbox has a recognisable capacity, and which
 /// checks where its mail arrives.
 struct BufferRing {

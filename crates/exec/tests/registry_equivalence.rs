@@ -23,9 +23,8 @@
 mod fingerprint;
 
 use fingerprint::{bridge_path, fnv, fold, Fingerprint};
-use mpc_core::common;
 use mpc_core::ported::connectivity::sketch_friendly_config;
-use mpc_exec::{registry, AlgoInput, AlgoOutput, ExecMode, JobParams, JobSpec};
+use mpc_exec::{registry, AlgoOutput, ExecMode, JobParams, JobSpec};
 use mpc_graph::{generators, mincut::min_cut, Edge, Graph};
 use mpc_runtime::{Cluster, ClusterConfig, Topology};
 use rand::RngCore;
@@ -535,18 +534,17 @@ fn print_legacy_cases() {
 /// names, the multiplexed ones included, through the one registry entry.
 #[test]
 fn engine_algorithms_are_schedule_independent_at_threads_1_3_16() {
-    let g = generators::gnm(140, 1100, 9).with_random_weights(1 << 16, 9);
+    let g = Arc::new(generators::gnm(140, 1100, 9).with_random_weights(1 << 16, 9));
     for name in registry::CANONICAL_NAMES {
         let polylog = registry::get(name).unwrap().polylog_exponent;
+        let spec = JobSpec::new(name, Arc::clone(&g));
         let run = |mode: ExecMode, threads: usize| {
             let mut cluster = Cluster::new(
                 ClusterConfig::new(g.n(), g.m())
                     .seed(9)
                     .polylog_exponent(polylog),
             );
-            let edges = common::distribute_edges(&cluster, &g);
-            let input = AlgoInput::new(g.n(), &edges);
-            let out = registry::run_threads(name, &mut cluster, &input, mode, threads).unwrap();
+            let out = registry::run_threads(&spec, &mut cluster, mode, threads).unwrap();
             let log = cluster.round_log().to_vec();
             let rng = rng_positions(&mut cluster);
             (out.digest(), cluster.rounds(), log, rng)

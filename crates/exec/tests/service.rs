@@ -13,7 +13,7 @@ use mpc_exec::{
 };
 use mpc_graph::{generators, Edge, Graph};
 use mpc_runtime::fault::FaultPlan;
-use mpc_runtime::{Cluster, ClusterConfig, ShardedVec};
+use mpc_runtime::{Cluster, ClusterConfig, ShardedVec, Topology};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -796,6 +796,52 @@ fn invalid_parameters_are_rejected_at_submit_and_solo() {
     assert_eq!(run.records.len(), 2);
     assert_eq!(before.status(), JobStatus::Completed);
     assert_eq!(after.status(), JobStatus::Completed);
+}
+
+/// Every registry program reports on the large machine, so a cluster
+/// without one is refused with a typed error instead of a panic (or, under
+/// the pool, a hang): solo before anything is sharded or run, and by the
+/// service before round 0, with the queue untouched and every job queued.
+#[test]
+fn clusters_without_a_large_machine_are_refused_up_front() {
+    let g = Arc::new(weighted_graph());
+    let no_large = config(&g, 4).topology(Topology::Custom {
+        capacities: vec![1 << 20; 4],
+        large: None,
+    });
+    let refused = |result: Result<_, ExecError>, what: &str| match result {
+        Err(ExecError::Algorithm { message }) => {
+            assert!(message.contains("large machine"), "{what}: {message}")
+        }
+        Err(other) => panic!("{what}: expected ExecError::Algorithm, got {other}"),
+        Ok(_) => panic!("{what}: ran without a large machine"),
+    };
+    for mode in [ExecMode::Serial, ExecMode::Parallel] {
+        let mut cluster = Cluster::new(no_large.clone());
+        let spec = JobSpec::new("mst", Arc::clone(&g));
+        refused(
+            registry::run_job(&spec, &mut cluster, mode).map(|_| ()),
+            &format!("solo {mode:?}"),
+        );
+        assert_eq!(cluster.rounds(), 0, "{mode:?}: the solo run exchanged");
+    }
+    for mode in [ExecMode::Serial, ExecMode::Parallel] {
+        let mut svc = Service::new(no_large.clone());
+        let jobs: Vec<_> = ["mis", "connectivity"]
+            .into_iter()
+            .map(|name| svc.submit(JobSpec::new(name, Arc::clone(&g))).unwrap())
+            .collect();
+        let mut cluster = Cluster::new(no_large.clone());
+        refused(
+            svc.run_on(&mut cluster, mode).map(|_| ()),
+            &format!("service {mode:?}"),
+        );
+        assert_eq!(cluster.rounds(), 0, "{mode:?}: the service exchanged");
+        assert_eq!(svc.queued(), jobs.len(), "{mode:?}: the queue changed");
+        for job in &jobs {
+            assert_eq!(job.status(), JobStatus::Queued, "{mode:?}");
+        }
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use mpc_core::common;
 use mpc_core::ported::connectivity::sketch_friendly_config;
-use mpc_exec::{registry, AlgoInput, ConnectivityProgram, ExecMode, Executor, JobSpec, Service};
+use mpc_exec::{registry, ConnectivityProgram, ExecMode, Executor, JobSpec, Service};
 use mpc_graph::generators;
 use mpc_runtime::telemetry::{parse_json, perfetto_export};
 use mpc_runtime::{Cluster, ClusterConfig, Enforcement, FaultPlan, RingSink, Topology, TraceEvent};
@@ -107,9 +107,8 @@ fn ring_events_reconcile_exactly_with_round_records() {
         cluster.set_fault_plan(plan);
         let ring = Arc::new(RingSink::unbounded());
         cluster.set_trace_sink(Some(ring.clone()));
-        let edges = common::distribute_edges(&cluster, &g);
-        let input = AlgoInput::new(g.n(), &edges);
-        registry::run("boruvka-msf", &mut cluster, &input, ExecMode::Parallel).unwrap();
+        let spec = JobSpec::new("boruvka-msf", g.clone());
+        registry::run_job(&spec, &mut cluster, ExecMode::Parallel).unwrap();
         reconcile(&ring.take(), &cluster);
         cluster
     };
@@ -189,9 +188,8 @@ fn perfetto_export_round_trips_a_batched_run_with_retirement() {
     );
     let ring = Arc::new(RingSink::unbounded());
     cluster.set_trace_sink(Some(ring.clone()));
-    let edges = common::distribute_edges(&cluster, &g);
-    let input = AlgoInput::new(g.n(), &edges).epsilon(0.3);
-    let out = registry::run("mincut-approx", &mut cluster, &input, ExecMode::Parallel)
+    let spec = JobSpec::new("mincut-approx", g).epsilon(0.3);
+    let out = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
         .unwrap()
         .into_mincut_approx()
         .unwrap();

@@ -24,11 +24,9 @@ fn main() {
     // Exact unweighted min cut (Theorem C.3), on the parallel engine
     // through the Algorithm registry.
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(1));
-    let input = common::distribute_edges(&cluster, &g);
-    let exact = registry::run(
-        "mincut",
+    let exact = registry::run_job(
+        &JobSpec::new("mincut", g.clone()).mincut_trials(8),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input).mincut_trials(8),
         ExecMode::Parallel,
     )
     .unwrap()
@@ -53,11 +51,9 @@ fn main() {
             .seed(2)
             .polylog_exponent(1.6),
     );
-    let input = common::distribute_edges(&cluster, &gw);
-    let approx = registry::run(
-        "mincut-approx",
+    let approx = registry::run_job(
+        &JobSpec::new("mincut-approx", gw.clone()).epsilon(0.3),
         &mut cluster,
-        &AlgoInput::new(gw.n(), &input).epsilon(0.3),
         ExecMode::Parallel,
     )
     .unwrap()

@@ -1,5 +1,5 @@
 //! The execution engine from a consumer's seat: every registered
-//! algorithm, driven through `registry::run` on the parallel worker pool,
+//! algorithm, driven through `registry::run_job` on the parallel worker pool,
 //! on a cluster with a straggler cost model.
 //!
 //! For each algorithm the demo prints the exchange rounds consumed, the
@@ -12,9 +12,10 @@
 //! ```
 
 use het_mpc::prelude::*;
+use std::sync::Arc;
 
 fn main() {
-    let g = generators::gnm(256, 2048, 42).with_random_weights(1 << 16, 42);
+    let g = Arc::new(generators::gnm(256, 2048, 42).with_random_weights(1 << 16, 42));
     println!(
         "input: n = {}, m = {}; running every registered algorithm in \
          ExecMode::Parallel\n",
@@ -36,9 +37,8 @@ fn main() {
             CostModel::uniform(cluster.machines(), 1.0, 1.0, 0.5).with_straggler(straggler, 0.05);
         cluster.set_cost_model(model);
 
-        let edges = common::distribute_edges(&cluster, &g);
-        let input = AlgoInput::new(g.n(), &edges);
-        let outcome = registry::run(algo.name, &mut cluster, &input, ExecMode::Parallel)
+        let spec = JobSpec::new(algo.name, Arc::clone(&g));
+        let outcome = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
             .expect("registered algorithm run");
 
         let result_line = match outcome {

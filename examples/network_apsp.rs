@@ -32,11 +32,9 @@ fn main() {
             .seed(11)
             .polylog_exponent(polylog),
     );
-    let input = common::distribute_edges(&cluster, &g);
-    let (oracle, _) = registry::run(
-        "apsp",
+    let (oracle, _) = registry::run_job(
+        &JobSpec::new("apsp", g.clone()),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input),
         ExecMode::Parallel,
     )
     .expect("oracle build")

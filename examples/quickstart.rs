@@ -10,7 +10,7 @@
 //! O(log log(m/n))-round MST algorithm of §3 on the **parallel worker
 //! pool** (`ExecMode::Parallel`) under strict capacity enforcement, and
 //! verifies the answer against sequential Kruskal. The same
-//! `registry::run` call with `ExecMode::Serial` produces bit-identical
+//! `registry::run_job` call with `ExecMode::Serial` produces bit-identical
 //! results, round logs, and RNG streams.
 
 use het_mpc::prelude::*;
@@ -31,11 +31,9 @@ fn main() {
         cluster.capacity(cluster.large().unwrap()),
     );
 
-    let input = common::distribute_edges(&cluster, &g);
-    let result = registry::run(
-        "mst",
+    let result = registry::run_job(
+        &JobSpec::new("mst", g.clone()),
         &mut cluster,
-        &AlgoInput::new(n, &input),
         ExecMode::Parallel,
     )
     .expect("strict-mode run")

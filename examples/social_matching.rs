@@ -26,11 +26,9 @@ fn main() {
 
         // Heterogeneous three-phase matching.
         let mut het = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(5));
-        let input = common::distribute_edges(&het, &g);
-        let r = registry::run(
-            "matching",
+        let r = registry::run_job(
+            &JobSpec::new("matching", g.clone()),
             &mut het,
-            &AlgoInput::new(g.n(), &input),
             ExecMode::Parallel,
         )
         .unwrap()

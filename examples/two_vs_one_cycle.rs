@@ -32,11 +32,9 @@ fn main() {
             // parallel engine through the Algorithm registry — "one cycle"
             // iff the component count is 1.
             let mut cluster = Cluster::new(sketch_friendly_config(n, n, 1));
-            let input = common::distribute_edges(&cluster, &g);
-            let single = registry::run(
-                "connectivity",
+            let single = registry::run_job(
+                &JobSpec::new("connectivity", g.clone()),
                 &mut cluster,
-                &AlgoInput::new(n, &input),
                 ExecMode::Parallel,
             )
             .unwrap()

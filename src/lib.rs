@@ -21,19 +21,14 @@
 //!
 //! // A heterogeneous cluster: machine 0 near-linear, the rest sublinear.
 //! let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(42));
-//! let input = common::distribute_edges(&cluster, &g);
 //!
 //! // Exact MST in O(log log(m/n)) rounds on the parallel execution
 //! // engine, through the Algorithm registry — verified against Kruskal.
-//! let result = registry::run(
-//!     "mst",
-//!     &mut cluster,
-//!     &AlgoInput::new(g.n(), &input),
-//!     ExecMode::Parallel,
-//! )
-//! .unwrap()
-//! .into_mst()
-//! .unwrap();
+//! let spec = JobSpec::new("mst", g.clone());
+//! let result = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
+//!     .unwrap()
+//!     .into_mst()
+//!     .unwrap();
 //! assert!(mst::is_minimum_spanning_forest(&g, &result.forest));
 //! println!("MST of weight {} in {} rounds", result.forest.total_weight, cluster.rounds());
 //! ```
@@ -83,14 +78,15 @@ pub use mpc_sketch as sketch;
 /// The most common imports, bundled.
 ///
 /// Algorithms are run by name through the
-/// [`registry`](mpc_exec::registry) (`registry::run`, `registry::run_job`)
-/// on the parallel [`Executor`](mpc_exec::Executor). `mpc-core`'s modules
+/// [`registry`](mpc_exec::registry) — a [`JobSpec`](mpc_exec::JobSpec) solo
+/// with `registry::run_job`, or queued on a [`Service`](mpc_exec::Service)
+/// — on the parallel [`Executor`](mpc_exec::Executor). `mpc-core`'s modules
 /// (`mst`, `matching`, `spanner`, `ported`) hold the result types and local
 /// steps the engine's programs run.
 pub mod prelude {
     pub use mpc_core::common;
     pub use mpc_core::{matching, mst, ported, spanner};
-    pub use mpc_exec::registry::{self, AlgoInput, AlgoOutput};
+    pub use mpc_exec::registry::{self, AlgoOutput};
     pub use mpc_exec::{
         ExecError, ExecMode, Executor, JobHandle, JobParams, JobRecord, JobSpec, JobStatus,
         MachineProgram, Service, ServiceRun, StepOutcome,

@@ -8,14 +8,7 @@ use mpc_graph::matching::is_maximal_matching;
 use mpc_graph::mst::kruskal;
 
 fn registry_on(name: &str, g: &Graph, cluster: &mut Cluster) -> AlgoOutput {
-    let input = common::distribute_edges(cluster, g);
-    registry::run(
-        name,
-        cluster,
-        &AlgoInput::new(g.n(), &input),
-        ExecMode::Parallel,
-    )
-    .unwrap()
+    registry::run_job(&JobSpec::new(name, g.clone()), cluster, ExecMode::Parallel).unwrap()
 }
 
 fn run_mst(g: &Graph, seed: u64) -> mpc_core::mst::MstResult {
@@ -72,11 +65,9 @@ fn grid_graph_spanner() {
             .seed(6)
             .polylog_exponent(1.6),
     );
-    let input = common::distribute_edges(&cluster, &g);
-    let r = registry::run(
-        "spanner",
+    let r = registry::run_job(
+        &JobSpec::new("spanner", g.clone()).spanner_k(2),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input).spanner_k(2),
         ExecMode::Parallel,
     )
     .unwrap()
@@ -116,11 +107,9 @@ fn gamma_extremes() {
                 .polylog_exponent(2.6)
                 .seed(8),
         );
-        let input = common::distribute_edges(&cluster, &g);
-        let r = registry::run(
-            "mst",
+        let r = registry::run_job(
+            &JobSpec::new("mst", g.clone()),
             &mut cluster,
-            &AlgoInput::new(g.n(), &input),
             ExecMode::Parallel,
         )
         .unwrap_or_else(|e| panic!("gamma {gamma}: {e}"))
@@ -152,11 +141,9 @@ fn spanner_on_already_sparse_graph_keeps_connectivity() {
             .seed(10)
             .polylog_exponent(1.6),
     );
-    let input = common::distribute_edges(&cluster, &g);
-    let r = registry::run(
-        "spanner",
+    let r = registry::run_job(
+        &JobSpec::new("spanner", g.clone()).spanner_k(3),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input).spanner_k(3),
         ExecMode::Parallel,
     )
     .unwrap()

@@ -20,11 +20,9 @@ fn mst_spanner_matching_on_the_same_graph() {
 
     // MST.
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(1));
-    let input = common::distribute_edges(&cluster, &g);
-    let mst_result = registry::run(
-        "mst",
+    let mst_result = registry::run_job(
+        &JobSpec::new("mst", g.clone()),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input),
         ExecMode::Parallel,
     )
     .unwrap()
@@ -40,11 +38,9 @@ fn mst_spanner_matching_on_the_same_graph() {
             .seed(1)
             .polylog_exponent(1.6),
     );
-    let input = common::distribute_edges(&cluster, &unweighted);
-    let sp = registry::run(
-        "spanner",
+    let sp = registry::run_job(
+        &JobSpec::new("spanner", unweighted.clone()).spanner_k(3),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input).spanner_k(3),
         ExecMode::Parallel,
     )
     .unwrap()
@@ -54,11 +50,9 @@ fn mst_spanner_matching_on_the_same_graph() {
 
     // Matching.
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(1));
-    let input = common::distribute_edges(&cluster, &g);
-    let m = registry::run(
-        "matching",
+    let m = registry::run_job(
+        &JobSpec::new("matching", g.clone()),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input),
         ExecMode::Parallel,
     )
     .unwrap()
@@ -82,11 +76,9 @@ fn ported_algorithms_cover_appendix_c() {
             .seed(2)
             .polylog_exponent(2.6),
     );
-    let input = common::distribute_edges(&cluster, &g);
-    let comps = registry::run(
-        "connectivity",
+    let comps = registry::run_job(
+        &JobSpec::new("connectivity", g.clone()),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input),
         ExecMode::Parallel,
     )
     .unwrap()
@@ -100,11 +92,9 @@ fn ported_algorithms_cover_appendix_c() {
             .seed(2)
             .polylog_exponent(1.6),
     );
-    let input = common::distribute_edges(&cluster, &g);
-    let mis = registry::run(
-        "mis",
+    let mis = registry::run_job(
+        &JobSpec::new("mis", g.clone()),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input),
         ExecMode::Parallel,
     )
     .unwrap()
@@ -118,11 +108,9 @@ fn ported_algorithms_cover_appendix_c() {
             .seed(2)
             .polylog_exponent(2.0),
     );
-    let input = common::distribute_edges(&cluster, &g);
-    let col = registry::run(
-        "coloring",
+    let col = registry::run_job(
+        &JobSpec::new("coloring", g.clone()),
         &mut cluster,
-        &AlgoInput::new(g.n(), &input),
         ExecMode::Parallel,
     )
     .unwrap()
@@ -133,11 +121,9 @@ fn ported_algorithms_cover_appendix_c() {
     // Exact min cut (C.3) on a planted instance.
     let pc = generators::planted_cut(30, 0.6, 3, 2);
     let mut cluster = Cluster::new(ClusterConfig::new(pc.n(), pc.m()).seed(2));
-    let input = common::distribute_edges(&cluster, &pc);
-    let mc = registry::run(
-        "mincut",
+    let mc = registry::run_job(
+        &JobSpec::new("mincut", pc.clone()).mincut_trials(8),
         &mut cluster,
-        &AlgoInput::new(pc.n(), &input).mincut_trials(8),
         ExecMode::Parallel,
     )
     .unwrap()

@@ -14,19 +14,25 @@ fn starved_cluster(g: &Graph) -> ClusterConfig {
         .seed(1)
 }
 
-/// Runs the registry `mst` on a default cluster, returning the result and
-/// the cluster for inspection.
-fn run_mst(g: &Graph, seed: u64, plan: Option<FaultPlan>, mode: ExecMode) -> (u128, Vec<u64>) {
+/// Runs the registry `mst` on a default cluster with a `threads`-wide pool
+/// (0 = the default width) and returns the result digest and each
+/// machine's next RNG draw.
+fn run_mst(
+    g: &Graph,
+    seed: u64,
+    plan: Option<FaultPlan>,
+    mode: ExecMode,
+    threads: usize,
+) -> (u128, Vec<u64>) {
     let polylog = registry::get("mst").expect("registered").polylog_exponent;
     let mut cluster = Cluster::new(
         ClusterConfig::new(g.n(), g.m())
             .seed(seed)
             .polylog_exponent(polylog),
     );
-    let edges = common::distribute_edges(&cluster, g);
     cluster.set_fault_plan(plan);
-    let input = AlgoInput::new(g.n(), &edges);
-    let out = registry::run("mst", &mut cluster, &input, mode).expect("mst run");
+    let spec = JobSpec::new("mst", g.clone());
+    let out = registry::run_threads(&spec, &mut cluster, mode, threads).expect("mst run");
     let draws = cluster
         .rngs_mut()
         .iter_mut()
@@ -39,9 +45,7 @@ fn run_mst(g: &Graph, seed: u64, plan: Option<FaultPlan>, mode: ExecMode) -> (u1
 fn strict_mode_reports_the_offending_exchange() {
     let g = generators::gnm(256, 4096, 1).with_random_weights(1 << 16, 1);
     let mut cluster = Cluster::new(starved_cluster(&g).enforcement(Enforcement::Strict));
-    let edges = common::distribute_edges(&cluster, &g);
-    let input = AlgoInput::new(g.n(), &edges);
-    match registry::run("mst", &mut cluster, &input, ExecMode::Serial) {
+    match registry::run_job(&JobSpec::new("mst", g), &mut cluster, ExecMode::Serial) {
         Err(ExecError::Model(v)) => {
             // The violation names a machine, a round, and a labeled step.
             let s = v.to_string();
@@ -57,9 +61,8 @@ fn strict_mode_reports_the_offending_exchange() {
 fn record_mode_still_computes_the_right_answer() {
     let g = generators::gnm(256, 4096, 1).with_random_weights(1 << 16, 1);
     let mut cluster = Cluster::new(starved_cluster(&g).enforcement(Enforcement::Record));
-    let edges = common::distribute_edges(&cluster, &g);
-    let input = AlgoInput::new(g.n(), &edges);
-    let out = registry::run("mst", &mut cluster, &input, ExecMode::Serial).unwrap();
+    let spec = JobSpec::new("mst", g.clone());
+    let out = registry::run_job(&spec, &mut cluster, ExecMode::Serial).unwrap();
     let r = out.into_mst().expect("mst output");
     assert_eq!(r.forest.total_weight, kruskal(&g).total_weight);
     assert!(
@@ -104,9 +107,12 @@ fn memory_accounting_catches_oversized_state() {
 
 #[test]
 fn adversarial_layout_does_not_change_results() {
+    use het_mpc::exec::{Driven, MstProgram};
     use mpc_graph::distribution::Layout;
     // Contiguous layout: all of a vertex's edges can sit on one machine —
     // the worst case for the hash-owner primitives' balance assumptions.
+    // The registry always spreads edges round-robin, so the program runs
+    // on the executor directly.
     let g = generators::gnm(200, 3000, 9).with_random_weights(1 << 16, 9);
     let mut results = Vec::new();
     for layout in [Layout::RoundRobin, Layout::Contiguous, Layout::Random(5)] {
@@ -117,9 +123,18 @@ fn adversarial_layout_does_not_change_results() {
                 .polylog_exponent(polylog),
         );
         let edges = common::distribute_edges_with(&cluster, &g, layout);
-        let input = AlgoInput::new(g.n(), &edges);
-        let out = registry::run("mst", &mut cluster, &input, ExecMode::Serial).unwrap();
-        let r = out.into_mst().expect("mst output");
+        let programs = MstProgram::for_cluster(&cluster, g.n(), &edges);
+        let programs: Vec<_> = programs.into_iter().map(Driven).collect();
+        let exec = Executor::new("mst", ExecMode::Serial);
+        let mut outcome = exec.run(&mut cluster, programs).unwrap();
+        let large = cluster.large().expect("a large machine");
+        let r = outcome
+            .programs
+            .swap_remove(large)
+            .0
+            .result
+            .unwrap()
+            .unwrap();
         results.push(r.forest.total_weight);
     }
     assert_eq!(results[0], kruskal(&g).total_weight);
@@ -129,11 +144,11 @@ fn adversarial_layout_does_not_change_results() {
 #[test]
 fn mid_run_crash_recovers_bit_identically_in_serial_mode() {
     let g = generators::gnm(200, 2400, 4).with_random_weights(1 << 16, 4);
-    let (clean_digest, clean_draws) = run_mst(&g, 4, None, ExecMode::Serial);
+    let (clean_digest, clean_draws) = run_mst(&g, 4, None, ExecMode::Serial, 0);
     for seed in 0..3 {
         // Different seeds pick different crash victims among the smalls.
         let plan = FaultPlan::seeded_single_crash(seed, &[1, 2, 3, 4, 5], 30);
-        let (digest, draws) = run_mst(&g, 4, Some(plan), ExecMode::Serial);
+        let (digest, draws) = run_mst(&g, 4, Some(plan), ExecMode::Serial, 0);
         assert_eq!(digest, clean_digest, "crash seed {seed} changed the MST");
         assert_eq!(draws, clean_draws, "crash seed {seed} moved RNG streams");
     }
@@ -142,17 +157,12 @@ fn mid_run_crash_recovers_bit_identically_in_serial_mode() {
 #[test]
 fn mid_run_crash_recovers_bit_identically_across_pool_sizes() {
     let g = generators::gnm(200, 2400, 8).with_random_weights(1 << 16, 8);
-    let (clean_digest, clean_draws) = run_mst(&g, 8, None, ExecMode::Serial);
+    let (clean_digest, clean_draws) = run_mst(&g, 8, None, ExecMode::Serial, 0);
     let plan = FaultPlan::seeded_single_crash(8, &[1, 2, 3, 4, 5], 30);
 
-    // The registry's parallel path sizes its pool from MPC_POOL_THREADS
-    // (the knob CI's thread matrix turns). Pool width must never affect
-    // results — with or without a fault plan — so pinning it here only
-    // perturbs scheduling for any concurrently running test, never
-    // outcomes.
+    // Pool width must never affect results, with or without a fault plan.
     for threads in [1usize, 3, 16] {
-        std::env::set_var("MPC_POOL_THREADS", threads.to_string());
-        let (digest, draws) = run_mst(&g, 8, Some(plan.clone()), ExecMode::Parallel);
+        let (digest, draws) = run_mst(&g, 8, Some(plan.clone()), ExecMode::Parallel, threads);
         assert_eq!(
             digest, clean_digest,
             "{threads}-thread pool diverged under recovery"
@@ -162,5 +172,4 @@ fn mid_run_crash_recovers_bit_identically_across_pool_sizes() {
             "{threads}-thread pool moved RNG streams"
         );
     }
-    std::env::remove_var("MPC_POOL_THREADS");
 }

@@ -90,13 +90,12 @@ fn mst_respects_capacities_across_gamma() {
     }
     // A deeper collector tree (f 0.2) and a label relay (f 0.4) are
     // schedule-independent, and run in a service lane as they run solo.
+    let spec = JobSpec::new("mst", e2e.clone());
     for f in [0.2, 0.4] {
         let config = regime(&e2e, 0.5, f, 3.0, 4);
         let run = |mode, threads| {
             let mut cluster = Cluster::new(config.clone());
-            let edges = common::distribute_edges(&cluster, &e2e);
-            let input = AlgoInput::new(e2e.n(), &edges);
-            let out = registry::run_threads("mst", &mut cluster, &input, mode, threads).unwrap();
+            let out = registry::run_threads(&spec, &mut cluster, mode, threads).unwrap();
             (out.digest(), cluster.round_log().to_vec())
         };
         let serial = run(ExecMode::Serial, 1);
@@ -107,9 +106,7 @@ fn mst_respects_capacities_across_gamma() {
             );
         }
         let mut service = Service::new(config);
-        let job = service
-            .submit(JobSpec::new("mst", e2e.clone()).seed(4))
-            .unwrap();
+        let job = service.submit(spec.clone().seed(4)).unwrap();
         service.run(ExecMode::Serial).unwrap();
         let lane = job.take_result().unwrap().unwrap().digest();
         assert_eq!(lane, serial.0, "f {f}: service lane");
