@@ -126,11 +126,10 @@ type Rerun<'a> = &'a dyn Fn(ExecMode, Option<&dyn Fn(&mut Cluster)>) -> Solo;
 
 /// The registry pass: one clean serial [`solo`] run of every registry
 /// algorithm on the budgets graph at each `n`, on its preferred cluster at
-/// seed 5 (`prepare` as in [`solo`]), printed as one table with a `row` of
-/// named cells per run; `row` may rerun it.
+/// seed 5, printed as one table with a `row` of named cells per run; `row`
+/// may rerun it.
 fn registry_pass(
     ns: &[usize],
-    prepare: Option<&dyn Fn(&mut Cluster)>,
     mut row: impl FnMut(&Algorithm, usize, Rerun, Solo) -> Vec<(&'static str, String)>,
 ) {
     let mut t = Table::default();
@@ -142,7 +141,7 @@ fn registry_pass(
                 let run = solo(algo.name, &g, config, JobParams::default(), mode, prepare);
                 run.expect("registered algorithm run")
             };
-            t.cells(&row(algo, n, &rerun, rerun(Serial, prepare)));
+            t.cells(&row(algo, n, &rerun, rerun(Serial, None)));
         }
     }
     t.print();
@@ -1027,27 +1026,16 @@ fn pool_note() {
 }
 
 /// E13 (a CI gate): `Serial` == `Parallel` in digest and rounds for every
-/// registered name. `MPC_TRACE_JSONL=path` streams every event of every
-/// run into one JSONL file, which CI checks with `mpc-trace --validate`.
+/// registered name.
 fn registry_smoke() {
-    use mpc_runtime::JsonlSink;
-
     assert_eq!(
         registry::names(),
         registry::CANONICAL_NAMES.to_vec(),
         "registry names drifted from the canonical set"
     );
     pool_note();
-    let jsonl: Option<Arc<JsonlSink>> = std::env::var("MPC_TRACE_JSONL").ok().map(|path| {
-        println!("(streaming telemetry events to {path} via MPC_TRACE_JSONL)\n");
-        Arc::new(JsonlSink::create(&path).expect("create MPC_TRACE_JSONL file"))
-    });
-    let attach = |c: &mut Cluster| {
-        c.set_trace_sink(jsonl.clone().map(|s| s as Arc<dyn TraceSink>));
-    };
-    let prepare = jsonl.is_some().then_some(&attach as &dyn Fn(&mut Cluster));
-    registry_pass(&[128], prepare, |algo, _, rerun, serial| {
-        let pool = rerun(Parallel, prepare);
+    registry_pass(&[128], |algo, _, rerun, serial| {
+        let pool = rerun(Parallel, None);
         let (s, p) = ((serial.digest, serial.rounds), (pool.digest, pool.rounds));
         assert_eq!(s, p, "{}: serial and parallel runs diverged", algo.name);
         vec![
@@ -1077,7 +1065,7 @@ fn budgets() {
     let (mut failures, mut json) = (Vec::new(), Vec::new());
     let committed = committed_sequential_rounds();
     let show = |v: Option<u64>, none: &str| v.map_or_else(|| none.to_string(), |v| v.to_string());
-    registry_pass(&[128, 512], None, |algo, n, _, run| {
+    registry_pass(&[128, 512], |algo, n, _, run| {
         let (rounds, cap) = (run.rounds, (algo.round_budget)(n));
         let parallel = match &run.out {
             AlgoOutput::MstApprox(r) => Some(r.parallel_rounds),
@@ -1157,7 +1145,7 @@ fn committed_sequential_rounds() -> std::collections::BTreeMap<(String, usize), 
 /// fault-free run and adds recovery rounds, under `Serial` and `Parallel`.
 fn chaos() {
     pool_note();
-    registry_pass(&[128], None, |algo, _, rerun, clean| {
+    registry_pass(&[128], |algo, _, rerun, clean| {
         let name = algo.name;
         let name_seed =
             (name.bytes()).fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(b.into()));

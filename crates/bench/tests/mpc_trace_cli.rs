@@ -1,6 +1,9 @@
 //! `mpc-trace` turns bad input away with an exit code — 2 and the usage
-//! line for a bad argument, 1 for an invalid trace — instead of panicking.
+//! line for a bad argument, 1 for an invalid trace — instead of panicking,
+//! and a faulted run writes a schema-valid JSONL log and a Perfetto
+//! document that shows the crash and its recovery.
 
+use mpc_runtime::telemetry::{parse_json, validate_jsonl, JsonValue};
 use std::process::{Command, Output};
 
 fn mpc_trace(args: &[&str]) -> Output {
@@ -33,4 +36,49 @@ fn validate_rejects_deep_nesting_without_overflowing_the_stack() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn faulted_run_writes_a_valid_log_and_a_trace_with_the_recovery() {
+    let dir = std::env::temp_dir();
+    let trace = dir.join(format!("mpc-trace-cli-{}.json", std::process::id()));
+    let jsonl = dir.join(format!("mpc-trace-cli-{}.jsonl", std::process::id()));
+    let path = |p: &std::path::Path| p.to_str().expect("UTF-8 temp path").to_string();
+    let out = mpc_trace(&[
+        "mst",
+        "--faults",
+        "3",
+        "--mode",
+        "serial",
+        "--n",
+        "64",
+        "--trace",
+        &path(&trace),
+        "--jsonl",
+        &path(&jsonl),
+    ]);
+    let read = |p: &std::path::Path| std::fs::read_to_string(p).expect("read the output");
+    let (doc, log) = (read(&trace), read(&jsonl));
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&jsonl).ok();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    validate_jsonl(&log).expect("the JSONL log is schema-valid");
+    let doc = parse_json(&doc).expect("the Perfetto document parses");
+    let instants: Vec<&str> = (doc.get("traceEvents").and_then(JsonValue::as_arr))
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("i"))
+        .filter_map(|e| e.get("name").and_then(JsonValue::as_str))
+        .collect();
+    for title in ["fault:crash", "quarantine machine", "recover machine"] {
+        assert!(
+            instants.iter().any(|name| name.starts_with(title)),
+            "no {title} instant among {instants:?}"
+        );
+    }
 }

@@ -8,8 +8,8 @@
 //! service drain, as `mpc-trace` does — into this report. The report
 //! answers the questions the round-counting model cannot: which machine
 //! the barrier waits on, how much of the critical path is wire vs.
-//! compute vs. latency, and how evenly the pool's workers split the
-//! host-side stepping work.
+//! compute vs. latency vs. fault delay, and how evenly the pool's workers
+//! split the host-side stepping work.
 
 use crate::pool::{PoolStats, WorkerStats};
 use mpc_runtime::telemetry::TraceEvent;
@@ -39,9 +39,11 @@ pub struct MachineLoad {
     pub min_headroom: i64,
 }
 
-/// Where the simulated critical path went. The three components sum to
-/// `total_seconds` exactly: each round contributes its fixed latency plus
-/// the bottleneck machine's wire and compute time.
+/// Where the simulated critical path went. The four parts sum to
+/// `total_seconds` (up to float rounding): each round contributes its
+/// fixed latency, the bottleneck machine's recorded seconds split into
+/// wire and compute time, and whatever of the makespan is left — delay
+/// faults and retry backoff.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CriticalPath {
     /// Sum of per-round makespans (the run's simulated duration).
@@ -52,6 +54,9 @@ pub struct CriticalPath {
     pub wire_seconds: f64,
     /// Compute time of each round's bottleneck machine, summed.
     pub cpu_seconds: f64,
+    /// Makespan beyond latency and the bottleneck machine's seconds,
+    /// summed: delay faults and retry backoff. Zero without a fault plan.
+    pub delay_seconds: f64,
 }
 
 /// Fault-tolerance overhead attribution: how much of the run's simulated
@@ -194,12 +199,25 @@ impl RunReport {
                             bottleneck = Some(mid);
                         }
                     }
+                    let mut busy = 0.0;
                     if let Some(mid) = bottleneck {
-                        let traffic = sent_words[mid] + recv_words[mid];
-                        critical_path.wire_seconds += traffic as f64 / cost.bandwidth(mid);
-                        critical_path.cpu_seconds += work[mid] as f64 / cost.speed(mid);
+                        // The frame's seconds were taken at that round's
+                        // rates; a slowdown scales speed and bandwidth
+                        // alike, so the final rates still split them in
+                        // the right ratio.
+                        busy = seconds[mid];
+                        let wire = (sent_words[mid] + recv_words[mid]) as f64 / cost.bandwidth(mid);
+                        let cpu = work[mid] as f64 / cost.speed(mid);
+                        let wire_share = if wire + cpu > 0.0 {
+                            wire / (wire + cpu)
+                        } else {
+                            0.0
+                        };
+                        critical_path.wire_seconds += busy * wire_share;
+                        critical_path.cpu_seconds += busy - busy * wire_share;
                         machines[mid].bottleneck_rounds += 1;
                     }
+                    critical_path.delay_seconds += makespan - (cost.round_latency() + busy);
                 }
                 TraceEvent::Violation { .. } => violations += 1,
                 TraceEvent::FaultInjected { .. } => recovery.faults_injected += 1,
@@ -290,8 +308,15 @@ impl RunReport {
         );
         let _ = writeln!(
             out,
-            "critical path: {:.2}s wire + {:.2}s compute + {:.2}s latency",
-            cp.wire_seconds, cp.cpu_seconds, cp.latency_seconds
+            "critical path: {:.2}s wire + {:.2}s compute + {:.2}s latency{}",
+            cp.wire_seconds,
+            cp.cpu_seconds,
+            cp.latency_seconds,
+            if cp.delay_seconds != 0.0 {
+                format!(" + {:.2}s delay", cp.delay_seconds)
+            } else {
+                String::new()
+            }
         );
         let _ = writeln!(
             out,

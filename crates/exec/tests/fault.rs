@@ -10,7 +10,7 @@ use mpc_exec::{
 use mpc_graph::generators;
 use mpc_runtime::fault::{Fault, FaultPlan, RecoveryPolicy};
 use mpc_runtime::telemetry::{RingSink, TraceEvent};
-use mpc_runtime::{Cluster, ClusterConfig, MachineId, ModelViolation, Topology};
+use mpc_runtime::{Cluster, ClusterConfig, CostModel, MachineId, ModelViolation, Topology};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -547,4 +547,64 @@ fn run_report_breaks_out_recovery_overhead() {
     assert!(ratio > 0.0 && ratio < 1.0, "overhead ratio {ratio}");
     let text = report.render();
     assert!(text.contains("recovery:"), "render: {text}");
+}
+
+/// The report's four critical-path parts — latency, wire, compute and
+/// delay — sum to the simulated total under a delay fault, a slowdown and
+/// a crash, and the delay part holds exactly the injected delay when that
+/// is the only extra time.
+#[test]
+fn critical_path_parts_sum_to_the_total_under_faults() {
+    let g = generators::gnm(256, 1536, 5);
+    let spec = JobSpec::new("mis", g);
+    let polylog = registry::get("mis").expect("registered").polylog_exponent;
+    let reported = |plan: Option<FaultPlan>| {
+        let mut cluster = Cluster::new(
+            ClusterConfig::new(spec.graph.n(), spec.graph.m())
+                .seed(5)
+                .polylog_exponent(polylog),
+        );
+        cluster.set_cost_model(CostModel::uniform(cluster.machines(), 1.0, 1.0, 0.5));
+        cluster.set_fault_plan(plan);
+        let ring = Arc::new(RingSink::unbounded());
+        cluster.set_trace_sink(Some(ring.clone()));
+        registry::run_job(&spec, &mut cluster, ExecMode::Serial).expect("mis run");
+        RunReport::from_events("mis", ring.take(), cluster.cost_model())
+    };
+    let delay = Fault::DelayRound {
+        round: 3,
+        seconds: 100.0,
+    };
+    let slowdown = Fault::Slowdown {
+        machine: 1,
+        round: 3,
+        factor: 0.1,
+    };
+    let crash = Fault::Crash {
+        machine: 1,
+        round: 3,
+    };
+    let clean = reported(None);
+    assert_eq!(clean.critical_path.delay_seconds, 0.0);
+    assert!(!clean.render().contains("delay"), "{}", clean.render());
+    for faults in [
+        vec![delay.clone()],
+        vec![slowdown.clone()],
+        vec![delay, slowdown],
+        vec![crash],
+    ] {
+        let plan = (faults.iter().cloned()).fold(FaultPlan::new(), FaultPlan::with_fault);
+        let report = reported(Some(plan));
+        let cp = &report.critical_path;
+        let parts = cp.latency_seconds + cp.wire_seconds + cp.cpu_seconds + cp.delay_seconds;
+        assert!(
+            (parts - cp.total_seconds).abs() <= 1e-9 * cp.total_seconds,
+            "{faults:?}: parts {parts} against total {}: {cp:?}",
+            cp.total_seconds
+        );
+        if let [Fault::DelayRound { seconds, .. }] = faults[..] {
+            assert!((cp.delay_seconds - seconds).abs() < 1e-9, "{cp:?}");
+            assert!(report.render().contains(" + 100.00s delay"));
+        }
+    }
 }

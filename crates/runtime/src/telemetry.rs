@@ -18,6 +18,11 @@
 //!   track per simulated machine and one per pool worker, loadable at
 //!   <https://ui.perfetto.dev>.
 //!
+//! Each event type's JSONL fields are named once, in the schema
+//! [`validate_jsonl_line`] checks: an event lists only its values, in
+//! schema order, and [`TraceEvent::to_json`] and the Perfetto instants
+//! (whose args are the event's JSONL fields) take the names from there.
+//!
 //! **Overhead guarantee:** with no sink attached the hot path pays exactly
 //! one branch per exchange and allocates nothing — every event struct,
 //! column, string, and lock in this module is only touched when a sink is
@@ -226,27 +231,34 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// The event's type tag — the `"type"` field of its JSONL encoding.
     pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Round { .. } => "round",
-            TraceEvent::Violation { .. } => "violation",
-            TraceEvent::WorkerRound { .. } => "worker_round",
-            TraceEvent::MuxRound { .. } => "mux_round",
-            TraceEvent::InstanceRetired { .. } => "instance_retired",
-            TraceEvent::JobAdmitted { .. } => "job_admitted",
-            TraceEvent::JobCompleted { .. } => "job_completed",
-            TraceEvent::JobQuarantined { .. } => "job_quarantined",
-            TraceEvent::JobRetried { .. } => "job_retried",
-            TraceEvent::JobFailed { .. } => "job_failed",
-            TraceEvent::FaultInjected { .. } => "fault_injected",
-            TraceEvent::MachineQuarantined { .. } => "machine_quarantined",
-            TraceEvent::RecoveryRound { .. } => "recovery_round",
-        }
+        self.json_values().0
     }
 
     /// The event as one JSON object (no trailing newline) — the JSONL
     /// wire format [`JsonlSink`] writes and [`validate_jsonl_line`]
     /// checks.
     pub fn to_json(&self) -> String {
+        let (tag, fields) = self.json_fields();
+        format!("{{\"type\":\"{tag}\",{fields}}}")
+    }
+
+    /// The type tag and the JSONL members `"name":value`, comma-joined:
+    /// [`json_values`](Self::json_values) paired with the names of the
+    /// tag's [`SCHEMA`] row.
+    fn json_fields(&self) -> (&'static str, String) {
+        let (tag, values) = self.json_values();
+        let names = schema_row(tag).expect("every event tag has a SCHEMA row");
+        debug_assert_eq!(names.len(), values.len(), "{tag}: one value per field");
+        let members: Vec<String> = (names.iter().zip(values))
+            .map(|((name, _), value)| format!("\"{name}\":{value}"))
+            .collect();
+        (tag, members.join(","))
+    }
+
+    /// The type tag and every field value rendered as JSON, in the order
+    /// of the tag's [`SCHEMA`] row.
+    fn json_values(&self) -> (&'static str, Vec<String>) {
+        let num = |x: &dyn std::fmt::Display| x.to_string();
         match self {
             TraceEvent::Round {
                 round,
@@ -258,29 +270,33 @@ impl TraceEvent {
                 work,
                 seconds,
                 capacity,
-            } => format!(
-                "{{\"type\":\"round\",\"round\":{round},\"label\":{},\
-                 \"messages\":{messages},\"makespan\":{},\"sent_words\":{},\
-                 \"recv_words\":{},\"work\":{},\"seconds\":{},\"capacity\":{}}}",
-                json_string(&label.to_string()),
-                json_f64(*makespan),
-                json_array(sent_words.iter().map(usize::to_string)),
-                json_array(recv_words.iter().map(usize::to_string)),
-                json_array(work.iter().map(u64::to_string)),
-                json_array(seconds.iter().map(|&x| json_f64(x))),
-                json_array(capacity.iter().map(usize::to_string)),
+            } => (
+                "round",
+                vec![
+                    num(round),
+                    json_string(&label.to_string()),
+                    num(messages),
+                    json_f64(*makespan),
+                    json_array(sent_words.iter().map(usize::to_string)),
+                    json_array(recv_words.iter().map(usize::to_string)),
+                    json_array(work.iter().map(u64::to_string)),
+                    json_array(seconds.iter().map(|&x| json_f64(x))),
+                    json_array(capacity.iter().map(usize::to_string)),
+                ],
             ),
             TraceEvent::Violation {
                 round,
                 label,
                 kind,
                 message,
-            } => format!(
-                "{{\"type\":\"violation\",\"round\":{round},\"label\":{},\
-                 \"kind\":{},\"message\":{}}}",
-                json_string(label),
-                json_string(kind),
-                json_string(message)
+            } => (
+                "violation",
+                vec![
+                    num(round),
+                    json_string(label),
+                    json_string(kind),
+                    json_string(message),
+                ],
             ),
             TraceEvent::WorkerRound {
                 round,
@@ -290,87 +306,84 @@ impl TraceEvent {
                 idle_skips,
                 wait_ns,
                 busy_ns,
-            } => format!(
-                "{{\"type\":\"worker_round\",\"round\":{round},\"worker\":{worker},\
-                 \"claimed\":{claimed},\"stepped\":{stepped},\"idle_skips\":{idle_skips},\
-                 \"wait_ns\":{wait_ns},\"busy_ns\":{busy_ns}}}"
+            } => (
+                "worker_round",
+                vec![
+                    num(round),
+                    num(worker),
+                    num(claimed),
+                    num(stepped),
+                    num(idle_skips),
+                    num(wait_ns),
+                    num(busy_ns),
+                ],
             ),
             TraceEvent::MuxRound {
                 round,
                 machine,
                 live,
                 retired,
-            } => format!(
-                "{{\"type\":\"mux_round\",\"round\":{round},\"machine\":{machine},\
-                 \"live\":{live},\"retired\":{retired}}}"
+            } => (
+                "mux_round",
+                vec![num(round), num(machine), num(live), num(retired)],
             ),
             TraceEvent::InstanceRetired {
                 round,
                 machine,
                 instance,
-            } => format!(
-                "{{\"type\":\"instance_retired\",\"round\":{round},\
-                 \"machine\":{machine},\"instance\":{instance}}}"
+            } => (
+                "instance_retired",
+                vec![num(round), num(machine), num(instance)],
             ),
             TraceEvent::JobAdmitted {
                 round,
                 job,
                 name,
                 shares,
-            } => format!(
-                "{{\"type\":\"job_admitted\",\"round\":{round},\"job\":{job},\
-                 \"name\":{},\"shares\":{shares}}}",
-                json_string(name)
+            } => (
+                "job_admitted",
+                vec![num(round), num(job), json_string(name), num(shares)],
             ),
             TraceEvent::JobCompleted {
                 round,
                 job,
                 rounds,
                 failed,
-            } => format!(
-                "{{\"type\":\"job_completed\",\"round\":{round},\"job\":{job},\
-                 \"rounds\":{rounds},\"failed\":{failed}}}"
+            } => (
+                "job_completed",
+                vec![num(round), num(job), num(rounds), num(failed)],
             ),
-            TraceEvent::JobQuarantined { round, job, reason } => format!(
-                "{{\"type\":\"job_quarantined\",\"round\":{round},\"job\":{job},\
-                 \"reason\":{}}}",
-                json_string(reason)
+            TraceEvent::JobQuarantined { round, job, reason } => (
+                "job_quarantined",
+                vec![num(round), num(job), json_string(reason)],
             ),
             TraceEvent::JobRetried {
                 round,
                 job,
                 attempt,
-            } => format!(
-                "{{\"type\":\"job_retried\",\"round\":{round},\"job\":{job},\
-                 \"attempt\":{attempt}}}"
-            ),
-            TraceEvent::JobFailed { round, job, error } => format!(
-                "{{\"type\":\"job_failed\",\"round\":{round},\"job\":{job},\
-                 \"error\":{}}}",
-                json_string(error)
-            ),
+            } => ("job_retried", vec![num(round), num(job), num(attempt)]),
+            TraceEvent::JobFailed { round, job, error } => {
+                ("job_failed", vec![num(round), num(job), json_string(error)])
+            }
             TraceEvent::FaultInjected {
                 round,
                 kind,
                 detail,
-            } => format!(
-                "{{\"type\":\"fault_injected\",\"round\":{round},\
-                 \"kind\":{},\"detail\":{}}}",
-                json_string(kind),
-                json_string(detail)
+            } => (
+                "fault_injected",
+                vec![num(round), json_string(kind), json_string(detail)],
             ),
-            TraceEvent::MachineQuarantined { round, machine } => format!(
-                "{{\"type\":\"machine_quarantined\",\"round\":{round},\
-                 \"machine\":{machine}}}"
-            ),
+            TraceEvent::MachineQuarantined { round, machine } => {
+                ("machine_quarantined", vec![num(round), num(machine)])
+            }
             TraceEvent::RecoveryRound {
                 round,
                 machine,
                 replayed,
                 attempt,
-            } => format!(
-                "{{\"type\":\"recovery_round\",\"round\":{round},\
-                 \"machine\":{machine},\"replayed\":{replayed},\"attempt\":{attempt}}}"
+            } => (
+                "recovery_round",
+                vec![num(round), num(machine), num(replayed), num(attempt)],
             ),
         }
     }
@@ -479,8 +492,8 @@ impl TraceSink for RingSink {
 // ---------------------------------------------------------------------------
 
 /// A line-per-event JSON sink over any writer. Lines follow the schema
-/// [`validate_jsonl_line`] checks (CI runs the registry smoke with this
-/// sink attached and validates the emitted trace).
+/// [`validate_jsonl_line`] checks (CI validates the trace
+/// `mpc-trace all --jsonl` writes through this sink).
 pub struct JsonlSink {
     out: Mutex<Box<dyn Write + Send>>,
 }
@@ -909,9 +922,9 @@ impl Kind {
 }
 
 /// Required fields per event type, each with its JSON type — the JSONL
-/// schema, stated once so the emitter ([`TraceEvent::to_json`]) and the
-/// validator cannot drift apart silently (the unit tests emit every
-/// variant and validate).
+/// schema, and the only list of field names: [`TraceEvent::to_json`] and
+/// the Perfetto instants name their values from it, and the validator
+/// checks files from outside the program against it.
 #[rustfmt::skip]
 const SCHEMA: &[(&str, &[(&str, Kind)])] = &[
     ("round", &[("round", Num), ("label", Str), ("messages", Num), ("makespan", Num),
@@ -932,6 +945,14 @@ const SCHEMA: &[(&str, &[(&str, Kind)])] = &[
     ("recovery_round", &[("round", Num), ("machine", Num), ("replayed", Num), ("attempt", Num)]),
 ];
 
+/// The [`SCHEMA`] row of event type `ty`.
+fn schema_row(ty: &str) -> Option<&'static [(&'static str, Kind)]> {
+    SCHEMA
+        .iter()
+        .find(|(t, _)| *t == ty)
+        .map(|(_, fields)| *fields)
+}
+
 /// Validates one JSONL trace line against the event schema: it must be a
 /// JSON object with a known `"type"` and every field that type requires,
 /// with the right JSON types, and a frame's columns must be equally long.
@@ -946,11 +967,11 @@ pub fn validate_jsonl_line(line: &str) -> Result<(), String> {
         .get("type")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| "missing string field \"type\"".to_string())?;
-    let Some((_, fields)) = SCHEMA.iter().find(|(t, _)| *t == ty) else {
+    let Some(fields) = schema_row(ty) else {
         return Err(format!("unknown event type \"{ty}\""));
     };
     let mut columns = None;
-    for &(field, kind) in *fields {
+    for &(field, kind) in fields {
         let found = (value.get(field))
             .ok_or_else(|| format!("event \"{ty}\": missing field \"{field}\""))?;
         let ok = match (kind, found) {
@@ -1009,6 +1030,36 @@ const PID_WORKERS: u64 = 2;
 /// Thread id of the per-round span track within the machines process.
 const TID_ROUNDS: u64 = 1_000_000;
 
+/// The title and machine-process track of the instant `event` becomes in
+/// [`perfetto_export`]: a machine's own track for an instance retirement,
+/// the whole-round track otherwise. `None` for the events drawn as slices
+/// (`Round`, `WorkerRound`) and for `MuxRound`, which is not drawn.
+fn perfetto_instant(event: &TraceEvent) -> Option<(String, u64)> {
+    Some(match event {
+        TraceEvent::Round { .. } | TraceEvent::WorkerRound { .. } | TraceEvent::MuxRound { .. } => {
+            return None
+        }
+        TraceEvent::Violation { kind, .. } => (format!("violation:{kind}"), TID_ROUNDS),
+        TraceEvent::InstanceRetired {
+            machine, instance, ..
+        } => (format!("retire instance {instance}"), *machine as u64),
+        TraceEvent::JobAdmitted { job, name, .. } => {
+            (format!("admit job {job} ({name})"), TID_ROUNDS)
+        }
+        TraceEvent::JobCompleted { job, .. } => (format!("complete job {job}"), TID_ROUNDS),
+        TraceEvent::JobQuarantined { job, .. } => (format!("quarantine job {job}"), TID_ROUNDS),
+        TraceEvent::JobRetried { job, .. } => (format!("retry job {job}"), TID_ROUNDS),
+        TraceEvent::JobFailed { job, .. } => (format!("fail job {job}"), TID_ROUNDS),
+        TraceEvent::FaultInjected { kind, .. } => (format!("fault:{kind}"), TID_ROUNDS),
+        TraceEvent::MachineQuarantined { machine, .. } => {
+            (format!("quarantine machine {machine}"), TID_ROUNDS)
+        }
+        TraceEvent::RecoveryRound { machine, .. } => {
+            (format!("recover machine {machine}"), TID_ROUNDS)
+        }
+    })
+}
+
 /// Exports events as a Chrome-trace/Perfetto JSON document (load at
 /// <https://ui.perfetto.dev> or `chrome://tracing`).
 ///
@@ -1017,8 +1068,9 @@ const TID_ROUNDS: u64 = 1_000_000;
 /// simulated timeline, µs = simulated seconds × 10⁶) plus one
 /// whole-round track; process `PID_WORKERS` (2) carries one track per pool
 /// worker with alternating `barrier-wait` / `round` slices on the host
-/// timeline. Instance retirements and violations appear as instant
-/// events on the owning track.
+/// timeline. Every other event but `MuxRound` is an instant on the
+/// whole-round track (an instance retirement on its machine's track),
+/// with the event's JSONL fields as its args.
 pub fn perfetto_export(events: &[TraceEvent]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut first = true;
@@ -1123,26 +1175,6 @@ pub fn perfetto_export(events: &[TraceEvent]) -> String {
                 );
                 sim_cursor_us += makespan * 1e6;
             }
-            TraceEvent::Violation {
-                round,
-                label,
-                kind,
-                message,
-            } => {
-                push(
-                    format!(
-                        "{{\"name\":{},\"ph\":\"i\",\"s\":\"p\",\"pid\":{PID_MACHINES},\
-                         \"tid\":{TID_ROUNDS},\"ts\":{},\"args\":{{\"round\":{round},\
-                         \"label\":{},\"message\":{}}}}}",
-                        json_string(&format!("violation:{kind}")),
-                        json_f64(sim_cursor_us),
-                        json_string(label),
-                        json_string(message)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
             TraceEvent::WorkerRound {
                 round,
                 worker,
@@ -1193,143 +1225,17 @@ pub fn perfetto_export(events: &[TraceEvent]) -> String {
                 );
                 worker_cursor_us[*worker] += busy_us;
             }
-            TraceEvent::MuxRound { .. } => {}
-            TraceEvent::InstanceRetired {
-                round,
-                machine,
-                instance,
-            } => {
+            _ => {
+                let Some((title, tid)) = perfetto_instant(event) else {
+                    continue;
+                };
+                let scope = if tid == TID_ROUNDS { "p" } else { "t" };
+                let (_, args) = event.json_fields();
                 push(
                     format!(
-                        "{{\"name\":\"retire instance {instance}\",\"ph\":\"i\",\"s\":\"t\",\
-                         \"pid\":{PID_MACHINES},\"tid\":{machine},\"ts\":{},\
-                         \"args\":{{\"round\":{round}}}}}",
-                        json_f64(sim_cursor_us)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::JobAdmitted {
-                round,
-                job,
-                name,
-                shares,
-            } => {
-                push(
-                    format!(
-                        "{{\"name\":{},\"ph\":\"i\",\"s\":\"p\",\"pid\":{PID_MACHINES},\
-                         \"tid\":{TID_ROUNDS},\"ts\":{},\"args\":{{\"round\":{round},\
-                         \"job\":{job},\"shares\":{shares}}}}}",
-                        json_string(&format!("admit job {job} ({name})")),
-                        json_f64(sim_cursor_us)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::JobCompleted {
-                round,
-                job,
-                rounds,
-                failed,
-            } => {
-                push(
-                    format!(
-                        "{{\"name\":\"complete job {job}\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"pid\":{PID_MACHINES},\"tid\":{TID_ROUNDS},\"ts\":{},\
-                         \"args\":{{\"round\":{round},\"rounds\":{rounds},\
-                         \"failed\":{failed}}}}}",
-                        json_f64(sim_cursor_us)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::JobQuarantined { round, job, reason } => {
-                push(
-                    format!(
-                        "{{\"name\":\"quarantine job {job}\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"pid\":{PID_MACHINES},\"tid\":{TID_ROUNDS},\"ts\":{},\
-                         \"args\":{{\"round\":{round},\"reason\":{}}}}}",
-                        json_f64(sim_cursor_us),
-                        json_string(reason)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::JobRetried {
-                round,
-                job,
-                attempt,
-            } => {
-                push(
-                    format!(
-                        "{{\"name\":\"retry job {job}\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"pid\":{PID_MACHINES},\"tid\":{TID_ROUNDS},\"ts\":{},\
-                         \"args\":{{\"round\":{round},\"attempt\":{attempt}}}}}",
-                        json_f64(sim_cursor_us)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::JobFailed { round, job, error } => {
-                push(
-                    format!(
-                        "{{\"name\":\"fail job {job}\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"pid\":{PID_MACHINES},\"tid\":{TID_ROUNDS},\"ts\":{},\
-                         \"args\":{{\"round\":{round},\"error\":{}}}}}",
-                        json_f64(sim_cursor_us),
-                        json_string(error)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::FaultInjected {
-                round,
-                kind,
-                detail,
-            } => {
-                push(
-                    format!(
-                        "{{\"name\":{},\"ph\":\"i\",\"s\":\"p\",\"pid\":{PID_MACHINES},\
-                         \"tid\":{TID_ROUNDS},\"ts\":{},\"args\":{{\"round\":{round},\
-                         \"detail\":{}}}}}",
-                        json_string(&format!("fault:{kind}")),
-                        json_f64(sim_cursor_us),
-                        json_string(detail)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::MachineQuarantined { round, machine } => {
-                push(
-                    format!(
-                        "{{\"name\":\"quarantine machine {machine}\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"pid\":{PID_MACHINES},\"tid\":{TID_ROUNDS},\"ts\":{},\
-                         \"args\":{{\"round\":{round}}}}}",
-                        json_f64(sim_cursor_us)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::RecoveryRound {
-                round,
-                machine,
-                replayed,
-                attempt,
-            } => {
-                push(
-                    format!(
-                        "{{\"name\":\"recover machine {machine}\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"pid\":{PID_MACHINES},\"tid\":{TID_ROUNDS},\"ts\":{},\
-                         \"args\":{{\"round\":{round},\"replayed\":{replayed},\
-                         \"attempt\":{attempt}}}}}",
+                        "{{\"name\":{},\"ph\":\"i\",\"s\":\"{scope}\",\"pid\":{PID_MACHINES},\
+                         \"tid\":{tid},\"ts\":{},\"args\":{{{args}}}}}",
+                        json_string(&title),
                         json_f64(sim_cursor_us)
                     ),
                     &mut out,

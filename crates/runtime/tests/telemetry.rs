@@ -3,9 +3,11 @@
 //! accepts and `parse_json` reads back field for field — labels and
 //! strings with quotes, backslashes and control characters, integers up to
 //! 2⁵³, `f64`s including NaN, ±∞ and −0 (read back as `json_f64`'s
-//! sentinels), and round frames of 0–16 machines.
+//! sentinels), and round frames of 0–16 machines. The Perfetto export
+//! draws each event that is not a slice as one instant whose args are
+//! those same fields.
 
-use mpc_runtime::telemetry::{parse_json, validate_jsonl_line, JsonValue};
+use mpc_runtime::telemetry::{parse_json, perfetto_export, validate_jsonl_line, JsonValue};
 use mpc_runtime::{RoundLabel, TraceEvent};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -330,6 +332,28 @@ fn expected_json(event: &TraceEvent) -> JsonValue {
     )
 }
 
+/// The variants [`perfetto_export`] draws as instants, by
+/// [`Arbitrary::event`] index: all but `Round`, `WorkerRound` (slices)
+/// and `MuxRound` (not drawn).
+const INSTANT_VARIANTS: [usize; 10] = [1, 4, 5, 6, 7, 8, 9, 10, 11, 12];
+
+/// The title of the Perfetto instant `event` becomes.
+fn instant_title(event: &TraceEvent) -> String {
+    match event {
+        TraceEvent::Violation { kind, .. } => format!("violation:{kind}"),
+        TraceEvent::InstanceRetired { instance, .. } => format!("retire instance {instance}"),
+        TraceEvent::JobAdmitted { job, name, .. } => format!("admit job {job} ({name})"),
+        TraceEvent::JobCompleted { job, .. } => format!("complete job {job}"),
+        TraceEvent::JobQuarantined { job, .. } => format!("quarantine job {job}"),
+        TraceEvent::JobRetried { job, .. } => format!("retry job {job}"),
+        TraceEvent::JobFailed { job, .. } => format!("fail job {job}"),
+        TraceEvent::FaultInjected { kind, .. } => format!("fault:{kind}"),
+        TraceEvent::MachineQuarantined { machine, .. } => format!("quarantine machine {machine}"),
+        TraceEvent::RecoveryRound { machine, .. } => format!("recover machine {machine}"),
+        other => panic!("{other:?} is not drawn as an instant"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(500))]
 
@@ -349,5 +373,30 @@ proptest! {
         kinds.sort_unstable();
         kinds.dedup();
         prop_assert_eq!(kinds.len(), 13, "one event of every variant");
+    }
+
+    /// Each of the ten instant variants exports exactly one instant,
+    /// titled for the event, whose args are the event's JSONL fields
+    /// without `type`.
+    #[test]
+    fn perfetto_instants_carry_their_jsonl_fields(seed in any::<u64>()) {
+        let mut arbitrary = Arbitrary(SmallRng::seed_from_u64(seed));
+        for variant in INSTANT_VARIANTS {
+            let event = arbitrary.event(variant);
+            let doc = parse_json(&perfetto_export(std::slice::from_ref(&event))).unwrap();
+            let instants: Vec<&JsonValue> = (doc.get("traceEvents").and_then(JsonValue::as_arr))
+                .expect("traceEvents array")
+                .iter()
+                .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("i"))
+                .collect();
+            prop_assert_eq!(instants.len(), 1, "{:?}", event);
+            let title = instant_title(&event);
+            prop_assert_eq!(instants[0].get("name").and_then(JsonValue::as_str), Some(&*title));
+            let Ok(JsonValue::Obj(mut fields)) = parse_json(&event.to_json()) else {
+                panic!("{}: not an object", event.to_json());
+            };
+            fields.retain(|(name, _)| name != "type");
+            prop_assert_eq!(instants[0].get("args"), Some(&JsonValue::Obj(fields)));
+        }
     }
 }
