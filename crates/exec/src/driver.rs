@@ -692,27 +692,15 @@ impl Executor {
                 // next iteration's hook admits from the queue.
                 break;
             }
-            // With a plan attached, peek the faults the armed exchange is
-            // about to fire and capture the mail they would destroy, then
-            // arm: crashes and drops may hit only algorithm exchanges.
-            let capture = match &recovery {
-                Some(_) => {
-                    let imminent = cluster.imminent_armed_faults();
-                    let cap =
-                        (!imminent.is_empty()).then(|| capture_for_faults(&outgoing, &imminent));
-                    cluster.arm_faults(true);
-                    cap
-                }
-                None => None,
-            };
+            // With a plan attached, arm the exchange: crashes and drops may
+            // hit only algorithm exchanges.
+            cluster.arm_faults(recovery.is_some());
             let exchanged = cluster.exchange_into(
                 RoundLabel::with_seq(&prefix, round),
                 &mut outgoing,
                 &mut inboxes,
             );
-            if recovery.is_some() {
-                cluster.arm_faults(false);
-            }
+            cluster.arm_faults(false);
             if let Err(v) = exchanged {
                 return DriveEnd::Failed(v.into());
             }
@@ -723,16 +711,11 @@ impl Executor {
                     .filter(|f| f.fault.needs_arming())
                     .collect();
                 if !disruptive.is_empty() {
-                    let capture =
-                        capture.expect("armed faults were peeked before the exchange fired them");
-                    if let Err(e) = rec.recover(
-                        cluster,
-                        &mut slots,
-                        capture,
-                        &disruptive,
-                        round,
-                        &mut inboxes,
-                    ) {
+                    // The exchange kept back the mail the faults destroyed.
+                    let lost = outgoing.iter_mut().map(std::mem::take).collect();
+                    if let Err(e) =
+                        rec.recover(cluster, &mut slots, lost, disruptive, round, &mut inboxes)
+                    {
                         return DriveEnd::Failed(e);
                     }
                 }
@@ -814,56 +797,11 @@ struct Replayed<P: MachineProgram> {
     replayed: u64,
 }
 
-/// Pre-exchange capture of the mail an imminent armed fault would destroy.
-struct FaultCapture<M> {
-    /// Full inbox each imminent crash victim would have received, in
-    /// delivery order (ascending source, then send order).
-    mail_to: BTreeMap<MachineId, Vec<(MachineId, M)>>,
-    /// Round outbox of each imminent crash/drop victim.
-    outbox_of: BTreeMap<MachineId, Vec<(MachineId, M)>>,
-}
-
-/// Clones exactly the mail the `imminent` faults would lose out of the
-/// round's outboxes, before [`Cluster::exchange_into`] consumes them.
-fn capture_for_faults<M: Clone>(
-    outgoing: &[Vec<(MachineId, M)>],
-    imminent: &[Fault],
-) -> FaultCapture<M> {
-    let mut mail_to: BTreeMap<MachineId, Vec<(MachineId, M)>> = BTreeMap::new();
-    let mut outbox_of: BTreeMap<MachineId, Vec<(MachineId, M)>> = BTreeMap::new();
-    for f in imminent {
-        match f {
-            Fault::Crash { machine, .. } => {
-                mail_to.entry(*machine).or_default();
-                outbox_of
-                    .entry(*machine)
-                    .or_insert_with(|| outgoing[*machine].clone());
-            }
-            Fault::DropExchange { machine, .. } => {
-                outbox_of
-                    .entry(*machine)
-                    .or_insert_with(|| outgoing[*machine].clone());
-            }
-            _ => {}
-        }
-    }
-    // Outboxes are walked source-major, so each victim's captured mail is
-    // already in the exchange's delivery order.
-    for (src, msgs) in outgoing.iter().enumerate() {
-        for (dst, msg) in msgs {
-            if let Some(mail) = mail_to.get_mut(dst) {
-                mail.push((src, msg.clone()));
-            }
-        }
-    }
-    FaultCapture { mail_to, outbox_of }
-}
-
 /// Stable merge of recovery deliveries into a round inbox by ascending
 /// source id. The two lists never share a source *for the same
 /// destination* (a crashed destination's main inbox is empty; a healthy
 /// destination only receives recovery mail from disrupted sources, whose
-/// main-exchange messages were filtered), so the merge reconstructs
+/// main-exchange messages were all held back), so the merge reconstructs
 /// exactly the fault-free delivery order.
 fn merge_by_src<M>(main: &mut Vec<(MachineId, M)>, extra: Vec<(MachineId, M)>) {
     if extra.is_empty() {
@@ -1110,74 +1048,65 @@ impl<P: MachineProgram> RecoveryState<P> {
         ))
     }
 
-    /// The recovery protocol for one disrupted algorithm exchange:
-    /// quarantine and replay every crash victim, then re-send exactly the
-    /// destroyed mail through an armed recovery exchange (retried with
-    /// backoff if the chaos plan disrupts the recovery itself), and merge
-    /// the deliveries into the round's inboxes so downstream rounds are
+    /// The recovery protocol for one disrupted algorithm exchange: `lost`
+    /// is the mail the exchange kept back, per source, and `fired` the
+    /// crashes and drops it fired. Quarantine and replay every crash
+    /// victim, then resend `lost` through an armed recovery exchange
+    /// (retried with backoff while the chaos plan disrupts the recovery
+    /// itself, its crash victims replayed in turn), and merge the
+    /// deliveries into the round's inboxes so downstream rounds are
     /// bit-identical to a fault-free run.
     fn recover(
         &mut self,
         cluster: &mut Cluster,
         slots: &mut Slots<'_, P>,
-        capture: FaultCapture<P::Message>,
-        fired: &[FiredFault],
+        lost: Vec<Vec<(MachineId, P::Message)>>,
+        mut fired: Vec<FiredFault>,
         round: u64,
         inboxes: &mut [Vec<(MachineId, P::Message)>],
     ) -> Result<(), ExecError> {
         let sink = cluster.trace_sink();
-        let crashes: BTreeSet<MachineId> = fired
-            .iter()
-            .filter_map(|f| match f.fault {
-                Fault::Crash { machine, .. } => Some(machine),
-                _ => None,
-            })
-            .collect();
-        let drops: BTreeSet<MachineId> = fired
-            .iter()
-            .filter_map(|f| match f.fault {
-                Fault::DropExchange { machine, .. } => Some(machine),
-                _ => None,
-            })
-            .collect();
-
-        // Every crash victim — the large machine included, since its shard
-        // checkpoints to the durable host — is quarantined and then
-        // replayed below.
-        for &m in &crashes {
-            if let Some(sink) = &sink {
-                sink.record(&TraceEvent::MachineQuarantined {
-                    round: cluster.rounds(),
-                    machine: m,
-                });
-            }
-        }
-
-        // Replay every crash victim from its replica checkpoint; the
-        // replayed compute lands in the recovery exchange's makespan.
+        // Each crashed or dropped machine lost its whole round outbox. When
+        // retries run out, the lowest-id crash victim is blamed, or with no
+        // crash the lowest-id machine whose outbox was dropped.
+        let (crashed, dropped) = victims(&fired);
+        let blame = *crashed
+            .first()
+            .or(dropped.first())
+            .expect("a crash or a drop fired");
         let mut restored: BTreeMap<MachineId, Replayed<P>> = BTreeMap::new();
-        for &m in &crashes {
-            let (rp, work) = self.replay(m, round)?;
-            if work > 0 {
-                cluster.charge_work(m, work);
-            }
-            restored.insert(m, rp);
-        }
-
-        // The recovery exchange re-sends exactly the destroyed mail: each
-        // disrupted sender's round outbox to *healthy* recipients, plus
-        // each crash victim's full lost inbox (crashed recipients get
-        // their disrupted-sender mail through that second path — exactly
-        // one path carries every lost message). Rebuilt wholesale per
-        // attempt: a disrupted attempt's deliveries are discarded.
         let mut rec_in: Vec<Vec<(MachineId, P::Message)>> = Vec::new();
         let mut attempt = 0usize;
         let committed_attempt = loop {
+            // One pass over the crash victims of the exchange just made —
+            // the disrupted round's, then each recovery attempt's. Every
+            // victim, the large machine included (its shard checkpoints to
+            // the durable host), is quarantined and replayed from its
+            // checkpoint; the replayed compute lands in the next recovery
+            // exchange's makespan. A machine crashing *during* recovery
+            // loses its post-round state again but none of its committed
+            // round-`round` traffic: replay only.
+            let (crashes, drops) = victims(&fired);
+            if attempt > 0 && crashes.is_empty() && drops.is_empty() {
+                break attempt;
+            }
+            for &m in &crashes {
+                if let Some(sink) = &sink {
+                    sink.record(&TraceEvent::MachineQuarantined {
+                        round: cluster.rounds(),
+                        machine: m,
+                    });
+                }
+                let (rp, work) = self.replay(m, round)?;
+                if work > 0 {
+                    cluster.charge_work(m, work);
+                }
+                restored.insert(m, rp);
+            }
             attempt += 1;
             if attempt > self.policy.max_retries {
-                let machine = crashes.iter().next().copied().unwrap_or(0);
                 return Err(ExecError::Unrecoverable {
-                    machine,
+                    machine: blame,
                     round,
                     reason: format!(
                         "recovery retries exhausted after {} attempts",
@@ -1191,28 +1120,11 @@ impl<P: MachineProgram> RecoveryState<P> {
             for &m in restored.keys() {
                 cluster.restore_machine(m);
             }
-            let mut rec_out: Vec<Vec<(MachineId, P::Message)>> =
-                (0..self.ctx.machines).map(|_| Vec::new()).collect();
-            for &d in crashes.iter().chain(drops.iter()) {
-                let outbox = capture
-                    .outbox_of
-                    .get(&d)
-                    .expect("every fired crash/drop was captured pre-exchange");
-                for (dst, msg) in outbox {
-                    if !crashes.contains(dst) {
-                        rec_out[d].push((*dst, msg.clone()));
-                    }
-                }
-            }
-            for &m in &crashes {
-                if let Some(mail) = capture.mail_to.get(&m) {
-                    for (src, msg) in mail {
-                        rec_out[*src].push((m, msg.clone()));
-                    }
-                }
-            }
             // Armed: the plan may disrupt the recovery itself — that is
-            // what the retry loop and backoff are for.
+            // what the retry loop and backoff are for. A disrupted
+            // attempt's deliveries are discarded and `lost` is sent whole
+            // again.
+            let mut rec_out = lost.clone();
             cluster.arm_faults(true);
             let res = cluster.exchange_into(
                 RoundLabel::with_seq(&self.rec_prefix, self.rec_seq),
@@ -1222,49 +1134,22 @@ impl<P: MachineProgram> RecoveryState<P> {
             cluster.arm_faults(false);
             self.rec_seq += 1;
             res.map_err(ExecError::Model)?;
-            let again = cluster.take_fired_faults();
-            let mut disrupted = false;
-            for ff in &again {
-                match ff.fault {
-                    Fault::Crash { machine: n, .. } => {
-                        disrupted = true;
-                        if let Some(sink) = &sink {
-                            sink.record(&TraceEvent::MachineQuarantined {
-                                round: cluster.rounds(),
-                                machine: n,
-                            });
-                        }
-                        // A machine crashing *during* recovery loses its
-                        // post-round state again but none of its committed
-                        // round-`round` traffic: replay only, no resends.
-                        let (rp, work) = self.replay(n, round)?;
-                        if work > 0 {
-                            cluster.charge_work(n, work);
-                        }
-                        restored.insert(n, rp);
-                    }
-                    Fault::DropExchange { .. } => disrupted = true,
-                    _ => {}
-                }
-            }
-            if !disrupted {
-                break attempt;
-            }
+            fired = cluster.take_fired_faults();
         };
 
         // Commit: merge the recovery deliveries into the round's inboxes
         // (reconstructing the fault-free delivery order) and install each
         // recovered machine's replayed program, RNG position, and halt
         // flag.
-        for (main, extra) in inboxes.iter_mut().zip(rec_in.drain(..)) {
+        for (main, extra) in inboxes.iter_mut().zip(rec_in) {
             merge_by_src(main, extra);
         }
         for (m, rp) in restored {
-            if let Some(captured) = capture.outbox_of.get(&m) {
+            if crashed.contains(&m) || dropped.contains(&m) {
                 debug_assert_eq!(
                     rp.outbox.len(),
-                    captured.len(),
-                    "deterministic replay must regenerate the captured outbox"
+                    lost[m].len(),
+                    "deterministic replay must regenerate the lost outbox"
                 );
             }
             slots.with(m, |s| {
@@ -1283,4 +1168,17 @@ impl<P: MachineProgram> RecoveryState<P> {
         }
         Ok(())
     }
+}
+
+/// The machines `fired` crashed, and those whose outbox it dropped.
+fn victims(fired: &[FiredFault]) -> (BTreeSet<MachineId>, BTreeSet<MachineId>) {
+    let (mut crashed, mut dropped) = (BTreeSet::new(), BTreeSet::new());
+    for f in fired {
+        match f.fault {
+            Fault::Crash { machine, .. } => crashed.insert(machine),
+            Fault::DropExchange { machine, .. } => dropped.insert(machine),
+            _ => false,
+        };
+    }
+    (crashed, dropped)
 }

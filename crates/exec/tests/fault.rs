@@ -11,6 +11,7 @@ use mpc_graph::generators;
 use mpc_runtime::fault::{Fault, FaultPlan, RecoveryPolicy};
 use mpc_runtime::telemetry::{RingSink, TraceEvent};
 use mpc_runtime::{Cluster, ClusterConfig, CostModel, MachineId, ModelViolation, Topology};
+use proptest::prelude::Strategy;
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -476,6 +477,115 @@ fn exhausted_retries_surface_as_unrecoverable() {
             assert!(reason.contains("retries exhausted"), "reason: {reason}");
         }
         other => panic!("expected retries-exhausted, got {other}"),
+    }
+}
+
+#[test]
+fn exhausted_drop_only_retries_blame_a_dropped_machine() {
+    // Machine 1's outbox is dropped in the main exchange (round 4); drops
+    // of machines 2 and 3 wipe both recovery attempts (rounds 5 and 6).
+    // Nothing crashed, so the error names the dropped machine, not the
+    // large machine that never faulted.
+    let plan = (1..4)
+        .map(|machine| Fault::DropExchange {
+            machine,
+            round: 3 + machine as u64,
+        })
+        .fold(FaultPlan::new(), FaultPlan::with_fault)
+        .with_policy(RecoveryPolicy {
+            cadence: 100,
+            max_retries: 2,
+            ..RecoveryPolicy::default()
+        });
+    match ring_outcome(Some(plan), &Executor::serial("ring")) {
+        Err(ExecError::Unrecoverable {
+            machine, reason, ..
+        }) => {
+            assert_eq!(machine, 1, "blame the machine whose outbox was dropped");
+            assert!(reason.contains("retries exhausted"), "reason: {reason}");
+        }
+        other => panic!("expected retries-exhausted, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_crash_and_a_drop_of_one_machine_resend_its_mail_once() {
+    let plan = FaultPlan::new()
+        .with_fault(Fault::Crash {
+            machine: 2,
+            round: 4,
+        })
+        .with_fault(Fault::DropExchange {
+            machine: 2,
+            round: 4,
+        })
+        .with_policy(RecoveryPolicy {
+            cadence: 100,
+            ..RecoveryPolicy::default()
+        });
+    let serial = Executor::serial("ring");
+    assert_eq!(
+        ring_outcome(Some(plan), &serial),
+        ring_outcome(None, &serial),
+        "machine 2's lost mail must arrive exactly once"
+    );
+}
+
+/// The final sums and post-run RNG draws of an 8-round [`RingSum`] ring
+/// under `plan`, or the run's error.
+fn ring_outcome(
+    plan: Option<FaultPlan>,
+    executor: &Executor,
+) -> Result<(Vec<u64>, Vec<u64>), ExecError> {
+    let mut c = ring_cluster(vec![4000, 200, 200, 200], Some(0));
+    c.set_fault_plan(plan);
+    let out = executor.run(&mut c, RingSum::fleet(4, 8, 2))?;
+    let sums = out.programs.iter().map(|p| p.sum).collect();
+    let draws = c.rngs_mut().iter_mut().map(RngCore::next_u64).collect();
+    Ok((sums, draws))
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+    /// Any mix of crashes, drops, delays and slowdowns either recovers the
+    /// fault-free sums and RNG positions exactly or fails with
+    /// `Unrecoverable`, and every execution mode ends the same way.
+    #[test]
+    fn generated_fault_plans_recover_exactly_or_fail_typed(
+        faults in proptest::collection::vec(
+            (0u8..4, 0usize..4, 1u64..20).prop_map(|(kind, machine, round)| match kind {
+                0 => Fault::Crash { machine, round },
+                1 => Fault::DropExchange { machine, round },
+                2 => Fault::DelayRound { round, seconds: 1.5 },
+                _ => Fault::Slowdown { machine, round, factor: 0.5 },
+            }),
+            1..5,
+        ),
+        cadence in (0usize..3).prop_map(|i| [1, 2, 100][i]),
+        max_retries in 1usize..=3,
+    ) {
+        let clean = ring_outcome(None, &Executor::serial("ring")).expect("fault-free run");
+        let plan = (faults.iter().cloned())
+            .fold(FaultPlan::new(), FaultPlan::with_fault)
+            .with_policy(RecoveryPolicy {
+                cadence,
+                max_retries,
+                ..RecoveryPolicy::default()
+            });
+        let serial = ring_outcome(Some(plan.clone()), &Executor::serial("ring"));
+        match &serial {
+            Ok(run) => proptest::prop_assert_eq!(run, &clean, "{:?}", faults),
+            Err(e) => proptest::prop_assert!(
+                matches!(e, ExecError::Unrecoverable { .. }),
+                "{faults:?}: {e}"
+            ),
+        }
+        for threads in [1, 3] {
+            let pool = Executor::parallel("ring").threads(threads);
+            let run = ring_outcome(Some(plan.clone()), &pool);
+            proptest::prop_assert_eq!(&run, &serial, "{:?} at {} threads", faults, threads);
+        }
     }
 }
 

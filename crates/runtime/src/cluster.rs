@@ -189,20 +189,6 @@ impl Cluster {
         self.armed = armed;
     }
 
-    /// Crash/drop faults that would fire on the next exchange *if it were
-    /// armed* — the driver peeks this before an algorithm exchange to
-    /// capture the mail it would lose.
-    pub fn imminent_armed_faults(&self) -> Vec<Fault> {
-        match &self.fault_plan {
-            Some(plan) => plan
-                .due(self.rounds + 1, true)
-                .into_iter()
-                .filter(Fault::needs_arming)
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Drains the faults fired since the last call (the driver's recovery
     /// work queue).
     pub fn take_fired_faults(&mut self) -> Vec<FiredFault> {
@@ -454,6 +440,12 @@ impl Cluster {
     /// across rounds makes the steady-state exchange allocation-free apart
     /// from inbox growth on the first rounds.
     ///
+    /// The mail a fired fault destroys is not delivered: a crash loses its
+    /// machine's messages in both directions, a drop its machine's
+    /// outbound ones. That mail stays in `outgoing`, per source and in
+    /// send order, so a recovering caller can send it again; every other
+    /// message is drained as usual.
+    ///
     /// # Errors
     ///
     /// See [`exchange`](Cluster::exchange). On error `outgoing` is left
@@ -611,14 +603,17 @@ impl Cluster {
             }
         } else {
             // A crash loses the machine's messages in both directions (its
-            // inbox stays empty); a drop loses only its outbound mail.
+            // inbox stays empty); a drop loses only its outbound mail. Lost
+            // mail stays behind in `outgoing`.
             for (src, msgs) in outgoing.iter_mut().enumerate() {
-                let src_lost = crashed.contains(&src) || dropped.contains(&src);
-                for (dst, m) in msgs.drain(..) {
-                    if src_lost || crashed.contains(&dst) {
-                        continue;
+                if crashed.contains(&src) || dropped.contains(&src) {
+                    continue;
+                }
+                for (dst, m) in std::mem::take(msgs) {
+                    match crashed.contains(&dst) {
+                        true => msgs.push((dst, m)),
+                        false => inboxes[dst].push((src, m)),
                     }
-                    inboxes[dst].push((src, m));
                 }
             }
         }
@@ -1113,20 +1108,23 @@ mod tests {
         assert_eq!(inboxes[0], vec![(1, 11)]);
         assert!(c.take_fired_faults().is_empty());
 
-        // The driver peeks the imminent crash before arming.
-        let imminent = c.imminent_armed_faults();
-        assert_eq!(imminent.len(), 1);
-        assert!(matches!(imminent[0], Fault::Crash { machine: 1, .. }));
-
-        // Armed exchange: machine 1's outbound and inbound mail vanish.
+        // Armed exchange: machine 1's outbound and inbound mail is not
+        // delivered; it stays in the outboxes, per source and in send order.
         c.arm_faults(true);
         let mut out = c.empty_outboxes::<u64>();
         out[1].push((0, 11)); // lost: src crashed
+        out[1].push((2, 12)); // lost: src crashed
         out[2].push((1, 22)); // lost: dst crashed
         out[2].push((0, 33)); // survives
-        let inboxes = c.exchange("main", out).unwrap();
+        out[2].push((1, 23)); // lost: dst crashed
+        let mut inboxes = Vec::new();
+        c.exchange_into(RoundLabel::new("main"), &mut out, &mut inboxes)
+            .unwrap();
         assert_eq!(inboxes[0], vec![(2, 33)]);
-        assert!(inboxes[1].is_empty());
+        assert!(inboxes[1].is_empty() && inboxes[2].is_empty());
+        assert_eq!(out[0], vec![]);
+        assert_eq!(out[1], vec![(0, 11), (2, 12)]);
+        assert_eq!(out[2], vec![(1, 22), (1, 23)]);
         let fired = c.take_fired_faults();
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].round, 2);

@@ -30,6 +30,11 @@
 //! recovery-infrastructure exchanges to the next armed round. Delay and
 //! slowdown faults fire on schedule regardless of arming — they model the
 //! environment, not the protocol.
+//!
+//! The exchange does not deliver the messages a crash or a drop loses; it
+//! leaves them in the caller's outboxes, per source and in send order, and
+//! the execution engine resends exactly those in its recovery exchange.
+//! Which messages a fault loses is decided in the exchange and nowhere else.
 
 use crate::payload::{MachineId, Payload};
 
@@ -236,21 +241,10 @@ impl FaultPlan {
         &self.policy
     }
 
-    /// Faults that would fire on exchange round `round` given the arming
-    /// state, without marking them fired. Crash/drop faults additionally
-    /// require `armed`; every fault defers past its scheduled round if
-    /// earlier exchanges were ineligible.
-    pub fn due(&self, round: u64, armed: bool) -> Vec<Fault> {
-        self.faults
-            .iter()
-            .zip(&self.fired)
-            .filter(|(f, &fired)| !fired && f.round() <= round && (armed || !f.needs_arming()))
-            .map(|(f, _)| f.clone())
-            .collect()
-    }
-
-    /// Like [`due`](FaultPlan::due), but marks the returned faults fired:
-    /// each fault fires at most once per run.
+    /// Fires the faults due on exchange round `round` given the arming
+    /// state and marks them fired: each fault fires at most once per run.
+    /// Crash/drop faults additionally require `armed`; every fault defers
+    /// past its scheduled round if earlier exchanges were ineligible.
     pub fn fire_due(&mut self, round: u64, armed: bool) -> Vec<FiredFault> {
         let mut out = Vec::new();
         for (f, fired) in self.faults.iter().zip(self.fired.iter_mut()) {
@@ -353,13 +347,14 @@ mod tests {
 
     #[test]
     fn due_peeks_without_firing() {
-        let plan = FaultPlan::new().with_fault(Fault::DropExchange {
+        let mut plan = FaultPlan::new().with_fault(Fault::DropExchange {
             machine: 1,
             round: 1,
         });
-        assert_eq!(plan.due(1, true).len(), 1);
-        assert_eq!(plan.due(1, true).len(), 1, "due does not consume");
-        assert!(plan.due(1, false).is_empty(), "drop respects arming");
+        assert!(plan.fire_due(1, false).is_empty(), "drop respects arming");
+        assert!(plan.pending(), "a disarmed exchange does not consume");
+        assert_eq!(plan.fire_due(2, true).len(), 1);
+        assert!(!plan.pending());
     }
 
     #[test]
