@@ -75,7 +75,10 @@ pub enum ExecError {
     },
     /// An algorithm-level failure reported by a program (e.g. KKT sampling
     /// exceeded its volume bound, or a residual overflow in matching) — the
-    /// engine twins of the legacy `MstError`/`MatchingError` variants.
+    /// engine twins of the legacy `MstError`/`MatchingError` variants. Also
+    /// a run refused before round 0 because its setup cannot work: a fault
+    /// plan naming a machine the cluster does not have, or a registry run
+    /// on a cluster with no large machine.
     Algorithm {
         /// Human-readable failure description.
         message: String,
@@ -582,10 +585,13 @@ impl Executor {
         let mut round: u64 = 0;
         // Fault tolerance engages only when a plan is attached; a plain run
         // takes none of the branches below and stays bit-identical.
-        let mut recovery: Option<RecoveryState<P>> = cluster
-            .fault_plan()
-            .is_some()
-            .then(|| RecoveryState::new(cluster, &self.label));
+        let mut recovery: Option<RecoveryState<P>> = match cluster.fault_plan() {
+            None => None,
+            Some(_) => match RecoveryState::new(cluster, &self.label) {
+                Ok(rec) => Some(rec),
+                Err(e) => return DriveEnd::Failed(e),
+            },
+        };
 
         loop {
             // Coordinator hook first: admissions/retirements land before
@@ -835,20 +841,32 @@ fn merge_by_src<M>(main: &mut Vec<(MachineId, M)>, extra: Vec<(MachineId, M)>) {
 /// for replay, and the recovery protocol that reknits a disrupted round.
 /// Created only when a [`FaultPlan`](mpc_runtime::FaultPlan) is attached —
 /// fault-free runs never construct one.
+///
+/// The model and the host split the work. Every checkpoint charges every
+/// machine's `state_words()` — as `.ckpt` traffic to its replica owners
+/// and as their resident `"replica"` words — whatever the program. Only
+/// [`replay`](RecoveryState::replay) reads a host copy, and only for a
+/// crash victim, so the host copies and logs only the machines some
+/// [`Fault::Crash`] of the plan names (fired or not). The plan is read
+/// once, at run start: the driver learns *which* machines a crash can
+/// hit, never *when*.
 struct RecoveryState<P: MachineProgram> {
     policy: RecoveryPolicy,
     small_ids: Vec<MachineId>,
     /// The cluster shape replayed steps see — the live one, minus the sink.
     ctx: StepCtx,
-    /// Latest checkpoint per machine (`None` for programs without snapshot
-    /// support). Small machines additionally ship replica chunks to ring
-    /// successors; the large machine's checkpoint stays on the durable
-    /// host, with its staging copy charged to the large machine's own
-    /// resident memory.
+    /// `copied[m]`: a crash in the plan names machine `m`, so the host
+    /// keeps its checkpoint and inbox log.
+    copied: Vec<bool>,
+    /// Latest checkpoint per copied machine (`None` for every other
+    /// machine, and for programs without snapshot support). Small machines
+    /// additionally ship replica chunks to ring successors; the large
+    /// machine's checkpoint stays on the durable host, with its staging
+    /// copy charged to the large machine's own resident memory.
     checkpoints: Vec<Option<Checkpoint<P>>>,
-    /// `inbox_log[m][i]`: machine `m`'s committed inbox for driver round
-    /// `checkpoint.round + 1 + i` — the message durability that lets replay
-    /// re-feed a crashed machine without re-running its peers.
+    /// `inbox_log[m][i]`: copied machine `m`'s committed inbox for driver
+    /// round `checkpoint.round + 1 + i` — the message durability that lets
+    /// replay re-feed a crashed machine without re-running its peers.
     inbox_log: Vec<Vec<Vec<(MachineId, P::Message)>>>,
     ckpt_prefix: Arc<str>,
     rec_prefix: Arc<str>,
@@ -860,14 +878,37 @@ struct RecoveryState<P: MachineProgram> {
 }
 
 impl<P: MachineProgram> RecoveryState<P> {
-    fn new(cluster: &Cluster, label: &str) -> Self {
+    /// Reads the attached plan: its policy, and which machines its crashes
+    /// name.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Algorithm`] if a fault names a machine the cluster does
+    /// not have — refused here, before round 0, rather than mid-run.
+    fn new(cluster: &Cluster, label: &str) -> Result<Self, ExecError> {
         let k = cluster.machines();
-        RecoveryState {
-            policy: cluster
-                .fault_plan()
-                .expect("recovery requires an attached plan")
-                .policy()
-                .clone(),
+        let plan = cluster
+            .fault_plan()
+            .expect("recovery requires an attached plan");
+        let mut copied = vec![false; k];
+        for fault in plan.faults() {
+            let (Fault::Crash { machine, .. }
+            | Fault::DropExchange { machine, .. }
+            | Fault::Slowdown { machine, .. }) = *fault
+            else {
+                continue;
+            };
+            if machine >= k {
+                return Err(ExecError::Algorithm {
+                    message: format!(
+                        "the fault plan names machine {machine}, but the cluster has {k} machines"
+                    ),
+                });
+            }
+            copied[machine] |= matches!(fault, Fault::Crash { .. });
+        }
+        Ok(RecoveryState {
+            policy: plan.policy().clone(),
             small_ids: cluster.small_ids(),
             ctx: StepCtx {
                 caps: (0..k).map(|m| cluster.capacity(m)).collect(),
@@ -875,6 +916,7 @@ impl<P: MachineProgram> RecoveryState<P> {
                 machines: k,
                 sink: None,
             },
+            copied,
             checkpoints: (0..k).map(|_| None).collect(),
             inbox_log: (0..k).map(|_| Vec::new()).collect(),
             ckpt_prefix: Arc::from(format!("{label}.ckpt").as_str()),
@@ -883,7 +925,7 @@ impl<P: MachineProgram> RecoveryState<P> {
             rec_seq: 0,
             ckpt_out: (0..k).map(|_| Vec::new()).collect(),
             ckpt_in: Vec::new(),
-        }
+        })
     }
 
     /// Whether `round` checkpoints whatever the hook did.
@@ -891,15 +933,17 @@ impl<P: MachineProgram> RecoveryState<P> {
         round.is_multiple_of(self.policy.cadence.max(1))
     }
 
-    /// Snapshots every machine at the top of `round`. Small shards ship to
-    /// their ring-successor replica owners through one disarmed,
+    /// Checkpoints every machine at the top of `round`. Small shards ship
+    /// to their ring-successor replica owners through one disarmed,
     /// capacity-checked exchange — replication is real traffic, charged
     /// like any algorithm round, and the resident copies are charged to
     /// their owners' memory until the run ends. The large machine's
     /// O(n^{1+f})-word shard fits on no small peer; it checkpoints to the
     /// durable host instead (the same fiction §2.7 grants the network),
     /// with the staging copy charged against the large machine's own
-    /// capacity so the redundancy is still paid for in the model.
+    /// capacity so the redundancy is still paid for in the model. Every
+    /// machine is charged, snapshot support or not; the host copies only
+    /// the machines a planned crash names.
     fn checkpoint(
         &mut self,
         cluster: &mut Cluster,
@@ -911,18 +955,15 @@ impl<P: MachineProgram> RecoveryState<P> {
         let mut owned = vec![0usize; self.ctx.machines];
         for idx in 0..n {
             let m = self.small_ids[idx];
-            if let Some(words) = self.snapshot_slot(slots, m, round) {
-                for r in 1..=replicas {
-                    let owner = self.small_ids[(idx + r) % n];
-                    self.ckpt_out[m].push((owner, ReplicaChunk(words)));
-                    owned[owner] += words;
-                }
+            let words = self.snapshot_slot(slots, m, round);
+            for r in 1..=replicas {
+                let owner = self.small_ids[(idx + r) % n];
+                self.ckpt_out[m].push((owner, ReplicaChunk(words)));
+                owned[owner] += words;
             }
         }
         if let Some(large) = self.ctx.large {
-            if let Some(words) = self.snapshot_slot(slots, large, round) {
-                owned[large] += words;
-            }
+            owned[large] += self.snapshot_slot(slots, large, round);
         }
         cluster
             .exchange_into(
@@ -938,15 +979,14 @@ impl<P: MachineProgram> RecoveryState<P> {
         Ok(())
     }
 
-    /// Replaces machine `m`'s checkpoint with a snapshot of its slot at the
-    /// top of `round` and restarts its inbox log; returns the shard's
-    /// declared words if the program could be snapshotted.
-    fn snapshot_slot(
-        &mut self,
-        slots: &mut Slots<'_, P>,
-        m: MachineId,
-        round: u64,
-    ) -> Option<usize> {
+    /// Returns machine `m`'s declared shard words, the replica the model
+    /// charges. For a copied machine, also replaces its checkpoint with a
+    /// snapshot of its slot at the top of `round` (`None` if the program
+    /// opts out) and restarts its inbox log.
+    fn snapshot_slot(&mut self, slots: &mut Slots<'_, P>, m: MachineId, round: u64) -> usize {
+        if !self.copied[m] {
+            return slots.with(m, |s| s.program.state_words());
+        }
         let (snapshot, words) = slots.with(m, |s| {
             let snapshot = s.program.snapshot().map(|program| Checkpoint {
                 program,
@@ -959,21 +999,23 @@ impl<P: MachineProgram> RecoveryState<P> {
         });
         self.checkpoints[m] = snapshot;
         self.inbox_log[m].clear();
-        self.checkpoints[m].as_ref().map(|_| words)
+        words
     }
 
     /// Records the committed inboxes of round `next`
-    /// (`= checkpoint.round + 1 + len`) for every machine, large included —
-    /// coordinator replay re-feeds the same durable mail as any small
-    /// machine's. Nothing is recorded when `next` is a cadence round: its
-    /// checkpoint stores these inboxes itself and clears the log before
+    /// (`= checkpoint.round + 1 + len`) for every copied machine, large
+    /// included — coordinator replay re-feeds the same durable mail as any
+    /// small machine's. Nothing is recorded when `next` is a cadence round:
+    /// its checkpoint stores these inboxes itself and clears the log before
     /// anything could read the entry.
     fn log_inboxes(&mut self, next: u64, inboxes: &[Vec<(MachineId, P::Message)>]) {
         if self.is_cadence_round(next) {
             return;
         }
-        for (log, inbox) in self.inbox_log.iter_mut().zip(inboxes) {
-            log.push(inbox.clone());
+        for (m, inbox) in inboxes.iter().enumerate() {
+            if self.copied[m] {
+                self.inbox_log[m].push(inbox.clone());
+            }
         }
     }
 
@@ -1146,10 +1188,15 @@ impl<P: MachineProgram> RecoveryState<P> {
         }
         for (m, rp) in restored {
             if crashed.contains(&m) || dropped.contains(&m) {
+                let shape = |out: &[(MachineId, P::Message)]| -> Vec<(MachineId, usize)> {
+                    (out.iter())
+                        .map(|(to, msg)| (*to, mpc_runtime::Payload::words(msg)))
+                        .collect()
+                };
                 debug_assert_eq!(
-                    rp.outbox.len(),
-                    lost[m].len(),
-                    "deterministic replay must regenerate the lost outbox"
+                    shape(&rp.outbox),
+                    shape(&lost[m]),
+                    "deterministic replay must regenerate machine {m}'s lost outbox"
                 );
             }
             slots.with(m, |s| {

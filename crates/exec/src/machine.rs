@@ -186,10 +186,12 @@ pub trait MachineProgram: Send {
     ) -> StepOutcome<Self::Message>;
 
     /// A deep copy of this machine's current state, used by the recovery
-    /// layer to checkpoint small-machine shards (DESIGN.md §2.7), or
-    /// `None` if the program cannot be checkpointed — a machine whose
-    /// program returns `None` is unrecoverable if it crashes. The default
-    /// opts out; `Clone` programs implement this as `Some(self.clone())`.
+    /// layer to checkpoint a machine's shard on the host (DESIGN.md §2.7),
+    /// or `None` if the program cannot be checkpointed — a machine whose
+    /// program returns `None` is unrecoverable if it crashes. The driver
+    /// calls it only for machines a crash in the attached fault plan
+    /// names. The default opts out; `Clone` programs implement this as
+    /// `Some(self.clone())`.
     fn snapshot(&self) -> Option<Self>
     where
         Self: Sized,
@@ -199,9 +201,10 @@ pub trait MachineProgram: Send {
 
     /// Declared resident shard-state words copied to each replica owner at
     /// a checkpoint — charged to the cost model as replication traffic and
-    /// to the owners as resident replica memory. The default (one word) is
-    /// a conservative placeholder for programs that do not size their
-    /// state.
+    /// to the owners as resident replica memory, for every machine at
+    /// every checkpoint, whether or not [`snapshot`](Self::snapshot)
+    /// supports it. The default (one word) is a conservative placeholder
+    /// for programs that do not size their state.
     fn state_words(&self) -> usize {
         1
     }

@@ -718,3 +718,206 @@ fn critical_path_parts_sum_to_the_total_under_faults() {
         }
     }
 }
+
+/// A plan naming a machine the cluster does not have is refused before
+/// round 0 with a typed error — solo through the registry and on the
+/// executor directly — instead of panicking mid-run (crash, slowdown) or
+/// firing silently (drop).
+#[test]
+fn a_plan_naming_an_unknown_machine_is_refused_up_front() {
+    let faults = [
+        Fault::Crash {
+            machine: 999,
+            round: 2,
+        },
+        Fault::Slowdown {
+            machine: 999,
+            round: 2,
+            factor: 0.5,
+        },
+        Fault::DropExchange {
+            machine: 999,
+            round: 2,
+        },
+    ];
+    let refused = |result: Result<(), ExecError>, what: &str| match result {
+        Err(ExecError::Algorithm { message }) => {
+            assert!(message.contains("machine 999"), "{what}: {message}")
+        }
+        other => panic!("{what}: expected ExecError::Algorithm, got {other:?}"),
+    };
+    let g = generators::gnm(64, 256, 1);
+    for fault in &faults {
+        let plan = FaultPlan::new().with_fault(fault.clone());
+        for mode in [ExecMode::Serial, ExecMode::Parallel] {
+            let what = format!("mis {mode:?} {fault:?}");
+            let mut c = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(1));
+            c.set_fault_plan(Some(plan.clone()));
+            let spec = JobSpec::new("mis", Arc::new(g.clone()));
+            refused(registry::run_job(&spec, &mut c, mode).map(|_| ()), &what);
+            assert_eq!(c.rounds(), 0, "{what}: the refused run exchanged");
+        }
+        let executor = Executor::parallel("ring").threads(3);
+        refused(
+            ring_outcome(Some(plan), &executor).map(|_| ()),
+            &format!("ring {fault:?}"),
+        );
+    }
+}
+
+/// Everything a test compares between two faulted runs: the round log
+/// (labels, words, work, makespans), the result digest, every machine's
+/// post-run RNG draw and the report's recovery breakdown.
+type Figures = (
+    Vec<mpc_runtime::RoundRecord>,
+    u128,
+    Vec<u64>,
+    mpc_exec::RecoveryBreakdown,
+);
+
+/// Which machines the host copies is a host matter: adding crashes that
+/// never fire — one per machine the seeded crash spares — makes every
+/// machine a copied one and changes no simulated figure, serially or on
+/// the pool. `spanner-weighted` runs its weight classes as `MixedWave`
+/// lanes.
+#[test]
+fn naming_more_crash_victims_changes_no_figure() {
+    let never = u64::MAX;
+    let with_bystanders = |plan: &FaultPlan, machines: usize| {
+        let named: Vec<MachineId> = (plan.faults().iter())
+            .filter_map(|f| match f {
+                Fault::Crash { machine, .. } => Some(*machine),
+                _ => None,
+            })
+            .collect();
+        (0..machines)
+            .filter(|m| !named.contains(m))
+            .map(|machine| Fault::Crash {
+                machine,
+                round: never,
+            })
+            .fold(plan.clone(), FaultPlan::with_fault)
+    };
+    // The pool runs at 3 threads; `Serial` ignores the width.
+    let modes = [ExecMode::Serial, ExecMode::Parallel];
+
+    // RingSum on the executor directly.
+    let ring = |plan: &FaultPlan, mode: ExecMode| -> Figures {
+        let mut c = ring_cluster(vec![4000, 200, 200, 200], Some(0));
+        c.set_fault_plan(Some(plan.clone()));
+        let sink = Arc::new(RingSink::unbounded());
+        c.set_trace_sink(Some(sink.clone()));
+        let out = Executor::new("ring", mode)
+            .threads(3)
+            .run(&mut c, RingSum::fleet(4, 8, 2))
+            .expect("ring run");
+        let digest = (out.programs.iter()).fold(0u128, |d, p| (d << 7) ^ u128::from(p.sum));
+        let report = RunReport::from_events("ring", sink.take(), c.cost_model());
+        let draws = c.rngs_mut().iter_mut().map(RngCore::next_u64).collect();
+        (c.round_log().to_vec(), digest, draws, report.recovery)
+    };
+    let plan = FaultPlan::new().with_fault(Fault::Crash {
+        machine: 2,
+        round: 4,
+    });
+    for mode in modes {
+        let one = ring(&plan, mode);
+        assert_eq!(one.3.machines_quarantined, 1, "ring {mode:?}: no crash");
+        assert_eq!(one, ring(&with_bystanders(&plan, 4), mode), "ring {mode:?}");
+    }
+
+    // Registry runs, solo and as one-job mixed waves.
+    for name in ["mst", "spanner-weighted"] {
+        let g = generators::gnm(128, 768, 17).with_random_weights(1 << 16, 17);
+        let spec = JobSpec::new(name, g);
+        let polylog = registry::get(name).expect("registered").polylog_exponent;
+        let cluster = || {
+            Cluster::new(
+                ClusterConfig::new(spec.graph.n(), spec.graph.m())
+                    .seed(17)
+                    .polylog_exponent(polylog),
+            )
+        };
+        let run = |plan: &FaultPlan, mode: ExecMode| -> Figures {
+            let mut c = cluster();
+            c.set_fault_plan(Some(plan.clone()));
+            let sink = Arc::new(RingSink::unbounded());
+            c.set_trace_sink(Some(sink.clone()));
+            let out = registry::run_threads(&spec, &mut c, mode, 3).expect("registry run");
+            let report = RunReport::from_events(name, sink.take(), c.cost_model());
+            let draws = c.rngs_mut().iter_mut().map(RngCore::next_u64).collect();
+            (c.round_log().to_vec(), out.digest(), draws, report.recovery)
+        };
+        let mut clean = cluster();
+        registry::run_job(&spec, &mut clean, ExecMode::Serial).expect("clean run");
+        let plan = FaultPlan::seeded_single_crash(17, &clean.small_ids(), clean.rounds());
+        for mode in modes {
+            let one = run(&plan, mode);
+            assert_eq!(one.3.machines_quarantined, 1, "{name} {mode:?}: no crash");
+            let all = with_bystanders(&plan, clean.machines());
+            assert_eq!(one, run(&all, mode), "{name} {mode:?}");
+        }
+    }
+}
+
+/// [`RingSum`] without snapshot support.
+#[derive(Clone, Debug)]
+struct OptedOut(RingSum);
+
+impl MachineProgram for OptedOut {
+    type Message = u64;
+
+    fn step(
+        &mut self,
+        ctx: &mpc_exec::MachineCtx<'_>,
+        inbox: Vec<(MachineId, u64)>,
+    ) -> StepOutcome<u64> {
+        self.0.step(ctx, inbox)
+    }
+
+    fn state_words(&self) -> usize {
+        self.0.state_words()
+    }
+}
+
+/// Every machine is charged its replica at every checkpoint, whether or
+/// not its program can be snapshotted; a crash of a program that cannot
+/// stays a typed `Unrecoverable`.
+#[test]
+fn an_opted_out_program_is_charged_its_replica_and_fails_typed_on_a_crash() {
+    let fleet = || RingSum::fleet(4, 8, 5).into_iter().map(OptedOut).collect();
+    let mut c = ring_cluster(vec![4000, 200, 200, 200], Some(0));
+    c.set_fault_plan(Some(FaultPlan::new()));
+    Executor::serial("ring")
+        .run(&mut c, fleet())
+        .expect("no crash, no replay needed");
+    let ckpt: Vec<_> = (c.round_log().iter())
+        .filter(|r| r.label.to_string().contains(".ckpt."))
+        .collect();
+    assert!(!ckpt.is_empty(), "an attached plan checkpoints");
+    for r in &ckpt {
+        // Three small machines, one replica each, five words a replica.
+        assert_eq!(r.total_words, 3 * 5, "{}", r.label);
+        assert_eq!(r.messages, 3, "{}", r.label);
+    }
+    assert!(
+        c.peak_resident()[0] >= 5,
+        "the durable-host copy is charged"
+    );
+    assert!(c.peak_resident()[1] >= 5, "the peer replica is charged");
+
+    let mut c = ring_cluster(vec![4000, 200, 200, 200], Some(0));
+    c.set_fault_plan(Some(FaultPlan::new().with_fault(Fault::Crash {
+        machine: 2,
+        round: 4,
+    })));
+    match Executor::serial("ring").run(&mut c, fleet()) {
+        Err(ExecError::Unrecoverable {
+            machine, reason, ..
+        }) => {
+            assert_eq!(machine, 2);
+            assert!(reason.contains("opts out"), "reason: {reason}");
+        }
+        other => panic!("expected Unrecoverable, got {other:?}"),
+    }
+}

@@ -844,6 +844,46 @@ fn clusters_without_a_large_machine_are_refused_up_front() {
     }
 }
 
+/// A fault plan naming a machine the cluster does not have is refused
+/// like a cluster without a large machine: before round 0, with the queue
+/// untouched, every job queued and no tenant quarantined.
+#[test]
+fn a_plan_naming_an_unknown_machine_is_refused_before_any_admission() {
+    use mpc_runtime::fault::Fault;
+
+    let g = Arc::new(weighted_graph());
+    for mode in [ExecMode::Serial, ExecMode::Parallel] {
+        let mut svc = Service::new(config(&g, 6));
+        let jobs: Vec<_> = ["mis", "connectivity"]
+            .into_iter()
+            .map(|name| svc.submit(JobSpec::new(name, Arc::clone(&g))).unwrap())
+            .collect();
+        let mut cluster = Cluster::new(config(&g, 6));
+        let machines = cluster.machines();
+        cluster.set_fault_plan(Some(FaultPlan::new().with_fault(Fault::Crash {
+            machine: machines,
+            round: 2,
+        })));
+        match svc.run_on(&mut cluster, mode) {
+            Err(ExecError::Algorithm { message }) => assert!(
+                message.contains(&format!("machine {machines}")),
+                "{mode:?}: {message}"
+            ),
+            other => panic!("{mode:?}: expected ExecError::Algorithm, got {other:?}"),
+        }
+        assert_eq!(cluster.rounds(), 0, "{mode:?}: the service exchanged");
+        assert_eq!(svc.queued(), jobs.len(), "{mode:?}: the queue changed");
+        for job in &jobs {
+            assert_eq!(job.status(), JobStatus::Queued, "{mode:?}");
+        }
+        // With the plan gone, the same queue drains.
+        cluster.set_fault_plan(None);
+        let run = svc.run_on(&mut cluster, mode).expect("service run");
+        assert_eq!(run.records.len(), jobs.len(), "{mode:?}");
+        assert!(run.records.iter().all(|r| !r.failed && r.attempts == 1));
+    }
+}
+
 #[test]
 fn empty_weighted_spanner_completes_without_entering_the_wave() {
     let g = Arc::new(Graph::new(8, Vec::new()));

@@ -16,7 +16,12 @@
 //!   inbound). Recovery is the execution engine's job (DESIGN.md §2.7,
 //!   §2.9): the driver restores a small machine's shard from a peer
 //!   replica and the large machine's from its durable-host checkpoint,
-//!   then replays the lost rounds — any machine may be a victim.
+//!   then replays the lost rounds — any machine may be a victim. Every
+//!   machine's replica is charged to the model, but the driver keeps a
+//!   host copy only of the machines some crash in the plan names, so it
+//!   reads the plan for *which* machines crash, never *when*. A plan
+//!   naming a machine the cluster does not have is refused before round
+//!   0.
 //! * [`Fault::DropExchange`] — transient network fault: the machine's
 //!   outbound messages for one exchange are lost, but its state survives.
 //! * [`Fault::DelayRound`] — one round's makespan is stretched by a fixed
