@@ -10,6 +10,7 @@ use mpc_graph::generators;
 use mpc_labeling::MaxEdgeLabeling;
 use mpc_runtime::{Cluster, ClusterConfig, ShardedVec, Topology};
 use mpc_sketch::field::PowTable;
+use mpc_sketch::hashing::KWiseHash;
 use mpc_sketch::{merge_batches, sketch_connectivity_batches, EdgeUpdate, SketchFamily};
 use std::hint::black_box;
 
@@ -150,6 +151,22 @@ fn bench_sketch(c: &mut Criterion) {
     let merged: Vec<_> = inboxes.iter().map(|inbox| merge_batches(inbox)).collect();
     group.bench_function("large_sketch_connectivity_n1536", |b| {
         b.iter(|| black_box(sketch_connectivity_batches(&wide, &merged, 1536)))
+    });
+    // The prepare kernel's hashing: 1000 blocks of 8 Horner chains of a
+    // degree-12 polynomial (k = 13, `connectivity`'s independence).
+    let hash = KWiseHash::new(13, 9);
+    group.bench_function("hash_eval_lanes_8x13", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for block in 0..1000u64 {
+                let xs = std::array::from_fn(|i| block << 20 | i as u64);
+                acc ^= hash
+                    .eval_lanes::<8>(black_box(xs))
+                    .iter()
+                    .fold(0, |a, &h| a ^ h);
+            }
+            black_box(acc)
+        })
     });
     let table = PowTable::new(0x1234_5678_9ABC, 1024 * 1024);
     group.bench_function("pow_fixed_base", |b| {

@@ -892,10 +892,7 @@ impl<P: MachineProgram> RecoveryState<P> {
             .expect("recovery requires an attached plan");
         let mut copied = vec![false; k];
         for fault in plan.faults() {
-            let (Fault::Crash { machine, .. }
-            | Fault::DropExchange { machine, .. }
-            | Fault::Slowdown { machine, .. }) = *fault
-            else {
+            let Some(machine) = fault.machine() else {
                 continue;
             };
             if machine >= k {

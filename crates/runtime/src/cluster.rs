@@ -420,8 +420,10 @@ impl Cluster {
     /// # Errors
     ///
     /// In `Strict` mode, returns a [`ModelViolation`] if any machine sends or
-    /// is addressed with more words than its capacity, or if a destination id
-    /// is out of range (the latter errors in every mode).
+    /// is addressed with more words than its capacity. In every mode,
+    /// returns [`ModelViolation::UnknownMachine`] if a destination id is out
+    /// of range, or if a fault of the attached plan that is due on this
+    /// exchange names a machine the cluster does not have (before it fires).
     pub fn exchange<M: Payload>(
         &mut self,
         label: &str,
@@ -478,16 +480,19 @@ impl Cluster {
         self.recv_scratch.fill(0);
         self.inbox_counts.fill(0);
         let mut messages = 0usize;
+        let unknown = |cluster: &Self, machine| {
+            let v = ModelViolation::UnknownMachine {
+                machine,
+                round,
+                label: label.to_string(),
+            };
+            cluster.emit_violation(&v);
+            Err(v)
+        };
         for (src, msgs) in outgoing.iter().enumerate() {
             for (dst, m) in msgs {
                 if *dst >= k {
-                    let v = ModelViolation::UnknownMachine {
-                        machine: *dst,
-                        round,
-                        label: label.to_string(),
-                    };
-                    self.emit_violation(&v);
-                    return Err(v);
+                    return unknown(self, *dst);
                 }
                 let w = m.words();
                 self.sent_scratch[src] += w;
@@ -495,6 +500,15 @@ impl Cluster {
                 self.inbox_counts[*dst] += 1;
                 messages += 1;
             }
+        }
+        // A due fault that names a machine the cluster lacks is refused the
+        // same way, before it fires: no cost-model, fault or delivery state
+        // changes.
+        let unknown_victim = self.fault_plan.as_ref().and_then(|plan| {
+            (plan.due(round, self.armed)).find_map(|f| f.machine().filter(|&m| m >= k))
+        });
+        if let Some(machine) = unknown_victim {
+            return unknown(self, machine);
         }
         for mid in 0..k {
             let (sent, recv, cap) = (
@@ -1155,6 +1169,56 @@ mod tests {
         // machine 2's 1-word send + large's 2-word recv set the barrier.
         let span = c.round_log()[0].makespan;
         assert!((span - 2.0).abs() < 1e-9, "span = {span}");
+    }
+
+    /// A due crash, drop or slowdown of a machine the cluster lacks is a
+    /// typed error of the exchange it is due on, raised before it fires:
+    /// the plan keeps it, the cost model and the round log are untouched
+    /// and no mail moves.
+    #[test]
+    fn due_faults_naming_an_unknown_machine_are_refused() {
+        use crate::fault::{Fault, FaultPlan};
+        let faults = [
+            Fault::Crash {
+                machine: 999,
+                round: 1,
+            },
+            Fault::DropExchange {
+                machine: 999,
+                round: 1,
+            },
+            Fault::Slowdown {
+                machine: 999,
+                round: 1,
+                factor: 0.5,
+            },
+        ];
+        for fault in faults {
+            let mut c = Cluster::new(ClusterConfig::new(64, 640).topology(Topology::Custom {
+                capacities: vec![1000; 64],
+                large: Some(0),
+            }));
+            c.set_fault_plan(Some(FaultPlan::new().with_fault(fault.clone())));
+            c.arm_faults(true);
+            let mut out = c.empty_outboxes::<u64>();
+            out[1].push((0, 11));
+            let err = c.exchange("t", out).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ModelViolation::UnknownMachine {
+                        machine: 999,
+                        round: 1,
+                        ..
+                    }
+                ),
+                "{fault:?}: {err:?}"
+            );
+            assert!(c.fault_plan().unwrap().pending(), "{fault:?} fired");
+            assert!(c.take_fired_faults().is_empty());
+            assert!(c.round_log().is_empty());
+            assert!((0..64).all(|m| !c.cost_model().is_quarantined(m)));
+        }
     }
 
     #[test]

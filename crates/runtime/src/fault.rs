@@ -101,6 +101,23 @@ impl Fault {
         matches!(self, Fault::Crash { .. } | Fault::DropExchange { .. })
     }
 
+    /// The machine this fault strikes, if it strikes one (a delay stalls
+    /// the whole round).
+    pub fn machine(&self) -> Option<MachineId> {
+        match *self {
+            Fault::Crash { machine, .. }
+            | Fault::DropExchange { machine, .. }
+            | Fault::Slowdown { machine, .. } => Some(machine),
+            Fault::DelayRound { .. } => None,
+        }
+    }
+
+    /// Whether this fault, unfired, fires on exchange `round` given the
+    /// arming state.
+    fn is_due(&self, round: u64, armed: bool) -> bool {
+        self.round() <= round && (armed || !self.needs_arming())
+    }
+
     /// Short static name for telemetry (`kind` field of
     /// [`TraceEvent::FaultInjected`](crate::TraceEvent::FaultInjected)).
     pub fn kind(&self) -> &'static str {
@@ -253,7 +270,7 @@ impl FaultPlan {
     pub fn fire_due(&mut self, round: u64, armed: bool) -> Vec<FiredFault> {
         let mut out = Vec::new();
         for (f, fired) in self.faults.iter().zip(self.fired.iter_mut()) {
-            if !*fired && f.round() <= round && (armed || !f.needs_arming()) {
+            if !*fired && f.is_due(round, armed) {
                 *fired = true;
                 out.push(FiredFault {
                     fault: f.clone(),
@@ -262,6 +279,14 @@ impl FaultPlan {
             }
         }
         out
+    }
+
+    /// The faults [`fire_due`](FaultPlan::fire_due) would fire on exchange
+    /// `round` given the arming state, without firing them.
+    pub(crate) fn due(&self, round: u64, armed: bool) -> impl Iterator<Item = &Fault> {
+        (self.faults.iter().zip(&self.fired))
+            .filter(move |&(f, &fired)| !fired && f.is_due(round, armed))
+            .map(|(f, _)| f)
     }
 
     /// Whether any fault is still pending (unfired).
@@ -360,6 +385,28 @@ mod tests {
         assert!(plan.pending(), "a disarmed exchange does not consume");
         assert_eq!(plan.fire_due(2, true).len(), 1);
         assert!(!plan.pending());
+    }
+
+    #[test]
+    fn due_lists_what_would_fire() {
+        let plan = FaultPlan::new()
+            .with_fault(Fault::DropExchange {
+                machine: 1,
+                round: 1,
+            })
+            .with_fault(Fault::DelayRound {
+                round: 2,
+                seconds: 1.0,
+            });
+        let machines = |round, armed| {
+            plan.due(round, armed)
+                .map(Fault::machine)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(machines(1, false), vec![]);
+        assert_eq!(machines(1, true), vec![Some(1)]);
+        assert_eq!(machines(2, true), vec![Some(1), None]);
+        assert!(plan.pending(), "peeking fires nothing");
     }
 
     #[test]

@@ -110,6 +110,7 @@ impl PartialBatch {
 
     /// Appends `key` with `value` (nonzero) at each of `idx` (nonempty,
     /// strictly ascending).
+    #[inline]
     pub fn push_one_value(&mut self, key: u64, idx: &[u8], value: OneSparse) {
         // The senders' hot path: `close_row` without the equality scan.
         debug_assert!(!idx.is_empty() && !value.is_zero());
@@ -161,37 +162,29 @@ impl PartialBatch {
         })
     }
 
-    /// The rows dealt out by `key % owners` into `owners` batches, each
-    /// allocated at its exact size: a batch lives until its receiver's
-    /// step, beside every other batch of the round, so it carries no
-    /// growth slack.
-    fn deal(&self, owners: usize) -> Vec<PartialBatch> {
-        let owner_of: Vec<usize> = (self.rows.iter())
-            .map(|head| (head.key % owners as u64) as usize)
-            .collect();
-        let mut sizes = vec![(0, 0, 0); owners];
-        for (head, &owner) in self.rows.iter().zip(&owner_of) {
-            let size = &mut sizes[owner];
-            *size = (
-                size.0 + 1,
-                size.1 + usize::from(head.cells),
-                size.2 + head.values(),
-            );
+    /// An empty batch with room for exactly `rows` rows, `idx` cell indices
+    /// and `values` values: a batch lives until its receiver's step, beside
+    /// every other batch of the round, so it carries no growth slack.
+    fn with_capacity(rows: usize, idx: usize, values: usize) -> Self {
+        PartialBatch {
+            rows: Vec::with_capacity(rows),
+            idx: Vec::with_capacity(idx),
+            values: Vec::with_capacity(values),
         }
-        let mut dealt: Vec<_> = (sizes.into_iter())
-            .map(|(rows, idx, values)| PartialBatch {
-                rows: Vec::with_capacity(rows),
-                idx: Vec::with_capacity(idx),
-                values: Vec::with_capacity(values),
-            })
-            .collect();
-        for ((&head, row), owner) in self.rows.iter().zip(self.iter()).zip(owner_of) {
-            let batch = &mut dealt[owner];
-            batch.rows.push(head);
-            batch.idx.extend_from_slice(row.idx);
-            batch.values.extend_from_slice(row.values);
-        }
-        dealt
+    }
+
+    /// Appends a row of another canonical batch as it is.
+    fn push_row(&mut self, row: PartialRow) {
+        debug_assert!(self.rows.last().is_none_or(|r| r.key < row.key));
+        self.idx.extend_from_slice(row.idx);
+        self.values.extend_from_slice(row.values);
+        self.rows.push(RowHead {
+            key: row.key,
+            cells: u16::try_from(row.idx.len()).expect("at most 256 indices"),
+            // Canonical rows hold one value iff they have a cell and all
+            // their cells are equal: one value or one per cell otherwise.
+            one_value: row.values.len() == 1,
+        });
     }
 }
 
@@ -220,11 +213,32 @@ impl Default for CellSum {
 }
 
 impl CellSum {
-    fn add(&mut self, cells: impl IntoIterator<Item = SparseCell>) {
-        for (i, value) in cells {
-            let i = usize::from(i);
-            self.touched[i / 64] |= 1 << (i % 64);
-            self.acc[i].merge(&value);
+    /// The sum at index `i`, marked touched.
+    #[inline]
+    fn at(&mut self, i: u8) -> &mut OneSparse {
+        let i = usize::from(i);
+        self.touched[i / 64] |= 1 << (i % 64);
+        &mut self.acc[i]
+    }
+
+    /// Adds `value` at each of `idx`.
+    #[inline]
+    fn add_one_value(&mut self, idx: &[u8], value: OneSparse) {
+        for &i in idx {
+            self.at(i).merge(&value);
+        }
+    }
+
+    /// Adds a row's cells: a one-value row's value at each of its indices.
+    #[inline]
+    fn add_row(&mut self, row: PartialRow) {
+        match row.values {
+            &[value] => self.add_one_value(row.idx, value),
+            values => {
+                for (&i, value) in row.idx.iter().zip(values) {
+                    self.at(i).merge(value);
+                }
+            }
         }
     }
 
@@ -248,6 +262,48 @@ impl CellSum {
     }
 }
 
+/// The phase-dependent part of each prepared edge-phase — its fingerprint
+/// term and its hit cells — as [`SketchFamily::partial_batches`] keeps it
+/// between its two passes: about 14 bytes an edge-phase, where the one or
+/// two rows the edge-phase feeds hold about 100.
+struct KeptUpdates {
+    /// Per edge-phase, phase-major: `z^slot`.
+    terms: Vec<u64>,
+    /// Where each edge-phase's hits start in `hits`, and where the last
+    /// one's end.
+    starts: Vec<u32>,
+    /// The hit cells of every edge-phase, back to back.
+    hits: Vec<u8>,
+}
+
+impl KeptUpdates {
+    fn with_capacity(edge_phases: usize) -> Self {
+        let mut starts = Vec::with_capacity(edge_phases + 1);
+        starts.push(0);
+        KeptUpdates {
+            terms: Vec::with_capacity(edge_phases),
+            starts,
+            hits: Vec::new(),
+        }
+    }
+
+    /// Keeps one phase's updates.
+    fn keep(&mut self, updates: &[EdgeUpdate]) {
+        for update in updates {
+            self.terms.push(update.term());
+            self.hits.extend_from_slice(update.hits());
+            self.starts
+                .push(u32::try_from(self.hits.len()).expect("hits fit u32"));
+        }
+    }
+
+    /// Edge-phase `i`'s term and hits.
+    fn get(&self, i: usize) -> (u64, &[u8]) {
+        let hits = self.starts[i] as usize..self.starts[i + 1] as usize;
+        (self.terms[i], &self.hits[hits])
+    }
+}
+
 impl SketchFamily {
     /// Sketches a machine's local edges: one sparse partial per
     /// `(phase, endpoint)` [`partial_key`], that of `key` in batch
@@ -255,65 +311,146 @@ impl SketchFamily {
     /// phase [prepares](SketchFamily::prepare_slice) the edges once for both
     /// endpoints; an endpoint with one local edge is a one-value row of that
     /// edge's cells, only one with several needs a sum.
+    ///
+    /// Two passes write each batch at its exact size with no intermediate
+    /// batch: the first prepares every phase, sums the endpoints with
+    /// several edges and counts each owner's rows, cells and values; the
+    /// second writes the rows straight into their owners' batches from
+    /// what the first kept of each edge-phase (its term and hits).
     pub fn partial_batches(
         &self,
         edges: &[(VertexId, VertexId)],
         owners: usize,
     ) -> Vec<PartialBatch> {
-        // Endpoint → incident edges, shared by every phase.
+        // Endpoint → incident edges, shared by every phase, with the share
+        // `v % owners` of its keys' owner (the phase adds its own share).
         let mut incident: Vec<(VertexId, u32)> = (0..)
             .zip(edges)
             .flat_map(|(e, &(u, v))| [(u, e), (v, e)])
             .collect();
         incident.sort_unstable();
+        let endpoints: Vec<(usize, &[(VertexId, u32)])> = (incident.chunk_by(|a, b| a.0 == b.0))
+            .map(|of_v| (of_v[0].0 as usize % owners, of_v))
+            .collect();
+        let phase_share = |phase| (partial_key(phase, 0) % owners as u64) as usize;
+        let owner = |phase_share: usize, v_share: usize| match phase_share + v_share {
+            o if o >= owners => o - owners,
+            o => o,
+        };
 
-        // Every owner's rows in key order, dealt out once complete.
-        let mut rows = PartialBatch::default();
+        // Pass 1: each owner's rows, cells and values.
+        let mut sizes = vec![(0, 0, 0); owners];
+        let mut kept = KeptUpdates::with_capacity(self.phases() * edges.len());
+        let mut summed = PartialBatch::default();
         let mut sum = CellSum::default();
         let mut updates = vec![EdgeUpdate::EMPTY; edges.len()];
         for phase in 0..self.phases() {
             self.prepare_slice(phase, edges, &mut updates);
-            for of_v in incident.chunk_by(|a, b| a.0 == b.0) {
-                let v = of_v[0].0;
-                let key = partial_key(phase, v);
-                if let [(_, e)] = of_v {
-                    let update = &updates[*e as usize];
-                    rows.push_one_value(key, update.hits(), update.value(v));
+            kept.keep(&updates);
+            let share = phase_share(phase);
+            for &(v_share, of_v) in &endpoints {
+                let (cells, values) = if let [(_, e)] = of_v {
+                    (updates[*e as usize].hits().len(), 1)
                 } else {
+                    let v = of_v[0].0;
                     for &(_, e) in of_v {
-                        sum.add(updates[e as usize].sparse_cells(v));
+                        let update = &updates[e as usize];
+                        sum.add_one_value(update.hits(), update.value(v));
                     }
-                    sum.finish(key, &mut rows);
+                    sum.finish(partial_key(phase, v), &mut summed);
+                    let head = summed.rows.last().expect("just closed");
+                    (usize::from(head.cells), head.values())
+                };
+                let size = &mut sizes[owner(share, v_share)];
+                *size = (size.0 + 1, size.1 + cells, size.2 + values);
+            }
+        }
+
+        // Pass 2: the rows, in key order, straight into their batches.
+        let mut batches: Vec<_> = (sizes.iter())
+            .map(|&(rows, idx, values)| PartialBatch::with_capacity(rows, idx, values))
+            .collect();
+        let mut summed = summed.iter();
+        for phase in 0..self.phases() {
+            let share = phase_share(phase);
+            for &(v_share, of_v) in &endpoints {
+                let batch = &mut batches[owner(share, v_share)];
+                if let [(v, e)] = of_v {
+                    let (term, hits) = kept.get(phase * edges.len() + *e as usize);
+                    let value = updates[*e as usize].value_with_term(*v, term);
+                    batch.push_one_value(partial_key(phase, *v), hits, value);
+                } else {
+                    batch.push_row(summed.next().expect("summed in pass 1"));
                 }
             }
         }
-        rows.deal(owners)
+        debug_assert!(
+            (batches.iter().zip(&sizes)).all(|(b, &(rows, idx, values))| {
+                (b.rows.capacity(), b.idx.capacity(), b.values.capacity()) == (rows, idx, values)
+            })
+        );
+        batches
     }
 }
 
-/// The rows of `batches`, ascending by key (the rows of one key in no
-/// particular order: sums do not depend on it).
-fn sorted_rows(batches: &[PartialBatch]) -> Vec<PartialRow<'_>> {
-    let mut rows = Vec::with_capacity(batches.iter().map(|b| b.rows.len()).sum());
-    batches.iter().for_each(|batch| rows.extend(batch.iter()));
-    // Each batch is ascending already: a stable sort merges the runs.
-    rows.sort_by_key(|row| row.key);
-    rows
+/// The `(key, batch)` pair of every row of `batches`, ascending by key and,
+/// within a key, by batch.
+///
+/// A least-significant-digit radix sort of the pairs in batch order: one
+/// stable counting pass per digit of the key bits that are not the same in
+/// every key, starting at the lowest such bit, with digits of about
+/// `log₂(pairs)` bits and at most 11. `connectivity`'s owners at n = 1536
+/// take two passes: one over the vertex bits, one over the phase bits.
+fn key_order(batches: &[PartialBatch]) -> Vec<(u64, usize)> {
+    let mut pairs = Vec::with_capacity(batches.iter().map(|b| b.rows.len()).sum());
+    for (b, batch) in batches.iter().enumerate() {
+        pairs.extend(batch.rows.iter().map(|head| (head.key, b)));
+    }
+    let (any, all) = (pairs.iter()).fold((0, u64::MAX), |(any, all), &(key, _)| {
+        (any | key, all & key)
+    });
+    let mut varying = any ^ all;
+    // About as many counters as pairs, and at most 2¹¹ (16 KiB).
+    let bits = (usize::BITS - pairs.len().leading_zeros()).clamp(1, 11);
+    let mut sorted = vec![(0, 0); pairs.len()];
+    let mut next = vec![0usize; 1 << bits];
+    while varying != 0 {
+        let shift = varying.trailing_zeros();
+        let digit = |key: u64| (key >> shift) as usize & ((1 << bits) - 1);
+        next.fill(0);
+        pairs.iter().for_each(|&(key, _)| next[digit(key)] += 1);
+        let mut at = 0;
+        for slot in &mut next {
+            (*slot, at) = (at, at + *slot);
+        }
+        for &pair in &pairs {
+            sorted[next[digit(pair.0)]] = pair;
+            next[digit(pair.0)] += 1;
+        }
+        std::mem::swap(&mut pairs, &mut sorted);
+        varying &= u64::MAX.checked_shl(shift + bits).unwrap_or(0);
+    }
+    pairs
 }
 
 /// Sums the partial sketches of each key into one batch: the hash-owner's
 /// step. Any merge order gives the same batch — cell addition is commutative
 /// and associative and the layout is canonical.
 pub fn merge_batches(batches: &[PartialBatch]) -> PartialBatch {
+    // A batch's rows come in its own (ascending) order, so one cursor per
+    // batch finds each row `key_order` names.
+    let mut cursors: Vec<_> = batches.iter().map(PartialBatch::iter).collect();
     let mut merged = PartialBatch::default();
     let mut sum = CellSum::default();
-    for of_key in sorted_rows(batches).chunk_by(|a, b| a.key == b.key) {
-        for row in of_key {
-            sum.add(row.cells());
+    for of_key in key_order(batches).chunk_by(|a, b| a.0 == b.0) {
+        for &(_, b) in of_key {
+            sum.add_row(cursors[b].next().expect("one pair per row"));
         }
-        sum.finish(of_key[0].key, &mut merged);
+        sum.finish(of_key[0].0, &mut merged);
     }
-    merged.deal(1).remove(0)
+    // A clone allocates each vector at its length: the merged batch, too,
+    // waits for the large machine's step with no growth slack.
+    merged.clone()
 }
 
 /// Sketch-Borůvka over the `(vertex, sketch)` rows `rows_of(phase, rows)`
@@ -532,6 +669,34 @@ mod tests {
         assert_eq!(words, per_cell_words);
         let per_word = bytes as f64 / words as f64;
         assert!(per_word <= 6.0, "{per_word:.2} host bytes per wire word");
+    }
+
+    proptest::proptest! {
+        /// The radix order is the `(key, batch)` sort order for any keys:
+        /// every bit may vary, runs of equal bits may be long or short.
+        #[test]
+        fn key_order_sorts_any_keys(
+            keys in proptest::collection::vec(
+                proptest::collection::btree_set(proptest::any::<u64>(), 0..40),
+                0..6,
+            ),
+            mask in proptest::any::<u64>(),
+        ) {
+            let batches: Vec<PartialBatch> = (keys.iter())
+                .map(|keys| {
+                    let mut batch = PartialBatch::default();
+                    let masked: std::collections::BTreeSet<u64> =
+                        keys.iter().map(|k| k & mask).collect();
+                    masked.into_iter().for_each(|key| batch.push(key, []));
+                    batch
+                })
+                .collect();
+            let mut want: Vec<(u64, usize)> = (batches.iter().enumerate())
+                .flat_map(|(b, batch)| batch.iter().map(move |row| (row.key, b)))
+                .collect();
+            want.sort_unstable();
+            proptest::prop_assert_eq!(key_order(&batches), want);
+        }
     }
 
     #[test]

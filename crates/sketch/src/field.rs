@@ -48,6 +48,47 @@ pub fn mul(a: u64, b: u64) -> u64 {
     reduce128(a as u128 * b as u128)
 }
 
+/// `a · b + c` folded once at bit 61 (`2⁶¹ ≡ 1 mod P`): a value congruent to
+/// it mod `P` and below `2⁶²`, for `a < 2⁶¹ + 3` and `b, c < P`.
+///
+/// The odd steps of the lazily reduced Horner chain
+/// ([`KWiseHash::eval_lanes`](crate::hashing::KWiseHash::eval_lanes)); the
+/// next step, a [`mul_add_lazy`], takes an accumulator this large.
+#[inline]
+pub(crate) fn mul_add_fold(a: u64, b: u64, c: u64) -> u64 {
+    let t = a as u128 * b as u128 + c as u128;
+    (t as u64 & P) + (t >> 61) as u64
+}
+
+/// `a · b + c` folded twice: a value congruent to it mod `P`, below
+/// `2⁶¹ + 3` for `a < 2⁶²` and `b, c < P`, and at most `P` for `a ≤ P`.
+///
+/// The step that brings the lazily reduced chains
+/// ([`KWiseHash::eval_lanes`](crate::hashing::KWiseHash::eval_lanes),
+/// [`PowTable::pow`]) back below `2⁶¹ + 3`, with no comparison and no
+/// conditional subtract: the first fold of `t = a·b + c < 2¹²³ + 2⁶¹`
+/// leaves less than `2⁶³`, the second at most `P + 3`. Only the end of a
+/// chain applies [`canonical`]. For `a ≤ P` the result is at most `P`, and
+/// `P` (standing for 0) only for a nonzero multiple of `P`: the fold of a
+/// nonzero residue is then already canonical.
+#[inline]
+pub(crate) fn mul_add_lazy(a: u64, b: u64, c: u64) -> u64 {
+    let r = mul_add_fold(a, b, c);
+    (r & P) + (r >> 61)
+}
+
+/// The canonical representative of `x < 2⁶¹ + 3` (as [`mul_add_lazy`]
+/// leaves it).
+#[inline]
+pub(crate) fn canonical(x: u64) -> u64 {
+    debug_assert!(x < P + 4);
+    if x >= P {
+        x - P
+    } else {
+        x
+    }
+}
+
 /// `b^e (mod P)` by square-and-multiply.
 pub fn pow(mut b: u64, mut e: u64) -> u64 {
     let mut acc = 1u64;
@@ -122,11 +163,15 @@ impl PowTable {
     #[inline]
     pub fn pow(&self, mut e: u64) -> u64 {
         assert!(e < self.domain, "exponent {e} outside the table's domain");
+        // Each window multiplies in one tabulated power by a lazy fold. The
+        // powers are canonical, so the product is zero only if the base is,
+        // and a fold of a nonzero residue or of zero is already canonical:
+        // there is nothing to canonicalise at the end.
         let mut acc = 1u64;
         for row in &self.windows {
             let digit = (e & ((1 << WINDOW_BITS) - 1)) as usize;
             if digit != 0 {
-                acc = mul(acc, row[digit]);
+                acc = mul_add_lazy(acc, row[digit], 0);
             }
             e >>= WINDOW_BITS;
         }
@@ -185,6 +230,44 @@ mod tests {
             exps.extend((0..48).map(|k| 1u64 << k));
             for e in exps.into_iter().filter(|&e| e < domain) {
                 assert_eq!(table.pow(e), pow(z, e), "domain {domain}, e = {e}");
+            }
+        }
+    }
+
+    /// The lazy steps at the edges of their bounds: the largest
+    /// accumulators each takes and factors zero, one and `P − 1`.
+    #[test]
+    fn lazy_steps_are_congruent_and_bounded() {
+        let factors = [0, 1, 2, P - 2, P - 1];
+        let canonical_step = |a: u64, b, c| add(mul((a as u128 % P as u128) as u64, b), c);
+        for b in factors {
+            for c in factors {
+                for a in [0, 1, P - 1, P, P + 1, P + 2, P + 3] {
+                    let fold = mul_add_fold(a, b, c);
+                    assert!(fold < 1 << 62, "{a} · {b} + {c} folded to {fold}");
+                    assert_eq!(fold % P, canonical_step(a, b, c));
+                }
+                for a in [0, 1, P - 1, P, P + 3, (1 << 62) - 1] {
+                    let lazy = mul_add_lazy(a, b, c);
+                    assert!(lazy < P + 4, "{a} · {b} + {c} folded to {lazy}");
+                    assert!(a > P || lazy <= P, "{a} · {b} + {c} folded to {lazy}");
+                    assert_eq!(canonical(lazy), canonical_step(a, b, c));
+                }
+            }
+        }
+    }
+
+    /// Exponents whose every 4-bit window is the digit 15 (and the domain's
+    /// largest, all 15 but the lowest) on the benchmark-sized domain
+    /// `2⁴⁸ − 1`: every window multiplies, so each lazy fold feeds the next.
+    #[test]
+    fn pow_table_with_every_window_digit_fifteen() {
+        let domain = (1u64 << 48) - 1;
+        for z in [1, 2, 3, P - 2, P - 1, 0x1234_5678_9ABC] {
+            let table = PowTable::new(z, domain);
+            let all_fifteen = (1..=11).map(|windows| (1u64 << (4 * windows)) - 1);
+            for e in all_fifteen.chain([domain - 1]) {
+                assert_eq!(table.pow(e), pow(z, e), "z = {z}, e = {e:#x}");
             }
         }
     }

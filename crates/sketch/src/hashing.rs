@@ -36,16 +36,28 @@ impl KWiseHash {
 
     /// [`eval`](Self::eval) at `L` points: `L` Horner chains advanced together
     /// a coefficient at a time, so their multiplications overlap instead of
-    /// each waiting on the last; each lane runs `eval`'s `mul` / `add` steps.
+    /// each waiting on the last.
+    ///
+    /// The steps are lazily reduced, two at a time: one 61-bit fold of the
+    /// 128-bit `acc · x + c`, which leaves the accumulator below `2⁶²`,
+    /// then one step folded twice, which brings it back below `2⁶¹ + 3`
+    /// (DESIGN.md §2.3). Only the result is made canonical, so every lane
+    /// returns the value of the canonical `mul` / `add` chain, bit for bit.
     pub fn eval_lanes<const L: usize>(&self, xs: [u64; L]) -> [u64; L] {
         let xs = xs.map(|x| x % field::P);
         let mut acc = [0u64; L];
-        for &c in &self.coeffs {
+        let mut pairs = self.coeffs.chunks_exact(2);
+        for pair in &mut pairs {
             for (a, &x) in acc.iter_mut().zip(&xs) {
-                *a = field::add(field::mul(*a, x), c);
+                *a = field::mul_add_lazy(field::mul_add_fold(*a, x, pair[0]), x, pair[1]);
             }
         }
-        acc
+        for &c in pairs.remainder() {
+            for (a, &x) in acc.iter_mut().zip(&xs) {
+                *a = field::mul_add_lazy(*a, x, c);
+            }
+        }
+        acc.map(field::canonical)
     }
 
     /// The number of coefficients (= the independence parameter `k`).
@@ -84,6 +96,37 @@ mod tests {
                 [xs[3], xs[5], xs[6]].map(horner)
             );
             assert!(xs.iter().all(|&x| h.eval(x) == horner(x)));
+        }
+    }
+
+    /// The lazy reduction at its extremes, against the canonical `mul` /
+    /// `add` Horner at every lane count: all coefficients `P − 1`, or `0`
+    /// and `P − 1` alternating, at the points `0, 1, P − 1, P` and
+    /// `2⁶⁴ − 1`. At `x = P − 1` an even number of `P − 1` coefficients
+    /// sums to zero, which the lazy chain holds as `P` until its end.
+    #[test]
+    fn lazy_reduction_matches_canonical_horner_at_the_extremes() {
+        const POINTS: [u64; 5] = [0, 1, field::P - 1, field::P, u64::MAX];
+        fn check<const L: usize>(h: &KWiseHash) {
+            let horner = |x: u64| {
+                let x = x % field::P;
+                (h.coeffs.iter()).fold(0, |acc, &c| field::add(field::mul(acc, x), c))
+            };
+            for start in 0..POINTS.len() {
+                let xs: [u64; L] = std::array::from_fn(|i| POINTS[(start + i) % POINTS.len()]);
+                assert_eq!(h.eval_lanes(xs), xs.map(horner), "k = {}", h.coeffs.len());
+            }
+        }
+        for k in [1, 13, 26, 50] {
+            let all_top = vec![field::P - 1; k];
+            let alternating = (0..k).map(|i| [0, field::P - 1][i % 2]).collect();
+            for coeffs in [all_top, alternating] {
+                let h = KWiseHash { coeffs };
+                check::<1>(&h);
+                check::<2>(&h);
+                check::<4>(&h);
+                check::<8>(&h);
+            }
         }
     }
 

@@ -150,13 +150,24 @@ impl EdgeUpdate {
     /// removes it, so the two contributions cancel when their sketches
     /// merge.
     pub(crate) fn value(&self, endpoint: VertexId) -> OneSparse {
+        self.value_with_term(endpoint, self.term)
+    }
+
+    /// [`value`](Self::value) of the same edge in the phase whose
+    /// fingerprint term `z^slot` is `term`.
+    pub(crate) fn value_with_term(&self, endpoint: VertexId, term: u64) -> OneSparse {
         let mut cell = OneSparse::new();
         if endpoint < self.hi {
-            cell.update_term(self.slot, 1, self.term);
+            cell.update_term(self.slot, 1, term);
         } else {
-            cell.update_term(self.slot, -1, field::sub(0, self.term));
+            cell.update_term(self.slot, -1, field::sub(0, term));
         }
         cell
+    }
+
+    /// The fingerprint term `z^slot (mod P)`.
+    pub(crate) fn term(&self) -> u64 {
+        self.term
     }
 
     /// This edge alone as a sparse sketch of `endpoint`: its cells, strictly

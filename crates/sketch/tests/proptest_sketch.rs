@@ -194,6 +194,54 @@ proptest! {
         }
     }
 
+    /// The owner merge depends only on the rows it is given: it returns the
+    /// same batch (`==`) with its inputs in another order, with one input
+    /// split in two at any row, and with an empty batch added anywhere.
+    #[test]
+    fn merge_is_invariant_under_permutation_split_and_empty_batches(
+        edges in proptest::collection::vec((0u32..24, 0u32..24), 0..60),
+        machines in 1usize..6,
+        owners in 1usize..4,
+        (shuffle, which, at) in (any::<u64>(), any::<u64>(), any::<u64>()),
+        seed in any::<u64>(),
+    ) {
+        let fam = SketchFamily::new(24, 3, seed);
+        let sent: Vec<Vec<PartialBatch>> = (0..machines)
+            .map(|m| {
+                let share: Vec<_> = edges.iter().copied().skip(m).step_by(machines).collect();
+                fam.partial_batches(&share, owners)
+            })
+            .collect();
+        for o in 0..owners {
+            let inbox: Vec<PartialBatch> = sent.iter().map(|b| b[o].clone()).collect();
+            let want = merge_batches(&inbox);
+
+            let mut permuted = inbox.clone();
+            permuted.sort_by_key(|b| {
+                let first = b.iter().next().map_or(0, |row| row.key);
+                (first ^ shuffle).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            });
+            permuted.reverse();
+            prop_assert_eq!(&merge_batches(&permuted), &want);
+
+            let b = which as usize % inbox.len();
+            let at = at as usize % (inbox[b].iter().len() + 1);
+            let (mut head, mut tail) = (PartialBatch::default(), PartialBatch::default());
+            for (r, row) in inbox[b].iter().enumerate() {
+                let half = if r < at { &mut head } else { &mut tail };
+                half.push(row.key, row.cells());
+            }
+            let mut split = inbox.clone();
+            split[b] = head;
+            split.insert(b + 1, tail);
+            prop_assert_eq!(&merge_batches(&split), &want);
+
+            let mut padded = inbox.clone();
+            padded.insert(which as usize % (inbox.len() + 1), PartialBatch::default());
+            prop_assert_eq!(&merge_batches(&padded), &want);
+        }
+    }
+
     /// One edge at a time (every endpoint a one-value row) and all edges at
     /// once (shared endpoints go through the accumulator) merge to the same
     /// batch, and a lone edge's rows are its cells.
