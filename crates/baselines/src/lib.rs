@@ -36,6 +36,5 @@ pub mod sublinear;
 pub use contraction::{boruvka_contraction, ContractionResult};
 pub use near_linear::near_linear_config;
 pub use sublinear::{
-    sublinear_coloring, sublinear_components, sublinear_matching, sublinear_mis, sublinear_mst,
-    two_vs_one_cycle_baseline,
+    sublinear_coloring, sublinear_matching, sublinear_mis, sublinear_mst, two_vs_one_cycle_baseline,
 };

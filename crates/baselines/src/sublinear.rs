@@ -41,19 +41,6 @@ pub fn sublinear_mst(
     boruvka_contraction(cluster, n, edges)
 }
 
-/// Sublinear connected components (labels at owners).
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode.
-pub fn sublinear_components(
-    cluster: &mut Cluster,
-    n: usize,
-    edges: &ShardedVec<Edge>,
-) -> Result<ContractionResult, ModelViolation> {
-    boruvka_contraction(cluster, n, edges)
-}
-
 /// The 1-vs-2-cycle baseline: counts components the sublinear way and
 /// reports `true` for a single cycle. Rounds grow with `log n` — the
 /// contrast to the `O(1)` rounds of the heterogeneous connectivity port

@@ -167,7 +167,7 @@ fn run_service(opts: &Opts, g: &Arc<Graph>, jsonl: &Option<Arc<JsonlSink>>) {
         max_attempts: 2,
         backoff_rounds: 1,
     };
-    let cost = |c: &Cluster| cost_profile(&opts.profile, 0.0, c);
+    let cost = |c: &Cluster| cost_profile(&opts.profile, c);
     let run = |plan, sink| {
         drain(g, retry, &cost, plan, sink, opts.mode)
             .unwrap_or_else(|e| fail(&format!("service drain: {e}")))
@@ -242,7 +242,7 @@ fn run_name(opts: &Opts, name: &str, g: &Graph, jsonl: &Option<Arc<JsonlSink>>) 
     }
     let ring = Arc::new(RingSink::unbounded());
     let prepare = |c: &mut Cluster| {
-        c.set_cost_model(cost_profile(&opts.profile, 0.0, c));
+        c.set_cost_model(cost_profile(&opts.profile, c));
         c.set_fault_plan(clean.as_ref().map(|(_, plan)| plan.clone()));
         c.set_trace_sink(Some(tee(jsonl, &ring)));
     };

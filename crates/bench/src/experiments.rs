@@ -1,7 +1,6 @@
 //! The experiment table, [`EXPERIMENTS`] (DESIGN.md §4 lists each row
 //! with its theorem, its checks and its CI gate), and the shared harness:
-//! [`solo`] (one registry run), the registry pass behind `registry`,
-//! `budgets` and `chaos`, and [`drain`] (one service drain), which
+//! [`solo`] (one registry run) and [`drain`] (one service drain), which
 //! `mpc-trace` uses too.
 //!
 //! A sweep experiment is data: per table a grid, a graph generator,
@@ -20,12 +19,12 @@ use mpc_core::spanner::{apsp::measured_stretch, baswana_sen};
 use mpc_core::{common, matching, mst};
 use mpc_exec::ExecMode::{self, Parallel, Serial};
 use mpc_exec::{
-    registry, AlgoOutput, Algorithm, ExecError, JobParams, JobRecord, JobRetryPolicy, JobSpec,
-    JobStatus, Service,
+    registry, AlgoOutput, ExecError, JobParams, JobRecord, JobRetryPolicy, JobSpec, JobStatus,
+    Service,
 };
 use mpc_graph::{generators, Graph};
 use mpc_runtime::{
-    Cluster, ClusterConfig, CostModel, Fault, FaultPlan, RecoveryPolicy, Topology, TraceSink,
+    Cluster, ClusterConfig, CostModel, FaultPlan, RecoveryPolicy, Topology, TraceSink,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,19 +92,18 @@ pub fn preferred(name: &str, g: &Graph, seed: u64) -> ClusterConfig {
 }
 
 /// The budgets workload at `n`: `gnm(n, 6n)` with weights below 2¹², seed
-/// 5 — the graph of every registry, chaos and service experiment and of
-/// `mpc-trace`.
+/// 5 — the graph of `budgets` and of `mpc-trace`.
 pub fn budgets_graph(n: usize) -> Graph {
     generators::gnm(n, n * 6, 5).with_random_weights(1 << 12, 5)
 }
 
-/// The cost model of a named profile on `c`: `uniform` (unit speeds,
-/// `latency` seconds a round), `proportional` (speed and bandwidth
-/// proportional to capacity, 1 s a round) or `straggler` (uniform, with the
-/// first small machine at 10 % speed and bandwidth).
-pub fn cost_profile(profile: &str, latency: f64, c: &Cluster) -> CostModel {
+/// The cost model of a named profile on `c`: `uniform` (unit speeds, no
+/// round latency), `proportional` (speed and bandwidth proportional to
+/// capacity, 1 s a round) or `straggler` (uniform, with the first small
+/// machine at 10 % speed and bandwidth).
+pub fn cost_profile(profile: &str, c: &Cluster) -> CostModel {
     let caps: Vec<usize> = (0..c.machines()).map(|m| c.capacity(m)).collect();
-    let uniform = CostModel::uniform(caps.len(), 1.0, 1.0, latency);
+    let uniform = CostModel::uniform(caps.len(), 1.0, 1.0, 0.0);
     match profile {
         "uniform" => uniform,
         "proportional" => CostModel::proportional_to_capacity(&caps, 1.0),
@@ -119,32 +117,6 @@ pub fn zero_replicas() -> RecoveryPolicy {
         replicas: 0,
         ..RecoveryPolicy::default()
     }
-}
-
-/// Reruns one registry pass run under another mode and `prepare`.
-type Rerun<'a> = &'a dyn Fn(ExecMode, Option<&dyn Fn(&mut Cluster)>) -> Solo;
-
-/// The registry pass: one clean serial [`solo`] run of every registry
-/// algorithm on the budgets graph at each `n`, on its preferred cluster at
-/// seed 5, printed as one table with a `row` of named cells per run; `row`
-/// may rerun it.
-fn registry_pass(
-    ns: &[usize],
-    mut row: impl FnMut(&Algorithm, usize, Rerun, Solo) -> Vec<(&'static str, String)>,
-) {
-    let mut t = Table::default();
-    for &n in ns {
-        let g = budgets_graph(n);
-        for algo in registry::algorithms() {
-            let rerun = |mode, prepare: Option<&dyn Fn(&mut Cluster)>| {
-                let config = preferred(algo.name, &g, 5);
-                let run = solo(algo.name, &g, config, JobParams::default(), mode, prepare);
-                run.expect("registered algorithm run")
-            };
-            t.cells(&row(algo, n, &rerun, rerun(Serial, None)));
-        }
-    }
-    t.print();
 }
 
 /// The standard service workload: six mixed tenants drained FIFO through
@@ -169,25 +141,12 @@ pub type JobOutcome = (JobStatus, Option<u128>);
 
 /// What one [`drain`] leaves behind.
 pub struct Drain {
-    /// Host wall-clock of the drain, in milliseconds.
-    pub wall_ms: f64,
     /// The shared cluster after the drain.
     pub cluster: Cluster,
     /// The service's scheduling records.
     pub records: Vec<JobRecord>,
     /// Per-job outcomes in submission order.
     pub outcomes: Vec<JobOutcome>,
-}
-
-impl Drain {
-    /// What must not move between drains of one queue: the round count,
-    /// each job's shares and admission/completion rounds, and the outcomes.
-    fn facts(&self) -> (u64, Vec<(u64, usize, u64, u64)>, Vec<JobOutcome>) {
-        let schedule = (self.records.iter())
-            .map(|r| (r.job, r.shares, r.admitted_round, r.completed_round))
-            .collect();
-        (self.cluster.rounds(), schedule, self.outcomes.clone())
-    }
 }
 
 /// Drains [`SERVICE_JOBS`] (seeds `100 + i`, each with `retry`) through
@@ -227,16 +186,13 @@ pub fn drain(
     cluster.set_cost_model(cost(&cluster));
     cluster.set_fault_plan(plan);
     cluster.set_trace_sink(sink);
-    let started = Instant::now();
     let records = service.run_on(&mut cluster, mode)?.records;
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let outcome = |h: &mpc_exec::JobHandle| {
         let result = h.take_result().expect("job finished");
         (h.status(), result.ok().map(|out| out.digest()))
     };
     let outcomes = handles.iter().map(outcome).collect();
     Ok(Drain {
-        wall_ms,
         cluster,
         records,
         outcomes,
@@ -713,34 +669,10 @@ pub const EXPERIMENTS: &[Experiment] = &[
         body: Body::Run(exec_engine),
     },
     Experiment {
-        name: "service",
-        heading: "E16 — job-queue service",
-        anchor: "mixed tenants, admission on retirement",
-        body: Body::Run(service),
-    },
-    Experiment {
-        name: "registry",
-        heading: "E13 — registry smoke",
-        anchor: "every algorithm, serial vs parallel",
-        body: Body::Run(registry_smoke),
-    },
-    Experiment {
         name: "budgets",
         heading: "E14 — registry round budgets",
         anchor: "per-theorem round-class caps",
         body: Body::Run(budgets),
-    },
-    Experiment {
-        name: "chaos",
-        heading: "E15 — chaos smoke",
-        anchor: "seeded single crash, recovery must be exact",
-        body: Body::Run(chaos),
-    },
-    Experiment {
-        name: "chaos-service",
-        heading: "E17 — service chaos",
-        anchor: "per-job quarantine, survivors must be exact",
-        body: Body::Run(chaos_service),
     },
 ];
 
@@ -986,7 +918,7 @@ fn exec_engine() {
             // The cost model is orthogonal to behaviour: every profile sees
             // the same rounds and traffic.
             let run = |profile: &str, mode| {
-                let cost = |c: &mut Cluster| c.set_cost_model(cost_profile(profile, 0.0, c));
+                let cost = |c: &mut Cluster| c.set_cost_model(cost_profile(profile, c));
                 let params = JobParams::default();
                 let run = solo(algo, g, config.clone(), params, mode, Some(&cost));
                 run.expect("registered algorithm run")
@@ -1019,37 +951,10 @@ fn exec_engine() {
     println!("dominates exactly when that machine holds the bottleneck shard.");
 }
 
-fn pool_note() {
-    if let Ok(threads) = std::env::var("MPC_POOL_THREADS") {
-        println!("(pool worker threads pinned to {threads} via MPC_POOL_THREADS)\n");
-    }
-}
-
-/// E13 (a CI gate): `Serial` == `Parallel` in digest and rounds for every
-/// registered name.
-fn registry_smoke() {
-    assert_eq!(
-        registry::names(),
-        registry::CANONICAL_NAMES.to_vec(),
-        "registry names drifted from the canonical set"
-    );
-    pool_note();
-    registry_pass(&[128], |algo, _, rerun, serial| {
-        let pool = rerun(Parallel, None);
-        let (s, p) = ((serial.digest, serial.rounds), (pool.digest, pool.rounds));
-        assert_eq!(s, p, "{}: serial and parallel runs diverged", algo.name);
-        vec![
-            ("algorithm", algo.name.to_string()),
-            ("paper", algo.paper.to_string()),
-            ("rounds", serial.rounds.to_string()),
-            ("digest", serial.digest.to_string()),
-            ("serial == parallel", "yes".to_string()),
-        ]
-    });
-}
-
-/// E14 (a CI gate): every name's rounds stay within its theorem's class
-/// ([`Algorithm::round_budget`]); a batched name
+/// E14 (a CI gate), the registry pass: one clean serial [`solo`] run of
+/// every registry name on the budgets graph at each `n`, on its preferred
+/// cluster at seed 5. Every name's rounds stay within its theorem's class
+/// ([`round_budget`](mpc_exec::Algorithm::round_budget)); a batched name
 /// ([`registry::BATCHED_NAMES`]) keeps its parallel figure `O(1)` and its
 /// rounds at least `BATCH_COLLAPSE_FACTOR`× below the sequential
 /// composition's count committed in `BENCH_rounds.json`. The experiment
@@ -1065,44 +970,52 @@ fn budgets() {
     let (mut failures, mut json) = (Vec::new(), Vec::new());
     let committed = committed_sequential_rounds();
     let show = |v: Option<u64>, none: &str| v.map_or_else(|| none.to_string(), |v| v.to_string());
-    registry_pass(&[128, 512], |algo, n, _, run| {
-        let (rounds, cap) = (run.rounds, (algo.round_budget)(n));
-        let parallel = match &run.out {
-            AlgoOutput::MstApprox(r) => Some(r.parallel_rounds),
-            AlgoOutput::MinCutApprox(r) => Some(r.parallel_rounds),
-            _ => None,
-        };
-        let sequential = committed.get(&(algo.name.to_string(), n)).copied();
-        let collapsed = match sequential {
-            Some(s) => rounds * BATCH_COLLAPSE_FACTOR <= s,
-            None => !registry::BATCHED_NAMES.contains(&algo.name),
-        };
-        let ok = rounds <= cap && parallel.is_none_or(|p| p <= PARALLEL_CAP) && collapsed;
-        if !ok {
-            failures.push(format!(
-                "{} at n={n}: {rounds} rounds (cap {cap}), parallel {parallel:?} \
-                 (cap {PARALLEL_CAP}), sequential {sequential:?} \
-                 (≥{BATCH_COLLAPSE_FACTOR}× collapse required)",
+    let mut t = Table::default();
+    for n in [128, 512] {
+        let g = budgets_graph(n);
+        for algo in registry::algorithms() {
+            let config = preferred(algo.name, &g, 5);
+            let run = solo(algo.name, &g, config, JobParams::default(), Serial, None);
+            let run = run.expect("registered algorithm run");
+            let (rounds, cap) = (run.rounds, (algo.round_budget)(n));
+            let parallel = match &run.out {
+                AlgoOutput::MstApprox(r) => Some(r.parallel_rounds),
+                AlgoOutput::MinCutApprox(r) => Some(r.parallel_rounds),
+                _ => None,
+            };
+            let sequential = committed.get(&(algo.name.to_string(), n)).copied();
+            let collapsed = match sequential {
+                Some(s) => rounds * BATCH_COLLAPSE_FACTOR <= s,
+                None => !registry::BATCHED_NAMES.contains(&algo.name),
+            };
+            let ok = rounds <= cap && parallel.is_none_or(|p| p <= PARALLEL_CAP) && collapsed;
+            if !ok {
+                failures.push(format!(
+                    "{} at n={n}: {rounds} rounds (cap {cap}), parallel {parallel:?} \
+                     (cap {PARALLEL_CAP}), sequential {sequential:?} \
+                     (≥{BATCH_COLLAPSE_FACTOR}× collapse required)",
+                    algo.name
+                ));
+            }
+            let (seq, par) = (show(sequential, "null"), show(parallel, "null"));
+            json.push(format!(
+                "    {{\"name\": \"{}\", \"n\": {n}, \"rounds\": {rounds}, \"cap\": {cap}, \
+                 \"sequential_rounds\": {seq}, \"parallel_rounds\": {par}}}",
                 algo.name
             ));
+            t.cells(&[
+                ("algorithm", algo.name.to_string()),
+                ("paper", algo.paper.to_string()),
+                ("n", n.to_string()),
+                ("rounds", rounds.to_string()),
+                ("cap", cap.to_string()),
+                ("sequential rounds", show(sequential, "-")),
+                ("parallel rounds", show(parallel, "-")),
+                ("within budget", if ok { "yes" } else { "NO" }.to_string()),
+            ]);
         }
-        let (seq, par) = (show(sequential, "null"), show(parallel, "null"));
-        json.push(format!(
-            "    {{\"name\": \"{}\", \"n\": {n}, \"rounds\": {rounds}, \"cap\": {cap}, \
-             \"sequential_rounds\": {seq}, \"parallel_rounds\": {par}}}",
-            algo.name
-        ));
-        vec![
-            ("algorithm", algo.name.to_string()),
-            ("paper", algo.paper.to_string()),
-            ("n", n.to_string()),
-            ("rounds", rounds.to_string()),
-            ("cap", cap.to_string()),
-            ("sequential rounds", show(sequential, "-")),
-            ("parallel rounds", show(parallel, "-")),
-            ("within budget", if ok { "yes" } else { "NO" }.to_string()),
-        ]
-    });
+    }
+    t.print();
     let path = rounds_json_path();
     let body = format!(
         "{{\n  \"bench\": \"registry_rounds\",\n  \"workload\": \"gnm(m=6n, weights<2^12, \
@@ -1138,226 +1051,4 @@ fn committed_sequential_rounds() -> std::collections::BTreeMap<(String, usize), 
         Some(((name, n), sequential as u64))
     };
     rows.expect("a rows array").iter().filter_map(row).collect()
-}
-
-/// E15 (a CI gate): one seeded mid-run crash of a small machine per name
-/// (the victim varies per name) leaves the digest bit-identical to the
-/// fault-free run and adds recovery rounds, under `Serial` and `Parallel`.
-fn chaos() {
-    pool_note();
-    registry_pass(&[128], |algo, _, rerun, clean| {
-        let name = algo.name;
-        let name_seed =
-            (name.bytes()).fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(b.into()));
-        let smalls = clean.cluster.small_ids();
-        let plan = FaultPlan::seeded_single_crash(name_seed, &smalls, clean.rounds);
-        let Fault::Crash { machine, round } = plan.faults()[0] else {
-            unreachable!("seeded_single_crash schedules a crash")
-        };
-        let attach = |c: &mut Cluster| {
-            c.set_fault_plan(Some(plan.clone()));
-        };
-        let mut faulted = 0;
-        for mode in [Serial, Parallel] {
-            let run = rerun(mode, Some(&attach));
-            assert_eq!(
-                run.digest, clean.digest,
-                "{name} under {mode:?}: crash of machine {machine} changed the result"
-            );
-            assert!(
-                run.rounds > clean.rounds,
-                "{name} under {mode:?}: recovery must add checkpoint/recovery rounds"
-            );
-            faulted = run.rounds;
-        }
-        vec![
-            ("algorithm", name.to_string()),
-            ("victim", machine.to_string()),
-            ("crash round", round.to_string()),
-            ("clean rounds", clean.rounds.to_string()),
-            ("faulted rounds", faulted.to_string()),
-            ("recovered == clean", "yes".to_string()),
-        ]
-    });
-    println!("\nchaos matrix: one seeded small-machine crash per algorithm, serial + pool legs;");
-    println!("recovery replays from peer replicas and must reproduce the fault-free digest.");
-}
-
-/// One leg of a service experiment: `reps` drains of `g`'s queue per mode
-/// under `profile` and `plan`, whose round counts, schedules and outcomes
-/// must not move across repetitions or modes, nor across cost profiles
-/// when fault-free. Exactly `lost` tenants fail; with `clean`, the
-/// survivors match its digests and a fault adds recovery rounds. Returns
-/// the best serial and pool wall-clock (ms) and the first serial drain.
-fn leg(
-    g: &Arc<Graph>,
-    profile: &str,
-    plan: Option<FaultPlan>,
-    reps: usize,
-    lost: usize,
-    clean: Option<&Drain>,
-) -> (f64, f64, Drain) {
-    let cost = |c: &Cluster| cost_profile(profile, 0.5, c);
-    let best = |mode| {
-        let once = || {
-            drain(
-                g,
-                JobRetryPolicy::default(),
-                &cost,
-                plan.clone(),
-                None,
-                mode,
-            )
-        };
-        let runs: Vec<Drain> = (0..reps).map(|_| once().expect("service drain")).collect();
-        for again in &runs[1..] {
-            assert_eq!(
-                again.facts(),
-                runs[0].facts(),
-                "nondeterministic service drain"
-            );
-        }
-        let wall = runs.iter().map(|d| d.wall_ms).fold(f64::INFINITY, f64::min);
-        (wall, runs.into_iter().next().expect("one drain at least"))
-    };
-    let ((serial_ms, serial), (pool_ms, pool)) = (best(Serial), best(Parallel));
-    assert_eq!(
-        pool.facts(),
-        serial.facts(),
-        "{profile}: pool drain diverged from serial"
-    );
-    let failed = serial
-        .outcomes
-        .iter()
-        .filter(|o| o.0 != JobStatus::Completed);
-    assert_eq!(
-        failed.count(),
-        lost,
-        "{profile}: wrong number of tenants lost"
-    );
-    if let Some(clean) = clean {
-        if plan.is_none() {
-            assert_eq!(
-                serial.facts(),
-                clean.facts(),
-                "cost profile changed the schedule"
-            );
-        }
-        let diverged = diverged(&serial.outcomes, &clean.outcomes);
-        assert!(
-            diverged.is_empty(),
-            "{profile}: surviving {diverged:?} diverged"
-        );
-        let (rounds, clean_rounds) = (serial.cluster.rounds(), clean.cluster.rounds());
-        assert!(
-            plan.is_none() || rounds > clean_rounds,
-            "recovery must add rounds"
-        );
-    }
-    (serial_ms, pool_ms, serial)
-}
-
-/// A plan crashing `machine` at `round` under `policy`.
-fn crash(machine: usize, round: u64, policy: RecoveryPolicy) -> FaultPlan {
-    let crash = Fault::Crash { machine, round };
-    FaultPlan::new().with_policy(policy).with_fault(crash)
-}
-
-/// E16 (DESIGN.md §2.8): best of three drains per mode and leg; the
-/// faulted leg's crash, with zero peer replicas halfway through the clean
-/// drain, is job-fatal (DESIGN.md §2.9), and its jobs/s count served jobs.
-/// Host numbers worth comparing across commits are the benchmark's
-/// `service-drain` workload's, not this table's.
-fn service() {
-    pool_note();
-    let g = Arc::new(budgets_graph(256));
-    let mut t = Table::default();
-    let mut clean: Option<Drain> = None;
-    for leg_name in ["uniform", "straggler", "faulted (1 lost)"] {
-        let (profile, plan) = match &clean {
-            Some(c) if leg_name.starts_with("faulted") => {
-                let (machine, round) = (c.cluster.small_ids()[0], c.cluster.rounds() / 2);
-                ("uniform", Some(crash(machine, round, zero_replicas())))
-            }
-            _ => (leg_name, None),
-        };
-        let lost = usize::from(plan.is_some());
-        let (serial_ms, pool_ms, serial) = leg(&g, profile, plan, 3, lost, clean.as_ref());
-        let served = (SERVICE_JOBS.len() - lost) as f64;
-        let jobs_per_s = |ms: f64| format!("{:.1}", served / (ms / 1e3).max(1e-9));
-        t.cells(&[
-            ("cost profile", leg_name.to_string()),
-            ("machines", serial.cluster.machines().to_string()),
-            ("rounds", serial.cluster.rounds().to_string()),
-            ("serial ms", format!("{serial_ms:.2}")),
-            ("pool ms", format!("{pool_ms:.2}")),
-            ("jobs/s serial", jobs_per_s(serial_ms)),
-            ("jobs/s pool", jobs_per_s(pool_ms)),
-            (
-                "sim makespan",
-                format!("{:.1}s", serial.cluster.critical_path_seconds()),
-            ),
-        ]);
-        clean.get_or_insert(serial);
-    }
-    t.print();
-
-    println!("\n### schedule (identical across modes, profiles, and repetitions)\n");
-    let mut t = Table::default();
-    for r in &clean.expect("the uniform leg ran").records {
-        t.cells(&[
-            ("job", r.job.to_string()),
-            ("name", r.name.clone()),
-            ("shares", r.shares.to_string()),
-            ("admitted round", r.admitted_round.to_string()),
-            ("completed round", r.completed_round.to_string()),
-            ("rounds held", r.rounds.to_string()),
-        ]);
-    }
-    t.print();
-}
-
-/// E17 (DESIGN.md §2.9): E16's queue on the budgets graph under one seeded
-/// crash, recoverable (peer replicas: every tenant completes) and job-fatal
-/// (zero replicas: one tenant is quarantined and fails, the wave restarts
-/// for the rest).
-fn chaos_service() {
-    pool_note();
-    let g = Arc::new(budgets_graph(128));
-    let (_, _, clean) = leg(&g, "uniform", None, 1, 0, None);
-    let clean_rounds = clean.cluster.rounds();
-    let seeded = FaultPlan::seeded_single_crash(17, &clean.cluster.small_ids(), clean_rounds);
-    let Fault::Crash { machine, .. } = seeded.faults()[0] else {
-        unreachable!("seeded_single_crash schedules a crash")
-    };
-    let mut t = Table::default();
-    for (leg_name, policy, lost) in [
-        ("recoverable", RecoveryPolicy::default(), 0),
-        ("job-fatal", zero_replicas(), 1),
-    ] {
-        let plan = crash(machine, clean_rounds / 2, policy);
-        let (_, _, faulted) = leg(&g, "uniform", Some(plan.clone()), 1, lost, Some(&clean));
-        let outcomes = faulted.outcomes.iter().zip(SERVICE_JOBS);
-        let lost: Vec<&str> = (outcomes.filter(|(o, _)| o.0 != JobStatus::Completed))
-            .map(|(_, name)| *name)
-            .collect();
-        t.cells(&[
-            ("leg", leg_name.to_string()),
-            ("crash", plan.faults()[0].detail()),
-            ("clean rounds", clean_rounds.to_string()),
-            ("faulted rounds", faulted.cluster.rounds().to_string()),
-            (
-                "tenants lost",
-                if lost.is_empty() {
-                    "none".into()
-                } else {
-                    lost.join(", ")
-                },
-            ),
-            ("survivors exact", "yes".to_string()),
-        ]);
-    }
-    t.print();
-    println!("\nservice chaos: one seeded crash per leg, serial + pool; recoverable crashes");
-    println!("replay in-wave, fatal ones quarantine one tenant and replay the survivors.");
 }

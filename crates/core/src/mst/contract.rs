@@ -186,7 +186,8 @@ mod tests {
         TaggedEdge::identity(Edge::new(u, v, w).normalized())
     }
 
-    /// Builds truncated lightest-lists for an edge set, mimicking top_t.
+    /// Builds truncated lightest-lists for an edge set, as the Claim-4
+    /// top-t selection delivers them.
     fn lists_of(n: VertexId, edges: &[TaggedEdge], k: usize) -> Vec<(VertexId, Vec<TaggedEdge>)> {
         let mut out = Vec::new();
         for v in 0..n {

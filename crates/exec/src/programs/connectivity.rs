@@ -17,6 +17,9 @@
 //! keeps its one value once, not once per cell); a machine with nothing to
 //! send sends no batch, an owner with no mail halts at round 2, and a
 //! machine with nothing to sketch or decode builds no sketch family.
+//! The family depends only on `(n, phases, seed)`, so an instance builds
+//! it once: the first machine to need it fills the instance's shared cell
+//! and every other machine of the instance reads it.
 //!
 //! The three local steps are the kernels of [`mpc_sketch::connectivity`].
 //! `connectivity` runs one instance with `τ = Weight::MAX`, its seed the
@@ -38,7 +41,7 @@ use mpc_runtime::{Cluster, MachineId, Payload, ShardedVec};
 use mpc_sketch::{merge_batches, sketch_connectivity_batches, PartialBatch, SketchFamily};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Messages of the connectivity program.
 #[derive(Clone, Debug)]
@@ -86,6 +89,9 @@ pub struct ConnectivityProgram {
     seed: Option<u64>,
     /// Whether the seed was baked in, so the instance starts at round 1.
     baked: bool,
+    /// The instance's sketch family beside the seed it was built from,
+    /// shared by every machine of the instance.
+    family: Arc<OnceLock<(u64, SketchFamily)>>,
     /// Set on the large machine when it halts.
     pub result: Option<Components>,
 }
@@ -103,10 +109,10 @@ impl ConnectivityProgram {
         instances.pop().expect("one threshold, one instance")
     }
 
-    /// One instance per threshold, one program per machine each. With
-    /// `rng` — the large machine's stream — each instance's seed is drawn
-    /// from it in threshold order and baked in; without, the large machine
-    /// draws it at round 0 and broadcasts it.
+    /// One instance per threshold, one program per machine each, sharing
+    /// one sketch-family cell. With `rng` — the large machine's stream —
+    /// each instance's seed is drawn from it in threshold order and baked
+    /// in; without, the large machine draws it at round 0 and broadcasts it.
     pub fn instances(
         cluster: &Cluster,
         n: usize,
@@ -129,6 +135,7 @@ impl ConnectivityProgram {
         (thresholds.iter())
             .map(|&threshold| {
                 let seed = rng.as_deref_mut().map(|rng| rng.random());
+                let family = Arc::new(OnceLock::new());
                 (shards.iter())
                     .map(|local_edges| ConnectivityProgram {
                         n,
@@ -138,11 +145,22 @@ impl ConnectivityProgram {
                         local_edges: local_edges.clone(),
                         seed,
                         baked: seed.is_some(),
+                        family: Arc::clone(&family),
                         result: None,
                     })
                     .collect()
             })
             .collect()
+    }
+
+    /// The instance's sketch family, built from this machine's seed by the
+    /// first machine of the instance that asks.
+    fn family(&self) -> &SketchFamily {
+        let seed = self.seed.expect("seed baked in, received or drawn");
+        let (built_from, family) =
+            (self.family).get_or_init(|| (seed, SketchFamily::new(self.n, self.phases, seed)));
+        debug_assert_eq!(*built_from, seed, "the shared family has another seed");
+        family
     }
 }
 
@@ -190,9 +208,7 @@ impl MachineProgram for ConnectivityProgram {
                 if local.is_empty() {
                     return StepOutcome::idle(); // nothing to sketch
                 }
-                let seed = self.seed.expect("seed baked in or received");
-                let family = SketchFamily::new(self.n, self.phases, seed);
-                let batches = family.partial_batches(&local, self.owners.len());
+                let batches = self.family().partial_batches(&local, self.owners.len());
                 let out = (self.owners.iter().copied().zip(batches))
                     .filter(|(_, batch)| !batch.is_empty())
                     .map(|(owner, batch)| (owner, ConnMsg::Partial(batch)))
@@ -229,12 +245,46 @@ impl MachineProgram for ConnectivityProgram {
                         count: self.n,
                     }
                 } else {
-                    let seed = self.seed.expect("seed baked in or drawn in round 0");
-                    let family = SketchFamily::new(self.n, self.phases, seed);
-                    sketch_connectivity_batches(&family, &batches, self.n)
+                    sketch_connectivity_batches(self.family(), &batches, self.n)
                 });
                 StepOutcome::Halt
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ExecMode, Executor};
+    use mpc_core::common::distribute_edges;
+    use mpc_core::ported::connectivity::sketch_friendly_config;
+    use mpc_graph::generators;
+    use rand::SeedableRng;
+
+    #[test]
+    fn an_instance_builds_one_shared_family() {
+        let g = generators::gnm(96, 400, 3).with_random_weights(8, 3);
+        let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), 3));
+        let edges = distribute_edges(&cluster, &g);
+        let mut rng = SmallRng::seed_from_u64(9);
+        let baked = ConnectivityProgram::instances(&cluster, g.n(), &edges, &[4], Some(&mut rng));
+        let drawn = ConnectivityProgram::for_cluster(&cluster, g.n(), &edges);
+        let exec = Executor::new("conn", ExecMode::Serial);
+        let mut cells = Vec::new();
+        for programs in baked.into_iter().chain([drawn]) {
+            let outcome = exec.run(&mut cluster, programs).unwrap();
+            let first = &outcome.programs[0].family;
+            let seed = outcome.programs[cluster.large().unwrap()].seed;
+            assert_eq!(first.get().map(|(built_from, _)| *built_from), seed);
+            for p in &outcome.programs {
+                assert!(Arc::ptr_eq(&p.family, first), "one cell per instance");
+            }
+            cells.push(Arc::clone(first));
+        }
+        assert!(
+            !Arc::ptr_eq(&cells[0], &cells[1]),
+            "instances share no cell"
+        );
     }
 }

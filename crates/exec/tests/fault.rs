@@ -77,16 +77,15 @@ fn mid_run_crash_of_any_small_machine_is_bit_identical_to_fault_free() {
     }
 }
 
-#[test]
-fn large_machine_crash_recovers_every_registry_algorithm() {
+/// Runs every registry name fault-free and under the crash `plan` picks
+/// from its clean cluster, serially and pooled: the digest, the RNG
+/// positions and the algorithm's round labels must match the clean run,
+/// and recovery must add rounds.
+fn every_registry_algorithm_recovers(plan: impl Fn(&str, &Cluster) -> FaultPlan) {
     for name in registry::CANONICAL_NAMES {
         let (clean_digest, clean_draws, clean) =
             run_registry_sized(name, 13, None, ExecMode::Serial, 128, 768);
-        let large = clean.large().expect("topology has a large machine");
-        let plan = FaultPlan::new().with_fault(Fault::Crash {
-            machine: large,
-            round: (clean.rounds() / 2).max(1),
-        });
+        let plan = plan(name, &clean);
         let clean_labels: Vec<String> = clean
             .round_log()
             .iter()
@@ -96,8 +95,10 @@ fn large_machine_crash_recovers_every_registry_algorithm() {
             let (digest, draws, faulted) =
                 run_registry_sized(name, 13, Some(plan.clone()), mode, 128, 768);
             assert_eq!(
-                digest, clean_digest,
-                "{name}: large-machine crash changed the result under {mode:?}"
+                digest,
+                clean_digest,
+                "{name}: {:?} changed the result under {mode:?}",
+                plan.faults()
             );
             assert_eq!(
                 draws, clean_draws,
@@ -115,6 +116,28 @@ fn large_machine_crash_recovers_every_registry_algorithm() {
             assert!(faulted.rounds() > clean.rounds());
         }
     }
+}
+
+#[test]
+fn large_machine_crash_recovers_every_registry_algorithm() {
+    every_registry_algorithm_recovers(|_, clean| {
+        let large = clean.large().expect("topology has a large machine");
+        FaultPlan::new().with_fault(Fault::Crash {
+            machine: large,
+            round: (clean.rounds() / 2).max(1),
+        })
+    });
+}
+
+/// One seeded small-machine crash per name, the victim varying with the
+/// name, recovered from peer replicas.
+#[test]
+fn small_machine_crash_recovers_every_registry_algorithm() {
+    every_registry_algorithm_recovers(|name, clean| {
+        let name_seed =
+            (name.bytes()).fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(b.into()));
+        FaultPlan::seeded_single_crash(name_seed, &clean.small_ids(), clean.rounds())
+    });
 }
 
 #[test]

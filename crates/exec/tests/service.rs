@@ -12,8 +12,8 @@ use mpc_exec::{
     registry, ExecError, ExecMode, JobRecord, JobRetryPolicy, JobSpec, JobStatus, Service,
 };
 use mpc_graph::{generators, Edge, Graph};
-use mpc_runtime::fault::FaultPlan;
-use mpc_runtime::{Cluster, ClusterConfig, ShardedVec, Topology};
+use mpc_runtime::fault::{Fault, FaultPlan, RecoveryPolicy};
+use mpc_runtime::{Cluster, ClusterConfig, CostModel, ShardedVec, Topology};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -45,8 +45,9 @@ fn rng_positions(cluster: &mut Cluster) -> Vec<u64> {
 
 /// The comparable core of a record (drops nothing — JobRecord has no
 /// non-deterministic fields, this just gives us Eq).
-#[allow(clippy::type_complexity)]
-fn record_key(r: &JobRecord) -> (u64, String, usize, u64, u64, u64, bool, u32) {
+type RecordKey = (u64, String, usize, u64, u64, u64, bool, u32);
+
+fn record_key(r: &JobRecord) -> RecordKey {
     (
         r.job,
         r.name.clone(),
@@ -283,16 +284,12 @@ fn oversized_job_is_admitted_alone_instead_of_deadlocking() {
 // ------------------------------------------------ mode independence --
 
 /// Submits the 6-job over-subscribed workload and runs it on `cluster`.
-#[allow(clippy::type_complexity)]
 fn contended_run(
     g: &Arc<Graph>,
     cluster: &mut Cluster,
     mode: ExecMode,
     threads: usize,
-) -> (
-    Vec<(u64, String, usize, u64, u64, u64, bool, u32)>,
-    Vec<u128>,
-) {
+) -> (Vec<RecordKey>, Vec<u128>) {
     let names = [
         "spanner",
         "mis",
@@ -364,7 +361,7 @@ fn serial_and_pool_schedules_are_bit_identical_at_any_thread_count() {
 fn seeded_crash_mid_wave_recovers_every_job() {
     let g = Arc::new(weighted_graph());
 
-    let run_with = |plan: Option<FaultPlan>| {
+    let run_with = |plan: Option<FaultPlan>, mode: ExecMode| {
         let mut cluster = Cluster::new(config(&g, 99));
         cluster.set_fault_plan(plan);
         let mut svc = Service::new(config(&g, 99));
@@ -372,7 +369,7 @@ fn seeded_crash_mid_wave_recovers_every_job() {
             .into_iter()
             .map(|spec| svc.submit(spec).expect("known name"))
             .collect();
-        svc.run_on(&mut cluster, ExecMode::Parallel).expect("run");
+        svc.run_on(&mut cluster, mode).expect("run");
         let digests: Vec<u128> = handles
             .iter()
             .map(|h| {
@@ -385,18 +382,143 @@ fn seeded_crash_mid_wave_recovers_every_job() {
         (digests, cluster)
     };
 
-    let (clean_digests, clean_cluster) = run_with(None);
+    let (clean_digests, clean_cluster) = run_with(None, ExecMode::Serial);
     let clean_rounds = clean_cluster.rounds();
     let plan = FaultPlan::seeded_single_crash(99, &clean_cluster.small_ids(), clean_rounds);
-    let (digests, faulted_cluster) = run_with(Some(plan));
+    let (serial_digests, serial_cluster) = run_with(Some(plan.clone()), ExecMode::Serial);
+    let (digests, faulted_cluster) = run_with(Some(plan), ExecMode::Parallel);
     assert_eq!(
         digests, clean_digests,
         "a mid-wave crash changed some tenant's result"
     );
+    assert_eq!(
+        serial_digests, digests,
+        "serial and pooled recovery diverged"
+    );
+    assert_eq!(serial_cluster.round_log(), faulted_cluster.round_log());
     assert!(
         faulted_cluster.rounds() > clean_rounds,
         "recovery must add checkpoint/replay exchanges"
     );
+}
+
+/// The six-tenant queue: `spanner-weighted` holds one share per weight
+/// class, so on three shares half the queue waits for
+/// admission-on-retirement.
+const SIX_TENANTS: [&str; 6] = [
+    "spanner-weighted",
+    "matching",
+    "mincut",
+    "mis",
+    "coloring",
+    "connectivity",
+];
+
+/// One job's final status and, when it completed, its digest.
+type Outcome = (JobStatus, Option<u128>);
+
+/// Drains [`SIX_TENANTS`] on three shares, each job with the default
+/// retry policy, on a cluster with `cost`'s model and `plan` attached.
+/// Returns the records, the cluster's round count and the outcomes.
+fn drain_six(
+    g: &Arc<Graph>,
+    cost: &dyn Fn(&Cluster) -> CostModel,
+    plan: Option<FaultPlan>,
+    mode: ExecMode,
+) -> (Vec<RecordKey>, u64, Vec<Outcome>) {
+    let mut cluster = Cluster::new(config(g, 41));
+    cluster.set_cost_model(cost(&cluster));
+    cluster.set_fault_plan(plan);
+    let mut svc = Service::new(config(g, 41)).capacity_shares(3);
+    let handles: Vec<_> = (SIX_TENANTS.iter().zip(600..))
+        .map(|(name, seed)| {
+            let spec = JobSpec::new(*name, Arc::clone(g)).seed(seed);
+            svc.submit(spec).expect("known name")
+        })
+        .collect();
+    let run = svc.run_on(&mut cluster, mode).expect("service run");
+    let outcome = |h: &mpc_exec::JobHandle| {
+        let result = h.take_result().expect("finished");
+        (h.status(), result.ok().map(|out| out.digest()))
+    };
+    let records = run.records.iter().map(record_key).collect();
+    (
+        records,
+        cluster.rounds(),
+        handles.iter().map(outcome).collect(),
+    )
+}
+
+fn uniform_cost(c: &Cluster) -> CostModel {
+    CostModel::uniform(c.machines(), 1.0, 1.0, 0.5)
+}
+
+/// The cost model prices rounds and never steers them: under uniform,
+/// capacity-proportional and straggler models the drain admits and
+/// completes every job in the same rounds with the same results, serially
+/// and pooled.
+#[test]
+fn service_schedule_is_independent_of_the_cost_profile() {
+    let g = Arc::new(weighted_graph());
+    let caps = |c: &Cluster| (0..c.machines()).map(|m| c.capacity(m)).collect::<Vec<_>>();
+    let proportional = |c: &Cluster| CostModel::proportional_to_capacity(&caps(c), 1.0);
+    let straggler = |c: &Cluster| uniform_cost(c).with_straggler(c.small_ids()[0], 0.1);
+    let reference = drain_six(&g, &uniform_cost, None, ExecMode::Serial);
+    assert!(
+        (reference.2.iter()).all(|o| o.0 == JobStatus::Completed),
+        "{:?}",
+        reference.2
+    );
+    let profiles: [(&str, &dyn Fn(&Cluster) -> CostModel); 3] = [
+        ("uniform", &uniform_cost),
+        ("proportional", &proportional),
+        ("straggler", &straggler),
+    ];
+    for (profile, cost) in profiles {
+        for mode in [ExecMode::Serial, ExecMode::Parallel] {
+            assert_eq!(
+                drain_six(&g, cost, None, mode),
+                reference,
+                "the {profile} profile moved the drain under {mode:?}"
+            );
+        }
+    }
+}
+
+/// A small-machine crash with no peer replicas is job-fatal: the service
+/// quarantines one tenant, which fails on the default one-attempt retry
+/// policy, and replays the rest, which complete bit-identical to the
+/// fault-free drain — in the same schedule serially and pooled.
+#[test]
+fn a_job_fatal_crash_loses_one_tenant_and_spares_the_rest() {
+    let g = Arc::new(weighted_graph());
+    let (_, clean_rounds, clean) = drain_six(&g, &uniform_cost, None, ExecMode::Serial);
+    let victim = Cluster::new(config(&g, 41)).small_ids()[0];
+    let plan = FaultPlan::new()
+        .with_policy(RecoveryPolicy {
+            replicas: 0,
+            ..RecoveryPolicy::default()
+        })
+        .with_fault(Fault::Crash {
+            machine: victim,
+            round: clean_rounds / 2,
+        });
+    let serial = drain_six(&g, &uniform_cost, Some(plan.clone()), ExecMode::Serial);
+    let pool = drain_six(&g, &uniform_cost, Some(plan), ExecMode::Parallel);
+    assert_eq!(pool, serial, "the faulted drain diverged between modes");
+    let (_, rounds, outcomes) = serial;
+    let lost: Vec<&str> = (outcomes.iter().zip(SIX_TENANTS))
+        .filter(|(o, _)| o.0 != JobStatus::Completed)
+        .map(|(_, name)| name)
+        .collect();
+    assert_eq!(lost.len(), 1, "exactly one tenant is lost: {lost:?}");
+    for ((o, c), name) in outcomes.iter().zip(&clean).zip(SIX_TENANTS) {
+        match &o.0 {
+            JobStatus::Completed => assert_eq!(o.1, c.1, "survivor {name} diverged"),
+            status => assert!(matches!(status, JobStatus::Failed { .. }), "{status:?}"),
+        }
+    }
+    assert!(rounds > clean_rounds, "recovery must add rounds");
 }
 
 // ----------------------------------------------- fault isolation --
@@ -408,14 +530,7 @@ fn seeded_crash_mid_wave_recovers_every_job() {
 #[test]
 fn failed_tenant_leaves_survivors_bit_identical_to_a_wave_without_it() {
     let g = Arc::new(weighted_graph());
-    let names = [
-        "spanner-weighted",
-        "matching",
-        "mincut",
-        "mis",
-        "coloring",
-        "connectivity",
-    ];
+    let names = SIX_TENANTS;
     let victim = "mincut";
 
     let run_wave = |with_victim: bool| {

@@ -1,6 +1,4 @@
-//! Key-partitioned aggregation (the paper's Claim 2) and per-key top-t
-//! selection (the paper's Claim 4 / "collect the lightest edges of each
-//! vertex at the large machine", §3).
+//! Key-partitioned aggregation (the paper's Claim 2).
 
 use super::{owner_of, HashKey};
 use crate::cluster::Cluster;
@@ -120,135 +118,6 @@ fn merge_into<K: Ord, V>(
     }
 }
 
-/// Collects, for every key, the `t(key)` smallest items (by `rank`) at
-/// machine `dst`. 3 rounds: local-top-t → group collectors → hash owners →
-/// `dst` (the collector stage bounds what any machine receives for a hot
-/// key to `max(√K, t·√K)` items instead of the key's full multiplicity —
-/// the paper's Claim-4 trees achieve the same via sorted ranges).
-///
-/// This implements the paper's Claim 4 workflow as used by the MST algorithm
-/// (§3): the large machine obtains the `min(2^(2^i), deg(v))` lightest
-/// outgoing edges of every vertex `v`. Correctness of the truncations:
-/// every globally-top-`t` item of a key is locally-top-`t` at every stage
-/// that sees it.
-///
-/// The caller is responsible (as in the paper) for choosing `t` so the total
-/// volume fits `dst` — strict enforcement verifies it.
-///
-/// # Errors
-///
-/// Propagates capacity violations in strict mode.
-pub fn top_t_per_key<K, T, R>(
-    cluster: &mut Cluster,
-    label: &str,
-    items: &ShardedVec<(K, T)>,
-    owners: &[MachineId],
-    dst: MachineId,
-    t_of: impl Fn(&K) -> usize,
-    rank: impl Fn(&T) -> R,
-) -> Result<Vec<(K, Vec<T>)>, ModelViolation>
-where
-    K: HashKey + Payload,
-    T: Payload,
-    R: Ord,
-{
-    assert!(!owners.is_empty(), "top_t_per_key: no owners");
-    // Phase 1: local top-t per key, routed to (key, sender-group)
-    // collectors so a key stored on many machines never concentrates its
-    // full multiplicity on one machine.
-    let group = (cluster.machines() as f64).sqrt().ceil() as usize;
-    let mut out = cluster.empty_outboxes::<(K, T)>();
-    let mut local: Vec<Vec<(K, T)>> = (0..cluster.machines()).map(|_| Vec::new()).collect();
-    for mid in 0..items.machines() {
-        let mut groups: BTreeMap<K, Vec<T>> = BTreeMap::new();
-        for (k, v) in items.shard(mid) {
-            groups.entry(k.clone()).or_default().push(v.clone());
-        }
-        let g = (mid / group) as u64;
-        for (k, mut vs) in groups {
-            vs.sort_by_key(|a| rank(a));
-            vs.truncate(t_of(&k).max(1));
-            let idx = (k
-                .hash64()
-                .wrapping_add(g.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                % owners.len() as u64) as usize;
-            let collector = owners[idx];
-            for v in vs {
-                if collector == mid {
-                    local[mid].push((k.clone(), v));
-                } else {
-                    out[mid].push((collector, (k.clone(), v)));
-                }
-            }
-        }
-    }
-    let inboxes = cluster.exchange(&format!("{label}.collect"), out)?;
-
-    // Phase 1b: collectors re-truncate and forward to the hash owners.
-    let mut out = cluster.empty_outboxes::<(K, T)>();
-    for (mid, inbox) in inboxes.into_iter().enumerate() {
-        let mut groups: BTreeMap<K, Vec<T>> = BTreeMap::new();
-        for (k, v) in local[mid].drain(..) {
-            groups.entry(k).or_default().push(v);
-        }
-        for (_src, (k, v)) in inbox {
-            groups.entry(k).or_default().push(v);
-        }
-        for (k, mut vs) in groups {
-            vs.sort_by_key(|a| rank(a));
-            vs.truncate(t_of(&k).max(1));
-            let owner = owner_of(&k, owners);
-            for v in vs {
-                if owner == mid {
-                    local[mid].push((k.clone(), v));
-                } else {
-                    out[mid].push((owner, (k.clone(), v)));
-                }
-            }
-        }
-    }
-    let inboxes = cluster.exchange(label, out)?;
-
-    // Phase 2: owners compute the global top-t per key and forward to dst.
-    let mut out = cluster.empty_outboxes::<(K, T)>();
-    let mut at_dst: Vec<(K, T)> = Vec::new();
-    for (mid, inbox) in inboxes.into_iter().enumerate() {
-        let mut groups: BTreeMap<K, Vec<T>> = BTreeMap::new();
-        for (k, v) in local[mid].drain(..) {
-            groups.entry(k).or_default().push(v);
-        }
-        for (_src, (k, v)) in inbox {
-            groups.entry(k).or_default().push(v);
-        }
-        for (k, mut vs) in groups {
-            vs.sort_by_key(|a| rank(a));
-            vs.truncate(t_of(&k).max(1));
-            for v in vs {
-                if mid == dst {
-                    at_dst.push((k.clone(), v));
-                } else {
-                    out[mid].push((dst, (k.clone(), v)));
-                }
-            }
-        }
-    }
-    let inboxes = cluster.exchange(label, out)?;
-    let mut groups: BTreeMap<K, Vec<T>> = BTreeMap::new();
-    for (k, v) in at_dst {
-        groups.entry(k).or_default().push(v);
-    }
-    for (_src, (k, v)) in inboxes[dst].iter().cloned() {
-        groups.entry(k).or_default().push(v);
-    }
-    Ok(groups
-        .into_iter()
-        .map(|(k, mut vs)| {
-            vs.sort_by_key(|a| rank(a));
-            (k, vs)
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,45 +163,5 @@ mod tests {
         sv[2].push((7, 6));
         let agg = aggregate_by_key(&mut c, "x", &sv, &owners, |a, b| a + b).unwrap();
         assert_eq!(agg.shard(1), &[(7u32, 11u64)]);
-    }
-
-    #[test]
-    fn top_t_selects_global_minima() {
-        let mut c = cluster();
-        let owners = c.small_ids();
-        let mut sv: ShardedVec<(u32, u64)> = ShardedVec::new(&c);
-        // Key 1: values spread over machines; global top-2 = {10, 11}.
-        sv[1].push((1, 30));
-        sv[1].push((1, 10));
-        sv[2].push((1, 11));
-        sv[3].push((1, 25));
-        // Key 2: fewer than t items.
-        sv[4].push((2, 99));
-        let got = top_t_per_key(&mut c, "top", &sv, &owners, 0, |_| 2, |v| *v).unwrap();
-        assert_eq!(c.rounds(), 3); // collect + owner + dst stages
-        assert_eq!(got, vec![(1, vec![10, 11]), (2, vec![99])]);
-    }
-
-    #[test]
-    fn top_t_varies_by_key() {
-        let mut c = cluster();
-        let owners = c.small_ids();
-        let mut sv: ShardedVec<(u32, u64)> = ShardedVec::new(&c);
-        for v in 0..6 {
-            sv[1 + (v as usize % 4)].push((0u32, v));
-            sv[1 + (v as usize % 4)].push((1u32, v));
-        }
-        let got = top_t_per_key(
-            &mut c,
-            "top",
-            &sv,
-            &owners,
-            0,
-            |k| if *k == 0 { 1 } else { 3 },
-            |v| *v,
-        )
-        .unwrap();
-        assert_eq!(got[0].1, vec![0]);
-        assert_eq!(got[1].1, vec![0, 1, 2]);
     }
 }

@@ -5,7 +5,7 @@
 //! | Claim 1 (sorting) | [`sort::sample_sort`] — sample-based splitter sort, two-level when capacities demand it | 3–8 |
 //! | Claim 2 (aggregation) | [`aggregate::aggregate_by_key`] — hash-partitioned owners | 1–2 |
 //! | Claim 3 (dissemination) | [`kv::disseminate`] — hash-owned key-value service with relay wave for hot keys | 3–4 |
-//! | Claim 4 (arranging nodes) | [`aggregate::top_t_per_key`] — per-vertex lightest-item selection at a designated machine | 2 |
+//! | Claim 4 (arranging nodes) | none here: the engine programs run it, truncating with `mpc_exec::combinators::top_by_key` at every stage of their own rounds | — |
 //! | (folklore) broadcast/reduce | [`broadcast::broadcast`], [`reduce::reduce_to`] — capacity-driven fanout trees | `O(log_F K)` |
 //!
 //! **Substitution note (recorded in DESIGN.md §4):** Claims 2–4 in the paper
@@ -23,7 +23,7 @@ pub mod kv;
 pub mod reduce;
 pub mod sort;
 
-pub use aggregate::{aggregate_by_key, top_t_per_key};
+pub use aggregate::aggregate_by_key;
 pub use broadcast::broadcast;
 pub use gather::gather_to;
 pub use kv::{disseminate, lookup};

@@ -2,7 +2,7 @@
 //! distribution, results must equal their sequential references and respect
 //! capacities in strict mode.
 
-use mpc_runtime::primitives::{aggregate_by_key, disseminate, sample_sort, sum_to, top_t_per_key};
+use mpc_runtime::primitives::{aggregate_by_key, disseminate, sample_sort, sum_to};
 use mpc_runtime::{Cluster, ClusterConfig, ShardedVec, Topology};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -55,29 +55,6 @@ proptest! {
             *want.entry(k).or_default() += v;
         }
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn top_t_returns_the_global_minima(
-        pairs in proptest::collection::vec((0u32..20, 0u64..10_000), 1..300),
-        t in 1usize..6,
-        machines in 3usize..12,
-    ) {
-        let mut c = cluster(machines, 8000);
-        let owners = c.small_ids();
-        let sv = ShardedVec::scatter(&c, pairs.clone(), &owners);
-        let got = top_t_per_key(&mut c, "p", &sv, &owners, 0, |_| t, |v| *v).unwrap();
-        let mut want: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        for (k, v) in pairs {
-            want.entry(k).or_default().push(v);
-        }
-        for (k, vs) in &mut want {
-            vs.sort_unstable();
-            vs.truncate(t);
-            let found = got.iter().find(|(gk, _)| gk == k);
-            prop_assert!(found.is_some(), "missing key {}", k);
-            prop_assert_eq!(&found.unwrap().1, vs, "key {}", k);
-        }
     }
 
     #[test]
