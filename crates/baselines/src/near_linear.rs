@@ -27,7 +27,6 @@ pub fn near_linear_config(n: usize, m: usize, seed: u64) -> ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpc_core::mst;
     use mpc_exec::{registry, ExecMode, JobSpec};
     use mpc_graph::generators;
     use mpc_runtime::Cluster;
@@ -41,9 +40,8 @@ mod tests {
         registry::run_job(&spec, &mut het, ExecMode::Serial).unwrap();
 
         let mut nl = Cluster::new(near_linear_config(g.n(), g.m(), 3));
-        let r = registry::run_job(&spec, &mut nl, ExecMode::Serial).unwrap();
-        let r = r.into_mst().unwrap();
-        assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
+        let out = registry::run_job(&spec, &mut nl, ExecMode::Serial).unwrap();
+        assert_eq!(registry::certify(&spec, &out), Ok(()));
         assert!(
             nl.rounds() <= het.rounds(),
             "near-linear ({}) should not exceed heterogeneous ({})",

@@ -1,7 +1,7 @@
 //! The experiment table, [`EXPERIMENTS`] (DESIGN.md §4 lists each row
 //! with its theorem, its checks and its CI gate), and the shared harness:
-//! [`solo`] (one registry run) and [`drain`] (one service drain), which
-//! `mpc-trace` uses too.
+//! [`solo`] (one certified registry run) and [`drain`] (one service
+//! drain), which `mpc-trace` uses too.
 //!
 //! A sweep experiment is data: per table a grid, a graph generator,
 //! parameters and column headers, whose cells the extractors in `cell`
@@ -16,7 +16,7 @@ use mpc_baselines::sublinear::{
 };
 use mpc_core::ported::connectivity::sketch_friendly_config;
 use mpc_core::spanner::{apsp::measured_stretch, baswana_sen};
-use mpc_core::{common, matching, mst};
+use mpc_core::{common, matching};
 use mpc_exec::ExecMode::{self, Parallel, Serial};
 use mpc_exec::{
     registry, AlgoOutput, ExecError, JobParams, JobRecord, JobRetryPolicy, JobSpec, JobStatus,
@@ -45,11 +45,14 @@ pub struct Solo {
 
 /// Runs registry algorithm `name` once on `g`: builds the cluster from
 /// `config`, lets `prepare` attach a cost model, fault plan or trace sink,
-/// and runs the job under `mode`.
+/// runs the job under `mode`, and checks the output with
+/// [`registry::certify`] — so every experiment and `mpc-trace` run is
+/// certified here, outside the timed span.
 ///
 /// # Errors
 ///
-/// Whatever [`registry::run_job`] returns.
+/// Whatever [`registry::run_job`] returns, and [`ExecError::Algorithm`]
+/// naming `name` and the certificate's message when the output fails it.
 pub fn solo(
     name: &str,
     g: &Graph,
@@ -66,6 +69,9 @@ pub fn solo(
     let started = Instant::now();
     let out = registry::run_job(&spec, &mut cluster, mode)?;
     let wall = started.elapsed();
+    registry::certify(&spec, &out).map_err(|problem| ExecError::Algorithm {
+        message: format!("{name}: the output fails its certificate: {problem}"),
+    })?;
     let (rounds, digest) = (cluster.rounds(), out.digest());
     Ok(Solo {
         out,
@@ -326,25 +332,10 @@ fn run_sweeps(sweeps: &[Sweep]) {
                 solo(s.algo, &g, config, (s.params)(x), Parallel, None).expect("registry run");
             let sub = s.baseline.map_or((0, 0), |b| sublinear(b, &g, s.seed));
             let p = Point { x, g: &g, run, sub };
-            assert!(valid(s.algo, &p), "{} at {x}: invalid output", s.algo);
             let cells = s.cols.iter().map(|&col| (col, cell(col, &p)));
             t.cells(&cells.collect::<Vec<_>>());
         }
         t.print();
-    }
-}
-
-/// Whether a sweep point's output is the variant `algo` returns and, where
-/// a sequential checker exists, a correct answer.
-fn valid(algo: &str, p: &Point) -> bool {
-    let g = p.g;
-    match (algo, &p.run.out) {
-        ("mst", AlgoOutput::Mst(r)) => mst::is_minimum_spanning_forest(g, &r.forest),
-        ("mis", AlgoOutput::Mis(r)) => mpc_graph::mis::is_maximal_independent_set(g, &r.mis),
-        ("coloring", AlgoOutput::Coloring(r)) => {
-            mpc_graph::coloring::is_proper_coloring(g, &r.colors)
-        }
-        (algo, _) => !matches!(algo, "mst" | "mis" | "coloring"),
     }
 }
 
@@ -383,9 +374,6 @@ fn cell(col: &str, p: &Point) -> String {
         }
         ("p1 iters", O::Matching(r)) => r.stats.phase1_iterations.to_string(),
         ("high-deg vertices", O::Matching(r)) => r.stats.high_vertices.to_string(),
-        ("components correct", O::Components(c)) => {
-            (*c == mpc_graph::traversal::connected_components(g)).to_string()
-        }
         ("estimate", O::MstApprox(r)) => format!("{:.0}", r.estimate),
         ("exact", O::MstApprox(_)) => format!("{:.0}", exact_mst()),
         ("ratio", O::MstApprox(r)) => format!("{:.3}", r.estimate / exact_mst()),
@@ -564,7 +552,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             seed: 29,
             grid: &[128.0, 256.0, 512.0],
             graph: |n| generators::gnm(n as usize, 3 * n as usize, 29),
-            cols: &["n", "m", "rounds", "components correct"],
+            cols: &["n", "m", "rounds"],
             ..SWEEP
         }]),
     },
@@ -783,7 +771,6 @@ fn mst_superlinear() {
         let run =
             solo("mst", &g, config, JobParams::default(), Serial, None).expect("registry run");
         let r = run.out.into_mst().expect("an MST output");
-        assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
         t.cells(&[
             ("f (memory n^(1+f))", format!("{f:.1}")),
             ("rounds", run.rounds.to_string()),

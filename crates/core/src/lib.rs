@@ -22,20 +22,16 @@
 //! # Example: exact MST on a heterogeneous cluster
 //!
 //! ```
-//! use mpc_core::mst;
 //! use mpc_exec::{registry, ExecMode, JobSpec};
-//! use mpc_graph::{generators, mst::kruskal};
+//! use mpc_graph::generators;
 //! use mpc_runtime::{Cluster, ClusterConfig};
 //!
 //! let g = generators::gnm(128, 1024, 7).with_random_weights(10_000, 7);
 //! let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(7));
-//! let spec = JobSpec::new("mst", g.clone());
-//! let result = registry::run_job(&spec, &mut cluster, ExecMode::Serial)
-//!     .unwrap()
-//!     .into_mst()
-//!     .unwrap();
-//! assert_eq!(result.forest.total_weight, kruskal(&g).total_weight);
-//! assert!(mst::is_minimum_spanning_forest(&g, &result.forest));
+//! let spec = JobSpec::new("mst", g);
+//! let out = registry::run_job(&spec, &mut cluster, ExecMode::Serial).unwrap();
+//! // A spanning forest of Kruskal's weight, as Theorem 3.1 promises.
+//! assert_eq!(registry::certify(&spec, &out), Ok(()));
 //! println!("MST found in {} rounds", cluster.rounds());
 //! ```
 
@@ -48,9 +44,10 @@ pub mod mst;
 pub mod ported;
 pub mod spanner;
 
-/// Runs the registry program `name` solo on `g`, serially: what a unit
-/// test of a module's steps uses to check the whole program they make up.
-/// Returns the output and the rounds the run took.
+/// Runs the registry program `name` solo on `g`, serially, and asserts the
+/// output passes the name's certificate: what a unit test of a module's
+/// steps uses to check the whole program they make up. Returns the output
+/// and the rounds the run took.
 #[cfg(test)]
 fn run_program(
     name: &str,
@@ -62,5 +59,6 @@ fn run_program(
     let spec = mpc_exec::JobSpec::new(name, g.clone()).params(params);
     let out = mpc_exec::registry::run_job(&spec, &mut cluster, mpc_exec::ExecMode::Serial)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(mpc_exec::registry::certify(&spec, &out), Ok(()), "{name}");
     (out, cluster.rounds())
 }

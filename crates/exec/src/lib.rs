@@ -33,12 +33,10 @@
 //!
 //! let g = generators::gnm(64, 160, 7);
 //! let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), 7));
-//! let spec = JobSpec::new("connectivity", g.clone());
-//! let comps = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
-//!     .unwrap()
-//!     .into_components()
-//!     .unwrap();
-//! assert_eq!(comps, mpc_graph::traversal::connected_components(&g));
+//! let spec = JobSpec::new("connectivity", g);
+//! let comps = registry::run_job(&spec, &mut cluster, ExecMode::Parallel).unwrap();
+//! // The same components as a sequential traversal.
+//! assert_eq!(registry::certify(&spec, &comps), Ok(()));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,13 +2,13 @@
 //! named entry point.
 //!
 //! `registry::run_job(&JobSpec::new("mst", graph), &mut cluster, mode)` is
-//! the single way the facade crate, the examples, the benches, and the CI
-//! smoke tests execute a workload: a registered algorithm is guaranteed to
-//! run on the [`Executor`] under both [`ExecMode::Serial`] and
-//! [`ExecMode::Parallel`] with bit-identical results, and anything *not*
-//! registered here is by definition not fast-path-capable — the
-//! `registry` bench experiment fails if a registered program's serial and
-//! pooled runs disagree.
+//! the single way the facade crate, the examples, the benches and the
+//! tests execute a workload: a registered algorithm is guaranteed to run
+//! on the [`Executor`] under both [`ExecMode::Serial`] and
+//! [`ExecMode::Parallel`] with bit-identical results (the
+//! schedule-independence test of `registry_equivalence.rs` runs every
+//! name), and [`certify`] checks any output against the promise of the
+//! name's theorem — one certificate per name, on its row.
 //!
 //! Each name is written down once, as a *description*: a function that
 //! builds, from a [`JobSpec`] and its edges sharded round-robin over the
@@ -58,9 +58,13 @@ use mpc_core::ported::mst_approx::{estimate_from_counts, geometric_thresholds, M
 use mpc_core::spanner::apsp::ApspOracle;
 use mpc_core::spanner::SpannerResult;
 use mpc_core::spanner::{merge_class_results, weight_class, weight_class_shards};
-use mpc_graph::mst::Forest;
-use mpc_graph::traversal::Components;
-use mpc_graph::{Edge, Graph};
+use mpc_graph::coloring::is_proper_coloring;
+use mpc_graph::matching::is_maximal_matching;
+use mpc_graph::mincut::min_cut;
+use mpc_graph::mis::is_maximal_independent_set;
+use mpc_graph::mst::{kruskal, Forest};
+use mpc_graph::traversal::{connected_components, Components};
+use mpc_graph::{is_spanning_forest, is_subgraph, verify_spanner, Edge, Graph};
 use mpc_runtime::{Cluster, MachineId, ShardedVec};
 use rand::rngs::SmallRng;
 use std::sync::Arc;
@@ -371,10 +375,11 @@ impl AlgoOutput {
         }
     }
 
-    /// A deterministic digest of the result — what the benches and smoke
-    /// tests compare across execution modes. Covers the actual content
-    /// (edge sets are order-normalized and hashed), not just cardinalities,
-    /// so a drift that preserves result size still changes the digest.
+    /// A deterministic digest of the result — what the tests and the
+    /// benchmark compare across execution modes and service lanes. Covers
+    /// the actual content (edge sets are order-normalized and hashed), not
+    /// just cardinalities, so a drift that preserves result size still
+    /// changes the digest.
     pub fn digest(&self) -> u128 {
         fn fold_edges<'a>(edges: impl Iterator<Item = &'a Edge>) -> u128 {
             let mut keys: Vec<_> = edges.map(Edge::weight_key).collect();
@@ -442,16 +447,23 @@ pub struct Algorithm {
     pub paper: &'static str,
     /// The polylog capacity exponent this algorithm's traffic honestly
     /// needs under strict enforcement (its `Õ(·)` factor) — generic
-    /// consumers (the registry smoke, `engine_demo`) build their clusters
-    /// with `ClusterConfig::polylog_exponent(algo.polylog_exponent)` so a
-    /// new registration picks a suitable cluster without per-name edits.
+    /// consumers (the `budgets` experiment, `mpc-trace`, `engine_demo`)
+    /// build their clusters with
+    /// `ClusterConfig::polylog_exponent(algo.polylog_exponent)` so a new
+    /// registration picks a suitable cluster without per-name edits.
     pub polylog_exponent: f64,
     /// Round budget: the theorem's round class stated as a hard cap for a
     /// run on a cluster of `n` vertices — `O(1)` algorithms get a fixed
     /// constant, `O(log log n)`-class algorithms an explicit
-    /// `a·⌈log₂log₂n⌉ + b` cap. The `budgets` bench experiment (a CI gate)
-    /// fails the build when a run exceeds it.
+    /// `a·⌈log₂log₂n⌉ + b` cap, and `boruvka-msf`, plain Borůvka with its
+    /// `O(log n)` phases, `4·⌈log₂n⌉ + 8`. The `budgets` bench experiment
+    /// (a CI gate) fails the build when a run exceeds it.
     pub round_budget: fn(n: usize) -> u64,
+    /// The name's certificate, reached through [`certify`]: `Ok` when an
+    /// output on the graph, under the parameters, keeps the promise of the
+    /// name's theorem; `Err` names what it breaks. Built only from the
+    /// `mpc-graph` checkers.
+    certify: fn(&Graph, &JobParams, &AlgoOutput) -> Result<(), String>,
     solo: fn(&mut Cluster, &JobSpec, &Edges, ExecMode, usize) -> Result<AlgoOutput, ExecError>,
     lanes: fn(&Cluster, &JobSpec, &Edges, &mut SmallRng) -> Lanes,
 }
@@ -695,17 +707,20 @@ pub(crate) fn derived_shares(spec: &JobSpec) -> usize {
     if spec.shares > 0 {
         return spec.shares;
     }
-    let edges = spec.graph.edges().iter();
+    let edges = spec.graph.edges();
     match spec.name.as_str() {
-        "spanner-weighted" | "apsp" => {
-            // A u64 weight has 64 classes: the set of them is one word.
-            let classes = edges.fold(0u64, |set, e| set | 1 << weight_class(e.w));
-            (classes.count_ones() as usize).max(1)
-        }
-        "mst-approx" => geometric_thresholds(max_weight(edges), spec.params.epsilon).len(),
-        "mincut-approx" => lambda_guesses(total_weight(edges)).len(),
+        "spanner-weighted" | "apsp" => weight_classes(edges).max(1),
+        "mst-approx" => geometric_thresholds(max_weight(edges.iter()), spec.params.epsilon).len(),
+        "mincut-approx" => lambda_guesses(total_weight(edges.iter())).len(),
         _ => 1,
     }
+}
+
+/// The number of non-empty factor-2 weight classes among `edges`.
+fn weight_classes(edges: &[Edge]) -> usize {
+    // A u64 weight has 64 classes: the set of them is one word.
+    let classes = (edges.iter()).fold(0u64, |set, e| set | 1 << weight_class(e.w));
+    classes.count_ones() as usize
 }
 
 /// The heaviest weight, floored at 1: the top of `mst-approx`'s threshold
@@ -971,6 +986,207 @@ fn log2(n: usize) -> u64 {
     ((n.max(2) as f64).log2().ceil() as u64).max(1)
 }
 
+// ---------------------------------------------------------------------------
+// Certificates: each name's theorem promise, checked sequentially
+// ---------------------------------------------------------------------------
+
+/// Sources a stretch check samples; every pair from each source is checked
+/// exactly.
+const STRETCH_SOURCES: usize = 16;
+
+/// `C` of Theorem 4.1's size bound `|H| ≤ C·n^(1+1/k)`. The theorem states
+/// `O(n^(1+1/k))` and leaves the constant to its proof; 2 is fixed here
+/// as the theorem's constant, not fitted to measured spanner sizes.
+const SPANNER_SIZE_CONSTANT: f64 = 2.0;
+
+fn ensure(ok: bool, problem: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(problem())
+    }
+}
+
+fn not_a(variant: &str) -> String {
+    format!("the output is not {variant}")
+}
+
+/// `g` with every weight 1: the graph as the unweighted programs read it.
+fn unit_weights(g: &Graph) -> Graph {
+    Graph::new(g.n(), g.edges().iter().map(|e| Edge::unweighted(e.u, e.v)))
+}
+
+/// `Ok` when `edges` is a subgraph of `g`; else names the first edge `g`
+/// lacks.
+fn subgraph(g: &Graph, edges: &[Edge], what: &str) -> Result<(), String> {
+    is_subgraph(g, edges).map_err(|e| format!("{what} edge {}–{} is not in the graph", e.u, e.v))
+}
+
+/// `h` is a subgraph of `g` whose stretch from [`STRETCH_SOURCES`] sampled
+/// sources is at most `bound` (hops on unit weights, weighted distances
+/// otherwise).
+fn stretch_within(g: &Graph, h: &Graph, bound: usize) -> Result<(), String> {
+    subgraph(g, h.edges(), "spanner")?;
+    let report = verify_spanner(g, h, Some(STRETCH_SOURCES), 0);
+    ensure(report.within(bound as f64), || {
+        format!("stretch {} exceeds {bound}", report.max_stretch)
+    })
+}
+
+/// `edges ≤ classes · C · n^(1+1/k)`, `C` the [`SPANNER_SIZE_CONSTANT`].
+fn size_within(edges: usize, n: usize, k: usize, classes: usize) -> Result<(), String> {
+    let per_class = SPANNER_SIZE_CONSTANT * (n as f64).powf(1.0 + 1.0 / k as f64);
+    let bound = classes as f64 * per_class;
+    ensure(edges as f64 <= bound, || {
+        format!("{edges} spanner edges exceed the size bound {bound:.0}")
+    })
+}
+
+/// A spanning forest of `g` of Kruskal's weight.
+fn minimum_forest(g: &Graph, forest: &Forest) -> Result<(), String> {
+    subgraph(g, &forest.edges, "forest")?;
+    ensure(is_spanning_forest(g, &forest.edges), || {
+        format!(
+            "{} edges do not span g's components acyclically",
+            forest.len()
+        )
+    })?;
+    let want = kruskal(g).total_weight;
+    ensure(forest.total_weight == want, || {
+        format!("weight {} is not Kruskal's {want}", forest.total_weight)
+    })
+}
+
+/// `(1 − below)·exact ≤ estimate ≤ (1 + above)·exact`, up to float
+/// rounding.
+fn estimate_within(estimate: f64, exact: f64, below: f64, above: f64) -> Result<(), String> {
+    let (lo, hi) = ((1.0 - below) * exact, (1.0 + above) * exact);
+    let slack = 1e-9 * exact.max(1.0);
+    ensure(lo - slack <= estimate && estimate <= hi + slack, || {
+        format!("estimate {estimate} is outside [{lo}, {hi}] around {exact}")
+    })
+}
+
+fn certify_components(g: &Graph, _: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::Components(got) = out else {
+        return Err(not_a("components"));
+    };
+    let want = connected_components(g);
+    ensure(*got == want, || {
+        format!(
+            "{} components differ from a traversal's {}",
+            got.count, want.count
+        )
+    })
+}
+
+fn certify_forest(g: &Graph, _: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::Forest(forest) = out else {
+        return Err(not_a("a forest"));
+    };
+    minimum_forest(g, forest)
+}
+
+fn certify_mst(g: &Graph, _: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::Mst(r) = out else {
+        return Err(not_a("an MST result"));
+    };
+    minimum_forest(g, &r.forest)
+}
+
+fn certify_matching(g: &Graph, _: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::Matching(r) = out else {
+        return Err(not_a("a matching"));
+    };
+    subgraph(g, &r.matching.edges, "matched")?;
+    ensure(is_maximal_matching(g, &r.matching), || {
+        "the edges are not a maximal matching".into()
+    })
+}
+
+/// Theorem 4.1 on the unit-weight view the program reads: hop stretch
+/// `≤ 6k−1` and `|H| ≤ C·n^(1+1/k)`.
+fn certify_spanner(g: &Graph, params: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::Spanner(r) = out else {
+        return Err(not_a("a spanner"));
+    };
+    let k = params.spanner_k;
+    stretch_within(&unit_weights(g), &unit_weights(&r.spanner), 6 * k - 1)?;
+    size_within(r.spanner.m(), g.n(), k, 1)
+}
+
+/// The weight-class reduction: stretch `≤ 12k−1` and the size bound once
+/// per non-empty class.
+fn certify_weighted_spanner(g: &Graph, params: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::Spanner(r) = out else {
+        return Err(not_a("a spanner"));
+    };
+    let k = params.spanner_k;
+    stretch_within(g, &r.spanner, 12 * k - 1)?;
+    size_within(r.spanner.m(), g.n(), k, weight_classes(g.edges()))
+}
+
+fn certify_apsp(g: &Graph, _: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::Apsp { oracle, .. } = out else {
+        return Err(not_a("an APSP oracle"));
+    };
+    stretch_within(g, oracle.spanner(), oracle.stretch_bound)
+}
+
+/// Theorem C.2: the estimate lies in `[w, (1+ε)·w]`, `w` the MSF weight.
+fn certify_mst_approx(g: &Graph, params: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::MstApprox(r) = out else {
+        return Err(not_a("an MST-weight estimate"));
+    };
+    let w = kruskal(g).total_weight as f64;
+    estimate_within(r.estimate, w, 0.0, params.epsilon)
+}
+
+/// Theorem C.3: the exact minimum cut of the unit-weight view the program
+/// reads.
+fn certify_mincut(g: &Graph, _: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::MinCut(r) = out else {
+        return Err(not_a("a min-cut result"));
+    };
+    let want = min_cut(&unit_weights(g)).map_or(0, |c| c.weight);
+    ensure(r.value == want, || {
+        format!("cut {} is not the minimum cut {want}", r.value)
+    })
+}
+
+/// Theorem C.4: `|estimate − λ| ≤ ε·λ`.
+fn certify_mincut_approx(g: &Graph, params: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::MinCutApprox(r) = out else {
+        return Err(not_a("a min-cut estimate"));
+    };
+    let lambda = min_cut(g).map_or(0, |c| c.weight) as f64;
+    estimate_within(r.estimate, lambda, params.epsilon, params.epsilon)
+}
+
+fn certify_mis(g: &Graph, _: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::Mis(r) = out else {
+        return Err(not_a("an independent set"));
+    };
+    ensure(is_maximal_independent_set(g, &r.mis), || {
+        format!("{} vertices are not a maximal independent set", r.mis.len())
+    })
+}
+
+/// Theorem C.7: a proper colouring from the palette `0..=Δ`.
+fn certify_coloring(g: &Graph, _: &JobParams, out: &AlgoOutput) -> Result<(), String> {
+    let AlgoOutput::Coloring(r) = out else {
+        return Err(not_a("a colouring"));
+    };
+    ensure(is_proper_coloring(g, &r.colors), || {
+        "the colouring is not proper".into()
+    })?;
+    let delta = g.max_degree();
+    match r.colors.iter().find(|&&c| c as usize > delta) {
+        Some(c) => Err(format!("colour {c} is above Δ = {delta}")),
+        None => Ok(()),
+    }
+}
+
 static ALGORITHMS: &[Algorithm] = &[
     Algorithm {
         name: "connectivity",
@@ -978,6 +1194,7 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.1",
         polylog_exponent: 2.6,
         round_budget: |_n| 6,
+        certify: certify_components,
         solo: |c, s, e, m, t| solo(connectivity, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(connectivity(c, s, e, r)),
     },
@@ -987,6 +1204,7 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "§3 building block",
         polylog_exponent: 1.3,
         round_budget: |n| 4 * log2(n) + 8,
+        certify: certify_forest,
         solo: |c, s, e, m, t| solo(boruvka_msf, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(boruvka_msf(c, s, e, r)),
     },
@@ -996,6 +1214,7 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 3.1",
         polylog_exponent: 1.3,
         round_budget: |n| 6 * loglog(n) + 16,
+        certify: certify_mst,
         solo: |c, s, e, m, t| solo(mst, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(mst(c, s, e, r)),
     },
@@ -1005,6 +1224,7 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 5.1",
         polylog_exponent: 1.3,
         round_budget: |n| 10 * loglog(n) + 36,
+        certify: certify_matching,
         solo: |c, s, e, m, t| solo(matching, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(matching(c, s, e, r)),
     },
@@ -1014,6 +1234,7 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem 4.1",
         polylog_exponent: 1.6,
         round_budget: |_n| 24,
+        certify: certify_spanner,
         solo: |c, s, e, m, t| solo(spanner, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(spanner(c, s, e, r)),
     },
@@ -1025,6 +1246,7 @@ static ALGORITHMS: &[Algorithm] = &[
         // All weight classes interleaved in one engine run: the solo
         // spanner's O(1) clock, independent of the class count.
         round_budget: |_n| 24,
+        certify: certify_weighted_spanner,
         solo: |c, s, e, m, t| solo(spanner_weighted, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(spanner_weighted(c, s, e, r)),
     },
@@ -1036,6 +1258,7 @@ static ALGORITHMS: &[Algorithm] = &[
         // One spanner run (the fixed 17-round clock, weight classes
         // interleaved when the input is weighted).
         round_budget: |_n| 24,
+        certify: certify_apsp,
         solo: |c, s, e, m, t| solo(apsp, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(apsp(c, s, e, r)),
     },
@@ -1048,6 +1271,7 @@ static ALGORITHMS: &[Algorithm] = &[
         // 3-round connectivity wave plus slack, independent of the
         // O(log_{1+ε} W) grid size — the theorem's parallel figure.
         round_budget: |_n| 8,
+        certify: certify_mst_approx,
         solo: |c, s, e, m, t| solo(mst_approx, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(mst_approx(c, s, e, r)),
     },
@@ -1059,6 +1283,7 @@ static ALGORITHMS: &[Algorithm] = &[
         // O(1) per trial (12 engine rounds), at the default trial count,
         // plus the degree kickoff.
         round_budget: |_n| 12 * DEFAULT_MINCUT_TRIALS as u64 + 8,
+        certify: certify_mincut,
         solo: |c, s, e, m, t| solo(mincut, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(mincut(c, s, e, r)),
     },
@@ -1071,6 +1296,7 @@ static ALGORITHMS: &[Algorithm] = &[
         // plus the conditional whole-graph fallback, independent of the
         // geometric guess count — the theorem's parallel figure.
         round_budget: |_n| 10,
+        certify: certify_mincut_approx,
         solo: |c, s, e, m, t| solo(mincut_approx, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(mincut_approx(c, s, e, r)),
     },
@@ -1080,6 +1306,7 @@ static ALGORITHMS: &[Algorithm] = &[
         paper: "Theorem C.6",
         polylog_exponent: 1.6,
         round_budget: |n| 10 * (loglog(n) + 1) + 10,
+        certify: certify_mis,
         solo: |c, s, e, m, t| solo(mis, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(mis(c, s, e, r)),
     },
@@ -1090,6 +1317,7 @@ static ALGORITHMS: &[Algorithm] = &[
         polylog_exponent: 2.0,
         // O(1) plus at most MAX_RESTARTS + 1 attempt waves (2 rounds each).
         round_budget: |_n| 6 + 2 * (mpc_core::ported::coloring::MAX_RESTARTS as u64 + 1),
+        certify: certify_coloring,
         solo: |c, s, e, m, t| solo(coloring, c, s, e, m, t),
         lanes: |c, s, e, r| lanes(coloring(c, s, e, r)),
     },
@@ -1101,9 +1329,9 @@ static ALGORITHMS: &[Algorithm] = &[
 pub const BATCHED_NAMES: [&str; 3] = ["spanner-weighted", "mst-approx", "mincut-approx"];
 
 /// The canonical registry contents: every paper result, exactly once, in
-/// presentation order. `names()` must equal this list (asserted by the
-/// registry unit tests *and* the `registry` smoke experiment in CI), so a
-/// dropped, duplicated, or misnamed registration fails the build.
+/// presentation order. `names()` must equal this list (asserted by
+/// `registry_matches_the_canonical_name_set`), so a dropped, duplicated,
+/// or misnamed registration fails the build.
 pub const CANONICAL_NAMES: [&str; 12] = [
     "connectivity",
     "boruvka-msf",
@@ -1152,6 +1380,20 @@ pub(crate) fn lookup(spec: &JobSpec) -> Result<&'static Algorithm, ExecError> {
     })?;
     check_params(name, &spec.params)?;
     Ok(algo)
+}
+
+/// Checks `out` against the promise of the theorem behind `spec`'s name:
+/// the row's certificate, read with the spec's graph and parameters. Every
+/// name has one (DESIGN.md §2.4 lists what each checks); an output of
+/// another name's variant fails it.
+///
+/// # Errors
+///
+/// A message saying what the output breaks, or why [`run_job`] would
+/// refuse the spec.
+pub fn certify(spec: &JobSpec, out: &AlgoOutput) -> Result<(), String> {
+    let algo = lookup(spec).map_err(|e| e.to_string())?;
+    (algo.certify)(&spec.graph, &spec.params, out)
 }
 
 /// The large machine every registry program reports on.
@@ -1285,15 +1527,16 @@ mod tests {
 
             let solo = run_job(&spec, &mut Cluster::new(config(algo)), ExecMode::Serial);
             let mut service = Service::new(config(algo));
-            let handle = service.submit(spec).expect("registered name");
+            let handle = service.submit(spec.clone()).expect("registered name");
             service.run(ExecMode::Serial).expect("drain");
-            let served = handle.take_result().expect("finished");
+            let served = handle.take_result().expect("finished").expect("job result");
             assert_eq!(
-                served.expect("job result").digest(),
+                served.digest(),
                 solo.expect("solo result").digest(),
                 "{}: service lane diverged from the solo run",
                 algo.name
             );
+            assert_eq!(certify(&spec, &served), Ok(()), "{}", algo.name);
         }
 
         let mut service = Service::new(config(&ALGORITHMS[0]));
@@ -1324,6 +1567,127 @@ mod tests {
                 };
                 assert_eq!(derived_shares(&spec), instances.len(), "{}", algo.name);
             }
+        }
+    }
+
+    /// The mutant test's input: a dense unit-weight core on `0..62`, vertex
+    /// 62 hanging off 0 by [`BRIDGE`], and [`ISOLATED`] on its own.
+    const BRIDGE: Edge = Edge { u: 0, v: 62, w: 1 };
+    const ISOLATED: usize = 63;
+
+    /// The ways `out` can break its promise on `g`: one mutant per way its
+    /// theorem can fail, each a small edit of the real output.
+    fn mutants(g: &Graph, params: &JobParams, out: &AlgoOutput) -> Vec<AlgoOutput> {
+        use AlgoOutput as O;
+        let cut_bridge = |h: &Graph| {
+            let kept = h
+                .edges()
+                .iter()
+                .filter(|e| (e.u, e.v) != (BRIDGE.u, BRIDGE.v));
+            Graph::new(h.n(), kept.copied())
+        };
+        let scaled = |estimate: f64| estimate * (1.0 + 2.0 * params.epsilon);
+        match out {
+            O::Components(c) => {
+                let mut merged = c.clone();
+                merged.label[ISOLATED] = merged.label[0];
+                merged.count -= 1;
+                vec![O::Components(merged)]
+            }
+            O::Forest(f) => {
+                let mut dropped = f.clone();
+                dropped.edges.pop();
+                vec![O::Forest(dropped)]
+            }
+            O::Mst(r) => {
+                let mut dropped = r.clone();
+                dropped.forest.edges.pop();
+                vec![O::Mst(dropped)]
+            }
+            O::Matching(r) => {
+                let mut unmatched = r.clone();
+                unmatched.matching.edges.pop();
+                vec![O::Matching(unmatched)]
+            }
+            O::Spanner(r) => {
+                let with = |spanner| SpannerResult {
+                    spanner,
+                    stats: r.stats.clone(),
+                };
+                // The whole input: stretch 1, but past the size bound.
+                vec![
+                    O::Spanner(with(cut_bridge(&r.spanner))),
+                    O::Spanner(with(g.clone())),
+                ]
+            }
+            O::Apsp { oracle, spanner } => {
+                let cut = cut_bridge(oracle.spanner());
+                vec![O::Apsp {
+                    oracle: ApspOracle::from_spanner(cut, oracle.stretch_bound),
+                    spanner: spanner.clone(),
+                }]
+            }
+            O::MstApprox(r) => {
+                let mut off = r.clone();
+                off.estimate = scaled(r.estimate);
+                vec![O::MstApprox(off)]
+            }
+            O::MinCut(r) => {
+                let mut off = r.clone();
+                off.value += 1;
+                vec![O::MinCut(off)]
+            }
+            O::MinCutApprox(r) => {
+                let mut off = r.clone();
+                off.estimate = scaled(r.estimate);
+                vec![O::MinCutApprox(off)]
+            }
+            O::Mis(r) => {
+                let mut short = r.clone();
+                short.mis.pop();
+                vec![O::Mis(short)]
+            }
+            O::Coloring(r) => {
+                let e = g.edges()[0];
+                let mut clash = r.clone();
+                clash.colors[e.v as usize] = clash.colors[e.u as usize];
+                let mut wide = r.clone();
+                wide.colors[ISOLATED] = g.max_degree() as u32 + 1;
+                vec![O::Coloring(clash), O::Coloring(wide)]
+            }
+        }
+    }
+
+    /// Every name's certificate accepts its real output on one small input
+    /// and rejects that output's [`mutants`] and another variant.
+    #[test]
+    fn every_certificate_rejects_its_mutant() {
+        let core = mpc_graph::generators::gnm(62, 600, 4);
+        let edges = core.edges().iter().copied().chain([BRIDGE]);
+        let g = Arc::new(Graph::new(ISOLATED + 1, edges));
+        // `mincut-approx` needs λ > 0 for a scaled estimate to leave the
+        // (1±ε) window: it runs on the connected core.
+        let core = Arc::new(core);
+        for algo in algorithms() {
+            let name = algo.name;
+            let g = if name == "mincut-approx" { &core } else { &g };
+            let spec = JobSpec::new(name, Arc::clone(g));
+            // Outputs, not capacities, are under test: the dense core may
+            // overflow a machine.
+            let config = mpc_runtime::ClusterConfig::new(g.n(), g.m())
+                .seed(6)
+                .polylog_exponent(algo.polylog_exponent)
+                .enforcement(mpc_runtime::Enforcement::Off);
+            let out = run_job(&spec, &mut Cluster::new(config), ExecMode::Serial).expect(name);
+            assert_eq!(certify(&spec, &out), Ok(()), "{name}");
+            for (i, mutant) in mutants(g, &spec.params, &out).iter().enumerate() {
+                assert!(certify(&spec, mutant).is_err(), "{name}: mutant {i} passed");
+            }
+            let other = match out {
+                AlgoOutput::Components(_) => AlgoOutput::Forest(kruskal(g)),
+                _ => AlgoOutput::Components(connected_components(g)),
+            };
+            assert!(certify(&spec, &other).is_err(), "{name}: wrong variant");
         }
     }
 

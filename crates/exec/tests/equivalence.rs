@@ -1,28 +1,32 @@
 //! The sketch and Borůvka programs against sequential references: the
-//! same components as union–find, the same forest as Kruskal. The legacy
-//! connectivity loop's components on the seeds below are the
-//! `connectivity-*` rows of `LEGACY_CASES` in `registry_equivalence.rs`.
+//! same components as union–find, the same forest as Kruskal, each checked
+//! by the name's [`registry::certify`]. The legacy connectivity loop's
+//! components on the seeds below are the `connectivity-*` rows of
+//! `LEGACY_CASES` in `registry_equivalence.rs`.
 
-use mpc_core::mst;
 use mpc_core::ported::connectivity::sketch_friendly_config;
-use mpc_exec::{registry, ConnectivityProgram, ExecMode, Executor, JobSpec};
-use mpc_graph::mst::{kruskal, Forest};
-use mpc_graph::traversal::{connected_components, Components};
+use mpc_exec::{registry, AlgoOutput, ConnectivityProgram, ExecMode, Executor, JobSpec};
+use mpc_graph::mst::Forest;
+use mpc_graph::traversal::Components;
 use mpc_graph::{generators, Edge, Graph};
 use mpc_runtime::{Cluster, ClusterConfig, ShardedVec};
 
+/// Runs registry `name` on `g` and asserts the output passes its
+/// certificate.
+fn certified(name: &str, cluster: &mut Cluster, g: &Graph, mode: ExecMode) -> AlgoOutput {
+    let spec = JobSpec::new(name, g.clone());
+    let out = registry::run_job(&spec, cluster, mode).unwrap();
+    assert_eq!(registry::certify(&spec, &out), Ok(()), "{name}");
+    out
+}
+
 fn connectivity(cluster: &mut Cluster, g: &Graph, mode: ExecMode) -> Components {
-    let spec = JobSpec::new("connectivity", g.clone());
-    registry::run_job(&spec, cluster, mode)
-        .unwrap()
-        .into_components()
-        .unwrap()
+    let out = certified("connectivity", cluster, g, mode);
+    out.into_components().unwrap()
 }
 
 fn boruvka_msf(cluster: &mut Cluster, g: &Graph, mode: ExecMode) -> Forest {
-    let spec = JobSpec::new("boruvka-msf", g.clone());
-    registry::run_job(&spec, cluster, mode)
-        .unwrap()
+    certified("boruvka-msf", cluster, g, mode)
         .into_forest()
         .unwrap()
 }
@@ -32,17 +36,18 @@ fn connectivity_program_equals_legacy_exactly() {
     for seed in [1u64, 5, 11] {
         let g = generators::gnm(96, 240, seed);
         let mut cluster = Cluster::new(sketch_friendly_config(g.n(), g.m(), seed));
-        let engine = connectivity(&mut cluster, &g, ExecMode::Parallel);
         // Exact: sketch decoding is fingerprint-verified, and these seeds
-        // decode every component.
-        assert_eq!(engine, connected_components(&g), "seed {seed}");
+        // decode every component — the certificate compares with a
+        // traversal's.
+        connectivity(&mut cluster, &g, ExecMode::Parallel);
     }
 }
 
 #[test]
 fn boruvka_program_matches_legacy_mst() {
     for seed in [2u64, 7, 13] {
-        // Unique weights => the MSF is unique => edge sets must agree.
+        // Unique weights => the MSF is unique => a spanning forest of
+        // Kruskal's weight, which the certificate checks, is Kruskal's.
         let base = generators::gnm(100, 420, seed);
         let edges: Vec<Edge> = base
             .edges()
@@ -52,14 +57,8 @@ fn boruvka_program_matches_legacy_mst() {
             .collect();
         let g = Graph::new(100, edges);
 
-        let want = kruskal(&g);
-
         let mut engine_cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(seed));
-        let engine = boruvka_msf(&mut engine_cluster, &g, ExecMode::Parallel);
-
-        assert_eq!(engine.keys(), want.keys(), "seed {seed}");
-        assert_eq!(engine.total_weight, want.total_weight, "seed {seed}");
-        assert!(mst::is_minimum_spanning_forest(&g, &engine), "seed {seed}");
+        boruvka_msf(&mut engine_cluster, &g, ExecMode::Parallel);
     }
 }
 
@@ -68,8 +67,7 @@ fn boruvka_handles_disconnected_and_tiny_inputs() {
     // Disconnected forest input.
     let g = generators::random_forest(80, 5, 3).with_random_weights(500, 3);
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m().max(1)).seed(9));
-    let forest = boruvka_msf(&mut cluster, &g, ExecMode::Parallel);
-    assert!(mst::is_minimum_spanning_forest(&g, &forest));
+    boruvka_msf(&mut cluster, &g, ExecMode::Parallel);
 
     // Empty graph: engine must terminate with an empty forest.
     let empty = Graph::empty(10);
@@ -113,7 +111,9 @@ fn machines_with_nothing_to_sketch_send_nothing() {
     let mut outcome = exec.run(&mut cluster, programs).unwrap();
     let large = cluster.large().unwrap();
     let got = outcome.programs.swap_remove(large).result.unwrap();
-    assert_eq!(got, connected_components(&few));
+    let spec = JobSpec::new("connectivity", few);
+    let out = AlgoOutput::Components(got);
+    assert_eq!(registry::certify(&spec, &out), Ok(()));
     let log = words_and_messages(&cluster);
     assert!((1..=smalls).contains(&log[1].1), "sender round: {log:?}");
     assert_eq!(log[2].1, log[1].1, "owner round: {log:?}");

@@ -1,10 +1,10 @@
-//! Structural validators: spanners, spanning forests.
+//! Structural validators: subgraphs, spanners, spanning forests.
 //!
-//! These are the acceptance criteria of the spanner experiments (E4, E5, E9):
-//! a claimed `t`-spanner is *verified*, not assumed.
+//! The registry's output certificates and the benchmark's validity checks
+//! are built from these: a claimed `t`-spanner is *verified*, not assumed.
 
 use crate::graph::Graph;
-use crate::ids::VertexId;
+use crate::ids::{Edge, VertexId};
 use crate::traversal::{bfs, dijkstra, UNREACHABLE};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,13 +41,8 @@ impl SpannerReport {
 /// Panics if `h` contains an edge absent from `g` (not a subgraph) — a
 /// spanner must be a subgraph (§4).
 pub fn verify_spanner(g: &Graph, h: &Graph, sources: Option<usize>, seed: u64) -> SpannerReport {
-    use std::collections::HashSet;
-    let g_set: HashSet<(VertexId, VertexId)> = g.edges().iter().map(|e| (e.u, e.v)).collect();
-    for e in h.edges() {
-        assert!(
-            g_set.contains(&(e.u, e.v)),
-            "spanner edge {e:?} does not appear in the base graph"
-        );
+    if let Err(e) = is_subgraph(g, h.edges()) {
+        panic!("spanner edge {e:?} does not appear in the base graph");
     }
     let weighted = g.edges().iter().any(|e| e.w != 1);
     let adj_g = g.adjacency();
@@ -90,18 +85,30 @@ pub fn verify_spanner(g: &Graph, h: &Graph, sources: Option<usize>, seed: u64) -
     }
 }
 
-/// Whether `forest_edges` form a spanning forest of `g`:
-/// acyclic, subgraph of `g`, and connecting exactly `g`'s components.
-pub fn is_spanning_forest(g: &Graph, forest_edges: &[crate::ids::Edge]) -> bool {
+/// Whether every edge of `edges` joins two vertices that `g` joins, in
+/// either orientation; weights are not compared. `Err` carries the first
+/// edge `g` lacks.
+pub fn is_subgraph(g: &Graph, edges: &[Edge]) -> Result<(), Edge> {
     use std::collections::HashSet;
     let g_set: HashSet<(VertexId, VertexId)> = g.edges().iter().map(|e| (e.u, e.v)).collect();
+    match edges.iter().find(|e| {
+        let ne = e.normalized();
+        !g_set.contains(&(ne.u, ne.v))
+    }) {
+        Some(&missing) => Err(missing),
+        None => Ok(()),
+    }
+}
+
+/// Whether `forest_edges` form a spanning forest of `g`:
+/// acyclic, subgraph of `g`, and connecting exactly `g`'s components.
+pub fn is_spanning_forest(g: &Graph, forest_edges: &[Edge]) -> bool {
+    if is_subgraph(g, forest_edges).is_err() {
+        return false;
+    }
     let mut dsu = crate::dsu::DisjointSets::new(g.n());
     for e in forest_edges {
-        let ne = e.normalized();
-        if !g_set.contains(&(ne.u, ne.v)) {
-            return false; // not a subgraph
-        }
-        if !dsu.union(ne.u, ne.v) {
+        if !dsu.union(e.u, e.v) {
             return false; // cycle
         }
     }
@@ -113,7 +120,6 @@ pub fn is_spanning_forest(g: &Graph, forest_edges: &[crate::ids::Edge]) -> bool 
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::ids::Edge;
     use crate::mst::kruskal;
 
     #[test]
@@ -160,6 +166,13 @@ mod tests {
         let c = generators::cycle(5, 1);
         let all: Vec<Edge> = c.edges().to_vec();
         assert!(!is_spanning_forest(&c, &all));
+        // Orientation and weight do not matter to the subgraph test; a
+        // missing pair does, in the forest check too.
+        let p = generators::path(4);
+        assert_eq!(is_subgraph(&p, &[Edge::new(2, 1, 99)]), Ok(()));
+        let chord = Edge::unweighted(0, 2);
+        assert_eq!(is_subgraph(&p, &[p.edges()[0], chord]), Err(chord));
+        assert!(!is_spanning_forest(&p, &[chord, Edge::unweighted(2, 3)]));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod mis;
 pub mod mst;
 pub mod traversal;
 
-pub use checks::{is_spanning_forest, verify_spanner, SpannerReport};
+pub use checks::{is_spanning_forest, is_subgraph, verify_spanner, SpannerReport};
 pub use dsu::DisjointSets;
 pub use graph::{Adjacency, Graph};
 pub use ids::{Edge, VertexId, Weight, WeightKey};

@@ -23,13 +23,11 @@
 //! let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(42));
 //!
 //! // Exact MST in O(log log(m/n)) rounds on the parallel execution
-//! // engine, through the Algorithm registry — verified against Kruskal.
-//! let spec = JobSpec::new("mst", g.clone());
-//! let result = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
-//!     .unwrap()
-//!     .into_mst()
-//!     .unwrap();
-//! assert!(mst::is_minimum_spanning_forest(&g, &result.forest));
+//! // engine, through the Algorithm registry — certified against Kruskal.
+//! let spec = JobSpec::new("mst", g);
+//! let out = registry::run_job(&spec, &mut cluster, ExecMode::Parallel).unwrap();
+//! assert_eq!(registry::certify(&spec, &out), Ok(()));
+//! let result = out.into_mst().unwrap();
 //! println!("MST of weight {} in {} rounds", result.forest.total_weight, cluster.rounds());
 //! ```
 //!

@@ -1,14 +1,21 @@
 //! Edge-case sweep across the public API: degenerate graphs, extreme
 //! topologies, and boundary parameters that unit tests tend to miss. All
 //! runs go through the Algorithm registry on the parallel engine — the
-//! sole consumer-facing entry point.
+//! sole consumer-facing entry point — and every output passes its
+//! registry certificate.
 
 use het_mpc::prelude::*;
-use mpc_graph::matching::is_maximal_matching;
-use mpc_graph::mst::kruskal;
+
+/// Runs `spec` on `cluster` and asserts the output passes its certificate.
+fn certified(spec: &JobSpec, cluster: &mut Cluster) -> AlgoOutput {
+    let out = registry::run_job(spec, cluster, ExecMode::Parallel)
+        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    assert_eq!(registry::certify(spec, &out), Ok(()), "{}", spec.name);
+    out
+}
 
 fn registry_on(name: &str, g: &Graph, cluster: &mut Cluster) -> AlgoOutput {
-    registry::run_job(&JobSpec::new(name, g.clone()), cluster, ExecMode::Parallel).unwrap()
+    certified(&JobSpec::new(name, g.clone()), cluster)
 }
 
 fn run_mst(g: &Graph, seed: u64) -> mpc_core::mst::MstResult {
@@ -28,17 +35,14 @@ fn single_edge_graph() {
 fn all_equal_weights_still_yield_a_minimum_forest() {
     // Ties everywhere: the WeightKey total order must keep things exact.
     let g = generators::gnm(100, 800, 3); // every weight = 1
-    let r = run_mst(&g, 3);
-    assert_eq!(r.forest.total_weight, kruskal(&g).total_weight);
-    assert!(mpc_graph::is_spanning_forest(&g, &r.forest.edges));
+    run_mst(&g, 3);
 }
 
 #[test]
 fn extreme_weights_do_not_overflow() {
     let edges = (0..50u32).map(|i| Edge::new(i, i + 1, u64::MAX / 128));
     let g = Graph::new(51, edges);
-    let r = run_mst(&g, 4);
-    assert_eq!(r.forest.total_weight, kruskal(&g).total_weight);
+    run_mst(&g, 4);
 }
 
 #[test]
@@ -46,13 +50,9 @@ fn star_graph_mst_and_matching() {
     let g = generators::star(300).with_random_weights(1000, 5);
     let r = run_mst(&g, 5);
     assert_eq!(r.forest.len(), 299);
-    assert_eq!(r.forest.total_weight, kruskal(&g).total_weight);
 
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(5));
-    let m = registry_on("matching", &g, &mut cluster)
-        .into_matching()
-        .unwrap();
-    assert!(is_maximal_matching(&g, &m.matching));
+    registry_on("matching", &g, &mut cluster);
 }
 
 #[test]
@@ -65,16 +65,7 @@ fn grid_graph_spanner() {
             .seed(6)
             .polylog_exponent(1.6),
     );
-    let r = registry::run_job(
-        &JobSpec::new("spanner", g.clone()).spanner_k(2),
-        &mut cluster,
-        ExecMode::Parallel,
-    )
-    .unwrap()
-    .into_spanner()
-    .unwrap();
-    let rep = mpc_graph::verify_spanner(&g, &r.spanner, Some(20), 0);
-    assert!(rep.within(11.0), "stretch {} on grid", rep.max_stretch);
+    certified(&JobSpec::new("spanner", g).spanner_k(2), &mut cluster);
 }
 
 #[test]
@@ -87,8 +78,7 @@ fn two_machine_minimum_cluster() {
             large: Some(0),
         },
     ));
-    let r = registry_on("mst", &g, &mut cluster).into_mst().unwrap();
-    assert_eq!(r.forest.total_weight, kruskal(&g).total_weight);
+    registry_on("mst", &g, &mut cluster);
 }
 
 #[test]
@@ -107,15 +97,7 @@ fn gamma_extremes() {
                 .polylog_exponent(2.6)
                 .seed(8),
         );
-        let r = registry::run_job(
-            &JobSpec::new("mst", g.clone()),
-            &mut cluster,
-            ExecMode::Parallel,
-        )
-        .unwrap_or_else(|e| panic!("gamma {gamma}: {e}"))
-        .into_mst()
-        .unwrap();
-        assert_eq!(r.forest.total_weight, kruskal(&g).total_weight);
+        registry_on("mst", &g, &mut cluster);
     }
 }
 
@@ -127,10 +109,7 @@ fn disconnected_many_components() {
 
     // Matching and spanner on disconnected inputs.
     let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(9));
-    let m = registry_on("matching", &g, &mut cluster)
-        .into_matching()
-        .unwrap();
-    assert!(is_maximal_matching(&g, &m.matching));
+    registry_on("matching", &g, &mut cluster);
 }
 
 #[test]
@@ -141,14 +120,8 @@ fn spanner_on_already_sparse_graph_keeps_connectivity() {
             .seed(10)
             .polylog_exponent(1.6),
     );
-    let r = registry::run_job(
-        &JobSpec::new("spanner", g.clone()).spanner_k(3),
-        &mut cluster,
-        ExecMode::Parallel,
-    )
-    .unwrap()
-    .into_spanner()
-    .unwrap();
+    let spec = JobSpec::new("spanner", g.clone()).spanner_k(3);
+    let r = certified(&spec, &mut cluster).into_spanner().unwrap();
     // A spanner of a tree must be the tree.
     assert_eq!(r.spanner.m(), g.m());
 }
@@ -173,9 +146,5 @@ fn coloring_on_bipartite_graph_is_proper() {
             .seed(12)
             .polylog_exponent(2.0),
     );
-    let r = registry_on("coloring", &g, &mut cluster)
-        .into_coloring()
-        .unwrap();
-    assert!(mpc_graph::coloring::is_proper_coloring(&g, &r.colors));
-    assert!(mpc_graph::coloring::color_count(&r.colors) <= g.max_degree() + 1);
+    registry_on("coloring", &g, &mut cluster);
 }

@@ -1,64 +1,36 @@
 //! Cross-crate integration: every algorithm of the paper on shared
-//! workload families, validated by the sequential oracles. All runs go
-//! through the Algorithm registry on the parallel engine — the sole
-//! consumer-facing entry point.
+//! workload families, each output checked by its registry certificate.
+//! All runs go through the Algorithm registry on the parallel engine — the
+//! sole consumer-facing entry point.
 
 use het_mpc::prelude::*;
-use mpc_graph::coloring::is_proper_coloring;
 use mpc_graph::matching::is_maximal_matching;
-use mpc_graph::mis::is_maximal_independent_set;
-use mpc_graph::mst::kruskal;
-use mpc_graph::verify_spanner;
 
 fn workload(seed: u64) -> Graph {
     generators::gnm(200, 2400, seed).with_random_weights(1 << 18, seed)
 }
 
+/// Runs `spec` through the registry on a cluster from `config`, asserts
+/// the output passes its certificate, and returns the round count.
+fn certified(spec: JobSpec, config: ClusterConfig) -> u64 {
+    let mut cluster = Cluster::new(config);
+    let out = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
+        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    assert_eq!(registry::certify(&spec, &out), Ok(()), "{}", spec.name);
+    cluster.rounds()
+}
+
 #[test]
 fn mst_spanner_matching_on_the_same_graph() {
     let g = workload(1);
+    let config = ClusterConfig::new(g.n(), g.m()).seed(1);
 
-    // MST.
-    let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(1));
-    let mst_result = registry::run_job(
-        &JobSpec::new("mst", g.clone()),
-        &mut cluster,
-        ExecMode::Parallel,
-    )
-    .unwrap()
-    .into_mst()
-    .unwrap();
-    assert_eq!(mst_result.forest.total_weight, kruskal(&g).total_weight);
-    let mst_rounds = cluster.rounds();
-
+    let mst_rounds = certified(JobSpec::new("mst", g.clone()), config.clone());
     // Spanner (unweighted view of the same topology).
     let unweighted = generators::gnm(200, 2400, 1);
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(g.n(), g.m())
-            .seed(1)
-            .polylog_exponent(1.6),
-    );
-    let sp = registry::run_job(
-        &JobSpec::new("spanner", unweighted.clone()).spanner_k(3),
-        &mut cluster,
-        ExecMode::Parallel,
-    )
-    .unwrap()
-    .into_spanner()
-    .unwrap();
-    assert!(verify_spanner(&unweighted, &sp.spanner, Some(24), 0).within(17.0));
-
-    // Matching.
-    let mut cluster = Cluster::new(ClusterConfig::new(g.n(), g.m()).seed(1));
-    let m = registry::run_job(
-        &JobSpec::new("matching", g.clone()),
-        &mut cluster,
-        ExecMode::Parallel,
-    )
-    .unwrap()
-    .into_matching()
-    .unwrap();
-    assert!(is_maximal_matching(&g, &m.matching));
+    let spanner = JobSpec::new("spanner", unweighted).spanner_k(3);
+    certified(spanner, config.clone().polylog_exponent(1.6));
+    certified(JobSpec::new("matching", g.clone()), config);
 
     assert!(
         mst_rounds < 60,
@@ -69,67 +41,21 @@ fn mst_spanner_matching_on_the_same_graph() {
 #[test]
 fn ported_algorithms_cover_appendix_c() {
     let g = generators::gnm(120, 1000, 2);
-
-    // Connectivity (C.1).
-    let mut cluster = Cluster::new(
+    let config = |exponent| {
         ClusterConfig::new(g.n(), g.m())
             .seed(2)
-            .polylog_exponent(2.6),
-    );
-    let comps = registry::run_job(
-        &JobSpec::new("connectivity", g.clone()),
-        &mut cluster,
-        ExecMode::Parallel,
-    )
-    .unwrap()
-    .into_components()
-    .unwrap();
-    assert_eq!(comps, mpc_graph::traversal::connected_components(&g));
+            .polylog_exponent(exponent)
+    };
 
-    // MIS (C.6).
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(g.n(), g.m())
-            .seed(2)
-            .polylog_exponent(1.6),
-    );
-    let mis = registry::run_job(
-        &JobSpec::new("mis", g.clone()),
-        &mut cluster,
-        ExecMode::Parallel,
-    )
-    .unwrap()
-    .into_mis()
-    .unwrap();
-    assert!(is_maximal_independent_set(&g, &mis.mis));
-
-    // Coloring (C.7).
-    let mut cluster = Cluster::new(
-        ClusterConfig::new(g.n(), g.m())
-            .seed(2)
-            .polylog_exponent(2.0),
-    );
-    let col = registry::run_job(
-        &JobSpec::new("coloring", g.clone()),
-        &mut cluster,
-        ExecMode::Parallel,
-    )
-    .unwrap()
-    .into_coloring()
-    .unwrap();
-    assert!(is_proper_coloring(&g, &col.colors));
+    // Connectivity (C.1), MIS (C.6), coloring (C.7).
+    certified(JobSpec::new("connectivity", g.clone()), config(2.6));
+    certified(JobSpec::new("mis", g.clone()), config(1.6));
+    certified(JobSpec::new("coloring", g.clone()), config(2.0));
 
     // Exact min cut (C.3) on a planted instance.
     let pc = generators::planted_cut(30, 0.6, 3, 2);
-    let mut cluster = Cluster::new(ClusterConfig::new(pc.n(), pc.m()).seed(2));
-    let mc = registry::run_job(
-        &JobSpec::new("mincut", pc.clone()).mincut_trials(8),
-        &mut cluster,
-        ExecMode::Parallel,
-    )
-    .unwrap()
-    .into_mincut()
-    .unwrap();
-    assert_eq!(mc.value, mpc_graph::mincut::min_cut(&pc).unwrap().weight);
+    let config = ClusterConfig::new(pc.n(), pc.m()).seed(2);
+    certified(JobSpec::new("mincut", pc).mincut_trials(8), config);
 }
 
 #[test]
@@ -170,11 +96,10 @@ fn general_mst_theorem_3_1_with_superlinear_machine() {
                 .seed(4),
         );
         let spec = JobSpec::new("mst", g.clone());
-        let r = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
-            .unwrap_or_else(|e| panic!("f {f}: {e}"))
-            .into_mst()
-            .unwrap();
-        assert!(mst::is_minimum_spanning_forest(&g, &r.forest));
+        let out = registry::run_job(&spec, &mut cluster, ExecMode::Parallel)
+            .unwrap_or_else(|e| panic!("f {f}: {e}"));
+        assert_eq!(registry::certify(&spec, &out), Ok(()), "f {f}");
+        let r = out.into_mst().unwrap();
         assert!(
             cluster.rounds() <= budget,
             "f {f}: {} rounds",

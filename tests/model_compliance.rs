@@ -21,18 +21,17 @@ fn regime(g: &Graph, gamma: f64, f: f64, c: f64, seed: u64) -> ClusterConfig {
         .seed(seed)
 }
 
-/// Runs `mst` on `g` under `config` and checks the model: the output is a
-/// minimum spanning forest, no machine ever overflowed (strict mode, so
-/// finishing proves it; the peaks are checked on top), and the run took at
-/// most the registry's round budget. Returns the cluster afterwards.
+/// Runs `mst` on `g` under `config` and checks the model: the output
+/// passes its certificate (a minimum spanning forest), no machine ever
+/// overflowed (strict mode, so finishing proves it; the peaks are checked
+/// on top), and the run took at most the registry's round budget. Returns
+/// the cluster afterwards.
 fn check_mst(label: &str, g: &Graph, config: ClusterConfig) -> Cluster {
     let mut cluster = Cluster::new(config);
     let spec = JobSpec::new("mst", g.clone());
-    let r = registry::run_job(&spec, &mut cluster, ExecMode::Serial)
-        .unwrap_or_else(|e| panic!("{label}: {e}"))
-        .into_mst()
-        .unwrap();
-    assert!(mst::is_minimum_spanning_forest(g, &r.forest), "{label}");
+    let out = registry::run_job(&spec, &mut cluster, ExecMode::Serial)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_eq!(registry::certify(&spec, &out), Ok(()), "{label}");
     assert!(cluster.violations().is_empty(), "{label}");
     for mid in 0..cluster.machines() {
         assert!(
