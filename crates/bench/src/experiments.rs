@@ -69,9 +69,7 @@ pub fn solo(
     let started = Instant::now();
     let out = registry::run_job(&spec, &mut cluster, mode)?;
     let wall = started.elapsed();
-    registry::certify(&spec, &out).map_err(|problem| ExecError::Algorithm {
-        message: format!("{name}: the output fails its certificate: {problem}"),
-    })?;
+    certified(&spec, &out)?;
     let (rounds, digest) = (cluster.rounds(), out.digest());
     Ok(Solo {
         out,
@@ -79,6 +77,14 @@ pub fn solo(
         digest,
         wall,
         cluster,
+    })
+}
+
+/// [`registry::certify`], its failure an [`ExecError::Algorithm`] naming
+/// the job's registry name and the certificate's message.
+fn certified(spec: &JobSpec, out: &AlgoOutput) -> Result<(), ExecError> {
+    registry::certify(spec, out).map_err(|problem| ExecError::Algorithm {
+        message: format!("{}: the output fails its certificate: {problem}", spec.name),
     })
 }
 
@@ -158,11 +164,13 @@ pub struct Drain {
 /// Drains [`SERVICE_JOBS`] (seeds `100 + i`, each with `retry`) through
 /// one [`Service`] with [`SERVICE_SHARES`] shares on `g`'s cluster, whose
 /// headroom is the largest any tenant declares. `cost` builds the cost
-/// model; `plan` and `sink` are attached to the shared cluster.
+/// model; `plan` and `sink` are attached to the shared cluster. Every
+/// completed job's output is checked with [`registry::certify`].
 ///
 /// # Errors
 ///
-/// Whatever [`Service::run_on`] returns.
+/// Whatever [`Service::run_on`] returns, and [`ExecError::Algorithm`]
+/// naming the job when its output fails its certificate.
 pub fn drain(
     g: &Arc<Graph>,
     retry: JobRetryPolicy,
@@ -182,10 +190,14 @@ pub fn drain(
         .seed(5)
         .polylog_exponent(polylog);
     let mut service = Service::new(config.clone()).capacity_shares(SERVICE_SHARES);
-    let handles: Vec<_> = (SERVICE_JOBS.iter().zip(100..))
-        .map(|(name, seed)| {
-            let spec = JobSpec::new(*name, g.clone()).seed(seed).retry(retry);
-            service.submit(spec).expect("canonical registry name")
+    let specs: Vec<_> = (SERVICE_JOBS.iter().zip(100..))
+        .map(|(name, seed)| JobSpec::new(*name, g.clone()).seed(seed).retry(retry))
+        .collect();
+    let handles: Vec<_> = (specs.iter())
+        .map(|spec| {
+            service
+                .submit(spec.clone())
+                .expect("canonical registry name")
         })
         .collect();
     let mut cluster = Cluster::new(config);
@@ -193,11 +205,15 @@ pub fn drain(
     cluster.set_fault_plan(plan);
     cluster.set_trace_sink(sink);
     let records = service.run_on(&mut cluster, mode)?.records;
-    let outcome = |h: &mpc_exec::JobHandle| {
+    let mut outcomes = Vec::with_capacity(handles.len());
+    for (spec, h) in specs.iter().zip(&handles) {
         let result = h.take_result().expect("job finished");
-        (h.status(), result.ok().map(|out| out.digest()))
-    };
-    let outcomes = handles.iter().map(outcome).collect();
+        let digest = match result.ok() {
+            Some(out) => Some(certified(spec, &out).map(|()| out.digest())?),
+            None => None,
+        };
+        outcomes.push((h.status(), digest));
+    }
     Ok(Drain {
         cluster,
         records,

@@ -232,7 +232,8 @@ mod tests {
     #[test]
     fn unique_weights_reproduce_kruskal_edge_set_exactly() {
         // With unique weights the MSF is unique, so the certified forest
-        // (spanning, of Kruskal's weight) is Kruskal's edge set.
+        // (spanning, its edges at their weights in g summing to Kruskal's
+        // weight) is Kruskal's edge set.
         let mut g = generators::gnm(80, 400, 7);
         let edges: Vec<Edge> = g
             .edges()

@@ -67,6 +67,7 @@ use mpc_graph::traversal::{connected_components, Components};
 use mpc_graph::{is_spanning_forest, is_subgraph, verify_spanner, Edge, Graph};
 use mpc_runtime::{Cluster, MachineId, ShardedVec};
 use rand::rngs::SmallRng;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Every tuning knob a registered algorithm reads: the parameters of a
@@ -990,10 +991,6 @@ fn log2(n: usize) -> u64 {
 // Certificates: each name's theorem promise, checked sequentially
 // ---------------------------------------------------------------------------
 
-/// Sources a stretch check samples; every pair from each source is checked
-/// exactly.
-const STRETCH_SOURCES: usize = 16;
-
 /// `C` of Theorem 4.1's size bound `|H| ≤ C·n^(1+1/k)`. The theorem states
 /// `O(n^(1+1/k))` and leaves the constant to its proof; 2 is fixed here
 /// as the theorem's constant, not fitted to measured spanner sizes.
@@ -1016,18 +1013,26 @@ fn unit_weights(g: &Graph) -> Graph {
     Graph::new(g.n(), g.edges().iter().map(|e| Edge::unweighted(e.u, e.v)))
 }
 
-/// `Ok` when `edges` is a subgraph of `g`; else names the first edge `g`
-/// lacks.
+/// `Ok` when `edges` is a subgraph of `g` and each edge carries its
+/// weight in `g`; else names the first edge that does not.
 fn subgraph(g: &Graph, edges: &[Edge], what: &str) -> Result<(), String> {
-    is_subgraph(g, edges).map_err(|e| format!("{what} edge {}–{} is not in the graph", e.u, e.v))
+    is_subgraph(g, edges)
+        .map_err(|e| format!("{what} edge {}–{} is not in the graph", e.u, e.v))?;
+    let exact: HashSet<Edge> = g.edges().iter().copied().collect();
+    match edges.iter().find(|e| !exact.contains(&e.normalized())) {
+        Some(e) => Err(format!(
+            "{what} edge {}–{} has weight {}, not the graph's",
+            e.u, e.v, e.w
+        )),
+        None => Ok(()),
+    }
 }
 
-/// `h` is a subgraph of `g` whose stretch from [`STRETCH_SOURCES`] sampled
-/// sources is at most `bound` (hops on unit weights, weighted distances
-/// otherwise).
+/// `h` is a subgraph of `g` whose stretch from every source is at most
+/// `bound` (hops on unit weights, weighted distances otherwise).
 fn stretch_within(g: &Graph, h: &Graph, bound: usize) -> Result<(), String> {
     subgraph(g, h.edges(), "spanner")?;
-    let report = verify_spanner(g, h, Some(STRETCH_SOURCES), 0);
+    let report = verify_spanner(g, h, None, 0);
     ensure(report.within(bound as f64), || {
         format!("stretch {} exceeds {bound}", report.max_stretch)
     })
@@ -1042,7 +1047,8 @@ fn size_within(edges: usize, n: usize, k: usize, classes: usize) -> Result<(), S
     })
 }
 
-/// A spanning forest of `g` of Kruskal's weight.
+/// A spanning forest of `g` whose edges, at their weights in `g`, sum to
+/// Kruskal's weight, as does the forest's own `total_weight`.
 fn minimum_forest(g: &Graph, forest: &Forest) -> Result<(), String> {
     subgraph(g, &forest.edges, "forest")?;
     ensure(is_spanning_forest(g, &forest.edges), || {
@@ -1052,8 +1058,15 @@ fn minimum_forest(g: &Graph, forest: &Forest) -> Result<(), String> {
         )
     })?;
     let want = kruskal(g).total_weight;
-    ensure(forest.total_weight == want, || {
-        format!("weight {} is not Kruskal's {want}", forest.total_weight)
+    let weight: u128 = forest.edges.iter().map(|e| u128::from(e.w)).sum();
+    ensure(weight == want, || {
+        format!("the edges weigh {weight}, not Kruskal's {want}")
+    })?;
+    ensure(forest.total_weight == weight, || {
+        format!(
+            "total_weight {} is not the edges' {weight}",
+            forest.total_weight
+        )
     })
 }
 
@@ -1126,11 +1139,28 @@ fn certify_weighted_spanner(g: &Graph, params: &JobParams, out: &AlgoOutput) -> 
     size_within(r.spanner.m(), g.n(), k, weight_classes(g.edges()))
 }
 
+/// Corollary 4.2: the oracle's spanner at `k = stretch_parameter(n)` —
+/// stretch `≤ 6k−1` on a unit-weight input, `≤ 12k−1` with the size bound
+/// once per non-empty weight class otherwise — and the oracle claims that
+/// bound.
 fn certify_apsp(g: &Graph, _: &JobParams, out: &AlgoOutput) -> Result<(), String> {
     let AlgoOutput::Apsp { oracle, .. } = out else {
         return Err(not_a("an APSP oracle"));
     };
-    stretch_within(g, oracle.spanner(), oracle.stretch_bound)
+    let k = ApspOracle::stretch_parameter(g.n());
+    let (bound, classes) = if g.edges().iter().any(|e| e.w != 1) {
+        (12 * k - 1, weight_classes(g.edges()))
+    } else {
+        (6 * k - 1, 1)
+    };
+    ensure(oracle.stretch_bound == bound, || {
+        format!(
+            "the oracle claims stretch {}, not Corollary 4.2's {bound}",
+            oracle.stretch_bound
+        )
+    })?;
+    stretch_within(g, oracle.spanner(), bound)?;
+    size_within(oracle.spanner().m(), g.n(), k, classes)
 }
 
 /// Theorem C.2: the estimate lies in `[w, (1+ε)·w]`, `w` the MSF weight.
@@ -1587,6 +1617,17 @@ mod tests {
             Graph::new(h.n(), kept.copied())
         };
         let scaled = |estimate: f64| estimate * (1.0 + 2.0 * params.epsilon);
+        // A dropped edge; an edge heavier than in `g` under Kruskal's
+        // `total_weight`; a `total_weight` its edges do not sum to.
+        let forests = |f: &Forest| {
+            let mut dropped = f.clone();
+            dropped.edges.pop();
+            let mut heavier = f.clone();
+            heavier.edges[0].w += 1;
+            let mut miscounted = f.clone();
+            miscounted.total_weight += 1;
+            [dropped, heavier, miscounted]
+        };
         match out {
             O::Components(c) => {
                 let mut merged = c.clone();
@@ -1594,16 +1635,15 @@ mod tests {
                 merged.count -= 1;
                 vec![O::Components(merged)]
             }
-            O::Forest(f) => {
-                let mut dropped = f.clone();
-                dropped.edges.pop();
-                vec![O::Forest(dropped)]
-            }
-            O::Mst(r) => {
-                let mut dropped = r.clone();
-                dropped.forest.edges.pop();
-                vec![O::Mst(dropped)]
-            }
+            O::Forest(f) => forests(f).into_iter().map(O::Forest).collect(),
+            O::Mst(r) => (forests(&r.forest).into_iter())
+                .map(|forest| {
+                    O::Mst(MstResult {
+                        forest,
+                        ..r.clone()
+                    })
+                })
+                .collect(),
             O::Matching(r) => {
                 let mut unmatched = r.clone();
                 unmatched.matching.edges.pop();
@@ -1621,11 +1661,18 @@ mod tests {
                 ]
             }
             O::Apsp { oracle, spanner } => {
-                let cut = cut_bridge(oracle.spanner());
-                vec![O::Apsp {
-                    oracle: ApspOracle::from_spanner(cut, oracle.stretch_bound),
+                let bound = oracle.stretch_bound;
+                let with = |h, bound| O::Apsp {
+                    oracle: ApspOracle::from_spanner(h, bound),
                     spanner: spanner.clone(),
-                }]
+                };
+                // A cut bridge, the whole input past the size bound, and
+                // the real spanner claiming a looser stretch.
+                vec![
+                    with(cut_bridge(oracle.spanner()), bound),
+                    with(g.clone(), bound),
+                    with(oracle.spanner().clone(), bound + 1),
+                ]
             }
             O::MstApprox(r) => {
                 let mut off = r.clone();

@@ -46,8 +46,9 @@ fn connectivity_program_equals_legacy_exactly() {
 #[test]
 fn boruvka_program_matches_legacy_mst() {
     for seed in [2u64, 7, 13] {
-        // Unique weights => the MSF is unique => a spanning forest of
-        // Kruskal's weight, which the certificate checks, is Kruskal's.
+        // Unique weights => the MSF is unique => a spanning forest whose
+        // edges, at their weights in g, sum to Kruskal's weight — what the
+        // certificate checks — is Kruskal's edge set.
         let base = generators::gnm(100, 420, seed);
         let edges: Vec<Edge> = base
             .edges()
